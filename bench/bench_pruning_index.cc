@@ -1,24 +1,20 @@
 // Pruning-index planning benchmark: fleet-scale series counts. A shard
-// with 10^5 series (ETSQP_BENCH_SCALE scales it) where every filter query
-// used to walk every series' page headers before scheduling a single job.
-// Measured per filter shape, over the whole fleet:
+// with 10^5 series (ETSQP_BENCH_SCALE scales it) where a filter query that
+// plans series one by one snapshots and plans every series before
+// scheduling a single job. Measured per filter shape, over the whole fleet:
 //
-//   linear       index off — snapshot every series and run the linear
-//                per-page-header walk (the pre-index planner)
-//   leaf-scan    index on, no fleet probe — snapshot every series; the
-//                level-1 envelope skips dead series, the level-2 SIMD leaf
-//                scan replaces the header walk for live ones
-//   fleet-probe  index on — one SIMD sweep over the level-1 envelopes
+//   linear       snapshot every series and plan it (envelope check, then
+//                the page-header walk for series the envelope keeps)
+//   fleet-probe  one SIMD sweep over the series envelopes
 //                (SeriesStore::CountMatchingSeries) picks the surviving
 //                series; only those are snapshotted and planned
 //
-// Leaf-scan and linear must schedule identical job sets (the
-// differential-tested index-on/off contract). The fleet probe may schedule
-// fewer jobs when a value filter is active: page-level planning prunes on
-// time only (value pruning runs at block level inside the drain), while the
-// series envelope can rule out whole series by value up front. The
-// acceptance bar is fleet-probe >= 5x faster than linear planning on the
-// selective shapes at 10^5 series.
+// On time-only shapes both must schedule identical job sets. With a value
+// filter the fleet probe may schedule fewer jobs, never more: the planner
+// here runs without header value pruning (value pruning runs at block
+// level inside the drain), while the probe rules out whole series by value
+// up front. The acceptance bar is fleet-probe >= 5x faster than linear
+// planning on the selective shapes at 10^5 series.
 //
 //   ETSQP_BENCH_SCALE   scales the series count (default 1.0 = 100k)
 //   ETSQP_BENCH_JSON    appends one JSON line per case
@@ -130,8 +126,7 @@ PlanOutcome PlanFleetProbe(const SeriesStore& store, LogicalPlan* plan,
 }
 
 void ExportCase(const char* case_name, size_t n_series, double linear_s,
-                double leaf_s, double probe_s, size_t jobs,
-                size_t jobs_fleet) {
+                double probe_s, size_t jobs, size_t jobs_fleet) {
   const char* path = std::getenv("ETSQP_BENCH_JSON");
   if (path == nullptr || path[0] == '\0') return;
   std::FILE* f = std::fopen(path, "a");
@@ -139,11 +134,9 @@ void ExportCase(const char* case_name, size_t n_series, double linear_s,
   std::fprintf(f,
                "{\"bench\": \"pruning_index\", \"case\": \"%s\", "
                "\"series\": %zu, \"linear_seconds\": %.9f, "
-               "\"leaf_scan_seconds\": %.9f, \"fleet_probe_seconds\": %.9f, "
-               "\"speedup_leaf\": %.3f, \"speedup_fleet\": %.3f, "
+               "\"fleet_probe_seconds\": %.9f, \"speedup_fleet\": %.3f, "
                "\"jobs_scheduled\": %zu, \"jobs_fleet_probe\": %zu}\n",
-               case_name, n_series, linear_s, leaf_s, probe_s,
-               leaf_s > 0 ? linear_s / leaf_s : 0.0,
+               case_name, n_series, linear_s, probe_s,
                probe_s > 0 ? linear_s / probe_s : 0.0, jobs, jobs_fleet);
   std::fclose(f);
 }
@@ -161,8 +154,8 @@ int main() {
   std::printf("pruning-index planning: %zu series x %lld points "
               "(2 sealed pages each)\n",
               n_series, static_cast<long long>(kPointsPerSeries));
-  PrintHeader("planning latency, index off vs on (best-of timing)",
-              {"case", "linear-ms", "leaf-ms", "probe-ms", "fleet-x"});
+  PrintHeader("planning latency, per-series vs fleet probe (best-of timing)",
+              {"case", "linear-ms", "probe-ms", "fleet-x"});
 
   struct Shape {
     const char* name;
@@ -190,41 +183,35 @@ int main() {
       plan.value_filter.hi = 4299;
     }
 
-    PipelineOptions off = PipelineOptions::Etsqp(1).WithPruneIndex(false);
-    PipelineOptions on = PipelineOptions::Etsqp(1).WithPruneIndex(true);
-    PlanOutcome r_linear, r_leaf, r_probe;
-    double linear_s = TimeBest(
-        [&] { r_linear = PlanSeries(fleet.store, fleet.names, &plan, off); });
-    double leaf_s = TimeBest(
-        [&] { r_leaf = PlanSeries(fleet.store, fleet.names, &plan, on); });
-    double probe_s =
-        TimeBest([&] { r_probe = PlanFleetProbe(fleet.store, &plan, on); });
+    const PipelineOptions options = PipelineOptions::Etsqp(1);
+    PlanOutcome r_linear, r_probe;
+    double linear_s = TimeBest([&] {
+      r_linear = PlanSeries(fleet.store, fleet.names, &plan, options);
+    });
+    double probe_s = TimeBest(
+        [&] { r_probe = PlanFleetProbe(fleet.store, &plan, options); });
 
-    // The contract the differential harness proves in miniature: index
-    // on/off schedule exactly the same jobs over the same snapshots. The
-    // fleet probe matches too on time-only shapes; with a value filter it
-    // may schedule strictly fewer (series-envelope value pruning has no
-    // page-level counterpart — value pruning runs at block level in the
-    // drain), never more.
+    // The fleet probe and the per-series envelope check use the same
+    // envelopes, so time-only shapes schedule exactly the same jobs. With
+    // a value filter the probe may schedule strictly fewer (the planner
+    // here has header value pruning off), never more.
     const bool probe_ok = shape.value_selective
                               ? r_probe.jobs <= r_linear.jobs
                               : r_probe.jobs == r_linear.jobs;
-    if (r_leaf.jobs != r_linear.jobs || !probe_ok) {
+    if (!probe_ok) {
       std::fprintf(stderr,
-                   "FAIL %s: scheduled jobs diverge (linear=%zu leaf=%zu "
-                   "probe=%zu)\n",
-                   shape.name, r_linear.jobs, r_leaf.jobs, r_probe.jobs);
+                   "FAIL %s: scheduled jobs diverge (linear=%zu probe=%zu)\n",
+                   shape.name, r_linear.jobs, r_probe.jobs);
       ok = false;
     }
 
     PrintCell(shape.name);
     PrintCell(linear_s * 1e3);
-    PrintCell(leaf_s * 1e3);
     PrintCell(probe_s * 1e3);
     PrintCell(probe_s > 0 ? linear_s / probe_s : 0.0);
     bench::EndRow();
-    ExportCase(shape.name, n_series, linear_s, leaf_s, probe_s,
-               r_linear.jobs, r_probe.jobs);
+    ExportCase(shape.name, n_series, linear_s, probe_s, r_linear.jobs,
+               r_probe.jobs);
     if ((shape.time_selective || shape.value_selective) && probe_s > 0) {
       selective_worst = std::min(selective_worst, linear_s / probe_s);
     }

@@ -17,7 +17,6 @@
 #include "simd/filter_simd.h"
 #include "simd/merge_simd.h"
 #include "storage/page_builder.h"
-#include "storage/pruning_index.h"
 
 namespace etsqp::exec {
 
@@ -77,60 +76,6 @@ struct MergeSchedule {
     }
   }
 };
-
-/// Pipe compilation for the file-backed path: header-only pruning decides
-/// which pages to fetch at all; surviving pages become whole-page jobs
-/// (slicing would defeat the one-fetch-per-page buffer pool discipline).
-Result<PipelineSpec> BuildFilePipeline(const LogicalPlan& plan,
-                                       storage::FileBackedStore* store,
-                                       const PipelineOptions& options) {
-  if (plan.kind != LogicalPlan::Kind::kAggregate) {
-    return Status::NotSupported("file-backed path supports aggregation only");
-  }
-  Result<const storage::FileBackedStore::SeriesIndex*> series =
-      store->GetSeries(plan.series);
-  if (!series.ok()) return series.status();
-  const auto& refs = series.value()->pages;
-
-  TimeRange trange = plan.time_filter;
-  if (plan.window.active) trange.lo = std::max(trange.lo, plan.window.t_min);
-
-  PipelineSpec spec;
-  DecisionCache decisions(plan, options, &spec);
-  for (size_t p = 0; p < refs.size(); ++p) {
-    const storage::PageHeader& h = refs[p].header;
-    ++spec.plan_stats.pages_total;
-    spec.plan_stats.tuples_in_pages += h.count;
-    if (!trange.Overlaps(h.min_time, h.max_time)) {
-      ++spec.plan_stats.pages_pruned;
-      continue;
-    }
-    if (options.prune && plan.value_filter.active) {
-      // Float headers carry bit-cast doubles: the compare runs in the
-      // shared key domain (NaN bounds make the page unprunable), never on
-      // the raw int64 bit patterns.
-      const bool is_float = enc::IsFloatEncoding(h.value_encoding);
-      int64_t lo, hi;
-      int64_t q_lo = plan.value_filter.lo, q_hi = plan.value_filter.hi;
-      if (is_float) {
-        q_lo = storage::OrderedValueKey(
-            static_cast<double>(plan.value_filter.lo));
-        q_hi = storage::OrderedValueKey(
-            static_cast<double>(plan.value_filter.hi));
-      }
-      if (storage::HeaderValueKeys(h, is_float, &lo, &hi) &&
-          (hi < q_lo || lo > q_hi)) {
-        ++spec.plan_stats.pages_pruned;
-        continue;
-      }
-    }
-    spec.plan_stats.bytes_loaded += h.time_bytes + h.value_bytes;
-    int decision = decisions.Decide(ClassifyPage(h));
-    decisions.Cover(decision, 1, h.count);
-    spec.jobs.push_back({0, p, 0, h.count, false, decision});
-  }
-  return spec;
-}
 
 /// Per-input materialized tuples, stitched in storage order.
 struct Materialized {
@@ -370,8 +315,9 @@ Result<QueryResult> Engine::ExecuteFile(
     if (st.ok()) {
       const storage::Page& pg = *page.value();
       st = plan.window.active
-               ? AggregateSliceWindows(pg, 0, pg.header.count, plan.window,
-                                       plan.func, sched.options,
+               ? AggregateSliceWindows(pg, 0, pg.header.count,
+                                       plan.time_filter, plan.value_filter,
+                                       plan.window, plan.func, sched.options,
                                        &local_windows, &local_stats)
                : AggregateSlice(pg, 0, pg.header.count, plan.time_filter,
                                 plan.value_filter, plan.func, sched.options,
@@ -452,11 +398,11 @@ Result<QueryResult> Engine::ExecuteAggregate(const LogicalPlan& plan,
     if (job.tail) {
       // Unsealed tail leg: scalar kernels over the snapshot's raw arrays.
       if (is_float && plan.window.active) {
-        st = TailAggregateWindowsF64(snap.tail_times.data(),
-                                     snap.tail_values_f64.data(),
-                                     snap.tail_times.size(), plan.window,
-                                     plan.func, sched.options,
-                                     &local_fwindows, &local_stats);
+        st = TailAggregateWindowsF64(
+            snap.tail_times.data(), snap.tail_values_f64.data(),
+            snap.tail_times.size(), plan.time_filter, plan.value_filter,
+            plan.window, plan.func, sched.options, &local_fwindows,
+            &local_stats);
       } else if (is_float) {
         st = TailAggregateF64(snap.tail_times.data(),
                               snap.tail_values_f64.data(),
@@ -464,11 +410,11 @@ Result<QueryResult> Engine::ExecuteAggregate(const LogicalPlan& plan,
                               plan.value_filter, plan.func, sched.options,
                               &flocal, &local_stats);
       } else if (plan.window.active) {
-        st = TailAggregateWindows(snap.tail_times.data(),
-                                  snap.tail_values.data(),
-                                  snap.tail_times.size(), plan.window,
-                                  plan.func, sched.options, &local_windows,
-                                  &local_stats);
+        st = TailAggregateWindows(
+            snap.tail_times.data(), snap.tail_values.data(),
+            snap.tail_times.size(), plan.time_filter, plan.value_filter,
+            plan.window, plan.func, sched.options, &local_windows,
+            &local_stats);
       } else {
         st = TailAggregate(snap.tail_times.data(), snap.tail_values.data(),
                            snap.tail_times.size(), plan.time_filter,
@@ -485,15 +431,17 @@ Result<QueryResult> Engine::ExecuteAggregate(const LogicalPlan& plan,
                             &mt, &mv, &mfv, &dropped);
       if (st.ok()) {
         if (is_float && plan.window.active) {
-          st = TailAggregateWindowsF64(mt.data(), mfv.data(), mt.size(),
-                                       plan.window, plan.func, sched.options,
-                                       &local_fwindows, &local_stats);
+          st = TailAggregateWindowsF64(
+              mt.data(), mfv.data(), mt.size(), plan.time_filter,
+              plan.value_filter, plan.window, plan.func, sched.options,
+              &local_fwindows, &local_stats);
         } else if (is_float) {
           st = TailAggregateF64(mt.data(), mfv.data(), mt.size(),
                                 plan.time_filter, plan.value_filter, plan.func,
                                 sched.options, &flocal, &local_stats);
         } else if (plan.window.active) {
           st = TailAggregateWindows(mt.data(), mv.data(), mt.size(),
+                                    plan.time_filter, plan.value_filter,
                                     plan.window, plan.func, sched.options,
                                     &local_windows, &local_stats);
         } else {
@@ -508,16 +456,18 @@ Result<QueryResult> Engine::ExecuteAggregate(const LogicalPlan& plan,
     } else {
       const storage::Page& page = *pages[job.page_index];
       if (is_float && plan.window.active) {
-        st = AggregateFloatSliceWindows(page, job.begin, job.end, plan.window,
-                                        plan.func, sched.options,
-                                        &local_fwindows, &local_stats);
+        st = AggregateFloatSliceWindows(
+            page, job.begin, job.end, plan.time_filter, plan.value_filter,
+            plan.window, plan.func, sched.options, &local_fwindows,
+            &local_stats);
       } else if (is_float) {
         st = AggregateFloatSlice(page, job.begin, job.end, plan.time_filter,
                                  plan.value_filter, plan.func, sched.options,
                                  &flocal, &local_stats);
       } else if (plan.window.active) {
-        st = AggregateSliceWindows(page, job.begin, job.end, plan.window,
-                                   plan.func, sched.options, &local_windows,
+        st = AggregateSliceWindows(page, job.begin, job.end, plan.time_filter,
+                                   plan.value_filter, plan.window, plan.func,
+                                   sched.options, &local_windows,
                                    &local_stats);
       } else {
         st = AggregateSlice(page, job.begin, job.end, plan.time_filter,

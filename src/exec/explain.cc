@@ -177,12 +177,10 @@ std::string RenderStats(const ExecStats& stats) {
             "deletes: pages_pruned=%" PRIu64 " tuples_masked=%" PRIu64 "\n",
             stats.pages_pruned_deleted, stats.deleted_tuples_masked);
   }
-  if (stats.index_probe_nanos > 0 || stats.series_pruned > 0 ||
-      stats.pages_pruned_index > 0) {
+  if (stats.index_probe_nanos > 0 || stats.series_pruned > 0) {
     out += "index: probe ";
     AppendTime(&out, stats.index_probe_nanos);
-    Appendf(&out, "  series_pruned=%" PRIu64 " pages_pruned=%" PRIu64 "\n",
-            stats.series_pruned, stats.pages_pruned_index);
+    Appendf(&out, "  series_pruned=%" PRIu64 "\n", stats.series_pruned);
   }
   Appendf(&out, "bytes loaded: %" PRIu64 "\n", stats.bytes_loaded);
   if (stats.cache_hits + stats.cache_misses + stats.cache_evictions > 0) {

@@ -52,7 +52,6 @@ std::string ExecStats::ToJson() const {
   AppendField(&out, "deleted_tuples_masked", deleted_tuples_masked, &first);
   AppendField(&out, "index_probe_nanos", index_probe_nanos, &first);
   AppendField(&out, "series_pruned", series_pruned, &first);
-  AppendField(&out, "pages_pruned_index", pages_pruned_index, &first);
   AppendField(&out, "wall_nanos", wall_nanos, &first);
   AppendField(&out, "threads", static_cast<uint64_t>(threads > 0 ? threads : 0),
               &first);

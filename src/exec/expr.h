@@ -161,14 +161,12 @@ struct ExecStats {
   // here — snapshots pre-filter the tail.
   uint64_t pages_pruned_deleted = 0;
   uint64_t deleted_tuples_masked = 0;
-  // Pruning index (storage/pruning_index.h): nanoseconds spent in SIMD
-  // index probes at planning time, inputs skipped entirely because their
-  // series-level envelope misses the filters, and pages skipped by the
-  // leaf-level scan (also counted in pages_pruned, which stays the total
-  // across index and linear pruning).
+  // Pruning index (storage/pruning_index.h): nanoseconds spent checking
+  // input envelopes at planning time, and inputs skipped entirely because
+  // their envelope misses the filters (their pages also count in
+  // pages_pruned).
   uint64_t index_probe_nanos = 0;
   uint64_t series_pruned = 0;
-  uint64_t pages_pruned_index = 0;
 
   // Populated only under collect_stats.
   metrics::StageBreakdown stages;  // summed across jobs/threads
@@ -214,7 +212,6 @@ struct ExecStats {
     deleted_tuples_masked += o.deleted_tuples_masked;
     index_probe_nanos += o.index_probe_nanos;
     series_pruned += o.series_pruned;
-    pages_pruned_index += o.pages_pruned_index;
     stages.Merge(o.stages);
     if (o.wall_nanos > wall_nanos) wall_nanos = o.wall_nanos;
     if (o.threads > threads) threads = o.threads;

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <vector>
+
+#include "common/metrics.h"
+#include "storage/pruning_index.h"
 
 namespace etsqp::exec {
 
@@ -48,7 +52,7 @@ TimeRange EffectiveTimeRange(const LogicalPlan& plan) {
 /// for integer series, OrderedValueKey of the widened doubles for float
 /// series. Float page headers carry bit-cast doubles — comparing them as
 /// raw int64 is wrong for negative values (and NaN would mis-prune), so
-/// every header/leaf/envelope compare goes through this one domain.
+/// every header and envelope compare goes through this one domain.
 void QueryValueKeys(const ValueRange& vrange, bool is_float, int64_t* q_lo,
                     int64_t* q_hi) {
   if (is_float) {
@@ -60,21 +64,28 @@ void QueryValueKeys(const ValueRange& vrange, bool is_float, int64_t* q_lo,
   }
 }
 
-/// Collects the non-pruned page indices and counts of one input snapshot.
-/// A page whose whole [min_time, max_time] sits inside a tombstone is
-/// pruned like a header miss; a partially covered page survives but is
-/// flagged masked (scalar drain with per-tuple tombstone filtering).
-void CollectPages(const storage::SeriesSnapshot& snap,
+/// The pages of one input that survive header pruning, in page order.
+struct SurvivingPages {
+  std::vector<size_t> indices;
+  std::vector<char> masked;
+};
+
+/// The page walk shared by both planners (header pruning of Algorithm 2):
+/// `header_at(p)` yields the header of page p, whether a sealed page of a
+/// store snapshot or a FileBackedStore page reference. A page whose whole
+/// [min_time, max_time] sits inside a tombstone is pruned like a header
+/// miss; a partially covered page survives but is flagged masked (scalar
+/// drain with per-tuple tombstone filtering).
+template <typename HeaderAt>
+void CollectPages(size_t num_pages, const HeaderAt& header_at, bool is_float,
+                  const std::vector<storage::TimeInterval>& tombstones,
                   const TimeRange& trange, const ValueRange& vrange,
-                  bool prune_values, std::vector<size_t>* page_indices,
-                  std::vector<size_t>* page_counts,
-                  std::vector<char>* page_masked, QueryStats* stats) {
-  const auto& pages = snap.pages;
+                  bool prune_values, SurvivingPages* out, QueryStats* stats) {
   const bool value_active = prune_values && vrange.active;
   int64_t q_lo = 0, q_hi = 0;
-  if (value_active) QueryValueKeys(vrange, snap.is_float, &q_lo, &q_hi);
-  for (size_t p = 0; p < pages.size(); ++p) {
-    const storage::PageHeader& h = pages[p]->header;
+  if (value_active) QueryValueKeys(vrange, is_float, &q_lo, &q_hi);
+  for (size_t p = 0; p < num_pages; ++p) {
+    const storage::PageHeader& h = header_at(p);
     ++stats->pages_total;
     stats->tuples_in_pages += h.count;
     if (!trange.Overlaps(h.min_time, h.max_time)) {
@@ -82,9 +93,9 @@ void CollectPages(const storage::SeriesSnapshot& snap,
       continue;
     }
     bool masked = false;
-    if (!snap.tombstones.empty() &&
-        storage::IntervalsOverlap(snap.tombstones, h.min_time, h.max_time)) {
-      if (storage::IntervalsCover(snap.tombstones, h.min_time, h.max_time)) {
+    if (!tombstones.empty() &&
+        storage::IntervalsOverlap(tombstones, h.min_time, h.max_time)) {
+      if (storage::IntervalsCover(tombstones, h.min_time, h.max_time)) {
         ++stats->pages_pruned;
         ++stats->pages_pruned_deleted;
         continue;
@@ -95,80 +106,74 @@ void CollectPages(const storage::SeriesSnapshot& snap,
     // surviving (non-deleted) subset may have a tighter range.
     if (!masked && value_active) {
       int64_t lo, hi;
-      if (storage::HeaderValueKeys(h, snap.is_float, &lo, &hi) &&
+      if (storage::HeaderValueKeys(h, is_float, &lo, &hi) &&
           (hi < q_lo || lo > q_hi)) {
         ++stats->pages_pruned;
         continue;
       }
     }
-    stats->bytes_loaded += pages[p]->encoded_bytes();
-    page_indices->push_back(p);
-    page_counts->push_back(h.count);
-    page_masked->push_back(masked ? 1 : 0);
+    stats->bytes_loaded += h.time_bytes + h.value_bytes;
+    out->indices.push_back(p);
+    out->masked.push_back(masked ? 1 : 0);
   }
 }
 
-/// Index-probed replacement for CollectPages: one SIMD interval scan over
-/// the snapshot's leaf block (bit-exact with the page headers) decides
-/// time/value survival for every sealed page at once; only survivors touch
-/// a header cacheline. When tombstones exist the scan runs time-only and
-/// the tombstone/value logic replays per survivor — a masked page is kept
-/// even when its value bounds miss, exactly the CollectPages rule, so the
-/// surviving page set is identical to the linear walk's by construction.
-void CollectPagesIndexed(const storage::SeriesSnapshot& snap,
-                         const TimeRange& trange, const ValueRange& vrange,
-                         bool prune_values, simd::PruneIsa isa,
-                         std::vector<size_t>* page_indices,
-                         std::vector<size_t>* page_counts,
-                         std::vector<char>* page_masked, QueryStats* stats) {
-  const storage::PruneLeaves& leaves = *snap.prune_leaves;
-  const size_t n = leaves.count();
-  stats->pages_total += n;
-  stats->tuples_in_pages += leaves.total_tuples();
-  if (n == 0) return;
-  const bool value_active = prune_values && vrange.active;
-  int64_t q_lo = 0, q_hi = 0;
-  if (value_active) QueryValueKeys(vrange, snap.is_float, &q_lo, &q_hi);
-  const bool scan_values = value_active && snap.tombstones.empty();
-  std::vector<uint64_t> mask((n + 63) / 64);
-  size_t survivors = simd::PruneScan(
-      leaves.time_min(), leaves.time_max(), leaves.value_min(),
-      leaves.value_max(), n, trange.lo, trange.hi, scan_values, q_lo, q_hi,
-      mask.data(), isa);
-  stats->pages_pruned += n - survivors;
-  stats->pages_pruned_index += n - survivors;
-  for (size_t w = 0; w < mask.size(); ++w) {
-    uint64_t word = mask[w];
-    while (word != 0) {
-      size_t p = (w << 6) + static_cast<size_t>(__builtin_ctzll(word));
-      word &= word - 1;
-      const storage::PageHeader& h = snap.pages[p]->header;
-      bool masked = false;
-      if (!snap.tombstones.empty() &&
-          storage::IntervalsOverlap(snap.tombstones, h.min_time,
-                                    h.max_time)) {
-        if (storage::IntervalsCover(snap.tombstones, h.min_time,
-                                    h.max_time)) {
-          ++stats->pages_pruned;
-          ++stats->pages_pruned_deleted;
-          continue;
-        }
-        masked = true;
-      }
-      // NaN-bounded float pages carry the full-range sentinel in the leaf
-      // block, so this compare can never drop them.
-      if (!masked && value_active && !scan_values &&
-          (leaves.value_max()[p] < q_lo || leaves.value_min()[p] > q_hi)) {
-        ++stats->pages_pruned;
-        ++stats->pages_pruned_index;
-        continue;
-      }
-      stats->bytes_loaded += snap.pages[p]->encoded_bytes();
-      page_indices->push_back(p);
-      page_counts->push_back(h.count);
-      page_masked->push_back(masked ? 1 : 0);
+/// Turns the surviving pages of input `in` into jobs: one registry
+/// decision per page class, masked pages whole, the rest sliced across
+/// `threads` cores (Lines 5-6 of Algorithm 2; a single core never slices).
+template <typename HeaderAt>
+void AppendPageJobs(int in, const SurvivingPages& kept,
+                    const HeaderAt& header_at, int threads,
+                    DecisionCache* decisions, PipelineSpec* spec) {
+  // Registry lookup per surviving page (memoized per page class). Masked
+  // pages bypass the registry — they drain through the scalar masked
+  // path, not a vectorized kernel.
+  std::vector<int> page_decisions(kept.indices.size(), -1);
+  for (size_t p = 0; p < kept.indices.size(); ++p) {
+    if (kept.masked[p] != 0) continue;
+    const storage::PageHeader& h = header_at(kept.indices[p]);
+    page_decisions[p] = decisions->Decide(ClassifyPage(h));
+    decisions->Cover(page_decisions[p], 1, h.count);
+  }
+  // Only unmasked pages slice; masked pages run whole (one job each),
+  // merged back in page order so per-input concatenation of job outputs
+  // stays in time order.
+  std::vector<size_t> slice_counts;
+  std::vector<size_t> slice_pos;  // position within kept.indices
+  for (size_t p = 0; p < kept.indices.size(); ++p) {
+    if (kept.masked[p] != 0) continue;
+    slice_pos.push_back(p);
+    slice_counts.push_back(header_at(kept.indices[p]).count);
+  }
+  std::vector<PageSlice> slices = PlanSlices(slice_counts, threads, 1024);
+  size_t cursor = 0;  // slices arrive ordered by page then begin
+  for (size_t p = 0; p < kept.indices.size(); ++p) {
+    if (kept.masked[p] != 0) {
+      spec->jobs.push_back(PipeJob{in, kept.indices[p], 0,
+                                   header_at(kept.indices[p]).count, false, -1,
+                                   true});
+      continue;
+    }
+    while (cursor < slices.size() &&
+           slice_pos[slices[cursor].page_index] == p) {
+      const PageSlice& s = slices[cursor];
+      spec->jobs.push_back(PipeJob{in, kept.indices[p], s.begin, s.end, false,
+                                   page_decisions[p], false});
+      ++cursor;
     }
   }
+}
+
+/// Envelope check: false when no point ever appended to the series can
+/// satisfy the filters, so the whole input (pages and tail) is skipped.
+bool EnvelopeMayMatch(const storage::SeriesSummary& env, bool is_float,
+                      const TimeRange& trange, const ValueRange& vrange,
+                      bool prune_values) {
+  if (!trange.Overlaps(env.time_min, env.time_max)) return false;
+  if (!prune_values || !vrange.active) return true;
+  int64_t q_lo, q_hi;
+  QueryValueKeys(vrange, is_float, &q_lo, &q_hi);
+  return env.value_min_key <= q_hi && env.value_max_key >= q_lo;
 }
 
 /// Tail analogue of the page-header check: snapshot-captured min/max stats
@@ -227,124 +232,31 @@ Result<PipelineSpec> BuildPipeline(
   TimeRange trange = EffectiveTimeRange(plan);
   DecisionCache decisions(plan, options, &spec);
 
-  // The pruning-index scan is itself a scheduled kernel: one registry
-  // decision (memoized by the "prune" class) covers every input's probe.
-  // Without the registry, a pinned kSerial strategy pins the scalar scan
-  // too; any other pin keeps the best available datapath.
-  int prune_decision = -1;
-  simd::PruneIsa prune_isa = simd::BestPruneIsa();
-  if (options.prune_index) {
-    if (options.use_registry) {
-      prune_decision = decisions.Decide(ClassifyPrune());
-      if (prune_decision >= 0) {
-        prune_isa =
-            PruneEntryIsa(spec.decisions[prune_decision].entry->name());
-      }
-    } else if (options.strategy == DecodeStrategy::kSerial) {
-      prune_isa = simd::PruneIsa::kScalar;
-    }
-  }
-
   for (size_t in = 0; in < inputs.size(); ++in) {
     const storage::SeriesSnapshot& snap = inputs[in];
-    std::vector<size_t> page_indices;
-    std::vector<size_t> page_counts;
-    std::vector<char> page_masked;
-    // Store-resolved snapshots carry the pruning index (leaf block + series
-    // envelope) captured under the same lock as the page list; hand-built
-    // snapshots (file scans, tests) fall back to the linear header walk.
-    const bool use_index = options.prune_index &&
-                           snap.prune_leaves != nullptr &&
-                           snap.prune_leaves->count() == snap.pages.size();
-    if (use_index) {
+    if (snap.envelope.has_value()) {
       const uint64_t probe_t0 = metrics::NowNanos();
-      // Tombstones disable the envelope's value dimension: the linear walk
-      // keeps a partially deleted page no matter its value bounds (masked
-      // drain), so a value-based series skip could drop a page the linear
-      // scan schedules. Time pruning is unaffected — deletes never extend
-      // a series' time range.
-      const bool value_active = options.prune && plan.value_filter.active &&
-                                snap.tombstones.empty();
-      int64_t q_lo = 0, q_hi = 0;
-      if (value_active) {
-        QueryValueKeys(plan.value_filter, snap.is_float, &q_lo, &q_hi);
-      }
-      // Level-1 check: the series envelope conservatively covers every
-      // point ever ingested (pages, tail, OOO buffers), so an envelope
-      // miss skips the whole input — leaf scan, headers and tail alike.
-      const storage::SeriesSummary& sum = snap.summary;
-      const bool series_live =
-          sum.HasData() && trange.Overlaps(sum.time_min, sum.time_max) &&
-          (!value_active ||
-           (sum.value_min_key <= q_hi && sum.value_max_key >= q_lo));
-      if (!series_live) {
+      const bool live = EnvelopeMayMatch(*snap.envelope, snap.is_float, trange,
+                                         plan.value_filter, options.prune);
+      spec.plan_stats.index_probe_nanos += metrics::NowNanos() - probe_t0;
+      if (!live) {
         ++spec.plan_stats.series_pruned;
-        spec.plan_stats.pages_total += snap.prune_leaves->count();
-        spec.plan_stats.pages_pruned += snap.prune_leaves->count();
-        spec.plan_stats.pages_pruned_index += snap.prune_leaves->count();
-        spec.plan_stats.tuples_in_pages +=
-            snap.prune_leaves->total_tuples() + snap.tail_times.size();
+        spec.plan_stats.pages_total += snap.pages.size();
+        spec.plan_stats.pages_pruned += snap.pages.size();
+        spec.plan_stats.tuples_in_pages += snap.total_points();
         spec.plan_stats.tail_tuples += snap.tail_times.size();
-        spec.plan_stats.index_probe_nanos += metrics::NowNanos() - probe_t0;
-        decisions.Cover(prune_decision, snap.prune_leaves->count(), 1);
         continue;
       }
-      CollectPagesIndexed(snap, trange, plan.value_filter, options.prune,
-                          prune_isa, &page_indices, &page_counts,
-                          &page_masked, &spec.plan_stats);
-      const uint64_t probe_ns = metrics::NowNanos() - probe_t0;
-      spec.plan_stats.index_probe_nanos += probe_ns;
-      decisions.Cover(prune_decision, snap.prune_leaves->count(),
-                      snap.prune_leaves->count());
-      if (options.collect_stats && prune_decision >= 0) {
-        NoteDecisionOutcome(spec.decisions[prune_decision],
-                            snap.prune_leaves->count(), probe_ns,
-                            &spec.plan_stats);
-      }
-    } else {
-      CollectPages(snap, trange, plan.value_filter, options.prune,
-                   &page_indices, &page_counts, &page_masked,
-                   &spec.plan_stats);
     }
-    // Registry lookup per surviving page (memoized per page class). Masked
-    // pages bypass the registry — they drain through the scalar masked
-    // path, not a vectorized kernel.
-    std::vector<int> page_decisions(page_indices.size(), -1);
-    for (size_t p = 0; p < page_indices.size(); ++p) {
-      if (page_masked[p] != 0) continue;
-      const storage::PageHeader& h = snap.pages[page_indices[p]]->header;
-      page_decisions[p] = decisions.Decide(ClassifyPage(h));
-      decisions.Cover(page_decisions[p], 1, h.count);
-    }
-    // Lines 5-6 of Algorithm 2: slice pages when cores outnumber them.
-    // Only unmasked pages slice; masked pages run whole (one job each),
-    // merged back in page order so per-input concatenation of job outputs
-    // stays in time order.
-    std::vector<size_t> slice_counts;
-    std::vector<size_t> slice_pos;  // position within page_indices
-    for (size_t p = 0; p < page_indices.size(); ++p) {
-      if (page_masked[p] != 0) continue;
-      slice_pos.push_back(p);
-      slice_counts.push_back(page_counts[p]);
-    }
-    std::vector<PageSlice> slices =
-        PlanSlices(slice_counts, options.threads, 1024);
-    size_t cursor = 0;  // slices arrive ordered by page then begin
-    for (size_t p = 0; p < page_indices.size(); ++p) {
-      if (page_masked[p] != 0) {
-        spec.jobs.push_back(PipeJob{static_cast<int>(in), page_indices[p], 0,
-                                    page_counts[p], false, -1, true});
-        continue;
-      }
-      while (cursor < slices.size() &&
-             slice_pos[slices[cursor].page_index] == p) {
-        const PageSlice& s = slices[cursor];
-        spec.jobs.push_back(PipeJob{static_cast<int>(in), page_indices[p],
-                                    s.begin, s.end, false,
-                                    page_decisions[p], false});
-        ++cursor;
-      }
-    }
+    auto header_at = [&snap](size_t p) -> const storage::PageHeader& {
+      return snap.pages[p]->header;
+    };
+    SurvivingPages kept;
+    CollectPages(snap.pages.size(), header_at, snap.is_float, snap.tombstones,
+                 trange, plan.value_filter, options.prune, &kept,
+                 &spec.plan_stats);
+    AppendPageJobs(static_cast<int>(in), kept, header_at, options.threads,
+                   &decisions, &spec);
     // The unsealed tail rides behind the sealed pages of its input: one
     // scalar job, emitted last so concatenation keeps time order. Tail
     // tuples count into tuples_in_pages (they are part of the scan's
@@ -370,6 +282,36 @@ Result<PipelineSpec> BuildPipeline(
         decisions.Decide(ClassifyMerge(static_cast<int>(inputs.size())));
     decisions.Cover(spec.merge_decision, 0, spec.plan_stats.tuples_in_pages);
   }
+  return spec;
+}
+
+Result<PipelineSpec> BuildFilePipeline(const LogicalPlan& plan,
+                                       storage::FileBackedStore* store,
+                                       const PipelineOptions& options) {
+  if (plan.kind != LogicalPlan::Kind::kAggregate) {
+    return Status::NotSupported("file-backed path supports aggregation only");
+  }
+  Result<const storage::FileBackedStore::SeriesIndex*> series =
+      store->GetSeries(plan.series);
+  if (!series.ok()) return series.status();
+  const auto& refs = series.value()->pages;
+  auto header_at = [&refs](size_t p) -> const storage::PageHeader& {
+    return refs[p].header;
+  };
+  // A series keeps one value type across all its pages (compaction
+  // re-encodes only within the integer or the float codec family).
+  const bool is_float =
+      !refs.empty() && enc::IsFloatEncoding(refs[0].header.value_encoding);
+
+  PipelineSpec spec;
+  DecisionCache decisions(plan, options, &spec);
+  SurvivingPages kept;
+  CollectPages(refs.size(), header_at, is_float, /*tombstones=*/{},
+               EffectiveTimeRange(plan), plan.value_filter, options.prune,
+               &kept, &spec.plan_stats);
+  // Whole-page jobs: slicing would defeat the one-fetch-per-page buffer
+  // pool discipline.
+  AppendPageJobs(0, kept, header_at, /*threads=*/1, &decisions, &spec);
   return spec;
 }
 

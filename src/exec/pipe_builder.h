@@ -10,6 +10,7 @@
 #include "exec/pipeline.h"
 #include "exec/scheduler.h"
 #include "exec/scheduler_registry.h"
+#include "storage/buffer_manager.h"
 #include "storage/series_store.h"
 
 namespace etsqp::exec {
@@ -101,15 +102,23 @@ Result<std::vector<storage::SeriesSnapshot>> ResolveInputs(
 Result<std::vector<storage::SeriesSnapshot>> ResolveInputs(
     const LogicalPlan& plan, const SnapshotResolver& resolve);
 
-/// Builds jobs for `plan` over resolved input snapshots. Applies
-/// header-level page pruning (time range vs page min/max always; value
-/// range vs page min/max when options.prune), and the same statistics
-/// check to the tail (its min/max are computed at snapshot capture), so
-/// pruning short-circuits the tail too.
+/// Builds jobs for `plan` over resolved input snapshots. An input whose
+/// envelope (store snapshots only) misses the filters is skipped whole;
+/// the others go through the shared page walk: header-level page pruning
+/// (time range vs page min/max always; value range vs page min/max when
+/// options.prune) and the same statistics check on the tail (its min/max
+/// are computed at snapshot capture).
 Result<PipelineSpec> BuildPipeline(
     const LogicalPlan& plan,
     const std::vector<storage::SeriesSnapshot>& inputs,
     const PipelineOptions& options);
+
+/// Pipe compilation for a file-backed store: the same page walk over the
+/// resident page headers decides which pages to fetch at all; surviving
+/// pages become whole-page jobs, one per page. Aggregation plans only.
+Result<PipelineSpec> BuildFilePipeline(const LogicalPlan& plan,
+                                       storage::FileBackedStore* store,
+                                       const PipelineOptions& options);
 
 /// Convenience wrapper: resolves snapshots from `store` and compiles.
 Result<PipelineSpec> BuildPipeline(const LogicalPlan& plan,

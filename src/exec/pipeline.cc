@@ -7,6 +7,7 @@
 #include "common/metrics.h"
 #include "exec/fusion.h"
 #include "exec/pruning.h"
+#include "exec/tail_kernel.h"
 #include "simd/agg_simd.h"
 #include "simd/filter_simd.h"
 #include "storage/page_builder.h"
@@ -412,7 +413,8 @@ Status AggregateSlice(const storage::Page& page, size_t begin, size_t end,
 }
 
 Status AggregateSliceWindows(const storage::Page& page, size_t begin,
-                             size_t end, const SlidingWindow& sw,
+                             size_t end, const TimeRange& trange,
+                             const ValueRange& vrange, const SlidingWindow& sw,
                              AggFunc func, const PipelineOptions& opt,
                              std::map<int64_t, AggAccum>* windows,
                              QueryStats* stats) {
@@ -434,35 +436,34 @@ Status AggregateSliceWindows(const storage::Page& page, size_t begin,
   std::vector<int64_t> t(n);
   times.Materialize(t.data());
 
-  int64_t first_k = sw.WindowIndex(t[0]);
-  if (t[0] < sw.t_min) first_k = 0;  // values before t_min are excluded
-  int64_t last_k = sw.WindowIndex(t[n - 1]);
-  if (t[n - 1] < sw.t_min) return Status::Ok();
-
-  size_t pos = 0;
-  // Skip tuples before the first window. The fused reader's per-block
-  // residual cache is shared across all windows of this slice.
+  // Qualifying positions [pos, stop): inside the time filter and at or
+  // after the first window's start.
+  size_t pos = 0, stop = 0;
+  WindowBounds(t.data(), n, trange, sw, &pos, &stop);
+  // The fused reader's per-block residual cache is shared across all
+  // windows of this slice.
   ValueColumnContext vctx;
-  pos = std::lower_bound(t.begin(), t.end(), sw.t_min) - t.begin();
-  for (int64_t k = first_k; k <= last_k && pos < n; ++k) {
-    int64_t wend = sw.WindowStart(k + 1);
-    size_t pend =
-        std::lower_bound(t.begin() + pos, t.end(), wend) - t.begin();
-    if (pend > pos) {
-      AggAccum local;
-      ETSQP_RETURN_IF_ERROR(AggValues(page, begin + pos, begin + pend,
-                                      ValueRange{}, func, opt, &local, stats,
-                                      &vctx));
-      (*windows)[k].Merge(local);
-      pos = pend;
-    }
+  while (pos < stop) {
+    int64_t k = sw.WindowIndex(t[pos]);
+    size_t pend = std::lower_bound(t.begin() + pos, t.begin() + stop,
+                                   sw.WindowStart(k + 1)) -
+                  t.begin();
+    AggAccum local;
+    ETSQP_RETURN_IF_ERROR(AggValues(page, begin + pos, begin + pend, vrange,
+                                    func, opt, &local, stats, &vctx));
+    // A window appears only once a tuple passes every filter, so the
+    // answer never depends on page boundaries or header pruning.
+    if (local.count > 0) (*windows)[k].Merge(local);
+    pos = pend;
   }
   return Status::Ok();
 }
 
 Status AggregateFloatSliceWindows(const storage::Page& page, size_t begin,
-                                  size_t end, const SlidingWindow& sw,
-                                  AggFunc func, const PipelineOptions& opt,
+                                  size_t end, const TimeRange& trange,
+                                  const ValueRange& vrange,
+                                  const SlidingWindow& sw, AggFunc func,
+                                  const PipelineOptions& opt,
                                   std::map<int64_t, FloatAggAccum>* windows,
                                   QueryStats* stats) {
   end = std::min<size_t>(end, page.header.count);
@@ -487,21 +488,12 @@ Status AggregateFloatSliceWindows(const storage::Page& page, size_t begin,
         values.data()));
   }
   if (stats != nullptr) stats->tuples_scanned += 2 * n;
-  const bool need_sq = func == AggFunc::kVariance;
   ScopedStageTimer timer(stages, Stage::kAggregate);
-  size_t pos = std::lower_bound(t.begin(), t.end(), sw.t_min) - t.begin();
-  timer.AddTuples(n - pos);
-  while (pos < n) {
-    int64_t k = sw.WindowIndex(t[pos]);
-    int64_t wend = sw.WindowStart(k + 1);
-    size_t pend =
-        std::lower_bound(t.begin() + pos, t.end(), wend) - t.begin();
-    FloatAggAccum& acc = (*windows)[k];
-    for (size_t i = pos; i < pend; ++i) {
-      acc.AddValue(values[begin + i], need_sq);
-    }
-    pos = pend;
-  }
+  size_t pos = 0, stop = 0;
+  WindowBounds(t.data(), n, trange, sw, &pos, &stop);
+  timer.AddTuples(stop - pos);
+  AddToWindows(t.data(), values.data() + begin, pos, stop, vrange, sw,
+               func == AggFunc::kVariance, windows);
   return Status::Ok();
 }
 

@@ -41,13 +41,6 @@ struct PipelineOptions {
   /// Measured per-(entry, page-class) costs for registry proposals; null =
   /// the static Proposition 1 CostConstants fallback.
   std::shared_ptr<const CostCalibration> calibration;
-  /// Probe the pruning index (storage/pruning_index.h) before building
-  /// jobs: a SIMD interval scan over the snapshot's leaf blocks replaces
-  /// the linear page-header walk, and series whose envelope misses the
-  /// filters are skipped without touching their pages at all. On by
-  /// default — turning it off forces the linear header walk (the
-  /// differential-testing baseline; results must be byte-identical).
-  bool prune_index = true;
 
   /// Canonical option sets for the evaluation baselines (Section VII-A).
   static PipelineOptions Etsqp(int threads = 1);
@@ -72,10 +65,6 @@ struct PipelineOptions {
   }
   PipelineOptions& WithPrune(bool on) {
     prune = on;
-    return *this;
-  }
-  PipelineOptions& WithPruneIndex(bool on) {
-    prune_index = on;
     return *this;
   }
   PipelineOptions& WithFusion(bool on) {
@@ -131,10 +120,13 @@ Status AggregateSlice(const storage::Page& page, size_t begin, size_t end,
                       AggFunc func, const PipelineOptions& opt,
                       AggAccum* accum, QueryStats* stats);
 
-/// Sliding-window aggregation over one page slice: results merge into
-/// `windows` keyed by window index k (window = [t_min + k dT, +dT)).
+/// Sliding-window aggregation over one page slice: the tuples whose time
+/// lies in `trange` (and at or after the window origin) and whose value
+/// lies in `vrange` merge into `windows` keyed by window index k (window =
+/// [t_min + k dT, +dT)).
 Status AggregateSliceWindows(const storage::Page& page, size_t begin,
-                             size_t end, const SlidingWindow& sw,
+                             size_t end, const TimeRange& trange,
+                             const ValueRange& vrange, const SlidingWindow& sw,
                              AggFunc func, const PipelineOptions& opt,
                              std::map<int64_t, AggAccum>* windows,
                              QueryStats* stats);
@@ -176,8 +168,10 @@ Status AggregateFloatSlice(const storage::Page& page, size_t begin,
 
 /// Sliding-window variant for float-valued pages.
 Status AggregateFloatSliceWindows(const storage::Page& page, size_t begin,
-                                  size_t end, const SlidingWindow& sw,
-                                  AggFunc func, const PipelineOptions& opt,
+                                  size_t end, const TimeRange& trange,
+                                  const ValueRange& vrange,
+                                  const SlidingWindow& sw, AggFunc func,
+                                  const PipelineOptions& opt,
                                   std::map<int64_t, FloatAggAccum>* windows,
                                   QueryStats* stats);
 

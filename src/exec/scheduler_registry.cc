@@ -51,7 +51,7 @@ bool FusableFunc(AggFunc func, enc::ColumnEncoding venc) {
 }
 
 bool IntSealed(const PageClass& cls) {
-  return cls.sealed && !cls.is_float && !cls.merge && !cls.prune;
+  return cls.sealed && !cls.is_float && !cls.merge;
 }
 
 /// --- Concrete entries ----------------------------------------------------
@@ -291,64 +291,9 @@ class MergeScalarEntry : public SchedulerEntry {
   }
 };
 
-/// --- Prune-stage entries (simd/prune_simd.h kernel family) -----------------
-/// These schedule the planning-time interval scan over the pruning index
-/// (storage/pruning_index.h): 4 SoA bound columns, a compare+movemask per
-/// 64-wide node, cost in ns per index entry rather than per tuple.
-
-class PruneAvx512Entry : public SchedulerEntry {
- public:
-  const char* name() const override { return "etsqp.prune.avx512"; }
-  int priority() const override { return 87; }
-  bool CanSchedule(const PageClass& cls, const PlanContext&) const override {
-    return cls.prune && UseAvx2() && simd::Avx512Available();
-  }
-  HeuristicParams Params(const PageClass&, const PlanContext&) const override {
-    return {DecodeStrategy::kEtsqp, 0, false, false};
-  }
-  double PredictCost(const PageClass&, const PlanContext&,
-                     const CostConstants& c) const override {
-    // Four 512-bit bound loads + compares amortize over 8 entries.
-    return (4.0 * c.t_vis_mem + 4.0 * c.t_op) / 8.0;
-  }
-};
-
-class PruneAvx2Entry : public SchedulerEntry {
- public:
-  const char* name() const override { return "etsqp.prune.avx2"; }
-  int priority() const override { return 85; }
-  bool CanSchedule(const PageClass& cls, const PlanContext&) const override {
-    return cls.prune && UseAvx2();
-  }
-  HeuristicParams Params(const PageClass&, const PlanContext&) const override {
-    return {DecodeStrategy::kEtsqp, 0, false, false};
-  }
-  double PredictCost(const PageClass&, const PlanContext&,
-                     const CostConstants& c) const override {
-    return (4.0 * c.t_vis_mem + 4.0 * c.t_op) / 4.0;
-  }
-};
-
-class PruneScalarEntry : public SchedulerEntry {
- public:
-  const char* name() const override { return "etsqp.prune.scalar"; }
-  int priority() const override { return 11; }
-  bool CanSchedule(const PageClass& cls, const PlanContext&) const override {
-    return cls.prune;
-  }
-  HeuristicParams Params(const PageClass&, const PlanContext&) const override {
-    return {DecodeStrategy::kSerial, 0, false, false};
-  }
-  double PredictCost(const PageClass&, const PlanContext&,
-                     const CostConstants& c) const override {
-    return 4.0 * c.t_vis_mem + 4.0 * c.t_op;
-  }
-};
-
 }  // namespace
 
 std::string PageClass::Key() const {
-  if (prune) return "prune";
   if (merge) return merge_ways <= 2 ? "merge/2way" : "merge/nway";
   if (!sealed) return is_float ? "tail/f64" : "tail";
   std::string key = enc::ColumnEncodingName(value_encoding);
@@ -402,23 +347,6 @@ simd::MergeIsa MergeEntryIsa(const std::string& entry_name) {
   return simd::BestMergeIsa();
 }
 
-PageClass ClassifyPrune() {
-  PageClass cls;
-  cls.prune = true;
-  cls.sealed = true;
-  cls.width_bucket = 64;  // raw int64 SoA bound columns
-  cls.value_encoding = enc::ColumnEncoding::kPlain;
-  cls.time_encoding = enc::ColumnEncoding::kPlain;
-  return cls;
-}
-
-simd::PruneIsa PruneEntryIsa(const std::string& entry_name) {
-  if (entry_name == "etsqp.prune.avx512") return simd::PruneIsa::kAvx512;
-  if (entry_name == "etsqp.prune.avx2") return simd::PruneIsa::kAvx2;
-  if (entry_name == "etsqp.prune.scalar") return simd::PruneIsa::kScalar;
-  return simd::BestPruneIsa();
-}
-
 PlanContext MakePlanContext(const LogicalPlan& plan,
                             const PipelineOptions& options) {
   PlanContext ctx;
@@ -451,9 +379,6 @@ SchedulerRegistry::SchedulerRegistry() {
   entries_.push_back(std::make_unique<MergeAvx512Entry>());
   entries_.push_back(std::make_unique<MergeAvx2Entry>());
   entries_.push_back(std::make_unique<MergeScalarEntry>());
-  entries_.push_back(std::make_unique<PruneAvx512Entry>());
-  entries_.push_back(std::make_unique<PruneAvx2Entry>());
-  entries_.push_back(std::make_unique<PruneScalarEntry>());
 }
 
 const SchedulerRegistry& SchedulerRegistry::Global() {
@@ -728,38 +653,6 @@ CostCalibration CostCalibration::Measure() {
     }
   }
 
-  // Prune-stage probe: a synthetic 64k-entry index (four SoA bound columns,
-  // staggered intervals, ~1% of entries surviving a selective window) swept
-  // by each schedulable prune entry's datapath.
-  {
-    const size_t pn = 65536;
-    std::vector<int64_t> tmin(pn), tmax(pn), vmin(pn), vmax(pn);
-    for (size_t i = 0; i < pn; ++i) {
-      tmin[i] = static_cast<int64_t>(i * 100);
-      tmax[i] = static_cast<int64_t>(i * 100 + 99);
-      vmin[i] = 0;
-      vmax[i] = 1000;
-    }
-    std::vector<uint64_t> mask((pn + 63) / 64);
-    const int64_t t_lo = 0, t_hi = static_cast<int64_t>(pn);  // ~1% survive
-    PageClass cls = ClassifyPrune();
-    for (const auto& entry : reg.entries()) {
-      if (!entry->CanSchedule(cls, ctx)) continue;
-      simd::PruneIsa isa = PruneEntryIsa(entry->name());
-      constexpr int kReps = 7;
-      uint64_t best = UINT64_MAX;
-      for (int rep = 0; rep <= kReps; ++rep) {  // rep 0 is warm-up
-        uint64_t t0 = metrics::NowNanos();
-        simd::PruneScan(tmin.data(), tmax.data(), vmin.data(), vmax.data(),
-                        pn, t_lo, t_hi, /*value_active=*/true, 0, 500,
-                        mask.data(), isa);
-        uint64_t dt = metrics::NowNanos() - t0;
-        if (rep > 0 && dt < best) best = dt;
-      }
-      cal.Set(entry->name(), cls.Key(),
-              static_cast<double>(best) / static_cast<double>(pn));
-    }
-  }
   return cal;
 }
 

@@ -11,7 +11,6 @@
 #include "exec/expr.h"
 #include "exec/pipeline.h"
 #include "simd/merge_simd.h"
-#include "simd/prune_simd.h"
 #include "storage/page.h"
 #include "storage/series_store.h"
 
@@ -47,13 +46,9 @@ struct PageClass {
   // etsqp.merge.* entries schedule these.
   bool merge = false;
   int merge_ways = 0;
-  // Prune-stage class: the planning-time SIMD scan of the pruning index
-  // (storage/pruning_index.h), not a page either. Only the etsqp.prune.*
-  // entries schedule it; its calibrated cost is ns per index entry.
-  bool prune = false;
 
   /// Stable cache/display key, e.g. "TS2DIFF/w8", "GORILLA_VALUE/f64",
-  /// "tail", "tail/f64", "merge/2way", "prune".
+  /// "tail", "tail/f64", "merge/2way".
   std::string Key() const;
 };
 
@@ -65,16 +60,9 @@ PageClass ClassifyTail(const storage::SeriesSnapshot& snap);
 /// The merge stage of a plan combining `ways` sorted operand streams.
 PageClass ClassifyMerge(int ways);
 
-/// The planning-time pruning-index scan of a plan's input series.
-PageClass ClassifyPrune();
-
 /// Maps a chosen etsqp.merge.* entry name to the merge-kernel datapath the
 /// engine should run; unknown names fall back to BestMergeIsa().
 simd::MergeIsa MergeEntryIsa(const std::string& entry_name);
-
-/// Maps a chosen etsqp.prune.* entry name to the index-scan datapath the
-/// planner should run; unknown names fall back to BestPruneIsa().
-simd::PruneIsa PruneEntryIsa(const std::string& entry_name);
 
 /// The plan-shape facts entries gate on.
 struct PlanContext {

@@ -21,6 +21,7 @@ void TimeBounds(const int64_t* times, size_t n, const TimeRange& trange,
                 size_t* begin, size_t* end) {
   *begin = std::lower_bound(times, times + n, trange.lo) - times;
   *end = std::upper_bound(times, times + n, trange.hi) - times;
+  if (*end < *begin) *end = *begin;  // empty range (lo > hi)
 }
 
 void CountScanned(QueryStats* stats, uint64_t n) {
@@ -31,6 +32,13 @@ void CountScanned(QueryStats* stats, uint64_t n) {
 }
 
 }  // namespace
+
+void WindowBounds(const int64_t* times, size_t n, const TimeRange& trange,
+                  const SlidingWindow& sw, size_t* begin, size_t* end) {
+  TimeRange r = trange;
+  r.lo = std::max(r.lo, sw.t_min);
+  TimeBounds(times, n, r, begin, end);
+}
 
 Status TailAggregate(const int64_t* times, const int64_t* values, size_t n,
                      const TimeRange& trange, const ValueRange& vrange,
@@ -49,23 +57,18 @@ Status TailAggregate(const int64_t* times, const int64_t* values, size_t n,
 }
 
 Status TailAggregateWindows(const int64_t* times, const int64_t* values,
-                            size_t n, const SlidingWindow& sw, AggFunc func,
-                            const PipelineOptions& opt,
+                            size_t n, const TimeRange& trange,
+                            const ValueRange& vrange, const SlidingWindow& sw,
+                            AggFunc func, const PipelineOptions& opt,
                             std::map<int64_t, AggAccum>* windows,
                             QueryStats* stats) {
-  size_t pos = std::lower_bound(times, times + n, sw.t_min) - times;
-  CountScanned(stats, n - pos);
+  size_t begin, end;
+  WindowBounds(times, n, trange, sw, &begin, &end);
+  CountScanned(stats, end - begin);
   ScopedStageTimer timer(StagesOf(opt, stats), Stage::kAggregate);
-  timer.AddTuples(n - pos);
-  const bool need_sq = func == AggFunc::kVariance;
-  while (pos < n) {
-    int64_t k = sw.WindowIndex(times[pos]);
-    int64_t wend = sw.WindowStart(k + 1);
-    size_t pend = std::lower_bound(times + pos, times + n, wend) - times;
-    AggAccum& acc = (*windows)[k];
-    for (size_t i = pos; i < pend; ++i) acc.AddValue(values[i], need_sq);
-    pos = pend;
-  }
+  timer.AddTuples(end - begin);
+  AddToWindows(times, values, begin, end, vrange, sw,
+               func == AggFunc::kVariance, windows);
   return Status::Ok();
 }
 
@@ -93,23 +96,19 @@ Status TailAggregateF64(const int64_t* times, const double* values, size_t n,
 }
 
 Status TailAggregateWindowsF64(const int64_t* times, const double* values,
-                               size_t n, const SlidingWindow& sw,
-                               AggFunc func, const PipelineOptions& opt,
+                               size_t n, const TimeRange& trange,
+                               const ValueRange& vrange,
+                               const SlidingWindow& sw, AggFunc func,
+                               const PipelineOptions& opt,
                                std::map<int64_t, FloatAggAccum>* windows,
                                QueryStats* stats) {
-  size_t pos = std::lower_bound(times, times + n, sw.t_min) - times;
-  CountScanned(stats, n - pos);
+  size_t begin, end;
+  WindowBounds(times, n, trange, sw, &begin, &end);
+  CountScanned(stats, end - begin);
   ScopedStageTimer timer(StagesOf(opt, stats), Stage::kAggregate);
-  timer.AddTuples(n - pos);
-  const bool need_sq = func == AggFunc::kVariance;
-  while (pos < n) {
-    int64_t k = sw.WindowIndex(times[pos]);
-    int64_t wend = sw.WindowStart(k + 1);
-    size_t pend = std::lower_bound(times + pos, times + n, wend) - times;
-    FloatAggAccum& acc = (*windows)[k];
-    for (size_t i = pos; i < pend; ++i) acc.AddValue(values[i], need_sq);
-    pos = pend;
-  }
+  timer.AddTuples(end - begin);
+  AddToWindows(times, values, begin, end, vrange, sw,
+               func == AggFunc::kVariance, windows);
   return Status::Ok();
 }
 

@@ -1,6 +1,7 @@
 #ifndef ETSQP_EXEC_TAIL_KERNEL_H_
 #define ETSQP_EXEC_TAIL_KERNEL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -26,9 +27,12 @@ Status TailAggregate(const int64_t* times, const int64_t* values, size_t n,
                      AggFunc func, const PipelineOptions& opt,
                      AggAccum* accum, QueryStats* stats);
 
+/// Sliding-window aggregation over the tuples inside `trange` (and at or
+/// after the window origin) whose value passes `vrange`.
 Status TailAggregateWindows(const int64_t* times, const int64_t* values,
-                            size_t n, const SlidingWindow& sw, AggFunc func,
-                            const PipelineOptions& opt,
+                            size_t n, const TimeRange& trange,
+                            const ValueRange& vrange, const SlidingWindow& sw,
+                            AggFunc func, const PipelineOptions& opt,
                             std::map<int64_t, AggAccum>* windows,
                             QueryStats* stats);
 
@@ -38,8 +42,10 @@ Status TailAggregateF64(const int64_t* times, const double* values, size_t n,
                         FloatAggAccum* accum, QueryStats* stats);
 
 Status TailAggregateWindowsF64(const int64_t* times, const double* values,
-                               size_t n, const SlidingWindow& sw,
-                               AggFunc func, const PipelineOptions& opt,
+                               size_t n, const TimeRange& trange,
+                               const ValueRange& vrange,
+                               const SlidingWindow& sw, AggFunc func,
+                               const PipelineOptions& opt,
                                std::map<int64_t, FloatAggAccum>* windows,
                                QueryStats* stats);
 
@@ -50,6 +56,45 @@ Status TailMaterialize(const int64_t* times, const int64_t* values, size_t n,
                        const PipelineOptions& opt,
                        std::vector<int64_t>* out_times,
                        std::vector<int64_t>* out_values, QueryStats* stats);
+
+/// Positions [*begin, *end) of the sorted `times[0, n)` that a windowed
+/// aggregate reads: inside `trange` and at or after window 0's start.
+void WindowBounds(const int64_t* times, size_t n, const TimeRange& trange,
+                  const SlidingWindow& sw, size_t* begin, size_t* end);
+
+/// The value filter on a decoded value: integers compare exactly, doubles
+/// against the widened int64 bounds (a NaN passes, as in every float
+/// drain).
+inline bool PassesValueFilter(const ValueRange& vrange, int64_t v) {
+  return vrange.Contains(v);
+}
+inline bool PassesValueFilter(const ValueRange& vrange, double v) {
+  return !vrange.active || !(v < static_cast<double>(vrange.lo) ||
+                             v > static_cast<double>(vrange.hi));
+}
+
+/// Folds values[i], i in [begin, end) of sorted `times`, that pass `vrange`
+/// into their windows. A window appears only once a value passes, so the
+/// answer never depends on page boundaries or header pruning.
+template <typename Accum, typename Value>
+void AddToWindows(const int64_t* times, const Value* values, size_t begin,
+                  size_t end, const ValueRange& vrange,
+                  const SlidingWindow& sw, bool need_sq,
+                  std::map<int64_t, Accum>* windows) {
+  size_t pos = begin;
+  while (pos < end) {
+    const int64_t k = sw.WindowIndex(times[pos]);
+    const size_t pend =
+        std::lower_bound(times + pos, times + end, sw.WindowStart(k + 1)) -
+        times;
+    Accum acc;
+    for (size_t i = pos; i < pend; ++i) {
+      if (PassesValueFilter(vrange, values[i])) acc.AddValue(values[i], need_sq);
+    }
+    if (acc.count > 0) (*windows)[k].Merge(acc);
+    pos = pend;
+  }
+}
 
 }  // namespace etsqp::exec
 

@@ -9,7 +9,7 @@ namespace etsqp::simd {
 /// Interval-overlap scan kernels for the pruning index (ARCHITECTURE.md
 /// "Pruning index"): a flat, cache-resident min/max structure scanned with
 /// packed compares in the style of the SIMD-ified R-tree work, so "which
-/// series/pages can possibly match" is answered in registers.
+/// series can possibly match" is answered in registers.
 ///
 /// Input is a packed SoA of per-entry bounds. Entry i survives a probe
 /// [t_lo, t_hi] x [v_lo, v_hi] when

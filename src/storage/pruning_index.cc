@@ -39,28 +39,6 @@ bool HeaderValueKeys(const PageHeader& h, bool is_float, int64_t* lo,
   return true;
 }
 
-std::shared_ptr<const PruneLeaves> PruneLeaves::Build(
-    const std::vector<std::shared_ptr<const Page>>& pages, bool is_float) {
-  auto leaves = std::make_shared<PruneLeaves>();
-  size_t n = pages.size();
-  size_t padded = PadToNode(n);
-  leaves->count_ = n;
-  // Padding lanes carry inverted sentinels so they never survive a scan.
-  leaves->time_min_.assign(padded, kInt64Max);
-  leaves->time_max_.assign(padded, kInt64Min);
-  leaves->value_min_.assign(padded, kInt64Max);
-  leaves->value_max_.assign(padded, kInt64Min);
-  for (size_t i = 0; i < n; ++i) {
-    const PageHeader& h = pages[i]->header;
-    leaves->time_min_[i] = h.min_time;
-    leaves->time_max_[i] = h.max_time;
-    HeaderValueKeys(h, is_float, &leaves->value_min_[i],
-                    &leaves->value_max_[i]);
-    leaves->total_tuples_ += h.count;
-  }
-  return leaves;
-}
-
 size_t PruningIndex::AddSeries(std::string name, bool is_float) {
   size_t slot = names_.size();
   names_.push_back(std::move(name));

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,33 +11,23 @@
 
 namespace etsqp::storage {
 
-/// The per-shard pruning index: a two-level packed SoA interval structure
-/// over (time_min, time_max, value_min, value_max) scanned with the SIMD
-/// compare+mask kernels of simd/prune_simd.h.
-///
-///  - Level 1 (PruningIndex): one summary entry per series — a conservative
-///    envelope of everything ever appended (pages, tail, OOO buffers).
-///    Envelopes only widen, so deletes/TTL/compaction can never make them
-///    under-approximate; a fleet probe ("which of 10^5 series can match")
-///    is one SIMD sweep over four flat arrays instead of a per-series
-///    header walk.
-///  - Level 2 (PruneLeaves): one entry per *sealed page* of one series,
-///    bit-exact with the page headers. The block is immutable; SeriesStore
-///    swaps in a rebuilt block under its unique lock whenever the page list
-///    changes (seal install, AddPage, compaction install, load) and
-///    GetSnapshot captures the pointer under the same shared lock as the
-///    page vector — so a probe is epoch-consistent with the snapshot it
-///    plans against by construction. Nothing is ever persisted: on load the
-///    leaves rebuild from page headers, so the index cannot go stale on
-///    disk.
+/// The per-shard pruning index: one conservative envelope per series over
+/// (time_min, time_max, value_min, value_max), packed SoA and scanned with
+/// the SIMD compare+mask kernels of simd/prune_simd.h. Envelopes cover
+/// everything ever appended (pages, tail, OOO buffers) and only widen, so
+/// deletes/TTL/compaction can never make them under-approximate. A fleet
+/// probe ("which of 10^5 series can match") is one SIMD sweep over four
+/// flat arrays instead of a per-series header walk, and every store
+/// snapshot carries its series' envelope so the planner can skip a dead
+/// input before touching a page header. Nothing is persisted: on load the
+/// envelopes rebuild from page headers.
 ///
 /// Value bounds live in a single int64 key domain so one integer kernel
 /// covers both series types: integer series store raw values, float series
-/// store OrderedValueKey() of the header's bit-cast doubles. A float page
-/// whose header bounds are NaN gets the full-range sentinel — it can never
-/// be value-pruned (a NaN bound says nothing about the page's contents).
-/// Entries are padded to the 64-wide node fan-out with never-survive
-/// sentinels.
+/// store OrderedValueKey() of their doubles. NaN data (or a NaN page
+/// header bound) widens the value envelope to the full range — a NaN says
+/// nothing about where a series' values lie. Entries are padded to the
+/// 64-wide node fan-out with never-survive sentinels.
 
 /// Order-preserving int64 key for a non-NaN double: key(a) < key(b) iff
 /// a < b, with negative zero canonicalized to +0.0 so -0.0 == 0.0 survives
@@ -57,39 +46,14 @@ inline int64_t OrderedValueKey(double v) {
 bool HeaderValueKeys(const PageHeader& h, bool is_float, int64_t* lo,
                      int64_t* hi);
 
-/// Level-2 leaf block: per-page bounds of one series in SoA layout, padded
-/// to a multiple of the 64-entry node width. Immutable after Build.
-class PruneLeaves {
- public:
-  static std::shared_ptr<const PruneLeaves> Build(
-      const std::vector<std::shared_ptr<const Page>>& pages, bool is_float);
-
-  /// Real (unpadded) entry count == pages.size() at build time.
-  size_t count() const { return count_; }
-  /// Sum of page tuple counts — lets planners report tuples_in_pages for a
-  /// fully pruned series without touching any header cacheline.
-  uint64_t total_tuples() const { return total_tuples_; }
-
-  const int64_t* time_min() const { return time_min_.data(); }
-  const int64_t* time_max() const { return time_max_.data(); }
-  const int64_t* value_min() const { return value_min_.data(); }
-  const int64_t* value_max() const { return value_max_.data(); }
-
- private:
-  size_t count_ = 0;
-  uint64_t total_tuples_ = 0;
-  std::vector<int64_t> time_min_, time_max_, value_min_, value_max_;
-};
-
-/// Level-1 summary of one series, copied onto SeriesSnapshot under the
-/// store lock. Conservative envelope: covers every point ever appended.
+/// The envelope of one series, copied onto SeriesSnapshot under the store
+/// lock. Conservative: covers every point ever appended. A series with no
+/// data yet has an inverted (empty) envelope.
 struct SeriesSummary {
   int64_t time_min = std::numeric_limits<int64_t>::max();
   int64_t time_max = std::numeric_limits<int64_t>::min();
   int64_t value_min_key = std::numeric_limits<int64_t>::max();
   int64_t value_max_key = std::numeric_limits<int64_t>::min();
-
-  bool HasData() const { return time_min <= time_max; }
 };
 
 /// A fleet-level probe predicate. Bounds are inclusive; v_lo/v_hi are in
@@ -108,7 +72,7 @@ struct PruneProbeStats {
   uint64_t probe_nanos = 0;
 };
 
-/// Level 1 of the index. NOT internally synchronized: SeriesStore mutates
+/// The envelope table. NOT internally synchronized: SeriesStore mutates
 /// it under its unique lock and probes it under its shared lock.
 class PruningIndex {
  public:

@@ -111,8 +111,7 @@ Status SeriesStore::CreateSeries(const std::string& name,
   Series s;
   s.name = name;
   s.options = options;
-  s.prune_slot = st->prune_index.AddSeries(name, s.is_float());
-  s.prune_leaves = PruneLeaves::Build({}, s.is_float());
+  s.prune_slot = st->envelopes.AddSeries(name, s.is_float());
   st->series.emplace(name, std::move(s));
   return Status::Ok();
 }
@@ -125,14 +124,9 @@ Status SeriesStore::CreateSeriesForReplay(const std::string& name,
   Series s;
   s.name = name;
   s.options = options;
-  s.prune_slot = st->prune_index.AddSeries(name, s.is_float());
-  s.prune_leaves = PruneLeaves::Build({}, s.is_float());
+  s.prune_slot = st->envelopes.AddSeries(name, s.is_float());
   st->series.emplace(name, std::move(s));
   return Status::Ok();
-}
-
-void SeriesStore::RebuildLeavesLocked(Series* s) {
-  s->prune_leaves = PruneLeaves::Build(s->pages, s->is_float());
 }
 
 void SeriesStore::WidenEnvelopeLocked(State* st, const Series& s,
@@ -145,7 +139,7 @@ void SeriesStore::WidenEnvelopeLocked(State* st, const Series& s,
     if (times[i] < t_min) t_min = times[i];
     if (times[i] > t_max) t_max = times[i];
   }
-  st->prune_index.WidenTime(s.prune_slot, t_min, t_max);
+  st->envelopes.WidenTime(s.prune_slot, t_min, t_max);
   if (fvalues != nullptr) {
     bool any = false, has_nan = false;
     double lo = 0, hi = 0;
@@ -165,10 +159,10 @@ void SeriesStore::WidenEnvelopeLocked(State* st, const Series& s,
     }
     if (has_nan) {
       // NaN can slip past any finite bound, so the series can never again
-      // be value-pruned at level 1 (the pages keep their own verdicts).
-      st->prune_index.InvalidateValue(s.prune_slot);
+      // be value-pruned by its envelope (pages keep their own verdicts).
+      st->envelopes.InvalidateValue(s.prune_slot);
     } else if (any) {
-      st->prune_index.WidenValue(s.prune_slot, OrderedValueKey(lo),
+      st->envelopes.WidenValue(s.prune_slot, OrderedValueKey(lo),
                                  OrderedValueKey(hi));
     }
   } else if (ivalues != nullptr) {
@@ -177,18 +171,18 @@ void SeriesStore::WidenEnvelopeLocked(State* st, const Series& s,
       if (ivalues[i] < lo) lo = ivalues[i];
       if (ivalues[i] > hi) hi = ivalues[i];
     }
-    st->prune_index.WidenValue(s.prune_slot, lo, hi);
+    st->envelopes.WidenValue(s.prune_slot, lo, hi);
   }
 }
 
 void SeriesStore::WidenEnvelopeFromHeaderLocked(State* st, const Series& s,
                                                 const PageHeader& h) {
-  st->prune_index.WidenTime(s.prune_slot, h.min_time, h.max_time);
+  st->envelopes.WidenTime(s.prune_slot, h.min_time, h.max_time);
   int64_t lo, hi;
   if (HeaderValueKeys(h, s.is_float(), &lo, &hi)) {
-    st->prune_index.WidenValue(s.prune_slot, lo, hi);
+    st->envelopes.WidenValue(s.prune_slot, lo, hi);
   } else {
-    st->prune_index.InvalidateValue(s.prune_slot);
+    st->envelopes.InvalidateValue(s.prune_slot);
   }
 }
 
@@ -217,7 +211,6 @@ void SeriesStore::NotePageInstalledLocked(State* st) {
 }
 
 void SeriesStore::DrainReadySegmentsLocked(State* st, Series* s) {
-  bool installed = false;
   while (!s->sealing.empty() && s->sealing.front()->ready) {
     SealSegment& front = *s->sealing.front();
     if (!front.error.ok()) {
@@ -226,14 +219,12 @@ void SeriesStore::DrainReadySegmentsLocked(State* st, Series* s) {
       s->total_points += front.page->header.count;
       s->pages.push_back(std::move(front.page));
       ++s->epoch;  // seal install: cached results over the tail go stale
-      installed = true;
       ++st->ingest.pages_sealed;
       ++st->ingest.background_seals;
       NotePageInstalledLocked(st);
     }
     s->sealing.pop_front();
   }
-  if (installed) RebuildLeavesLocked(s);
 }
 
 Status SeriesStore::SealBufferLocked(State* st, Series* s) {
@@ -257,7 +248,6 @@ Status SeriesStore::SealBufferLocked(State* st, Series* s) {
     s->total_points += page->header.count;
     s->pages.push_back(std::move(page));
     ++s->epoch;
-    RebuildLeavesLocked(s);
     ++st->ingest.pages_sealed;
     NotePageInstalledLocked(st);
     return Status::Ok();
@@ -725,7 +715,6 @@ Status SeriesStore::InstallCompaction(const CompactionCapture& capture,
     }
   }
   ++s.epoch;  // rewritten pages: every cached result over them goes stale
-  RebuildLeavesLocked(&s);
   return Status::Ok();
 }
 
@@ -872,7 +861,6 @@ Status SeriesStore::AddPage(const std::string& name, Page page) {
   WidenEnvelopeFromHeaderLocked(st, s, page.header);
   s.pages.push_back(std::make_shared<const Page>(std::move(page)));
   ++s.epoch;
-  RebuildLeavesLocked(&s);
   NotePageInstalledLocked(st);
   return Status::Ok();
 }
@@ -890,7 +878,6 @@ Status SeriesStore::AddPageShared(const std::string& name,
   WidenEnvelopeFromHeaderLocked(st, s, page->header);
   s.pages.push_back(std::move(page));
   ++s.epoch;
-  RebuildLeavesLocked(&s);
   NotePageInstalledLocked(st);
   return Status::Ok();
 }
@@ -909,12 +896,7 @@ Result<SeriesSnapshot> SeriesStore::GetSnapshot(
   snap.epoch = s.epoch;
   snap.pages = s.pages;  // shared, immutable
   snap.tombstones = EffectiveTombstones(s);
-  // Leaf block and page vector are swapped together under the unique lock,
-  // so this capture is always bit-consistent with snap.pages.
-  snap.prune_leaves = s.prune_leaves != nullptr
-                          ? s.prune_leaves
-                          : PruneLeaves::Build(s.pages, snap.is_float);
-  snap.summary = st->prune_index.GetSummary(s.prune_slot);
+  snap.envelope = st->envelopes.GetSummary(s.prune_slot);
 
   size_t tail = s.buf_times.size();
   for (const auto& seg : s.sealing) tail += seg->times.size();
@@ -1040,12 +1022,12 @@ PruneProbeStats SeriesStore::CountMatchingSeries(
   State* st = state_.get();
   std::shared_lock<std::shared_mutex> lock(st->mu);
   std::vector<size_t> slots;
-  PruneProbeStats stats = st->prune_index.CountMatching(
+  PruneProbeStats stats = st->envelopes.CountMatching(
       probe, simd::BestPruneIsa(), matched != nullptr ? &slots : nullptr);
   if (matched != nullptr) {
     matched->clear();
     matched->reserve(slots.size());
-    for (size_t slot : slots) matched->push_back(st->prune_index.name(slot));
+    for (size_t slot : slots) matched->push_back(st->envelopes.name(slot));
   }
   return stats;
 }

@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -75,13 +76,10 @@ struct SeriesSnapshot {
   int64_t tail_max_value = 0;
   double tail_min_value_f64 = 0;
   double tail_max_value_f64 = 0;
-  /// Pruning-index leaf block for `pages`: captured under the same lock
-  /// acquisition, so prune_leaves->count() == pages.size() and entry i
-  /// mirrors pages[i]'s header — a SIMD probe over it is epoch-consistent
-  /// with this snapshot by construction. Never null for an existing series.
-  std::shared_ptr<const PruneLeaves> prune_leaves;
-  /// Series-level envelope (pruning index level 1) at capture.
-  SeriesSummary summary;
+  /// The series' pruning-index envelope at capture. Set on every snapshot
+  /// a SeriesStore hands out; empty on hand-built snapshots (tests, file
+  /// scans), which the planner therefore never envelope-prunes.
+  std::optional<SeriesSummary> envelope;
 
   bool has_tail() const { return !tail_times.empty(); }
   int64_t tail_min_time() const { return tail_times.front(); }
@@ -165,11 +163,7 @@ class SeriesStore {
     std::vector<int64_t> ooo_values;
     std::vector<double> ooo_values_f64;
     bool compacting = false;  // at most one in-flight compaction per series
-    // Pruning index: level-1 slot in State::prune_index and the level-2
-    // per-page leaf block, rebuilt whenever `pages` changes (same unique
-    // lock as the epoch bump that invalidates cached results).
-    size_t prune_slot = 0;
-    std::shared_ptr<const PruneLeaves> prune_leaves;
+    size_t prune_slot = 0;  // envelope slot in State::envelopes
 
     bool is_float() const {
       return enc::IsFloatEncoding(options.page.value_encoding);
@@ -239,9 +233,9 @@ class SeriesStore {
   /// to bound the memory a query snapshot would copy.
   uint64_t TailPoints(const std::string& name) const;
 
-  /// Fleet-scale pruning probe: one SIMD sweep over the level-1 series
-  /// envelopes under a single shared-lock acquisition — which series can
-  /// possibly hold a point in [t_lo, t_hi] x [v_lo, v_hi]. Conservative
+  /// Fleet-scale pruning probe: one SIMD sweep over the series envelopes
+  /// under a single shared-lock acquisition — which series can possibly
+  /// hold a point in [t_lo, t_hi] x [v_lo, v_hi]. Conservative
   /// (envelopes only widen), so it never under-counts relative to a linear
   /// per-series header scan. When `matched` is non-null it receives the
   /// surviving series names.
@@ -400,9 +394,9 @@ class SeriesStore {
     uint32_t compact_trigger_pages = 0;
     uint32_t pages_since_trigger = 0;
     std::function<void()> compact_trigger;
-    // Pruning index level 1: per-series envelopes (docs/ARCHITECTURE.md
-    // "Pruning index"). Mutated under the unique lock, probed shared.
-    PruningIndex prune_index;
+    // Pruning index: per-series envelopes (docs/ARCHITECTURE.md "Pruning
+    // index"). Mutated under the unique lock, probed shared.
+    PruningIndex envelopes;
   };
 
   Status AppendLocked(State* st, const std::string& name,
@@ -419,15 +413,13 @@ class SeriesStore {
   /// Cuts the full buffer into a segment and seals it (inline or via the
   /// executor). Caller holds the unique lock.
   Status SealBufferLocked(State* st, Series* s);
-  /// Rebuilds the level-2 leaf block after s->pages changed.
-  static void RebuildLeavesLocked(Series* s);
-  /// Widens the level-1 envelope with one appended batch (NaN-aware for
+  /// Widens the series envelope with one appended batch (NaN-aware for
   /// float series: a NaN value permanently disables value pruning).
   static void WidenEnvelopeLocked(State* st, const Series& s,
                                   const int64_t* times,
                                   const int64_t* ivalues,
                                   const double* fvalues, size_t n);
-  /// Widens the level-1 envelope from an installed page's header.
+  /// Widens the series envelope from an installed page's header.
   static void WidenEnvelopeFromHeaderLocked(State* st, const Series& s,
                                             const PageHeader& h);
   /// Installs every ready segment at the front of s->sealing, in order.

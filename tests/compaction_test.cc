@@ -30,6 +30,7 @@
 #include "storage/page_builder.h"
 #include "storage/series_store.h"
 #include "storage/tsfile.h"
+#include "scalar_oracle.h"
 
 namespace etsqp::storage {
 namespace {
@@ -786,14 +787,15 @@ TEST(CompactionConcurrencyTest, QueriesRaceCompactionDeletesAndOoo) {
   EXPECT_GT(dbx.compaction_stats().runs, 0u);
 }
 
-// --- Pruning-index staleness (runs under TSan in CI, ctest label
-// `pruning`): compaction installs splice a rewritten page list and must
-// swap in a rebuilt pruning-index leaf block under the same unique lock.
-// Snapshots taken during installs must stay bit-consistent (leaves mirror
-// headers) and schedule the same jobs with the index on and off.
+// --- Pruning staleness (runs under TSan in CI, ctest label `pruning`):
+// compaction installs splice a rewritten page list under the store's unique
+// lock while the series envelope only ever widens. Snapshots taken during
+// installs must never be envelope-pruned while they hold a matching point,
+// must schedule the envelope-less jobs when the envelope keeps them, and
+// must answer like the scalar oracle.
 
 /// True when both pipelines schedule the same (page, slice, tail, masked)
-/// jobs — the pruning-index contract.
+/// jobs.
 bool SameJobs(const exec::PipelineSpec& a, const exec::PipelineSpec& b) {
   if (a.jobs.size() != b.jobs.size()) return false;
   for (size_t j = 0; j < a.jobs.size(); ++j) {
@@ -808,6 +810,38 @@ bool SameJobs(const exec::PipelineSpec& a, const exec::PipelineSpec& b) {
   return true;
 }
 
+/// Checks one snapshot against the oracle: the envelope keeps every live
+/// input (and then plans the envelope-less jobs), and the engine's answer
+/// over exactly this snapshot equals the oracle's. Empty string = pass.
+std::string CheckSnapshot(const SeriesSnapshot& s,
+                          const exec::LogicalPlan& plan,
+                          const oracle::SeriesOracle& truth) {
+  if (!s.envelope.has_value()) return "store snapshot without envelope";
+  std::vector<SeriesSnapshot> inputs{s};
+  std::vector<SeriesSnapshot> bare{s};
+  bare[0].envelope.reset();
+  const exec::PipelineOptions options = exec::PipelineOptions::Etsqp(1);
+  auto spec = exec::BuildPipeline(plan, inputs, options);
+  auto spec_bare = exec::BuildPipeline(plan, bare, options);
+  if (!spec.ok() || !spec_bare.ok()) return "planning failed";
+  if (spec.value().plan_stats.series_pruned > 0) {
+    if (truth.Matching(plan) != 0) return "envelope pruned a live input";
+  } else if (!SameJobs(spec.value(), spec_bare.value())) {
+    return "job sets diverge";
+  }
+  Result<exec::QueryResult> result = exec::Engine(options).Execute(
+      plan, exec::SnapshotResolver([&s](const std::string&) {
+        return Result<SeriesSnapshot>(s);
+      }));
+  if (!result.ok()) return result.status().ToString();
+  std::string why;
+  if (!oracle::SameColumns(result.value().columns, truth.Answer(plan), false,
+                           &why)) {
+    return why;
+  }
+  return "";
+}
+
 TEST(PruningStalenessTest, SnapshotDuringCompactionInstallStaysConsistent) {
   db::IotDbLite dbi(db::IotDbLite::Mode::kSimd, 2);
   SeriesStore::SeriesOptions opt;
@@ -816,14 +850,19 @@ TEST(PruningStalenessTest, SnapshotDuringCompactionInstallStaysConsistent) {
   ASSERT_TRUE(dbi.CreateTimeseries("s", opt).ok());
   const int kN = 2048;
   std::vector<int64_t> t(kN), v(kN);
+  oracle::SeriesOracle truth(/*is_float=*/false);
   for (int i = 0; i < kN; ++i) {
     t[i] = i * 4;  // gaps leave room for late arrivals
     v[i] = 1;
+    truth.Append(t[i], v[i]);
   }
   ASSERT_TRUE(dbi.InsertBatch("s", t.data(), v.data(), kN).ok());
   ASSERT_TRUE(dbi.Flush().ok());
   ASSERT_TRUE(dbi.EnableCompaction().ok());
 
+  // Late points carry value 0, outside the filter: wherever compaction has
+  // moved them (overlap buffer, rewritten page, physically dropped), the
+  // answer is the base points'.
   exec::LogicalPlan plan =
       exec::LogicalPlan::Aggregate("s", exec::AggFunc::kSum);
   plan.value_filter.active = true;
@@ -846,31 +885,7 @@ TEST(PruningStalenessTest, SnapshotDuringCompactionInstallStaysConsistent) {
     readers.emplace_back([&] {
       while (!stop.load()) {
         Result<SeriesSnapshot> snap = dbi.store()->GetSnapshot("s");
-        if (!snap.ok()) {
-          ++failures;
-          break;
-        }
-        const SeriesSnapshot& s = snap.value();
-        if (s.prune_leaves == nullptr ||
-            s.prune_leaves->count() != s.pages.size()) {
-          ++failures;  // stale leaf block escaped the install lock
-          continue;
-        }
-        for (size_t p = 0; p < s.pages.size(); ++p) {
-          const PageHeader& h = s.pages[p]->header;
-          if (s.prune_leaves->time_min()[p] != h.min_time ||
-              s.prune_leaves->time_max()[p] != h.max_time) {
-            ++failures;
-          }
-        }
-        std::vector<SeriesSnapshot> inputs{s};
-        auto on = exec::BuildPipeline(
-            plan, inputs, exec::PipelineOptions::Etsqp(1).WithPruneIndex(true));
-        auto off = exec::BuildPipeline(
-            plan, inputs,
-            exec::PipelineOptions::Etsqp(1).WithPruneIndex(false));
-        if (!on.ok() || !off.ok() ||
-            !SameJobs(on.value(), off.value())) {
+        if (!snap.ok() || !CheckSnapshot(snap.value(), plan, truth).empty()) {
           ++failures;
         }
       }
@@ -891,55 +906,41 @@ TEST(PruningStalenessTest, DeleteRangeKeepsIndexConsistent) {
   opt.page_size = 16;
   ASSERT_TRUE(store.CreateSeries("s", opt).ok());
   std::vector<int64_t> times(64), values(64);
+  oracle::SeriesOracle truth(/*is_float=*/false);
   for (int64_t i = 0; i < 64; ++i) {
     times[i] = i;
     values[i] = 100 + i;
+    truth.Append(times[i], values[i]);
   }
   ASSERT_TRUE(store.AppendBatch("s", times.data(), values.data(), 64).ok());
   ASSERT_TRUE(store.Flush().ok());
 
-  // Page 1 fully deleted, page 2 partially: the index must keep page 2
-  // even though the tombstone makes its header value bounds unreliable.
+  // Page 1 fully deleted, page 2 partially: the walk must keep page 2 even
+  // though the tombstone makes its header value bounds unreliable.
   ASSERT_TRUE(store.DeleteRange("s", 16, 35).ok());
-
-  Result<SeriesSnapshot> snap = store.GetSnapshot("s");
-  ASSERT_TRUE(snap.ok());
-  const SeriesSnapshot& s = snap.value();
-  ASSERT_NE(s.prune_leaves, nullptr);
-  EXPECT_EQ(s.prune_leaves->count(), s.pages.size());
-  // The envelope is conservative: deletes never shrink it.
-  EXPECT_LE(s.summary.time_min, 0);
-  EXPECT_GE(s.summary.time_max, 63);
+  truth.DeleteRange(16, 35);
 
   exec::LogicalPlan plan =
       exec::LogicalPlan::Aggregate("s", exec::AggFunc::kSum);
   plan.value_filter.active = true;
   plan.value_filter.lo = 116;  // page 1's values (fully deleted) ...
   plan.value_filter.hi = 140;  // ... through page 2's surviving half
-  std::vector<SeriesSnapshot> inputs{s};
-  auto on = exec::BuildPipeline(
-      plan, inputs, exec::PipelineOptions::Etsqp(1).WithPruneIndex(true));
-  auto off = exec::BuildPipeline(
-      plan, inputs, exec::PipelineOptions::Etsqp(1).WithPruneIndex(false));
-  ASSERT_TRUE(on.ok());
-  ASSERT_TRUE(off.ok());
-  EXPECT_TRUE(SameJobs(on.value(), off.value()));
-  EXPECT_EQ(on.value().plan_stats.pages_pruned,
-            off.value().plan_stats.pages_pruned);
 
-  // Identical query results with the index on and off, before and after
-  // the tombstones become physical drops.
+  // The same answers before and after the tombstones become physical
+  // drops; the envelope is conservative throughout (deletes never shrink
+  // it).
   for (int pass = 0; pass < 2; ++pass) {
-    double want = 0;
-    for (int64_t i = 36; i <= 40; ++i) want += 100 + i;  // 136..140 survive
-    for (bool index_on : {true, false}) {
-      exec::Engine engine(
-          exec::PipelineOptions::Etsqp(1).WithPruneIndex(index_on));
-      Result<exec::QueryResult> r = engine.Execute(plan, store);
-      ASSERT_TRUE(r.ok());
-      EXPECT_EQ(r.value().columns[0][0], want)
-          << "pass=" << pass << " index=" << index_on;
-    }
+    Result<SeriesSnapshot> snap = store.GetSnapshot("s");
+    ASSERT_TRUE(snap.ok());
+    ASSERT_TRUE(snap.value().envelope.has_value());
+    EXPECT_LE(snap.value().envelope->time_min, 0);
+    EXPECT_GE(snap.value().envelope->time_max, 63);
+    EXPECT_EQ(CheckSnapshot(snap.value(), plan, truth), "") << "pass=" << pass;
+    Result<exec::QueryResult> r =
+        exec::Engine(exec::PipelineOptions::Etsqp(1)).Execute(plan, store);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().columns[0][0], 136 + 137 + 138 + 139 + 140)
+        << "pass=" << pass;
     if (pass == 0) {
       Compactor compactor(&store, CompactionOptions{});
       ASSERT_TRUE(compactor.CompactSeries("s").ok());

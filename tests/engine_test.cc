@@ -84,6 +84,10 @@ struct EngineCase {
   PipelineOptions options;
 };
 
+// gtest's default printer dumps the raw bytes of the struct, including the
+// `name` pointer, so the discovered CTest names would change from run to run.
+void PrintTo(const EngineCase& c, std::ostream* os) { *os << c.name; }
+
 class EngineMatrixTest : public ::testing::TestWithParam<EngineCase> {};
 
 TEST_P(EngineMatrixTest, WholeRangeAggregates) {

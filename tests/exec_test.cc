@@ -52,6 +52,13 @@ struct DecoderCase {
   DecodeStrategy strategy;
 };
 
+// Printed instead of the struct's raw bytes, whose padding is uninitialized:
+// CMake names the discovered tests after this text, so it must be stable.
+void PrintTo(const DecoderCase& c, std::ostream* os) {
+  *os << enc::ColumnEncodingName(c.encoding) << "-"
+      << DecodeStrategyName(c.strategy);
+}
+
 class ColumnDecoderTest : public ::testing::TestWithParam<DecoderCase> {};
 
 TEST_P(ColumnDecoderTest, MatchesReferenceDecode) {

@@ -15,11 +15,13 @@
 #include <vector>
 
 #include "db/iotdb_lite.h"
+#include "exec/engine.h"
 #include "exec/expr.h"
 #include "exec/pipe_builder.h"
 #include "exec/pipeline.h"
 #include "storage/series_store.h"
 #include "storage/wal.h"
+#include "scalar_oracle.h"
 
 namespace etsqp {
 namespace {
@@ -476,12 +478,26 @@ TEST(IotDbLiteConcurrencyTest, ConcurrentWritersDistinctSeries) {
   EXPECT_EQ(QueryScalar(dbi, "SELECT SUM(b) FROM b;"), 4000.0);
 }
 
-// --- Pruning-index staleness (runs under TSan in CI, ctest label
-// `pruning`): a snapshot captured while the background sealer installs
-// pages must carry a pruning-index leaf block that is bit-consistent with
-// its own page vector — SeriesStore swaps both under the same unique lock —
-// and must compile the same job set with the index on and off. A stale leaf
-// block would either diverge from the headers or change the scheduled jobs.
+// --- Pruning staleness (runs under TSan in CI, ctest label `pruning`): a
+// snapshot captured while the background sealer installs pages sees a
+// prefix of the writer's stream. Its series envelope must never prune that
+// prefix while a point of it matches, and when the envelope keeps the input
+// the page walk must schedule the envelope-less jobs. Every query over the
+// snapshot must equal the scalar oracle over the same prefix.
+
+bool SameJobs(const exec::PipelineSpec& a, const exec::PipelineSpec& b) {
+  if (a.jobs.size() != b.jobs.size()) return false;
+  for (size_t j = 0; j < a.jobs.size(); ++j) {
+    const exec::PipeJob& x = a.jobs[j];
+    const exec::PipeJob& y = b.jobs[j];
+    if (x.input != y.input || x.page_index != y.page_index ||
+        x.begin != y.begin || x.end != y.end || x.tail != y.tail ||
+        x.masked != y.masked) {
+      return false;
+    }
+  }
+  return true;
+}
 
 TEST(PruningStalenessTest, SnapshotDuringBackgroundSealStaysConsistent) {
   db::IotDbLite dbi(db::IotDbLite::Mode::kSimd, 2);
@@ -515,46 +531,43 @@ TEST(PruningStalenessTest, SnapshotDuringBackgroundSealStaysConsistent) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
+      const exec::Engine engine(exec::PipelineOptions::Etsqp(1));
       while (!done.load()) {
         Result<SeriesSnapshot> snap = dbi.store()->GetSnapshot("s");
-        if (!snap.ok()) {
+        if (!snap.ok() || !snap.value().envelope.has_value()) {
           failures.fetch_add(1);
           break;
         }
         const SeriesSnapshot& s = snap.value();
-        if (s.prune_leaves == nullptr ||
-            s.prune_leaves->count() != s.pages.size()) {
-          failures.fetch_add(1);  // leaf block escaped the install lock
-          continue;
-        }
-        for (size_t p = 0; p < s.pages.size(); ++p) {
-          const storage::PageHeader& h = s.pages[p]->header;
-          if (s.prune_leaves->time_min()[p] != h.min_time ||
-              s.prune_leaves->time_max()[p] != h.max_time ||
-              s.prune_leaves->value_min()[p] != h.min_value ||
-              s.prune_leaves->value_max()[p] != h.max_value) {
-            failures.fetch_add(1);
-          }
-        }
-        // Same snapshot, index on vs off: identical scheduled jobs.
+        oracle::SeriesOracle truth(/*is_float=*/false);
+        const int64_t prefix = static_cast<int64_t>(s.total_points());
+        for (int64_t i = 0; i < prefix; ++i) truth.Append(i, i % 100);
+
         std::vector<SeriesSnapshot> inputs{s};
-        auto on = exec::BuildPipeline(
-            plan, inputs, exec::PipelineOptions::Etsqp(1).WithPruneIndex(true));
-        auto off = exec::BuildPipeline(
-            plan, inputs,
-            exec::PipelineOptions::Etsqp(1).WithPruneIndex(false));
-        if (!on.ok() || !off.ok() ||
-            on.value().jobs.size() != off.value().jobs.size()) {
+        std::vector<SeriesSnapshot> bare{s};
+        bare[0].envelope.reset();
+        auto spec = exec::BuildPipeline(plan, inputs,
+                                        exec::PipelineOptions::Etsqp(1));
+        auto spec_bare = exec::BuildPipeline(plan, bare,
+                                             exec::PipelineOptions::Etsqp(1));
+        if (!spec.ok() || !spec_bare.ok()) {
           failures.fetch_add(1);
           continue;
         }
-        for (size_t j = 0; j < on.value().jobs.size(); ++j) {
-          const exec::PipeJob& a = on.value().jobs[j];
-          const exec::PipeJob& b = off.value().jobs[j];
-          if (a.page_index != b.page_index || a.begin != b.begin ||
-              a.end != b.end || a.tail != b.tail || a.masked != b.masked) {
-            failures.fetch_add(1);
-          }
+        if (spec.value().plan_stats.series_pruned > 0
+                ? truth.Matching(plan) != 0
+                : !SameJobs(spec.value(), spec_bare.value())) {
+          failures.fetch_add(1);  // the envelope dropped a live input
+        }
+        Result<exec::QueryResult> result = engine.Execute(
+            plan, exec::SnapshotResolver([&s](const std::string&) {
+              return Result<SeriesSnapshot>(s);
+            }));
+        std::string why;
+        if (!result.ok() || !oracle::SameColumns(result.value().columns,
+                                                 truth.Answer(plan), false,
+                                                 &why)) {
+          failures.fetch_add(1);
         }
       }
     });
@@ -562,7 +575,7 @@ TEST(PruningStalenessTest, SnapshotDuringBackgroundSealStaysConsistent) {
   writer.join();
   for (auto& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
-  // Sealed world after the dust settles: index-on still plans everything.
+  // Sealed world after the dust settles: the store still plans everything.
   ASSERT_TRUE(dbi.Flush().ok());
   EXPECT_EQ(QueryScalar(dbi, "SELECT COUNT(s) FROM s;"),
             static_cast<double>(kPoints));

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <random>
 
+#include "db/database.h"
 #include "exec/engine.h"
 #include "exec/pipeline.h"
 #include "storage/series_store.h"
@@ -194,6 +196,44 @@ TEST(PipelineEdgeTest, WindowedMinMaxCountMatchReference) {
                             : sq / cnt - (sum / cnt) * (sum / cnt);
       EXPECT_NEAR(qr.columns[1][r], expected, 1e-6)
           << AggFuncName(func) << " window " << ws;
+    }
+  }
+}
+
+// Windowed aggregates honour the whole WHERE clause — the time upper bound
+// and the value filter, not only the window origin — on sealed pages and on
+// the unsealed tail, for integer and float series, so the answer never
+// depends on page boundaries or on whether header pruning ran.
+TEST(WindowFilterRegressionTest, WindowedAggregatesHonourWhereClause) {
+  db::Database db(db::Database::Options{db::Database::Mode::kSimd,
+                                        /*threads=*/1, /*shards=*/1,
+                                        /*cache_budget_bytes=*/0});
+  ASSERT_TRUE(db.CreateTimeseries("s", 100).ok());
+  ASSERT_TRUE(
+      db.CreateFloatTimeseries("f", enc::ColumnEncoding::kGorillaValue, 100)
+          .ok());
+  for (int64_t i = 0; i < 1050; ++i) {  // 10 sealed pages + a 50-point tail
+    ASSERT_TRUE(db.Insert("s", i, i).ok());
+    ASSERT_TRUE(db.InsertF64("f", i, static_cast<double>(i)).ok());
+  }
+  struct Case {
+    const char* sql;
+    double want;
+  };
+  const Case cases[] = {
+      {"SELECT SUM(%s) FROM %s WHERE time < 150 SW(0, 10000)", 11175},
+      {"SELECT COUNT(%s) FROM %s WHERE %s > 500 SW(0, 10000)", 549},
+      {"SELECT COUNT(%s) FROM %s WHERE time < 1020 SW(0, 10000)", 1020},
+  };
+  for (const char* series : {"s", "f"}) {
+    for (const Case& c : cases) {
+      char sql[128];
+      std::snprintf(sql, sizeof(sql), c.sql, series, series, series);
+      Result<QueryResult> r = db.Query(sql);
+      ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+      ASSERT_EQ(r.value().columns.size(), 2u) << sql;
+      ASSERT_EQ(r.value().columns[1].size(), 1u) << sql;
+      EXPECT_EQ(r.value().columns[1][0], c.want) << sql;
     }
   }
 }

@@ -1,19 +1,21 @@
-// Pruning-index correctness: SIMD kernel variants against a scalar
-// reference, the OrderedValueKey domain (negative doubles, negative zero,
-// NaN), leaf/envelope consistency with the page headers, and the
-// differential harness — randomized workloads (mixed codecs, OOO buffers,
-// tombstones, TTL, tail data, NaN floats) asserting the index never
-// schedules a different job set than the linear header walk and that query
-// results are byte-identical with the index on and off, across ISA
-// variants. The *Concurrency* staleness tests live in ingest_test.cc /
-// compaction_test.cc next to the subsystems they race.
+// Pruning correctness: SIMD kernel variants against a scalar reference,
+// the OrderedValueKey domain (negative doubles, negative zero, NaN), the
+// series envelopes, and the differential harness — randomized workloads
+// (mixed codecs, OOO buffers, tombstones, TTL, tail data, NaN floats,
+// windowed plans, file-backed reads) whose query results must equal a
+// scalar oracle over the raw inserted points, across decode strategies.
+// The staleness races live in ingest_test.cc / compaction_test.cc next to
+// the subsystems they race.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -25,8 +27,11 @@
 #include "exec/scheduler_registry.h"
 #include "simd/prune_simd.h"
 #include "simd/transposed_unpack_avx512.h"
+#include "storage/buffer_manager.h"
 #include "storage/pruning_index.h"
 #include "storage/series_store.h"
+#include "storage/tsfile.h"
+#include "scalar_oracle.h"
 
 namespace etsqp {
 namespace {
@@ -39,8 +44,9 @@ using exec::PipelineSpec;
 using exec::QueryResult;
 using exec::TimeRange;
 using exec::ValueRange;
+using oracle::SameColumns;
+using oracle::SeriesOracle;
 using storage::OrderedValueKey;
-using storage::PruneLeaves;
 using storage::PruneProbe;
 using storage::PruneProbeStats;
 using storage::SeriesSnapshot;
@@ -135,9 +141,9 @@ TEST(PruneSimdTest, KernelVariantsMatchScalarReference) {
   }
 }
 
-// ------------------------------------------------- leaves mirror headers
+// ------------------------------------------------- envelope
 
-TEST(PruningIndexTest, SnapshotLeavesMirrorPages) {
+TEST(PruningIndexTest, SnapshotEnvelopeCoversPages) {
   SeriesStore store;
   SeriesStore::SeriesOptions opt;
   opt.page_size = 64;
@@ -147,28 +153,41 @@ TEST(PruningIndexTest, SnapshotLeavesMirrorPages) {
     times[i] = i * 10;
     values[i] = (i * 13) % 251 - 125;
   }
-  ASSERT_TRUE(store.AppendBatch("s", times.data(), values.data(), 500).ok());
+  ASSERT_TRUE(store.AppendBatch("s", times.data(), values.data(), 300).ok());
   ASSERT_TRUE(store.Flush().ok());
+  ASSERT_TRUE(
+      store.AppendBatch("s", times.data() + 300, values.data() + 300, 200)
+          .ok());  // some of it stays in the tail
 
   auto snap = store.GetSnapshot("s");
   ASSERT_TRUE(snap.ok());
   const SeriesSnapshot& s = snap.value();
-  ASSERT_NE(s.prune_leaves, nullptr);
-  ASSERT_EQ(s.prune_leaves->count(), s.pages.size());
-  uint64_t tuples = 0;
-  for (size_t p = 0; p < s.pages.size(); ++p) {
-    const storage::PageHeader& h = s.pages[p]->header;
-    EXPECT_EQ(s.prune_leaves->time_min()[p], h.min_time);
-    EXPECT_EQ(s.prune_leaves->time_max()[p], h.max_time);
-    EXPECT_EQ(s.prune_leaves->value_min()[p], h.min_value);
-    EXPECT_EQ(s.prune_leaves->value_max()[p], h.max_value);
-    tuples += h.count;
+  ASSERT_TRUE(s.envelope.has_value());
+  // The envelope covers every page header and the tail.
+  for (const auto& page : s.pages) {
+    const storage::PageHeader& h = page->header;
+    EXPECT_LE(s.envelope->time_min, h.min_time);
+    EXPECT_GE(s.envelope->time_max, h.max_time);
+    EXPECT_LE(s.envelope->value_min_key, h.min_value);
+    EXPECT_GE(s.envelope->value_max_key, h.max_value);
   }
-  EXPECT_EQ(s.prune_leaves->total_tuples(), tuples);
-  // Envelope covers everything appended.
-  EXPECT_TRUE(s.summary.HasData());
-  EXPECT_LE(s.summary.time_min, times.front());
-  EXPECT_GE(s.summary.time_max, times.back());
+  ASSERT_TRUE(s.has_tail());
+  EXPECT_GE(s.envelope->time_max, s.tail_max_time());
+  EXPECT_EQ(s.envelope->value_min_key,
+            *std::min_element(values.begin(), values.end()));
+  EXPECT_EQ(s.envelope->value_max_key,
+            *std::max_element(values.begin(), values.end()));
+
+  // A hand-built snapshot carries no envelope and is never envelope-pruned.
+  SeriesSnapshot bare = s;
+  bare.envelope.reset();
+  LogicalPlan plan = LogicalPlan::Aggregate("s", AggFunc::kSum);
+  plan.time_filter.lo = 100000;
+  std::vector<SeriesSnapshot> inputs{bare};
+  auto spec = exec::BuildPipeline(plan, inputs, PipelineOptions::Etsqp(1));
+  ASSERT_TRUE(spec.ok());
+  EXPECT_EQ(spec.value().plan_stats.series_pruned, 0u);
+  EXPECT_EQ(spec.value().plan_stats.pages_pruned, s.pages.size());
 }
 
 // ------------------------------------------------- fleet probe
@@ -294,20 +313,19 @@ TEST(PruningIndexTest, NanPageIsNeverValuePruned) {
   // COUNT with a value filter far above the finite values: the engine's
   // float drains skip a tuple via (v < lo || v > hi), so a NaN passes every
   // value filter (both compares are false) and must be counted — which
-  // requires the page to be scanned, not pruned, index on or off. Finite
-  // header bounds over the non-NaN rest would have value-pruned the page
-  // and silently returned 0.
+  // requires neither the envelope nor the page header to prune. Finite
+  // bounds over the non-NaN rest would have value-pruned the page and
+  // silently returned 0.
   LogicalPlan plan = LogicalPlan::Aggregate("f", AggFunc::kCount);
   plan.value_filter.active = true;
   plan.value_filter.lo = 100;
   plan.value_filter.hi = 200;
-  for (bool index_on : {true, false}) {
-    Engine engine(PipelineOptions::EtsqpPrune(1).WithPruneIndex(index_on));
-    auto result = engine.Execute(plan, store);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.value().stats.pages_pruned, 0u) << "index=" << index_on;
-    EXPECT_EQ(result.value().columns[0][0], 1.0) << "index=" << index_on;
-  }
+  Engine engine(PipelineOptions::EtsqpPrune(1));
+  auto result = engine.Execute(plan, store);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().stats.series_pruned, 0u);
+  EXPECT_EQ(result.value().stats.pages_pruned, 0u);
+  EXPECT_EQ(result.value().columns[0][0], 1.0);
 }
 
 TEST(PruningIndexTest, NegativeFloatBoundsPruneCorrectly) {
@@ -333,22 +351,17 @@ TEST(PruningIndexTest, NegativeFloatBoundsPruneCorrectly) {
   plan.value_filter.active = true;
   plan.value_filter.lo = 0;
   plan.value_filter.hi = 10;
-  double expected = 7.0;
-  for (bool index_on : {true, false}) {
-    Engine engine(PipelineOptions::EtsqpPrune(1).WithPruneIndex(index_on));
-    auto result = engine.Execute(plan, store);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.value().columns[0][0], expected) << "index=" << index_on;
-    // Page 0 (all negative) is the only prunable one.
-    EXPECT_EQ(result.value().stats.pages_pruned, 1u) << "index=" << index_on;
-  }
+  Engine engine(PipelineOptions::EtsqpPrune(1));
+  auto result = engine.Execute(plan, store);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().columns[0][0], 7.0);
+  // Page 0 (all negative) is the only prunable one.
+  EXPECT_EQ(result.value().stats.pages_pruned, 1u);
 }
 
 // ------------------------------------------------- differential fuzz
 
-/// The job set a pipeline schedules, normalized for comparison (decision
-/// indices differ between index-on and index-off plans — the prune class
-/// adds a registry row — so they are excluded).
+/// The job set a pipeline schedules, normalized for comparison.
 std::vector<std::tuple<int, size_t, size_t, size_t, bool, bool>> JobSet(
     const PipelineSpec& spec) {
   std::vector<std::tuple<int, size_t, size_t, size_t, bool, bool>> out;
@@ -359,28 +372,20 @@ std::vector<std::tuple<int, size_t, size_t, size_t, bool, bool>> JobSet(
   return out;
 }
 
-bool BitIdentical(const std::vector<std::vector<double>>& a,
-                  const std::vector<std::vector<double>>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t c = 0; c < a.size(); ++c) {
-    if (a[c].size() != b[c].size()) return false;
-    if (a[c].size() > 0 &&
-        std::memcmp(a[c].data(), b[c].data(), a[c].size() * 8) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// One randomized round: build a series with random codec / page size /
-/// tail / OOO buffer / tombstones / TTL (and NaNs when float), run one
-/// random query with the pruning index on and off, and require (a) the
-/// identical job set — the index never prunes a series/page the linear
-/// header walk keeps, nor the reverse — and (b) byte-identical result
-/// columns.
+/// tail / OOO buffer / tombstones / TTL (and NaNs when float), mirror every
+/// accepted write into the scalar oracle, and run one random query —
+/// aggregate, select or windowed, with time bounds and value filters. The
+/// engine's answer must equal the oracle's. The series envelope must never
+/// prune a live input, and whenever it keeps the input the job set must
+/// equal the envelope-less walk's. Some integer rounds also write the clean
+/// store as a TsFile (as Database::Save does) and query it through a
+/// FileBackedStore (as Database::OpenFile serves it): the file planner is
+/// the page walk's other caller.
 void RunFuzzRound(uint64_t round) {
   std::mt19937_64 rng(round * 2654435761u + 17);
   const bool is_float = round % 4 == 3;
+  const bool file_round = round % 8 == 5;  // integer and clean by design
 
   SeriesStore::SeriesOptions opt;
   const uint32_t page_sizes[] = {16, 32, 64, 128};
@@ -397,10 +402,11 @@ void RunFuzzRound(uint64_t round) {
         enc::ColumnEncoding::kFastLanes,  enc::ColumnEncoding::kStreamVByte};
     opt.page.value_encoding = iencs[rng() % 6];
   }
-  opt.allow_out_of_order = rng() % 5 == 0;
+  opt.allow_out_of_order = !file_round && rng() % 5 == 0;
 
   SeriesStore store;
   ASSERT_TRUE(store.CreateSeries("s", opt).ok());
+  SeriesOracle truth(is_float);
 
   const size_t n = 40 + rng() % 200;
   std::vector<int64_t> times(n);
@@ -420,11 +426,13 @@ void RunFuzzRound(uint64_t round) {
   if (is_float) {
     ASSERT_TRUE(
         store.AppendBatchF64("s", times.data(), fvalues.data(), n).ok());
+    for (size_t i = 0; i < n; ++i) truth.AppendF64(times[i], fvalues[i]);
   } else {
     ASSERT_TRUE(
         store.AppendBatch("s", times.data(), ivalues.data(), n).ok());
+    for (size_t i = 0; i < n; ++i) truth.Append(times[i], ivalues[i]);
   }
-  if (rng() % 2 == 0) {  // else keep a live tail
+  if (file_round || rng() % 2 == 0) {  // else keep a live tail
     ASSERT_TRUE(store.Flush().ok());
   }
 
@@ -434,24 +442,48 @@ void RunFuzzRound(uint64_t round) {
     int64_t late[] = {times[0] + 1, times[n - 1] + 1};
     int64_t lval[] = {9999, -9999};
     ASSERT_TRUE(store.AppendBatch("s", late, lval, 2).ok());
+    truth.Append(late[0], lval[0]);
+    truth.Append(late[1], lval[1]);
   }
-  if (rng() % 4 == 0) {
+  if (!file_round && rng() % 4 == 0) {
     int64_t d0 = times[rng() % n];
     ASSERT_TRUE(store.DeleteRange("s", d0, d0 + 40).ok());
+    truth.DeleteRange(d0, d0 + 40);
   }
-  if (rng() % 10 == 0) {
-    ASSERT_TRUE(store.SetTtl("s", (times[n - 1] - times[0]) / 2).ok());
+  if (!file_round && rng() % 10 == 0) {
+    const int64_t ttl = (times[n - 1] - times[0]) / 2;
+    ASSERT_TRUE(store.SetTtl("s", ttl).ok());
+    truth.SetTtl(ttl);
   }
 
   // Random query shape.
   const AggFunc funcs[] = {AggFunc::kSum, AggFunc::kCount, AggFunc::kMin,
                            AggFunc::kMax, AggFunc::kAvg};
   LogicalPlan plan = LogicalPlan::Aggregate("s", funcs[rng() % 5]);
-  if (!is_float && rng() % 3 == 0) plan.kind = LogicalPlan::Kind::kSelect;
-  if (rng() % 4 != 0) {
-    plan.time_filter.lo = times[rng() % n] - static_cast<int64_t>(rng() % 20);
-    plan.time_filter.hi =
-        plan.time_filter.lo + static_cast<int64_t>(rng() % (4 * n));
+  const int shape = static_cast<int>(rng() % 3);
+  if (!is_float && !file_round && shape == 0) {
+    plan.kind = LogicalPlan::Kind::kSelect;
+  } else if (shape == 1) {
+    plan.window.active = true;
+    plan.window.t_min = times[rng() % n] - static_cast<int64_t>(rng() % 30);
+    plan.window.delta_t = 1 + static_cast<int64_t>(rng() % 60);
+  }
+  switch (rng() % 6) {
+    case 0:  // no time filter
+      break;
+    case 1:  // touches the newest appended point exactly
+      plan.time_filter.lo = times[n - 1];
+      plan.time_filter.hi = times[n - 1] + static_cast<int64_t>(rng() % 10);
+      break;
+    case 2:  // touches the oldest appended point exactly
+      plan.time_filter.hi = times[0];
+      plan.time_filter.lo = times[0] - static_cast<int64_t>(rng() % 10);
+      break;
+    default:
+      plan.time_filter.lo = times[rng() % n] - static_cast<int64_t>(rng() % 20);
+      plan.time_filter.hi =
+          plan.time_filter.lo + static_cast<int64_t>(rng() % (4 * n));
+      break;
   }
   if (rng() % 5 != 0) {
     plan.value_filter.active = true;
@@ -460,9 +492,9 @@ void RunFuzzRound(uint64_t round) {
         plan.value_filter.lo + static_cast<int64_t>(rng() % 120);
   }
 
-  // Rotate the planning mode so every prune datapath is exercised: the
-  // registry (etsqp.prune.* entries), the pinned-SIMD default, and the
-  // pinned-serial scalar scan.
+  // Rotate the decode datapath: the registry's choice, the pinned SIMD
+  // strategy, and the pinned serial scalar pipelines; every fifth round
+  // slices pages across three workers.
   PipelineOptions base;
   switch (round % 3) {
     case 0:
@@ -475,36 +507,62 @@ void RunFuzzRound(uint64_t round) {
       base = PipelineOptions::Serial().WithPrune(true);
       break;
   }
+  if (round % 5 == 4) base.WithThreads(3);
 
-  // (a) Job-set equality, straight off the compiled pipelines.
+  // (a) The envelope never prunes a live input, and when it keeps the
+  // input the shared page walk schedules exactly the envelope-less jobs.
   auto snap = store.GetSnapshot("s");
   ASSERT_TRUE(snap.ok());
-  std::vector<SeriesSnapshot> inputs;
-  inputs.push_back(std::move(snap).value());
-  auto spec_on =
-      BuildPipeline(plan, inputs, PipelineOptions(base).WithPruneIndex(true));
-  auto spec_off = BuildPipeline(plan, inputs,
-                                PipelineOptions(base).WithPruneIndex(false));
-  ASSERT_TRUE(spec_on.ok());
-  ASSERT_TRUE(spec_off.ok());
-  EXPECT_EQ(JobSet(spec_on.value()), JobSet(spec_off.value()))
-      << "round " << round << " job sets diverge";
-  EXPECT_EQ(spec_on.value().plan_stats.pages_pruned,
-            spec_off.value().plan_stats.pages_pruned)
-      << "round " << round;
+  ASSERT_TRUE(snap.value().envelope.has_value());
+  std::vector<SeriesSnapshot> inputs{snap.value()};
+  std::vector<SeriesSnapshot> bare{snap.value()};
+  bare[0].envelope.reset();
+  auto spec = BuildPipeline(plan, inputs, base);
+  auto spec_bare = BuildPipeline(plan, bare, base);
+  ASSERT_TRUE(spec.ok());
+  ASSERT_TRUE(spec_bare.ok());
+  EXPECT_EQ(spec_bare.value().plan_stats.series_pruned, 0u);
+  if (spec.value().plan_stats.series_pruned > 0) {
+    EXPECT_EQ(truth.Matching(plan), 0u)
+        << "round " << round << ": envelope pruned a live input";
+    EXPECT_TRUE(spec.value().jobs.empty()) << "round " << round;
+  } else {
+    EXPECT_EQ(JobSet(spec.value()), JobSet(spec_bare.value()))
+        << "round " << round << " job sets diverge";
+    EXPECT_EQ(spec.value().plan_stats.pages_pruned,
+              spec_bare.value().plan_stats.pages_pruned)
+        << "round " << round;
+  }
 
-  // (b) Byte-identical results.
-  Engine on(PipelineOptions(base).WithPruneIndex(true));
-  Engine off(PipelineOptions(base).WithPruneIndex(false));
-  auto r_on = on.Execute(plan, store);
-  auto r_off = off.Execute(plan, store);
-  ASSERT_TRUE(r_on.ok()) << r_on.status().ToString();
-  ASSERT_TRUE(r_off.ok()) << r_off.status().ToString();
-  EXPECT_TRUE(BitIdentical(r_on.value().columns, r_off.value().columns))
-      << "round " << round << " results diverge";
+  // (b) The engine's answer equals the oracle's.
+  const std::vector<std::vector<double>> want = truth.Answer(plan);
+  Engine engine(base);
+  auto result = engine.Execute(plan, store);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::string why;
+  EXPECT_TRUE(SameColumns(result.value().columns, want, is_float, &why))
+      << "round " << round << ": " << why;
+
+  // (c) The same store saved and read back through the file planner.
+  if (file_round) {
+    const std::string path =
+        ::testing::TempDir() + "/pruning_fuzz_" + std::to_string(round) +
+        ".tsfile";
+    ASSERT_TRUE(storage::WriteTsFile(store, path).ok());
+    storage::FileBackedStore file;
+    ASSERT_TRUE(file.Open(path).ok());
+    auto from_file = engine.Execute(plan, &file);
+    ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
+    EXPECT_TRUE(SameColumns(from_file.value().columns, want, false, &why))
+        << "round " << round << " (file): " << why;
+    EXPECT_EQ(from_file.value().stats.pages_pruned,
+              spec_bare.value().plan_stats.pages_pruned)
+        << "round " << round << " (file)";
+    std::remove(path.c_str());
+  }
 }
 
-TEST(PruningDifferentialTest, FuzzIndexOnVsOff1100Rounds) {
+TEST(PruningDifferentialTest, FuzzAgainstOracle1100Rounds) {
   for (uint64_t round = 0; round < 1100; ++round) {
     RunFuzzRound(round);
     if (HasFatalFailure() || HasNonfatalFailure()) {
@@ -520,35 +578,6 @@ TEST(PruningDifferentialTest, ScalarFallbackWhenSimdDisabled) {
     RunFuzzRound(round);
   }
   SetSimdDisabledForTesting(false);
-}
-
-// The "prune" class is schedulable and prefers the widest available ISA.
-TEST(PruneSchedulerTest, RegistrySchedulesPruneClass) {
-  exec::PageClass cls = exec::ClassifyPrune();
-  EXPECT_EQ(cls.Key(), "prune");
-  exec::PlanContext ctx;
-  exec::ScheduleDecision d = exec::SchedulerRegistry::Global().Propose(
-      cls, ctx, nullptr, exec::CostConstants{});
-  ASSERT_NE(d.entry, nullptr);
-  std::string name = d.entry->name();
-  EXPECT_EQ(name.rfind("etsqp.prune.", 0), 0u) << name;
-  if (UseAvx2() && simd::Avx512Available()) {
-    EXPECT_EQ(exec::PruneEntryIsa(name), simd::PruneIsa::kAvx512);
-  } else if (UseAvx2()) {
-    EXPECT_EQ(exec::PruneEntryIsa(name), simd::PruneIsa::kAvx2);
-  } else {
-    EXPECT_EQ(exec::PruneEntryIsa(name), simd::PruneIsa::kScalar);
-  }
-}
-
-TEST(PruneSchedulerTest, CalibrationCoversPruneEntries) {
-  exec::CostCalibration cal = exec::CostCalibration::Measure();
-  double ns = 0;
-  EXPECT_TRUE(cal.Lookup("etsqp.prune.scalar", "prune", &ns));
-  EXPECT_GT(ns, 0.0);
-  if (UseAvx2()) {
-    EXPECT_TRUE(cal.Lookup("etsqp.prune.avx2", "prune", &ns));
-  }
 }
 
 // Index counters flow into ExecStats and the rendered profile.
@@ -573,7 +602,6 @@ TEST(PruneStatsTest, SeriesPruneCountersReported) {
   ASSERT_TRUE(result.ok());
   const exec::ExecStats& stats = result.value().stats;
   EXPECT_EQ(stats.series_pruned, 1u);
-  EXPECT_EQ(stats.pages_pruned_index, 4u);
   EXPECT_EQ(stats.pages_pruned, 4u);
   EXPECT_EQ(stats.pages_total, 4u);
   EXPECT_EQ(stats.tuples_in_pages, 64u);
@@ -583,7 +611,14 @@ TEST(PruneStatsTest, SeriesPruneCountersReported) {
   // JSON export carries the counters.
   std::string json = stats.ToJson();
   EXPECT_NE(json.find("\"series_pruned\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"pages_pruned_index\": 4"), std::string::npos);
+  // And the profile's index line.
+  exec::LogicalPlan analyze = plan;
+  analyze.explain = LogicalPlan::ExplainMode::kAnalyze;
+  auto explained = engine.Execute(analyze, store);
+  ASSERT_TRUE(explained.ok());
+  EXPECT_NE(explained.value().explain_text.find("series_pruned=1"),
+            std::string::npos)
+      << explained.value().explain_text;
 }
 
 }  // namespace

@@ -1,0 +1,218 @@
+#ifndef ETSQP_TESTS_SCALAR_ORACLE_H_
+#define ETSQP_TESTS_SCALAR_ORACLE_H_
+
+// Ground truth for engine-level differential tests: a scalar model of one
+// series built from the raw points a test inserted, with deletes, TTL and
+// out-of-order buffering applied the way SeriesStore defines them, plus a
+// straightforward evaluator for aggregate and select plans over it. It
+// shares no code with the engine, so a planner or kernel bug cannot hide
+// in both.
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "exec/expr.h"
+#include "storage/series_store.h"
+
+namespace etsqp::oracle {
+
+class SeriesOracle {
+ public:
+  explicit SeriesOracle(bool is_float) : is_float_(is_float) {}
+
+  /// Mirrors an accepted append: a point past the ordering fence becomes
+  /// visible; one at or below it lands in the out-of-order buffer, which
+  /// stays invisible until compaction.
+  void Append(int64_t t, int64_t v) { Add(t, v, static_cast<double>(v)); }
+  void AppendF64(int64_t t, double v) { Add(t, 0, v); }
+
+  /// DeleteRange: clamped to the data seen so far, like the store.
+  void DeleteRange(int64_t t0, int64_t t1) {
+    if (fence_ == kMin) return;
+    t1 = std::min(t1, fence_);
+    if (t0 <= t1) deletes_.push_back({t0, t1});
+  }
+  /// SetTtl: points at or below `newest time - ttl` are expired.
+  void SetTtl(int64_t ttl) { ttl_ = ttl; }
+
+  /// Visible points that pass the plan's time, window-origin and value
+  /// filters.
+  size_t Matching(const exec::LogicalPlan& plan) const {
+    size_t n = 0;
+    for (size_t i = 0; i < times_.size(); ++i) n += Qualifies(plan, i);
+    return n;
+  }
+
+  /// The result columns the engine must return for an aggregate or select
+  /// plan over this series.
+  std::vector<std::vector<double>> Answer(
+      const exec::LogicalPlan& plan) const {
+    std::vector<std::vector<double>> out;
+    if (plan.kind == exec::LogicalPlan::Kind::kSelect) {
+      out.assign(2, {});
+      for (size_t i = 0; i < times_.size(); ++i) {
+        if (!Qualifies(plan, i)) continue;
+        out[0].push_back(static_cast<double>(times_[i]));
+        out[1].push_back(is_float_ ? fvalues_[i]
+                                   : static_cast<double>(ivalues_[i]));
+      }
+      return out;
+    }
+    std::map<int64_t, Accum> groups;  // window index (0 when unwindowed)
+    for (size_t i = 0; i < times_.size(); ++i) {
+      if (!Qualifies(plan, i)) continue;
+      int64_t k = plan.window.active
+                      ? (times_[i] - plan.window.t_min) / plan.window.delta_t
+                      : 0;
+      groups[k].Add(ivalues_[i], fvalues_[i]);
+    }
+    if (!plan.window.active) {
+      out.assign(1, {});
+      double v;
+      Accum all = groups.empty() ? Accum() : groups.begin()->second;
+      if (all.Finalize(plan.func, is_float_, &v)) out[0].push_back(v);
+      return out;
+    }
+    out.assign(2, {});
+    for (const auto& [k, acc] : groups) {
+      double v;
+      if (!acc.Finalize(plan.func, is_float_, &v)) continue;
+      out[0].push_back(
+          static_cast<double>(plan.window.t_min + k * plan.window.delta_t));
+      out[1].push_back(v);
+    }
+    return out;
+  }
+
+ private:
+  static constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+
+  struct Accum {
+    __int128 isum = 0, isum_sq = 0;
+    int64_t imin = std::numeric_limits<int64_t>::max();
+    int64_t imax = std::numeric_limits<int64_t>::min();
+    double fsum = 0, fsum_sq = 0;
+    double fmin = std::numeric_limits<double>::infinity();
+    double fmax = -std::numeric_limits<double>::infinity();
+    uint64_t count = 0;
+
+    void Add(int64_t iv, double fv) {
+      ++count;
+      isum += iv;
+      isum_sq += static_cast<__int128>(iv) * iv;
+      imin = std::min(imin, iv);
+      imax = std::max(imax, iv);
+      fsum += fv;
+      fsum_sq += fv * fv;
+      if (fv < fmin) fmin = fv;  // NaN never becomes the min or max
+      if (fv > fmax) fmax = fv;
+    }
+    /// False when the aggregate of an empty set has no value (no row).
+    bool Finalize(exec::AggFunc func, bool is_float, double* out) const {
+      const double n = static_cast<double>(count);
+      switch (func) {
+        case exec::AggFunc::kSum:
+          *out = is_float ? fsum : static_cast<double>(isum);
+          return true;
+        case exec::AggFunc::kCount:
+          *out = n;
+          return true;
+        case exec::AggFunc::kAvg:
+          *out = is_float ? fsum / n : static_cast<double>(isum) / n;
+          return count > 0;
+        case exec::AggFunc::kMin:
+          *out = is_float ? fmin : static_cast<double>(imin);
+          return count > 0;
+        case exec::AggFunc::kMax:
+          *out = is_float ? fmax : static_cast<double>(imax);
+          return count > 0;
+        case exec::AggFunc::kVariance: {
+          double mean = is_float ? fsum / n : static_cast<double>(isum) / n;
+          double ex2 = is_float ? fsum_sq / n : static_cast<double>(isum_sq) / n;
+          *out = ex2 - mean * mean;
+          return count > 0;
+        }
+      }
+      return false;
+    }
+  };
+
+  void Add(int64_t t, int64_t iv, double fv) {
+    if (t <= fence_) return;  // out-of-order buffer: invisible
+    fence_ = t;
+    times_.push_back(t);
+    ivalues_.push_back(iv);
+    fvalues_.push_back(fv);
+  }
+
+  bool Visible(int64_t t) const {
+    for (const storage::TimeInterval& d : deletes_) {
+      if (t >= d.lo && t <= d.hi) return false;
+    }
+    return ttl_ <= 0 || static_cast<__int128>(t) >
+                            static_cast<__int128>(fence_) - ttl_;
+  }
+
+  bool Qualifies(const exec::LogicalPlan& plan, size_t i) const {
+    const int64_t t = times_[i];
+    if (!Visible(t) || !plan.time_filter.Contains(t)) return false;
+    if (plan.window.active && t < plan.window.t_min) return false;
+    const exec::ValueRange& vr = plan.value_filter;
+    if (!vr.active) return true;
+    if (!is_float_) return ivalues_[i] >= vr.lo && ivalues_[i] <= vr.hi;
+    const double v = fvalues_[i];  // a NaN passes, as in every float drain
+    return !(v < static_cast<double>(vr.lo) || v > static_cast<double>(vr.hi));
+  }
+
+  bool is_float_;
+  int64_t fence_ = kMin;
+  std::vector<int64_t> times_;
+  std::vector<int64_t> ivalues_;
+  std::vector<double> fvalues_;
+  std::vector<storage::TimeInterval> deletes_;
+  int64_t ttl_ = 0;
+};
+
+/// Column-wise equality of an engine result with the oracle's: exact for
+/// integer series; for float series within 1e-9 relative (the engine sums
+/// per page and merges partials, so the summation order differs), with NaN
+/// equal to NaN. On mismatch `why` names the first differing cell.
+inline bool SameColumns(const std::vector<std::vector<double>>& got,
+                        const std::vector<std::vector<double>>& want,
+                        bool is_float, std::string* why) {
+  if (got.size() != want.size()) {
+    *why = "column count " + std::to_string(got.size()) + " vs " +
+           std::to_string(want.size());
+    return false;
+  }
+  for (size_t c = 0; c < got.size(); ++c) {
+    if (got[c].size() != want[c].size()) {
+      *why = "column " + std::to_string(c) + " rows " +
+             std::to_string(got[c].size()) + " vs " +
+             std::to_string(want[c].size());
+      return false;
+    }
+    for (size_t r = 0; r < got[c].size(); ++r) {
+      const double a = got[c][r], b = want[c][r];
+      const bool same =
+          (std::isnan(a) && std::isnan(b)) || a == b ||
+          (is_float && std::fabs(a - b) <=
+                           1e-9 * std::max({1.0, std::fabs(a), std::fabs(b)}));
+      if (!same) {
+        *why = "cell (" + std::to_string(c) + ", " + std::to_string(r) +
+               "): " + std::to_string(a) + " vs " + std::to_string(b);
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace etsqp::oracle
+
+#endif  // ETSQP_TESTS_SCALAR_ORACLE_H_

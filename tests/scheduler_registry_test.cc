@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/cpu.h"
@@ -317,6 +318,64 @@ TEST(CostCalibrationTest, SaveLoadRoundTrip) {
   EXPECT_DOUBLE_EQ(ns, 3.25);
   EXPECT_FALSE(loaded.value().Lookup("etsqp.avx2", "TS2DIFF/w16", &ns));
   std::remove(path.c_str());
+}
+
+// Calibration files written before the pruning index lost its leaf level
+// still carry rows for the removed prune-scan entries (class key "prune").
+// They must load (no Corruption), and no registry decision may read them:
+// no entry or page class answers to those keys any more, so every proposal
+// matches the file without them.
+TEST(CostCalibrationTest, LegacyPruneRowsLoadAndAreNeverRead) {
+  std::string path = ::testing::TempDir() + "/etsqp_legacy_prune.calib";
+  const std::string legacy_prefix = std::string("etsqp.") + "prune.";
+  CostCalibration current;
+  current.Set("etsqp.avx2", "TS2DIFF/w8", 0.625);
+  current.Set("serial.scalar", "TS2DIFF/w8", 6.5);
+  current.Set("etsqp.merge.scalar", "merge/2way", 1.5);
+  CostCalibration legacy = current;
+  for (const char* isa : {"avx512", "avx2", "scalar"}) {
+    legacy.Set(legacy_prefix + isa, "prune", 1e-6);  // would win any class
+  }
+  ASSERT_TRUE(legacy.SaveToFile(path).ok());
+  Result<CostCalibration> loaded = CostCalibration::LoadFromFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().size(), current.size() + 3);
+
+  for (const auto& e : SchedulerRegistry::Global().entries()) {
+    EXPECT_NE(std::string(e->name()).rfind(legacy_prefix, 0), 0u)
+        << e->name();
+  }
+  PageClass fl = SealedIntClass(0, enc::ColumnEncoding::kGorillaValue);
+  fl.is_float = true;
+  PageClass tail;
+  tail.sealed = false;
+  std::vector<PageClass> classes = {
+      SealedIntClass(1), SealedIntClass(8),
+      SealedIntClass(8, enc::ColumnEncoding::kFastLanes),
+      fl, tail, ClassifyMerge(2), ClassifyMerge(8)};
+  for (bool filtered : {false, true}) {
+    PlanContext ctx = AggCtx();
+    ctx.value_filter = filtered;
+    for (const PageClass& cls : classes) {
+      EXPECT_NE(cls.Key(), "prune");
+      ScheduleDecision with = SchedulerRegistry::Global().Propose(
+          cls, ctx, &loaded.value(), CostConstants{});
+      ScheduleDecision without = SchedulerRegistry::Global().Propose(
+          cls, ctx, &current, CostConstants{});
+      ASSERT_NE(with.entry, nullptr) << cls.Key();
+      EXPECT_EQ(with.entry, without.entry) << cls.Key();
+      EXPECT_EQ(with.predicted_ns_per_tuple, without.predicted_ns_per_tuple)
+          << cls.Key();
+      EXPECT_EQ(with.calibrated, without.calibrated) << cls.Key();
+    }
+  }
+
+  // A fresh sweep no longer times a prune class.
+  const CostCalibration measured = CostCalibration::Measure();
+  for (const auto& [key, ns] : measured.costs()) {
+    EXPECT_EQ(key.find("prune"), std::string::npos) << key;
+  }
 }
 
 TEST(CostCalibrationTest, MissingFileIsNotFound) {
