@@ -18,7 +18,7 @@ void AlignedBuffer::Resize(size_t size) {
 
 void AlignedBuffer::Assign(const uint8_t* src, size_t size) {
   Resize(size);
-  std::memcpy(data_, src, size);
+  if (size != 0) std::memcpy(data_, src, size);
 }
 
 void AlignedBuffer::Free() {

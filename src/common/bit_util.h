@@ -36,6 +36,23 @@ inline int64_t ZigZagDecode64(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
+/// Two's-complement wrapping arithmetic (modulo 2^64 / 2^32). Delta codecs
+/// store differences of arbitrary series modulo the word size, so encoders
+/// of extreme values and decoders of corrupt input must wrap instead of
+/// overflowing a signed type (undefined behaviour).
+inline int64_t WrapAdd64(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrapSub64(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+inline int32_t WrapAdd32(int32_t a, int32_t b) {
+  return static_cast<int32_t>(static_cast<uint32_t>(a) +
+                              static_cast<uint32_t>(b));
+}
+
 /// Rounds `n` up to the next multiple of `m` (m > 0).
 inline size_t RoundUp(size_t n, size_t m) { return (n + m - 1) / m * m; }
 inline size_t CeilDiv(size_t n, size_t m) { return (n + m - 1) / m; }

@@ -599,10 +599,17 @@ Result<exec::QueryResult> Database::Query(const std::string& tenant,
   };
 
   if (primary.file_store != nullptr) {
-    // File-backed path: pages stream through the buffer pool; no data
+    // File-backed shards: each input snapshots on its owning shard's file
+    // and its pages stream through that shard's buffer pool. No data
     // epochs there, so the result cache stays out of the way.
+    exec::SnapshotResolver resolve =
+        [rep](const std::string& name) -> Result<storage::SeriesSnapshot> {
+      storage::FileBackedStore* file = rep->ShardFor(name).file_store.get();
+      if (file == nullptr) return Status::NotFound("series: " + name);
+      return file->GetSnapshot(name);
+    };
     Result<exec::QueryResult> run =
-        primary.engine->Execute(p, primary.file_store.get());
+        primary.engine->Execute(p, exec::StoreHandle(std::move(resolve)));
     if (run.ok()) decorate(&run.value().stats);
     return run;
   }

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/bit_util.h"
 #include "common/bitstream.h"
 
 namespace etsqp::enc {
@@ -103,6 +104,9 @@ Status ChimpDecode(const EncodedColumn& col, uint64_t* out) {
         int len = static_cast<int>(r.ReadBits(6));
         uint64_t bits = r.ReadBits(len);
         int trail = 64 - kLeadClass[cls] - len;
+        if (len == 0 || trail < 0) {
+          return Status::Corruption("chimp: bad center length");
+        }
         x = bits << trail;
         prev_cls = cls;
         break;

@@ -110,7 +110,8 @@ void FastLanesColumn::DecodeBlock(const FastLanesBlock& block, int64_t* out) {
   for (uint32_t i = kLanes; i < kBlock; ++i) {
     uint64_t r = UnpackOneBE(block.packed, bit, block.width);
     bit += block.width;
-    out[i] = out[i - kLanes] + block.min_delta + static_cast<int64_t>(r);
+    out[i] = WrapAdd64(WrapAdd64(out[i - kLanes], block.min_delta),
+                       static_cast<int64_t>(r));
   }
 }
 

@@ -85,8 +85,8 @@ Status GorillaTimestampDecode(const EncodedColumn& col, int64_t* out) {
       dod = ZigZagDecode64(r.ReadBits(bits));
     }
     if (r.exhausted()) return Status::Corruption("gorilla-ts: truncated");
-    prev_delta += dod;
-    prev += prev_delta;
+    prev_delta = WrapAdd64(prev_delta, dod);
+    prev = WrapAdd64(prev, prev_delta);
     out[i] = prev;
   }
   return Status::Ok();
@@ -163,6 +163,8 @@ Status GorillaValueDecode(const EncodedColumn& col, uint64_t* out) {
       continue;
     }
     if (r.ReadBit() == 0) {
+      // The encoder opens a window before reusing one.
+      if (prev_len == 0) return Status::Corruption("gorilla-val: no window");
       uint64_t bits = r.ReadBits(prev_len);
       uint64_t x = bits << (64 - prev_lead - prev_len);
       prev ^= x;
@@ -172,6 +174,7 @@ Status GorillaValueDecode(const EncodedColumn& col, uint64_t* out) {
       if (len == 0) len = 64;
       uint64_t bits = r.ReadBits(len);
       int trail = 64 - lead - len;
+      if (trail < 0) return Status::Corruption("gorilla-val: bad window");
       prev ^= bits << trail;
       prev_lead = lead;
       prev_len = len;

@@ -64,7 +64,7 @@ Status SprintzColumn::DecodeAll(int64_t* out) const {
     }
     byte += PackedBytes(m, width);
     for (size_t i = 0; i < m; ++i) {
-      prev += ZigZagDecode64(vals[i]);
+      prev = WrapAdd64(prev, ZigZagDecode64(vals[i]));
       out[pos++] = prev;
     }
   }

@@ -30,17 +30,18 @@ EncodedColumn Ts2DiffEncoder::Encode(const int64_t* values, size_t n) const {
     int64_t min_value = values[s];
     int64_t max_value = values[s];
     if (m > 0) {
-      min_delta = values[s + 1] - values[s];
+      min_delta = WrapSub64(values[s + 1], values[s]);
       max_delta = min_delta;
       for (size_t i = s + 1; i < e; ++i) {
-        int64_t d = values[i] - values[i - 1];
+        int64_t d = WrapSub64(values[i], values[i - 1]);
         min_delta = std::min(min_delta, d);
         max_delta = std::max(max_delta, d);
         min_value = std::min(min_value, values[i]);
         max_value = std::max(max_value, values[i]);
       }
     }
-    int width = BitWidth(static_cast<uint64_t>(max_delta - min_delta));
+    int width = BitWidth(static_cast<uint64_t>(max_delta) -
+                         static_cast<uint64_t>(min_delta));
 
     PutFixed32BE(&out, static_cast<uint32_t>(m));
     out.push_back(static_cast<uint8_t>(width));
@@ -52,8 +53,9 @@ EncodedColumn Ts2DiffEncoder::Encode(const int64_t* values, size_t n) const {
     residuals.clear();
     residuals.reserve(m);
     for (size_t i = s + 1; i < e; ++i) {
-      int64_t d = values[i] - values[i - 1];
-      residuals.push_back(static_cast<uint64_t>(d - min_delta));
+      int64_t d = WrapSub64(values[i], values[i - 1]);
+      residuals.push_back(static_cast<uint64_t>(d) -
+                          static_cast<uint64_t>(min_delta));
     }
     BitWriter writer;
     PackBE(residuals.data(), residuals.size(), width, &writer);

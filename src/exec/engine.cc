@@ -5,6 +5,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <type_traits>
 
 #include "common/bit_util.h"
 #include "common/metrics.h"
@@ -77,31 +78,168 @@ struct MergeSchedule {
   }
 };
 
-/// Per-input materialized tuples, stitched in storage order.
+/// Per-input materialized tuples, stitched in storage order: the sink of
+/// the SELECT / union / join / correlate jobs.
 struct Materialized {
+  using Value = int64_t;
   std::vector<int64_t> times;
   std::vector<int64_t> values;
 };
 
+/// The aggregate state of one job, of the merged run and of finalize: the
+/// plan's total plus its windows (keyed by window index). `Accum` is
+/// AggAccum for integer series, FloatAggAccum for float series.
+template <typename Accum>
+struct AggSink {
+  using Value = std::conditional_t<std::is_same_v<Accum, AggAccum>, int64_t,
+                                   double>;
+  Accum total;
+  std::map<int64_t, Accum> windows;
+
+  void Merge(const AggSink& o) {
+    total.Merge(o.total);
+    for (const auto& [k, acc] : o.windows) windows[k].Merge(acc);
+  }
+
+  /// Emits the result rows: one per non-empty window, or the total.
+  Status Finish(const LogicalPlan& plan, QueryResult* result) const {
+    if (!plan.window.active) {
+      result->column_names = {AggFuncName(plan.func)};
+      result->columns.assign(1, {});
+      double v = 0;
+      Status st = total.Finalize(plan.func, &v);
+      if (st.code() == StatusCode::kOverflow) return st;
+      if (st.ok()) result->columns[0].push_back(v);
+      return Status::Ok();
+    }
+    result->column_names = {"window_start", AggFuncName(plan.func)};
+    result->columns.assign(2, {});
+    for (const auto& [k, acc] : windows) {
+      double v = 0;
+      Status st = acc.Finalize(plan.func, &v);
+      if (st.code() == StatusCode::kOverflow) return st;
+      if (!st.ok()) continue;  // empty window
+      result->columns[0].push_back(
+          static_cast<double>(plan.window.WindowStart(k)));
+      result->columns[1].push_back(v);
+    }
+    return Status::Ok();
+  }
+};
+
+// Encoded page slice -> sink: the vectorized kernels, named once each.
+Status DrainSlice(const storage::Page& page, size_t begin, size_t end,
+                  const LogicalPlan& plan, const PipelineOptions& opt,
+                  AggSink<AggAccum>* sink, QueryStats* stats) {
+  return plan.window.active
+             ? AggregateSliceWindows(page, begin, end, plan.time_filter,
+                                     plan.value_filter, plan.window, plan.func,
+                                     opt, &sink->windows, stats)
+             : AggregateSlice(page, begin, end, plan.time_filter,
+                              plan.value_filter, plan.func, opt, &sink->total,
+                              stats);
+}
+
+Status DrainSlice(const storage::Page& page, size_t begin, size_t end,
+                  const LogicalPlan& plan, const PipelineOptions& opt,
+                  AggSink<FloatAggAccum>* sink, QueryStats* stats) {
+  return plan.window.active
+             ? AggregateFloatSliceWindows(page, begin, end, plan.time_filter,
+                                          plan.value_filter, plan.window,
+                                          plan.func, opt, &sink->windows,
+                                          stats)
+             : AggregateFloatSlice(page, begin, end, plan.time_filter,
+                                   plan.value_filter, plan.func, opt,
+                                   &sink->total, stats);
+}
+
+Status DrainSlice(const storage::Page& page, size_t begin, size_t end,
+                  const LogicalPlan& plan, const PipelineOptions& opt,
+                  Materialized* sink, QueryStats* stats) {
+  return MaterializeSlice(page, begin, end, plan.time_filter,
+                          plan.value_filter, opt, &sink->times, &sink->values,
+                          stats);
+}
+
+// Raw (time, value) arrays -> sink: the scalar kernels that drain the
+// unsealed tail and the survivors of a tombstone-masked page.
+Status DrainRaw(const int64_t* times, const int64_t* values, size_t n,
+                const LogicalPlan& plan, const PipelineOptions& opt,
+                AggSink<AggAccum>* sink, QueryStats* stats) {
+  return plan.window.active
+             ? TailAggregateWindows(times, values, n, plan.time_filter,
+                                    plan.value_filter, plan.window, plan.func,
+                                    opt, &sink->windows, stats)
+             : TailAggregate(times, values, n, plan.time_filter,
+                             plan.value_filter, plan.func, opt, &sink->total,
+                             stats);
+}
+
+Status DrainRaw(const int64_t* times, const double* values, size_t n,
+                const LogicalPlan& plan, const PipelineOptions& opt,
+                AggSink<FloatAggAccum>* sink, QueryStats* stats) {
+  return plan.window.active
+             ? TailAggregateWindowsF64(times, values, n, plan.time_filter,
+                                       plan.value_filter, plan.window,
+                                       plan.func, opt, &sink->windows, stats)
+             : TailAggregateF64(times, values, n, plan.time_filter,
+                                plan.value_filter, plan.func, opt,
+                                &sink->total, stats);
+}
+
+Status DrainRaw(const int64_t* times, const int64_t* values, size_t n,
+                const LogicalPlan& plan, const PipelineOptions& opt,
+                Materialized* sink, QueryStats* stats) {
+  return TailMaterialize(times, values, n, plan.time_filter,
+                         plan.value_filter, opt, &sink->times, &sink->values,
+                         stats);
+}
+
+/// The snapshot's unsealed tail values of type `Value`.
+template <typename Value>
+const Value* TailValues(const storage::SeriesSnapshot& snap) {
+  if constexpr (std::is_same_v<Value, double>) {
+    return snap.tail_values_f64.data();
+  } else {
+    return snap.tail_values.data();
+  }
+}
+
+/// The page behind a job — the one accessor every job reads pages through.
+/// Resident pages come straight from the snapshot; a lazily loaded input
+/// fetches the payload through its store's buffer pool, timed as the
+/// page_fetch stage.
+Result<std::shared_ptr<const storage::Page>> JobPage(
+    const storage::SeriesSnapshot& snap, size_t index,
+    const PipelineOptions& opt, QueryStats* stats) {
+  if (!snap.lazy()) return snap.pages[index];
+  ScopedStageTimer fetch(StagesOf(opt, stats), Stage::kPageFetch);
+  Result<std::shared_ptr<const storage::Page>> page = snap.load_page(index);
+  if (page.ok()) {
+    fetch.AddTuples(page.value()->header.count);
+    fetch.AddBytes(page.value()->encoded_bytes());
+  }
+  return page;
+}
+
 /// Decodes a tombstone-masked page in full and drops deleted timestamps in
-/// place. Survivors drain through the scalar tail kernels — correctness
-/// over speed on the (transient) partially deleted page; the next
-/// compaction pass erases the mask and restores the vectorized path.
+/// place. Survivors drain through the raw-array kernels — correctness over
+/// speed on the (transient) partially deleted page; the next compaction
+/// pass erases the mask and restores the vectorized path.
+template <typename Value>
 Status DecodeMaskedPage(const storage::Page& page,
                         const std::vector<storage::TimeInterval>& tombstones,
-                        bool is_float, std::vector<int64_t>* times,
-                        std::vector<int64_t>* values,
-                        std::vector<double>* values_f64, uint64_t* dropped) {
+                        std::vector<int64_t>* times,
+                        std::vector<Value>* values, uint64_t* dropped) {
   const uint32_t n = page.header.count;
   times->resize(n);
+  values->resize(n);
   ETSQP_RETURN_IF_ERROR(storage::DecodePageColumn(
       page.time_data, page.header.time_encoding, n, times->data()));
-  if (is_float) {
-    values_f64->resize(n);
+  if constexpr (std::is_same_v<Value, double>) {
     ETSQP_RETURN_IF_ERROR(storage::DecodePageColumnF64(
-        page.value_data, page.header.value_encoding, n, values_f64->data()));
+        page.value_data, page.header.value_encoding, n, values->data()));
   } else {
-    values->resize(n);
     ETSQP_RETURN_IF_ERROR(storage::DecodePageColumn(
         page.value_data, page.header.value_encoding, n, values->data()));
   }
@@ -112,31 +250,100 @@ Status DecodeMaskedPage(const storage::Page& page,
     while (ti < tombstones.size() && tombstones[ti].hi < t) ++ti;
     if (ti < tombstones.size() && t >= tombstones[ti].lo) continue;
     (*times)[w] = t;
-    if (is_float) {
-      (*values_f64)[w] = (*values_f64)[i];
-    } else {
-      (*values)[w] = (*values)[i];
-    }
+    (*values)[w] = (*values)[i];
     ++w;
   }
   *dropped += n - w;
   times->resize(w);
-  if (is_float) {
-    values_f64->resize(w);
-  } else {
-    values->resize(w);
-  }
+  values->resize(w);
   return Status::Ok();
 }
 
-/// Runs MaterializeSlice jobs (plus the scalar tail legs) for one plan and
-/// returns per-input tuple streams in time order.
+/// Runs one pipeline job into `sink`: a page slice through the vectorized
+/// kernels; the tail, and a masked page decoded into raw arrays, through
+/// the raw-array kernels.
+template <typename Sink>
+Status DrainJob(const PipeJob& job, const storage::SeriesSnapshot& snap,
+                const LogicalPlan& plan, const PipelineOptions& opt,
+                Sink* sink, QueryStats* stats) {
+  using Value = typename Sink::Value;
+  if (job.tail) {
+    return DrainRaw(snap.tail_times.data(), TailValues<Value>(snap),
+                    snap.tail_times.size(), plan, opt, sink, stats);
+  }
+  Result<std::shared_ptr<const storage::Page>> page =
+      JobPage(snap, job.page_index, opt, stats);
+  if (!page.ok()) return page.status();
+  if (!job.masked) {
+    return DrainSlice(*page.value(), job.begin, job.end, plan, opt, sink,
+                      stats);
+  }
+  std::vector<int64_t> times;
+  std::vector<Value> values;
+  uint64_t dropped = 0;
+  Status st = DecodeMaskedPage(*page.value(), snap.tombstones, &times,
+                               &values, &dropped);
+  if (st.ok()) {
+    st = DrainRaw(times.data(), values.data(), times.size(), plan, opt, sink,
+                  stats);
+  }
+  stats->tail_tuples_scanned = 0;  // page tuples, not tail tuples
+  stats->tuples_scanned += dropped;
+  stats->deleted_tuples_masked += dropped;
+  return st;
+}
+
+/// Aggregation over one input: every job drains into a job-local sink,
+/// merged under a lock; the merge stage finalizes the merged sink.
+template <typename Accum>
+Result<QueryResult> RunAggregate(const LogicalPlan& plan,
+                                 const storage::SeriesSnapshot& snap,
+                                 const PipelineSpec& spec,
+                                 const PipelineOptions& options) {
+  QueryResult result;
+  result.stats = spec.plan_stats;
+  std::mutex mu;
+  AggSink<Accum> merged;
+  QueryStats run_stats;
+
+  PipelineJobSet set;
+  set.num_jobs = spec.jobs.size();
+  set.job = [&](size_t i) -> Status {
+    const PipeJob& job = spec.jobs[i];
+    JobSchedule sched(options, spec, job);
+    QueryStats local_stats;
+    AggSink<Accum> local;
+    Status st = DrainJob(job, snap, plan, sched.options, &local, &local_stats);
+    sched.Note(job, &local_stats);
+    std::lock_guard<std::mutex> lock(mu);
+    merged.Merge(local);
+    run_stats.Merge(local_stats);
+    return st;
+  };
+  set.merge = [&]() -> Status {
+    result.stats.Merge(run_stats);
+    ScopedStageTimer merge_timer(StagesOf(options, &result.stats),
+                                 Stage::kMerge);
+    return merged.Finish(plan, &result);
+  };
+  ETSQP_RETURN_IF_ERROR(RunPipelineJobs(set, options, &result.stats));
+  result.stats.result_tuples = result.num_rows();
+  return result;
+}
+
+/// Runs the materializing jobs of one plan and returns per-input tuple
+/// streams in time order. Integer series only.
 Status MaterializeInputs(const LogicalPlan& plan,
                          const std::vector<storage::SeriesSnapshot>& snaps,
                          const PipelineOptions& options,
                          const PipelineSpec& spec,
                          std::vector<Materialized>* inputs,
                          QueryStats* stats) {
+  for (const storage::SeriesSnapshot& snap : snaps) {
+    if (snap.is_float) {
+      return Status::NotSupported("materialize on float series " + snap.name);
+    }
+  }
   // Per-job local buffers, stitched by the merge step to preserve order.
   std::vector<Materialized> locals(spec.jobs.size());
   std::vector<QueryStats> job_stats(spec.jobs.size());
@@ -145,41 +352,9 @@ Status MaterializeInputs(const LogicalPlan& plan,
   set.num_jobs = spec.jobs.size();
   set.job = [&](size_t i) -> Status {
     const PipeJob& job = spec.jobs[i];
-    const storage::SeriesSnapshot& snap = snaps[job.input];
     JobSchedule sched(options, spec, job);
-    Status st;
-    if (job.tail) {
-      if (snap.is_float) {
-        return Status::NotSupported("materialize on float series tail");
-      }
-      st = TailMaterialize(snap.tail_times.data(), snap.tail_values.data(),
-                           snap.tail_times.size(), plan.time_filter,
-                           plan.value_filter, sched.options, &locals[i].times,
-                           &locals[i].values, &job_stats[i]);
-    } else if (job.masked) {
-      if (snap.is_float) {
-        return Status::NotSupported("materialize on masked float series");
-      }
-      std::vector<int64_t> mt, mv;
-      std::vector<double> mfv;
-      uint64_t dropped = 0;
-      st = DecodeMaskedPage(*snap.pages[job.page_index], snap.tombstones,
-                            false, &mt, &mv, &mfv, &dropped);
-      if (st.ok()) {
-        st = TailMaterialize(mt.data(), mv.data(), mt.size(),
-                             plan.time_filter, plan.value_filter,
-                             sched.options, &locals[i].times,
-                             &locals[i].values, &job_stats[i]);
-      }
-      job_stats[i].tail_tuples_scanned = 0;  // page tuples, not tail tuples
-      job_stats[i].tuples_scanned += dropped;
-      job_stats[i].deleted_tuples_masked += dropped;
-    } else {
-      const storage::Page& page = *snap.pages[job.page_index];
-      st = MaterializeSlice(page, job.begin, job.end, plan.time_filter,
-                            plan.value_filter, sched.options, &locals[i].times,
-                            &locals[i].values, &job_stats[i]);
-    }
+    Status st = DrainJob(job, snaps[job.input], plan, sched.options,
+                         &locals[i], &job_stats[i]);
     sched.Note(job, &job_stats[i]);
     return st;
   };
@@ -199,8 +374,8 @@ Status MaterializeInputs(const LogicalPlan& plan,
   return RunPipelineJobs(set, options, stats);
 }
 
-/// Resolves the plan's inputs through the handle (memory store or the db
-/// layer's cross-shard resolver — same code path either way).
+/// Resolves the plan's inputs through the handle (memory store, file store
+/// or the db layer's cross-shard resolver — same code path either way).
 Result<std::vector<storage::SeriesSnapshot>> ResolveHandle(
     const LogicalPlan& plan, const StoreHandle& store) {
   return ResolveInputs(
@@ -216,12 +391,7 @@ Result<QueryResult> Engine::Execute(const LogicalPlan& plan,
   }
   const bool timed = options_.collect_stats;
   const uint64_t t0 = timed ? metrics::NowNanos() : 0;
-  Result<QueryResult> result =
-      store.file() != nullptr
-          ? ExecuteFile(plan, store.file())
-          : (store.resolves()
-                 ? ExecuteMemory(plan, store)
-                 : Result<QueryResult>(Status::Internal("null store handle")));
+  Result<QueryResult> result = ExecutePlan(plan, store);
   if (timed && result.ok()) {
     result.value().stats.wall_nanos = metrics::NowNanos() - t0;
     result.value().stats.threads = options_.threads;
@@ -230,21 +400,15 @@ Result<QueryResult> Engine::Execute(const LogicalPlan& plan,
 }
 
 Result<QueryResult> Engine::ExecuteExplain(const LogicalPlan& plan,
-                                           StoreHandle store) const {
+                                           const StoreHandle& store) const {
   LogicalPlan inner = plan;
   inner.explain = LogicalPlan::ExplainMode::kNone;
   // The rendered tree comes from Pipe compilation either way; it is
   // header-only work, so re-running it for ANALYZE costs nothing visible.
-  Result<PipelineSpec> spec = [&]() -> Result<PipelineSpec> {
-    if (store.file() != nullptr) {
-      return BuildFilePipeline(inner, store.file(), options_);
-    }
-    if (!store.resolves()) return Status::Internal("null store handle");
-    Result<std::vector<storage::SeriesSnapshot>> snaps =
-        ResolveHandle(inner, store);
-    if (!snaps.ok()) return snaps.status();
-    return BuildPipeline(inner, snaps.value(), options_);
-  }();
+  Result<std::vector<storage::SeriesSnapshot>> snaps =
+      ResolveHandle(inner, store);
+  if (!snaps.ok()) return snaps.status();
+  Result<PipelineSpec> spec = BuildPipeline(inner, snaps.value(), options_);
   if (!spec.ok()) return spec.status();
 
   if (plan.explain == LogicalPlan::ExplainMode::kPlan) {
@@ -263,8 +427,8 @@ Result<QueryResult> Engine::ExecuteExplain(const LogicalPlan& plan,
   return out;
 }
 
-Result<QueryResult> Engine::ExecuteMemory(const LogicalPlan& plan,
-                                          const StoreHandle& store) const {
+Result<QueryResult> Engine::ExecutePlan(const LogicalPlan& plan,
+                                        const StoreHandle& store) const {
   switch (plan.kind) {
     case LogicalPlan::Kind::kAggregate:
       return ExecuteAggregate(plan, store);
@@ -280,87 +444,6 @@ Result<QueryResult> Engine::ExecuteMemory(const LogicalPlan& plan,
   return Status::Internal("unknown plan kind");
 }
 
-Result<QueryResult> Engine::ExecuteFile(
-    const LogicalPlan& plan, storage::FileBackedStore* store) const {
-  Result<PipelineSpec> spec = BuildFilePipeline(plan, store, options_);
-  if (!spec.ok()) return spec.status();
-  const std::vector<PipeJob>& jobs = spec.value().jobs;
-
-  QueryResult result;
-  result.stats = spec.value().plan_stats;
-  std::mutex mu;
-  std::map<int64_t, AggAccum> windows;
-  AggAccum total;
-  QueryStats run_stats;
-
-  PipelineJobSet set;
-  set.num_jobs = jobs.size();
-  set.job = [&](size_t i) -> Status {
-    const PipeJob& job = jobs[i];
-    JobSchedule sched(options_, spec.value(), job);
-    QueryStats local_stats;
-    Result<std::shared_ptr<const storage::Page>> page = [&] {
-      ScopedStageTimer fetch(StagesOf(options_, &local_stats),
-                             Stage::kPageFetch);
-      auto loaded = store->LoadPage(plan.series, job.page_index);
-      if (loaded.ok()) {
-        fetch.AddTuples(loaded.value()->header.count);
-        fetch.AddBytes(loaded.value()->encoded_bytes());
-      }
-      return loaded;
-    }();
-    Status st = page.ok() ? Status::Ok() : page.status();
-    std::map<int64_t, AggAccum> local_windows;
-    AggAccum local;
-    if (st.ok()) {
-      const storage::Page& pg = *page.value();
-      st = plan.window.active
-               ? AggregateSliceWindows(pg, 0, pg.header.count,
-                                       plan.time_filter, plan.value_filter,
-                                       plan.window, plan.func, sched.options,
-                                       &local_windows, &local_stats)
-               : AggregateSlice(pg, 0, pg.header.count, plan.time_filter,
-                                plan.value_filter, plan.func, sched.options,
-                                &local, &local_stats);
-    }
-    sched.Note(job, &local_stats);
-    std::lock_guard<std::mutex> lock(mu);
-    for (const auto& [k, acc] : local_windows) windows[k].Merge(acc);
-    total.Merge(local);
-    run_stats.Merge(local_stats);
-    return st;
-  };
-  set.merge = [&]() -> Status {
-    result.stats.Merge(run_stats);
-    ScopedStageTimer merge_timer(StagesOf(options_, &result.stats),
-                                 Stage::kMerge);
-    if (plan.window.active) {
-      result.column_names = {"window_start", AggFuncName(plan.func)};
-      result.columns.assign(2, {});
-      for (const auto& [k, acc] : windows) {
-        double v = 0;
-        Status st = acc.Finalize(plan.func, &v);
-        if (st.code() == StatusCode::kOverflow) return st;
-        if (!st.ok()) continue;
-        result.columns[0].push_back(
-            static_cast<double>(plan.window.WindowStart(k)));
-        result.columns[1].push_back(v);
-      }
-    } else {
-      result.column_names = {AggFuncName(plan.func)};
-      result.columns.assign(1, {});
-      double v = 0;
-      Status st = total.Finalize(plan.func, &v);
-      if (st.code() == StatusCode::kOverflow) return st;
-      if (st.ok()) result.columns[0].push_back(v);
-    }
-    return Status::Ok();
-  };
-  ETSQP_RETURN_IF_ERROR(RunPipelineJobs(set, options_, &result.stats));
-  result.stats.result_tuples = result.num_rows();
-  return result;
-}
-
 Result<QueryResult> Engine::ExecuteAggregate(const LogicalPlan& plan,
                                              const StoreHandle& store) const {
   Result<std::vector<storage::SeriesSnapshot>> snaps =
@@ -368,162 +451,11 @@ Result<QueryResult> Engine::ExecuteAggregate(const LogicalPlan& plan,
   if (!snaps.ok()) return snaps.status();
   Result<PipelineSpec> spec = BuildPipeline(plan, snaps.value(), options_);
   if (!spec.ok()) return spec.status();
-  const storage::SeriesSnapshot& snap = snaps.value()[0];
-  const auto& pages = snap.pages;
-
-  QueryResult result;
-  result.stats = spec.value().plan_stats;
-
   // Float-valued series take the double pipeline (XOR-pattern codecs).
-  const bool is_float = snap.is_float;
-
-  std::mutex mu;
-  std::map<int64_t, AggAccum> windows;  // window index -> accum
-  std::map<int64_t, FloatAggAccum> fwindows;
-  AggAccum total;
-  FloatAggAccum ftotal;
-  QueryStats run_stats;
-
-  PipelineJobSet set;
-  set.num_jobs = spec.value().jobs.size();
-  set.job = [&](size_t i) -> Status {
-    const PipeJob& job = spec.value().jobs[i];
-    JobSchedule sched(options_, spec.value(), job);
-    QueryStats local_stats;
-    std::map<int64_t, AggAccum> local_windows;
-    std::map<int64_t, FloatAggAccum> local_fwindows;
-    AggAccum local;
-    FloatAggAccum flocal;
-    Status st;
-    if (job.tail) {
-      // Unsealed tail leg: scalar kernels over the snapshot's raw arrays.
-      if (is_float && plan.window.active) {
-        st = TailAggregateWindowsF64(
-            snap.tail_times.data(), snap.tail_values_f64.data(),
-            snap.tail_times.size(), plan.time_filter, plan.value_filter,
-            plan.window, plan.func, sched.options, &local_fwindows,
-            &local_stats);
-      } else if (is_float) {
-        st = TailAggregateF64(snap.tail_times.data(),
-                              snap.tail_values_f64.data(),
-                              snap.tail_times.size(), plan.time_filter,
-                              plan.value_filter, plan.func, sched.options,
-                              &flocal, &local_stats);
-      } else if (plan.window.active) {
-        st = TailAggregateWindows(
-            snap.tail_times.data(), snap.tail_values.data(),
-            snap.tail_times.size(), plan.time_filter, plan.value_filter,
-            plan.window, plan.func, sched.options, &local_windows,
-            &local_stats);
-      } else {
-        st = TailAggregate(snap.tail_times.data(), snap.tail_values.data(),
-                           snap.tail_times.size(), plan.time_filter,
-                           plan.value_filter, plan.func, sched.options,
-                           &local, &local_stats);
-      }
-    } else if (job.masked) {
-      // Tombstone-masked page: decode, drop deleted timestamps, drain the
-      // survivors through the scalar kernels.
-      std::vector<int64_t> mt, mv;
-      std::vector<double> mfv;
-      uint64_t dropped = 0;
-      st = DecodeMaskedPage(*pages[job.page_index], snap.tombstones, is_float,
-                            &mt, &mv, &mfv, &dropped);
-      if (st.ok()) {
-        if (is_float && plan.window.active) {
-          st = TailAggregateWindowsF64(
-              mt.data(), mfv.data(), mt.size(), plan.time_filter,
-              plan.value_filter, plan.window, plan.func, sched.options,
-              &local_fwindows, &local_stats);
-        } else if (is_float) {
-          st = TailAggregateF64(mt.data(), mfv.data(), mt.size(),
-                                plan.time_filter, plan.value_filter, plan.func,
-                                sched.options, &flocal, &local_stats);
-        } else if (plan.window.active) {
-          st = TailAggregateWindows(mt.data(), mv.data(), mt.size(),
-                                    plan.time_filter, plan.value_filter,
-                                    plan.window, plan.func, sched.options,
-                                    &local_windows, &local_stats);
-        } else {
-          st = TailAggregate(mt.data(), mv.data(), mt.size(), plan.time_filter,
-                             plan.value_filter, plan.func, sched.options,
-                             &local, &local_stats);
-        }
-      }
-      local_stats.tail_tuples_scanned = 0;  // page tuples, not tail tuples
-      local_stats.tuples_scanned += dropped;
-      local_stats.deleted_tuples_masked += dropped;
-    } else {
-      const storage::Page& page = *pages[job.page_index];
-      if (is_float && plan.window.active) {
-        st = AggregateFloatSliceWindows(
-            page, job.begin, job.end, plan.time_filter, plan.value_filter,
-            plan.window, plan.func, sched.options, &local_fwindows,
-            &local_stats);
-      } else if (is_float) {
-        st = AggregateFloatSlice(page, job.begin, job.end, plan.time_filter,
-                                 plan.value_filter, plan.func, sched.options,
-                                 &flocal, &local_stats);
-      } else if (plan.window.active) {
-        st = AggregateSliceWindows(page, job.begin, job.end, plan.time_filter,
-                                   plan.value_filter, plan.window, plan.func,
-                                   sched.options, &local_windows,
-                                   &local_stats);
-      } else {
-        st = AggregateSlice(page, job.begin, job.end, plan.time_filter,
-                            plan.value_filter, plan.func, sched.options,
-                            &local, &local_stats);
-      }
-    }
-    sched.Note(job, &local_stats);
-    std::lock_guard<std::mutex> lock(mu);
-    for (const auto& [k, acc] : local_windows) windows[k].Merge(acc);
-    for (const auto& [k, acc] : local_fwindows) fwindows[k].Merge(acc);
-    total.Merge(local);
-    ftotal.Merge(flocal);
-    run_stats.Merge(local_stats);
-    return st;
-  };
-  set.merge = [&]() -> Status {
-    result.stats.Merge(run_stats);
-    ScopedStageTimer merge_timer(StagesOf(options_, &result.stats),
-                                 Stage::kMerge);
-    if (plan.window.active) {
-      result.column_names = {"window_start", AggFuncName(plan.func)};
-      result.columns.assign(2, {});
-      auto emit = [&](int64_t k, double v) {
-        result.columns[0].push_back(
-            static_cast<double>(plan.window.WindowStart(k)));
-        result.columns[1].push_back(v);
-      };
-      if (is_float) {
-        for (const auto& [k, acc] : fwindows) {
-          double v = 0;
-          if (acc.Finalize(plan.func, &v).ok()) emit(k, v);
-        }
-      } else {
-        for (const auto& [k, acc] : windows) {
-          double v = 0;
-          Status st = acc.Finalize(plan.func, &v);
-          if (st.code() == StatusCode::kOverflow) return st;
-          if (!st.ok()) continue;  // empty window
-          emit(k, v);
-        }
-      }
-    } else {
-      result.column_names = {AggFuncName(plan.func)};
-      result.columns.assign(1, {});
-      double v = 0;
-      Status st = is_float ? ftotal.Finalize(plan.func, &v)
-                           : total.Finalize(plan.func, &v);
-      if (st.code() == StatusCode::kOverflow) return st;
-      if (st.ok()) result.columns[0].push_back(v);
-    }
-    return Status::Ok();
-  };
-  ETSQP_RETURN_IF_ERROR(RunPipelineJobs(set, options_, &result.stats));
-  result.stats.result_tuples = result.num_rows();
-  return result;
+  const storage::SeriesSnapshot& snap = snaps.value()[0];
+  return snap.is_float
+             ? RunAggregate<FloatAggAccum>(plan, snap, spec.value(), options_)
+             : RunAggregate<AggAccum>(plan, snap, spec.value(), options_);
 }
 
 Result<QueryResult> Engine::ExecuteSelect(const LogicalPlan& plan,
@@ -693,6 +625,9 @@ struct CorrAccum {
 bool FusedCorrApplies(const storage::SeriesSnapshot& a,
                       const storage::SeriesSnapshot& b) {
   if (a.has_tail() || b.has_tail()) return false;
+  // Lazily loaded pages hold headers only; comparing time columns would
+  // mean fetching every page, so those inputs take the general path.
+  if (a.lazy() || b.lazy()) return false;
   // Tombstones invalidate the closed-form sums; the general path masks.
   if (!a.tombstones.empty() || !b.tombstones.empty()) return false;
   if (a.pages.size() != b.pages.size()) return false;

@@ -13,38 +13,34 @@
 
 namespace etsqp::exec {
 
-/// The input a query runs against: an in-memory SeriesStore, a file-backed
-/// store (Section VI-C's gradual page loading), or a SnapshotResolver that
-/// maps each input series to a snapshot on whatever store owns it (the db
-/// layer's sharded path). Implicitly constructible from all three so
-/// `engine.Execute(plan, store)` reads the same either way.
+/// The input a query runs against: a SnapshotResolver mapping each input
+/// series to a snapshot on whatever store owns it. Implicitly constructible
+/// from an in-memory SeriesStore, a file-backed store (Section VI-C's
+/// gradual page loading) or a resolver (the db layer's sharded path), so
+/// `engine.Execute(plan, store)` reads the same either way; the stores are
+/// only adapted into resolvers and must outlive the call.
 class StoreHandle {
  public:
   StoreHandle(const storage::SeriesStore& store)  // NOLINT(runtime/explicit)
-      : memory_(&store) {}
+      : resolver_([&store](const std::string& name) {
+          return store.GetSnapshot(name);
+        }) {}
   StoreHandle(storage::FileBackedStore* store)  // NOLINT(runtime/explicit)
-      : file_(store) {}
+      : StoreHandle(*store) {}
   StoreHandle(storage::FileBackedStore& store)  // NOLINT(runtime/explicit)
-      : file_(&store) {}
+      : resolver_([&store](const std::string& name) {
+          return store.GetSnapshot(name);
+        }) {}
   StoreHandle(SnapshotResolver resolver)  // NOLINT(runtime/explicit)
       : resolver_(std::move(resolver)) {}
 
-  const storage::SeriesStore* memory() const { return memory_; }
-  storage::FileBackedStore* file() const { return file_; }
-
-  /// True when Snapshot() can serve inputs (memory store or resolver).
-  bool resolves() const { return memory_ != nullptr || resolver_ != nullptr; }
-
-  /// Snapshot of `name` from whichever backing this handle wraps.
+  /// Snapshot of `name` from whichever store owns it.
   Result<storage::SeriesSnapshot> Snapshot(const std::string& name) const {
-    if (resolver_) return resolver_(name);
-    if (memory_ != nullptr) return memory_->GetSnapshot(name);
-    return Status::Internal("store handle resolves no snapshots");
+    if (!resolver_) return Status::Internal("null store handle");
+    return resolver_(name);
   }
 
  private:
-  const storage::SeriesStore* memory_ = nullptr;
-  storage::FileBackedStore* file_ = nullptr;
   SnapshotResolver resolver_;
 };
 
@@ -62,10 +58,11 @@ class Engine {
  public:
   explicit Engine(PipelineOptions options) : options_(options) {}
 
-  /// Executes `plan` against `store` — the single entry point for both
-  /// in-memory and file-backed inputs. File-backed stores stream pages
-  /// through the LRU buffer pool and never fetch header-pruned pages; only
-  /// kAggregate plans are supported on that path.
+  /// Executes `plan` against `store` — the single entry point and the one
+  /// execution path for in-memory, file-backed and sharded inputs alike.
+  /// File-backed snapshots stream pages through the LRU buffer pool and
+  /// never fetch header-pruned pages. Float series support the aggregate
+  /// plans only (SELECT/join/union/CORR return NotSupported).
   ///
   /// `plan.explain` selects EXPLAIN behaviour: kPlan compiles the Pipe
   /// operator tree into QueryResult::explain_text without executing;
@@ -76,12 +73,10 @@ class Engine {
   const PipelineOptions& options() const { return options_; }
 
  private:
-  Result<QueryResult> ExecuteMemory(const LogicalPlan& plan,
-                                    const StoreHandle& store) const;
-  Result<QueryResult> ExecuteFile(const LogicalPlan& plan,
-                                  storage::FileBackedStore* store) const;
+  Result<QueryResult> ExecutePlan(const LogicalPlan& plan,
+                                  const StoreHandle& store) const;
   Result<QueryResult> ExecuteExplain(const LogicalPlan& plan,
-                                     StoreHandle store) const;
+                                     const StoreHandle& store) const;
   Result<QueryResult> ExecuteAggregate(const LogicalPlan& plan,
                                        const StoreHandle& store) const;
   Result<QueryResult> ExecuteSelect(const LogicalPlan& plan,

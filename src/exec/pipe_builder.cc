@@ -70,22 +70,20 @@ struct SurvivingPages {
   std::vector<char> masked;
 };
 
-/// The page walk shared by both planners (header pruning of Algorithm 2):
-/// `header_at(p)` yields the header of page p, whether a sealed page of a
-/// store snapshot or a FileBackedStore page reference. A page whose whole
-/// [min_time, max_time] sits inside a tombstone is pruned like a header
-/// miss; a partially covered page survives but is flagged masked (scalar
-/// drain with per-tuple tombstone filtering).
-template <typename HeaderAt>
-void CollectPages(size_t num_pages, const HeaderAt& header_at, bool is_float,
-                  const std::vector<storage::TimeInterval>& tombstones,
-                  const TimeRange& trange, const ValueRange& vrange,
-                  bool prune_values, SurvivingPages* out, QueryStats* stats) {
+/// The page walk (header pruning of Algorithm 2) over the snapshot's page
+/// headers — resident for every store, so no payload is read here. A page
+/// whose whole [min_time, max_time] sits inside a tombstone is pruned like
+/// a header miss; a partially covered page survives but is flagged masked
+/// (scalar drain with per-tuple tombstone filtering).
+void CollectPages(const storage::SeriesSnapshot& snap, const TimeRange& trange,
+                  const ValueRange& vrange, bool prune_values,
+                  SurvivingPages* out, QueryStats* stats) {
   const bool value_active = prune_values && vrange.active;
   int64_t q_lo = 0, q_hi = 0;
-  if (value_active) QueryValueKeys(vrange, is_float, &q_lo, &q_hi);
-  for (size_t p = 0; p < num_pages; ++p) {
-    const storage::PageHeader& h = header_at(p);
+  if (value_active) QueryValueKeys(vrange, snap.is_float, &q_lo, &q_hi);
+  const std::vector<storage::TimeInterval>& tombstones = snap.tombstones;
+  for (size_t p = 0; p < snap.pages.size(); ++p) {
+    const storage::PageHeader& h = snap.pages[p]->header;
     ++stats->pages_total;
     stats->tuples_in_pages += h.count;
     if (!trange.Overlaps(h.min_time, h.max_time)) {
@@ -106,7 +104,7 @@ void CollectPages(size_t num_pages, const HeaderAt& header_at, bool is_float,
     // surviving (non-deleted) subset may have a tighter range.
     if (!masked && value_active) {
       int64_t lo, hi;
-      if (storage::HeaderValueKeys(h, is_float, &lo, &hi) &&
+      if (storage::HeaderValueKeys(h, snap.is_float, &lo, &hi) &&
           (hi < q_lo || lo > q_hi)) {
         ++stats->pages_pruned;
         continue;
@@ -121,10 +119,15 @@ void CollectPages(size_t num_pages, const HeaderAt& header_at, bool is_float,
 /// Turns the surviving pages of input `in` into jobs: one registry
 /// decision per page class, masked pages whole, the rest sliced across
 /// `threads` cores (Lines 5-6 of Algorithm 2; a single core never slices).
-template <typename HeaderAt>
+/// A lazily loaded input never slices either: whole-page jobs keep one
+/// buffer-pool fetch per page.
 void AppendPageJobs(int in, const SurvivingPages& kept,
-                    const HeaderAt& header_at, int threads,
+                    const storage::SeriesSnapshot& snap, int threads,
                     DecisionCache* decisions, PipelineSpec* spec) {
+  auto header_at = [&snap](size_t p) -> const storage::PageHeader& {
+    return snap.pages[p]->header;
+  };
+  if (snap.lazy()) threads = 1;
   // Registry lookup per surviving page (memoized per page class). Masked
   // pages bypass the registry — they drain through the scalar masked
   // path, not a vectorized kernel.
@@ -248,14 +251,10 @@ Result<PipelineSpec> BuildPipeline(
         continue;
       }
     }
-    auto header_at = [&snap](size_t p) -> const storage::PageHeader& {
-      return snap.pages[p]->header;
-    };
     SurvivingPages kept;
-    CollectPages(snap.pages.size(), header_at, snap.is_float, snap.tombstones,
-                 trange, plan.value_filter, options.prune, &kept,
+    CollectPages(snap, trange, plan.value_filter, options.prune, &kept,
                  &spec.plan_stats);
-    AppendPageJobs(static_cast<int>(in), kept, header_at, options.threads,
+    AppendPageJobs(static_cast<int>(in), kept, snap, options.threads,
                    &decisions, &spec);
     // The unsealed tail rides behind the sealed pages of its input: one
     // scalar job, emitted last so concatenation keeps time order. Tail
@@ -282,36 +281,6 @@ Result<PipelineSpec> BuildPipeline(
         decisions.Decide(ClassifyMerge(static_cast<int>(inputs.size())));
     decisions.Cover(spec.merge_decision, 0, spec.plan_stats.tuples_in_pages);
   }
-  return spec;
-}
-
-Result<PipelineSpec> BuildFilePipeline(const LogicalPlan& plan,
-                                       storage::FileBackedStore* store,
-                                       const PipelineOptions& options) {
-  if (plan.kind != LogicalPlan::Kind::kAggregate) {
-    return Status::NotSupported("file-backed path supports aggregation only");
-  }
-  Result<const storage::FileBackedStore::SeriesIndex*> series =
-      store->GetSeries(plan.series);
-  if (!series.ok()) return series.status();
-  const auto& refs = series.value()->pages;
-  auto header_at = [&refs](size_t p) -> const storage::PageHeader& {
-    return refs[p].header;
-  };
-  // A series keeps one value type across all its pages (compaction
-  // re-encodes only within the integer or the float codec family).
-  const bool is_float =
-      !refs.empty() && enc::IsFloatEncoding(refs[0].header.value_encoding);
-
-  PipelineSpec spec;
-  DecisionCache decisions(plan, options, &spec);
-  SurvivingPages kept;
-  CollectPages(refs.size(), header_at, is_float, /*tombstones=*/{},
-               EffectiveTimeRange(plan), plan.value_filter, options.prune,
-               &kept, &spec.plan_stats);
-  // Whole-page jobs: slicing would defeat the one-fetch-per-page buffer
-  // pool discipline.
-  AppendPageJobs(0, kept, header_at, /*threads=*/1, &decisions, &spec);
   return spec;
 }
 

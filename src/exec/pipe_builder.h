@@ -10,7 +10,6 @@
 #include "exec/pipeline.h"
 #include "exec/scheduler.h"
 #include "exec/scheduler_registry.h"
-#include "storage/buffer_manager.h"
 #include "storage/series_store.h"
 
 namespace etsqp::exec {
@@ -21,7 +20,11 @@ namespace etsqp::exec {
 /// out are dropped here (whole-page pruning); remaining pages are split into
 /// block-aligned slices when there are more cores than pages (Lines 5-6);
 /// binary operators get one decoding pipeline per input, grouped by time
-/// range and combined by a merge node (Eq. 5-6, Figure 9).
+/// range and combined by a merge node (Eq. 5-6, Figure 9). Every store
+/// reaches Pipe as SeriesSnapshots — in-memory ones with resident pages,
+/// file-backed ones with headers only and a payload loader (Section VI-C's
+/// gradual loading) — so each plan kind compiles one way whatever the
+/// storage.
 
 /// One decoding-pipeline job: a slice of one page of one input series, or
 /// (when `tail` is set) the unsealed in-memory tail of that input — the
@@ -102,23 +105,19 @@ Result<std::vector<storage::SeriesSnapshot>> ResolveInputs(
 Result<std::vector<storage::SeriesSnapshot>> ResolveInputs(
     const LogicalPlan& plan, const SnapshotResolver& resolve);
 
-/// Builds jobs for `plan` over resolved input snapshots. An input whose
-/// envelope (store snapshots only) misses the filters is skipped whole;
-/// the others go through the shared page walk: header-level page pruning
-/// (time range vs page min/max always; value range vs page min/max when
-/// options.prune) and the same statistics check on the tail (its min/max
-/// are computed at snapshot capture).
+/// Builds jobs for `plan` over resolved input snapshots, whatever store
+/// issued them. An input whose envelope (SeriesStore snapshots only)
+/// misses the filters is skipped whole; the others go through the one page
+/// walk: header-level page pruning (time range vs page min/max always;
+/// value range vs page min/max when options.prune) and the same statistics
+/// check on the tail (its min/max are computed at snapshot capture). The
+/// walk reads headers only, so a lazily loaded input (a FileBackedStore
+/// snapshot) never fetches a pruned page; its surviving pages become
+/// whole-page jobs, one buffer-pool fetch each.
 Result<PipelineSpec> BuildPipeline(
     const LogicalPlan& plan,
     const std::vector<storage::SeriesSnapshot>& inputs,
     const PipelineOptions& options);
-
-/// Pipe compilation for a file-backed store: the same page walk over the
-/// resident page headers decides which pages to fetch at all; surviving
-/// pages become whole-page jobs, one per page. Aggregation plans only.
-Result<PipelineSpec> BuildFilePipeline(const LogicalPlan& plan,
-                                       storage::FileBackedStore* store,
-                                       const PipelineOptions& options);
 
 /// Convenience wrapper: resolves snapshots from `store` and compiles.
 Result<PipelineSpec> BuildPipeline(const LogicalPlan& plan,

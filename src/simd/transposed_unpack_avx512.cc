@@ -240,7 +240,8 @@ void DecodeImpl512(const uint8_t* data, size_t data_size, size_t n, int width,
     for (size_t i = done; i < n; ++i) {
       uint32_t r = static_cast<uint32_t>(enc::UnpackOneBE(data, pos, width));
       pos += width;
-      running += min_delta + static_cast<int32_t>(r);
+      running =
+          WrapAdd32(running, WrapAdd32(min_delta, static_cast<int32_t>(r)));
       out[i] = running;
     }
   }

@@ -89,24 +89,24 @@ Status FileBackedStore::Open(const std::string& path,
     index.name = name;
     for (uint32_t p = 0; p < num_pages; ++p) {
       // Index the header; skip the payload (gradual loading).
-      PageRef ref;
+      Page page;
       if (v2) {
         ETSQP_RETURN_IF_ERROR(ReadExact(file_, buf, 2));
-        ref.header.level = buf[0];
-        ref.header.tier = buf[1];
+        page.header.level = buf[0];
+        page.header.tier = buf[1];
       }
       ETSQP_RETURN_IF_ERROR(ReadExact(file_, buf, kPageHeaderBytes));
-      ETSQP_RETURN_IF_ERROR(ParsePageHeader(buf, &ref.header));
+      ETSQP_RETURN_IF_ERROR(ParsePageHeader(buf, &page.header));
       long pos = std::ftell(file_);
       if (pos < 0) return Status::IoError("tsfile: ftell");
-      ref.file_offset = static_cast<uint64_t>(pos);
-      index.total_points += ref.header.count;
-      uint64_t payload = static_cast<uint64_t>(ref.header.time_bytes) +
-                         ref.header.value_bytes;
+      index.file_offsets.push_back(static_cast<uint64_t>(pos));
+      index.total_points += page.header.count;
+      uint64_t payload = static_cast<uint64_t>(page.header.time_bytes) +
+                         page.header.value_bytes;
       if (std::fseek(file_, static_cast<long>(payload), SEEK_CUR) != 0) {
         return Status::Corruption("tsfile: payload seek");
       }
-      index.pages.push_back(std::move(ref));
+      index.pages.push_back(std::move(page));
     }
     series_.emplace(name, std::move(index));
   }
@@ -127,41 +127,66 @@ Result<const FileBackedStore::SeriesIndex*> FileBackedStore::GetSeries(
   return &it->second;
 }
 
+Result<SeriesSnapshot> FileBackedStore::GetSnapshot(const std::string& name) {
+  auto it = series_.find(name);
+  if (it == series_.end()) return Status::NotFound("series: " + name);
+  const SeriesIndex& index = it->second;
+  SeriesSnapshot snap;
+  snap.name = name;
+  // A series keeps one value type across all its pages (compaction
+  // re-encodes only within the integer or the float codec family).
+  snap.is_float = !index.pages.empty() &&
+                  enc::IsFloatEncoding(index.pages[0].header.value_encoding);
+  // Aliasing an empty owner: the headers live as long as the store, and
+  // copying a snapshot touches no reference count.
+  snap.pages.reserve(index.pages.size());
+  for (const Page& page : index.pages) {
+    snap.pages.emplace_back(std::shared_ptr<const Page>(), &page);
+  }
+  snap.load_page = [this, &index](size_t p) { return LoadPage(index, p); };
+  return snap;
+}
+
 Result<std::shared_ptr<const Page>> FileBackedStore::LoadPage(
     const std::string& series, size_t page_index) {
   auto it = series_.find(series);
   if (it == series_.end()) return Status::NotFound("series: " + series);
-  if (page_index >= it->second.pages.size()) {
+  return LoadPage(it->second, page_index);
+}
+
+Result<std::shared_ptr<const Page>> FileBackedStore::LoadPage(
+    const SeriesIndex& series, size_t page_index) {
+  if (page_index >= series.pages.size()) {
     return Status::OutOfRange("page index");
   }
-  const PageRef& ref = it->second.pages[page_index];
-  CacheKey key{series, page_index};
+  const PageHeader& header = series.pages[page_index].header;
+  CacheKey key{series.name, page_index};
 
   std::lock_guard<std::mutex> lock(mu_);
   auto hit = pool_.find(key);
   if (hit != pool_.end()) {
     ++stats_.pool_hits;
-    lru_.remove(key);
-    lru_.push_front(key);
-    return hit->second;
+    lru_.splice(lru_.begin(), lru_, hit->second.lru);
+    return hit->second.page;
   }
 
   // Fetch the payload from the file.
-  if (std::fseek(file_, static_cast<long>(ref.file_offset), SEEK_SET) != 0) {
+  if (std::fseek(file_, static_cast<long>(series.file_offsets[page_index]),
+                 SEEK_SET) != 0) {
     return Status::IoError("tsfile: seek");
   }
   auto page = std::make_shared<Page>();
-  page->header = ref.header;
-  std::vector<uint8_t> payload(static_cast<size_t>(ref.header.time_bytes) +
-                               ref.header.value_bytes);
+  page->header = header;
+  std::vector<uint8_t> payload(static_cast<size_t>(header.time_bytes) +
+                               header.value_bytes);
   ETSQP_RETURN_IF_ERROR(ReadExact(file_, payload.data(), payload.size()));
-  page->time_data.Assign(payload.data(), ref.header.time_bytes);
-  page->value_data.Assign(payload.data() + ref.header.time_bytes,
-                          ref.header.value_bytes);
+  page->time_data.Assign(payload.data(), header.time_bytes);
+  page->value_data.Assign(payload.data() + header.time_bytes,
+                          header.value_bytes);
   ++stats_.pages_loaded;
   stats_.resident_bytes += payload.size();
-  pool_.emplace(key, page);
   lru_.push_front(key);
+  pool_.emplace(std::move(key), PoolEntry{page, lru_.begin()});
   EvictIfNeeded();
   return std::shared_ptr<const Page>(page);
 }
@@ -174,7 +199,7 @@ void FileBackedStore::EvictIfNeeded() {
     lru_.pop_back();
     auto it = pool_.find(victim);
     if (it != pool_.end()) {
-      stats_.resident_bytes -= it->second->encoded_bytes();
+      stats_.resident_bytes -= it->second.page->encoded_bytes();
       pool_.erase(it);
       ++stats_.pages_evicted;
     }

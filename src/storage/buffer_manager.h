@@ -11,6 +11,7 @@
 
 #include "common/status.h"
 #include "storage/page.h"
+#include "storage/series_store.h"
 
 namespace etsqp::storage {
 
@@ -30,14 +31,12 @@ class FileBackedStore {
     size_t memory_budget_bytes = 64 << 20;
   };
 
-  struct PageRef {
-    PageHeader header;   // always resident (the pruning statistics)
-    uint64_t file_offset = 0;  // payload position in the file
-  };
-
   struct SeriesIndex {
     std::string name;
-    std::vector<PageRef> pages;
+    /// Header-only pages (empty payloads): the resident pruning statistics,
+    /// handed out by GetSnapshot without copying.
+    std::vector<Page> pages;
+    std::vector<uint64_t> file_offsets;  // payload position of each page
     uint64_t total_points = 0;
   };
 
@@ -61,6 +60,12 @@ class FileBackedStore {
   std::vector<std::string> SeriesNames() const;
   Result<const SeriesIndex*> GetSeries(const std::string& name) const;
 
+  /// A lazily loaded snapshot of `name` for query execution: the resident
+  /// page headers (non-owning; valid while this store is open), no tail, no
+  /// tombstones, no envelope, and a loader that fetches page payloads
+  /// through LoadPage. Nothing is read from the file here.
+  Result<SeriesSnapshot> GetSnapshot(const std::string& name);
+
   /// Returns the fully loaded page (payload fetched or served from the
   /// pool). The returned shared_ptr keeps the page alive across eviction.
   Result<std::shared_ptr<const Page>> LoadPage(const std::string& series,
@@ -80,6 +85,13 @@ class FileBackedStore {
     }
   };
 
+  struct PoolEntry {
+    std::shared_ptr<const Page> page;
+    std::list<CacheKey>::iterator lru;  // this entry's position in lru_
+  };
+
+  Result<std::shared_ptr<const Page>> LoadPage(const SeriesIndex& series,
+                                               size_t page_index);
   void EvictIfNeeded();
 
   Options options_;
@@ -88,7 +100,7 @@ class FileBackedStore {
   std::map<std::string, SeriesIndex> series_;
 
   mutable std::mutex mu_;
-  std::map<CacheKey, std::shared_ptr<const Page>> pool_;
+  std::map<CacheKey, PoolEntry> pool_;
   std::list<CacheKey> lru_;  // front = most recent
   Stats stats_;
 };

@@ -4,27 +4,10 @@
 #include <cstring>
 #include <vector>
 
+#include "common/bit_util.h"
 #include "storage/page_builder.h"
 
 namespace etsqp::storage {
-
-namespace {
-
-int BitWidth(uint64_t v) {
-  int w = 0;
-  while (v != 0) {
-    ++w;
-    v >>= 1;
-  }
-  return w;
-}
-
-uint64_t ZigZag(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^
-         static_cast<uint64_t>(v >> 63);
-}
-
-}  // namespace
 
 ColumnShape SummarizeInts(const int64_t* values, size_t n) {
   ColumnShape shape;
@@ -35,8 +18,8 @@ ColumnShape SummarizeInts(const int64_t* values, size_t n) {
   int64_t prev_delta = 0;
   for (size_t i = 1; i < n; ++i) {
     if (values[i] != values[i - 1]) ++value_runs;
-    int64_t delta = values[i] - values[i - 1];  // wrap is fine: shape only
-    max_zz = std::max(max_zz, ZigZag(delta));
+    int64_t delta = WrapSub64(values[i], values[i - 1]);  // shape only
+    max_zz = std::max(max_zz, ZigZagEncode64(delta));
     if (i == 1 || delta != prev_delta) ++delta_runs;
     prev_delta = delta;
   }

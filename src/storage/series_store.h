@@ -80,7 +80,13 @@ struct SeriesSnapshot {
   /// a SeriesStore hands out; empty on hand-built snapshots (tests, file
   /// scans), which the planner therefore never envelope-prunes.
   std::optional<SeriesSummary> envelope;
+  /// Payload loader of a lazily loaded snapshot (FileBackedStore): `pages`
+  /// then hold headers only, and page p's payload comes from load_page(p)
+  /// through the store's buffer pool. Empty when the pages are resident.
+  /// Valid only while the issuing store is.
+  std::function<Result<std::shared_ptr<const Page>>(size_t)> load_page;
 
+  bool lazy() const { return static_cast<bool>(load_page); }
   bool has_tail() const { return !tail_times.empty(); }
   int64_t tail_min_time() const { return tail_times.front(); }
   int64_t tail_max_time() const { return tail_times.back(); }

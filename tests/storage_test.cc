@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <algorithm>
 #include <atomic>
 #include <random>
 #include <thread>
@@ -354,6 +355,43 @@ TEST(FileBackedStoreTest, LruEvictsUnderBudget) {
   auto reload = fbs.LoadPage("s", 0);
   ASSERT_TRUE(reload.ok());
   EXPECT_EQ(fbs.stats().pages_loaded, 21u);
+  std::remove(path.c_str());
+}
+
+TEST(FileBackedStoreTest, PoolHitRefreshesLruOrder) {
+  SeriesStore store;
+  SeriesStore::SeriesOptions opt;
+  opt.page_size = 1000;
+  ASSERT_TRUE(store.CreateSeries("s", opt).ok());
+  TestSeries s = MakeWalk(3000, 43);
+  ASSERT_TRUE(
+      store.AppendBatch("s", s.times.data(), s.values.data(), 3000).ok());
+  ASSERT_TRUE(store.Flush().ok());
+  std::string path = ::testing::TempDir() + "/etsqp_fbs_lru.tsfile";
+  ASSERT_TRUE(WriteTsFile(store, path).ok());
+
+  FileBackedStore probe;
+  ASSERT_TRUE(probe.Open(path).ok());
+  const auto& pages = probe.GetSeries("s").value()->pages;
+  ASSERT_EQ(pages.size(), 3u);
+  // Room for page 0 plus either of the others, never all three.
+  FileBackedStore::Options fopt;
+  fopt.memory_budget_bytes =
+      pages[0].encoded_bytes() +
+      std::max(pages[1].encoded_bytes(), pages[2].encoded_bytes());
+  FileBackedStore fbs;
+  ASSERT_TRUE(fbs.Open(path, fopt).ok());
+  ASSERT_TRUE(fbs.LoadPage("s", 0).ok());
+  ASSERT_TRUE(fbs.LoadPage("s", 1).ok());
+  ASSERT_TRUE(fbs.LoadPage("s", 0).ok());  // hit: page 0 becomes newest
+  ASSERT_TRUE(fbs.LoadPage("s", 2).ok());  // evicts page 1, not page 0
+  FileBackedStore::Stats st = fbs.stats();
+  EXPECT_EQ(st.pages_loaded, 3u);
+  EXPECT_EQ(st.pool_hits, 1u);
+  EXPECT_EQ(st.pages_evicted, 1u);
+  ASSERT_TRUE(fbs.LoadPage("s", 0).ok());
+  EXPECT_EQ(fbs.stats().pool_hits, 2u);
+  EXPECT_EQ(fbs.stats().pages_loaded, 3u);
   std::remove(path.c_str());
 }
 
