@@ -14,7 +14,6 @@
 #include "bench/bench_util.h"
 #include "exec/engine.h"
 #include "exec/pipeline.h"
-#include "exec/scheduler_registry.h"
 #include "sim/sched_sim.h"
 #include "workload/generators.h"
 
@@ -90,31 +89,6 @@ double MeasureThroughput(const storage::SeriesStore& store,
       },
       0.03, 7);
   return bench::Throughput(stats, secs);
-}
-
-/// Registry-panel JSON: one line per page class comparing the entry the
-/// static Proposition 1 model picks against the calibrated pick, with a
-/// selection_changed flag (the acceptance check for self-tuning: calibration
-/// either changes the selection somewhere or provably agrees everywhere).
-void ExportRegistryJson(const std::string& class_key, const char* plan_shape,
-                        const exec::ScheduleDecision& model,
-                        const exec::ScheduleDecision& calibrated) {
-  const char* path = std::getenv("ETSQP_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  std::fprintf(
-      f,
-      "{\"bench\": \"fig12_micro\", \"case\": \"registry/%s/%s\", "
-      "\"model_entry\": \"%s\", \"model_ns_per_tuple\": %.4f, "
-      "\"calibrated_entry\": \"%s\", \"calibrated_ns_per_tuple\": %.4f, "
-      "\"selection_changed\": %s}\n",
-      class_key.c_str(), plan_shape, model.entry->name(),
-      model.predicted_ns_per_tuple, calibrated.entry->name(),
-      calibrated.predicted_ns_per_tuple,
-      std::string(model.entry->name()) != calibrated.entry->name() ? "true"
-                                                                   : "false");
-  std::fclose(f);
 }
 
 exec::LogicalPlan HalfRangePlan(const MicroData& d) {
@@ -223,68 +197,6 @@ int main() {
     PrintCell(MeasureThroughput(dr, exec::PipelineOptions::Sboost(1), plan));
     PrintCell(MeasureThroughput(fl, exec::PipelineOptions::FastLanes(1), plan));
     EndRow();
-  }
-
-  // ---- SchedulerRegistry: static Proposition 1 model vs calibrated
-  // selection over the page classes this benchmark exercises. The two plan
-  // shapes split the entry space: "fused" admits etsqp.fused, "filtered"
-  // (value filter present) forces the unfused decode entries to compete,
-  // which is where measured costs can reorder the static ranking.
-  {
-    const exec::SchedulerRegistry& reg = exec::SchedulerRegistry::Global();
-    exec::CostCalibration calib = exec::CostCalibration::Measure();
-    exec::CostConstants constants;
-
-    exec::PlanContext fused;  // SUM aggregate, fusion permitted (defaults)
-    exec::PlanContext filtered;
-    filtered.value_filter = true;
-
-    struct RegistryCase {
-      const char* shape;
-      exec::PageClass cls;
-      const exec::PlanContext* ctx;
-    };
-    std::vector<RegistryCase> cases;
-    for (int w : {2, 4, 8, 12, 16, 20}) {
-      exec::PageClass c;
-      c.value_encoding = enc::ColumnEncoding::kTs2Diff;
-      c.width_bucket = w;
-      cases.push_back({"fused", c, &fused});
-      cases.push_back({"filtered", c, &filtered});
-    }
-    exec::PageClass rle;
-    rle.value_encoding = enc::ColumnEncoding::kDeltaRle;
-    rle.width_bucket = 8;
-    cases.push_back({"fused", rle, &fused});
-    exec::PageClass flc;
-    flc.value_encoding = enc::ColumnEncoding::kFastLanes;
-    flc.width_bucket = 8;
-    cases.push_back({"filtered", flc, &filtered});
-
-    PrintHeader(
-        "SchedulerRegistry: static cost model vs calibrated selection",
-        {"Class", "Plan", "Model", "ns/t", "Calibrated", "ns/t", "Changed"});
-    int changed = 0;
-    for (const RegistryCase& k : cases) {
-      exec::ScheduleDecision m = reg.Propose(k.cls, *k.ctx, nullptr, constants);
-      exec::ScheduleDecision c = reg.Propose(k.cls, *k.ctx, &calib, constants);
-      if (m.entry == nullptr || c.entry == nullptr) continue;
-      bool diff = std::string(m.entry->name()) != c.entry->name();
-      changed += diff ? 1 : 0;
-      PrintCell(k.cls.Key());
-      PrintCell(k.shape);
-      PrintCell(m.entry->name());
-      PrintCell(m.predicted_ns_per_tuple);
-      PrintCell(c.entry->name());
-      PrintCell(c.predicted_ns_per_tuple);
-      PrintCell(diff ? "yes" : "no");
-      EndRow();
-      ExportRegistryJson(k.cls.Key(), k.shape, m, c);
-    }
-    std::printf(
-        "(%d of %zu page-class/plan cases change kernel selection once "
-        "calibrated)\n",
-        changed, cases.size());
   }
 
   std::printf(

@@ -211,8 +211,8 @@ int main() {
   Row("union_256way_blocky", sc, sv, blocky.total);
 
   // Adversarial union shape — shared clock, so runs are 1-2 elements and
-  // the run-extension machinery is pure overhead. Kept honest here; the
-  // scheduler's merge calibration decides per deployment.
+  // the run-extension machinery is pure overhead. Kept honest here: the
+  // merge stage runs the host's best datapath whatever the input shape.
   out_t.resize(dense.total);
   out_v.resize(dense.total);
   sc = TimeBest([&] {

@@ -25,15 +25,11 @@ namespace {
 
 constexpr const char* kDefaultTenant = "default";
 
-exec::PipelineOptions ModeOptions(
-    Database::Mode mode, int threads, bool collect_stats,
-    std::shared_ptr<const exec::CostCalibration> calibration) {
+exec::PipelineOptions ModeOptions(Database::Mode mode, int threads,
+                                  bool collect_stats) {
   exec::PipelineOptions o = mode == Database::Mode::kScalar
                                 ? exec::PipelineOptions::Serial()
                                 : exec::PipelineOptions::EtsqpPrune(threads);
-  if (mode == Database::Mode::kSimd) {
-    o.WithCalibration(std::move(calibration));
-  }
   return o.WithStats(collect_stats);
 }
 
@@ -55,25 +51,6 @@ struct AdmissionTicket {
   uint64_t queue_depth = 0;
 };
 
-/// Decode-cost tie-break for the CodecAdvisor: the minimum calibrated
-/// ns/tuple any scheduler entry measured over pages of this encoding
-/// (calibration keys are "entry|ENCNAME/w<bucket>"). 0 = no measurement,
-/// which the advisor treats as "no preference".
-storage::CodecAdvisor::CostHook MakeCostHook(
-    std::shared_ptr<const exec::CostCalibration> cal) {
-  if (cal == nullptr) return nullptr;
-  return [cal](enc::ColumnEncoding encoding, bool /*is_float*/) -> double {
-    const std::string needle =
-        std::string("|") + enc::ColumnEncodingName(encoding) + "/w";
-    double best = 0;
-    for (const auto& [key, ns] : cal->costs()) {
-      if (key.find(needle) == std::string::npos) continue;
-      if (best == 0 || ns < best) best = ns;
-    }
-    return best;
-  };
-}
-
 }  // namespace
 
 struct Database::Rep {
@@ -93,7 +70,7 @@ struct Database::Rep {
   storage::Wal::ReplayStats last_recovery;
 
   /// Readers = Query() executions; writers = engine reconfiguration,
-  /// file-store attach/detach, calibration swaps, resharding.
+  /// file-store attach/detach, resharding.
   mutable std::shared_mutex engine_mu;
 
   struct Tenant {
@@ -119,7 +96,7 @@ struct Database::Rep {
   void RebuildEnginesLocked() {
     for (auto& s : shards) {
       s->engine = std::make_unique<exec::Engine>(
-          ModeOptions(mode, threads, collect_stats, s->calibration));
+          ModeOptions(mode, threads, collect_stats));
     }
   }
 
@@ -223,19 +200,6 @@ struct Database::Rep {
     input(plan.series);
     if (HasRightInput(plan)) input(plan.series_right);
     return key;
-  }
-
-  /// Best-effort per-shard calibration attach; silently keeps the static
-  /// model on a missing/corrupt/version-skewed cache.
-  void TryAttachCalibration(Shard* shard, const std::string& path) {
-    Result<exec::CostCalibration> cal =
-        exec::CostCalibration::LoadFromFile(path);
-    if (!cal.ok()) return;
-    std::unique_lock<std::shared_mutex> lock(engine_mu);
-    shard->calibration =
-        std::make_shared<const exec::CostCalibration>(std::move(cal).value());
-    shard->engine = std::make_unique<exec::Engine>(
-        ModeOptions(mode, threads, collect_stats, shard->calibration));
   }
 
   /// The EXPLAIN ANALYZE serving-layer block appended below the engine's
@@ -350,7 +314,6 @@ Status Database::EnableCompaction(const CompactionConfig& config) {
   }
   for (auto& shard : rep->shards) {
     storage::CompactionOptions opts = config.options;
-    if (!opts.cost_hook) opts.cost_hook = MakeCostHook(shard->calibration);
     if (!opts.decode_support) {
       // Registry-backed guard: a rewrite codec must have both a storage
       // decode entry and a schedulable serving-path class.
@@ -361,8 +324,8 @@ Status Database::EnableCompaction(const CompactionConfig& config) {
         cls.time_encoding = enc::ColumnEncoding::kTs2Diff;
         cls.is_float = enc::IsFloatEncoding(e);
         cls.width_bucket = 8;
-        exec::ScheduleDecision d = exec::SchedulerRegistry::Global().Propose(
-            cls, exec::PlanContext{}, nullptr, exec::CostConstants{});
+        exec::ScheduleDecision d =
+            exec::SchedulerRegistry::Global().Propose(cls, exec::PlanContext{});
         return d.entry != nullptr;
       };
     }
@@ -718,21 +681,14 @@ Status Database::Load(const std::string& path) {
   Rep* rep = rep_.get();
   const int n = rep->router.num_shards();
   if (n == 1) {
-    ETSQP_RETURN_IF_ERROR(storage::ReadTsFile(path, &rep->shards[0]->store));
-    rep->TryAttachCalibration(rep->shards[0].get(),
-                              Shard::CalibPath(path, 0, 1));
-    return Status::Ok();
+    return storage::ReadTsFile(path, &rep->shards[0]->store);
   }
   Status first = storage::ReadTsFile(Shard::ArtifactPath(path, 0, n),
                                      &rep->shards[0]->store);
   if (first.ok()) {
-    rep->TryAttachCalibration(rep->shards[0].get(),
-                              Shard::CalibPath(path, 0, n));
     for (int k = 1; k < n; ++k) {
       ETSQP_RETURN_IF_ERROR(storage::ReadTsFile(
           Shard::ArtifactPath(path, k, n), &rep->shards[k]->store));
-      rep->TryAttachCalibration(rep->shards[k].get(),
-                                Shard::CalibPath(path, k, n));
     }
     return Status::Ok();
   }
@@ -762,41 +718,6 @@ Status Database::Load(const std::string& path) {
   return Status::Ok();
 }
 
-Status Database::Calibrate(const std::string& path) {
-  Rep* rep = rep_.get();
-  const int n = rep->router.num_shards();
-  // Shard 0 loads-or-measures at the caller's path; the sweep is
-  // machine-level, so other shards seed from it when their own per-shard
-  // cache (`<path>.shard<k>`) is missing or corrupt.
-  bool measured = false;
-  Result<std::shared_ptr<const exec::CostCalibration>> seed =
-      exec::CostCalibration::LoadOrMeasure(Shard::ArtifactPath(path, 0, n),
-                                           &measured);
-  if (!seed.ok()) return seed.status();
-  std::unique_lock<std::shared_mutex> lock(rep->engine_mu);
-  rep->shards[0]->calibration = seed.value();
-  for (int k = 1; k < n; ++k) {
-    const std::string own_path = Shard::ArtifactPath(path, k, n);
-    Result<exec::CostCalibration> own =
-        exec::CostCalibration::LoadFromFile(own_path);
-    if (own.ok()) {
-      rep->shards[k]->calibration =
-          std::make_shared<const exec::CostCalibration>(
-              std::move(own).value());
-    } else {
-      // Best-effort persist so the shard's next open loads directly.
-      (void)seed.value()->SaveToFile(own_path);
-      rep->shards[k]->calibration = seed.value();
-    }
-  }
-  rep->RebuildEnginesLocked();
-  return Status::Ok();
-}
-
-std::shared_ptr<const exec::CostCalibration> Database::calibration() const {
-  return rep_->shards[0]->calibration;
-}
-
 Status Database::OpenFile(const std::string& path,
                           size_t memory_budget_bytes) {
   Rep* rep = rep_.get();
@@ -818,10 +739,6 @@ Status Database::OpenFile(const std::string& path,
     for (int k = 0; k < n; ++k) {
       rep->shards[k]->file_store = std::move(stores[k]);
     }
-  }
-  for (int k = 0; k < n; ++k) {
-    rep->TryAttachCalibration(rep->shards[k].get(),
-                              Shard::CalibPath(path, k, n));
   }
   return Status::Ok();
 }

@@ -17,7 +17,7 @@
 namespace etsqp::db {
 
 /// The multi-tenant serving core: a fixed set of Shards (each one
-/// SeriesStore/TsFile + WAL + calibration cache), a ShardRouter that hash-
+/// SeriesStore/TsFile + WAL), a ShardRouter that hash-
 /// partitions series across them, per-tenant admission control, and an
 /// epoch-keyed result cache — all in front of the ETSQP engine.
 ///
@@ -40,7 +40,7 @@ namespace etsqp::db {
 ///
 /// Concurrency contract matches IotDbLite's: Query() from many threads is
 /// safe; reconfiguration (SetMode/SetThreads/SetCollectStats/OpenFile/
-/// CloseFile/Calibrate/Reshard) takes the writer side of the engine lock
+/// CloseFile/Reshard) takes the writer side of the engine lock
 /// and waits out in-flight queries. IotDbLite is this class pinned to one
 /// shard with the cache off — the paths it writes are byte-compatible with
 /// the pre-sharding layout.
@@ -122,10 +122,7 @@ class Database {
     uint32_t auto_trigger_pages = 0;
   };
 
-  /// Builds each shard's Compactor. When the shard has a calibration cache,
-  /// the CodecAdvisor's tie-break cost hook is wired from it (measured
-  /// decode ns/tuple per encoding), so re-encoding choices respect what
-  /// this machine actually decodes fastest.
+  /// Builds each shard's Compactor.
   Status EnableCompaction(const CompactionConfig& config);
   Status EnableCompaction() { return EnableCompaction(CompactionConfig()); }
   /// One synchronous compaction pass: every shard (`shard` = -1, passes fan
@@ -187,15 +184,8 @@ class Database {
   Status Save(const std::string& path) const;
   /// Loads per-shard TsFiles; a multi-shard database falls back to reading
   /// a single combined `path` and redistributing its series through the
-  /// router (pages are shared, not copied). Auto-attaches each shard's
-  /// calibration cache when present and intact.
+  /// router (pages are shared, not copied).
   Status Load(const std::string& path);
-  /// Per-shard calibration at `<path>.shard<k>.calib` (`<path>.calib` for
-  /// one shard): shard 0 loads-or-measures; other shards load their own
-  /// cache, seeded from shard 0's sweep when missing or corrupt.
-  Status Calibrate(const std::string& path);
-  /// Shard 0's calibration (the facade's view); null = static model.
-  std::shared_ptr<const exec::CostCalibration> calibration() const;
 
   /// Attaches per-shard TsFiles through the LRU buffer pool; queries on a
   /// series route to its shard's file store. Aggregations only.

@@ -25,7 +25,7 @@ namespace etsqp::db {
 ///
 /// Since the serving-core refactor this is a thin facade over db::Database
 /// pinned to one shard with the result cache off: every call delegates, the
-/// on-disk layout (TsFile, WAL, `<path>.calib`) is byte-identical to the
+/// on-disk layout (TsFile, WAL) is byte-identical to the
 /// pre-sharding format, and the concurrency contract is unchanged — Query()
 /// from many threads is safe, reconfiguration (SetMode / SetThreads /
 /// SetCollectStats / OpenFile / CloseFile) takes the engine writer lock and
@@ -145,21 +145,8 @@ class IotDbLite {
   bool collect_stats() const { return db_.collect_stats(); }
 
   /// Persists all (flushed) series to a TsFile / loads one written earlier.
-  /// Load also looks for a calibration cache at `<path>.calib` and attaches
-  /// it when present and intact (silent fallback to the static cost model
-  /// otherwise).
   Status Save(const std::string& path) const { return db_.Save(path); }
   Status Load(const std::string& path) { return db_.Load(path); }
-
-  /// Self-tuning calibration for the SchedulerRegistry (Mode::kSimd): loads
-  /// the measured per-(entry, page-class) cost cache at `path` when it is
-  /// valid, otherwise runs the microbenchmark sweep and writes it there.
-  Status Calibrate(const std::string& path) { return db_.Calibrate(path); }
-  /// The attached calibration cache, or null when running on the static
-  /// Proposition 1 CostConstants.
-  std::shared_ptr<const exec::CostCalibration> calibration() const {
-    return db_.calibration();
-  }
 
   /// Attaches a TsFile through the LRU buffer pool (Section VI-C gradual
   /// page loading) instead of loading it whole: only page headers become

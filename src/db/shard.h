@@ -6,7 +6,6 @@
 #include <string>
 
 #include "exec/engine.h"
-#include "exec/scheduler_registry.h"
 #include "storage/buffer_manager.h"
 #include "storage/compaction.h"
 #include "storage/series_store.h"
@@ -15,30 +14,25 @@
 namespace etsqp::db {
 
 /// One slice of the database: a SeriesStore (with its own WAL when ingest
-/// is enabled), an optional file-backed TsFile attachment, the shard's
-/// calibration cache, and the engine configured with it. Shards own no
-/// synchronization of their own — the Database's engine reader/writer lock
-/// covers engine/file-store/calibration swaps, and the SeriesStore is
-/// internally synchronized — so a Shard is plain data the serving layer
-/// routes onto.
+/// is enabled), an optional file-backed TsFile attachment, and the shard's
+/// engine. Shards own no synchronization of their own — the Database's
+/// engine reader/writer lock covers engine/file-store swaps, and the
+/// SeriesStore is internally synchronized — so a Shard is plain data the
+/// serving layer routes onto.
 ///
 /// On-disk artifacts are namespaced per shard so several shards can live in
-/// one directory: shard k of an N-shard database derives
-/// `<base>.shard<k>` for TsFiles and WALs and `<base>.shard<k>.calib` for
-/// the calibration cache. A single-shard database uses the plain `<base>`
-/// (and `<base>.calib`) paths — byte-compatible with the pre-sharding
-/// IotDbLite layout, which is what keeps the facade's files interchangeable
-/// with old ones.
+/// one directory: shard k of an N-shard database derives `<base>.shard<k>`
+/// for TsFiles and WALs. A single-shard database uses the plain `<base>`
+/// path — byte-compatible with the pre-sharding IotDbLite layout, which is
+/// what keeps the facade's files interchangeable with old ones.
 struct Shard {
   explicit Shard(int index_in) : index(index_in) {}
 
   int index = 0;
   storage::SeriesStore store;
   std::unique_ptr<storage::FileBackedStore> file_store;
-  /// Per-shard measured registry costs; null = static CostConstants.
-  std::shared_ptr<const exec::CostCalibration> calibration;
   /// Rebuilt (under the database writer lock) whenever mode/threads/stats
-  /// or this shard's calibration changes.
+  /// change.
   std::unique_ptr<exec::Engine> engine;
   /// What this shard's last EnableIngest recovery pass replayed.
   storage::Wal::ReplayStats last_recovery;
@@ -53,12 +47,6 @@ struct Shard {
                                   int num_shards) {
     if (num_shards <= 1) return base;
     return base + ".shard" + std::to_string(shard);
-  }
-
-  /// Calibration cache path: `<base>.calib` / `<base>.shard<k>.calib`.
-  static std::string CalibPath(const std::string& base, int shard,
-                               int num_shards) {
-    return ArtifactPath(base, shard, num_shards) + ".calib";
   }
 };
 

@@ -61,20 +61,21 @@ struct JobSchedule {
 };
 
 /// The merge stage's planned kernel: the registry decision (for EXPLAIN
-/// and outcome scoring) plus the datapath the merge kernels run on. When
-/// the registry did not plan the stage, the datapath follows the engine's
-/// pinned strategy (kSerial pins the scalar reference kernels).
+/// and outcome scoring) plus the datapath the merge kernels run on. The
+/// datapath follows the decision's strategy, or the engine's pinned one
+/// when the registry did not plan the stage (kSerial pins the scalar
+/// reference kernels).
 struct MergeSchedule {
   const ScheduleDecision* decision = nullptr;
   simd::MergeIsa isa = simd::MergeIsa::kScalar;
 
   MergeSchedule(const PipelineOptions& base, const PipelineSpec& spec) {
+    DecodeStrategy strategy = base.strategy;
     if (spec.merge_decision >= 0) {
       decision = &spec.decisions[spec.merge_decision];
-      isa = MergeEntryIsa(decision->entry->name());
-    } else if (base.strategy != DecodeStrategy::kSerial) {
-      isa = simd::BestMergeIsa();
+      strategy = ApplyDecision(base, *decision).strategy;
     }
+    isa = MergeIsaFor(strategy);
   }
 };
 

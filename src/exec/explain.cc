@@ -128,11 +128,10 @@ std::string RenderExplain(const LogicalPlan& plan,
   // Registry decisions: one line per page class, the chosen SchedulerEntry
   // with its heuristic params and the cost estimate it won on.
   for (const ScheduleDecision& d : spec.decisions) {
-    Appendf(&out, "    sched %s: entry=%s [%s] est=%.2fns/t (%s) pages=%" PRIu64
+    Appendf(&out, "    sched %s: entry=%s [%s] est=%.2fns/t pages=%" PRIu64
             " tuples=%" PRIu64 "\n",
             d.class_key.c_str(), d.entry->name(), d.params.ToString().c_str(),
-            d.predicted_ns_per_tuple, d.calibrated ? "calibrated" : "model",
-            d.pages, d.tuples);
+            d.predicted_ns_per_tuple, d.pages, d.tuples);
   }
   AppendFilterLine(&out, "    ", plan);
 
@@ -195,8 +194,8 @@ std::string RenderStats(const ExecStats& stats) {
     Appendf(&out, "  queue_depth=%" PRIu64 "\n", stats.admission_queue_depth);
   }
   if (!stats.scheduler.empty()) {
-    // Predicted-vs-measured per page class: how well the cost model (or the
-    // calibration cache) anticipated the kernels it scheduled.
+    // Predicted-vs-measured per page class: how well the static cost model
+    // anticipated the kernels it scheduled.
     Appendf(&out, "scheduler: mispredictions=%" PRIu64 "\n",
             stats.mispredictions);
     for (const auto& [key, s] : stats.scheduler) {
@@ -206,9 +205,8 @@ std::string RenderStats(const ExecStats& stats) {
           s.tuples > 0
               ? static_cast<double>(s.measured_nanos) / static_cast<double>(s.tuples)
               : 0;
-      Appendf(&out, "  %s: entry=%s [%s]%s pred=%.2fns/t meas=%.2fns/t",
-              key.c_str(), s.entry.c_str(), s.params.c_str(),
-              s.calibrated ? " (calibrated)" : "", pred, meas);
+      Appendf(&out, "  %s: entry=%s [%s] pred=%.2fns/t meas=%.2fns/t",
+              key.c_str(), s.entry.c_str(), s.params.c_str(), pred, meas);
       if (pred > 0) {
         Appendf(&out, " delta=%+.0f%%", (meas - pred) / pred * 100.0);
       }

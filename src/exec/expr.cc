@@ -86,8 +86,7 @@ std::string ExecStats::ToJson() const {
       out += s.entry;
       out += "\", \"params\": \"";
       out += s.params;
-      out += "\", \"calibrated\": ";
-      out += s.calibrated ? "true" : "false";
+      out += '"';
       bool sfirst = false;
       AppendField(&out, "jobs", s.jobs, &sfirst);
       AppendField(&out, "tuples", s.tuples, &sfirst);

@@ -112,7 +112,6 @@ struct LogicalPlan {
 struct SchedDecisionStats {
   std::string entry;   // SchedulerEntry::name() of the chosen entry
   std::string params;  // rendered HeuristicParams
-  bool calibrated = false;  // cost came from the calibration cache
   uint64_t jobs = 0;
   uint64_t tuples = 0;
   double predicted_nanos = 0;
@@ -123,7 +122,6 @@ struct SchedDecisionStats {
     if (entry.empty()) {
       entry = o.entry;
       params = o.params;
-      calibrated = o.calibrated;
     }
     jobs += o.jobs;
     tuples += o.tuples;

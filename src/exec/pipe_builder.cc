@@ -15,7 +15,6 @@ DecisionCache::DecisionCache(const LogicalPlan& plan,
                              PipelineSpec* spec)
     : enabled_(options.use_registry),
       ctx_(MakePlanContext(plan, options)),
-      calibration_(options.calibration.get()),
       spec_(spec) {}
 
 int DecisionCache::Decide(const PageClass& cls) {
@@ -23,8 +22,7 @@ int DecisionCache::Decide(const PageClass& cls) {
   std::string key = cls.Key();
   auto it = index_.find(key);
   if (it != index_.end()) return it->second;
-  ScheduleDecision d = SchedulerRegistry::Global().Propose(
-      cls, ctx_, calibration_, CostConstants{});
+  ScheduleDecision d = SchedulerRegistry::Global().Propose(cls, ctx_);
   int idx =
       d.entry == nullptr ? -1 : static_cast<int>(spec_->decisions.size());
   if (idx >= 0) spec_->decisions.push_back(std::move(d));

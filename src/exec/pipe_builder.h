@@ -56,7 +56,7 @@ struct PipelineSpec {
   std::vector<ScheduleDecision> decisions;
   QueryStats plan_stats;  // pages_total / pages_pruned / tuples_in_pages
   /// Index into `decisions` for the merge stage of multi-input plans
-  /// (binary/correlate/concat): which etsqp.merge.* kernel combines the
+  /// (binary/correlate/concat): the etsqp.merge decision that combines the
   /// per-input streams. -1 = single input or registry off.
   int merge_decision = -1;
 };
@@ -80,7 +80,6 @@ class DecisionCache {
  private:
   bool enabled_;
   PlanContext ctx_;
-  const CostCalibration* calibration_;
   PipelineSpec* spec_;
   std::map<std::string, int> index_;
 };

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <memory>
 
 #include "common/status.h"
 #include "exec/column_decoder.h"
@@ -12,8 +11,6 @@
 #include "storage/page.h"
 
 namespace etsqp::exec {
-
-class CostCalibration;  // exec/scheduler_registry.h
 
 /// Per-query execution switches: the evaluation's system variants map to
 /// these (ETSQP = {kEtsqp, prune off, fusion on}; ETSQP-prune adds prune;
@@ -38,9 +35,6 @@ struct PipelineOptions {
   /// baselines; WithStrategy() turns it off (an explicit strategy is a
   /// pin, not a preference).
   bool use_registry = false;
-  /// Measured per-(entry, page-class) costs for registry proposals; null =
-  /// the static Proposition 1 CostConstants fallback.
-  std::shared_ptr<const CostCalibration> calibration;
 
   /// Canonical option sets for the evaluation baselines (Section VII-A).
   static PipelineOptions Etsqp(int threads = 1);
@@ -56,11 +50,6 @@ struct PipelineOptions {
   }
   PipelineOptions& WithRegistry(bool on) {
     use_registry = on;
-    return *this;
-  }
-  PipelineOptions& WithCalibration(
-      std::shared_ptr<const CostCalibration> cal) {
-    calibration = std::move(cal);
     return *this;
   }
   PipelineOptions& WithPrune(bool on) {

@@ -1,12 +1,10 @@
 #ifndef ETSQP_EXEC_SCHEDULER_REGISTRY_H_
 #define ETSQP_EXEC_SCHEDULER_REGISTRY_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "exec/cost_model.h"
 #include "exec/expr.h"
 #include "exec/pipeline.h"
@@ -16,18 +14,16 @@
 
 namespace etsqp::exec {
 
-/// Kernel-strategy scheduler registry: every decoding/aggregation strategy
-/// the engine knows (transposed AVX-512/AVX2 unpack, fused aggregation,
-/// SBoost's linear layout, FastLanes FLMM1024, the scalar pipelines) is a
+/// Kernel-strategy scheduler registry: every distinct execution the engine
+/// can select per page (fused aggregation, Algorithm 1's transposed decode,
+/// SBoost's linear layout, the scalar pipelines, the merge stage) is a
 /// registered SchedulerEntry, and Pipe asks the registry which entry to run
 /// per *page class* at plan time instead of switching on a hand-set enum.
 ///
-/// Costs come from two sources. The fallback is the paper's Proposition 1
-/// instruction-count model (exec/cost_model.h) — cheap, always available,
-/// but known to diverge from real decode throughput (Lemire & Boytsov). The
-/// preferred source is a CostCalibration: a first-run microbenchmark sweep
-/// whose measured ns/tuple per (entry, page class) is cached to disk next to
-/// the store (versioned + CRC-framed like WAL records) and loaded on open.
+/// Costs come from the paper's Proposition 1 instruction-count model
+/// (exec/cost_model.h). The kernel ISA (AVX-512, AVX2, scalar) is not a
+/// registry choice: the kernels dispatch on CPU detection, and the entries
+/// that depend on it cost themselves for the host's datapath.
 
 /// Plan-time bucket of one page (or of the unsealed tail): everything the
 /// registry needs to choose a kernel without touching the encoded payload.
@@ -43,7 +39,7 @@ struct PageClass {
   bool is_float = false;
   // Merge-stage classes: not a page at all but the N-way timestamp
   // merge/intersection work of a binary/correlate/concat plan. Only the
-  // etsqp.merge.* entries schedule these.
+  // etsqp.merge entry schedules these.
   bool merge = false;
   int merge_ways = 0;
 
@@ -52,27 +48,24 @@ struct PageClass {
   std::string Key() const;
 };
 
-/// Header-only page classification (same function at calibration time and
-/// at plan time, so cache keys always line up with planner buckets).
+/// Header-only page classification: everything a plan-time decision needs,
+/// read from the page header without touching the payload.
 PageClass ClassifyPage(const storage::PageHeader& header);
 PageClass ClassifyTail(const storage::SeriesSnapshot& snap);
 
 /// The merge stage of a plan combining `ways` sorted operand streams.
 PageClass ClassifyMerge(int ways);
 
-/// Maps a chosen etsqp.merge.* entry name to the merge-kernel datapath the
-/// engine should run; unknown names fall back to BestMergeIsa().
-simd::MergeIsa MergeEntryIsa(const std::string& entry_name);
+/// The merge-kernel datapath a job strategy runs: the scalar reference
+/// kernels for kSerial, the host's best SIMD datapath otherwise.
+simd::MergeIsa MergeIsaFor(DecodeStrategy strategy);
 
 /// The plan-shape facts entries gate on.
 struct PlanContext {
   bool aggregate = true;  // kAggregate (incl. sliding windows); else decode
   AggFunc func = AggFunc::kSum;
   bool value_filter = false;
-  bool windowed = false;
   bool fusion = true;  // options.fusion (operator fusion permitted)
-  bool prune = false;
-  int threads = 1;
 };
 
 PlanContext MakePlanContext(const LogicalPlan& plan,
@@ -108,66 +101,27 @@ class SchedulerEntry {
   virtual HeuristicParams Params(const PageClass& cls,
                                  const PlanContext& ctx) const = 0;
   /// Predicted cost in ns per tuple from the static instruction-count model
-  /// (abstract clock units read as ns at a 1 GHz reference — the point of
-  /// calibration is that this is only a rough ordering).
+  /// (abstract clock units read as ns at a 1 GHz reference — a rough
+  /// ordering, not a measurement).
   virtual double PredictCost(const PageClass& cls, const PlanContext& ctx,
                              const CostConstants& c) const = 0;
 };
 
 /// The registry's answer for one page class: which entry, its params, and
-/// the cost figure that won the comparison.
+/// the predicted cost that won the comparison.
 struct ScheduleDecision {
   std::string class_key;
   const SchedulerEntry* entry = nullptr;
   HeuristicParams params;
   double predicted_ns_per_tuple = 0;
-  bool calibrated = false;  // cost came from the calibration cache
   // Planner bookkeeping for EXPLAIN (pages/tuples this decision covers).
   uint64_t pages = 0;
   uint64_t tuples = 0;
 };
 
-/// Measured costs per (entry name, page-class key): the self-tuning half of
-/// the cost model. Persisted next to the store as a versioned, CRC-framed
-/// file (same discipline as WAL records); a corrupt or version-skewed file
-/// fails to load with Corruption and callers fall back to CostConstants.
-class CostCalibration {
- public:
-  bool Lookup(const std::string& entry, const std::string& class_key,
-              double* ns_per_tuple) const;
-  void Set(const std::string& entry, const std::string& class_key,
-           double ns_per_tuple);
-  size_t size() const { return costs_.size(); }
-  const std::map<std::string, double>& costs() const { return costs_; }
-
-  /// File layout: "ETSQPCAL" magic | u32 version BE | u32 count BE |
-  /// count x (u16 key_len BE | key | u64 f64-bits BE) | u32 masked CRC32C
-  /// of the record region BE.
-  Status SaveToFile(const std::string& path) const;
-  static Result<CostCalibration> LoadFromFile(const std::string& path);
-
-  /// First-run microbenchmark sweep: builds synthetic pages across the
-  /// width buckets and codecs the engine schedules, times every entry that
-  /// CanSchedule each class, and records best-of ns/tuple. Takes tens of
-  /// milliseconds; runs once per store, then lives in the cache file.
-  static CostCalibration Measure();
-
-  /// Load `path` if it verifies, else Measure() and save to `path`.
-  /// `measured` (optional) reports whether a sweep ran.
-  static Result<std::shared_ptr<const CostCalibration>> LoadOrMeasure(
-      const std::string& path, bool* measured = nullptr);
-
- private:
-  static std::string MapKey(const std::string& entry,
-                            const std::string& class_key) {
-    return entry + "|" + class_key;
-  }
-  std::map<std::string, double> costs_;
-};
-
-/// Process-global entry catalog. Propose() returns the cheapest feasible
-/// entry for a page class: per candidate, the calibrated cost if the cache
-/// holds one, else the static prediction; cost ties break by priority.
+/// Process-global entry catalog. Propose() returns the feasible entry with
+/// the lowest static prediction for a page class; cost ties break by
+/// priority.
 class SchedulerRegistry {
  public:
   static const SchedulerRegistry& Global();
@@ -177,9 +131,8 @@ class SchedulerRegistry {
   }
   const SchedulerEntry* Find(const std::string& name) const;
 
-  ScheduleDecision Propose(const PageClass& cls, const PlanContext& ctx,
-                           const CostCalibration* calibration,
-                           const CostConstants& constants) const;
+  ScheduleDecision Propose(const PageClass& cls,
+                           const PlanContext& ctx) const;
 
  private:
   SchedulerRegistry();

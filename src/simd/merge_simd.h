@@ -21,9 +21,10 @@ namespace etsqp::simd {
 /// differential suites in tests/ assert byte-identical results across all
 /// ISA variants.
 
-/// Which datapath a merge kernel runs on. Selected per plan through the
-/// SchedulerRegistry's etsqp.merge.* entries; BestMergeIsa() is the
-/// registry-off fallback and honors SetSimdDisabledForTesting.
+/// Which datapath a merge kernel runs on. The engine runs BestMergeIsa()
+/// unless the plan's strategy is kSerial (exec::MergeIsaFor), with or
+/// without the SchedulerRegistry; BestMergeIsa() honors
+/// SetSimdDisabledForTesting.
 enum class MergeIsa { kScalar = 0, kSse = 1, kAvx2 = 2, kAvx512 = 3 };
 
 MergeIsa BestMergeIsa();

@@ -72,41 +72,19 @@ struct Trial {
   size_t bytes;
 };
 
-/// Picks from trial results: smallest bytes, with a cost-hook tie-break
-/// inside `tie_band`, then the min-gain damper against `current`.
-CodecAdvisor::Advice Pick(std::vector<Trial> trials,
-                          enc::ColumnEncoding current, bool is_float,
+/// Picks from trial results: smallest bytes (the first candidate on a
+/// tie), then the min-gain damper against `current`.
+CodecAdvisor::Advice Pick(const std::vector<Trial>& trials,
+                          enc::ColumnEncoding current,
                           const CodecAdvisor::Options& options) {
   CodecAdvisor::Advice advice;
   advice.encoding = current;
+  Trial winner{current, SIZE_MAX};
   for (const Trial& t : trials) {
     if (t.encoding == current) advice.current_bytes = t.bytes;
+    if (t.bytes < winner.bytes) winner = t;
   }
-  size_t best = SIZE_MAX;
-  for (const Trial& t : trials) best = std::min(best, t.bytes);
-  if (best == SIZE_MAX) return advice;
-
-  Trial winner{current, SIZE_MAX};
-  double winner_cost = -1;
-  double band = static_cast<double>(best) * (1.0 + options.tie_band);
-  for (const Trial& t : trials) {
-    if (static_cast<double>(t.bytes) > band) continue;
-    double cost =
-        options.cost_hook ? options.cost_hook(t.encoding, is_float) : -1;
-    bool better;
-    if (winner.bytes == SIZE_MAX) {
-      better = true;
-    } else if (cost >= 0 && winner_cost >= 0) {
-      better = cost < winner_cost ||
-               (cost == winner_cost && t.bytes < winner.bytes);
-    } else {
-      better = t.bytes < winner.bytes;
-    }
-    if (better) {
-      winner = t;
-      winner_cost = cost;
-    }
-  }
+  if (winner.bytes == SIZE_MAX) return advice;
 
   // Keep the current codec unless the winner's gain clears the damper.
   if (winner.encoding != current && advice.current_bytes > 0) {
@@ -152,8 +130,7 @@ CodecAdvisor::Advice CodecAdvisor::AdviseInt(const int64_t* values, size_t n,
     size_t bytes = EncodedColumnBytes(values, n, e, block_size);
     if (bytes > 0) trials.push_back({e, bytes});
   }
-  Advice advice = Pick(std::move(trials), current, /*is_float=*/false,
-                       options_);
+  Advice advice = Pick(trials, current, options_);
   advice.shape = shape;
   return advice;
 }
@@ -169,8 +146,7 @@ CodecAdvisor::Advice CodecAdvisor::AdviseFloat(
     size_t bytes = EncodedColumnBytesF64(values, n, e);
     if (bytes > 0) trials.push_back({e, bytes});
   }
-  Advice advice = Pick(std::move(trials), current, /*is_float=*/true,
-                       options_);
+  Advice advice = Pick(trials, current, options_);
   advice.shape = shape;
   return advice;
 }

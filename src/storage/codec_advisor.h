@@ -32,20 +32,11 @@ ColumnShape SummarizeFloats(const double* values, size_t n);
 /// shortlist the candidates, a trial encode of each shortlisted codec
 /// measures real bytes (pages are at most a few thousand points, so trial
 /// encoding costs microseconds on the background executor), and the smallest
-/// result wins. Two dampers keep the choice stable and cheap to serve:
-///
-///  - the winner must beat the page's current codec by `min_gain` (fraction
-///    of bytes) or the page keeps its codec — no churn on noise;
-///  - when a decode-cost hook is wired (the db layer feeds it from the
-///    shard's `.calib` measured cost model), candidates within `tie_band`
-///    of the smallest size break toward the cheaper decode, trading a
-///    near-zero size difference for query speed.
+/// result wins. The winner must beat the page's current codec by
+/// `min_gain` (fraction of bytes) or the page keeps its codec — no churn on
+/// noise.
 class CodecAdvisor {
  public:
-  /// Estimated decode cost (ns/tuple) of `encoding`; negative = unknown
-  /// (the tie-break then keeps pure size order).
-  using CostHook = std::function<double(enc::ColumnEncoding, bool is_float)>;
-
   /// Whether the serving path can decode `encoding`. The advisor never
   /// proposes a codec this rejects — re-encoding into an undecodable format
   /// would brick the series — and falls back to the incumbent instead.
@@ -53,8 +44,6 @@ class CodecAdvisor {
 
   struct Options {
     double min_gain = 0.05;
-    double tie_band = 0.02;
-    CostHook cost_hook;
     /// Defaults to storage::PageDecodeSupported when unset; the db layer
     /// wires a registry-backed check instead.
     DecodeSupportHook decode_support;

@@ -12,8 +12,6 @@ Compactor::Compactor(SeriesStore* store, CompactionOptions options)
     : store_(store), options_(std::move(options)) {
   CodecAdvisor::Options advisor_options;
   advisor_options.min_gain = options_.min_gain;
-  advisor_options.tie_band = options_.tie_band;
-  advisor_options.cost_hook = options_.cost_hook;
   advisor_options.decode_support = options_.decode_support;
   advisor_ = CodecAdvisor(advisor_options);
 }

@@ -21,11 +21,9 @@ struct CompactionOptions {
   /// and on the first pass over every never-compacted (tier 0) page. Off =
   /// rewrites keep the series' configured codec.
   bool adaptive = true;
-  /// CodecAdvisor dampers (codec_advisor.h) and the optional decode-cost
-  /// hook the db layer wires from the shard's `.calib` cost model.
+  /// CodecAdvisor damper (codec_advisor.h): the minimum byte gain that
+  /// justifies switching a page's codec.
   double min_gain = 0.05;
-  double tie_band = 0.02;
-  CodecAdvisor::CostHook cost_hook;
   /// Serving-path decode support check (codec_advisor.h): re-encoding never
   /// targets a codec this rejects. Unset = storage::PageDecodeSupported.
   CodecAdvisor::DecodeSupportHook decode_support;

@@ -128,26 +128,6 @@ TEST(CodecAdvisorTest, MinGainDamperKeepsIncumbentOnNoise) {
   EXPECT_EQ(a.encoding, enc::ColumnEncoding::kPlain);
 }
 
-TEST(CodecAdvisorTest, CostHookBreaksSizeTies) {
-  // Two candidates within the tie band: a hook that makes the incumbent
-  // family expensive should steer the pick toward the cheaper decode.
-  std::vector<int64_t> v;
-  for (int run = 0; run < 20; ++run) {
-    for (int i = 0; i < 100; ++i) v.push_back(run);
-  }
-  CodecAdvisor::Options opt;
-  opt.tie_band = 1.0;  // everything ties: the hook alone decides
-  opt.min_gain = 0.0;
-  opt.cost_hook = [](enc::ColumnEncoding e, bool) {
-    return e == enc::ColumnEncoding::kRlbe ? 1.0 : 100.0;
-  };
-  CodecAdvisor advisor{opt};
-  CodecAdvisor::Advice a = advisor.AdviseInt(
-      v.data(), v.size(), enc::ColumnEncoding::kTs2Diff, /*block_size=*/1024);
-  EXPECT_EQ(a.encoding, enc::ColumnEncoding::kRlbe)
-      << "picked " << enc::ColumnEncodingName(a.encoding);
-}
-
 TEST(CodecAdvisorTest, DecodeSupportGateReturnsIncumbent) {
   // A serving layer that can decode nothing but the incumbent: the advisor
   // must return the current codec rather than propose an undecodable one.

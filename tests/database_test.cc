@@ -2,8 +2,8 @@
 // equivalence (including cross-shard binary plans), per-shard persistence
 // and combined-file redistribution, resharding, tenant admission control,
 // the epoch-keyed result cache (hits, implicit invalidation by append /
-// background seal / checkpoint, eviction under budget), per-shard
-// calibration caches with corrupt-file fallback, and the facade's
+// background seal / checkpoint, eviction under budget), leftover cost-cache
+// files from older layouts being ignored, and the facade's
 // OpenFile/CloseFile-vs-Query race (the *Concurrency* suite also runs in
 // CI's ThreadSanitizer job).
 
@@ -110,11 +110,8 @@ TEST(ShardRouterTest, SpreadsSeriesAcrossShards) {
 
 TEST(ShardRouterTest, ArtifactPathsAreNamespacedPerShard) {
   EXPECT_EQ(Shard::ArtifactPath("/tmp/db.tsfile", 0, 1), "/tmp/db.tsfile");
-  EXPECT_EQ(Shard::CalibPath("/tmp/db.tsfile", 0, 1), "/tmp/db.tsfile.calib");
   EXPECT_EQ(Shard::ArtifactPath("/tmp/db.tsfile", 2, 4),
             "/tmp/db.tsfile.shard2");
-  EXPECT_EQ(Shard::CalibPath("/tmp/db.tsfile", 2, 4),
-            "/tmp/db.tsfile.shard2.calib");
 }
 
 // --- Sharded execution -----------------------------------------------------
@@ -283,6 +280,75 @@ TEST(DatabaseShardingTest, SaveLoadRoundTripsPerShardFiles) {
 
 /// A multi-shard database pointed at a single combined TsFile (the
 /// pre-sharding layout) redistributes its series through the router.
+/// Older layouts kept a scheduler cost cache next to each saved TsFile:
+/// `<path>.calib`, or `<path>.shard<k>.calib` per shard. Nothing reads those
+/// files any more. Leftover garbage ones must not stop Load or OpenFile,
+/// must not change an answer, and must be left exactly as they were.
+TEST(DatabaseShardingTest, LeftoverCostCacheFilesAreIgnored) {
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::string path =
+        TempPath("db_leftover_cache" + std::to_string(shards) + ".tsfile");
+    Database writer(Database::Options{Database::Mode::kSimd, 1, shards, 0});
+    std::vector<std::string> names;
+    for (int i = 0; i < 4; ++i) {
+      names.push_back("lc" + std::to_string(i));
+      FillSeries(&writer, names.back(), 800);
+    }
+    ASSERT_TRUE(writer.Flush().ok());
+    const std::vector<std::string> queries = {
+        "SELECT SUM(lc0) FROM lc0;",
+        "SELECT * FROM lc1 WHERE time >= 100 AND time <= 500;",
+        "SELECT * FROM lc2 UNION lc3 ORDER BY TIME;"};
+    std::vector<exec::QueryResult> want;
+    for (const std::string& sql : queries) {
+      Result<exec::QueryResult> r = writer.Query(sql);
+      ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+      want.push_back(std::move(r).value());
+    }
+    ASSERT_TRUE(writer.Save(path).ok());
+
+    std::vector<std::string> leftovers = {path + ".calib"};
+    for (int k = 0; k < shards; ++k) {
+      leftovers.push_back(path + ".shard" + std::to_string(k) + ".calib");
+    }
+    std::vector<struct stat> before(leftovers.size());
+    for (size_t i = 0; i < leftovers.size(); ++i) {
+      WriteGarbage(leftovers[i]);
+      ASSERT_EQ(::stat(leftovers[i].c_str(), &before[i]), 0);
+    }
+
+    auto expect_same_answers = [&](const Database& db) {
+      for (size_t q = 0; q < queries.size(); ++q) {
+        Result<exec::QueryResult> r = db.Query(queries[q]);
+        ASSERT_TRUE(r.ok()) << queries[q] << ": " << r.status().ToString();
+        EXPECT_EQ(r.value().columns, want[q].columns) << queries[q];
+      }
+    };
+    Database loaded(Database::Options{Database::Mode::kSimd, 1, shards, 0});
+    ASSERT_TRUE(loaded.Load(path).ok());
+    expect_same_answers(loaded);
+    Database opened(Database::Options{Database::Mode::kSimd, 1, shards, 0});
+    ASSERT_TRUE(opened.OpenFile(path, 1 << 20).ok());
+    expect_same_answers(opened);
+    opened.CloseFile();
+
+    for (size_t i = 0; i < leftovers.size(); ++i) {
+      struct stat after;
+      ASSERT_EQ(::stat(leftovers[i].c_str(), &after), 0) << leftovers[i];
+      EXPECT_EQ(after.st_size, before[i].st_size) << leftovers[i];
+      EXPECT_EQ(after.st_mtim.tv_sec, before[i].st_mtim.tv_sec)
+          << leftovers[i];
+      EXPECT_EQ(after.st_mtim.tv_nsec, before[i].st_mtim.tv_nsec)
+          << leftovers[i];
+      std::remove(leftovers[i].c_str());
+    }
+    for (int k = 0; k < shards; ++k) {
+      std::remove(Shard::ArtifactPath(path, k, shards).c_str());
+    }
+  }
+}
+
 TEST(DatabaseShardingTest, LoadRedistributesCombinedFile) {
   const std::string path = TempPath("db_combined.tsfile");
   Database one(Database::Options{Database::Mode::kSimd, 1, 1, 0});
@@ -713,62 +779,6 @@ TEST(ResultCacheTest, ExplainAnalyzeProbesAndRendersServingLayer) {
   const std::string json = warm.value().stats.ToJson();
   EXPECT_NE(json.find("\"cache_hits\""), std::string::npos);
   EXPECT_NE(json.find("\"admission_wait_nanos\""), std::string::npos);
-}
-
-// --- Per-shard calibration -------------------------------------------------
-
-TEST(ShardCalibrationTest, CalibrateWritesPerShardCachesAndRecoversCorrupt) {
-  const std::string base = TempPath("db_shard.calib");
-  for (int k = 0; k < 2; ++k) {
-    std::remove(Shard::ArtifactPath(base, k, 2).c_str());
-  }
-  Database db(Database::Options{Database::Mode::kSimd, 1, 2, 0});
-  FillSeries(&db, "g0", 600);
-  FillSeries(&db, "g1", 600);
-  ASSERT_TRUE(db.Calibrate(base).ok());
-  ASSERT_NE(db.calibration(), nullptr);
-  for (int k = 0; k < 2; ++k) {
-    const std::string path = Shard::ArtifactPath(base, k, 2);
-    EXPECT_TRUE(FileExists(path)) << "missing per-shard calibration " << path;
-    EXPECT_TRUE(exec::CostCalibration::LoadFromFile(path).ok()) << path;
-  }
-
-  // Corrupt shard 1's cache: the next Calibrate falls back to shard 0's
-  // sweep for that shard and rewrites a valid file in its place.
-  WriteGarbage(Shard::ArtifactPath(base, 1, 2));
-  ASSERT_FALSE(
-      exec::CostCalibration::LoadFromFile(Shard::ArtifactPath(base, 1, 2))
-          .ok());
-  Database again(Database::Options{Database::Mode::kSimd, 1, 2, 0});
-  FillSeries(&again, "g0", 600);
-  ASSERT_TRUE(again.Calibrate(base).ok());
-  ASSERT_NE(again.calibration(), nullptr);
-  EXPECT_TRUE(
-      exec::CostCalibration::LoadFromFile(Shard::ArtifactPath(base, 1, 2))
-          .ok())
-      << "fallback did not rewrite the corrupt shard cache";
-  EXPECT_GT(SumOf(again, "g0"), 0.0);
-}
-
-TEST(ShardCalibrationTest, CorruptCachesFallBackToStaticModelOnLoad) {
-  const std::string path = TempPath("db_calib_fallback.tsfile");
-  Database writer(Database::Options{Database::Mode::kSimd, 1, 2, 0});
-  std::vector<int64_t> sums;
-  for (int i = 0; i < 4; ++i) {
-    sums.push_back(FillSeries(&writer, "h" + std::to_string(i), 800));
-  }
-  ASSERT_TRUE(writer.Flush().ok());
-  ASSERT_TRUE(writer.Save(path).ok());
-  for (int k = 0; k < 2; ++k) {
-    WriteGarbage(Shard::CalibPath(path, k, 2));
-  }
-  Database reader(Database::Options{Database::Mode::kSimd, 1, 2, 0});
-  ASSERT_TRUE(reader.Load(path).ok());
-  EXPECT_EQ(reader.calibration(), nullptr);  // silent static-model fallback
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(SumOf(reader, "h" + std::to_string(i)),
-              static_cast<double>(sums[i]));
-  }
 }
 
 // --- Facade + file-store race (runs under TSan in CI) ----------------------

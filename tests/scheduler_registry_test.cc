@@ -1,17 +1,20 @@
 // Tests for the kernel-strategy SchedulerRegistry (exec/scheduler_registry.h):
 // page classification, every entry's CanSchedule contract, deterministic
-// registry selection, the calibration cache round-trip (save / load /
-// corrupt-fallback), and the EXPLAIN surfaces of scheduler decisions.
+// registry selection, the static picks against a reference Proposition 1
+// model (natively and with SIMD disabled), and the EXPLAIN surfaces of
+// scheduler decisions.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/cpu.h"
 #include "exec/engine.h"
 #include "exec/scheduler_registry.h"
+#include "simd/transposed_unpack_avx512.h"
 #include "storage/page_builder.h"
 #include "storage/series_store.h"
 
@@ -74,8 +77,8 @@ TEST(PageClassTest, ClassifyPageDerivesWidthBucketFromDensity) {
 }
 
 TEST(PageClassTest, ProbePagesAndRealPagesShareBuckets) {
-  // The calibration sweep keys must match planner keys: a page built from
-  // the same data classified twice gives the identical key.
+  // Classification is a pure function of the header: the same page
+  // classified twice gives the identical key.
   storage::Page page = MakePage(enc::ColumnEncoding::kTs2Diff, 100, 4096);
   EXPECT_EQ(ClassifyPage(page.header).Key(), ClassifyPage(page.header).Key());
 }
@@ -136,25 +139,11 @@ TEST(SchedulerEntryTest, IntKernelsRejectFloatAndTailClasses) {
   PageClass tail;
   tail.sealed = false;
   for (const char* name :
-       {"etsqp.fused", "etsqp.avx512", "etsqp.avx2", "fastlanes.flmm",
-        "sboost.linear", "serial.scalar"}) {
+       {"etsqp.fused", "etsqp.transposed", "sboost.linear", "serial.scalar"}) {
     const SchedulerEntry* e = Entry(name);
     EXPECT_FALSE(e->CanSchedule(fl, ctx)) << name;
     EXPECT_FALSE(e->CanSchedule(tail, ctx)) << name;
   }
-}
-
-TEST(SchedulerEntryTest, FastLanesOnlySchedulesItsOwnLayout) {
-  const SchedulerEntry* fl = Entry("fastlanes.flmm");
-  const SchedulerEntry* sboost = Entry("sboost.linear");
-  PlanContext ctx = AggCtx();
-  PageClass flmm = SealedIntClass(8, enc::ColumnEncoding::kFastLanes);
-  if (UseAvx2()) {
-    EXPECT_TRUE(fl->CanSchedule(flmm, ctx));
-  }
-  EXPECT_FALSE(fl->CanSchedule(SealedIntClass(8), ctx));
-  // SBoost reads every layout except the FLMM1024 tiles.
-  EXPECT_FALSE(sboost->CanSchedule(flmm, ctx));
 }
 
 TEST(SchedulerEntryTest, FloatAndTailHaveDedicatedEntries) {
@@ -192,8 +181,7 @@ TEST(SchedulerEntryTest, EveryClassHasAtLeastOneFeasibleEntry) {
       any = any || e->CanSchedule(cls, ctx);
     }
     EXPECT_TRUE(any) << cls.Key();
-    ScheduleDecision d = SchedulerRegistry::Global().Propose(
-        cls, ctx, nullptr, CostConstants{});
+    ScheduleDecision d = SchedulerRegistry::Global().Propose(cls, ctx);
     ASSERT_NE(d.entry, nullptr) << cls.Key();
     EXPECT_GT(d.predicted_ns_per_tuple, 0) << cls.Key();
   }
@@ -204,21 +192,20 @@ TEST(SchedulerEntryTest, EveryClassHasAtLeastOneFeasibleEntry) {
 TEST(SchedulerRegistryTest, SelectionIsDeterministicPerClass) {
   PlanContext ctx = AggCtx();
   for (int w : {2, 8, 20, 32, 64}) {
-    ScheduleDecision a = SchedulerRegistry::Global().Propose(
-        SealedIntClass(w), ctx, nullptr, CostConstants{});
-    ScheduleDecision b = SchedulerRegistry::Global().Propose(
-        SealedIntClass(w), ctx, nullptr, CostConstants{});
+    ScheduleDecision a =
+        SchedulerRegistry::Global().Propose(SealedIntClass(w), ctx);
+    ScheduleDecision b =
+        SchedulerRegistry::Global().Propose(SealedIntClass(w), ctx);
     ASSERT_NE(a.entry, nullptr);
     EXPECT_EQ(a.entry, b.entry) << w;
     EXPECT_EQ(a.params.ToString(), b.params.ToString());
     EXPECT_EQ(a.predicted_ns_per_tuple, b.predicted_ns_per_tuple);
-    EXPECT_FALSE(a.calibrated);
   }
 }
 
 TEST(SchedulerRegistryTest, StaticModelPrefersFusedForFusableAggregates) {
-  ScheduleDecision d = SchedulerRegistry::Global().Propose(
-      SealedIntClass(8), AggCtx(), nullptr, CostConstants{});
+  ScheduleDecision d =
+      SchedulerRegistry::Global().Propose(SealedIntClass(8), AggCtx());
   ASSERT_NE(d.entry, nullptr);
   EXPECT_STREQ(d.entry->name(), "etsqp.fused");
   EXPECT_TRUE(d.params.fusion);
@@ -228,8 +215,8 @@ TEST(SchedulerRegistryTest, StaticModelPrefersFusedForFusableAggregates) {
 TEST(SchedulerRegistryTest, FilteredPlansFallBackToUnfusedDecode) {
   PlanContext ctx = AggCtx();
   ctx.value_filter = true;
-  ScheduleDecision d = SchedulerRegistry::Global().Propose(
-      SealedIntClass(8), ctx, nullptr, CostConstants{});
+  ScheduleDecision d =
+      SchedulerRegistry::Global().Propose(SealedIntClass(8), ctx);
   ASSERT_NE(d.entry, nullptr);
   EXPECT_STRNE(d.entry->name(), "etsqp.fused");
   EXPECT_EQ(d.params.strategy, DecodeStrategy::kEtsqp);
@@ -238,36 +225,20 @@ TEST(SchedulerRegistryTest, FilteredPlansFallBackToUnfusedDecode) {
 TEST(SchedulerRegistryTest, FloatAndTailClassesPickTheirOnlyKernels) {
   PageClass fl = SealedIntClass(0, enc::ColumnEncoding::kGorillaValue);
   fl.is_float = true;
-  ScheduleDecision df = SchedulerRegistry::Global().Propose(
-      fl, AggCtx(), nullptr, CostConstants{});
+  ScheduleDecision df = SchedulerRegistry::Global().Propose(fl, AggCtx());
   ASSERT_NE(df.entry, nullptr);
   EXPECT_STREQ(df.entry->name(), "xor.float");
 
   PageClass tail;
   tail.sealed = false;
-  ScheduleDecision dt = SchedulerRegistry::Global().Propose(
-      tail, AggCtx(), nullptr, CostConstants{});
+  ScheduleDecision dt = SchedulerRegistry::Global().Propose(tail, AggCtx());
   ASSERT_NE(dt.entry, nullptr);
   EXPECT_STREQ(dt.entry->name(), "tail.scalar");
 }
 
-TEST(SchedulerRegistryTest, CalibrationOverridesStaticOrdering) {
-  // A cache that prices serial.scalar at ~0 must beat every static
-  // prediction — selection follows the measured numbers, not the model.
-  CostCalibration cal;
-  PageClass cls = SealedIntClass(8);
-  cal.Set("serial.scalar", cls.Key(), 0.01);
-  ScheduleDecision d = SchedulerRegistry::Global().Propose(
-      cls, AggCtx(), &cal, CostConstants{});
-  ASSERT_NE(d.entry, nullptr);
-  EXPECT_STREQ(d.entry->name(), "serial.scalar");
-  EXPECT_TRUE(d.calibrated);
-  EXPECT_DOUBLE_EQ(d.predicted_ns_per_tuple, 0.01);
-}
-
 TEST(SchedulerRegistryTest, ApplyDecisionKeepsUserPinnedVectors) {
-  ScheduleDecision d = SchedulerRegistry::Global().Propose(
-      SealedIntClass(8), AggCtx(), nullptr, CostConstants{});
+  ScheduleDecision d =
+      SchedulerRegistry::Global().Propose(SealedIntClass(8), AggCtx());
   ASSERT_NE(d.entry, nullptr);
   PipelineOptions base = PipelineOptions::Etsqp(4).WithVectors(3);
   PipelineOptions applied = ApplyDecision(base, d);
@@ -279,8 +250,8 @@ TEST(SchedulerRegistryTest, ApplyDecisionKeepsUserPinnedVectors) {
 }
 
 TEST(SchedulerRegistryTest, NoteDecisionOutcomeCountsMispredictions) {
-  ScheduleDecision d = SchedulerRegistry::Global().Propose(
-      SealedIntClass(8), AggCtx(), nullptr, CostConstants{});
+  ScheduleDecision d =
+      SchedulerRegistry::Global().Propose(SealedIntClass(8), AggCtx());
   ASSERT_NE(d.entry, nullptr);
   ExecStats stats;
   uint64_t in_band = static_cast<uint64_t>(d.predicted_ns_per_tuple * 8192);
@@ -298,156 +269,190 @@ TEST(SchedulerRegistryTest, NoteDecisionOutcomeCountsMispredictions) {
   EXPECT_EQ(s.entry, d.entry->name());
 }
 
-// -------------------------------------------------- Calibration cache IO
+// ---------------------------------- Static picks and the kernels they run
 
-TEST(CostCalibrationTest, SaveLoadRoundTrip) {
-  std::string path = ::testing::TempDir() + "/etsqp_roundtrip.calib";
-  CostCalibration cal;
-  cal.Set("etsqp.avx2", "TS2DIFF/w8", 0.625);
-  cal.Set("serial.scalar", "TS2DIFF/w8", 6.5);
-  cal.Set("xor.float", "GORILLA_VALUE/f64", 3.25);
-  ASSERT_TRUE(cal.SaveToFile(path).ok());
+/// What a registry decision changes at run time: the job options
+/// ApplyDecision hands the kernels, the prediction EXPLAIN compares
+/// against, and (merge classes only) the merge datapath.
+struct Execution {
+  DecodeStrategy strategy = DecodeStrategy::kEtsqp;
+  bool fusion = false;
+  double ns_per_tuple = 0;
+  simd::MergeIsa merge_isa = simd::MergeIsa::kScalar;
+};
 
-  Result<CostCalibration> loaded = CostCalibration::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().size(), 3u);
-  double ns = 0;
-  EXPECT_TRUE(loaded.value().Lookup("etsqp.avx2", "TS2DIFF/w8", &ns));
-  EXPECT_DOUBLE_EQ(ns, 0.625);
-  EXPECT_TRUE(loaded.value().Lookup("xor.float", "GORILLA_VALUE/f64", &ns));
-  EXPECT_DOUBLE_EQ(ns, 3.25);
-  EXPECT_FALSE(loaded.value().Lookup("etsqp.avx2", "TS2DIFF/w16", &ns));
-  std::remove(path.c_str());
-}
-
-// Calibration files written before the pruning index lost its leaf level
-// still carry rows for the removed prune-scan entries (class key "prune").
-// They must load (no Corruption), and no registry decision may read them:
-// no entry or page class answers to those keys any more, so every proposal
-// matches the file without them.
-TEST(CostCalibrationTest, LegacyPruneRowsLoadAndAreNeverRead) {
-  std::string path = ::testing::TempDir() + "/etsqp_legacy_prune.calib";
-  const std::string legacy_prefix = std::string("etsqp.") + "prune.";
-  CostCalibration current;
-  current.Set("etsqp.avx2", "TS2DIFF/w8", 0.625);
-  current.Set("serial.scalar", "TS2DIFF/w8", 6.5);
-  current.Set("etsqp.merge.scalar", "merge/2way", 1.5);
-  CostCalibration legacy = current;
-  for (const char* isa : {"avx512", "avx2", "scalar"}) {
-    legacy.Set(legacy_prefix + isa, "prune", 1e-6);  // would win any class
-  }
-  ASSERT_TRUE(legacy.SaveToFile(path).ok());
-  Result<CostCalibration> loaded = CostCalibration::LoadFromFile(path);
-  std::remove(path.c_str());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().size(), current.size() + 3);
-
-  for (const auto& e : SchedulerRegistry::Global().entries()) {
-    EXPECT_NE(std::string(e->name()).rfind(legacy_prefix, 0), 0u)
-        << e->name();
-  }
-  PageClass fl = SealedIntClass(0, enc::ColumnEncoding::kGorillaValue);
-  fl.is_float = true;
-  PageClass tail;
-  tail.sealed = false;
-  std::vector<PageClass> classes = {
-      SealedIntClass(1), SealedIntClass(8),
-      SealedIntClass(8, enc::ColumnEncoding::kFastLanes),
-      fl, tail, ClassifyMerge(2), ClassifyMerge(8)};
-  for (bool filtered : {false, true}) {
-    PlanContext ctx = AggCtx();
-    ctx.value_filter = filtered;
-    for (const PageClass& cls : classes) {
-      EXPECT_NE(cls.Key(), "prune");
-      ScheduleDecision with = SchedulerRegistry::Global().Propose(
-          cls, ctx, &loaded.value(), CostConstants{});
-      ScheduleDecision without = SchedulerRegistry::Global().Propose(
-          cls, ctx, &current, CostConstants{});
-      ASSERT_NE(with.entry, nullptr) << cls.Key();
-      EXPECT_EQ(with.entry, without.entry) << cls.Key();
-      EXPECT_EQ(with.predicted_ns_per_tuple, without.predicted_ns_per_tuple)
-          << cls.Key();
-      EXPECT_EQ(with.calibrated, without.calibrated) << cls.Key();
+/// The static Proposition 1 choice written out candidate by candidate,
+/// independently of how the registry groups its entries: the cheapest
+/// feasible execution, cost ties broken by the higher rank. FLMM1024 tiles
+/// are not listed: they cost 1.05x the AVX2 transposed decode under the
+/// same feasibility, so they never win.
+Execution ReferencePick(const PageClass& cls, const PlanContext& ctx) {
+  struct Candidate {
+    bool feasible;
+    int rank;
+    Execution exec;
+  };
+  const CostConstants c;
+  CostConstants wide = c;
+  wide.simd_bits = 512;
+  const bool avx2 = UseAvx2();
+  const bool avx512 = avx2 && simd::Avx512Available();
+  const bool int_sealed = cls.sealed && !cls.is_float && !cls.merge;
+  const enc::ColumnEncoding venc = cls.value_encoding;
+  const int w = std::max(cls.width_bucket, 1);
+  const int wt = std::min(w, 25);
+  const double serial =
+      2.0 * c.t_vis_mem + c.t_shift + c.t_and + c.t_op + c.t_reg_save;
+  const double transposed =
+      w > 25 ? 0.8 * serial
+             : AverageDecodeTime(w, 32, OptimalNv(w), c) + c.t_add / 8.0;
+  const bool fusable_func =
+      ctx.func == AggFunc::kSum || ctx.func == AggFunc::kAvg ||
+      ctx.func == AggFunc::kCount ||
+      (ctx.func == AggFunc::kVariance &&
+       venc == enc::ColumnEncoding::kDeltaRle);
+  const bool fused_ok =
+      int_sealed && ctx.aggregate && ctx.fusion && !ctx.value_filter &&
+      fusable_func &&
+      (venc == enc::ColumnEncoding::kTs2Diff
+           ? cls.width_bucket <= 25
+           : venc == enc::ColumnEncoding::kDeltaRle);
+  using simd::MergeIsa;
+  const DecodeStrategy kE = DecodeStrategy::kEtsqp;
+  const std::vector<Candidate> candidates = {
+      {fused_ok, 100,
+       {kE, true, 0.5 * AverageDecodeTime(wt, 32, OptimalNv(wt), c)}},
+      {int_sealed && avx512 && cls.width_bucket <= 25, 90,
+       {kE, ctx.fusion, AverageDecodeTime(w, 32, 2, wide) + c.t_add / 16.0}},
+      {int_sealed && avx2, 80, {kE, ctx.fusion, transposed}},
+      {int_sealed && avx2 && venc != enc::ColumnEncoding::kFastLanes, 60,
+       {DecodeStrategy::kSboost, false,
+        w > 32 ? serial : AverageDecodeTime(w, 32, 1, c) + c.t_add / 8.0}},
+      {cls.sealed && cls.is_float && !cls.merge, 50,
+       {kE, false, 2.0 * c.t_vis_mem + 2.0 * c.t_op}},
+      {!cls.sealed, 40, {kE, false, c.t_vis_mem + c.t_op + c.t_add}},
+      {int_sealed, 10, {DecodeStrategy::kSerial, false, serial}},
+      {cls.merge && avx512, 88,
+       {kE, false, (c.t_vis_mem + c.t_op) / 8.0 + c.t_add / 8.0,
+        MergeIsa::kAvx512}},
+      {cls.merge && avx2, 86,
+       {kE, false, (c.t_vis_mem + c.t_op) / 4.0 + c.t_add / 4.0,
+        MergeIsa::kAvx2}},
+      {cls.merge, 12,
+       {DecodeStrategy::kSerial, false, c.t_vis_mem + c.t_op + c.t_add,
+        MergeIsa::kScalar}},
+  };
+  const Candidate* best = nullptr;
+  for (const Candidate& k : candidates) {
+    if (!k.feasible) continue;
+    if (best == nullptr || k.exec.ns_per_tuple < best->exec.ns_per_tuple ||
+        (k.exec.ns_per_tuple == best->exec.ns_per_tuple &&
+         k.rank > best->rank)) {
+      best = &k;
     }
   }
+  EXPECT_NE(best, nullptr) << cls.Key();
+  return best == nullptr ? Execution{} : best->exec;
+}
 
-  // A fresh sweep no longer times a prune class.
-  const CostCalibration measured = CostCalibration::Measure();
-  for (const auto& [key, ns] : measured.costs()) {
-    EXPECT_EQ(key.find("prune"), std::string::npos) << key;
+/// One (page class, plan shape) point of the equivalence grid.
+struct GridCase {
+  PageClass cls;
+  PlanContext ctx;
+  std::string label;
+};
+
+/// Every value encoding x every width bucket x the plan shapes the planner
+/// produces x {sealed, tail, float}, plus 2- and 8-way merge classes.
+std::vector<GridCase> RegistryGrid() {
+  struct Shape {
+    const char* name;
+    PlanContext ctx;
+  };
+  std::vector<Shape> shapes;
+  shapes.push_back({"fused-sum", AggCtx()});
+  PlanContext filtered = AggCtx();
+  filtered.value_filter = true;
+  shapes.push_back({"filtered-sum", filtered});
+  PlanContext unfused = AggCtx();
+  unfused.fusion = false;
+  shapes.push_back({"unfused-sum", unfused});
+  PlanContext select = AggCtx();
+  select.aggregate = false;
+  shapes.push_back({"select", select});
+  PlanContext var = AggCtx();
+  var.func = AggFunc::kVariance;
+  shapes.push_back({"fused-var", var});
+  PlanContext min = AggCtx();
+  min.func = AggFunc::kMin;
+  shapes.push_back({"min", min});
+
+  std::vector<GridCase> grid;
+  for (int e = 0; e <= static_cast<int>(enc::ColumnEncoding::kStreamVByte);
+       ++e) {
+    for (int w : {0, 1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 25, 32, 64}) {
+      for (const Shape& s : shapes) {
+        for (const char* state : {"sealed", "tail", "float"}) {
+          PageClass cls =
+              SealedIntClass(w, static_cast<enc::ColumnEncoding>(e));
+          cls.sealed = std::string(state) != "tail";
+          cls.is_float = std::string(state) == "float";
+          grid.push_back({cls, s.ctx,
+                          cls.Key() + "/" + state + "/w" + std::to_string(w) +
+                              "/" + s.name});
+        }
+      }
+    }
   }
-}
-
-TEST(CostCalibrationTest, MissingFileIsNotFound) {
-  Result<CostCalibration> r =
-      CostCalibration::LoadFromFile(::testing::TempDir() + "/nope.calib");
-  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-}
-
-TEST(CostCalibrationTest, CorruptFileFailsAndFallbackStillSchedules) {
-  std::string path = ::testing::TempDir() + "/etsqp_corrupt.calib";
-  CostCalibration cal;
-  cal.Set("etsqp.avx2", "TS2DIFF/w8", 1.0);
-  ASSERT_TRUE(cal.SaveToFile(path).ok());
-
-  // Flip one payload byte: the CRC must catch it.
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 20, SEEK_SET);
-  int c = std::fgetc(f);
-  std::fseek(f, 20, SEEK_SET);
-  std::fputc(c ^ 0x40, f);
-  std::fclose(f);
-  Result<CostCalibration> r = CostCalibration::LoadFromFile(path);
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
-
-  // The registry still proposes from CostConstants with no cache at all.
-  ScheduleDecision d = SchedulerRegistry::Global().Propose(
-      SealedIntClass(8), AggCtx(), nullptr, CostConstants{});
-  EXPECT_NE(d.entry, nullptr);
-  EXPECT_FALSE(d.calibrated);
-  std::remove(path.c_str());
-}
-
-TEST(CostCalibrationTest, TruncatedAndBadMagicFilesAreCorruption) {
-  std::string path = ::testing::TempDir() + "/etsqp_trunc.calib";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite("ETSQPCA", 1, 7, f);  // shorter than any valid header
-  std::fclose(f);
-  EXPECT_EQ(CostCalibration::LoadFromFile(path).status().code(),
-            StatusCode::kCorruption);
-
-  f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite("NOTACALIBRATIONFILE_____", 1, 24, f);
-  std::fclose(f);
-  EXPECT_EQ(CostCalibration::LoadFromFile(path).status().code(),
-            StatusCode::kCorruption);
-  std::remove(path.c_str());
-}
-
-TEST(CostCalibrationTest, LoadOrMeasureSweepsOnceThenHitsTheCache) {
-  std::string path = ::testing::TempDir() + "/etsqp_sweep.calib";
-  std::remove(path.c_str());
-  bool measured = false;
-  Result<std::shared_ptr<const CostCalibration>> first =
-      CostCalibration::LoadOrMeasure(path, &measured);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_TRUE(measured);
-  EXPECT_GT(first.value()->size(), 0u);
-  // Every measured cost is a sane positive ns/tuple figure.
-  for (const auto& [key, ns] : first.value()->costs()) {
-    EXPECT_GT(ns, 0.0) << key;
-    EXPECT_LT(ns, 1e6) << key;
+  for (int ways : {2, 8}) {
+    for (const Shape& s : shapes) {
+      grid.push_back({ClassifyMerge(ways), s.ctx,
+                      "merge/" + std::to_string(ways) + "/" + s.name});
+    }
   }
+  return grid;
+}
 
-  Result<std::shared_ptr<const CostCalibration>> second =
-      CostCalibration::LoadOrMeasure(path, &measured);
-  ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(measured);  // pure cache hit
-  EXPECT_EQ(second.value()->size(), first.value()->size());
-  std::remove(path.c_str());
+/// Runs `body` natively, then again with the SIMD kernels disabled.
+template <typename Body>
+void ForEachIsaMode(Body body) {
+  for (bool disabled : {false, true}) {
+    SetSimdDisabledForTesting(disabled);
+    body(disabled);
+  }
+  SetSimdDisabledForTesting(false);
+}
+
+TEST(SchedulerRegistryTest, StaticPicksRunTheSameKernels) {
+  ForEachIsaMode([](bool simd_disabled) {
+    for (const GridCase& g : RegistryGrid()) {
+      SCOPED_TRACE(g.label + (simd_disabled ? " (SIMD off)" : " (native)"));
+      ScheduleDecision d = SchedulerRegistry::Global().Propose(g.cls, g.ctx);
+      ASSERT_NE(d.entry, nullptr);
+      const Execution want = ReferencePick(g.cls, g.ctx);
+      PipelineOptions applied = ApplyDecision(
+          PipelineOptions::Etsqp(1).WithFusion(g.ctx.fusion), d);
+      EXPECT_EQ(applied.strategy, want.strategy);
+      EXPECT_EQ(applied.fusion, want.fusion);
+      EXPECT_DOUBLE_EQ(d.predicted_ns_per_tuple, want.ns_per_tuple);
+      if (g.cls.merge) {
+        EXPECT_EQ(MergeIsaFor(applied.strategy), want.merge_isa);
+      }
+    }
+  });
+}
+
+TEST(SchedulerRegistryTest, EveryEntryIsPickedSomewhere) {
+  std::set<const SchedulerEntry*> picked;
+  ForEachIsaMode([&picked](bool) {
+    for (const GridCase& g : RegistryGrid()) {
+      picked.insert(SchedulerRegistry::Global().Propose(g.cls, g.ctx).entry);
+    }
+  });
+  for (const auto& e : SchedulerRegistry::Global().entries()) {
+    EXPECT_EQ(picked.count(e.get()), 1u)
+        << e->name() << " is never the static pick";
+  }
 }
 
 // ------------------------------------------------------ EXPLAIN surfaces
@@ -473,7 +478,7 @@ TEST(SchedulerExplainTest, ExplainShowsChosenEntryPerPageClass) {
   const std::string& text = r.value().explain_text;
   EXPECT_NE(text.find("sched TS2DIFF/w"), std::string::npos) << text;
   EXPECT_NE(text.find("entry=etsqp.fused"), std::string::npos) << text;
-  EXPECT_NE(text.find("(model)"), std::string::npos) << text;
+  EXPECT_NE(text.find("est="), std::string::npos) << text;
 
   plan.explain = LogicalPlan::ExplainMode::kAnalyze;
   Result<QueryResult> a = engine.Execute(plan, store);

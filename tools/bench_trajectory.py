@@ -9,10 +9,16 @@ run as a single JSON line to the trajectory file (BENCH_baseline.json at
 the repo root by default). Each trajectory line is one run; diffing runs
 across revisions is a `python -m json.tool` + jq exercise.
 
+With --sqlbench WORKLOAD it runs the SQL-to-rows benchmark instead
+(`python3 sqlbench/run.py --workload W --seed N --seconds S --trace T`),
+takes the result JSON from the last line of its stdout, and appends it
+stamped with the revision, seed and label.
+
 Examples:
     tools/bench_trajectory.py build/bench/bench_fig12_micro --scale 0.05
     tools/bench_trajectory.py build/bench/bench_fig10_queries \
         --label pre-registry --out BENCH_baseline.json
+    tools/bench_trajectory.py --sqlbench scan_agg --seed 1 --seconds 10
 
 Stdlib only: no third-party dependencies.
 """
@@ -30,7 +36,7 @@ import tempfile
 def git_rev(repo_root):
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--abbrev=7"],
             cwd=repo_root, capture_output=True, text=True, check=True)
         return out.stdout.strip()
     except (subprocess.CalledProcessError, FileNotFoundError):
@@ -51,11 +57,37 @@ def run_bench(binary, scale, json_path, timeout):
     return proc.stdout
 
 
+def run_sqlbench(repo_root, workload, seed, seconds, trace, timeout):
+    cmd = [sys.executable, "sqlbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=repo_root, capture_output=True, text=True,
+                          timeout=timeout)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stdout)
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"sqlbench exited with {proc.returncode}")
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError as e:
+        raise SystemExit(f"bad result line from sqlbench: {e}: {lines[-1]}")
+
+
 def main():
     parser = argparse.ArgumentParser(
-        description="Run a bench binary and append its JSON export to the "
-                    "performance trajectory file.")
-    parser.add_argument("binary", help="bench executable to run")
+        description="Run a bench binary (or sqlbench) and append its JSON "
+                    "results to the performance trajectory file.")
+    parser.add_argument("binary", nargs="?",
+                        help="bench executable to run (omit with --sqlbench)")
+    parser.add_argument("--sqlbench", metavar="WORKLOAD", default=None,
+                        help="run sqlbench/run.py on this workload instead")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="sqlbench --seed (default: 1)")
+    parser.add_argument("--seconds", type=int, default=10,
+                        help="sqlbench --seconds (default: 10)")
+    parser.add_argument("--trace", type=int, choices=[0, 1], default=0,
+                        help="sqlbench --trace (default: 0)")
     parser.add_argument("--scale", type=float, default=None,
                         help="ETSQP_BENCH_SCALE for the run (default: unset)")
     parser.add_argument("--label", default="",
@@ -66,10 +98,33 @@ def main():
     parser.add_argument("--timeout", type=float, default=1800,
                         help="bench run timeout in seconds")
     args = parser.parse_args()
+    if (args.binary is None) == (args.sqlbench is None):
+        parser.error("give either a bench binary or --sqlbench WORKLOAD")
 
     repo_root = pathlib.Path(__file__).resolve().parent.parent
     out_path = pathlib.Path(args.out) if args.out else (
         repo_root / "BENCH_baseline.json")
+    date = (datetime.datetime.now(datetime.timezone.utc)
+            .strftime("%Y-%m-%dT%H:%M:%SZ"))
+
+    if args.sqlbench is not None:
+        result = run_sqlbench(repo_root, args.sqlbench, args.seed,
+                              args.seconds, args.trace, args.timeout)
+        record = {
+            "bench": "sqlbench/" + args.sqlbench,
+            "label": args.label,
+            "git_rev": git_rev(repo_root),
+            "date": date,
+            "seed": args.seed,
+            "seconds": args.seconds,
+            "trace": args.trace,
+            "result": result,
+        }
+        with open(out_path, "a") as f:
+            f.write(json.dumps(record, sort_keys=True) + "\n")
+        print(f"appended {record['bench']} seed {args.seed} "
+              f"(rev {record['git_rev']}) to {out_path}")
+        return
 
     fd, tmp_json = tempfile.mkstemp(prefix="etsqp_bench_", suffix=".jsonl")
     os.close(fd)
@@ -97,8 +152,7 @@ def main():
         "bench": os.path.basename(args.binary),
         "label": args.label,
         "git_rev": git_rev(repo_root),
-        "date": datetime.datetime.now(datetime.timezone.utc)
-            .strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "date": date,
         "scale": args.scale,
         "results": results,
     }

@@ -23,8 +23,6 @@
 //                        the background
 //   .ingest              ingest/WAL/seal counters
 //   .checkpoint <file>   flush + save per-shard TsFiles + truncate the WAL
-//   .calibrate <file>    load (or measure + save) the per-shard
-//                        scheduler-registry cost calibration caches
 //   .compact [shard]     one synchronous compaction pass (all shards, or
 //                        just one): adaptive per-page re-encoding, page
 //                        merging, tombstone/TTL drop, out-of-order
@@ -47,7 +45,6 @@
 #include "db/database.h"
 #include "db/iotdb_lite.h"
 #include "exec/explain.h"
-#include "exec/scheduler_registry.h"
 #include "exec/thread_pool.h"
 #include "workload/generators.h"
 
@@ -263,23 +260,6 @@ int main(int argc, char** argv) {
       Status cst = dbx.Checkpoint(arg);
       std::printf("%s\n", cst.ok() ? ("checkpointed to " + arg).c_str()
                                    : cst.ToString().c_str());
-      continue;
-    }
-    if (cmd.rfind(".calibrate", 0) == 0) {
-      std::string arg = ArgOf(cmd, 10);
-      if (arg.empty()) {
-        std::printf("usage: .calibrate <file.calib>\n");
-        continue;
-      }
-      Status cst = dbx.Calibrate(arg);
-      if (cst.ok()) {
-        std::printf(
-            "calibration attached: %s x%d shard%s (%zu measured costs)\n",
-            arg.c_str(), dbx.num_shards(), dbx.num_shards() == 1 ? "" : "s",
-            dbx.calibration() ? dbx.calibration()->size() : 0);
-      } else {
-        std::printf("error: %s\n", cst.ToString().c_str());
-      }
       continue;
     }
     if (cmd == ".compaction") {
