@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <type_traits>
 
@@ -79,14 +80,6 @@ struct MergeSchedule {
   }
 };
 
-/// Per-input materialized tuples, stitched in storage order: the sink of
-/// the SELECT / union / join / correlate jobs.
-struct Materialized {
-  using Value = int64_t;
-  std::vector<int64_t> times;
-  std::vector<int64_t> values;
-};
-
 /// The aggregate state of one job, of the merged run and of finalize: the
 /// plan's total plus its windows (keyed by window index). `Accum` is
 /// AggAccum for integer series, FloatAggAccum for float series.
@@ -154,12 +147,22 @@ Status DrainSlice(const storage::Page& page, size_t begin, size_t end,
                                    &sink->total, stats);
 }
 
+/// One input's page vector inside a merge node: the decoded (time, value)
+/// tuples of one page that pass the value filter and `trange` (the plan's
+/// time filter, clipped to the range job when the page straddles a cut).
+/// Reused page after page, so it stays cache-resident.
+struct PageVector {
+  using Value = int64_t;
+  TimeRange trange;
+  std::vector<int64_t> times;
+  std::vector<int64_t> values;
+};
+
 Status DrainSlice(const storage::Page& page, size_t begin, size_t end,
                   const LogicalPlan& plan, const PipelineOptions& opt,
-                  Materialized* sink, QueryStats* stats) {
-  return MaterializeSlice(page, begin, end, plan.time_filter,
-                          plan.value_filter, opt, &sink->times, &sink->values,
-                          stats);
+                  PageVector* sink, QueryStats* stats) {
+  return MaterializeSlice(page, begin, end, sink->trange, plan.value_filter,
+                          opt, &sink->times, &sink->values, stats);
 }
 
 // Raw (time, value) arrays -> sink: the scalar kernels that drain the
@@ -190,10 +193,9 @@ Status DrainRaw(const int64_t* times, const double* values, size_t n,
 
 Status DrainRaw(const int64_t* times, const int64_t* values, size_t n,
                 const LogicalPlan& plan, const PipelineOptions& opt,
-                Materialized* sink, QueryStats* stats) {
-  return TailMaterialize(times, values, n, plan.time_filter,
-                         plan.value_filter, opt, &sink->times, &sink->values,
-                         stats);
+                PageVector* sink, QueryStats* stats) {
+  return TailMaterialize(times, values, n, sink->trange, plan.value_filter,
+                         opt, &sink->times, &sink->values, stats);
 }
 
 /// The snapshot's unsealed tail values of type `Value`.
@@ -282,13 +284,14 @@ Status DrainJob(const PipeJob& job, const storage::SeriesSnapshot& snap,
   std::vector<int64_t> times;
   std::vector<Value> values;
   uint64_t dropped = 0;
+  const uint64_t tail_scanned = stats->tail_tuples_scanned;
   Status st = DecodeMaskedPage(*page.value(), snap.tombstones, &times,
                                &values, &dropped);
   if (st.ok()) {
     st = DrainRaw(times.data(), values.data(), times.size(), plan, opt, sink,
                   stats);
   }
-  stats->tail_tuples_scanned = 0;  // page tuples, not tail tuples
+  stats->tail_tuples_scanned = tail_scanned;  // page tuples, not tail tuples
   stats->tuples_scanned += dropped;
   stats->deleted_tuples_masked += dropped;
   return st;
@@ -332,47 +335,492 @@ Result<QueryResult> RunAggregate(const LogicalPlan& plan,
   return result;
 }
 
-/// Runs the materializing jobs of one plan and returns per-input tuple
-/// streams in time order. Integer series only.
-Status MaterializeInputs(const LogicalPlan& plan,
-                         const std::vector<storage::SeriesSnapshot>& snaps,
-                         const PipelineOptions& options,
-                         const PipelineSpec& spec,
-                         std::vector<Materialized>* inputs,
-                         QueryStats* stats) {
-  for (const storage::SeriesSnapshot& snap : snaps) {
-    if (snap.is_float) {
-      return Status::NotSupported("materialize on float series " + snap.name);
+/// Pearson correlation / covariance accumulator over aligned pairs.
+struct CorrAccum {
+  __int128 sum_a = 0;
+  __int128 sum_b = 0;
+  __int128 sum_a2 = 0;
+  __int128 sum_b2 = 0;
+  __int128 sum_ab = 0;
+  uint64_t n = 0;
+
+  void Add(int64_t a, int64_t b) {
+    sum_a += a;
+    sum_b += b;
+    sum_a2 += static_cast<__int128>(a) * a;
+    sum_b2 += static_cast<__int128>(b) * b;
+    sum_ab += static_cast<__int128>(a) * b;
+    ++n;
+  }
+  void Merge(const CorrAccum& o) {
+    sum_a += o.sum_a;
+    sum_b += o.sum_b;
+    sum_a2 += o.sum_a2;
+    sum_b2 += o.sum_b2;
+    sum_ab += o.sum_ab;
+    n += o.n;
+  }
+
+  void Finish(QueryResult* result) const {
+    result->column_names = {"corr", "cov", "n"};
+    result->columns.assign(3, {});
+    if (n == 0) return;
+    double dn = static_cast<double>(n);
+    double ma = static_cast<double>(sum_a) / dn;
+    double mb = static_cast<double>(sum_b) / dn;
+    double cov = static_cast<double>(sum_ab) / dn - ma * mb;
+    double va = static_cast<double>(sum_a2) / dn - ma * ma;
+    double vb = static_cast<double>(sum_b2) / dn - mb * mb;
+    double denom = std::sqrt(va) * std::sqrt(vb);
+    result->columns[0].push_back(denom > 0 ? cov / denom : 0.0);
+    result->columns[1].push_back(cov);
+    result->columns[2].push_back(dn);
+  }
+};
+
+/// Section IV's fused CORR over one page pair with identical time columns
+/// and Delta-RLE value columns: closed-form SUM, SUM^2 (FusedAggDeltaRle)
+/// and the cross-product polynomial (FusedCrossDeltaRle), no decoding.
+Status FusedCorrPair(const storage::Page& a, const storage::Page& b,
+                     CorrAccum* out) {
+  Result<enc::DeltaRleColumn> ca =
+      enc::DeltaRleColumn::Parse(a.value_data.data(), a.value_data.size());
+  if (!ca.ok()) return ca.status();
+  Result<enc::DeltaRleColumn> cb =
+      enc::DeltaRleColumn::Parse(b.value_data.data(), b.value_data.size());
+  if (!cb.ok()) return cb.status();
+  const uint32_t n = ca.value().count();
+  DeltaRleAggregates aa, ab;
+  __int128 cross = 0;
+  ETSQP_RETURN_IF_ERROR(FusedAggDeltaRle(ca.value(), 0, n, true, &aa));
+  ETSQP_RETURN_IF_ERROR(FusedAggDeltaRle(cb.value(), 0, n, true, &ab));
+  ETSQP_RETURN_IF_ERROR(
+      FusedCrossDeltaRle(ca.value(), cb.value(), 0, n, &cross));
+  CorrAccum pair;
+  pair.sum_a = aa.sum;
+  pair.sum_b = ab.sum;
+  pair.sum_a2 = aa.sum_sq;
+  pair.sum_b2 = ab.sum_sq;
+  pair.sum_ab = cross;
+  pair.n = aa.count;
+  out->Merge(pair);
+  return Status::Ok();
+}
+
+/// The result columns of a merge plan; CORR's come from CorrAccum.
+std::vector<std::string> ColumnNames(LogicalPlan::Kind kind) {
+  switch (kind) {
+    case LogicalPlan::Kind::kProjectBinary:
+      return {"time", "expr"};
+    case LogicalPlan::Kind::kJoin:
+      return {"time", "left", "right"};
+    case LogicalPlan::Kind::kCorrelate:
+      return {};
+    default:
+      return {"time", "value"};
+  }
+}
+
+/// `a op b` for the projection operators; false when it overflows int64.
+bool Project(char op, int64_t a, int64_t b, int64_t* out) {
+  switch (op) {
+    case '-':
+      return !__builtin_sub_overflow(a, b, out);
+    case '*':
+      return !__builtin_mul_overflow(a, b, out);
+    default:
+      return !__builtin_add_overflow(a, b, out);
+  }
+}
+
+/// The inter-column predicate on a joined pair (Eq. 3).
+bool InterColumnOk(char op, int64_t a, int64_t b) {
+  switch (op) {
+    case '<':
+      return a < b;
+    case '>':
+      return a > b;
+    case '=':
+      return a == b;
+    default:
+      return true;
+  }
+}
+
+/// One input's walk through the page jobs of a range job: the header
+/// bounds of the next page are known before it decodes, and a page decodes
+/// on demand — through the job's scheduled kernels — into one reusable page
+/// vector, clipped to the range when it straddles a cut.
+class PageCursor {
+ public:
+  PageCursor(const PipelineSpec& spec, const RangeJob& range, int input,
+             const storage::SeriesSnapshot* snap)
+      : spec_(spec),
+        range_(range),
+        snap_(snap),
+        next_(range.first[input]),
+        last_(range.last[input]) {}
+
+  /// The page vector holds no unconsumed tuple.
+  bool empty() const { return pos_ == vec_.times.size(); }
+  /// Nothing left: the vector is consumed and no page remains.
+  bool done() const { return empty() && next_ == last_; }
+  bool has_page() const { return next_ < last_; }
+  /// The next undecoded page (requires has_page()).
+  const PipeJob& page() const { return spec_.jobs[next_]; }
+  size_t pages_left() const { return last_ - next_; }
+  /// Moves past the next page without decoding it.
+  void Advance() { ++next_; }
+
+  const int64_t* times() const { return vec_.times.data() + pos_; }
+  const int64_t* values() const { return vec_.values.data() + pos_; }
+  size_t size() const { return vec_.times.size() - pos_; }
+  int64_t front() const { return vec_.times[pos_]; }
+  int64_t back() const { return vec_.times.back(); }
+  void Consume(size_t n) { pos_ += n; }
+
+  /// Decodes the next page into the page vector.
+  Status Load(const LogicalPlan& plan, const PipelineOptions& options,
+              QueryStats* stats) {
+    const PipeJob& job = spec_.jobs[next_++];
+    vec_.times.clear();
+    vec_.values.clear();
+    pos_ = 0;
+    vec_.trange = plan.time_filter;
+    if (job.min_time < range_.lo) {
+      vec_.trange.lo = std::max(vec_.trange.lo, range_.lo);
+    }
+    if (job.max_time > range_.hi) {
+      vec_.trange.hi = std::min(vec_.trange.hi, range_.hi);
+    }
+    if (vec_.trange.lo > vec_.trange.hi) return Status::Ok();
+    JobSchedule sched(options, spec_, job);
+    Status st = DrainJob(job, *snap_, plan, sched.options, &vec_, stats);
+    sched.Note(job, stats);
+    return st;
+  }
+
+ private:
+  const PipelineSpec& spec_;
+  const RangeJob& range_;
+  const storage::SeriesSnapshot* snap_;
+  size_t next_;
+  size_t last_;
+  PageVector vec_;
+  size_t pos_ = 0;
+};
+
+/// The merge node of one range job (Figure 9). It pulls page vectors from
+/// the two input cursors as the merge consumes them, runs the merge kernels
+/// on them, and emits rows (or accumulates CORR sums). SELECT is the one-input case: its
+/// right cursor is empty. Apart from the range's result columns, everything
+/// it allocates is page-vector sized.
+class MergeNode {
+ public:
+  MergeNode(const LogicalPlan& plan, const PipelineSpec& spec,
+            const RangeJob& range,
+            const std::vector<storage::SeriesSnapshot>& snaps,
+            const PipelineOptions& options, const MergeSchedule& schedule)
+      : plan_(plan),
+        snaps_(snaps),
+        options_(options),
+        schedule_(schedule),
+        l_(spec, range, 0, &snaps[0]),
+        r_(spec, range, 1, snaps.size() > 1 ? &snaps[1] : nullptr) {
+    // Result columns sized from the surviving header counts: a join pairs
+    // at most the smaller side; SELECT and UNION emit every tuple.
+    const bool pairs = plan.kind == LogicalPlan::Kind::kJoin ||
+                       plan.kind == LogicalPlan::Kind::kProjectBinary;
+    const uint64_t rows = pairs ? std::min(range.tuples[0], range.tuples[1])
+                                : range.tuples[0] + range.tuples[1];
+    columns.assign(ColumnNames(plan.kind).size(), {});
+    for (std::vector<double>& c : columns) c.reserve(rows);
+  }
+
+  Status Run() {
+    Status st = plan_.kind == LogicalPlan::Kind::kSelect ||
+                        plan_.kind == LogicalPlan::Kind::kUnion
+                    ? RunUnion()
+                    : RunIntersect();
+    if (schedule_.decision != nullptr && options_.collect_stats) {
+      NoteDecisionOutcome(
+          *schedule_.decision, merged_,
+          stats.stages.stages[static_cast<int>(Stage::kMerge)].nanos, &stats);
+    }
+    return st;
+  }
+
+  std::vector<std::vector<double>> columns;
+  CorrAccum corr;
+  QueryStats stats;
+
+ private:
+  metrics::StageBreakdown* Stages() { return StagesOf(options_, &stats); }
+
+  Status Load(PageCursor* c) { return c->Load(plan_, options_, &stats); }
+
+  void Skip(PageCursor* c) {
+    c->Advance();
+    ++stats.merge_pages_skipped;
+  }
+
+  /// The merge node's one exit: appends n rows — time plus one or two value
+  /// columns — to the range's result columns.
+  void Emit(const int64_t* t, const int64_t* a, const int64_t* b, size_t n) {
+    columns[0].insert(columns[0].end(), t, t + n);
+    columns[1].insert(columns[1].end(), a, a + n);
+    if (b != nullptr) columns[2].insert(columns[2].end(), b, b + n);
+  }
+
+  /// UNION (Eq. 5) and SELECT: whichever vector ends first goes out whole,
+  /// merged with the other side's tuples before its end (left first on
+  /// equal timestamps); a vector the other side does not reach is copied
+  /// without a compare.
+  Status RunUnion() {
+    while (true) {
+      if (l_.empty() && l_.has_page()) {
+        ETSQP_RETURN_IF_ERROR(Load(&l_));
+        continue;
+      }
+      if (r_.empty() && r_.has_page()) {
+        ETSQP_RETURN_IF_ERROR(Load(&r_));
+        continue;
+      }
+      if (l_.empty() && r_.empty()) return Status::Ok();
+      ScopedStageTimer timer(Stages(), Stage::kMerge);
+      size_t nl = l_.size(), nr = r_.size();
+      if (nl > 0 && nr > 0) {
+        if (l_.back() <= r_.back()) {
+          nr = std::lower_bound(r_.times(), r_.times() + nr, l_.back()) -
+               r_.times();
+        } else {
+          nl = std::upper_bound(l_.times(), l_.times() + nl, r_.back()) -
+               l_.times();
+        }
+      }
+      timer.AddTuples(nl + nr);
+      merged_ += nl + nr;
+      if (nr == 0) {
+        Emit(l_.times(), l_.values(), nullptr, nl);
+      } else if (nl == 0) {
+        Emit(r_.times(), r_.values(), nullptr, nr);
+      } else {
+        out_t_.resize(nl + nr);
+        out_v_.resize(nl + nr);
+        const size_t m = simd::MergeUnionInt64(
+            l_.times(), l_.values(), nl, r_.times(), r_.values(), nr,
+            out_t_.data(), out_v_.data(), schedule_.isa);
+        Emit(out_t_.data(), out_v_.data(), nullptr, m);
+      }
+      l_.Consume(nl);
+      r_.Consume(nr);
     }
   }
-  // Per-job local buffers, stitched by the merge step to preserve order.
-  std::vector<Materialized> locals(spec.jobs.size());
-  std::vector<QueryStats> job_stats(spec.jobs.size());
+
+  /// Natural join (Eq. 6), projection and CORR. Page headers decide first:
+  /// a page that ends before the other side's next page or vector begins
+  /// is skipped undecoded, and a CORR page pair that can fuse aggregates in
+  /// closed form. Only overlapping vectors reach the intersection kernel.
+  Status RunIntersect() {
+    while (!l_.done() && !r_.done()) {
+      if (l_.empty() && r_.empty()) {
+        const PipeJob& a = l_.page();
+        const PipeJob& b = r_.page();
+        if (a.max_time < b.min_time) {
+          Skip(&l_);
+          continue;
+        }
+        if (b.max_time < a.min_time) {
+          Skip(&r_);
+          continue;
+        }
+        bool fused = false;
+        ETSQP_RETURN_IF_ERROR(TryFuse(&fused));
+        if (!fused) ETSQP_RETURN_IF_ERROR(Load(&l_));
+        continue;
+      }
+      if (l_.empty() || r_.empty()) {
+        PageCursor& at_page = l_.empty() ? l_ : r_;
+        PageCursor& loaded = l_.empty() ? r_ : l_;
+        if (at_page.page().max_time < loaded.front()) {
+          Skip(&at_page);
+        } else if (at_page.page().min_time > loaded.back()) {
+          loaded.Consume(loaded.size());
+        } else {
+          ETSQP_RETURN_IF_ERROR(Load(&at_page));
+        }
+        continue;
+      }
+      ETSQP_RETURN_IF_ERROR(Intersect());
+    }
+    // What one input has left, the other can no longer match.
+    stats.merge_pages_skipped += l_.pages_left() + r_.pages_left();
+    return Status::Ok();
+  }
+
+  /// Pairs the two loaded vectors; the one that ends first is spent, with
+  /// the other side's tuples up to that end.
+  Status Intersect() {
+    ScopedStageTimer timer(Stages(), Stage::kMerge);
+    const size_t nl = l_.size(), nr = r_.size();
+    timer.AddTuples(nl + nr);
+    merged_ += nl + nr;
+    il_.resize(std::min(nl, nr));
+    ir_.resize(std::min(nl, nr));
+    const size_t m =
+        simd::IntersectIndicesInt64(l_.times(), nl, r_.times(), nr,
+                                    il_.data(), ir_.data(), schedule_.isa);
+    const int64_t* lt = l_.times();
+    const int64_t* lv = l_.values();
+    const int64_t* rv = r_.values();
+    if (plan_.kind == LogicalPlan::Kind::kCorrelate) {
+      for (size_t k = 0; k < m; ++k) corr.Add(lv[il_[k]], rv[ir_[k]]);
+    } else {
+      // Eq. 3 runs on the decoded vectors; matched rows gather into
+      // page-sized scratch and leave through Emit.
+      const bool project = plan_.kind == LogicalPlan::Kind::kProjectBinary;
+      row_t_.resize(m);
+      row_a_.resize(m);
+      row_b_.resize(project ? 0 : m);
+      size_t rows = 0;
+      for (size_t k = 0; k < m; ++k) {
+        const int64_t a = lv[il_[k]];
+        const int64_t b = rv[ir_[k]];
+        if (!InterColumnOk(plan_.inter_column_op, a, b)) continue;
+        row_t_[rows] = lt[il_[k]];
+        if (!project) {
+          row_a_[rows] = a;
+          row_b_[rows] = b;
+        } else if (!Project(plan_.binary_op, a, b, &row_a_[rows])) {
+          return Status::Overflow("projection overflow");
+        }
+        ++rows;
+      }
+      Emit(row_t_.data(), row_a_.data(), project ? nullptr : row_b_.data(),
+           rows);
+    }
+    const int64_t lb = l_.back(), rb = r_.back();
+    if (lb <= rb) {
+      l_.Consume(nl);
+      r_.Consume(std::upper_bound(r_.times(), r_.times() + nr, lb) -
+                 r_.times());
+    } else {
+      r_.Consume(nr);
+      l_.Consume(std::upper_bound(l_.times(), l_.times() + nl, rb) -
+                 l_.times());
+    }
+    return Status::Ok();
+  }
+
+  /// Fuses the CORR page pair both cursors sit at when their time columns
+  /// are identical and both value columns are Delta-RLE. Needs the fusion
+  /// datapath, no value filter, and both pages wholly inside the time
+  /// filter; an exact sum past int64 falls back to decoding. Range cuts are
+  /// page starts, so none falls inside a pair with identical bounds.
+  Status TryFuse(bool* fused) {
+    const PipeJob& a = l_.page();
+    const PipeJob& b = r_.page();
+    if (plan_.kind != LogicalPlan::Kind::kCorrelate || !options_.fusion ||
+        options_.strategy != DecodeStrategy::kEtsqp ||
+        plan_.value_filter.active || a.tail || b.tail || a.masked ||
+        b.masked || a.min_time != b.min_time || a.max_time != b.max_time ||
+        a.min_time < plan_.time_filter.lo ||
+        a.max_time > plan_.time_filter.hi) {
+      return Status::Ok();
+    }
+    const storage::PageHeader& ha = snaps_[0].pages[a.page_index]->header;
+    const storage::PageHeader& hb = snaps_[1].pages[b.page_index]->header;
+    if (ha.count != hb.count || ha.time_bytes != hb.time_bytes ||
+        ha.value_encoding != enc::ColumnEncoding::kDeltaRle ||
+        hb.value_encoding != enc::ColumnEncoding::kDeltaRle) {
+      return Status::Ok();
+    }
+    Result<std::shared_ptr<const storage::Page>> pa =
+        JobPage(snaps_[0], a.page_index, options_, &stats);
+    if (!pa.ok()) return pa.status();
+    Result<std::shared_ptr<const storage::Page>> pb =
+        JobPage(snaps_[1], b.page_index, options_, &stats);
+    if (!pb.ok()) return pb.status();
+    // Equal encoded time columns <=> equal timestamps (encoding is a
+    // deterministic function of the series).
+    if (std::memcmp(pa.value()->time_data.data(),
+                    pb.value()->time_data.data(), ha.time_bytes) != 0) {
+      return Status::Ok();
+    }
+    ScopedStageTimer timer(Stages(), Stage::kAggregate);
+    timer.AddTuples(2 * static_cast<uint64_t>(ha.count));
+    Status st = FusedCorrPair(*pa.value(), *pb.value(), &corr);
+    if (st.code() == StatusCode::kOverflow) return Status::Ok();
+    ETSQP_RETURN_IF_ERROR(st);
+    l_.Advance();
+    r_.Advance();
+    ++stats.merge_pairs_fused;
+    *fused = true;
+    return Status::Ok();
+  }
+
+  const LogicalPlan& plan_;
+  const std::vector<storage::SeriesSnapshot>& snaps_;
+  const PipelineOptions& options_;
+  const MergeSchedule& schedule_;
+  PageCursor l_;
+  PageCursor r_;
+  uint64_t merged_ = 0;  // tuples fed through the merge kernels
+  // Page-vector sized scratch, reused across the range's pages.
+  std::vector<int64_t> out_t_, out_v_;
+  std::vector<uint32_t> il_, ir_;
+  std::vector<int64_t> row_t_, row_a_, row_b_;
+};
+
+/// Runs a merge plan: one MergeNode per range job on the job scheduler.
+/// Each range fills its own result columns, sized from its header counts;
+/// one pass concatenates them in time order (a move when p = 1).
+Result<QueryResult> RunMerge(const LogicalPlan& plan,
+                             const std::vector<storage::SeriesSnapshot>& snaps,
+                             const PipelineSpec& spec,
+                             const PipelineOptions& options) {
+  QueryResult result;
+  result.stats = spec.plan_stats;
+  const MergeSchedule schedule(options, spec);
+  std::vector<std::unique_ptr<MergeNode>> nodes(spec.ranges.size());
 
   PipelineJobSet set;
-  set.num_jobs = spec.jobs.size();
+  set.num_jobs = spec.ranges.size();
   set.job = [&](size_t i) -> Status {
-    const PipeJob& job = spec.jobs[i];
-    JobSchedule sched(options, spec, job);
-    Status st = DrainJob(job, snaps[job.input], plan, sched.options,
-                         &locals[i], &job_stats[i]);
-    sched.Note(job, &job_stats[i]);
-    return st;
+    nodes[i] = std::make_unique<MergeNode>(plan, spec, spec.ranges[i], snaps,
+                                           options, schedule);
+    return nodes[i]->Run();
   };
   set.merge = [&]() -> Status {
-    // Jobs were emitted in (input, page, slice) order; concatenation keeps
-    // time order within each input.
-    for (size_t i = 0; i < spec.jobs.size(); ++i) {
-      stats->Merge(job_stats[i]);
-      Materialized& dst = (*inputs)[spec.jobs[i].input];
-      dst.times.insert(dst.times.end(), locals[i].times.begin(),
-                       locals[i].times.end());
-      dst.values.insert(dst.values.end(), locals[i].values.begin(),
-                        locals[i].values.end());
+    for (const auto& node : nodes) result.stats.Merge(node->stats);
+    ScopedStageTimer timer(StagesOf(options, &result.stats), Stage::kMerge);
+    if (plan.kind == LogicalPlan::Kind::kCorrelate) {
+      CorrAccum total;
+      for (const auto& node : nodes) total.Merge(node->corr);
+      total.Finish(&result);
+      return Status::Ok();
+    }
+    result.column_names = ColumnNames(plan.kind);
+    if (nodes.size() == 1) {
+      result.columns = std::move(nodes[0]->columns);
+      return Status::Ok();
+    }
+    result.columns.assign(result.column_names.size(), {});
+    for (size_t c = 0; c < result.columns.size(); ++c) {
+      size_t rows = 0;
+      for (const auto& node : nodes) rows += node->columns[c].size();
+      result.columns[c].reserve(rows);
+      for (const auto& node : nodes) {
+        result.columns[c].insert(result.columns[c].end(),
+                                 node->columns[c].begin(),
+                                 node->columns[c].end());
+      }
     }
     return Status::Ok();
   };
-  return RunPipelineJobs(set, options, stats);
+  ETSQP_RETURN_IF_ERROR(RunPipelineJobs(set, options, &result.stats));
+  result.stats.result_tuples = result.num_rows();
+  return result;
 }
 
 /// Resolves the plan's inputs through the handle (memory store, file store
@@ -434,13 +882,11 @@ Result<QueryResult> Engine::ExecutePlan(const LogicalPlan& plan,
     case LogicalPlan::Kind::kAggregate:
       return ExecuteAggregate(plan, store);
     case LogicalPlan::Kind::kSelect:
-      return ExecuteSelect(plan, store);
     case LogicalPlan::Kind::kProjectBinary:
     case LogicalPlan::Kind::kUnion:
     case LogicalPlan::Kind::kJoin:
-      return ExecuteBinary(plan, store);
     case LogicalPlan::Kind::kCorrelate:
-      return ExecuteCorrelate(plan, store);
+      return ExecuteMerge(plan, store);
   }
   return Status::Internal("unknown plan kind");
 }
@@ -459,319 +905,19 @@ Result<QueryResult> Engine::ExecuteAggregate(const LogicalPlan& plan,
              : RunAggregate<AggAccum>(plan, snap, spec.value(), options_);
 }
 
-Result<QueryResult> Engine::ExecuteSelect(const LogicalPlan& plan,
-                                          const StoreHandle& store) const {
+Result<QueryResult> Engine::ExecuteMerge(const LogicalPlan& plan,
+                                         const StoreHandle& store) const {
   Result<std::vector<storage::SeriesSnapshot>> snaps =
       ResolveHandle(plan, store);
   if (!snaps.ok()) return snaps.status();
+  for (const storage::SeriesSnapshot& snap : snaps.value()) {
+    if (snap.is_float) {
+      return Status::NotSupported("materialize on float series " + snap.name);
+    }
+  }
   Result<PipelineSpec> spec = BuildPipeline(plan, snaps.value(), options_);
   if (!spec.ok()) return spec.status();
-  QueryResult result;
-  result.stats = spec.value().plan_stats;
-
-  std::vector<Materialized> inputs(2);
-  ETSQP_RETURN_IF_ERROR(MaterializeInputs(plan, snaps.value(), options_,
-                                          spec.value(), &inputs,
-                                          &result.stats));
-  const Materialized& m = inputs[0];
-  result.column_names = {"time", "value"};
-  result.columns.assign(2, {});
-  result.columns[0].assign(m.times.begin(), m.times.end());
-  result.columns[1].assign(m.values.begin(), m.values.end());
-  result.stats.result_tuples = result.num_rows();
-  return result;
-}
-
-Result<QueryResult> Engine::ExecuteBinary(const LogicalPlan& plan,
-                                          const StoreHandle& store) const {
-  Result<std::vector<storage::SeriesSnapshot>> snaps =
-      ResolveHandle(plan, store);
-  if (!snaps.ok()) return snaps.status();
-  Result<PipelineSpec> spec = BuildPipeline(plan, snaps.value(), options_);
-  if (!spec.ok()) return spec.status();
-  QueryResult result;
-  result.stats = spec.value().plan_stats;
-
-  std::vector<Materialized> inputs(2);
-  ETSQP_RETURN_IF_ERROR(MaterializeInputs(plan, snaps.value(), options_,
-                                          spec.value(), &inputs,
-                                          &result.stats));
-  const Materialized& l = inputs[0];
-  const Materialized& r = inputs[1];
-  const size_t nl = l.times.size();
-  const size_t nr = r.times.size();
-
-  // The merge stage runs as its own (single) pipeline job so it lands in
-  // the job scheduler, carries a per-stage `merge` ExecStats breakout, and
-  // scores its registry decision like any decode job.
-  MergeSchedule msched(options_, spec.value());
-  QueryStats merge_stats;
-  PipelineJobSet set;
-  set.num_jobs = 1;
-  set.job = [&](size_t) -> Status {
-    const uint64_t t0 = (msched.decision != nullptr && options_.collect_stats)
-                            ? metrics::NowNanos()
-                            : 0;
-    {
-      ScopedStageTimer merge_timer(StagesOf(options_, &merge_stats),
-                                   Stage::kMerge);
-      merge_timer.AddTuples(nl + nr);
-      if (plan.kind == LogicalPlan::Kind::kUnion) {
-        // Q5: series concatenation merged by time (Eq. 5).
-        result.column_names = {"time", "value"};
-        result.columns.assign(2, {});
-        std::vector<int64_t> out_t(nl + nr);
-        std::vector<int64_t> out_v(nl + nr);
-        size_t m = simd::MergeUnionInt64(l.times.data(), l.values.data(), nl,
-                                         r.times.data(), r.values.data(), nr,
-                                         out_t.data(), out_v.data(),
-                                         msched.isa);
-        result.columns[0].assign(out_t.begin(), out_t.begin() + m);
-        result.columns[1].assign(out_v.begin(), out_v.begin() + m);
-      } else {
-        // Q4/Q6: natural join on timestamps (Eq. 6). The intersection
-        // kernel emits aligned index pairs (k-th match on each side), then
-        // the matched tuples project in time order.
-        bool project = plan.kind == LogicalPlan::Kind::kProjectBinary;
-        const size_t cap = std::min(nl, nr);
-        std::vector<uint32_t> il(cap);
-        std::vector<uint32_t> ir(cap);
-        size_t matches =
-            simd::IntersectIndicesInt64(l.times.data(), nl, r.times.data(),
-                                        nr, il.data(), ir.data(), msched.isa);
-        if (project) {
-          result.column_names = {"time", "expr"};
-          result.columns.assign(2, {});
-        } else {
-          result.column_names = {"time", "left", "right"};
-          result.columns.assign(3, {});
-        }
-        for (auto& col : result.columns) col.reserve(matches);
-        auto inter_ok = [&plan](int64_t a, int64_t b) {
-          switch (plan.inter_column_op) {
-            case '<':
-              return a < b;
-            case '>':
-              return a > b;
-            case '=':
-              return a == b;
-            default:
-              return true;
-          }
-        };
-        for (size_t k = 0; k < matches; ++k) {
-          int64_t a = l.values[il[k]];
-          int64_t b = r.values[ir[k]];
-          if (!inter_ok(a, b)) continue;  // Eq. 3: filter on decoded vectors
-          result.columns[0].push_back(static_cast<double>(l.times[il[k]]));
-          if (project) {
-            int64_t v = plan.binary_op == '-'   ? a - b
-                        : plan.binary_op == '*' ? a * b
-                                                : a + b;
-            result.columns[1].push_back(static_cast<double>(v));
-          } else {
-            result.columns[1].push_back(static_cast<double>(a));
-            result.columns[2].push_back(static_cast<double>(b));
-          }
-        }
-      }
-    }
-    if (t0 != 0) {
-      NoteDecisionOutcome(*msched.decision, nl + nr,
-                          metrics::NowNanos() - t0, &merge_stats);
-    }
-    return Status::Ok();
-  };
-  set.merge = [&]() -> Status {
-    result.stats.Merge(merge_stats);
-    return Status::Ok();
-  };
-  ETSQP_RETURN_IF_ERROR(RunPipelineJobs(set, options_, &result.stats));
-  result.stats.result_tuples = result.num_rows();
-  return result;
-}
-
-namespace {
-
-/// Pearson correlation / covariance accumulator over aligned pairs.
-struct CorrAccum {
-  __int128 sum_a = 0;
-  __int128 sum_b = 0;
-  __int128 sum_a2 = 0;
-  __int128 sum_b2 = 0;
-  __int128 sum_ab = 0;
-  uint64_t n = 0;
-
-  void Finish(QueryResult* result) const {
-    result->column_names = {"corr", "cov", "n"};
-    result->columns.assign(3, {});
-    if (n == 0) return;
-    double dn = static_cast<double>(n);
-    double ma = static_cast<double>(sum_a) / dn;
-    double mb = static_cast<double>(sum_b) / dn;
-    double cov = static_cast<double>(sum_ab) / dn - ma * mb;
-    double va = static_cast<double>(sum_a2) / dn - ma * ma;
-    double vb = static_cast<double>(sum_b2) / dn - mb * mb;
-    double denom = std::sqrt(va) * std::sqrt(vb);
-    result->columns[0].push_back(denom > 0 ? cov / denom : 0.0);
-    result->columns[1].push_back(cov);
-    result->columns[2].push_back(dn);
-  }
-};
-
-/// True when the two series share identical page layout and timestamps and
-/// both value columns are Delta-RLE — the Section IV fused cross-product
-/// applies page by page, no decoding at all. Unsealed tails are raw, so
-/// the fused path requires both tails empty (a Flush, or quiesced ingest).
-bool FusedCorrApplies(const storage::SeriesSnapshot& a,
-                      const storage::SeriesSnapshot& b) {
-  if (a.has_tail() || b.has_tail()) return false;
-  // Lazily loaded pages hold headers only; comparing time columns would
-  // mean fetching every page, so those inputs take the general path.
-  if (a.lazy() || b.lazy()) return false;
-  // Tombstones invalidate the closed-form sums; the general path masks.
-  if (!a.tombstones.empty() || !b.tombstones.empty()) return false;
-  if (a.pages.size() != b.pages.size()) return false;
-  for (size_t p = 0; p < a.pages.size(); ++p) {
-    const storage::PageHeader& ha = a.pages[p]->header;
-    const storage::PageHeader& hb = b.pages[p]->header;
-    if (ha.count != hb.count || ha.min_time != hb.min_time ||
-        ha.max_time != hb.max_time ||
-        ha.value_encoding != enc::ColumnEncoding::kDeltaRle ||
-        hb.value_encoding != enc::ColumnEncoding::kDeltaRle ||
-        ha.time_bytes != hb.time_bytes) {
-      return false;
-    }
-    // Equal encoded time columns <=> equal timestamps (encoding is a
-    // deterministic function of the series).
-    if (std::memcmp(a.pages[p]->time_data.data(),
-                    b.pages[p]->time_data.data(), ha.time_bytes) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-Result<QueryResult> Engine::ExecuteCorrelate(const LogicalPlan& plan,
-                                             const StoreHandle& store) const {
-  Result<std::vector<storage::SeriesSnapshot>> snaps =
-      ResolveHandle(plan, store);
-  if (!snaps.ok()) return snaps.status();
-
-  QueryResult result;
-  CorrAccum accum;
-
-  const bool no_filters =
-      plan.time_filter.IsUniverse() && !plan.value_filter.active;
-  if (options_.fusion && options_.strategy == DecodeStrategy::kEtsqp &&
-      no_filters && FusedCorrApplies(snaps.value()[0], snaps.value()[1])) {
-    // Section IV fused path: per page pair, closed-form sums over the
-    // <delta, run> structure — SUM, SUM^2 (FusedAggDeltaRle) and the
-    // cross-product polynomial (FusedCrossDeltaRle). No value decoding.
-    std::mutex mu;
-    const auto& pa = snaps.value()[0].pages;
-    const auto& pb = snaps.value()[1].pages;
-    PipelineJobSet set;
-    set.num_jobs = pa.size();
-    set.job = [&](size_t p) -> Status {
-      auto ca = enc::DeltaRleColumn::Parse(pa[p]->value_data.data(),
-                                           pa[p]->value_data.size());
-      auto cb = enc::DeltaRleColumn::Parse(pb[p]->value_data.data(),
-                                           pb[p]->value_data.size());
-      Status st;
-      CorrAccum local;
-      if (!ca.ok()) {
-        st = ca.status();
-      } else if (!cb.ok()) {
-        st = cb.status();
-      } else {
-        uint32_t n = ca.value().count();
-        DeltaRleAggregates aa, ab;
-        __int128 cross = 0;
-        st = FusedAggDeltaRle(ca.value(), 0, n, true, &aa);
-        if (st.ok()) st = FusedAggDeltaRle(cb.value(), 0, n, true, &ab);
-        if (st.ok()) {
-          st = FusedCrossDeltaRle(ca.value(), cb.value(), 0, n, &cross);
-        }
-        if (st.ok()) {
-          local.sum_a = aa.sum;
-          local.sum_b = ab.sum;
-          local.sum_a2 = aa.sum_sq;
-          local.sum_b2 = ab.sum_sq;
-          local.sum_ab = cross;
-          local.n = aa.count;
-        }
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      accum.sum_a += local.sum_a;
-      accum.sum_b += local.sum_b;
-      accum.sum_a2 += local.sum_a2;
-      accum.sum_b2 += local.sum_b2;
-      accum.sum_ab += local.sum_ab;
-      accum.n += local.n;
-      result.stats.pages_total += 2;
-      result.stats.tuples_in_pages += 2 * pa[p]->header.count;
-      result.stats.bytes_loaded +=
-          pa[p]->encoded_bytes() + pb[p]->encoded_bytes();
-      return st;
-    };
-    set.merge = [&]() -> Status {
-      accum.Finish(&result);
-      return Status::Ok();
-    };
-    ETSQP_RETURN_IF_ERROR(RunPipelineJobs(set, options_, &result.stats));
-    result.stats.result_tuples = result.num_rows();
-    return result;
-  }
-
-  // General path: materialize, join on time, accumulate.
-  Result<PipelineSpec> spec = BuildPipeline(plan, snaps.value(), options_);
-  if (!spec.ok()) return spec.status();
-  result.stats = spec.value().plan_stats;
-  std::vector<Materialized> inputs(2);
-  ETSQP_RETURN_IF_ERROR(MaterializeInputs(plan, snaps.value(), options_,
-                                          spec.value(), &inputs,
-                                          &result.stats));
-  const Materialized& l = inputs[0];
-  const Materialized& r = inputs[1];
-  const size_t nl = l.times.size();
-  const size_t nr = r.times.size();
-  MergeSchedule msched(options_, spec.value());
-  {
-    const uint64_t t0 = (msched.decision != nullptr && options_.collect_stats)
-                            ? metrics::NowNanos()
-                            : 0;
-    {
-      ScopedStageTimer merge_timer(StagesOf(options_, &result.stats),
-                                   Stage::kMerge);
-      merge_timer.AddTuples(nl + nr);
-      const size_t cap = std::min(nl, nr);
-      std::vector<uint32_t> il(cap);
-      std::vector<uint32_t> ir(cap);
-      size_t matches =
-          simd::IntersectIndicesInt64(l.times.data(), nl, r.times.data(), nr,
-                                      il.data(), ir.data(), msched.isa);
-      for (size_t k = 0; k < matches; ++k) {
-        int64_t a = l.values[il[k]];
-        int64_t b = r.values[ir[k]];
-        accum.sum_a += a;
-        accum.sum_b += b;
-        accum.sum_a2 += static_cast<__int128>(a) * a;
-        accum.sum_b2 += static_cast<__int128>(b) * b;
-        accum.sum_ab += static_cast<__int128>(a) * b;
-        ++accum.n;
-      }
-    }
-    if (t0 != 0) {
-      NoteDecisionOutcome(*msched.decision, nl + nr,
-                          metrics::NowNanos() - t0, &result.stats);
-    }
-  }
-  accum.Finish(&result);
-  result.stats.result_tuples = result.num_rows();
-  return result;
+  return RunMerge(plan, snaps.value(), spec.value(), options_);
 }
 
 }  // namespace etsqp::exec

@@ -79,12 +79,10 @@ class Engine {
                                      const StoreHandle& store) const;
   Result<QueryResult> ExecuteAggregate(const LogicalPlan& plan,
                                        const StoreHandle& store) const;
-  Result<QueryResult> ExecuteSelect(const LogicalPlan& plan,
-                                    const StoreHandle& store) const;
-  Result<QueryResult> ExecuteBinary(const LogicalPlan& plan,
-                                    const StoreHandle& store) const;
-  Result<QueryResult> ExecuteCorrelate(const LogicalPlan& plan,
-                                       const StoreHandle& store) const;
+  /// SELECT, projection, join, UNION and CORR: range jobs feeding merge
+  /// nodes (Figure 9).
+  Result<QueryResult> ExecuteMerge(const LogicalPlan& plan,
+                                   const StoreHandle& store) const;
 
   PipelineOptions options_;
 };

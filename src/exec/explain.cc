@@ -181,6 +181,11 @@ std::string RenderStats(const ExecStats& stats) {
     AppendTime(&out, stats.index_probe_nanos);
     Appendf(&out, "  series_pruned=%" PRIu64 "\n", stats.series_pruned);
   }
+  if (stats.merge_pages_skipped > 0 || stats.merge_pairs_fused > 0) {
+    Appendf(&out,
+            "merge: pages_skipped=%" PRIu64 " pairs_fused=%" PRIu64 "\n",
+            stats.merge_pages_skipped, stats.merge_pairs_fused);
+  }
   Appendf(&out, "bytes loaded: %" PRIu64 "\n", stats.bytes_loaded);
   if (stats.cache_hits + stats.cache_misses + stats.cache_evictions > 0) {
     Appendf(&out,

@@ -134,7 +134,8 @@ struct SchedDecisionStats {
 /// Execution statistics reported with every query result. The flat counters
 /// are what the benches derive throughput (tuples of loaded pages per
 /// second, counting pruned slices — Section VII-B) and I/O volume from; they
-/// are deterministic (identical across thread counts). The per-stage
+/// are deterministic (identical across thread counts, except that a merge
+/// plan's page straddling a range cut decodes in both ranges). The per-stage
 /// breakdown (timings, tuples, bytes per pipeline stage) is populated only
 /// when PipelineOptions.collect_stats is on; jobs record it locally and the
 /// engine merges at job completion, so collection is lock-free on the hot
@@ -165,6 +166,11 @@ struct ExecStats {
   // pages_pruned).
   uint64_t index_probe_nanos = 0;
   uint64_t series_pruned = 0;
+  // Merge node header shortcuts (Figure 9): pages a join, projection or
+  // CORR never decoded because the other input had nothing in their time
+  // range, and CORR page pairs aggregated in closed form without decoding.
+  uint64_t merge_pages_skipped = 0;
+  uint64_t merge_pairs_fused = 0;
 
   // Populated only under collect_stats.
   metrics::StageBreakdown stages;  // summed across jobs/threads
@@ -210,6 +216,8 @@ struct ExecStats {
     deleted_tuples_masked += o.deleted_tuples_masked;
     index_probe_nanos += o.index_probe_nanos;
     series_pruned += o.series_pruned;
+    merge_pages_skipped += o.merge_pages_skipped;
+    merge_pairs_fused += o.merge_pairs_fused;
     stages.Merge(o.stages);
     if (o.wall_nanos > wall_nanos) wall_nanos = o.wall_nanos;
     if (o.threads > threads) threads = o.threads;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -125,6 +126,18 @@ void AppendPageJobs(int in, const SurvivingPages& kept,
   auto header_at = [&snap](size_t p) -> const storage::PageHeader& {
     return snap.pages[p]->header;
   };
+  auto push = [&](size_t page, size_t begin, size_t end, int decision,
+                  bool masked) {
+    const storage::PageHeader& h = header_at(page);
+    spec->jobs.push_back(PipeJob{.input = in,
+                                 .page_index = page,
+                                 .begin = begin,
+                                 .end = end,
+                                 .decision = decision,
+                                 .masked = masked,
+                                 .min_time = h.min_time,
+                                 .max_time = h.max_time});
+  };
   if (snap.lazy()) threads = 1;
   // Registry lookup per surviving page (memoized per page class). Masked
   // pages bypass the registry — they drain through the scalar masked
@@ -137,8 +150,7 @@ void AppendPageJobs(int in, const SurvivingPages& kept,
     decisions->Cover(page_decisions[p], 1, h.count);
   }
   // Only unmasked pages slice; masked pages run whole (one job each),
-  // merged back in page order so per-input concatenation of job outputs
-  // stays in time order.
+  // merged back in page order so each input's jobs stay in time order.
   std::vector<size_t> slice_counts;
   std::vector<size_t> slice_pos;  // position within kept.indices
   for (size_t p = 0; p < kept.indices.size(); ++p) {
@@ -150,17 +162,62 @@ void AppendPageJobs(int in, const SurvivingPages& kept,
   size_t cursor = 0;  // slices arrive ordered by page then begin
   for (size_t p = 0; p < kept.indices.size(); ++p) {
     if (kept.masked[p] != 0) {
-      spec->jobs.push_back(PipeJob{in, kept.indices[p], 0,
-                                   header_at(kept.indices[p]).count, false, -1,
-                                   true});
+      push(kept.indices[p], 0, header_at(kept.indices[p]).count, -1, true);
       continue;
     }
     while (cursor < slices.size() &&
            slice_pos[slices[cursor].page_index] == p) {
       const PageSlice& s = slices[cursor];
-      spec->jobs.push_back(PipeJob{in, kept.indices[p], s.begin, s.end, false,
-                                   page_decisions[p], false});
+      push(kept.indices[p], s.begin, s.end, page_decisions[p], false);
       ++cursor;
+    }
+  }
+}
+
+/// Cuts a merge plan's time axis into range jobs: one range at a single
+/// thread; else up to `threads`, cut at page starts once the pages before
+/// a cut hold their share of the surviving tuples. Each range then takes
+/// every job of each input that overlaps it.
+void PlanRanges(size_t num_inputs, int threads, PipelineSpec* spec) {
+  std::vector<int64_t> cuts;
+  if (threads > 1 && !spec->jobs.empty()) {
+    std::vector<std::pair<int64_t, uint64_t>> starts;  // (min_time, tuples)
+    uint64_t total = 0;
+    for (const PipeJob& j : spec->jobs) {
+      starts.emplace_back(j.min_time, j.end - j.begin);
+      total += j.end - j.begin;
+    }
+    std::sort(starts.begin(), starts.end());
+    const uint64_t n = static_cast<uint64_t>(threads);
+    uint64_t acc = 0, k = 1;
+    for (const auto& [t, tuples] : starts) {
+      if (k < n && acc * n >= total * k && t > starts.front().first &&
+          (cuts.empty() || t > cuts.back())) {
+        cuts.push_back(t);
+        while (k < n && acc * n >= total * k) ++k;
+      }
+      acc += tuples;
+    }
+  }
+  spec->ranges.assign(cuts.size() + 1, RangeJob{});
+  for (size_t r = 0; r < spec->ranges.size(); ++r) {
+    RangeJob& range = spec->ranges[r];
+    if (r > 0) range.lo = cuts[r - 1];
+    if (r < cuts.size()) range.hi = cuts[r] - 1;
+    for (size_t in = 0; in < num_inputs; ++in) {
+      size_t first = spec->jobs.size(), last = 0;
+      for (size_t j = 0; j < spec->jobs.size(); ++j) {
+        const PipeJob& job = spec->jobs[j];
+        if (job.input != static_cast<int>(in) || job.max_time < range.lo ||
+            job.min_time > range.hi) {
+          continue;
+        }
+        first = std::min(first, j);
+        last = j + 1;
+        range.tuples[in] += job.end - job.begin;
+      }
+      range.first[in] = std::min(first, last);
+      range.last[in] = last;
     }
   }
 }
@@ -232,6 +289,9 @@ Result<PipelineSpec> BuildPipeline(
   PipelineSpec spec;
   TimeRange trange = EffectiveTimeRange(plan);
   DecisionCache decisions(plan, options, &spec);
+  // Merge plans decode whole pages: the merge node walks them in time
+  // order, and parallelism comes from its range jobs instead of slices.
+  const bool merge_plan = plan.kind != LogicalPlan::Kind::kAggregate;
 
   for (size_t in = 0; in < inputs.size(); ++in) {
     const storage::SeriesSnapshot& snap = inputs[in];
@@ -252,12 +312,12 @@ Result<PipelineSpec> BuildPipeline(
     SurvivingPages kept;
     CollectPages(snap, trange, plan.value_filter, options.prune, &kept,
                  &spec.plan_stats);
-    AppendPageJobs(static_cast<int>(in), kept, snap, options.threads,
-                   &decisions, &spec);
+    AppendPageJobs(static_cast<int>(in), kept, snap,
+                   merge_plan ? 1 : options.threads, &decisions, &spec);
     // The unsealed tail rides behind the sealed pages of its input: one
-    // scalar job, emitted last so concatenation keeps time order. Tail
-    // tuples count into tuples_in_pages (they are part of the scan's
-    // input volume) and into the tail_tuples breakout.
+    // scalar job, emitted last so the input's jobs stay in time order. Tail
+    // tuples count into tuples_in_pages (they are part of the scan's input
+    // volume) and into the tail_tuples breakout.
     if (snap.has_tail()) {
       spec.plan_stats.tuples_in_pages += snap.tail_times.size();
       spec.plan_stats.tail_tuples += snap.tail_times.size();
@@ -265,9 +325,12 @@ Result<PipelineSpec> BuildPipeline(
                               options.prune)) {
         int tail_decision = decisions.Decide(ClassifyTail(snap));
         decisions.Cover(tail_decision, 0, snap.tail_times.size());
-        spec.jobs.push_back(PipeJob{static_cast<int>(in), 0, 0,
-                                    snap.tail_times.size(), true,
-                                    tail_decision});
+        spec.jobs.push_back(PipeJob{.input = static_cast<int>(in),
+                                    .end = snap.tail_times.size(),
+                                    .tail = true,
+                                    .decision = tail_decision,
+                                    .min_time = snap.tail_min_time(),
+                                    .max_time = snap.tail_max_time()});
       }
     }
   }
@@ -279,6 +342,7 @@ Result<PipelineSpec> BuildPipeline(
         decisions.Decide(ClassifyMerge(static_cast<int>(inputs.size())));
     decisions.Cover(spec.merge_decision, 0, spec.plan_stats.tuples_in_pages);
   }
+  if (merge_plan) PlanRanges(inputs.size(), options.threads, &spec);
   return spec;
 }
 

@@ -2,6 +2,7 @@
 #define ETSQP_EXEC_PIPE_BUILDER_H_
 
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,10 +18,11 @@ namespace etsqp::exec {
 /// Pipe (paper Algorithm 2): compiles a logical plan plus the storage page
 /// map into per-thread pipeline jobs. Single-column filters are pushed into
 /// the decoding pipelines (Eq. 1-2); pages that the header statistics rule
-/// out are dropped here (whole-page pruning); remaining pages are split into
-/// block-aligned slices when there are more cores than pages (Lines 5-6);
-/// binary operators get one decoding pipeline per input, grouped by time
-/// range and combined by a merge node (Eq. 5-6, Figure 9). Every store
+/// out are dropped here (whole-page pruning); an aggregate's remaining pages
+/// are split into block-aligned slices when there are more cores than pages
+/// (Lines 5-6); SELECT and binary operators get whole-page jobs per input,
+/// grouped into time-range jobs that each feed one merge node (Eq. 5-6,
+/// Figure 9). Every store
 /// reaches Pipe as SeriesSnapshots — in-memory ones with resident pages,
 /// file-backed ones with headers only and a payload loader (Section VI-C's
 /// gradual loading) — so each plan kind compiles one way whatever the
@@ -28,9 +30,8 @@ namespace etsqp::exec {
 
 /// One decoding-pipeline job: a slice of one page of one input series, or
 /// (when `tail` is set) the unsealed in-memory tail of that input — the
-/// streaming-ingest buffer drained by the scalar tail kernels. Tail jobs
-/// are emitted after the page jobs of their input so per-input
-/// concatenation of job outputs stays in time order.
+/// streaming-ingest buffer drained by the scalar tail kernels. Each input's
+/// jobs are contiguous and in time order: its pages, then its tail.
 struct PipeJob {
   int input = 0;  // 0 = plan.series, 1 = plan.series_right
   size_t page_index = 0;
@@ -43,9 +44,27 @@ struct PipeJob {
   /// A tombstone partially covers the page: the job decodes the whole page
   /// and filters deleted timestamps before aggregating (scalar masked
   /// drain), instead of running the vectorized slice kernels. Masked jobs
-  /// are never sliced. Last field so positional initializers of the
-  /// pre-tombstone shape keep compiling.
+  /// are never sliced.
   bool masked = false;
+  /// Header time bounds of the page (or of the tail): what the merge node
+  /// compares before deciding to decode.
+  int64_t min_time = 0;
+  int64_t max_time = 0;
+};
+
+/// A time-range job of a merge plan (SELECT, projection, join, UNION,
+/// CORR; Figure 9): one merge node over the inclusive time slice [lo, hi],
+/// fed by the page jobs of each input that overlap it — jobs[first[i],
+/// last[i]) of input i, in time order. A page that straddles a cut belongs
+/// to both neighbouring ranges, each decoding only its side. `tuples[i]`
+/// sums those jobs' header counts: the bound the range's output is sized
+/// from.
+struct RangeJob {
+  int64_t lo = std::numeric_limits<int64_t>::min();
+  int64_t hi = std::numeric_limits<int64_t>::max();
+  size_t first[2] = {0, 0};
+  size_t last[2] = {0, 0};
+  uint64_t tuples[2] = {0, 0};
 };
 
 /// The compiled pipeline: jobs ready for the job scheduler, the scheduler
@@ -53,6 +72,9 @@ struct PipeJob {
 /// counters for pages pruned at planning time.
 struct PipelineSpec {
   std::vector<PipeJob> jobs;
+  /// Merge plans only: the range jobs the engine schedules. Their page jobs
+  /// are whole pages; aggregates schedule `jobs` directly.
+  std::vector<RangeJob> ranges;
   std::vector<ScheduleDecision> decisions;
   QueryStats plan_stats;  // pages_total / pages_pruned / tuples_in_pages
   /// Index into `decisions` for the merge stage of multi-input plans
@@ -112,7 +134,10 @@ Result<std::vector<storage::SeriesSnapshot>> ResolveInputs(
 /// check on the tail (its min/max are computed at snapshot capture). The
 /// walk reads headers only, so a lazily loaded input (a FileBackedStore
 /// snapshot) never fetches a pruned page; its surviving pages become
-/// whole-page jobs, one buffer-pool fetch each.
+/// whole-page jobs, one buffer-pool fetch each. Merge plans (every kind but
+/// the aggregate) also get their range jobs: one at a single thread, else up
+/// to `options.threads`, cut at page starts so each holds a similar share
+/// of the surviving tuples.
 Result<PipelineSpec> BuildPipeline(
     const LogicalPlan& plan,
     const std::vector<storage::SeriesSnapshot>& inputs,

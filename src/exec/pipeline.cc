@@ -522,7 +522,8 @@ Status MaterializeSlice(const storage::Page& page, size_t begin, size_t end,
   size_t n = p1 - p0;
   if (!vrange.active) {
     // Bulk path: vectorized widening into the output tails. Emission is
-    // merge-stage work (it feeds the stitching/merge nodes of Figure 9).
+    // merge-stage work (it fills the page vector a Figure 9 merge node
+    // consumes).
     ScopedStageTimer timer(stages, Stage::kMerge);
     timer.AddTuples(n);
     size_t t_at = times->size();

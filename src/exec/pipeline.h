@@ -164,9 +164,9 @@ Status AggregateFloatSliceWindows(const storage::Page& page, size_t begin,
                                   std::map<int64_t, FloatAggAccum>* windows,
                                   QueryStats* stats);
 
-/// Decodes the (time, value) tuples of positions [begin, end) that satisfy
-/// the filters — the SELECT * pipeline; also the building block for
-/// union/join/projection.
+/// Appends the (time, value) tuples of positions [begin, end) that satisfy
+/// the filters — a sealed page's page vector in a SELECT / union / join /
+/// projection / correlate merge node.
 Status MaterializeSlice(const storage::Page& page, size_t begin, size_t end,
                         const TimeRange& trange, const ValueRange& vrange,
                         const PipelineOptions& opt,

@@ -49,8 +49,8 @@ Status TailAggregateWindowsF64(const int64_t* times, const double* values,
                                std::map<int64_t, FloatAggAccum>* windows,
                                QueryStats* stats);
 
-/// Emits the filtered (time, value) tuples of the tail — the tail leg of
-/// the SELECT / union / join / correlate materialization.
+/// Appends the filtered (time, value) tuples of the tail — the tail's page
+/// vector in a SELECT / union / join / correlate merge node.
 Status TailMaterialize(const int64_t* times, const int64_t* values, size_t n,
                        const TimeRange& trange, const ValueRange& vrange,
                        const PipelineOptions& opt,

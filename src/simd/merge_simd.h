@@ -40,8 +40,8 @@ struct MergeStream {
 /// --- Two-way sorted intersection -----------------------------------------
 /// Emits matching index pairs: out_l[k] / out_r[k] index the k-th matching
 /// tuple on each side, in ascending time order. Both outputs must hold
-/// min(nl, nr) entries (inputs are capped at UINT32_MAX tuples — a page set
-/// materializes far below that). Returns the number of pairs.
+/// min(nl, nr) entries; indices are 32-bit, so inputs hold at most
+/// UINT32_MAX tuples. Returns the number of pairs.
 
 size_t IntersectIndicesInt64Scalar(const int64_t* l, size_t nl,
                                    const int64_t* r, size_t nr,

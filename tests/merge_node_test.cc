@@ -1,0 +1,375 @@
+// Binary plans against the scalar oracle: randomized pairs of integer
+// series — different page sizes and codecs per input, disjoint, partly
+// overlapping and identical time ranges, unsealed tails on either side,
+// tombstone-masked pages, time and value filters — queried with
+// projection, natural join, UNION and CORR on one and three engine
+// threads, registry-planned and pinned to the serial pipelines, in memory
+// and through a FileBackedStore. Every answer must equal
+// oracle::BinaryAnswer over the raw inserted points.
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "exec/engine.h"
+#include "exec/pipeline.h"
+#include "scalar_oracle.h"
+#include "storage/buffer_manager.h"
+#include "storage/series_store.h"
+#include "storage/tsfile.h"
+
+namespace etsqp {
+namespace {
+
+using exec::Engine;
+using exec::LogicalPlan;
+using exec::PipelineOptions;
+using oracle::SeriesOracle;
+using storage::SeriesStore;
+
+/// The points of one input and the store layout they are written with.
+struct DrawnSeries {
+  std::vector<int64_t> times;
+  std::vector<int64_t> values;
+  SeriesStore::SeriesOptions options;
+  bool flush = true;
+};
+
+std::vector<int64_t> DrawTimes(std::mt19937_64* rng, int64_t start, size_t n) {
+  std::vector<int64_t> times(n);
+  int64_t t = start;
+  for (size_t i = 0; i < n; ++i) {
+    t += 1 + static_cast<int64_t>((*rng)() % 3);
+    times[i] = t;
+  }
+  return times;
+}
+
+std::vector<int64_t> DrawValues(std::mt19937_64* rng, size_t n) {
+  std::vector<int64_t> values(n);
+  int64_t v = static_cast<int64_t>((*rng)() % 200) - 100;
+  for (size_t i = 0; i < n; ++i) {
+    v += static_cast<int64_t>((*rng)() % 21) - 10;
+    values[i] = v;
+  }
+  return values;
+}
+
+SeriesStore::SeriesOptions DrawLayout(std::mt19937_64* rng) {
+  const uint32_t page_sizes[] = {16, 32, 48, 64, 128, 4096};
+  const enc::ColumnEncoding codecs[] = {
+      enc::ColumnEncoding::kTs2Diff,   enc::ColumnEncoding::kDeltaRle,
+      enc::ColumnEncoding::kRlbe,      enc::ColumnEncoding::kSprintz,
+      enc::ColumnEncoding::kFastLanes, enc::ColumnEncoding::kStreamVByte};
+  SeriesStore::SeriesOptions opt;
+  opt.page_size = page_sizes[(*rng)() % 6];
+  opt.page.value_encoding = codecs[(*rng)() % 6];
+  return opt;
+}
+
+void Load(SeriesStore* store, const std::string& name, const DrawnSeries& s,
+          SeriesOracle* truth) {
+  ASSERT_TRUE(store->CreateSeries(name, s.options).ok());
+  ASSERT_TRUE(store
+                  ->AppendBatch(name, s.times.data(), s.values.data(),
+                                s.times.size())
+                  .ok());
+  for (size_t i = 0; i < s.times.size(); ++i) {
+    truth->Append(s.times[i], s.values[i]);
+  }
+  if (s.flush) {
+    ASSERT_TRUE(store->Flush(name).ok());
+  }
+}
+
+/// One randomized round; every eighth goes through a FileBackedStore too.
+void RunMergeRound(uint64_t round) {
+  std::mt19937_64 rng(round * 0x9E3779B97F4A7C15ull + 23);
+  const bool file_round = round % 8 == 7;
+
+  DrawnSeries l, r;
+  l.options = DrawLayout(&rng);
+  r.options = DrawLayout(&rng);
+  l.times = DrawTimes(&rng, static_cast<int64_t>(rng() % 50), 20 + rng() % 250);
+  const size_t nl = l.times.size();
+  switch (rng() % 3) {
+    case 0: {  // disjoint: the right input entirely after (or before) the left
+      const size_t nr = 20 + rng() % 250;
+      r.times = DrawTimes(
+          &rng, l.times.back() + 1 + static_cast<int64_t>(rng() % 20), nr);
+      if (rng() % 2 == 0) std::swap(l.times, r.times);
+      break;
+    }
+    case 1:  // partly overlapping, with timestamps in common
+      r.times = DrawTimes(
+          &rng, l.times[rng() % nl] - static_cast<int64_t>(rng() % 10),
+          20 + rng() % 250);
+      break;
+    default:  // identical timestamps; half the time a fusable CORR layout
+      r.times = l.times;
+      if (rng() % 2 == 0) {
+        r.options.page_size = l.options.page_size;
+        l.options.page.value_encoding = enc::ColumnEncoding::kDeltaRle;
+        r.options.page.value_encoding = enc::ColumnEncoding::kDeltaRle;
+      }
+      break;
+  }
+  l.values = DrawValues(&rng, l.times.size());
+  r.values = DrawValues(&rng, r.times.size());
+  if (rng() % 4 == 0) {
+    // Some equal values, so '=' keeps pairs.
+    for (size_t i = 0; i < std::min(l.values.size(), r.values.size()); i += 3) {
+      r.values[i] = l.values[i];
+    }
+  }
+  l.flush = file_round || rng() % 2 == 0;  // else keep a live tail
+  r.flush = file_round || rng() % 2 == 0;
+
+  SeriesStore store;
+  SeriesOracle tl(false), tr(false);
+  Load(&store, "l", l, &tl);
+  Load(&store, "r", r, &tr);
+  if (!file_round) {
+    for (int side = 0; side < 2; ++side) {
+      if (rng() % 4 != 0) continue;
+      const DrawnSeries& s = side == 0 ? l : r;
+      const int64_t d0 = s.times[rng() % s.times.size()];
+      const int64_t d1 = d0 + static_cast<int64_t>(rng() % 40);
+      ASSERT_TRUE(store.DeleteRange(side == 0 ? "l" : "r", d0, d1).ok());
+      (side == 0 ? tl : tr).DeleteRange(d0, d1);
+    }
+  }
+
+  LogicalPlan plan;
+  plan.series = "l";
+  plan.series_right = "r";
+  const LogicalPlan::Kind kinds[] = {
+      LogicalPlan::Kind::kProjectBinary, LogicalPlan::Kind::kJoin,
+      LogicalPlan::Kind::kUnion, LogicalPlan::Kind::kCorrelate};
+  plan.kind = kinds[rng() % 4];
+  plan.binary_op = "+-*"[rng() % 3];
+  if (plan.kind == LogicalPlan::Kind::kProjectBinary ||
+      plan.kind == LogicalPlan::Kind::kJoin) {
+    const char ops[] = {0, '<', '>', '='};
+    plan.inter_column_op = ops[rng() % 4];
+  }
+  const std::vector<int64_t>& anchor = rng() % 2 == 0 ? l.times : r.times;
+  switch (rng() % 4) {
+    case 0:
+    case 1:  // no time filter
+      break;
+    case 2:  // from an inserted point onwards
+      plan.time_filter.lo = anchor[rng() % anchor.size()];
+      break;
+    default:
+      plan.time_filter.lo =
+          anchor[rng() % anchor.size()] - static_cast<int64_t>(rng() % 20);
+      plan.time_filter.hi =
+          plan.time_filter.lo + static_cast<int64_t>(rng() % 400);
+      break;
+  }
+  if (rng() % 3 == 0) {
+    plan.value_filter.active = true;
+    plan.value_filter.lo = static_cast<int64_t>(rng() % 200) - 150;
+    plan.value_filter.hi =
+        plan.value_filter.lo + static_cast<int64_t>(rng() % 150);
+  }
+
+  // Registry-planned versus pinned to the serial scalar pipelines, on one
+  // and three engine threads.
+  PipelineOptions base = round % 2 == 0 ? PipelineOptions::Etsqp(1)
+                                        : PipelineOptions::Serial();
+  base.WithThreads((round / 2) % 2 == 0 ? 1 : 3).WithPrune(rng() % 2 == 0);
+
+  bool overflow = false;
+  const std::vector<std::vector<double>> want =
+      oracle::BinaryAnswer(plan, tl, tr, &overflow);
+  ASSERT_FALSE(overflow) << "round " << round << ": values are drawn small";
+  const bool approx = plan.kind == LogicalPlan::Kind::kCorrelate;
+  Engine engine(base);
+  auto got = engine.Execute(plan, store);
+  ASSERT_TRUE(got.ok()) << "round " << round << ": " << got.status().ToString();
+  std::string why;
+  EXPECT_TRUE(oracle::SameColumns(got.value().columns, want, approx, &why))
+      << "round " << round << ": " << why;
+
+  if (file_round) {
+    const std::string path = ::testing::TempDir() + "/merge_node_" +
+                             std::to_string(round) + ".tsfile";
+    ASSERT_TRUE(storage::WriteTsFile(store, path).ok());
+    storage::FileBackedStore file;
+    ASSERT_TRUE(file.Open(path).ok());
+    auto from_file = engine.Execute(plan, &file);
+    ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
+    EXPECT_TRUE(
+        oracle::SameColumns(from_file.value().columns, want, approx, &why))
+        << "round " << round << " (file): " << why;
+    std::remove(path.c_str());
+  }
+}
+
+TEST(MergeNodeOracleTest, BinaryPlansMatchScalarOracle) {
+  for (uint64_t round = 0; round < 1200; ++round) {
+    RunMergeRound(round);
+    if (::testing::Test::HasFailure()) break;
+  }
+}
+
+// --- Header shortcuts (Figure 9): pages the other input cannot match are
+// never decoded, and identical CORR page pairs aggregate in closed form.
+
+/// Two series of `n` points at a 10-tick step, `pages` points per page,
+/// with Delta-RLE values; `b` starts at `b_offset` ticks after `a`.
+struct PairFixture {
+  SeriesStore store;
+  SeriesOracle ta{false}, tb{false};
+  std::vector<int64_t> tb_times;
+};
+
+void MakePair(PairFixture* f, size_t n, uint32_t page_size, int64_t b_offset) {
+  SeriesStore::SeriesOptions opt;
+  opt.page_size = page_size;
+  opt.page.value_encoding = enc::ColumnEncoding::kDeltaRle;
+  std::vector<int64_t> t(n), va(n), vb(n);
+  std::mt19937_64 rng(7);
+  int64_t v = 0;
+  for (size_t i = 0; i < n; ++i) {
+    t[i] = 1000 + static_cast<int64_t>(i) * 10;
+    if (i % 8 == 0) v += static_cast<int64_t>(rng() % 21) - 10;
+    va[i] = v;
+    vb[i] = 3 * v + static_cast<int64_t>(rng() % 5);
+  }
+  f->tb_times = t;
+  for (int64_t& x : f->tb_times) x += b_offset;
+  ASSERT_TRUE(f->store.CreateSeries("a", opt).ok());
+  ASSERT_TRUE(f->store.CreateSeries("b", opt).ok());
+  ASSERT_TRUE(f->store.AppendBatch("a", t.data(), va.data(), n).ok());
+  ASSERT_TRUE(
+      f->store.AppendBatch("b", f->tb_times.data(), vb.data(), n).ok());
+  ASSERT_TRUE(f->store.Flush().ok());
+  for (size_t i = 0; i < n; ++i) {
+    f->ta.Append(t[i], va[i]);
+    f->tb.Append(f->tb_times[i], vb[i]);
+  }
+}
+
+LogicalPlan PairPlan(LogicalPlan::Kind kind, std::string left = "a",
+                     std::string right = "b") {
+  LogicalPlan plan;
+  plan.kind = kind;
+  plan.series = std::move(left);
+  plan.series_right = std::move(right);
+  return plan;
+}
+
+TEST(MergeNodeTest, DisjointJoinDecodesNothing) {
+  PairFixture f;
+  MakePair(&f, 5000, 500, 1000000);  // b starts long after a ends
+  for (int threads : {1, 3}) {
+    for (LogicalPlan::Kind kind :
+         {LogicalPlan::Kind::kJoin, LogicalPlan::Kind::kProjectBinary,
+          LogicalPlan::Kind::kCorrelate}) {
+      auto r = Engine(PipelineOptions::Etsqp(threads))
+                   .Execute(PairPlan(kind), f.store);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r.value().num_rows(), 0u);
+      EXPECT_EQ(r.value().stats.tuples_scanned, 0u);
+      EXPECT_EQ(r.value().stats.merge_pages_skipped, 20u);
+    }
+  }
+  // UNION needs every tuple; the disjoint pages concatenate.
+  auto u = Engine(PipelineOptions::Etsqp(1))
+               .Execute(PairPlan(LogicalPlan::Kind::kUnion), f.store);
+  ASSERT_TRUE(u.ok());
+  EXPECT_EQ(u.value().num_rows(), 10000u);
+  EXPECT_EQ(u.value().stats.merge_pages_skipped, 0u);
+}
+
+TEST(MergeNodeTest, CorrFusesEveryIdenticalPagePair) {
+  // Page 3 of b (points 1500..1999) carries one shifted timestamp, so only
+  // that pair decodes; the other nine fuse. Steps cycle through 8..12 and
+  // the shift keeps them there, so the two encoded time columns of that
+  // pair differ in content, not in length.
+  PairFixture f;
+  SeriesStore::SeriesOptions opt;
+  opt.page_size = 500;
+  opt.page.value_encoding = enc::ColumnEncoding::kDeltaRle;
+  const size_t n = 5000;
+  std::vector<int64_t> t(n), tb(n), va(n), vb(n);
+  int64_t time = 1000;
+  for (size_t i = 0; i < n; ++i) {
+    time += 8 + static_cast<int64_t>(i % 5);
+    t[i] = tb[i] = time;
+    va[i] = static_cast<int64_t>(i % 97);
+    vb[i] = static_cast<int64_t>((i * 7) % 31);
+  }
+  tb[1700] += 1;
+  ASSERT_TRUE(f.store.CreateSeries("a", opt).ok());
+  ASSERT_TRUE(f.store.CreateSeries("b", opt).ok());
+  ASSERT_TRUE(f.store.AppendBatch("a", t.data(), va.data(), n).ok());
+  ASSERT_TRUE(f.store.AppendBatch("b", tb.data(), vb.data(), n).ok());
+  ASSERT_TRUE(f.store.Flush().ok());
+  for (size_t i = 0; i < n; ++i) {
+    f.ta.Append(t[i], va[i]);
+    f.tb.Append(tb[i], vb[i]);
+  }
+  const LogicalPlan plan = PairPlan(LogicalPlan::Kind::kCorrelate);
+  bool overflow = false;
+  const auto want = oracle::BinaryAnswer(plan, f.ta, f.tb, &overflow);
+  ASSERT_EQ(want[2][0], static_cast<double>(n - 1));
+  for (int threads : {1, 3}) {
+    auto r = Engine(PipelineOptions::Etsqp(threads)).Execute(plan, f.store);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    std::string why;
+    EXPECT_TRUE(oracle::SameColumns(r.value().columns, want, true, &why))
+        << why;
+    EXPECT_EQ(r.value().stats.merge_pairs_fused, 9u);
+    // The differing pair decodes both columns of both pages.
+    EXPECT_EQ(r.value().stats.tuples_scanned, 2u * (500 + 500));
+  }
+  // The serial baseline never fuses.
+  auto serial = Engine(PipelineOptions::Serial()).Execute(plan, f.store);
+  ASSERT_TRUE(serial.ok());
+  EXPECT_EQ(serial.value().stats.merge_pairs_fused, 0u);
+  EXPECT_EQ(serial.value().stats.tuples_scanned, 4u * n);
+}
+
+TEST(MergeNodeTest, FileBackedCorrFuses) {
+  PairFixture f;
+  MakePair(&f, 4000, 1000, 0);
+  const std::string path = ::testing::TempDir() + "/merge_node_corr.tsfile";
+  ASSERT_TRUE(storage::WriteTsFile(f.store, path).ok());
+  storage::FileBackedStore file;
+  ASSERT_TRUE(file.Open(path).ok());
+  const LogicalPlan plan = PairPlan(LogicalPlan::Kind::kCorrelate);
+  auto r = Engine(PipelineOptions::Etsqp(1)).Execute(plan, &file);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  bool overflow = false;
+  std::string why;
+  EXPECT_TRUE(oracle::SameColumns(
+      r.value().columns, oracle::BinaryAnswer(plan, f.ta, f.tb, &overflow),
+      true, &why))
+      << why;
+  EXPECT_EQ(r.value().stats.merge_pairs_fused, 4u);
+  EXPECT_EQ(r.value().stats.tuples_scanned, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(MergeNodeTest, ExplainAnalyzeShowsShortcuts) {
+  PairFixture f;
+  MakePair(&f, 2000, 500, 1000000);
+  LogicalPlan plan = PairPlan(LogicalPlan::Kind::kJoin);
+  plan.explain = LogicalPlan::ExplainMode::kAnalyze;
+  auto r = Engine(PipelineOptions::Etsqp(1)).Execute(plan, f.store);
+  ASSERT_TRUE(r.ok());
+  EXPECT_NE(r.value().explain_text.find("merge: pages_skipped=8 pairs_fused=0"),
+            std::string::npos)
+      << r.value().explain_text;
+}
+
+}  // namespace
+}  // namespace etsqp

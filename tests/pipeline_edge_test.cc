@@ -79,6 +79,53 @@ TEST(PipelineEdgeTest, SumOverflowSurfacesAsStatus) {
   }
 }
 
+TEST(PipelineEdgeTest, ProjectionOverflowSurfacesAsStatus) {
+  // Values near the int64 edges: every operator overflows on some pair, and
+  // the engine must say so instead of wrapping.
+  storage::SeriesStore store;
+  ASSERT_TRUE(store.CreateSeries("a", {}).ok());
+  ASSERT_TRUE(store.CreateSeries("b", {}).ok());
+  std::vector<int64_t> t, a, b;
+  for (int64_t i = 0; i < 64; ++i) {
+    t.push_back(i + 1);
+    a.push_back(INT64_MAX - 100 + i);
+    b.push_back(INT64_MIN + 100 - i);
+  }
+  ASSERT_TRUE(store.AppendBatch("a", t.data(), a.data(), t.size()).ok());
+  ASSERT_TRUE(store.AppendBatch("b", t.data(), b.data(), t.size()).ok());
+  ASSERT_TRUE(store.Flush().ok());
+  struct Case {
+    const char* left;
+    const char* right;
+    char op;
+  };
+  for (const Case& c : {Case{"a", "a", '+'}, Case{"a", "b", '-'},
+                        Case{"b", "a", '-'}, Case{"a", "b", '*'}}) {
+    for (const PipelineOptions& o :
+         {PipelineOptions::Etsqp(1), PipelineOptions::Serial(),
+          PipelineOptions::Etsqp(3)}) {
+      LogicalPlan plan;
+      plan.kind = LogicalPlan::Kind::kProjectBinary;
+      plan.series = c.left;
+      plan.series_right = c.right;
+      plan.binary_op = c.op;
+      auto result = Engine(o).Execute(plan, store);
+      ASSERT_FALSE(result.ok()) << c.left << c.op << c.right;
+      EXPECT_EQ(result.status().code(), StatusCode::kOverflow)
+          << c.left << c.op << c.right;
+    }
+  }
+  // a + b stays in range: every row is exact.
+  LogicalPlan sum;
+  sum.kind = LogicalPlan::Kind::kProjectBinary;
+  sum.series = "a";
+  sum.series_right = "b";
+  auto result = Engine(PipelineOptions::Etsqp(1)).Execute(sum, store);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result.value().num_rows(), 64u);
+  EXPECT_EQ(result.value().columns[1][0], -1.0);
+}
+
 TEST(PipelineEdgeTest, AggAccumFinalizeBranches) {
   AggAccum empty;
   double out;

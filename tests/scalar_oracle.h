@@ -3,10 +3,10 @@
 
 // Ground truth for engine-level differential tests: a scalar model of one
 // series built from the raw points a test inserted, with deletes, TTL and
-// out-of-order buffering applied the way SeriesStore defines them, plus a
-// straightforward evaluator for aggregate and select plans over it. It
-// shares no code with the engine, so a planner or kernel bug cannot hide
-// in both.
+// out-of-order buffering applied the way SeriesStore defines them, plus
+// straightforward evaluators for aggregate and select plans over one series
+// and for binary plans over two. It shares no code with the engine, so a
+// planner or kernel bug cannot hide in both.
 
 #include <algorithm>
 #include <cmath>
@@ -14,6 +14,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/expr.h"
@@ -85,6 +86,18 @@ class SeriesOracle {
       out[0].push_back(
           static_cast<double>(plan.window.t_min + k * plan.window.delta_t));
       out[1].push_back(v);
+    }
+    return out;
+  }
+
+  /// The visible (time, value) points of an integer series that pass the
+  /// plan's time and value filters, in time order: one input of a binary
+  /// plan.
+  std::vector<std::pair<int64_t, int64_t>> Points(
+      const exec::LogicalPlan& plan) const {
+    std::vector<std::pair<int64_t, int64_t>> out;
+    for (size_t i = 0; i < times_.size(); ++i) {
+      if (Qualifies(plan, i)) out.emplace_back(times_[i], ivalues_[i]);
     }
     return out;
   }
@@ -177,6 +190,94 @@ class SeriesOracle {
   std::vector<storage::TimeInterval> deletes_;
   int64_t ttl_ = 0;
 };
+
+/// The result columns the engine must return for a binary plan over two
+/// integer series: projection, natural join, UNION or CORR. Both inputs see
+/// the plan's time and value filters. The join pairs equal timestamps and
+/// keeps the pairs that pass the inter-column filter (Eq. 3), in time
+/// order; UNION merges by time with the left tuple first on equal
+/// timestamps; CORR returns (corr, cov, n), no row when nothing pairs.
+/// `overflow` is set when a projected value leaves int64.
+inline std::vector<std::vector<double>> BinaryAnswer(
+    const exec::LogicalPlan& plan, const SeriesOracle& left,
+    const SeriesOracle& right, bool* overflow) {
+  using Kind = exec::LogicalPlan::Kind;
+  *overflow = false;
+  const std::vector<std::pair<int64_t, int64_t>> l = left.Points(plan);
+  const std::vector<std::pair<int64_t, int64_t>> r = right.Points(plan);
+  std::vector<std::vector<double>> out;
+  if (plan.kind == Kind::kUnion) {
+    out.assign(2, {});
+    size_t i = 0, j = 0;
+    while (i < l.size() || j < r.size()) {
+      const bool take_left =
+          j == r.size() || (i < l.size() && l[i].first <= r[j].first);
+      const std::pair<int64_t, int64_t>& p = take_left ? l[i++] : r[j++];
+      out[0].push_back(static_cast<double>(p.first));
+      out[1].push_back(static_cast<double>(p.second));
+    }
+    return out;
+  }
+  out.assign(plan.kind == Kind::kJoin || plan.kind == Kind::kCorrelate ? 3 : 2,
+             {});
+  __int128 sa = 0, sb = 0, saa = 0, sbb = 0, sab = 0;
+  uint64_t n = 0;
+  size_t i = 0, j = 0;
+  while (i < l.size() && j < r.size()) {
+    if (l[i].first < r[j].first) {
+      ++i;
+      continue;
+    }
+    if (r[j].first < l[i].first) {
+      ++j;
+      continue;
+    }
+    const int64_t t = l[i].first, a = l[i].second, b = r[j].second;
+    ++i;
+    ++j;
+    if (plan.kind == Kind::kCorrelate) {
+      sa += a;
+      sb += b;
+      saa += static_cast<__int128>(a) * a;
+      sbb += static_cast<__int128>(b) * b;
+      sab += static_cast<__int128>(a) * b;
+      ++n;
+      continue;
+    }
+    const bool keep = plan.inter_column_op == '<'   ? a < b
+                      : plan.inter_column_op == '>' ? a > b
+                      : plan.inter_column_op == '=' ? a == b
+                                                    : true;
+    if (!keep) continue;
+    out[0].push_back(static_cast<double>(t));
+    if (plan.kind == Kind::kJoin) {
+      out[1].push_back(static_cast<double>(a));
+      out[2].push_back(static_cast<double>(b));
+      continue;
+    }
+    const __int128 v = plan.binary_op == '-'   ? __int128{a} - b
+                       : plan.binary_op == '*' ? __int128{a} * b
+                                               : __int128{a} + b;
+    if (v < std::numeric_limits<int64_t>::min() ||
+        v > std::numeric_limits<int64_t>::max()) {
+      *overflow = true;
+    }
+    out[1].push_back(static_cast<double>(static_cast<int64_t>(v)));
+  }
+  if (plan.kind == Kind::kCorrelate && n > 0) {
+    const double dn = static_cast<double>(n);
+    const double ma = static_cast<double>(sa) / dn;
+    const double mb = static_cast<double>(sb) / dn;
+    const double cov = static_cast<double>(sab) / dn - ma * mb;
+    const double va = static_cast<double>(saa) / dn - ma * ma;
+    const double vb = static_cast<double>(sbb) / dn - mb * mb;
+    const double denom = std::sqrt(va) * std::sqrt(vb);
+    out[0].push_back(denom > 0 ? cov / denom : 0.0);
+    out[1].push_back(cov);
+    out[2].push_back(dn);
+  }
+  return out;
+}
 
 /// Column-wise equality of an engine result with the oracle's: exact for
 /// integer series; for float series within 1e-9 relative (the engine sums
