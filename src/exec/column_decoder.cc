@@ -10,9 +10,7 @@
 #include "encoding/bitpack.h"
 #include "encoding/delta_rle.h"
 #include "encoding/fastlanes.h"
-#include "encoding/gorilla.h"
 #include "encoding/rlbe.h"
-#include "encoding/sprintz.h"
 #include "encoding/streamvbyte.h"
 #include "encoding/ts2diff.h"
 #include "simd/delta_simd.h"
@@ -20,6 +18,7 @@
 #include "simd/streamvbyte_simd.h"
 #include "simd/transposed_unpack.h"
 #include "simd/unpack.h"
+#include "storage/page_builder.h"
 
 namespace etsqp::exec {
 
@@ -183,7 +182,8 @@ Status DecodeDeltaRle(const uint8_t* data, size_t size, uint32_t count,
     out->values64.resize(count);
     metrics::ScopedStageTimer timer(stages, metrics::Stage::kDelta);
     timer.AddTuples(count);
-    return col.DecodeAll(out->values64.data());
+    return storage::DecodePageColumn(data, size, enc::ColumnEncoding::kDeltaRle,
+                                     count, out->values64.data());
   }
 
   out->narrow = true;
@@ -285,6 +285,60 @@ Status DecodeFastLanesSimd(const enc::FastLanesColumn& col, size_t begin,
   return Status::Ok();
 }
 
+/// Variable-width RLBE slice (Section III-C): resynchronizes at the
+/// nearest anchor and decodes only positions [begin, end); scanning skips
+/// codewords without reconstructing values.
+Status DecodeRlbeSlice(const uint8_t* data, size_t size, uint32_t count,
+                       size_t begin, size_t end, DecodedColumn* out) {
+  Result<enc::RlbeColumn> parsed = enc::RlbeColumn::Parse(data, size);
+  if (!parsed.ok()) return parsed.status();
+  const enc::RlbeColumn& col = parsed.value();
+  if (col.count() != count) return Status::Corruption("rlbe count");
+  uint32_t stride = std::max<uint32_t>(1024, count / 16);
+  Result<std::vector<enc::RlbeColumn::Anchor>> anchors =
+      col.ScanAnchors(stride);
+  if (!anchors.ok()) return anchors.status();
+  const enc::RlbeColumn::Anchor* best = &anchors.value()[0];
+  for (const auto& a : anchors.value()) {
+    if (a.value_index <= std::max<size_t>(begin, 1)) best = &a;
+  }
+  out->narrow = false;
+  out->offsets.clear();
+  out->values64.resize(end - begin);
+  std::vector<int64_t> tail(end - best->value_index);
+  ETSQP_RETURN_IF_ERROR(
+      col.DecodeFrom(*best, static_cast<uint32_t>(end), tail.data()));
+  if (begin == 0) {
+    out->values64[0] = col.first_value();
+    std::copy(tail.begin(), tail.begin() + (end - 1),
+              out->values64.begin() + 1);
+  } else {
+    std::copy(tail.begin() + (begin - best->value_index), tail.end(),
+              out->values64.begin());
+  }
+  return Status::Ok();
+}
+
+/// StreamVByte's shuffle-LUT decode (two PSHUFB per 4-delta group) plus
+/// prefix sum over the whole column.
+Status DecodeStreamVByteSimd(const uint8_t* data, size_t size, uint32_t count,
+                             DecodedColumn* out) {
+  Result<enc::StreamVByteColumn> parsed =
+      enc::StreamVByteColumn::Parse(data, size);
+  if (!parsed.ok()) return parsed.status();
+  const enc::StreamVByteColumn& col = parsed.value();
+  if (col.count() != count) return Status::Corruption("streamvbyte count");
+  out->narrow = false;
+  out->values64.resize(count);
+  if (count > 0 &&
+      !simd::StreamVByteDecodeSse(col.control(), col.control_bytes(),
+                                  col.data(), col.data_bytes(), count - 1,
+                                  col.first_value(), out->values64.data())) {
+    return Status::Corruption("streamvbyte: data truncated");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status DecodeColumnRange(const uint8_t* data, size_t size,
@@ -305,6 +359,7 @@ Status DecodeColumnRange(const uint8_t* data, size_t size,
                            ordered, out);
     }
     case enc::ColumnEncoding::kFastLanes: {
+      if (strategy == DecodeStrategy::kSerial) break;  // reference decoder
       Result<enc::FastLanesColumn> parsed =
           enc::FastLanesColumn::Parse(data, size);
       if (!parsed.ok()) return parsed.status();
@@ -314,27 +369,22 @@ Status DecodeColumnRange(const uint8_t* data, size_t size,
       metrics::ScopedStageTimer timer(stages, metrics::Stage::kUnpack);
       timer.AddTuples(end > begin ? end - begin : 0);
       timer.AddBytes(size);
-      if (strategy == DecodeStrategy::kSerial) {
-        out->narrow = false;
-        out->offsets.clear();
-        out->values64.resize(count);
-        ETSQP_RETURN_IF_ERROR(parsed.value().DecodeAll(out->values64.data()));
-        if (begin != 0 || end != count) {
-          out->values64.erase(out->values64.begin() + end,
-                              out->values64.end());
-          out->values64.erase(out->values64.begin(),
-                              out->values64.begin() + begin);
-        }
-        return Status::Ok();
-      }
       return DecodeFastLanesSimd(parsed.value(), begin, end, out);
+    }
+    case enc::ColumnEncoding::kRlbe: {
+      if (begin == 0 && end == count) break;  // reference decoder
+      metrics::ScopedStageTimer timer(stages, metrics::Stage::kUnpack);
+      timer.AddTuples(count);
+      timer.AddBytes(size);
+      return DecodeRlbeSlice(data, size, count, begin, end, out);
     }
     default:
       break;
   }
   // Non-block-sliceable encodings: decode fully, then cut the range.
   // Delta-RLE records its own unpack/flatten split; the rest count whole
-  // under the unpack stage.
+  // under the unpack stage. An encoding without a vectorized kernel here
+  // runs the storage layer's reference decoder.
   DecodedColumn full;
   {
     metrics::ScopedStageTimer timer(
@@ -342,109 +392,17 @@ Status DecodeColumnRange(const uint8_t* data, size_t size,
         metrics::Stage::kUnpack);
     timer.AddTuples(count);
     timer.AddBytes(size);
-    switch (encoding) {
-      case enc::ColumnEncoding::kDeltaRle:
-        ETSQP_RETURN_IF_ERROR(
-            DecodeDeltaRle(data, size, count, strategy, &full, stages));
-        break;
-    case enc::ColumnEncoding::kRlbe: {
-      Result<enc::RlbeColumn> parsed = enc::RlbeColumn::Parse(data, size);
-      if (!parsed.ok()) return parsed.status();
-      const enc::RlbeColumn& col = parsed.value();
-      if (col.count() != count) return Status::Corruption("rlbe count");
-      if (begin > 0 || end < count) {
-        // Variable-width slice (Section III-C): resynchronize at the
-        // nearest anchor and decode only the requested range — scanning
-        // skips codewords without reconstructing values.
-        uint32_t stride = std::max<uint32_t>(1024, count / 16);
-        Result<std::vector<enc::RlbeColumn::Anchor>> anchors =
-            col.ScanAnchors(stride);
-        if (!anchors.ok()) return anchors.status();
-        const enc::RlbeColumn::Anchor* best = &anchors.value()[0];
-        for (const auto& a : anchors.value()) {
-          if (a.value_index <= std::max<size_t>(begin, 1)) best = &a;
-        }
-        out->narrow = false;
-        out->offsets.clear();
-        out->values64.resize(end - begin);
-        std::vector<int64_t> tail(end - best->value_index);
-        ETSQP_RETURN_IF_ERROR(col.DecodeFrom(
-            *best, static_cast<uint32_t>(end), tail.data()));
-        if (begin == 0) {
-          out->values64[0] = col.first_value();
-          std::copy(tail.begin(), tail.begin() + (end - 1), 
-                    out->values64.begin() + 1);
-        } else {
-          std::copy(tail.begin() + (begin - best->value_index), tail.end(),
-                    out->values64.begin());
-        }
-        return Status::Ok();
-      }
-      full.narrow = false;
-      full.values64.resize(count);
-      ETSQP_RETURN_IF_ERROR(col.DecodeAll(full.values64.data()));
-      break;
-    }
-    case enc::ColumnEncoding::kSprintz: {
-      Result<enc::SprintzColumn> parsed =
-          enc::SprintzColumn::Parse(data, size);
-      if (!parsed.ok()) return parsed.status();
-      if (parsed.value().count() != count) {
-        return Status::Corruption("sprintz count");
-      }
-      full.narrow = false;
-      full.values64.resize(count);
-      ETSQP_RETURN_IF_ERROR(parsed.value().DecodeAll(full.values64.data()));
-      break;
-    }
-    case enc::ColumnEncoding::kGorilla: {
-      enc::EncodedColumn col;
-      col.encoding = enc::ColumnEncoding::kGorilla;
-      col.count = count;
-      col.bytes.assign(data, data + size);
-      full.narrow = false;
-      full.values64.resize(count);
+    if (encoding == enc::ColumnEncoding::kDeltaRle) {
       ETSQP_RETURN_IF_ERROR(
-          enc::GorillaTimestampDecode(col, full.values64.data()));
-      break;
-    }
-    case enc::ColumnEncoding::kStreamVByte: {
-      Result<enc::StreamVByteColumn> parsed =
-          enc::StreamVByteColumn::Parse(data, size);
-      if (!parsed.ok()) return parsed.status();
-      const enc::StreamVByteColumn& col = parsed.value();
-      if (col.count() != count) {
-        return Status::Corruption("streamvbyte count");
-      }
+          DecodeDeltaRle(data, size, count, strategy, &full, stages));
+    } else if (encoding == enc::ColumnEncoding::kStreamVByte &&
+               strategy != DecodeStrategy::kSerial && UseAvx2()) {
+      ETSQP_RETURN_IF_ERROR(DecodeStreamVByteSimd(data, size, count, &full));
+    } else {
       full.narrow = false;
       full.values64.resize(count);
-      if (count == 0) break;
-      if (strategy != DecodeStrategy::kSerial && UseAvx2()) {
-        // Shuffle-LUT decode (two PSHUFB per 4-delta group) + prefix sum.
-        if (!simd::StreamVByteDecodeSse(col.control(), col.control_bytes(),
-                                        col.data(), col.data_bytes(),
-                                        count - 1, col.first_value(),
-                                        full.values64.data())) {
-          return Status::Corruption("streamvbyte: data truncated");
-        }
-      } else {
-        ETSQP_RETURN_IF_ERROR(col.DecodeAll(full.values64.data()));
-      }
-      break;
-    }
-    case enc::ColumnEncoding::kPlain: {
-      if (size < static_cast<size_t>(count) * 8) {
-        return Status::Corruption("plain: truncated");
-      }
-      full.narrow = false;
-      full.values64.resize(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        full.values64[i] = static_cast<int64_t>(GetFixed64BE(data + i * 8));
-      }
-      break;
-    }
-    default:
-      return Status::NotSupported("decode for this encoding");
+      ETSQP_RETURN_IF_ERROR(storage::DecodePageColumn(
+          data, size, encoding, count, full.values64.data()));
     }
   }
   if (begin == 0 && end == full.size()) {

@@ -15,7 +15,6 @@
 #include "exec/fusion.h"
 #include "exec/pipe_builder.h"
 #include "exec/pipeline_job.h"
-#include "exec/tail_kernel.h"
 #include "simd/filter_simd.h"
 #include "simd/merge_simd.h"
 #include "storage/page_builder.h"
@@ -121,7 +120,18 @@ struct AggSink {
   }
 };
 
-// Encoded page slice -> sink: the vectorized kernels, named once each.
+/// One input's page vector inside a merge node: the decoded (time, value)
+/// tuples of one page that pass the value filter and `trange` (the plan's
+/// time filter, clipped to the range job when the page straddles a cut).
+/// Reused page after page, so it stays cache-resident.
+struct PageVector {
+  using Value = int64_t;
+  TimeRange trange;
+  std::vector<int64_t> times;
+  std::vector<int64_t> values;
+};
+
+// Encoded int page slice -> sink: the vectorized kernels, named once each.
 Status DrainSlice(const storage::Page& page, size_t begin, size_t end,
                   const LogicalPlan& plan, const PipelineOptions& opt,
                   AggSink<AggAccum>* sink, QueryStats* stats) {
@@ -136,66 +146,83 @@ Status DrainSlice(const storage::Page& page, size_t begin, size_t end,
 
 Status DrainSlice(const storage::Page& page, size_t begin, size_t end,
                   const LogicalPlan& plan, const PipelineOptions& opt,
-                  AggSink<FloatAggAccum>* sink, QueryStats* stats) {
-  return plan.window.active
-             ? AggregateFloatSliceWindows(page, begin, end, plan.time_filter,
-                                          plan.value_filter, plan.window,
-                                          plan.func, opt, &sink->windows,
-                                          stats)
-             : AggregateFloatSlice(page, begin, end, plan.time_filter,
-                                   plan.value_filter, plan.func, opt,
-                                   &sink->total, stats);
-}
-
-/// One input's page vector inside a merge node: the decoded (time, value)
-/// tuples of one page that pass the value filter and `trange` (the plan's
-/// time filter, clipped to the range job when the page straddles a cut).
-/// Reused page after page, so it stays cache-resident.
-struct PageVector {
-  using Value = int64_t;
-  TimeRange trange;
-  std::vector<int64_t> times;
-  std::vector<int64_t> values;
-};
-
-Status DrainSlice(const storage::Page& page, size_t begin, size_t end,
-                  const LogicalPlan& plan, const PipelineOptions& opt,
                   PageVector* sink, QueryStats* stats) {
   return MaterializeSlice(page, begin, end, sink->trange, plan.value_filter,
                           opt, &sink->times, &sink->values, stats);
 }
 
-// Raw (time, value) arrays -> sink: the scalar kernels that drain the
-// unsealed tail and the survivors of a tombstone-masked page.
-Status DrainRaw(const int64_t* times, const int64_t* values, size_t n,
-                const LogicalPlan& plan, const PipelineOptions& opt,
-                AggSink<AggAccum>* sink, QueryStats* stats) {
-  return plan.window.active
-             ? TailAggregateWindows(times, values, n, plan.time_filter,
-                                    plan.value_filter, plan.window, plan.func,
-                                    opt, &sink->windows, stats)
-             : TailAggregate(times, values, n, plan.time_filter,
-                             plan.value_filter, plan.func, opt, &sink->total,
-                             stats);
+/// The value filter on a decoded value: integers compare exactly, doubles
+/// against the widened int64 bounds (a NaN passes, as in every float
+/// drain).
+bool PassesValueFilter(const ValueRange& vrange, int64_t v) {
+  return vrange.Contains(v);
+}
+bool PassesValueFilter(const ValueRange& vrange, double v) {
+  return !vrange.active || !(v < static_cast<double>(vrange.lo) ||
+                             v > static_cast<double>(vrange.hi));
 }
 
-Status DrainRaw(const int64_t* times, const double* values, size_t n,
+/// Raw (time, value) arrays -> sink: the one scalar drain for every job the
+/// slice kernels do not take. The XOR float codecs and a raw tail give the
+/// vector units nothing to do. `times` ascend (Definition 1), so the time
+/// filter is two binary searches. An aggregate folds the passing values
+/// into its total or windows. A page vector appends them, and counts both
+/// columns as scanned, like MaterializeSlice.
+template <typename Value, typename Sink>
+Status DrainRaw(const int64_t* times, const Value* values, size_t n,
                 const LogicalPlan& plan, const PipelineOptions& opt,
-                AggSink<FloatAggAccum>* sink, QueryStats* stats) {
-  return plan.window.active
-             ? TailAggregateWindowsF64(times, values, n, plan.time_filter,
-                                       plan.value_filter, plan.window,
-                                       plan.func, opt, &sink->windows, stats)
-             : TailAggregateF64(times, values, n, plan.time_filter,
-                                plan.value_filter, plan.func, opt,
-                                &sink->total, stats);
-}
-
-Status DrainRaw(const int64_t* times, const int64_t* values, size_t n,
-                const LogicalPlan& plan, const PipelineOptions& opt,
-                PageVector* sink, QueryStats* stats) {
-  return TailMaterialize(times, values, n, sink->trange, plan.value_filter,
-                         opt, &sink->times, &sink->values, stats);
+                Sink* sink, QueryStats* stats) {
+  constexpr bool kRows = std::is_same_v<Sink, PageVector>;
+  TimeRange trange = plan.time_filter;
+  if constexpr (kRows) {
+    trange = sink->trange;
+  } else if (plan.window.active) {
+    trange.lo = std::max(trange.lo, plan.window.t_min);
+  }
+  const size_t begin = std::lower_bound(times, times + n, trange.lo) - times;
+  const size_t end = std::max<size_t>(
+      begin, std::upper_bound(times, times + n, trange.hi) - times);
+  stats->tuples_scanned += (kRows ? 2 : 1) * (end - begin);
+  ScopedStageTimer timer(StagesOf(opt, stats),
+                         kRows ? Stage::kFilter : Stage::kAggregate);
+  timer.AddTuples(end - begin);
+  const ValueRange& vrange = plan.value_filter;
+  if constexpr (kRows) {
+    for (size_t i = begin; i < end; ++i) {
+      if (!PassesValueFilter(vrange, values[i])) continue;
+      sink->times.push_back(times[i]);
+      sink->values.push_back(values[i]);
+    }
+  } else {
+    const bool need_sq = plan.func == AggFunc::kVariance;
+    if (!plan.window.active) {
+      for (size_t i = begin; i < end; ++i) {
+        if (PassesValueFilter(vrange, values[i])) {
+          sink->total.AddValue(values[i], need_sq);
+        }
+      }
+      return Status::Ok();
+    }
+    const SlidingWindow& sw = plan.window;
+    size_t pos = begin;
+    while (pos < end) {
+      const int64_t k = sw.WindowIndex(times[pos]);
+      const size_t pend =
+          std::lower_bound(times + pos, times + end, sw.WindowStart(k + 1)) -
+          times;
+      decltype(sink->total) acc;
+      for (size_t i = pos; i < pend; ++i) {
+        if (PassesValueFilter(vrange, values[i])) {
+          acc.AddValue(values[i], need_sq);
+        }
+      }
+      // A window appears only once a value passes, so the answer never
+      // depends on page boundaries or header pruning.
+      if (acc.count > 0) sink->windows[k].Merge(acc);
+      pos = pend;
+    }
+  }
+  return Status::Ok();
 }
 
 /// The snapshot's unsealed tail values of type `Value`.
@@ -225,76 +252,89 @@ Result<std::shared_ptr<const storage::Page>> JobPage(
   return page;
 }
 
-/// Decodes a tombstone-masked page in full and drops deleted timestamps in
-/// place. Survivors drain through the raw-array kernels — correctness over
-/// speed on the (transient) partially deleted page; the next compaction
-/// pass erases the mask and restores the vectorized path.
+/// Decodes a whole page into raw arrays for DrainRaw: a float page, or a
+/// tombstone-masked page (`tombstones` non-null), whose deleted timestamps
+/// are dropped in place. The next compaction erases the mask and restores
+/// the slice kernels. The time column, and an int value column, decode
+/// with the job's strategy; the whole decode is the unpack stage.
 template <typename Value>
-Status DecodeMaskedPage(const storage::Page& page,
-                        const std::vector<storage::TimeInterval>& tombstones,
-                        std::vector<int64_t>* times,
-                        std::vector<Value>* values, uint64_t* dropped) {
+Status DecodePage(const storage::Page& page,
+                  const std::vector<storage::TimeInterval>* tombstones,
+                  const PipelineOptions& opt, std::vector<int64_t>* times,
+                  std::vector<Value>* values, QueryStats* stats) {
   const uint32_t n = page.header.count;
   times->resize(n);
   values->resize(n);
-  ETSQP_RETURN_IF_ERROR(storage::DecodePageColumn(
-      page.time_data, page.header.time_encoding, n, times->data()));
-  if constexpr (std::is_same_v<Value, double>) {
-    ETSQP_RETURN_IF_ERROR(storage::DecodePageColumnF64(
-        page.value_data, page.header.value_encoding, n, values->data()));
-  } else {
-    ETSQP_RETURN_IF_ERROR(storage::DecodePageColumn(
-        page.value_data, page.header.value_encoding, n, values->data()));
+  {
+    ScopedStageTimer timer(StagesOf(opt, stats), Stage::kUnpack);
+    timer.AddTuples(n);
+    timer.AddBytes(page.encoded_bytes());
+    DecodedColumn col;
+    ETSQP_RETURN_IF_ERROR(DecodeColumn(
+        page.time_data.data(), page.time_data.size(),
+        page.header.time_encoding, n, opt.strategy, opt.n_v, &col));
+    col.Materialize(times->data());
+    if constexpr (std::is_same_v<Value, double>) {
+      ETSQP_RETURN_IF_ERROR(storage::DecodePageColumnF64(
+          page.value_data.data(), page.value_data.size(),
+          page.header.value_encoding, n, values->data()));
+    } else {
+      ETSQP_RETURN_IF_ERROR(DecodeColumn(
+          page.value_data.data(), page.value_data.size(),
+          page.header.value_encoding, n, opt.strategy, opt.n_v, &col));
+      col.Materialize(values->data());
+    }
   }
+  if (tombstones == nullptr) return Status::Ok();
   // Two-pointer filter: page times ascend, tombstones are sorted/disjoint.
   size_t w = 0, ti = 0;
   for (size_t i = 0; i < n; ++i) {
     int64_t t = (*times)[i];
-    while (ti < tombstones.size() && tombstones[ti].hi < t) ++ti;
-    if (ti < tombstones.size() && t >= tombstones[ti].lo) continue;
+    while (ti < tombstones->size() && (*tombstones)[ti].hi < t) ++ti;
+    if (ti < tombstones->size() && t >= (*tombstones)[ti].lo) continue;
     (*times)[w] = t;
     (*values)[w] = (*values)[i];
     ++w;
   }
-  *dropped += n - w;
+  stats->tuples_scanned += n - w;
+  stats->deleted_tuples_masked += n - w;
   times->resize(w);
   values->resize(w);
   return Status::Ok();
 }
 
-/// Runs one pipeline job into `sink`: a page slice through the vectorized
-/// kernels; the tail, and a masked page decoded into raw arrays, through
-/// the raw-array kernels.
+/// Runs one pipeline job into `sink`. A sealed, unmasked int page slice
+/// runs the vectorized slice kernels. Everything else drains as raw arrays
+/// through DrainRaw: the unsealed tail, and a masked or float page decoded
+/// whole.
 template <typename Sink>
 Status DrainJob(const PipeJob& job, const storage::SeriesSnapshot& snap,
                 const LogicalPlan& plan, const PipelineOptions& opt,
                 Sink* sink, QueryStats* stats) {
   using Value = typename Sink::Value;
   if (job.tail) {
-    return DrainRaw(snap.tail_times.data(), TailValues<Value>(snap),
-                    snap.tail_times.size(), plan, opt, sink, stats);
+    const uint64_t scanned = stats->tuples_scanned;
+    Status st = DrainRaw(snap.tail_times.data(), TailValues<Value>(snap),
+                         snap.tail_times.size(), plan, opt, sink, stats);
+    stats->tail_tuples_scanned += stats->tuples_scanned - scanned;
+    return st;
   }
   Result<std::shared_ptr<const storage::Page>> page =
       JobPage(snap, job.page_index, opt, stats);
   if (!page.ok()) return page.status();
-  if (!job.masked) {
-    return DrainSlice(*page.value(), job.begin, job.end, plan, opt, sink,
-                      stats);
+  if constexpr (std::is_same_v<Value, int64_t>) {
+    if (!job.masked) {
+      return DrainSlice(*page.value(), job.begin, job.end, plan, opt, sink,
+                        stats);
+    }
   }
   std::vector<int64_t> times;
   std::vector<Value> values;
-  uint64_t dropped = 0;
-  const uint64_t tail_scanned = stats->tail_tuples_scanned;
-  Status st = DecodeMaskedPage(*page.value(), snap.tombstones, &times,
-                               &values, &dropped);
-  if (st.ok()) {
-    st = DrainRaw(times.data(), values.data(), times.size(), plan, opt, sink,
+  ETSQP_RETURN_IF_ERROR(DecodePage(*page.value(),
+                                   job.masked ? &snap.tombstones : nullptr,
+                                   opt, &times, &values, stats));
+  return DrainRaw(times.data(), values.data(), times.size(), plan, opt, sink,
                   stats);
-  }
-  stats->tail_tuples_scanned = tail_scanned;  // page tuples, not tail tuples
-  stats->tuples_scanned += dropped;
-  stats->deleted_tuples_masked += dropped;
-  return st;
 }
 
 /// Aggregation over one input: every job drains into a job-local sink,

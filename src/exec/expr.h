@@ -148,9 +148,9 @@ struct ExecStats {
   uint64_t tuples_scanned = 0;  // actually decoded/inspected
   uint64_t bytes_loaded = 0;    // encoded payload bytes touched
   uint64_t result_tuples = 0;
-  // Streaming-ingest tail (unsealed in-memory points served by the scalar
-  // tail kernels). tail_tuples counts tail points visible to the scan;
-  // tail_tuples_scanned the subset the tail kernels actually inspected
+  // Streaming-ingest tail (unsealed in-memory points served by the raw-array
+  // drain). tail_tuples counts tail points visible to the scan;
+  // tail_tuples_scanned the subset the drain actually inspected
   // (also included in tuples_scanned, which stays the grand total).
   uint64_t tail_tuples = 0;
   uint64_t tail_tuples_scanned = 0;

@@ -73,7 +73,7 @@ struct SurvivingPages {
 /// headers — resident for every store, so no payload is read here. A page
 /// whose whole [min_time, max_time] sits inside a tombstone is pruned like
 /// a header miss; a partially covered page survives but is flagged masked
-/// (scalar drain with per-tuple tombstone filtering).
+/// (decoded whole, deleted tuples dropped before the raw-array drain).
 void CollectPages(const storage::SeriesSnapshot& snap, const TimeRange& trange,
                   const ValueRange& vrange, bool prune_values,
                   SurvivingPages* out, QueryStats* stats) {
@@ -119,7 +119,9 @@ void CollectPages(const storage::SeriesSnapshot& snap, const TimeRange& trange,
 /// decision per page class, masked pages whole, the rest sliced across
 /// `threads` cores (Lines 5-6 of Algorithm 2; a single core never slices).
 /// A lazily loaded input never slices either: whole-page jobs keep one
-/// buffer-pool fetch per page.
+/// buffer-pool fetch per page. Nor does a float input: a float page
+/// decodes whole (its XOR value column is one serial stream), so each
+/// slice would decode the whole page again.
 void AppendPageJobs(int in, const SurvivingPages& kept,
                     const storage::SeriesSnapshot& snap, int threads,
                     DecisionCache* decisions, PipelineSpec* spec) {
@@ -138,10 +140,10 @@ void AppendPageJobs(int in, const SurvivingPages& kept,
                                  .min_time = h.min_time,
                                  .max_time = h.max_time});
   };
-  if (snap.lazy()) threads = 1;
+  if (snap.lazy() || snap.is_float) threads = 1;
   // Registry lookup per surviving page (memoized per page class). Masked
-  // pages bypass the registry — they drain through the scalar masked
-  // path, not a vectorized kernel.
+  // pages bypass the registry: they decode whole and drain as raw arrays,
+  // not through a scheduled kernel.
   std::vector<int> page_decisions(kept.indices.size(), -1);
   for (size_t p = 0; p < kept.indices.size(); ++p) {
     if (kept.masked[p] != 0) continue;
@@ -315,7 +317,7 @@ Result<PipelineSpec> BuildPipeline(
     AppendPageJobs(static_cast<int>(in), kept, snap,
                    merge_plan ? 1 : options.threads, &decisions, &spec);
     // The unsealed tail rides behind the sealed pages of its input: one
-    // scalar job, emitted last so the input's jobs stay in time order. Tail
+    // raw-array job, emitted last so the input's jobs stay in time order. Tail
     // tuples count into tuples_in_pages (they are part of the scan's input
     // volume) and into the tail_tuples breakout.
     if (snap.has_tail()) {

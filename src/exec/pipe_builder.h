@@ -30,7 +30,7 @@ namespace etsqp::exec {
 
 /// One decoding-pipeline job: a slice of one page of one input series, or
 /// (when `tail` is set) the unsealed in-memory tail of that input — the
-/// streaming-ingest buffer drained by the scalar tail kernels. Each input's
+/// streaming-ingest buffer, drained as raw arrays. Each input's
 /// jobs are contiguous and in time order: its pages, then its tail.
 struct PipeJob {
   int input = 0;  // 0 = plan.series, 1 = plan.series_right
@@ -42,9 +42,9 @@ struct PipeJob {
   /// (options.use_registry); -1 = run the options' pinned strategy.
   int decision = -1;
   /// A tombstone partially covers the page: the job decodes the whole page
-  /// and filters deleted timestamps before aggregating (scalar masked
-  /// drain), instead of running the vectorized slice kernels. Masked jobs
-  /// are never sliced.
+  /// and filters deleted timestamps before draining it as raw arrays,
+  /// instead of running the vectorized slice kernels. Masked jobs, like
+  /// float-page jobs, are never sliced.
   bool masked = false;
   /// Header time bounds of the page (or of the tail): what the merge node
   /// compares before deciding to decode.

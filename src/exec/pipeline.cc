@@ -7,10 +7,8 @@
 #include "common/metrics.h"
 #include "exec/fusion.h"
 #include "exec/pruning.h"
-#include "exec/tail_kernel.h"
 #include "simd/agg_simd.h"
 #include "simd/filter_simd.h"
-#include "storage/page_builder.h"
 
 namespace etsqp::exec {
 
@@ -32,7 +30,7 @@ metrics::StageBreakdown* StagesOf(const PipelineOptions& opt,
   return (opt.collect_stats && stats != nullptr) ? &stats->stages : nullptr;
 }
 
-int32_t ClampToInt32(int64_t v) {
+int32_t ClampToInt32(__int128 v) {
   if (v > std::numeric_limits<int32_t>::max()) {
     return std::numeric_limits<int32_t>::max();
   }
@@ -94,6 +92,16 @@ Status SlicePositions(const storage::Page& page, size_t begin, size_t end,
   return Status::Ok();
 }
 
+/// Positions [*begin, *end) of the sorted `times[0, n)` that a windowed
+/// aggregate reads: inside `trange` and at or after window 0's start.
+void WindowBounds(const int64_t* times, size_t n, const TimeRange& trange,
+                  const SlidingWindow& sw, size_t* begin, size_t* end) {
+  *begin = std::lower_bound(times, times + n, std::max(trange.lo, sw.t_min)) -
+           times;
+  *end = std::max<size_t>(
+      *begin, std::upper_bound(times, times + n, trange.hi) - times);
+}
+
 /// Whether `func` consumes min/max (others skip that pass entirely).
 bool NeedsMinMax(AggFunc func) {
   return func == AggFunc::kMin || func == AggFunc::kMax;
@@ -130,12 +138,8 @@ void AggDecodedFiltered(const DecodedColumn& col, const ValueRange& vrange,
   if (n == 0) return;
   const bool need_sq = func == AggFunc::kVariance;
   if (col.narrow && !need_sq) {
-    int32_t rel_lo = ClampToInt32(vrange.lo == std::numeric_limits<int64_t>::min()
-                                      ? std::numeric_limits<int64_t>::min()
-                                      : vrange.lo - col.base);
-    int32_t rel_hi = ClampToInt32(vrange.hi == std::numeric_limits<int64_t>::max()
-                                      ? std::numeric_limits<int64_t>::max()
-                                      : vrange.hi - col.base);
+    int32_t rel_lo = ClampToInt32(static_cast<__int128>(vrange.lo) - col.base);
+    int32_t rel_hi = ClampToInt32(static_cast<__int128>(vrange.hi) - col.base);
     std::vector<uint64_t> mask(CeilDiv(n, 64));
     ScopedStageTimer filter_timer(stages, Stage::kFilter);
     filter_timer.AddTuples(n);
@@ -365,43 +369,6 @@ Status FloatAggAccum::Finalize(AggFunc func, double* out) const {
   return Status::Internal("unknown aggregate");
 }
 
-Status AggregateFloatSlice(const storage::Page& page, size_t begin,
-                           size_t end, const TimeRange& trange,
-                           const ValueRange& vrange, AggFunc func,
-                           const PipelineOptions& opt, FloatAggAccum* accum,
-                           QueryStats* stats) {
-  size_t p0 = 0, p1 = 0;
-  ETSQP_RETURN_IF_ERROR(
-      SlicePositions(page, begin, end, trange, opt, &p0, &p1, stats));
-  if (p0 >= p1) return Status::Ok();
-  metrics::StageBreakdown* stages = StagesOf(opt, stats);
-  // XOR-pattern codecs are serial streams: decode the whole column once,
-  // then aggregate the slice positions.
-  std::vector<double> values(page.header.count);
-  {
-    ScopedStageTimer timer(stages, Stage::kUnpack);
-    timer.AddTuples(page.header.count);
-    timer.AddBytes(page.value_data.size());
-    ETSQP_RETURN_IF_ERROR(storage::DecodePageColumnF64(
-        page.value_data, page.header.value_encoding, page.header.count,
-        values.data()));
-  }
-  if (stats != nullptr) stats->tuples_scanned += p1 - p0;
-  const bool need_sq = func == AggFunc::kVariance;
-  double lo = vrange.active ? static_cast<double>(vrange.lo)
-                            : -std::numeric_limits<double>::infinity();
-  double hi = vrange.active ? static_cast<double>(vrange.hi)
-                            : std::numeric_limits<double>::infinity();
-  ScopedStageTimer timer(stages, Stage::kAggregate);
-  timer.AddTuples(p1 - p0);
-  for (size_t i = p0; i < p1; ++i) {
-    double v = values[i];
-    if (v < lo || v > hi) continue;
-    accum->AddValue(v, need_sq);
-  }
-  return Status::Ok();
-}
-
 Status AggregateSlice(const storage::Page& page, size_t begin, size_t end,
                       const TimeRange& trange, const ValueRange& vrange,
                       AggFunc func, const PipelineOptions& opt,
@@ -456,44 +423,6 @@ Status AggregateSliceWindows(const storage::Page& page, size_t begin,
     if (local.count > 0) (*windows)[k].Merge(local);
     pos = pend;
   }
-  return Status::Ok();
-}
-
-Status AggregateFloatSliceWindows(const storage::Page& page, size_t begin,
-                                  size_t end, const TimeRange& trange,
-                                  const ValueRange& vrange,
-                                  const SlidingWindow& sw, AggFunc func,
-                                  const PipelineOptions& opt,
-                                  std::map<int64_t, FloatAggAccum>* windows,
-                                  QueryStats* stats) {
-  end = std::min<size_t>(end, page.header.count);
-  if (begin >= end) return Status::Ok();
-  metrics::StageBreakdown* stages = StagesOf(opt, stats);
-  DecodedColumn times;
-  ETSQP_RETURN_IF_ERROR(DecodeColumnRange(
-      page.time_data.data(), page.time_data.size(),
-      page.header.time_encoding, page.header.count, opt.strategy, opt.n_v,
-      begin, end, &times, /*ordered=*/true, stages));
-  size_t n = times.size();
-  if (n == 0) return Status::Ok();
-  std::vector<int64_t> t(n);
-  times.Materialize(t.data());
-  std::vector<double> values(page.header.count);
-  {
-    ScopedStageTimer timer(stages, Stage::kUnpack);
-    timer.AddTuples(page.header.count);
-    timer.AddBytes(page.value_data.size());
-    ETSQP_RETURN_IF_ERROR(storage::DecodePageColumnF64(
-        page.value_data, page.header.value_encoding, page.header.count,
-        values.data()));
-  }
-  if (stats != nullptr) stats->tuples_scanned += 2 * n;
-  ScopedStageTimer timer(stages, Stage::kAggregate);
-  size_t pos = 0, stop = 0;
-  WindowBounds(t.data(), n, trange, sw, &pos, &stop);
-  timer.AddTuples(stop - pos);
-  AddToWindows(t.data(), values.data() + begin, pos, stop, vrange, sw,
-               func == AggFunc::kVariance, windows);
   return Status::Ok();
 }
 

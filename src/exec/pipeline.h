@@ -146,24 +146,6 @@ struct FloatAggAccum {
   Status Finalize(AggFunc func, double* out) const;
 };
 
-/// Aggregation over a float-valued page slice (kGorillaValue / kChimpValue /
-/// kElfValue value columns). The time column pipeline is shared with the
-/// integer path; the value filter compares doubles against the int64 range.
-Status AggregateFloatSlice(const storage::Page& page, size_t begin,
-                           size_t end, const TimeRange& trange,
-                           const ValueRange& vrange, AggFunc func,
-                           const PipelineOptions& opt, FloatAggAccum* accum,
-                           QueryStats* stats);
-
-/// Sliding-window variant for float-valued pages.
-Status AggregateFloatSliceWindows(const storage::Page& page, size_t begin,
-                                  size_t end, const TimeRange& trange,
-                                  const ValueRange& vrange,
-                                  const SlidingWindow& sw, AggFunc func,
-                                  const PipelineOptions& opt,
-                                  std::map<int64_t, FloatAggAccum>* windows,
-                                  QueryStats* stats);
-
 /// Appends the (time, value) tuples of positions [begin, end) that satisfy
 /// the filters — a sealed page's page vector in a SELECT / union / join /
 /// projection / correlate merge node.

@@ -160,8 +160,8 @@ class XorFloatEntry : public SchedulerEntry {
   }
 };
 
-/// The unsealed in-memory tail: raw arrays drained by the scalar tail
-/// kernels (exec/tail_kernel.h). Only entry for unsealed classes.
+/// The unsealed in-memory tail: raw arrays drained by the engine's scalar
+/// raw-array drain. Only entry for unsealed classes.
 class TailScalarEntry : public SchedulerEntry {
  public:
   const char* name() const override { return "tail.scalar"; }

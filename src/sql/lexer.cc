@@ -1,6 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace etsqp::sql {
 
@@ -58,7 +59,12 @@ Result<std::vector<Token>> Lex(const std::string& query) {
       size_t j = i + (c == '-' ? 1 : 0);
       while (j < n && std::isdigit(static_cast<unsigned char>(query[j]))) ++j;
       tok.kind = TokenKind::kNumber;
-      tok.number = std::stoll(query.substr(i, j - i));
+      const std::from_chars_result parsed =
+          std::from_chars(query.data() + i, query.data() + j, tok.number);
+      if (parsed.ec != std::errc()) {
+        return Status::InvalidArgument("sql: integer literal outside int64: " +
+                                       query.substr(i, j - i));
+      }
       i = j;
     } else {
       switch (c) {

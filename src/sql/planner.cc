@@ -1,6 +1,7 @@
 #include "sql/planner.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace etsqp::sql {
 
@@ -16,8 +17,17 @@ Result<exec::AggFunc> ResolveAggFunc(const std::string& name) {
   return Status::InvalidArgument("sql: unknown aggregate " + name);
 }
 
-/// Folds a comparison into an inclusive [lo, hi] range.
+/// Folds a comparison into an inclusive [lo, hi] range. `< INT64_MIN` and
+/// `> INT64_MAX` match nothing, so they empty the range (lo > hi).
 void FoldRange(const Comparison& cmp, int64_t* lo, int64_t* hi) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  if ((cmp.op == Comparison::Op::kLt && cmp.literal == kMin) ||
+      (cmp.op == Comparison::Op::kGt && cmp.literal == kMax)) {
+    *lo = kMax;
+    *hi = kMin;
+    return;
+  }
   switch (cmp.op) {
     case Comparison::Op::kLt:
       *hi = std::min(*hi, cmp.literal - 1);

@@ -163,16 +163,19 @@ Status Compactor::RunPass(const std::string& name,
     const Page& p = *pages[i];
     uint32_t n = p.header.count;
     tmp_t.resize(n);
-    Status st = DecodePageColumn(p.time_data, p.header.time_encoding, n,
+    Status st = DecodePageColumn(p.time_data.data(), p.time_data.size(),
+                                 p.header.time_encoding, n,
                                  tmp_t.data());
     if (st.ok()) {
       if (cap.is_float) {
         tmp_f.resize(n);
-        st = DecodePageColumnF64(p.value_data, p.header.value_encoding, n,
+        st = DecodePageColumnF64(p.value_data.data(), p.value_data.size(),
+                                 p.header.value_encoding, n,
                                  tmp_f.data());
       } else {
         tmp_i.resize(n);
-        st = DecodePageColumn(p.value_data, p.header.value_encoding, n,
+        st = DecodePageColumn(p.value_data.data(), p.value_data.size(),
+                              p.header.value_encoding, n,
                               tmp_i.data());
       }
     }

@@ -181,12 +181,12 @@ size_t EncodedColumnBytesF64(const double* values, size_t n,
   }
 }
 
-Status DecodePageColumnF64(const AlignedBuffer& data,
+Status DecodePageColumnF64(const uint8_t* data, size_t size,
                            enc::ColumnEncoding encoding, uint32_t count,
                            double* out) {
   enc::EncodedColumn col;
   col.count = count;
-  col.bytes.assign(data.data(), data.data() + data.size());
+  col.bytes.assign(data, data + size);
   switch (encoding) {
     case enc::ColumnEncoding::kGorillaValue:
       return enc::GorillaValueDecodeDoubles(col, out);
@@ -199,55 +199,52 @@ Status DecodePageColumnF64(const AlignedBuffer& data,
   }
 }
 
-Status DecodePageColumn(const AlignedBuffer& data, enc::ColumnEncoding encoding,
-                        uint32_t count, int64_t* out) {
+namespace {
+
+/// Parses a `Column` and decodes all of it into out[count]. A column that
+/// holds another count is corrupt: decoding it would overrun `out`.
+template <typename Column>
+Status DecodeParsed(const uint8_t* data, size_t size, uint32_t count,
+                    int64_t* out) {
+  Result<Column> col = Column::Parse(data, size);
+  if (!col.ok()) return col.status();
+  if (col.value().count() != count) {
+    return Status::Corruption("page column: count mismatch");
+  }
+  return col.value().DecodeAll(out);
+}
+
+}  // namespace
+
+Status DecodePageColumn(const uint8_t* data, size_t size,
+                        enc::ColumnEncoding encoding, uint32_t count,
+                        int64_t* out) {
   switch (encoding) {
-    case enc::ColumnEncoding::kTs2Diff: {
-      auto col = enc::Ts2DiffColumn::Parse(data.data(), data.size());
-      if (!col.ok()) return col.status();
-      return col.value().DecodeAll(out);
-    }
-    case enc::ColumnEncoding::kDeltaRle: {
-      auto col = enc::DeltaRleColumn::Parse(data.data(), data.size());
-      if (!col.ok()) return col.status();
-      return col.value().DecodeAll(out);
-    }
-    case enc::ColumnEncoding::kRlbe: {
-      auto col = enc::RlbeColumn::Parse(data.data(), data.size());
-      if (!col.ok()) return col.status();
-      return col.value().DecodeAll(out);
-    }
-    case enc::ColumnEncoding::kSprintz: {
-      auto col = enc::SprintzColumn::Parse(data.data(), data.size());
-      if (!col.ok()) return col.status();
-      return col.value().DecodeAll(out);
-    }
-    case enc::ColumnEncoding::kFastLanes: {
-      auto col = enc::FastLanesColumn::Parse(data.data(), data.size());
-      if (!col.ok()) return col.status();
-      return col.value().DecodeAll(out);
-    }
-    case enc::ColumnEncoding::kStreamVByte: {
-      auto col = enc::StreamVByteColumn::Parse(data.data(), data.size());
-      if (!col.ok()) return col.status();
-      if (col.value().count() != count) {
-        return Status::Corruption("streamvbyte: count mismatch");
-      }
-      return col.value().DecodeAll(out);
-    }
+    case enc::ColumnEncoding::kTs2Diff:
+      return DecodeParsed<enc::Ts2DiffColumn>(data, size, count, out);
+    case enc::ColumnEncoding::kDeltaRle:
+      return DecodeParsed<enc::DeltaRleColumn>(data, size, count, out);
+    case enc::ColumnEncoding::kRlbe:
+      return DecodeParsed<enc::RlbeColumn>(data, size, count, out);
+    case enc::ColumnEncoding::kSprintz:
+      return DecodeParsed<enc::SprintzColumn>(data, size, count, out);
+    case enc::ColumnEncoding::kFastLanes:
+      return DecodeParsed<enc::FastLanesColumn>(data, size, count, out);
+    case enc::ColumnEncoding::kStreamVByte:
+      return DecodeParsed<enc::StreamVByteColumn>(data, size, count, out);
     case enc::ColumnEncoding::kGorilla: {
       enc::EncodedColumn col;
       col.encoding = enc::ColumnEncoding::kGorilla;
       col.count = count;
-      col.bytes.assign(data.data(), data.data() + data.size());
+      col.bytes.assign(data, data + size);
       return enc::GorillaTimestampDecode(col, out);
     }
     case enc::ColumnEncoding::kPlain: {
-      if (data.size() < count * 8) {
+      if (size < static_cast<size_t>(count) * 8) {
         return Status::Corruption("plain: truncated");
       }
       for (uint32_t i = 0; i < count; ++i) {
-        out[i] = static_cast<int64_t>(GetFixed64BE(data.data() + i * 8));
+        out[i] = static_cast<int64_t>(GetFixed64BE(data + i * 8));
       }
       return Status::Ok();
     }

@@ -28,12 +28,14 @@ Result<Page> BuildPageF64(const int64_t* times, const double* values,
                           size_t n, const PageOptions& options);
 
 /// Reference full decode of a float value column.
-Status DecodePageColumnF64(const AlignedBuffer& data, enc::ColumnEncoding enc,
-                           uint32_t count, double* out);
+Status DecodePageColumnF64(const uint8_t* data, size_t size,
+                           enc::ColumnEncoding enc, uint32_t count,
+                           double* out);
 
-/// Reference full decode of a page's columns (any supported encoding).
-Status DecodePageColumn(const AlignedBuffer& data, enc::ColumnEncoding enc,
-                        uint32_t count, int64_t* out);
+/// Reference full decode of a page's columns (any supported encoding) into
+/// out[count]; Corruption when the column holds another count.
+Status DecodePageColumn(const uint8_t* data, size_t size,
+                        enc::ColumnEncoding enc, uint32_t count, int64_t* out);
 
 /// True when DecodePageColumn / DecodePageColumnF64 can decode `enc`. The
 /// codec advisor refuses to re-encode into anything this returns false for

@@ -48,10 +48,13 @@ void DecodeAll(const SeriesStore& store, const std::string& name,
   values->clear();
   for (const auto& page : snap.value().pages) {
     std::vector<int64_t> t(page->header.count), v(page->header.count);
-    ASSERT_TRUE(DecodePageColumn(page->time_data, page->header.time_encoding,
+    ASSERT_TRUE(DecodePageColumn(page->time_data.data(), page->time_data.size(),
+                                 page->header.time_encoding,
                                  page->header.count, t.data())
                     .ok());
-    ASSERT_TRUE(DecodePageColumn(page->value_data, page->header.value_encoding,
+    ASSERT_TRUE(DecodePageColumn(page->value_data.data(),
+                                 page->value_data.size(),
+                                 page->header.value_encoding,
                                  page->header.count, v.data())
                     .ok());
     times->insert(times->end(), t.begin(), t.end());

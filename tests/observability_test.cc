@@ -96,6 +96,62 @@ TEST(ExecStatsTest, FlatCountersIdenticalAcrossThreadCounts) {
   EXPECT_EQ(r1.value().columns[0][0], rn.value().columns[0][0]);
 }
 
+const metrics::StageStats& StageOf(const ExecStats& s, metrics::Stage st) {
+  return s.stages.stages[static_cast<int>(st)];
+}
+
+// A float page decodes whole into raw arrays: one job at any thread count,
+// its decode counted once as the unpack stage, no stage timer nested in
+// another, and the same answer at 1 and 4 threads.
+TEST(ExecStatsTest, FloatPageRunsWholeAndDecodesOnceAsUnpack) {
+  storage::SeriesStore store;
+  storage::SeriesStore::SeriesOptions opt;
+  opt.page_size = 4096;
+  opt.page.value_encoding = enc::ColumnEncoding::kGorillaValue;
+  ASSERT_TRUE(store.CreateSeries("f", opt).ok());
+  std::vector<int64_t> times(4096);
+  std::vector<double> values(4096);
+  for (size_t i = 0; i < times.size(); ++i) {
+    times[i] = 10 * static_cast<int64_t>(i);
+    values[i] = 0.5 * static_cast<double>(i % 97) - 3.0;
+  }
+  ASSERT_TRUE(
+      store.AppendBatchF64("f", times.data(), values.data(), times.size())
+          .ok());
+  ASSERT_TRUE(store.Flush().ok());
+  LogicalPlan plan = LogicalPlan::Aggregate("f", AggFunc::kAvg);
+  plan.time_filter.lo = times[1000];
+
+  Result<PipelineSpec> spec =
+      BuildPipeline(plan, store, PipelineOptions::Etsqp(4));
+  ASSERT_TRUE(spec.ok());
+  EXPECT_EQ(spec.value().jobs.size(), 1u);
+  Engine one(PipelineOptions::Etsqp(1).WithStats(true));
+  Engine four(PipelineOptions::Etsqp(4).WithStats(true));
+  Result<QueryResult> r1 = one.Execute(plan, store);
+  Result<QueryResult> r4 = four.Execute(plan, store);
+  ASSERT_TRUE(r1.ok() && r4.ok());
+  EXPECT_EQ(r4.value().columns, r1.value().columns);
+  EXPECT_EQ(StageOf(r4.value().stats, metrics::Stage::kUnpack).tuples, 4096u);
+  EXPECT_LE(r1.value().stats.stages.TotalNanos(), r1.value().stats.wall_nanos);
+}
+
+// A query whose only surviving page is tombstone-masked times that page's
+// decode as unpack, outside every other stage.
+TEST(ExecStatsTest, MaskedPageDecodeIsUnpack) {
+  Fixture f = MakeFixture(1000, 19);
+  ASSERT_TRUE(f.store.DeleteRange("ts", f.times[100], f.times[200]).ok());
+  Engine engine(PipelineOptions::Etsqp(1).WithStats(true));
+  LogicalPlan plan = LogicalPlan::Aggregate("ts", AggFunc::kSum);
+  Result<QueryResult> result = engine.Execute(plan, f.store);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const ExecStats& s = result.value().stats;
+  EXPECT_EQ(s.pages_total - s.pages_pruned, 1u);
+  EXPECT_EQ(s.deleted_tuples_masked, 101u);
+  EXPECT_GT(StageOf(s, metrics::Stage::kUnpack).tuples, 0u);
+  EXPECT_LE(s.stages.TotalNanos(), s.wall_nanos);
+}
+
 TEST(ExecStatsTest, CollectionOffLeavesStagesEmpty) {
   Fixture f = MakeFixture(10000, 17);
   Engine engine(PipelineOptions::Etsqp(2));  // collect_stats defaults off

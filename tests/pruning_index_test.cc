@@ -375,7 +375,8 @@ std::vector<std::tuple<int, size_t, size_t, size_t, bool, bool>> JobSet(
 /// One randomized round: build a series with random codec / page size /
 /// tail / OOO buffer / tombstones / TTL (and NaNs when float), mirror every
 /// accepted write into the scalar oracle, and run one random query —
-/// aggregate, select or windowed, with time bounds and value filters. The
+/// aggregate (any of the six, VAR included), select or windowed, with time
+/// bounds and value filters. The
 /// engine's answer must equal the oracle's. The series envelope must never
 /// prune a live input, and whenever it keeps the input the job set must
 /// equal the envelope-less walk's. Some rounds (integer and float) also
@@ -459,8 +460,8 @@ void RunFuzzRound(uint64_t round) {
 
   // Random query shape.
   const AggFunc funcs[] = {AggFunc::kSum, AggFunc::kCount, AggFunc::kMin,
-                           AggFunc::kMax, AggFunc::kAvg};
-  LogicalPlan plan = LogicalPlan::Aggregate("s", funcs[rng() % 5]);
+                           AggFunc::kMax, AggFunc::kAvg, AggFunc::kVariance};
+  LogicalPlan plan = LogicalPlan::Aggregate("s", funcs[rng() % 6]);
   const int shape = static_cast<int>(rng() % 3);
   if (!is_float && shape == 0) {
     plan.kind = LogicalPlan::Kind::kSelect;

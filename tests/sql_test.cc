@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
+#include "db/database.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "sql/planner.h"
@@ -50,6 +54,19 @@ TEST(LexerTest, NumbersAndComparisons) {
 
 TEST(LexerTest, RejectsGarbage) {
   EXPECT_FALSE(Lex("SELECT @ FROM ts").ok());
+}
+
+TEST(LexerTest, IntegerLiteralsStayInsideInt64) {
+  auto edge = Lex("v < -9223372036854775808 AND v > 9223372036854775807");
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(edge.value()[2].number, std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(edge.value()[6].number, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Lex("v > 99999999999999999999").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Lex("v > 9223372036854775808").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Lex("v < -9223372036854775809").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ParserTest, Q1SlidingWindowSum) {
@@ -151,6 +168,73 @@ TEST(PlannerTest, EqualityFolds) {
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan.value().value_filter.lo, 7);
   EXPECT_EQ(plan.value().value_filter.hi, 7);
+}
+
+TEST(PlannerTest, BoundsPastTheInt64EdgeFoldToEmptyRanges) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  for (const char* where : {"v > 9223372036854775807",
+                            "v < -9223372036854775808",
+                            "v > 9223372036854775807 AND v >= 0",
+                            "v < -9223372036854775808 AND v <= 5"}) {
+    auto plan =
+        PlanQuery(std::string("SELECT COUNT(v) FROM ts WHERE ") + where);
+    ASSERT_TRUE(plan.ok()) << where;
+    const exec::ValueRange& r = plan.value().value_filter;
+    EXPECT_TRUE(r.active) << where;
+    EXPECT_GT(r.lo, r.hi) << where;
+  }
+  for (const char* where :
+       {"time > 9223372036854775807", "time < -9223372036854775808"}) {
+    auto plan =
+        PlanQuery(std::string("SELECT COUNT(v) FROM ts WHERE ") + where);
+    ASSERT_TRUE(plan.ok()) << where;
+    EXPECT_GT(plan.value().time_filter.lo, plan.value().time_filter.hi)
+        << where;
+  }
+  // One step inside the edge still folds to the single edge value.
+  auto at_max =
+      PlanQuery("SELECT COUNT(v) FROM ts WHERE v > 9223372036854775806");
+  ASSERT_TRUE(at_max.ok());
+  EXPECT_EQ(at_max.value().value_filter.lo, kMax);
+  EXPECT_EQ(at_max.value().value_filter.hi, kMax);
+  auto at_min =
+      PlanQuery("SELECT COUNT(v) FROM ts WHERE v < -9223372036854775807");
+  ASSERT_TRUE(at_min.ok());
+  EXPECT_EQ(at_min.value().value_filter.lo, kMin);
+  EXPECT_EQ(at_min.value().value_filter.hi, kMin);
+}
+
+// Through Database::Query, in the tail and on sealed pages: a bound past
+// the int64 edge matches nothing, like any predicate that matches nothing,
+// and a literal outside int64 is an error, not an exception.
+TEST(SqlEdgeLiteralTest, DatabaseQueriesPastTheInt64Edge) {
+  db::Database db(db::Database::Options{});
+  ASSERT_TRUE(db.CreateTimeseries("s").ok());
+  const int64_t times[] = {1, 2, 3};
+  const int64_t values[] = {-5, 0, 5};
+  ASSERT_TRUE(db.InsertBatch("s", times, values, 3).ok());
+  for (int sealed = 0; sealed < 2; ++sealed) {
+    if (sealed == 1) {
+      ASSERT_TRUE(db.Flush().ok());
+    }
+    auto none = db.Query("SELECT COUNT(v) FROM s WHERE v > 1000");
+    ASSERT_TRUE(none.ok()) << none.status().ToString();
+    ASSERT_EQ(none.value().columns,
+              std::vector<std::vector<double>>{{0.0}});
+    for (const char* where :
+         {"v > 9223372036854775807", "v < -9223372036854775808",
+          "time > 9223372036854775807", "time < -9223372036854775808"}) {
+      auto got =
+          db.Query(std::string("SELECT COUNT(v) FROM s WHERE ") + where);
+      ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+      EXPECT_EQ(got.value().columns, none.value().columns)
+          << where << (sealed ? " (sealed)" : " (tail)");
+    }
+    auto bad =
+        db.Query("SELECT COUNT(v) FROM s WHERE v > 99999999999999999999");
+    EXPECT_FALSE(bad.ok());
+  }
 }
 
 TEST(PlannerTest, AllAggregateNames) {

@@ -52,10 +52,12 @@ TEST_P(PageEncodingTest, BuildAndDecodeRoundTrip) {
   EXPECT_EQ(p.header.max_time, s.times.back());
 
   std::vector<int64_t> times(s.times.size()), values(s.values.size());
-  ASSERT_TRUE(DecodePageColumn(p.time_data, p.header.time_encoding,
+  ASSERT_TRUE(DecodePageColumn(p.time_data.data(), p.time_data.size(),
+                               p.header.time_encoding,
                                p.header.count, times.data())
                   .ok());
-  ASSERT_TRUE(DecodePageColumn(p.value_data, p.header.value_encoding,
+  ASSERT_TRUE(DecodePageColumn(p.value_data.data(), p.value_data.size(),
+                               p.header.value_encoding,
                                p.header.count, values.data())
                   .ok());
   EXPECT_EQ(times, s.times);
@@ -105,7 +107,8 @@ TEST(PageTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(out.header.min_time, page.value().header.min_time);
   EXPECT_EQ(out.header.min_value, page.value().header.min_value);
   std::vector<int64_t> values(500);
-  ASSERT_TRUE(DecodePageColumn(out.value_data, out.header.value_encoding, 500,
+  ASSERT_TRUE(DecodePageColumn(out.value_data.data(), out.value_data.size(),
+                               out.header.value_encoding, 500,
                                values.data())
                   .ok());
   EXPECT_EQ(values, s.values);
@@ -190,7 +193,8 @@ TEST(TsFileTest, WriteReadRoundTrip) {
   for (const auto& page_ptr : series.value()->pages) {
     const Page& p = *page_ptr;
     std::vector<int64_t> v(p.header.count);
-    ASSERT_TRUE(DecodePageColumn(p.value_data, p.header.value_encoding,
+    ASSERT_TRUE(DecodePageColumn(p.value_data.data(), p.value_data.size(),
+                                 p.header.value_encoding,
                                  p.header.count, v.data())
                     .ok());
     values.insert(values.end(), v.begin(), v.end());
@@ -314,7 +318,8 @@ TEST(FileBackedStoreTest, IndexesHeadersWithoutPayloads) {
   auto page = fbs.LoadPage("s", 3);
   ASSERT_TRUE(page.ok());
   std::vector<int64_t> values(page.value()->header.count);
-  ASSERT_TRUE(DecodePageColumn(page.value()->value_data,
+  ASSERT_TRUE(DecodePageColumn(page.value()->value_data.data(),
+                               page.value()->value_data.size(),
                                page.value()->header.value_encoding,
                                page.value()->header.count, values.data())
                   .ok());
@@ -425,7 +430,8 @@ TEST(FileBackedStoreTest, ConcurrentLoadsAreSafe) {
         }
         // The shared_ptr keeps the payload alive across evictions.
         std::vector<int64_t> v(page.value()->header.count);
-        if (!DecodePageColumn(page.value()->value_data,
+        if (!DecodePageColumn(page.value()->value_data.data(),
+                              page.value()->value_data.size(),
                               page.value()->header.value_encoding,
                               page.value()->header.count, v.data())
                  .ok()) {
@@ -468,7 +474,8 @@ TEST(TsFileTest, FloatSeriesRoundTrip) {
     const Page& p = *page_ptr;
     ASSERT_TRUE(enc::IsFloatEncoding(p.header.value_encoding));
     std::vector<double> out(p.header.count);
-    ASSERT_TRUE(DecodePageColumnF64(p.value_data, p.header.value_encoding,
+    ASSERT_TRUE(DecodePageColumnF64(p.value_data.data(), p.value_data.size(),
+                                    p.header.value_encoding,
                                     p.header.count, out.data())
                     .ok());
     for (double d : out) {
