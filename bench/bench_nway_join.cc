@@ -1,14 +1,20 @@
 // N-way timestamp merge/join microbenchmark: the SIMD merge kernel family
 // (src/simd/merge_simd.h) against the scalar drains it replaced. The
 // headline case is a 256-series intersection — the paper's Q5-style
-// concatenation fan-in — where the pairwise galloping/block-skip fold must
+// concatenation fan-in — where the pairwise galloping/adaptive fold must
 // beat the scalar k-pointer drain by >= 2x. Also measured: 256-way union
-// through the run-extending loser tree, and the 2-way index join that
-// backs binary expressions and CORR.
+// through the loser tree, the 2-way union behind Q5 on page-vector shapes,
+// and the 2-way index join that backs binary expressions and CORR. The
+// dispatched kernel should be at least as fast as scalar on every row.
+//
+// Before timing, every case checks the dispatched kernel's output against
+// its scalar reference once; a mismatch exits 1, so a run doubles as a
+// correctness smoke on the host's ISA.
 //
 //   ETSQP_BENCH_SCALE   scales the per-stream point count (default 1.0)
 //   ETSQP_BENCH_JSON    appends one JSON line per case
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
@@ -156,6 +162,111 @@ void Row(const char* name, double scalar_s, double simd_s, size_t tuples) {
   ExportCase(name, scalar_s, simd_s, tuples);
 }
 
+/// Times one pair of kernels after checking once that `simd` writes what
+/// `scalar` does (each call fills its own output, and `same` compares
+/// them); a mismatch ends the bench with exit code 1.
+template <typename Scalar, typename Simd, typename Same>
+void Case(const char* name, size_t tuples, Scalar scalar, Simd simd,
+          Same same) {
+  scalar();
+  simd();
+  if (!same()) {
+    std::fprintf(stderr, "%s: dispatched kernel output differs from scalar\n",
+                 name);
+    std::exit(1);
+  }
+  const double sc = TimeBest(scalar);
+  const double sv = TimeBest(simd);
+  Row(name, sc, sv, tuples);
+}
+
+void UnionCase(const char* name, const simd::MergeStream& l,
+               const simd::MergeStream& r, simd::MergeIsa isa) {
+  const size_t n = l.n + r.n;
+  std::vector<int64_t> ref_t(n), ref_v(n), out_t(n), out_v(n);
+  Case(
+      name, n,
+      [&] {
+        simd::MergeUnionInt64Scalar(l.times, l.values, l.n, r.times, r.values,
+                                    r.n, ref_t.data(), ref_v.data());
+      },
+      [&] {
+        simd::MergeUnionInt64(l.times, l.values, l.n, r.times, r.values, r.n,
+                              out_t.data(), out_v.data(), isa);
+      },
+      [&] { return out_t == ref_t && out_v == ref_v; });
+}
+
+void JoinCase(const char* name, const simd::MergeStream& l,
+              const simd::MergeStream& r, simd::MergeIsa isa) {
+  const size_t cap = std::min(l.n, r.n);
+  std::vector<uint32_t> ref_l(cap), ref_r(cap), out_l(cap), out_r(cap);
+  size_t ref_m = 0, out_m = 0;
+  Case(
+      name, l.n + r.n,
+      [&] {
+        ref_m = simd::IntersectIndicesInt64Scalar(l.times, l.n, r.times, r.n,
+                                                  ref_l.data(), ref_r.data());
+      },
+      [&] {
+        out_m = simd::IntersectIndicesInt64(l.times, l.n, r.times, r.n,
+                                            out_l.data(), out_r.data(), isa);
+      },
+      [&] {
+        return out_m == ref_m &&
+               std::equal(out_l.begin(), out_l.begin() + out_m,
+                          ref_l.begin()) &&
+               std::equal(out_r.begin(), out_r.begin() + out_m,
+                          ref_r.begin());
+      });
+}
+
+void NwayUnionCase(const char* name, const Workload& w, simd::MergeIsa isa) {
+  std::vector<int64_t> ref_t(w.total), ref_v(w.total), out_t(w.total),
+      out_v(w.total);
+  Case(
+      name, w.total,
+      [&] {
+        simd::NwayMergeUnionScalar(w.streams.data(), kWays, ref_t.data(),
+                                   ref_v.data());
+      },
+      [&] {
+        simd::NwayMergeUnion(w.streams.data(), kWays, out_t.data(),
+                             out_v.data(), isa);
+      },
+      [&] { return out_t == ref_t && out_v == ref_v; });
+}
+
+/// Returns the intersection size.
+size_t NwayIntersectCase(const char* name, const Workload& w,
+                         simd::MergeIsa isa) {
+  std::vector<int64_t> ref, out;
+  Case(
+      name, w.total,
+      [&] { simd::NwayIntersectScalar(w.streams.data(), kWays, &ref); },
+      [&] { simd::NwayIntersect(w.streams.data(), kWays, &out, isa); },
+      [&] { return out == ref; });
+  return ref.size();
+}
+
+/// A 2-way operand built from a subset of a stream's tuples.
+struct OwnedStream {
+  std::vector<int64_t> times, values;
+  simd::MergeStream view() const {
+    return {times.data(), values.data(), times.size()};
+  }
+};
+
+/// Tuples first, first + step, first + 2 * step, ... of `s`.
+OwnedStream Strided(const simd::MergeStream& s, size_t first, size_t step) {
+  OwnedStream o;
+  for (size_t i = first; i < s.n; i += step) {
+    o.times.push_back(s.times[i]);
+    o.values.push_back(s.values[i]);
+  }
+  return o;
+}
+
 }  // namespace
 }  // namespace etsqp
 
@@ -177,97 +288,49 @@ int main() {
   // The fold's candidate list collapses to the sync set after one stream
   // pair, so the remaining streams are galloped through while the scalar
   // drain must walk all ~5M elements.
-  std::vector<int64_t> out;
-  double sc = TimeBest([&] {
-    simd::NwayIntersectScalar(synced.streams.data(), kWays, &out);
-  });
-  size_t isect = out.size();
-  double sv = TimeBest([&] {
-    simd::NwayIntersect(synced.streams.data(), kWays, &out, isa);
-  });
-  Row("intersect_256way", sc, sv, synced.total);
-
+  const size_t isect = NwayIntersectCase("intersect_256way", synced, isa);
   // Same drain on the dense shared-clock shape: candidates stay wide, so
-  // the fold's advantage narrows — the honest worst case.
-  sc = TimeBest([&] {
-    simd::NwayIntersectScalar(dense.streams.data(), kWays, &out);
-  });
-  sv = TimeBest([&] {
-    simd::NwayIntersect(dense.streams.data(), kWays, &out, isa);
-  });
-  Row("intersect_256way_dense", sc, sv, dense.total);
+  // the fold's advantage narrows.
+  NwayIntersectCase("intersect_256way_dense", dense, isa);
 
-  // 256-way union on the batched-upload shape: plain loser tree vs the
-  // run-extending loser tree (long single-stream runs bulk-copy).
-  std::vector<int64_t> out_t(blocky.total), out_v(blocky.total);
-  sc = TimeBest([&] {
-    simd::NwayMergeUnionScalar(blocky.streams.data(), kWays, out_t.data(),
-                               out_v.data());
-  });
-  sv = TimeBest([&] {
-    simd::NwayMergeUnion(blocky.streams.data(), kWays, out_t.data(),
-                         out_v.data(), isa);
-  });
-  Row("union_256way_blocky", sc, sv, blocky.total);
+  // 256-way union on the batched-upload shape (long single-stream runs
+  // bulk-copy) and on the shared clock, where runs are 1-2 tuples and a
+  // champion's run is never extended.
+  NwayUnionCase("union_256way_blocky", blocky, isa);
+  NwayUnionCase("union_256way_interleaved", dense, isa);
 
-  // Adversarial union shape — shared clock, so runs are 1-2 elements and
-  // the run-extension machinery is pure overhead. Kept honest here: the
-  // merge stage runs the host's best datapath whatever the input shape.
-  out_t.resize(dense.total);
-  out_v.resize(dense.total);
-  sc = TimeBest([&] {
-    simd::NwayMergeUnionScalar(dense.streams.data(), kWays, out_t.data(),
-                               out_v.data());
-  });
-  sv = TimeBest([&] {
-    simd::NwayMergeUnion(dense.streams.data(), kWays, out_t.data(),
-                         out_v.data(), isa);
-  });
-  Row("union_256way_interleaved", sc, sv, dense.total);
-
-  // 2-way index join (binary expressions / CORR), three rate shapes:
-  // identical clocks (one device, two sensors — the pairwise-equal block
-  // path), jittered clocks (~97% overlap), and a 32x rate mismatch
-  // (galloping).
+  // 2-way union (Q5 concatenation) on the page-vector shapes the merge
+  // node meets: identical clocks and jittered clocks interleave one tuple
+  // at a time, a 1:4 rate mismatch gives short left runs, and two batched
+  // uploaders give long one-sided runs.
   const simd::MergeStream& a = dense.streams[0];
   const simd::MergeStream& b = dense.streams[1];
-  std::vector<uint32_t> il(a.n), ir(a.n);
-  sc = TimeBest([&] {
-    simd::IntersectIndicesInt64Scalar(a.times, a.n, a.times, a.n, il.data(),
-                                      ir.data());
-  });
-  sv = TimeBest([&] {
-    simd::IntersectIndicesInt64(a.times, a.n, a.times, a.n, il.data(),
-                                ir.data(), isa);
-  });
-  Row("join_2way_identical", sc, sv, 2 * a.n);
-  sc = TimeBest([&] {
-    simd::IntersectIndicesInt64Scalar(a.times, a.n, b.times, b.n, il.data(),
-                                      ir.data());
-  });
-  sv = TimeBest([&] {
-    simd::IntersectIndicesInt64(a.times, a.n, b.times, b.n, il.data(),
-                                ir.data(), isa);
-  });
-  Row("join_2way_jittered", sc, sv, a.n + b.n);
-  std::vector<int64_t> deci;
-  for (size_t i = 0; i < a.n; i += 32) deci.push_back(a.times[i]);
-  sc = TimeBest([&] {
-    simd::IntersectIndicesInt64Scalar(a.times, a.n, deci.data(), deci.size(),
-                                      il.data(), ir.data());
-  });
-  sv = TimeBest([&] {
-    simd::IntersectIndicesInt64(a.times, a.n, deci.data(), deci.size(),
-                                il.data(), ir.data(), isa);
-  });
-  Row("join_2way_decimated", sc, sv, a.n + deci.size());
+  const OwnedStream deci4 = Strided(a, 0, 4);
+  UnionCase("union_2way_identical", a, a, isa);
+  UnionCase("union_2way_jittered", a, b, isa);
+  UnionCase("union_2way_decimated", a, deci4.view(), isa);
+  UnionCase("union_2way_blocky", blocky.streams[0], blocky.streams[1], isa);
+
+  // 2-way index join (binary expressions / CORR): identical clocks (one
+  // device, two sensors: the pairwise-equal block path), jittered clocks
+  // (~97% overlap), alternating ticks with no match, a 1:4 rate mismatch
+  // (below the galloping ratio) and a 1:32 one (galloping).
+  const OwnedStream evens = Strided(a, 0, 2);
+  const OwnedStream odds = Strided(a, 1, 2);
+  const OwnedStream deci32 = Strided(a, 0, 32);
+  JoinCase("join_2way_identical", a, a, isa);
+  JoinCase("join_2way_jittered", a, b, isa);
+  JoinCase("join_2way_alternating", evens.view(), odds.view(), isa);
+  JoinCase("join_2way_decimated4", a, deci4.view(), isa);
+  JoinCase("join_2way_decimated", a, deci32.view(), isa);
 
   std::printf(
       "\nintersection result: %zu sync ticks survive all %zu streams."
       "\nExpected shape: the pairwise fold shrinks the candidate list"
       "\nbefore the large streams are touched, so intersect_256way clears"
-      "\n2x over the scalar k-pointer drain; union gains from bulk run"
-      "\ncopies on blocky data; join_2way_decimated from block skips.\n",
+      "\n2x over the scalar k-pointer drain; unions gain from bulk run"
+      "\ncopies on blocky data and match scalar on interleaved data; joins"
+      "\ngain from equal-vector emits and skips.\n",
       isect, kWays);
   return 0;
 }

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/cpu.h"
+#include "simd/merge_block.h"
 #include "simd/transposed_unpack_avx512.h"
 
 namespace etsqp::simd {
@@ -94,6 +95,43 @@ size_t RunEndLt(const int64_t* times, size_t begin, size_t n, int64_t bound,
   return RunEndLtAvx2(times, begin, n, bound);
 }
 
+/// Lane policies for AdaptiveIntersect (simd/merge_block.h).
+struct SseLanes {
+  static constexpr size_t kWidth = 2;
+  static bool AllEqual(const int64_t* l, const int64_t* r) {
+    __m128i lv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(l));
+    __m128i rv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r));
+    return _mm_movemask_epi8(_mm_cmpeq_epi64(lv, rv)) == 0xFFFF;
+  }
+  static void StoreRamp(uint32_t* out, size_t base) {
+    out[0] = static_cast<uint32_t>(base);
+    out[1] = static_cast<uint32_t>(base + 1);
+  }
+  static size_t SkipBelow(const int64_t* t, size_t begin, size_t n,
+                          int64_t bound) {
+    return RunEndLtSse(t, begin, n, bound);
+  }
+};
+
+struct Avx2Lanes {
+  static constexpr size_t kWidth = 4;
+  static bool AllEqual(const int64_t* l, const int64_t* r) {
+    __m256i lv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(l));
+    __m256i rv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r));
+    return _mm256_movemask_pd(
+               _mm256_castsi256_pd(_mm256_cmpeq_epi64(lv, rv))) == 0xF;
+  }
+  static void StoreRamp(uint32_t* out, size_t base) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                     _mm_add_epi32(_mm_set1_epi32(static_cast<int>(base)),
+                                   _mm_setr_epi32(0, 1, 2, 3)));
+  }
+  static size_t SkipBelow(const int64_t* t, size_t begin, size_t n,
+                          int64_t bound) {
+    return RunEndLtAvx2(t, begin, n, bound);
+  }
+};
+
 /// Galloping core: `s` is the short side, `g` the long side. The outputs
 /// are already swapped by the wrapper so pairs land on the right columns.
 size_t GallopCore(const int64_t* s, size_t ns, const int64_t* g, size_t ng,
@@ -163,115 +201,12 @@ size_t IntersectIndicesInt64Scalar(const int64_t* l, size_t nl,
 
 size_t IntersectIndicesInt64Sse(const int64_t* l, size_t nl, const int64_t* r,
                                 size_t nr, uint32_t* out_l, uint32_t* out_r) {
-  size_t i = 0, j = 0, m = 0;
-  while (i < nl && j < nr) {
-    // Aligned-run fast path: series sampled on the same clock match
-    // pairwise for long stretches — a whole block of equal lanes emits
-    // without per-element branches. Identical to the scalar drain, which
-    // also only ever compares current heads.
-    if (i + 2 <= nl && j + 2 <= nr) {
-      __m128i lv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(l + i));
-      __m128i rv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r + j));
-      if (_mm_movemask_epi8(_mm_cmpeq_epi64(lv, rv)) == 0xFFFF) {
-        out_l[m] = static_cast<uint32_t>(i);
-        out_r[m] = static_cast<uint32_t>(j);
-        out_l[m + 1] = static_cast<uint32_t>(i + 1);
-        out_r[m + 1] = static_cast<uint32_t>(j + 1);
-        m += 2;
-        i += 2;
-        j += 2;
-        continue;
-      }
-    }
-    if (i + 2 <= nl) {
-      __m128i lv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(l + i));
-      __m128i rv = _mm_set1_epi64x(r[j]);
-      if (_mm_movemask_pd(_mm_castsi128_pd(_mm_cmpgt_epi64(rv, lv))) == 0x3) {
-        i += 2;
-        continue;
-      }
-    }
-    if (j + 2 <= nr) {
-      __m128i rv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r + j));
-      __m128i lv = _mm_set1_epi64x(l[i]);
-      if (_mm_movemask_pd(_mm_castsi128_pd(_mm_cmpgt_epi64(lv, rv))) == 0x3) {
-        j += 2;
-        continue;
-      }
-    }
-    if (l[i] < r[j]) {
-      ++i;
-    } else if (r[j] < l[i]) {
-      ++j;
-    } else {
-      out_l[m] = static_cast<uint32_t>(i);
-      out_r[m] = static_cast<uint32_t>(j);
-      ++m;
-      ++i;
-      ++j;
-    }
-  }
-  return m;
+  return AdaptiveIntersect<SseLanes>(l, nl, r, nr, out_l, out_r);
 }
 
 size_t IntersectIndicesInt64Avx2(const int64_t* l, size_t nl, const int64_t* r,
                                  size_t nr, uint32_t* out_l, uint32_t* out_r) {
-  size_t i = 0, j = 0, m = 0;
-  while (i < nl && j < nr) {
-    // Aligned-run fast path (see the SSE kernel): 4 pairwise-equal lanes
-    // emit as a block.
-    if (i + 4 <= nl && j + 4 <= nr) {
-      __m256i lv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(l + i));
-      __m256i rv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + j));
-      if (_mm256_movemask_pd(
-              _mm256_castsi256_pd(_mm256_cmpeq_epi64(lv, rv))) == 0xF) {
-        const __m128i ramp = _mm_setr_epi32(0, 1, 2, 3);
-        _mm_storeu_si128(
-            reinterpret_cast<__m128i*>(out_l + m),
-            _mm_add_epi32(_mm_set1_epi32(static_cast<int>(i)), ramp));
-        _mm_storeu_si128(
-            reinterpret_cast<__m128i*>(out_r + m),
-            _mm_add_epi32(_mm_set1_epi32(static_cast<int>(j)), ramp));
-        m += 4;
-        i += 4;
-        j += 4;
-        continue;
-      }
-    }
-    // Block-skip (Lemire & Boytsov): when the next 4 lanes of one side all
-    // sort below the other side's head, the whole block advances on one
-    // compare instead of four branches.
-    if (i + 4 <= nl) {
-      __m256i lv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(l + i));
-      __m256i rv = _mm256_set1_epi64x(r[j]);
-      if (_mm256_movemask_pd(
-              _mm256_castsi256_pd(_mm256_cmpgt_epi64(rv, lv))) == 0xF) {
-        i += 4;
-        continue;
-      }
-    }
-    if (j + 4 <= nr) {
-      __m256i rv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + j));
-      __m256i lv = _mm256_set1_epi64x(l[i]);
-      if (_mm256_movemask_pd(
-              _mm256_castsi256_pd(_mm256_cmpgt_epi64(lv, rv))) == 0xF) {
-        j += 4;
-        continue;
-      }
-    }
-    if (l[i] < r[j]) {
-      ++i;
-    } else if (r[j] < l[i]) {
-      ++j;
-    } else {
-      out_l[m] = static_cast<uint32_t>(i);
-      out_r[m] = static_cast<uint32_t>(j);
-      ++m;
-      ++i;
-      ++j;
-    }
-  }
-  return m;
+  return AdaptiveIntersect<Avx2Lanes>(l, nl, r, nr, out_l, out_r);
 }
 
 size_t GallopIntersectIndicesInt64(const int64_t* l, size_t nl,
@@ -328,46 +263,91 @@ size_t MergeUnionInt64Scalar(const int64_t* lt, const int64_t* lv, size_t nl,
   return m;
 }
 
+namespace {
+
+/// Two-pointer union steps from (*pi, *pj) in blocks of kMergeBlock while
+/// both sides hold a whole block. Returns after a block that took one side
+/// only, or when a side runs short. The output cursor is always i + j.
+/// Kept out of line: inlined beside the run copies, the cursors spill.
+[[gnu::noinline]] void UnionSteps(const int64_t* lt, const int64_t* lv,
+                                  size_t nl, const int64_t* rt,
+                                  const int64_t* rv, size_t nr,
+                                  int64_t* out_t, int64_t* out_v, size_t* pi,
+                                  size_t* pj) {
+  size_t i = *pi, j = *pj;
+  // Strict bounds: a step reads the next head of the side it advanced.
+  while (i + kMergeBlock < nl && j + kMergeBlock < nr) {
+    const size_t i0 = i;
+    int64_t* ot = out_t + i + j;
+    int64_t* ov = out_v + i + j;
+    int64_t a = lt[i], b = rt[j];
+#pragma GCC unroll 16
+    for (size_t s = 0; s < kMergeBlock; ++s) {
+      if (a <= b) {
+        ot[s] = a;
+        ov[s] = lv[i];
+        a = lt[++i];
+      } else {
+        ot[s] = b;
+        ov[s] = rv[j];
+        b = rt[++j];
+      }
+    }
+    if (i - i0 == kMergeBlock || i == i0) break;
+  }
+  *pi = i;
+  *pj = j;
+}
+
+}  // namespace
+
 size_t MergeUnionInt64(const int64_t* lt, const int64_t* lv, size_t nl,
                        const int64_t* rt, const int64_t* rv, size_t nr,
                        int64_t* out_t, int64_t* out_v, MergeIsa isa) {
   if (isa == MergeIsa::kScalar || !UseAvx2()) {
     return MergeUnionInt64Scalar(lt, lv, nl, rt, rv, nr, out_t, out_v);
   }
-  size_t i = 0, j = 0, m = 0;
-  while (i < nl && j < nr) {
+  size_t i = 0, j = 0;
+  while (true) {
+    UnionSteps(lt, lv, nl, rt, rv, nr, out_t, out_v, &i, &j);
+    if (i == nl || j == nr) break;
+    // After a one-sided block, or with a block or less left on one side
+    // (at most 2 * kMergeBlock + 1 runs): bulk-copy the next run, what one
+    // side holds up to the other side's head (ties go left).
     if (lt[i] <= rt[j]) {
-      // Left run: everything <= the right head (ties emit left first).
-      size_t e = RunEndLeq(lt, i, nl, rt[j], isa);
-      std::memcpy(out_t + m, lt + i, (e - i) * sizeof(int64_t));
-      std::memcpy(out_v + m, lv + i, (e - i) * sizeof(int64_t));
-      m += e - i;
+      const size_t e = RunEndLeq(lt, i, nl, rt[j], isa);
+      std::memcpy(out_t + i + j, lt + i, (e - i) * sizeof(int64_t));
+      std::memcpy(out_v + i + j, lv + i, (e - i) * sizeof(int64_t));
       i = e;
     } else {
-      // Right run: strictly below the left head.
-      size_t e = RunEndLt(rt, j, nr, lt[i], isa);
-      std::memcpy(out_t + m, rt + j, (e - j) * sizeof(int64_t));
-      std::memcpy(out_v + m, rv + j, (e - j) * sizeof(int64_t));
-      m += e - j;
+      const size_t e = RunEndLt(rt, j, nr, lt[i], isa);
+      std::memcpy(out_t + i + j, rt + j, (e - j) * sizeof(int64_t));
+      std::memcpy(out_v + i + j, rv + j, (e - j) * sizeof(int64_t));
       j = e;
     }
   }
+  // One side is spent; guarded because an empty side may be null.
   if (i < nl) {
-    std::memcpy(out_t + m, lt + i, (nl - i) * sizeof(int64_t));
-    std::memcpy(out_v + m, lv + i, (nl - i) * sizeof(int64_t));
-    m += nl - i;
+    std::memcpy(out_t + i + j, lt + i, (nl - i) * sizeof(int64_t));
+    std::memcpy(out_v + i + j, lv + i, (nl - i) * sizeof(int64_t));
   }
   if (j < nr) {
-    std::memcpy(out_t + m, rt + j, (nr - j) * sizeof(int64_t));
-    std::memcpy(out_v + m, rv + j, (nr - j) * sizeof(int64_t));
-    m += nr - j;
+    std::memcpy(out_t + nl + j, rt + j, (nr - j) * sizeof(int64_t));
+    std::memcpy(out_v + nl + j, rv + j, (nr - j) * sizeof(int64_t));
   }
-  return m;
+  return nl + nr;
 }
 
 namespace {
 
 constexpr uint32_t kNoStream = UINT32_MAX;
+
+/// Consecutive wins before the N-way union extends a champion's run. An
+/// extension (runner-up walk, vector scan, two copies) costs about two tree
+/// replays, so after 8 single-tuple wins a short run pays at most ~25% over
+/// popping it, while batched uploads (runs of 1K-3K tuples) spend only 7
+/// extra replays per run.
+constexpr size_t kExtendAfterWins = 8;
 
 /// Tournament loser tree over k streams: leaves are stream cursors,
 /// internal nodes store match losers, the champion pops in O(1) and each
@@ -463,26 +443,36 @@ size_t NwayMergeUnion(const MergeStream* streams, size_t k, int64_t* out_t,
   if (total == 0) return 0;
   LoserTree tree(streams, k);
   size_t emitted = 0;
+  uint32_t last = kNoStream;
+  size_t wins = 0;  // consecutive pops by `last`
   while (emitted < total) {
-    uint32_t w = tree.winner;
-    // Exact run bound: the runner-up's head key is the minimum over every
-    // *other* stream, which tells how far `w` can bulk-copy before the
-    // tree must be consulted again.
-    uint32_t u = tree.RunnerUp();
-    size_t p = tree.pos[w];
-    size_t e;
-    if (!tree.Live(u)) {
-      e = streams[w].n;  // last live stream: flush it
+    const uint32_t w = tree.winner;
+    const MergeStream& ws = streams[w];
+    wins = w == last ? wins + 1 : 1;
+    last = w;
+    const size_t p = tree.pos[w];
+    size_t e = p + 1;
+    if (wins == kExtendAfterWins) {
+      // A streak of wins: extend the champion's run to the runner-up's
+      // head key, the minimum over every other stream.
+      const uint32_t u = tree.RunnerUp();
+      if (!tree.Live(u)) {
+        e = ws.n;  // last live stream: flush it
+      } else {
+        const int64_t bound = streams[u].times[tree.pos[u]];
+        e = w < u ? RunEndLeq(ws.times, p, ws.n, bound, isa)
+                  : RunEndLt(ws.times, p, ws.n, bound, isa);
+      }
+      std::memcpy(out_t + emitted, ws.times + p, (e - p) * sizeof(int64_t));
+      if (out_v != nullptr && ws.values != nullptr) {
+        std::memcpy(out_v + emitted, ws.values + p,
+                    (e - p) * sizeof(int64_t));
+      }
     } else {
-      int64_t bound = streams[u].times[tree.pos[u]];
-      e = (w < u) ? RunEndLeq(streams[w].times, p, streams[w].n, bound, isa)
-                  : RunEndLt(streams[w].times, p, streams[w].n, bound, isa);
-    }
-    std::memcpy(out_t + emitted, streams[w].times + p,
-                (e - p) * sizeof(int64_t));
-    if (out_v != nullptr && streams[w].values != nullptr) {
-      std::memcpy(out_v + emitted, streams[w].values + p,
-                  (e - p) * sizeof(int64_t));
+      out_t[emitted] = ws.times[p];
+      if (out_v != nullptr && ws.values != nullptr) {
+        out_v[emitted] = ws.values[p];
+      }
     }
     emitted += e - p;
     tree.pos[w] = e;

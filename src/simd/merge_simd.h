@@ -64,8 +64,14 @@ size_t GallopIntersectIndicesInt64(const int64_t* l, size_t nl,
                                    uint32_t* out_l, uint32_t* out_r);
 
 /// Dispatcher: galloping when one side is kGallopRatio x longer than the
-/// other, else the widest block-skip kernel `isa` allows (AVX-512 falls
-/// back to AVX2 when unavailable at runtime).
+/// other, else the widest adaptive kernel `isa` allows (AVX-512 falls back
+/// to AVX2 when unavailable at runtime). The adaptive kernels run the
+/// scalar two-pointer steps in blocks of 16; only after a block that
+/// matched on every step do they emit pairwise-equal vectors whole, and
+/// only after a block that advanced one side alone do they vector-scan
+/// that side past the other's head. Interleaved inputs therefore cost what
+/// the scalar drain costs, and long equal or one-sided stretches go a
+/// vector at a time.
 size_t IntersectIndicesInt64(const int64_t* l, size_t nl, const int64_t* r,
                              size_t nr, uint32_t* out_l, uint32_t* out_r,
                              MergeIsa isa);
@@ -82,8 +88,11 @@ inline size_t IntersectIndicesInt64(const int64_t* l, size_t nl,
 size_t MergeUnionInt64Scalar(const int64_t* lt, const int64_t* lv, size_t nl,
                              const int64_t* rt, const int64_t* rv, size_t nr,
                              int64_t* out_t, int64_t* out_v);
-/// SIMD run-skip variant: vector compares find how far one side runs below
-/// the other's head, then the whole run bulk-copies.
+/// Adaptive variant: the same two-pointer steps in blocks of 16. Only when
+/// a whole block came from one side does a vector compare find how far
+/// that side runs below the other's head, and the run bulk-copies. One
+/// tuple at a time (two series on one clock) costs what the scalar drain
+/// costs; long runs cost a scan and a copy.
 size_t MergeUnionInt64(const int64_t* lt, const int64_t* lv, size_t nl,
                        const int64_t* rt, const int64_t* rv, size_t nr,
                        int64_t* out_t, int64_t* out_v, MergeIsa isa);
@@ -92,8 +101,9 @@ size_t MergeUnionInt64(const int64_t* lt, const int64_t* lv, size_t nl,
 
 /// Loser-tree union of k streams into out_t/out_v (sized sum of stream
 /// lengths). Ties order by stream index (lowest first). The SIMD variant
-/// extends each tournament win into a run: the next challenger's key bounds
-/// how far the winning stream can bulk-copy before replaying the tree.
+/// pops one tuple per win like the scalar one; once a stream has won 8
+/// times in a row, the runner-up's head key bounds how far it can
+/// bulk-copy before the tree is replayed.
 size_t NwayMergeUnionScalar(const MergeStream* streams, size_t k,
                             int64_t* out_t, int64_t* out_v);
 size_t NwayMergeUnion(const MergeStream* streams, size_t k, int64_t* out_t,
@@ -101,7 +111,7 @@ size_t NwayMergeUnion(const MergeStream* streams, size_t k, int64_t* out_t,
 
 /// Timestamps present in all k streams. The scalar reference is the
 /// k-pointer drain (linear scans); the SIMD variant folds streams pairwise,
-/// smallest first, through the galloping/block-skip intersection so the
+/// smallest first, through the galloping/adaptive intersection so the
 /// candidate set shrinks before the large streams are touched.
 size_t NwayIntersectScalar(const MergeStream* streams, size_t k,
                            std::vector<int64_t>* out);

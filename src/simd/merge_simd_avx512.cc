@@ -1,69 +1,53 @@
 #include <immintrin.h>
 
+#include "simd/merge_block.h"
 #include "simd/merge_simd.h"
 #include "simd/transposed_unpack_avx512.h"
 
 namespace etsqp::simd {
 
-/// AVX-512 block-skip intersection: 8-lane compares against the opposite
-/// head advance whole blocks past non-overlapping stretches. Same output
-/// contract as the scalar/AVX2 kernels. This translation unit carries the
-/// -mavx512* flags; callers must gate on Avx512Available() (the dispatcher
-/// in merge_simd.cc does), and this function re-checks defensively.
+namespace {
+
+struct Avx512Lanes {
+  static constexpr size_t kWidth = 8;
+  static bool AllEqual(const int64_t* l, const int64_t* r) {
+    return _mm512_cmpeq_epi64_mask(_mm512_loadu_si512(l),
+                                   _mm512_loadu_si512(r)) == 0xFF;
+  }
+  static void StoreRamp(uint32_t* out, size_t base) {
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(out),
+        _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(base)),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)));
+  }
+  static size_t SkipBelow(const int64_t* t, size_t begin, size_t n,
+                          int64_t bound) {
+    size_t i = begin;
+    const __m512i bv = _mm512_set1_epi64(bound);
+    while (i + 8 <= n) {
+      const unsigned ge =
+          _mm512_cmpge_epi64_mask(_mm512_loadu_si512(t + i), bv);
+      if (ge != 0) return i + __builtin_ctz(ge);
+      i += 8;
+    }
+    while (i < n && t[i] < bound) ++i;
+    return i;
+  }
+};
+
+}  // namespace
+
+/// AVX-512 lanes for the adaptive intersection loop. This translation unit
+/// carries the -mavx512* flags; callers must gate on Avx512Available() (the
+/// dispatcher in merge_simd.cc does), and this function re-checks
+/// defensively.
 size_t IntersectIndicesInt64Avx512(const int64_t* l, size_t nl,
                                    const int64_t* r, size_t nr,
                                    uint32_t* out_l, uint32_t* out_r) {
   if (!Avx512Available()) {
     return IntersectIndicesInt64Avx2(l, nl, r, nr, out_l, out_r);
   }
-  size_t i = 0, j = 0, m = 0;
-  while (i < nl && j < nr) {
-    // Aligned-run fast path (see the SSE kernel): 8 pairwise-equal lanes
-    // emit as a block.
-    if (i + 8 <= nl && j + 8 <= nr) {
-      __m512i lv = _mm512_loadu_si512(l + i);
-      __m512i rv = _mm512_loadu_si512(r + j);
-      if (_mm512_cmpeq_epi64_mask(lv, rv) == 0xFF) {
-        const __m256i ramp = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(out_l + m),
-            _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(i)), ramp));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(out_r + m),
-            _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(j)), ramp));
-        m += 8;
-        i += 8;
-        j += 8;
-        continue;
-      }
-    }
-    if (i + 8 <= nl) {
-      __m512i lv = _mm512_loadu_si512(l + i);
-      if (_mm512_cmplt_epi64_mask(lv, _mm512_set1_epi64(r[j])) == 0xFF) {
-        i += 8;
-        continue;
-      }
-    }
-    if (j + 8 <= nr) {
-      __m512i rv = _mm512_loadu_si512(r + j);
-      if (_mm512_cmplt_epi64_mask(rv, _mm512_set1_epi64(l[i])) == 0xFF) {
-        j += 8;
-        continue;
-      }
-    }
-    if (l[i] < r[j]) {
-      ++i;
-    } else if (r[j] < l[i]) {
-      ++j;
-    } else {
-      out_l[m] = static_cast<uint32_t>(i);
-      out_r[m] = static_cast<uint32_t>(j);
-      ++m;
-      ++i;
-      ++j;
-    }
-  }
-  return m;
+  return AdaptiveIntersect<Avx512Lanes>(l, nl, r, nr, out_l, out_r);
 }
 
 }  // namespace etsqp::simd

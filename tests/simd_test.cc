@@ -684,6 +684,156 @@ TEST(MergeSimdTest, UnionDifferentialTieOrder) {
   }
 }
 
+/// Two-way input shapes the adaptive merge loops switch between: one-tuple
+/// interleaves (branchless steps), one-sided blocks (run-skip), rate
+/// mismatches and duplicate runs that straddle a 16-step block edge.
+struct MergeShape {
+  const char* name;
+  std::pair<std::vector<int64_t>, std::vector<int64_t>> (*make)(size_t n);
+};
+
+std::vector<int64_t> Clock(size_t n, int64_t start, int64_t step) {
+  std::vector<int64_t> t(n);
+  for (size_t i = 0; i < n; ++i) t[i] = start + static_cast<int64_t>(i) * step;
+  return t;
+}
+
+std::vector<int64_t> EveryKth(const std::vector<int64_t>& t, size_t k) {
+  std::vector<int64_t> out;
+  for (size_t i = 0; i < t.size(); i += k) out.push_back(t[i]);
+  return out;
+}
+
+/// Alternating runs of `run` ticks: the first run goes left, the next
+/// right, and so on, n ticks in all.
+std::pair<std::vector<int64_t>, std::vector<int64_t>> Runs(size_t n,
+                                                           size_t run) {
+  std::pair<std::vector<int64_t>, std::vector<int64_t>> lr;
+  for (size_t i = 0; i < n; ++i) {
+    auto& side = (i / run) % 2 == 0 ? lr.first : lr.second;
+    side.push_back(static_cast<int64_t>(i) * 3);
+  }
+  return lr;
+}
+
+/// Run lengths cycling 1..20, so equal-timestamp runs start and end on
+/// every offset of a 16-step block; the right side shifts its runs.
+std::vector<int64_t> DupRuns(size_t n, size_t phase) {
+  std::vector<int64_t> t;
+  int64_t cur = 100;
+  for (size_t r = phase; t.size() < n; ++r) {
+    for (size_t i = 0; i < 1 + r % 20 && t.size() < n; ++i) t.push_back(cur);
+    cur += 1 + static_cast<int64_t>(r % 3);
+  }
+  return t;
+}
+
+const MergeShape kMergeShapes[] = {
+    {"identical", [](size_t n) { return std::make_pair(Clock(n, 0, 10),
+                                                       Clock(n, 0, 10)); }},
+    {"offset", [](size_t n) { return std::make_pair(Clock(n, 0, 10),
+                                                    Clock(n, 5, 10)); }},
+    {"decimated2", [](size_t n) {
+       return std::make_pair(Clock(n, 0, 10), EveryKth(Clock(n, 0, 10), 2));
+     }},
+    {"decimated4", [](size_t n) {
+       return std::make_pair(Clock(n, 0, 10), EveryKth(Clock(n, 0, 10), 4));
+     }},
+    {"decimated8", [](size_t n) {
+       return std::make_pair(Clock(n, 0, 10), EveryKth(Clock(n, 0, 10), 8));
+     }},
+    {"decimated32", [](size_t n) {
+       return std::make_pair(Clock(n, 0, 10), EveryKth(Clock(n, 0, 10), 32));
+     }},
+    {"runs15", [](size_t n) { return Runs(n, 15); }},
+    {"runs16", [](size_t n) { return Runs(n, 16); }},
+    {"runs17", [](size_t n) { return Runs(n, 17); }},
+    {"runs500", [](size_t n) { return Runs(n, 500); }},
+    {"disjoint", [](size_t n) { return std::make_pair(Clock(n, 0, 1),
+                                                      Clock(n, 1 << 20, 1)); }},
+    {"one_empty", [](size_t n) {
+       return std::make_pair(Clock(n, 0, 1), std::vector<int64_t>{});
+     }},
+    {"dup_runs", [](size_t n) { return std::make_pair(DupRuns(n, 0),
+                                                      DupRuns(n, 7)); }},
+};
+
+std::vector<size_t> MergeShapeLengths() {
+  std::vector<size_t> ns;
+  for (size_t n = 0; n <= 40; ++n) ns.push_back(n);
+  for (size_t n : {4095, 4096, 4097}) ns.push_back(n);
+  return ns;
+}
+
+constexpr MergeIsa kAllMergeIsas[] = {MergeIsa::kScalar, MergeIsa::kSse,
+                                      MergeIsa::kAvx2, MergeIsa::kAvx512};
+
+TEST(MergeSimdTest, UnionShapesMatchScalar) {
+  for (const MergeShape& shape : kMergeShapes) {
+    for (size_t n : MergeShapeLengths()) {
+      auto [a, b] = shape.make(n);
+      // Both operand orders: tie order and the one-sided hand-off differ
+      // per side.
+      for (int swap = 0; swap < 2; ++swap) {
+        const auto& lt = swap ? b : a;
+        const auto& rt = swap ? a : b;
+        const size_t nl = lt.size(), nr = rt.size();
+        // Values record provenance, so a tie emitted right-first differs.
+        std::vector<int64_t> lv(nl), rv(nr);
+        for (size_t i = 0; i < nl; ++i) lv[i] = static_cast<int64_t>(i) * 2;
+        for (size_t i = 0; i < nr; ++i) rv[i] = static_cast<int64_t>(i) * 2 + 1;
+        std::vector<int64_t> ref_t(nl + nr), ref_v(nl + nr);
+        ASSERT_EQ(MergeUnionInt64Scalar(lt.data(), lv.data(), nl, rt.data(),
+                                        rv.data(), nr, ref_t.data(),
+                                        ref_v.data()),
+                  nl + nr);
+        for (MergeIsa isa : kAllMergeIsas) {
+          std::vector<int64_t> got_t(nl + nr), got_v(nl + nr);
+          ASSERT_EQ(MergeUnionInt64(lt.data(), lv.data(), nl, rt.data(),
+                                    rv.data(), nr, got_t.data(), got_v.data(),
+                                    isa),
+                    nl + nr);
+          for (size_t k = 0; k < nl + nr; ++k) {
+            ASSERT_EQ(got_t[k], ref_t[k])
+                << shape.name << " n=" << n << " swap=" << swap
+                << " isa=" << static_cast<int>(isa) << " k=" << k;
+            ASSERT_EQ(got_v[k], ref_v[k])
+                << shape.name << " n=" << n << " swap=" << swap
+                << " isa=" << static_cast<int>(isa) << " k=" << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MergeSimdTest, IntersectShapesMatchScalar) {
+  for (const MergeShape& shape : kMergeShapes) {
+    for (size_t n : MergeShapeLengths()) {
+      auto [a, b] = shape.make(n);
+      for (int swap = 0; swap < 2; ++swap) {
+        const auto& l = swap ? b : a;
+        const auto& r = swap ? a : b;
+        std::vector<uint32_t> il(std::min(l.size(), r.size()));
+        std::vector<uint32_t> ir(il.size());
+        const size_t m = IntersectIndicesInt64Scalar(
+            l.data(), l.size(), r.data(), r.size(), il.data(), ir.data());
+        for (MergeIsa isa : kAllMergeIsas) {
+          const auto got = IntersectWith(l, r, isa);
+          ASSERT_EQ(got.size(), m) << shape.name << " n=" << n
+                                   << " swap=" << swap
+                                   << " isa=" << static_cast<int>(isa);
+          for (size_t k = 0; k < m; ++k) {
+            ASSERT_EQ(got[k], std::make_pair(il[k], ir[k]))
+                << shape.name << " n=" << n << " swap=" << swap
+                << " isa=" << static_cast<int>(isa) << " k=" << k;
+          }
+        }
+      }
+    }
+  }
+}
+
 std::vector<std::vector<int64_t>> RandomStrictStreams(std::mt19937_64& rng,
                                                       size_t k,
                                                       size_t max_n) {
@@ -701,6 +851,22 @@ TEST(MergeSimdTest, NwayUnionDifferential) {
   for (int iter = 0; iter < 30; ++iter) {
     size_t k = 2 + rng() % 15;
     auto times = RandomStrictStreams(rng, k, 300);
+    if (iter % 3 == 0) {
+      // Batched uploads: each stream owns runs of 1-40 ticks, so champions
+      // win long streaks and their runs get extended; some ticks repeat on
+      // another stream so run bounds meet ties on both sides.
+      times.assign(k, {});
+      int64_t t = 0;
+      for (int run = 0; run < 40; ++run) {
+        const size_t owner = rng() % k;
+        for (size_t len = 1 + rng() % 40; len > 0; --len) {
+          t += 1 + static_cast<int64_t>(rng() % 4);
+          times[owner].push_back(t);
+          const size_t other = rng() % k;
+          if (other != owner && rng() % 8 == 0) times[other].push_back(t);
+        }
+      }
+    }
     std::vector<std::vector<int64_t>> values(k);
     std::vector<MergeStream> streams(k);
     size_t total = 0;
