@@ -25,7 +25,7 @@ double DecodeMvps(const storage::Page& page, exec::DecodeStrategy strategy) {
     auto t0 = std::chrono::steady_clock::now();
     if (!exec::DecodeColumn(page.value_data.data(), page.value_data.size(),
                             page.header.value_encoding, page.header.count,
-                            strategy, 0, &out)
+                            strategy, &out)
              .ok()) {
       return 0;
     }

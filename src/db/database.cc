@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "db/shard_router.h"
-#include "exec/scheduler_registry.h"
 #include "exec/thread_pool.h"
 #include "sql/planner.h"
 #include "storage/page_builder.h"
@@ -314,21 +313,6 @@ Status Database::EnableCompaction(const CompactionConfig& config) {
   }
   for (auto& shard : rep->shards) {
     storage::CompactionOptions opts = config.options;
-    if (!opts.decode_support) {
-      // Registry-backed guard: a rewrite codec must have both a storage
-      // decode entry and a schedulable serving-path class.
-      opts.decode_support = [](enc::ColumnEncoding e) {
-        if (!storage::PageDecodeSupported(e)) return false;
-        exec::PageClass cls;
-        cls.value_encoding = e;
-        cls.time_encoding = enc::ColumnEncoding::kTs2Diff;
-        cls.is_float = enc::IsFloatEncoding(e);
-        cls.width_bucket = 8;
-        exec::ScheduleDecision d =
-            exec::SchedulerRegistry::Global().Propose(cls, exec::PlanContext{});
-        return d.entry != nullptr;
-      };
-    }
     shard->compactor =
         std::make_unique<storage::Compactor>(&shard->store, std::move(opts));
     if (config.auto_trigger_pages > 0) {

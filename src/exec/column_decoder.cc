@@ -66,8 +66,8 @@ bool Ts2DiffBounds(const enc::Ts2DiffColumn& col, int64_t* lo, int64_t* hi) {
 }
 
 Status DecodeTs2Diff(const uint8_t* data, size_t size, uint32_t count,
-                     DecodeStrategy strategy, int n_v, size_t begin,
-                     size_t end, bool ordered, DecodedColumn* out) {
+                     DecodeStrategy strategy, size_t begin, size_t end,
+                     bool ordered, DecodedColumn* out) {
   Result<enc::Ts2DiffColumn> parsed = enc::Ts2DiffColumn::Parse(data, size);
   if (!parsed.ok()) return parsed.status();
   const enc::Ts2DiffColumn& col = parsed.value();
@@ -132,11 +132,11 @@ Status DecodeTs2Diff(const uint8_t* data, size_t size, uint32_t count,
           // positions, so they stay ordered.
           if (!ordered && from == bs && to == be) {
             simd::DeltaDecodeOffsetsUnordered(b.packed, b.packed_bytes,
-                                              deltas_needed, b.width, md, n_v,
-                                              init, buf + 1);
+                                              deltas_needed, b.width, md,
+                                              /*n_v=*/0, init, buf + 1);
           } else {
             simd::DeltaDecodeOffsets(b.packed, b.packed_bytes, deltas_needed,
-                                     b.width, md, n_v, init, buf + 1);
+                                     b.width, md, /*n_v=*/0, init, buf + 1);
           }
           break;
         case DecodeStrategy::kSboost:
@@ -343,8 +343,8 @@ Status DecodeStreamVByteSimd(const uint8_t* data, size_t size, uint32_t count,
 
 Status DecodeColumnRange(const uint8_t* data, size_t size,
                          enc::ColumnEncoding encoding, uint32_t count,
-                         DecodeStrategy strategy, int n_v, size_t begin,
-                         size_t end, DecodedColumn* out, bool ordered,
+                         DecodeStrategy strategy, size_t begin, size_t end,
+                         DecodedColumn* out, bool ordered,
                          metrics::StageBreakdown* stages) {
   end = std::min<size_t>(end, count);
   switch (encoding) {
@@ -355,8 +355,8 @@ Status DecodeColumnRange(const uint8_t* data, size_t size,
       metrics::ScopedStageTimer timer(stages, metrics::Stage::kUnpack);
       timer.AddTuples(end > begin ? end - begin : 0);
       timer.AddBytes(size);
-      return DecodeTs2Diff(data, size, count, strategy, n_v, begin, end,
-                           ordered, out);
+      return DecodeTs2Diff(data, size, count, strategy, begin, end, ordered,
+                           out);
     }
     case enc::ColumnEncoding::kFastLanes: {
       if (strategy == DecodeStrategy::kSerial) break;  // reference decoder
@@ -425,10 +425,10 @@ Status DecodeColumnRange(const uint8_t* data, size_t size,
 
 Status DecodeColumn(const uint8_t* data, size_t size,
                     enc::ColumnEncoding encoding, uint32_t count,
-                    DecodeStrategy strategy, int n_v, DecodedColumn* out,
+                    DecodeStrategy strategy, DecodedColumn* out,
                     metrics::StageBreakdown* stages) {
-  return DecodeColumnRange(data, size, encoding, count, strategy, n_v, 0,
-                           count, out, /*ordered=*/true, stages);
+  return DecodeColumnRange(data, size, encoding, count, strategy, 0, count,
+                           out, /*ordered=*/true, stages);
 }
 
 }  // namespace etsqp::exec

@@ -40,8 +40,8 @@ struct DecodedColumn {
   void Materialize(int64_t* out) const;
 };
 
-/// Decodes a full encoded column with the given strategy. `n_v` selects the
-/// transposed-layout vector count for kEtsqp (0 = Proposition 1 default).
+/// Decodes a full encoded column with the given strategy. kEtsqp's
+/// transposed kernels pick the vector count n_v per block (Proposition 1).
 /// The buffer must have >= 32 bytes of readable slack (AlignedBuffer).
 ///
 /// `stages` (optional) records decode-stage timings: bit-unpacking —
@@ -49,7 +49,7 @@ struct DecodedColumn {
 /// the separate delta/RLE flatten passes of non-fused paths under kDelta.
 Status DecodeColumn(const uint8_t* data, size_t size,
                     enc::ColumnEncoding encoding, uint32_t count,
-                    DecodeStrategy strategy, int n_v, DecodedColumn* out,
+                    DecodeStrategy strategy, DecodedColumn* out,
                     metrics::StageBreakdown* stages = nullptr);
 
 /// Decodes only blocks overlapping value positions [begin, end) — used by
@@ -62,8 +62,8 @@ Status DecodeColumn(const uint8_t* data, size_t size,
 /// pipeline shares the SIMD layout between decoders and operators.
 Status DecodeColumnRange(const uint8_t* data, size_t size,
                          enc::ColumnEncoding encoding, uint32_t count,
-                         DecodeStrategy strategy, int n_v, size_t begin,
-                         size_t end, DecodedColumn* out, bool ordered = true,
+                         DecodeStrategy strategy, size_t begin, size_t end,
+                         DecodedColumn* out, bool ordered = true,
                          metrics::StageBreakdown* stages = nullptr);
 
 }  // namespace etsqp::exec

@@ -31,10 +31,10 @@ metrics::StageBreakdown* StagesOf(const PipelineOptions& opt,
   return (opt.collect_stats && stats != nullptr) ? &stats->stages : nullptr;
 }
 
-/// Realizes one job's registry decision: the effective options the kernels
-/// run with, plus the timing needed to score the prediction afterwards.
-/// Jobs without a decision (registry off, or nothing schedulable) run the
-/// engine's base options untouched.
+/// Realizes one job's kernel decision: the effective options the kernels
+/// run with (the decision's strategy), plus the timing needed to score the
+/// prediction afterwards. Jobs without a decision (a pinned strategy, a
+/// masked page) run the engine's base options untouched.
 struct JobSchedule {
   PipelineOptions options;
   const ScheduleDecision* decision = nullptr;
@@ -45,7 +45,7 @@ struct JobSchedule {
       : options(base) {
     if (job.decision >= 0) {
       decision = &spec.decisions[job.decision];
-      options = ApplyDecision(base, *decision);
+      options.strategy = decision->strategy;
     }
     if (decision != nullptr && base.collect_stats) {
       start_nanos = metrics::NowNanos();
@@ -57,25 +57,6 @@ struct JobSchedule {
     if (decision == nullptr || start_nanos == 0) return;
     NoteDecisionOutcome(*decision, job.end - job.begin,
                         metrics::NowNanos() - start_nanos, local);
-  }
-};
-
-/// The merge stage's planned kernel: the registry decision (for EXPLAIN
-/// and outcome scoring) plus the datapath the merge kernels run on. The
-/// datapath follows the decision's strategy, or the engine's pinned one
-/// when the registry did not plan the stage (kSerial pins the scalar
-/// reference kernels).
-struct MergeSchedule {
-  const ScheduleDecision* decision = nullptr;
-  simd::MergeIsa isa = simd::MergeIsa::kScalar;
-
-  MergeSchedule(const PipelineOptions& base, const PipelineSpec& spec) {
-    DecodeStrategy strategy = base.strategy;
-    if (spec.merge_decision >= 0) {
-      decision = &spec.decisions[spec.merge_decision];
-      strategy = ApplyDecision(base, *decision).strategy;
-    }
-    isa = MergeIsaFor(strategy);
   }
 };
 
@@ -272,7 +253,7 @@ Status DecodePage(const storage::Page& page,
     DecodedColumn col;
     ETSQP_RETURN_IF_ERROR(DecodeColumn(
         page.time_data.data(), page.time_data.size(),
-        page.header.time_encoding, n, opt.strategy, opt.n_v, &col));
+        page.header.time_encoding, n, opt.strategy, &col));
     col.Materialize(times->data());
     if constexpr (std::is_same_v<Value, double>) {
       ETSQP_RETURN_IF_ERROR(storage::DecodePageColumnF64(
@@ -281,7 +262,7 @@ Status DecodePage(const storage::Page& page,
     } else {
       ETSQP_RETURN_IF_ERROR(DecodeColumn(
           page.value_data.data(), page.value_data.size(),
-          page.header.value_encoding, n, opt.strategy, opt.n_v, &col));
+          page.header.value_encoding, n, opt.strategy, &col));
       col.Materialize(values->data());
     }
   }
@@ -560,11 +541,14 @@ class MergeNode {
   MergeNode(const LogicalPlan& plan, const PipelineSpec& spec,
             const RangeJob& range,
             const std::vector<storage::SeriesSnapshot>& snaps,
-            const PipelineOptions& options, const MergeSchedule& schedule)
+            const PipelineOptions& options)
       : plan_(plan),
         snaps_(snaps),
         options_(options),
-        schedule_(schedule),
+        decision_(spec.merge_decision >= 0
+                      ? &spec.decisions[spec.merge_decision]
+                      : nullptr),
+        isa_(MergeIsaFor(options.strategy)),
         l_(spec, range, 0, &snaps[0]),
         r_(spec, range, 1, snaps.size() > 1 ? &snaps[1] : nullptr) {
     // Result columns sized from the surviving header counts: a join pairs
@@ -582,9 +566,9 @@ class MergeNode {
                         plan_.kind == LogicalPlan::Kind::kUnion
                     ? RunUnion()
                     : RunIntersect();
-    if (schedule_.decision != nullptr && options_.collect_stats) {
+    if (decision_ != nullptr && options_.collect_stats) {
       NoteDecisionOutcome(
-          *schedule_.decision, merged_,
+          *decision_, merged_,
           stats.stages.stages[static_cast<int>(Stage::kMerge)].nanos, &stats);
     }
     return st;
@@ -649,7 +633,7 @@ class MergeNode {
         out_v_.resize(nl + nr);
         const size_t m = simd::MergeUnionInt64(
             l_.times(), l_.values(), nl, r_.times(), r_.values(), nr,
-            out_t_.data(), out_v_.data(), schedule_.isa);
+            out_t_.data(), out_v_.data(), isa_);
         Emit(out_t_.data(), out_v_.data(), nullptr, m);
       }
       l_.Consume(nl);
@@ -709,7 +693,7 @@ class MergeNode {
     ir_.resize(std::min(nl, nr));
     const size_t m =
         simd::IntersectIndicesInt64(l_.times(), nl, r_.times(), nr,
-                                    il_.data(), ir_.data(), schedule_.isa);
+                                    il_.data(), ir_.data(), isa_);
     const int64_t* lt = l_.times();
     const int64_t* lv = l_.values();
     const int64_t* rv = r_.values();
@@ -753,14 +737,15 @@ class MergeNode {
   }
 
   /// Fuses the CORR page pair both cursors sit at when their time columns
-  /// are identical and both value columns are Delta-RLE. Needs the fusion
-  /// datapath, no value filter, and both pages wholly inside the time
-  /// filter; an exact sum past int64 falls back to decoding. Range cuts are
-  /// page starts, so none falls inside a pair with identical bounds.
+  /// are identical and both value columns are Delta-RLE. Needs kEtsqp (the
+  /// fusion datapath), no value filter, and both pages wholly inside the
+  /// time filter; an exact sum past int64 falls back to decoding. Range
+  /// cuts are page starts, so none falls inside a pair with identical
+  /// bounds.
   Status TryFuse(bool* fused) {
     const PipeJob& a = l_.page();
     const PipeJob& b = r_.page();
-    if (plan_.kind != LogicalPlan::Kind::kCorrelate || !options_.fusion ||
+    if (plan_.kind != LogicalPlan::Kind::kCorrelate ||
         options_.strategy != DecodeStrategy::kEtsqp ||
         plan_.value_filter.active || a.tail || b.tail || a.masked ||
         b.masked || a.min_time != b.min_time || a.max_time != b.max_time ||
@@ -802,7 +787,10 @@ class MergeNode {
   const LogicalPlan& plan_;
   const std::vector<storage::SeriesSnapshot>& snaps_;
   const PipelineOptions& options_;
-  const MergeSchedule& schedule_;
+  // The etsqp.merge decision (outcome scoring only; null under a pinned
+  // strategy) and the merge kernels' datapath: scalar for kSerial.
+  const ScheduleDecision* decision_;
+  const simd::MergeIsa isa_;
   PageCursor l_;
   PageCursor r_;
   uint64_t merged_ = 0;  // tuples fed through the merge kernels
@@ -821,14 +809,13 @@ Result<QueryResult> RunMerge(const LogicalPlan& plan,
                              const PipelineOptions& options) {
   QueryResult result;
   result.stats = spec.plan_stats;
-  const MergeSchedule schedule(options, spec);
   std::vector<std::unique_ptr<MergeNode>> nodes(spec.ranges.size());
 
   PipelineJobSet set;
   set.num_jobs = spec.ranges.size();
   set.job = [&](size_t i) -> Status {
     nodes[i] = std::make_unique<MergeNode>(plan, spec, spec.ranges[i], snaps,
-                                           options, schedule);
+                                           options);
     return nodes[i]->Run();
   };
   set.merge = [&]() -> Status {

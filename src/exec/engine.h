@@ -48,12 +48,15 @@ class StoreHandle {
 /// (Algorithm 2), runs the decoding/aggregation pipelines on the job
 /// scheduler, and merges partial results (Figure 9's merge nodes).
 ///
-/// The evaluation baselines are configurations of this engine:
-///   ETSQP        PipelineOptions::Etsqp(threads)
-///   ETSQP-prune  PipelineOptions::EtsqpPrune(threads)
+/// The evaluation baselines (Section VII-A) are configurations of this
+/// engine:
+///   ETSQP        PipelineOptions::Etsqp(threads): kernel per page class
+///                from Schedule(), fusion wherever it applies
+///   ETSQP-prune  PipelineOptions::EtsqpPrune(threads): + Props 4-5 pruning
 ///   Serial       PipelineOptions::Serial()
 ///   SBoost       PipelineOptions::Sboost(threads)
 ///   FastLanes    PipelineOptions::FastLanes(threads) over FLMM1024 pages
+/// The last three pin their strategy for the whole query, without fusion.
 class Engine {
  public:
   explicit Engine(PipelineOptions options) : options_(options) {}

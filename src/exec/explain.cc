@@ -117,21 +117,20 @@ std::string RenderExplain(const LogicalPlan& plan,
   }
 
   // Compiled Pipe configuration (Algorithm 2).
-  Appendf(&out, "  Pipe[%s, fusion=%s, prune=%s, threads=%d, n_v=%s]",
-          DecodeStrategyName(options.strategy), options.fusion ? "on" : "off",
-          options.prune ? "on" : "off", options.threads,
-          options.n_v > 0 ? std::to_string(options.n_v).c_str() : "auto");
+  Appendf(&out, "  Pipe[%s, prune=%s, threads=%d]",
+          DecodeStrategyName(options.strategy), options.prune ? "on" : "off",
+          options.threads);
   Appendf(&out, ": %zu jobs, %" PRIu64 "/%" PRIu64 " pages after pruning\n",
           spec.jobs.size(),
           spec.plan_stats.pages_total - spec.plan_stats.pages_pruned,
           spec.plan_stats.pages_total);
-  // Registry decisions: one line per page class, the chosen SchedulerEntry
-  // with its heuristic params and the cost estimate it won on.
+  // Kernel decisions: one line per page class, the chosen kernel and the
+  // cost estimate it won on.
   for (const ScheduleDecision& d : spec.decisions) {
-    Appendf(&out, "    sched %s: entry=%s [%s] est=%.2fns/t pages=%" PRIu64
+    Appendf(&out, "    sched %s: entry=%s est=%.2fns/t pages=%" PRIu64
             " tuples=%" PRIu64 "\n",
-            d.class_key.c_str(), d.entry->name(), d.params.ToString().c_str(),
-            d.predicted_ns_per_tuple, d.pages, d.tuples);
+            d.class_key.c_str(), d.label, d.predicted_ns_per_tuple, d.pages,
+            d.tuples);
   }
   AppendFilterLine(&out, "    ", plan);
 
@@ -210,8 +209,8 @@ std::string RenderStats(const ExecStats& stats) {
           s.tuples > 0
               ? static_cast<double>(s.measured_nanos) / static_cast<double>(s.tuples)
               : 0;
-      Appendf(&out, "  %s: entry=%s [%s] pred=%.2fns/t meas=%.2fns/t",
-              key.c_str(), s.entry.c_str(), s.params.c_str(), pred, meas);
+      Appendf(&out, "  %s: entry=%s pred=%.2fns/t meas=%.2fns/t",
+              key.c_str(), s.entry.c_str(), pred, meas);
       if (pred > 0) {
         Appendf(&out, " delta=%+.0f%%", (meas - pred) / pred * 100.0);
       }

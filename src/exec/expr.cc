@@ -86,8 +86,6 @@ std::string ExecStats::ToJson() const {
       out += key;
       out += "\": {\"entry\": \"";
       out += s.entry;
-      out += "\", \"params\": \"";
-      out += s.params;
       out += '"';
       bool sfirst = false;
       AppendField(&out, "jobs", s.jobs, &sfirst);

@@ -105,13 +105,12 @@ struct LogicalPlan {
 };
 
 /// Per-page-class scheduler outcome (populated only under collect_stats
-/// when the registry planned the query): which SchedulerEntry ran the
-/// class's jobs, the cost the registry predicted for them, the cost the
-/// jobs actually measured, and how many jobs fell outside the prediction's
-/// tolerance band (mispredictions).
+/// for kEtsqp queries): which kernel ran the class's jobs, the cost the
+/// static model predicted for them, the cost the jobs actually measured,
+/// and how many jobs fell outside the prediction's tolerance band
+/// (mispredictions).
 struct SchedDecisionStats {
-  std::string entry;   // SchedulerEntry::name() of the chosen entry
-  std::string params;  // rendered HeuristicParams
+  std::string entry;  // the chosen kernel's label, e.g. "etsqp.fused"
   uint64_t jobs = 0;
   uint64_t tuples = 0;
   double predicted_nanos = 0;
@@ -119,10 +118,7 @@ struct SchedDecisionStats {
   uint64_t mispredictions = 0;
 
   void Merge(const SchedDecisionStats& o) {
-    if (entry.empty()) {
-      entry = o.entry;
-      params = o.params;
-    }
+    if (entry.empty()) entry = o.entry;
     jobs += o.jobs;
     tuples += o.tuples;
     predicted_nanos += o.predicted_nanos;
@@ -185,7 +181,7 @@ struct ExecStats {
   metrics::PoolStats pool;
   int pool_workers = 0;
 
-  // Populated only under collect_stats for registry-planned queries: the
+  // Populated only under collect_stats for kEtsqp queries: the
   // per-page-class decision outcomes (keyed by PageClass::Key()) and the
   // query-total misprediction counter.
   std::map<std::string, SchedDecisionStats> scheduler;

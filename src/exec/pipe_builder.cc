@@ -14,8 +14,8 @@ namespace etsqp::exec {
 DecisionCache::DecisionCache(const LogicalPlan& plan,
                              const PipelineOptions& options,
                              PipelineSpec* spec)
-    : enabled_(options.use_registry),
-      ctx_(MakePlanContext(plan, options)),
+    : enabled_(options.strategy == DecodeStrategy::kEtsqp),
+      ctx_(MakePlanContext(plan)),
       spec_(spec) {}
 
 int DecisionCache::Decide(const PageClass& cls) {
@@ -23,10 +23,8 @@ int DecisionCache::Decide(const PageClass& cls) {
   std::string key = cls.Key();
   auto it = index_.find(key);
   if (it != index_.end()) return it->second;
-  ScheduleDecision d = SchedulerRegistry::Global().Propose(cls, ctx_);
-  int idx =
-      d.entry == nullptr ? -1 : static_cast<int>(spec_->decisions.size());
-  if (idx >= 0) spec_->decisions.push_back(std::move(d));
+  int idx = static_cast<int>(spec_->decisions.size());
+  spec_->decisions.push_back(Schedule(cls, ctx_));
   index_.emplace(std::move(key), idx);
   return idx;
 }
@@ -115,7 +113,7 @@ void CollectPages(const storage::SeriesSnapshot& snap, const TimeRange& trange,
   }
 }
 
-/// Turns the surviving pages of input `in` into jobs: one registry
+/// Turns the surviving pages of input `in` into jobs: one kernel
 /// decision per page class, masked pages whole, the rest sliced across
 /// `threads` cores (Lines 5-6 of Algorithm 2; a single core never slices).
 /// A lazily loaded input never slices either: whole-page jobs keep one
@@ -141,8 +139,8 @@ void AppendPageJobs(int in, const SurvivingPages& kept,
                                  .max_time = h.max_time});
   };
   if (snap.lazy() || snap.is_float) threads = 1;
-  // Registry lookup per surviving page (memoized per page class). Masked
-  // pages bypass the registry: they decode whole and drain as raw arrays,
+  // Kernel choice per surviving page (memoized per page class). Masked
+  // pages get none: they decode whole and drain as raw arrays,
   // not through a scheduled kernel.
   std::vector<int> page_decisions(kept.indices.size(), -1);
   for (size_t p = 0; p < kept.indices.size(); ++p) {
@@ -337,7 +335,7 @@ Result<PipelineSpec> BuildPipeline(
     }
   }
   // Multi-input plans end in a merge stage; plan its kernel through the
-  // registry like any page class. The stage sees every surviving input
+  // Schedule() like any page class. The stage sees every surviving input
   // tuple once, so it covers the non-pruned tuple volume.
   if (inputs.size() > 1) {
     spec.merge_decision =

@@ -8,9 +8,9 @@
 
 #include "common/status.h"
 #include "exec/expr.h"
+#include "exec/kernel_schedule.h"
 #include "exec/pipeline.h"
 #include "exec/scheduler.h"
-#include "exec/scheduler_registry.h"
 #include "storage/series_store.h"
 
 namespace etsqp::exec {
@@ -38,8 +38,8 @@ struct PipeJob {
   size_t begin = 0;
   size_t end = 0;
   bool tail = false;  // job covers snapshot.tail_* instead of a page
-  /// Index into PipelineSpec::decisions when the registry planned this job
-  /// (options.use_registry); -1 = run the options' pinned strategy.
+  /// Index into PipelineSpec::decisions when Schedule() chose this job's
+  /// kernel (kEtsqp plans); -1 = run the options' pinned strategy.
   int decision = -1;
   /// A tombstone partially covers the page: the job decodes the whole page
   /// and filters deleted timestamps before draining it as raw arrays,
@@ -67,7 +67,7 @@ struct RangeJob {
   uint64_t tuples[2] = {0, 0};
 };
 
-/// The compiled pipeline: jobs ready for the job scheduler, the scheduler
+/// The compiled pipeline: jobs ready for the job scheduler, the kernel
 /// decisions the jobs reference (one per distinct page class), plus
 /// counters for pages pruned at planning time.
 struct PipelineSpec {
@@ -79,21 +79,20 @@ struct PipelineSpec {
   QueryStats plan_stats;  // pages_total / pages_pruned / tuples_in_pages
   /// Index into `decisions` for the merge stage of multi-input plans
   /// (binary/correlate/concat): the etsqp.merge decision that combines the
-  /// per-input streams. -1 = single input or registry off.
+  /// per-input streams. -1 = single input or a pinned strategy.
   int merge_decision = -1;
 };
 
-/// Plan-time registry lookups, one per distinct page class: classes are
+/// Plan-time kernel choices, one per distinct page class: classes are
 /// memoized by key so a thousand-page series with one codec and width costs
-/// a single Propose() call. A no-op (every Decide returns -1) when the
-/// options don't ask for registry planning.
+/// a single Schedule() call. A no-op (every Decide returns -1) unless the
+/// options run kEtsqp.
 class DecisionCache {
  public:
   DecisionCache(const LogicalPlan& plan, const PipelineOptions& options,
                 PipelineSpec* spec);
 
-  /// Decision index for `cls` (memoized); -1 when the registry is off or
-  /// nothing can schedule the class.
+  /// Decision index for `cls` (memoized); -1 under a pinned strategy.
   int Decide(const PageClass& cls);
 
   /// EXPLAIN bookkeeping: pages/tuples covered per decision.

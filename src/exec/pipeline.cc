@@ -57,8 +57,8 @@ Status SlicePositions(const storage::Page& page, size_t begin, size_t end,
     DecodedColumn times;
     ETSQP_RETURN_IF_ERROR(DecodeColumn(
         page.time_data.data(), page.time_data.size(),
-        page.header.time_encoding, page.header.count, opt.strategy, opt.n_v,
-        &times, stages));
+        page.header.time_encoding, page.header.count, opt.strategy, &times,
+        stages));
     if (stats != nullptr) stats->tuples_scanned += times.size();
     ScopedStageTimer timer(stages, Stage::kFilter);
     timer.AddTuples(times.size());
@@ -78,8 +78,7 @@ Status SlicePositions(const storage::Page& page, size_t begin, size_t end,
     ScopedStageTimer timer(stages, Stage::kFilter);
     ETSQP_RETURN_IF_ERROR(TimeRangePositions(
         page.time_data.data(), page.time_data.size(), page.header.count,
-        trange, opt.strategy, opt.n_v, opt.prune, &first, &last, &pruned,
-        &scanned));
+        trange, opt.strategy, opt.prune, &first, &last, &pruned, &scanned));
     timer.AddTuples(scanned);
     timer.AddBytes(page.time_data.size());
   }
@@ -202,11 +201,8 @@ Status AggValues(const storage::Page& page, size_t p0, size_t p1,
   metrics::StageBreakdown* stages = StagesOf(opt, stats);
   const bool need_sq = func == AggFunc::kVariance;
   const enc::ColumnEncoding venc = page.header.value_encoding;
-  const bool fusable =
-      opt.fusion && opt.strategy == DecodeStrategy::kEtsqp && !vrange.active &&
-      (func == AggFunc::kSum || func == AggFunc::kAvg ||
-       func == AggFunc::kCount ||
-       (func == AggFunc::kVariance && venc == enc::ColumnEncoding::kDeltaRle));
+  const bool fusable = opt.strategy == DecodeStrategy::kEtsqp &&
+                       FusedAggregate(func, venc, vrange.active);
 
   // COUNT with no value filter never needs the value column.
   if (func == AggFunc::kCount && !vrange.active) {
@@ -279,7 +275,7 @@ Status AggValues(const storage::Page& page, size_t p0, size_t p1,
       DecodedColumn vals;
       ETSQP_RETURN_IF_ERROR(DecodeColumnRange(
           page.value_data.data(), page.value_data.size(), venc,
-          page.header.count, opt.strategy, opt.n_v, from, to, &vals,
+          page.header.count, opt.strategy, from, to, &vals,
           /*ordered=*/false, stages));
       if (stats != nullptr) stats->tuples_scanned += vals.size();
       AggDecodedFiltered(vals, vrange, func, accum, stages);
@@ -291,8 +287,8 @@ Status AggValues(const storage::Page& page, size_t p0, size_t p1,
   DecodedColumn vals;
   ETSQP_RETURN_IF_ERROR(DecodeColumnRange(
       page.value_data.data(), page.value_data.size(), venc,
-      page.header.count, opt.strategy, opt.n_v, p0, p1, &vals,
-      /*ordered=*/false, stages));
+      page.header.count, opt.strategy, p0, p1, &vals, /*ordered=*/false,
+      stages));
   if (stats != nullptr) stats->tuples_scanned += vals.size();
   if (vrange.active) {
     AggDecodedFiltered(vals, vrange, func, accum, stages);
@@ -306,6 +302,16 @@ Status AggValues(const storage::Page& page, size_t p0, size_t p1,
 }
 
 }  // namespace
+
+bool FusedAggregate(AggFunc func, enc::ColumnEncoding venc,
+                    bool value_filter) {
+  const bool additive = func == AggFunc::kSum || func == AggFunc::kAvg ||
+                        func == AggFunc::kCount;
+  return !value_filter &&
+         ((venc == enc::ColumnEncoding::kTs2Diff && additive) ||
+          (venc == enc::ColumnEncoding::kDeltaRle &&
+           (additive || func == AggFunc::kVariance)));
+}
 
 Status AggAccum::Finalize(AggFunc func, double* out) const {
   switch (func) {
@@ -395,8 +401,8 @@ Status AggregateSliceWindows(const storage::Page& page, size_t begin,
   DecodedColumn times;
   ETSQP_RETURN_IF_ERROR(DecodeColumnRange(
       page.time_data.data(), page.time_data.size(),
-      page.header.time_encoding, page.header.count, opt.strategy, opt.n_v,
-      begin, end, &times, /*ordered=*/true, stages));
+      page.header.time_encoding, page.header.count, opt.strategy, begin, end,
+      &times, /*ordered=*/true, stages));
   if (stats != nullptr) stats->tuples_scanned += times.size();
   size_t n = times.size();
   if (n == 0) return Status::Ok();
@@ -440,12 +446,12 @@ Status MaterializeSlice(const storage::Page& page, size_t begin, size_t end,
   DecodedColumn tcol, vcol;
   ETSQP_RETURN_IF_ERROR(DecodeColumnRange(
       page.time_data.data(), page.time_data.size(),
-      page.header.time_encoding, page.header.count, opt.strategy, opt.n_v,
-      p0, p1, &tcol, /*ordered=*/true, stages));
+      page.header.time_encoding, page.header.count, opt.strategy, p0, p1,
+      &tcol, /*ordered=*/true, stages));
   ETSQP_RETURN_IF_ERROR(DecodeColumnRange(
       page.value_data.data(), page.value_data.size(),
-      page.header.value_encoding, page.header.count, opt.strategy, opt.n_v,
-      p0, p1, &vcol, /*ordered=*/true, stages));
+      page.header.value_encoding, page.header.count, opt.strategy, p0, p1,
+      &vcol, /*ordered=*/true, stages));
   if (stats != nullptr) stats->tuples_scanned += tcol.size() + vcol.size();
 
   size_t n = p1 - p0;
@@ -479,12 +485,7 @@ Status MaterializeSlice(const storage::Page& page, size_t begin, size_t end,
 PipelineOptions PipelineOptions::Etsqp(int threads) {
   PipelineOptions o;
   o.strategy = DecodeStrategy::kEtsqp;
-  o.prune = false;
-  o.fusion = true;
   o.threads = threads;
-  // The integrated engine plans per page class through the registry; the
-  // forced-strategy baselines below (and WithStrategy) stay pinned.
-  o.use_registry = true;
   return o;
 }
 
@@ -495,17 +496,12 @@ PipelineOptions PipelineOptions::EtsqpPrune(int threads) {
 PipelineOptions PipelineOptions::Serial() {
   PipelineOptions o;
   o.strategy = DecodeStrategy::kSerial;
-  o.prune = false;
-  o.fusion = false;
-  o.threads = 1;
   return o;
 }
 
 PipelineOptions PipelineOptions::Sboost(int threads) {
   PipelineOptions o;
   o.strategy = DecodeStrategy::kSboost;
-  o.prune = false;
-  o.fusion = false;
   o.threads = threads;
   return o;
 }
@@ -513,8 +509,6 @@ PipelineOptions PipelineOptions::Sboost(int threads) {
 PipelineOptions PipelineOptions::FastLanes(int threads) {
   PipelineOptions o;
   o.strategy = DecodeStrategy::kFastLanes;
-  o.prune = false;
-  o.fusion = false;
   o.threads = threads;
   return o;
 }

@@ -13,9 +13,14 @@
 namespace etsqp::exec {
 
 /// Per-query execution switches: the evaluation's system variants map to
-/// these (ETSQP = {kEtsqp, prune off, fusion on}; ETSQP-prune adds prune;
-/// Serial = kSerial; SBoost = kSboost; FastLanes = kFastLanes over
-/// FLMM1024-encoded pages).
+/// these (Section VII-A): ETSQP = {kEtsqp, prune off}; ETSQP-prune adds
+/// prune; Serial = kSerial; SBoost = kSboost; FastLanes = kFastLanes over
+/// FLMM1024-encoded pages.
+///
+/// kEtsqp is the integrated engine: Pipe asks Schedule()
+/// (exec/kernel_schedule.h) for the kernel of every page class, and
+/// operator fusion (Section IV) runs wherever FusedAggregate holds. Every
+/// other strategy is a baseline pinned for the whole query, without fusion.
 ///
 /// Construct with the named baseline constructors and refine with the
 /// fluent setters:
@@ -23,18 +28,10 @@ namespace etsqp::exec {
 struct PipelineOptions {
   DecodeStrategy strategy = DecodeStrategy::kEtsqp;
   bool prune = false;
-  bool fusion = true;
-  int n_v = 0;  // transposed-layout vector count; 0 = Proposition 1 default
   int threads = 1;
   /// Collect the per-stage ExecStats breakdown (timings, tuples, bytes).
   /// Off by default: instrumented code then skips every clock read.
   bool collect_stats = false;
-  /// Plan with the SchedulerRegistry: Pipe classifies every page and asks
-  /// the registry for the cheapest feasible SchedulerEntry per page class
-  /// instead of running `strategy` uniformly. On for the Etsqp/EtsqpPrune
-  /// baselines; WithStrategy() turns it off (an explicit strategy is a
-  /// pin, not a preference).
-  bool use_registry = false;
 
   /// Canonical option sets for the evaluation baselines (Section VII-A).
   static PipelineOptions Etsqp(int threads = 1);
@@ -43,25 +40,8 @@ struct PipelineOptions {
   static PipelineOptions Sboost(int threads = 1);
   static PipelineOptions FastLanes(int threads = 1);
 
-  PipelineOptions& WithStrategy(DecodeStrategy s) {
-    strategy = s;
-    use_registry = false;
-    return *this;
-  }
-  PipelineOptions& WithRegistry(bool on) {
-    use_registry = on;
-    return *this;
-  }
   PipelineOptions& WithPrune(bool on) {
     prune = on;
-    return *this;
-  }
-  PipelineOptions& WithFusion(bool on) {
-    fusion = on;
-    return *this;
-  }
-  PipelineOptions& WithVectors(int vectors) {
-    n_v = vectors;
     return *this;
   }
   PipelineOptions& WithThreads(int n) {
@@ -73,6 +53,14 @@ struct PipelineOptions {
     return *this;
   }
 };
+
+/// Whether a kEtsqp aggregate of `func` over a `venc` value column runs a
+/// fused reader (Section IV) instead of decoding: SUM/AVG/COUNT over
+/// TS2DIFF or Delta-RLE, VAR over Delta-RLE (closed-form sum of squares),
+/// and never under a value filter. Schedule() predicts etsqp.fused from
+/// this same test.
+bool FusedAggregate(AggFunc func, enc::ColumnEncoding venc,
+                    bool value_filter);
 
 /// Algebraic aggregate accumulator: (sum, sum_sq, count, min, max) covers
 /// SUM/AVG/COUNT/MIN/MAX/VAR. Sums are tracked in 128-bit and checked

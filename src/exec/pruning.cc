@@ -20,7 +20,7 @@ __int128 BlockTimeUpperBound(const enc::Ts2DiffBlock& b) {
 
 /// Decodes block times into `buf` (int64) with the requested strategy.
 void DecodeBlockTimes(const enc::Ts2DiffBlock& b, DecodeStrategy strategy,
-                      int n_v, std::vector<int64_t>* buf) {
+                      std::vector<int64_t>* buf) {
   buf->resize(b.num_values());
   // Narrow path: exact block statistics bound the offset domain.
   bool narrow = strategy != DecodeStrategy::kSerial &&
@@ -34,7 +34,7 @@ void DecodeBlockTimes(const enc::Ts2DiffBlock& b, DecodeStrategy strategy,
   switch (strategy) {
     case DecodeStrategy::kEtsqp:
       simd::DeltaDecodeOffsets(b.packed, b.packed_bytes, b.num_deltas,
-                               b.width, md, n_v, 0, offsets.data());
+                               b.width, md, /*n_v=*/0, 0, offsets.data());
       break;
     case DecodeStrategy::kSboost:
       simd::SboostDeltaDecode(b.packed, b.packed_bytes, b.num_deltas, b.width,
@@ -55,7 +55,7 @@ void DecodeBlockTimes(const enc::Ts2DiffBlock& b, DecodeStrategy strategy,
 
 Status TimeRangePositions(const uint8_t* data, size_t size, uint32_t count,
                           const TimeRange& range, DecodeStrategy strategy,
-                          int n_v, bool prune, size_t* first, size_t* last,
+                          bool prune, size_t* first, size_t* last,
                           uint64_t* blocks_pruned, uint64_t* tuples_scanned) {
   Result<enc::Ts2DiffColumn> parsed = enc::Ts2DiffColumn::Parse(data, size);
   if (!parsed.ok()) return parsed.status();
@@ -118,7 +118,7 @@ Status TimeRangePositions(const uint8_t* data, size_t size, uint32_t count,
       continue;
     }
     // General case: decode the block and binary-search (times sorted).
-    DecodeBlockTimes(b, strategy, n_v, &buf);
+    DecodeBlockTimes(b, strategy, &buf);
     if (tuples_scanned != nullptr) *tuples_scanned += buf.size();
     if (!lo_found) {
       auto it = std::lower_bound(buf.begin(), buf.end(), range.lo);

@@ -29,7 +29,7 @@ namespace etsqp::exec {
 /// `blocks_pruned` (optional) counts skipped blocks.
 Status TimeRangePositions(const uint8_t* data, size_t size, uint32_t count,
                           const TimeRange& range, DecodeStrategy strategy,
-                          int n_v, bool prune, size_t* first, size_t* last,
+                          bool prune, size_t* first, size_t* last,
                           uint64_t* blocks_pruned, uint64_t* tuples_scanned);
 
 /// Proposition 5 block test for value filters: returns true when the block's

@@ -22,8 +22,8 @@ namespace etsqp::simd {
 /// ISA variants.
 
 /// Which datapath a merge kernel runs on. The engine runs BestMergeIsa()
-/// unless the plan's strategy is kSerial (exec::MergeIsaFor), with or
-/// without the SchedulerRegistry; BestMergeIsa() honors
+/// unless the plan's strategy is kSerial (exec::MergeIsaFor);
+/// BestMergeIsa() honors
 /// SetSimdDisabledForTesting.
 enum class MergeIsa { kScalar = 0, kSse = 1, kAvx2 = 2, kAvx512 = 3 };
 

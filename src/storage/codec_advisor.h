@@ -44,8 +44,8 @@ class CodecAdvisor {
 
   struct Options {
     double min_gain = 0.05;
-    /// Defaults to storage::PageDecodeSupported when unset; the db layer
-    /// wires a registry-backed check instead.
+    /// Defaults to storage::PageDecodeSupported when unset (a test seam:
+    /// the serving path schedules every codec that decodes).
     DecodeSupportHook decode_support;
   };
 

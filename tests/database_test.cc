@@ -23,7 +23,6 @@
 #include "db/iotdb_lite.h"
 #include "db/shard.h"
 #include "db/shard_router.h"
-#include "exec/scheduler_registry.h"
 
 namespace etsqp {
 namespace {

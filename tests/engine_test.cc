@@ -174,13 +174,7 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineCase{"etsqp_prune", PipelineOptions::EtsqpPrune(1)},
                       EngineCase{"etsqp_prune4", PipelineOptions::EtsqpPrune(4)},
                       EngineCase{"serial", PipelineOptions::Serial()},
-                      EngineCase{"sboost", PipelineOptions::Sboost(2)},
-                      EngineCase{"nofusion",
-                                 [] {
-                                   PipelineOptions o = PipelineOptions::Etsqp(1);
-                                   o.fusion = false;
-                                   return o;
-                                 }()}),
+                      EngineCase{"sboost", PipelineOptions::Sboost(2)}),
     [](const ::testing::TestParamInfo<EngineCase>& info) {
       return info.param.name;
     });

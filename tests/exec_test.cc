@@ -75,7 +75,7 @@ TEST_P(ColumnDecoderTest, MatchesReferenceDecode) {
   DecodedColumn col;
   ASSERT_TRUE(DecodeColumn(page.value().value_data.data(),
                            page.value().value_data.size(), c.encoding,
-                           page.value().header.count, c.strategy, 0, &col)
+                           page.value().header.count, c.strategy, &col)
                   .ok());
   ASSERT_EQ(col.size(), values.size());
   for (size_t i = 0; i < values.size(); ++i) {
@@ -118,7 +118,7 @@ TEST(ColumnDecoderTest, RangeDecodeMatchesFull) {
     DecodedColumn out;
     ASSERT_TRUE(DecodeColumnRange(buf.data(), buf.size(),
                                   enc::ColumnEncoding::kTs2Diff, 4000,
-                                  DecodeStrategy::kEtsqp, 0, begin, end, &out)
+                                  DecodeStrategy::kEtsqp, begin, end, &out)
                     .ok());
     ASSERT_EQ(out.size(), end - begin);
     for (size_t i = begin; i < end; ++i) {
@@ -141,7 +141,7 @@ TEST(ColumnDecoderTest, RlbeRangeDecodeUsesAnchors) {
     DecodedColumn out;
     ASSERT_TRUE(DecodeColumnRange(buf.data(), buf.size(),
                                   enc::ColumnEncoding::kRlbe, 30000,
-                                  DecodeStrategy::kEtsqp, 0, begin, end, &out)
+                                  DecodeStrategy::kEtsqp, begin, end, &out)
                     .ok());
     ASSERT_EQ(out.size(), end - begin);
     for (size_t i = begin; i < end; ++i) {
@@ -160,7 +160,7 @@ TEST(ColumnDecoderTest, WideValuesFallBackTo64Bit) {
   DecodedColumn out;
   ASSERT_TRUE(DecodeColumn(buf.data(), buf.size(),
                            enc::ColumnEncoding::kTs2Diff, 4,
-                           DecodeStrategy::kEtsqp, 0, &out)
+                           DecodeStrategy::kEtsqp, &out)
                   .ok());
   EXPECT_FALSE(out.narrow);
   for (size_t i = 0; i < 4; ++i) EXPECT_EQ(out.Get(i), values[i]);
@@ -299,7 +299,7 @@ TEST(PruningTest, TimeRangePositionsMatchReference) {
       TimeRange range{lo, hi};
       size_t first = 0, last = 0;
       ASSERT_TRUE(TimeRangePositions(buf.data(), buf.size(), times.size(),
-                                     range, DecodeStrategy::kEtsqp, 0, prune,
+                                     range, DecodeStrategy::kEtsqp, prune,
                                      &first, &last, nullptr, nullptr)
                       .ok());
       size_t ref_first =
@@ -332,7 +332,7 @@ TEST(PruningTest, ConstantIntervalDirectPositions) {
   uint64_t scanned = 0;
   ASSERT_TRUE(TimeRangePositions(buf.data(), buf.size(), times.size(),
                                  TimeRange{1500, 2504}, DecodeStrategy::kEtsqp,
-                                 0, /*prune=*/true, &first, &last, nullptr,
+                                 /*prune=*/true, &first, &last, nullptr,
                                  &scanned)
                   .ok());
   EXPECT_EQ(first, 50u);
@@ -353,8 +353,8 @@ TEST(PruningTest, PrunesBlocksBelowRange) {
   uint64_t pruned = 0;
   ASSERT_TRUE(TimeRangePositions(buf.data(), buf.size(), times.size(),
                                  TimeRange{38000, 39000},
-                                 DecodeStrategy::kEtsqp, 0, true, &first,
-                                 &last, &pruned, nullptr)
+                                 DecodeStrategy::kEtsqp, true, &first, &last,
+                                 &pruned, nullptr)
                   .ok());
   EXPECT_GT(pruned, 10u);  // most leading blocks skipped undecoded
   size_t ref_first =
@@ -522,7 +522,7 @@ TEST(CostModelTest, AverageDecodeTimeFiniteAtDegenerateWidths) {
   EXPECT_GT(w1, 0.0);
   EXPECT_LT(w1, 2.0);
   // unpacked_width < width: infeasible for the kernels, but the model must
-  // stay finite and positive (the registry may evaluate it when bucketing).
+  // stay finite and positive (Schedule() may evaluate it when bucketing).
   double degenerate = AverageDecodeTime(32, 16, 2, c);
   EXPECT_TRUE(std::isfinite(degenerate));
   EXPECT_GT(degenerate, 0.0);

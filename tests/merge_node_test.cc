@@ -3,8 +3,8 @@
 // overlapping and identical time ranges, unsealed tails on either side,
 // tombstone-masked pages, time and value filters — queried with
 // projection, natural join, UNION and CORR on one and three engine
-// threads, registry-planned and pinned to the serial pipelines, in memory
-// and through a FileBackedStore. Every answer must equal
+// threads, under kEtsqp's per-class kernel choice and pinned to the serial
+// pipelines, in memory and through a FileBackedStore. Every answer must equal
 // oracle::BinaryAnswer over the raw inserted points.
 
 #include <gtest/gtest.h>
@@ -179,8 +179,8 @@ void RunMergeRound(uint64_t round) {
         plan.value_filter.lo + static_cast<int64_t>(rng() % 150);
   }
 
-  // Registry-planned versus pinned to the serial scalar pipelines, on one
-  // and three engine threads.
+  // kEtsqp's per-class kernels versus the pinned serial scalar pipelines,
+  // on one and three engine threads.
   PipelineOptions base = round % 2 == 0 ? PipelineOptions::Etsqp(1)
                                         : PipelineOptions::Serial();
   base.WithThreads((round / 2) % 2 == 0 ? 1 : 3).WithPrune(rng() % 2 == 0);

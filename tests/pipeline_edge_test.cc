@@ -321,19 +321,22 @@ TEST(PipelineEdgeTest, SlicePartitionsSumToWhole) {
   }
 }
 
+/// Sweeps the caller's knobs: strategy x prune x collect_stats (threads
+/// fixed at 2). Stats collection times every stage and scores every kernel
+/// decision; the answer must not depend on it.
 class StrategySweepTest
     : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {};
 
 TEST_P(StrategySweepTest, RandomFiltersMatchReference) {
-  auto [strat, prune, fusion] = GetParam();
+  auto [strat, prune, stats] = GetParam();
   Fx f = Make(20000, 13);
   PipelineOptions o;
   o.strategy = static_cast<DecodeStrategy>(strat);
   o.prune = prune;
-  o.fusion = fusion;
+  o.collect_stats = stats;
   o.threads = 2;
   Engine engine(o);
-  std::mt19937_64 rng(100 + strat * 7 + prune * 3 + fusion);
+  std::mt19937_64 rng(100 + strat * 7 + prune * 3 + stats);
   int64_t tmax = f.times.back();
   for (int trial = 0; trial < 8; ++trial) {
     LogicalPlan plan = LogicalPlan::Aggregate("s", AggFunc::kSum);

@@ -24,7 +24,6 @@
 #include "exec/engine.h"
 #include "exec/pipe_builder.h"
 #include "exec/pipeline.h"
-#include "exec/scheduler_registry.h"
 #include "simd/prune_simd.h"
 #include "simd/transposed_unpack_avx512.h"
 #include "storage/buffer_manager.h"
@@ -494,16 +493,16 @@ void RunFuzzRound(uint64_t round) {
         plan.value_filter.lo + static_cast<int64_t>(rng() % 120);
   }
 
-  // Rotate the decode datapath: the registry's choice, the pinned SIMD
-  // strategy, and the pinned serial scalar pipelines; every fifth round
-  // slices pages across three workers.
+  // Rotate the decode datapath: Schedule()'s per-class choice, the pinned
+  // SBoost SIMD strategy, and the pinned serial scalar pipelines; every
+  // fifth round slices pages across three workers.
   PipelineOptions base;
   switch (round % 3) {
     case 0:
       base = PipelineOptions::EtsqpPrune(1);
       break;
     case 1:
-      base = PipelineOptions::Etsqp(1).WithRegistry(false).WithPrune(true);
+      base = PipelineOptions::Sboost(1).WithPrune(true);
       break;
     default:
       base = PipelineOptions::Serial().WithPrune(true);

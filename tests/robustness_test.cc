@@ -48,10 +48,10 @@ void TryDecode(enc::ColumnEncoding encoding, const std::vector<uint8_t>& raw,
   exec::DecodedColumn out;
   // May fail or produce garbage values; must return.
   exec::DecodeColumn(buf.data(), buf.size(), encoding, count,
-                     exec::DecodeStrategy::kEtsqp, 0, &out)
+                     exec::DecodeStrategy::kEtsqp, &out)
       .ok();
   exec::DecodeColumn(buf.data(), buf.size(), encoding, count,
-                     exec::DecodeStrategy::kSerial, 0, &out)
+                     exec::DecodeStrategy::kSerial, &out)
       .ok();
 }
 
