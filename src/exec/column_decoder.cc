@@ -237,6 +237,41 @@ Status DecodeDeltaRle(const uint8_t* data, size_t size, uint32_t count,
   return Status::Ok();
 }
 
+/// One FLMM1024 block of residual width <= 32 into `rows`: a SIMD unpack
+/// of the residuals, then 31 lane-wise vector additions.
+void DecodeFastLanesBlockSimd(const enc::FastLanesBlock& b,
+                              uint32_t* residuals, int64_t* rows) {
+  constexpr uint32_t kBlock = enc::FastLanesEncoder::kBlockValues;
+  constexpr uint32_t kLanes = enc::FastLanesEncoder::kLanes;
+  for (uint32_t l = 0; l < kLanes; ++l) {
+    rows[l] = static_cast<int64_t>(GetFixed64BE(b.base_row + l * 8));
+  }
+  simd::UnpackBE32(b.packed, b.packed_bytes, kBlock - kLanes, b.width,
+                   residuals);
+  // 31 lane-wise vector additions per block: row r = row r-1 + delta.
+  if (UseAvx2()) {
+    const __m256i vmd = _mm256_set1_epi64x(b.min_delta);
+    for (uint32_t r = 1; r < kBlock / kLanes; ++r) {
+      const uint32_t* res = residuals + (r - 1) * kLanes;
+      for (uint32_t l = 0; l < kLanes; l += 4) {
+        __m128i r32 = _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(res + l));
+        __m256i d = _mm256_cvtepu32_epi64(r32);
+        __m256i prev = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+            rows + (r - 1) * kLanes + l));
+        __m256i cur = _mm256_add_epi64(_mm256_add_epi64(prev, d), vmd);
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i*>(rows + r * kLanes + l), cur);
+      }
+    }
+  } else {
+    for (uint32_t i = kLanes; i < kBlock; ++i) {
+      rows[i] = rows[i - kLanes] + b.min_delta +
+                static_cast<int64_t>(residuals[i - kLanes]);
+    }
+  }
+}
+
 Status DecodeFastLanesSimd(const enc::FastLanesColumn& col, size_t begin,
                            size_t end, DecodedColumn* out) {
   constexpr uint32_t kBlock = enc::FastLanesEncoder::kBlockValues;
@@ -250,32 +285,11 @@ Status DecodeFastLanesSimd(const enc::FastLanesColumn& col, size_t begin,
     size_t bs = b.start_index;
     size_t be = bs + b.num_values;
     if (be <= begin || bs >= end) continue;
-    for (uint32_t l = 0; l < kLanes; ++l) {
-      rows[l] = static_cast<int64_t>(GetFixed64BE(b.base_row + l * 8));
-    }
-    simd::UnpackBE32(b.packed, b.packed_bytes, kBlock - kLanes, b.width,
-                     residuals.data());
-    // 31 lane-wise vector additions per block: row r = row r-1 + delta.
-    if (UseAvx2()) {
-      const __m256i vmd = _mm256_set1_epi64x(b.min_delta);
-      for (uint32_t r = 1; r < kBlock / kLanes; ++r) {
-        const uint32_t* res = residuals.data() + (r - 1) * kLanes;
-        for (uint32_t l = 0; l < kLanes; l += 4) {
-          __m128i r32 = _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(res + l));
-          __m256i d = _mm256_cvtepu32_epi64(r32);
-          __m256i prev = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-              rows + (r - 1) * kLanes + l));
-          __m256i cur = _mm256_add_epi64(_mm256_add_epi64(prev, d), vmd);
-          _mm256_storeu_si256(
-              reinterpret_cast<__m256i*>(rows + r * kLanes + l), cur);
-        }
-      }
+    if (b.width > 32) {
+      // Residuals wider than 32 bits have no SIMD unpack plan.
+      enc::FastLanesColumn::DecodeBlock(b, rows);
     } else {
-      for (uint32_t i = kLanes; i < kBlock; ++i) {
-        rows[i] = rows[i - kLanes] + b.min_delta +
-                  static_cast<int64_t>(residuals[i - kLanes]);
-      }
+      DecodeFastLanesBlockSimd(b, residuals.data(), rows);
     }
     size_t from = std::max(bs, begin);
     size_t to = std::min(be, end);

@@ -133,6 +133,13 @@ ScheduleDecision Schedule(const PageClass& cls, const PlanContext& ctx) {
           2.0 * c.t_vis_mem + 2.0 * c.t_op);
     return d;
   }
+  // COUNT without a value filter fuses down to positions whatever the
+  // codec: AggValues never opens the value column, so no value kernel runs
+  // and the model predicts no per-tuple work — such jobs stay unscored.
+  if (ctx.aggregate && ctx.func == AggFunc::kCount && !ctx.value_filter) {
+    offer(true, "etsqp.fused", DecodeStrategy::kEtsqp, 0.0);
+    return d;
+  }
   const int w = std::max(cls.width_bucket, 1);
   const int wt = std::min(w, kTransposedMaxWidth);
   const bool avx2 = UseAvx2();

@@ -71,7 +71,8 @@ PlanContext MakePlanContext(const LogicalPlan& plan);
 /// prediction it won on, in ns per tuple (abstract clock units read as ns
 /// at a 1 GHz reference — a rough ordering, not a measurement).
 ///
-/// Labels: "etsqp.fused" (Section IV fused readers), "etsqp.transposed"
+/// Labels: "etsqp.fused" (Section IV fused readers, and the positions-only
+/// unfiltered COUNT, predicted at 0 and so never scored), "etsqp.transposed"
 /// (Algorithm 1), "sboost.linear", "serial.scalar", "xor.float" (sealed
 /// float pages), "tail.scalar" (the unsealed tail) and "etsqp.merge" (the
 /// merge stage).

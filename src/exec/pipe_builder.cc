@@ -336,11 +336,13 @@ Result<PipelineSpec> BuildPipeline(
   }
   // Multi-input plans end in a merge stage; plan its kernel through the
   // Schedule() like any page class. The stage sees every surviving input
-  // tuple once, so it covers the non-pruned tuple volume.
+  // tuple once, so it covers the tuples of the surviving jobs.
   if (inputs.size() > 1) {
     spec.merge_decision =
         decisions.Decide(ClassifyMerge(static_cast<int>(inputs.size())));
-    decisions.Cover(spec.merge_decision, 0, spec.plan_stats.tuples_in_pages);
+    uint64_t surviving = 0;
+    for (const PipeJob& job : spec.jobs) surviving += job.end - job.begin;
+    decisions.Cover(spec.merge_decision, 0, surviving);
   }
   if (merge_plan) PlanRanges(inputs.size(), options.threads, &spec);
   return spec;

@@ -149,6 +149,31 @@ TEST(SchedulerEntryTest, FusedRequiresFusableAggregateShape) {
   });
 }
 
+TEST(SchedulerEntryTest, UnfilteredCountReadsPositionsOnly) {
+  // AggValues answers an unfiltered COUNT from positions on every codec:
+  // no value kernel runs, so the pick predicts no per-tuple work and is
+  // never scored. A value filter reads values again.
+  ForEachIsaMode([](bool) {
+    PlanContext count = AggCtx();
+    count.func = AggFunc::kCount;
+    for (const PageClass& cls :
+         {SealedIntClass(8), SealedIntClass(32), SealedIntClass(64),
+          SealedIntClass(8, enc::ColumnEncoding::kDeltaRle),
+          SealedIntClass(8, enc::ColumnEncoding::kRlbe)}) {
+      ScheduleDecision d = Schedule(cls, count);
+      ASSERT_NE(d.label, nullptr) << cls.Key();
+      EXPECT_STREQ(d.label, "etsqp.fused") << cls.Key();
+      EXPECT_EQ(d.strategy, DecodeStrategy::kEtsqp) << cls.Key();
+      EXPECT_EQ(d.predicted_ns_per_tuple, 0) << cls.Key();
+      ExecStats stats;
+      NoteDecisionOutcome(d, 8192, 1000000, &stats);
+      EXPECT_EQ(stats.mispredictions, 0u) << cls.Key();
+    }
+    count.value_filter = true;
+    EXPECT_GT(Schedule(SealedIntClass(8), count).predicted_ns_per_tuple, 0);
+  });
+}
+
 PlanContext FilteredCtx() {
   PlanContext ctx = AggCtx();
   ctx.value_filter = true;
@@ -511,6 +536,86 @@ TEST(SchedulerExplainTest, PinnedStrategyBypassesRegistry) {
   // A baseline strategy is a pin: no kernel decisions in the plan.
   EXPECT_EQ(r.value().explain_text.find("sched "), std::string::npos)
       << r.value().explain_text;
+}
+
+/// Four sealed 4096-point pages of `name`, times from 0 in steps of 1.
+void FillSeries(storage::SeriesStore* store, const std::string& name) {
+  ASSERT_TRUE(
+      store->CreateSeries(name, storage::SeriesStore::SeriesOptions{}).ok());
+  std::vector<int64_t> times(4 * 4096), values(4 * 4096);
+  for (size_t i = 0; i < times.size(); ++i) {
+    times[i] = static_cast<int64_t>(i);
+    values[i] = static_cast<int64_t>(i % 91) - 45;
+  }
+  ASSERT_TRUE(
+      store->AppendBatch(name, times.data(), values.data(), times.size())
+          .ok());
+  ASSERT_TRUE(store->Flush().ok());
+}
+
+TEST(SchedulerExplainTest, MergeDecisionCoversSurvivingTuples) {
+  // The merge stage sees the tuples of the pages that survive pruning,
+  // not every page of both inputs.
+  storage::SeriesStore store;
+  FillSeries(&store, "a");
+  FillSeries(&store, "b");
+  LogicalPlan plan;
+  plan.kind = LogicalPlan::Kind::kJoin;
+  plan.series = "a";
+  plan.series_right = "b";
+  const PipelineOptions options = PipelineOptions::EtsqpPrune(1);
+
+  plan.time_filter.hi = -1;  // every page pruned
+  Result<PipelineSpec> none = BuildPipeline(plan, store, options);
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  ASSERT_GE(none.value().merge_decision, 0);
+  EXPECT_EQ(none.value().plan_stats.pages_pruned, 8u);
+  EXPECT_EQ(none.value().decisions[none.value().merge_decision].tuples, 0u);
+
+  plan.time_filter.hi = 5000;  // two pages of each input survive
+  Result<PipelineSpec> some = BuildPipeline(plan, store, options);
+  ASSERT_TRUE(some.ok()) << some.status().ToString();
+  uint64_t surviving = 0;
+  for (const PipeJob& job : some.value().jobs) surviving += job.end - job.begin;
+  EXPECT_EQ(surviving, 4u * 4096);
+  EXPECT_EQ(some.value().decisions[some.value().merge_decision].tuples,
+            surviving);
+
+  plan.explain = LogicalPlan::ExplainMode::kPlan;
+  plan.time_filter.hi = -1;
+  Result<QueryResult> r = Engine(options).Execute(plan, store);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const std::string& text = r.value().explain_text;
+  EXPECT_NE(text.find("0/8 pages after pruning"), std::string::npos) << text;
+  EXPECT_NE(text.find("sched merge/2way: entry=etsqp.merge"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("pages=0 tuples=0"), std::string::npos) << text;
+}
+
+TEST(SchedulerExplainTest, UnfilteredCountIsNeverAMisprediction) {
+  // EXPLAIN ANALYZE of an unfiltered COUNT: its jobs run, are recorded
+  // against their decision, and never count as mispredictions, plain or
+  // windowed.
+  storage::SeriesStore store;
+  FillSeries(&store, "ts");
+  for (bool windowed : {false, true}) {
+    LogicalPlan plan = LogicalPlan::Aggregate("ts", AggFunc::kCount);
+    plan.explain = LogicalPlan::ExplainMode::kAnalyze;
+    plan.window.active = windowed;
+    plan.window.delta_t = 1000;
+    Result<QueryResult> r =
+        Engine(PipelineOptions::EtsqpPrune(1)).Execute(plan, store);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const ExecStats& stats = r.value().stats;
+    EXPECT_EQ(stats.mispredictions, 0u) << r.value().explain_text;
+    ASSERT_EQ(stats.scheduler.size(), 1u) << r.value().explain_text;
+    EXPECT_EQ(stats.scheduler.begin()->second.entry, "etsqp.fused");
+    EXPECT_EQ(stats.scheduler.begin()->second.jobs, 4u);
+    EXPECT_NE(r.value().explain_text.find("mispredictions=0"),
+              std::string::npos)
+        << r.value().explain_text;
+  }
 }
 
 }  // namespace
