@@ -192,7 +192,10 @@ void BM_FusedWeightedRampSum(benchmark::State& state) {
   std::vector<int32_t> values(kN);
   for (auto& v : values) v = static_cast<int32_t>(rng() % 1024);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::WeightedRampSumInt32(values.data(), kN));
+    int64_t sum = 0;
+    benchmark::DoNotOptimize(
+        simd::WeightedRampSumInt32(values.data(), kN, &sum));
+    benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * kN);
 }

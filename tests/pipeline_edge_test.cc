@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <random>
+#include <string>
 
 #include "db/database.h"
 #include "exec/engine.h"
@@ -281,6 +283,62 @@ TEST(WindowFilterRegressionTest, WindowedAggregatesHonourWhereClause) {
       ASSERT_EQ(r.value().columns.size(), 2u) << sql;
       ASSERT_EQ(r.value().columns[1].size(), 1u) << sql;
       EXPECT_EQ(r.value().columns[1][0], c.want) << sql;
+    }
+  }
+}
+
+TEST(WindowFilterRegressionTest, WindowIndexPastInt64) {
+  // SW(-5e18, dT) over times just above +5e18: with dT = 1 the window index
+  // (t - t_min) / dT is about 1e19, past int64. Windows are keyed by their
+  // start, so every point still lands in its own window: on sealed pages
+  // with constant and irregular intervals and on the tail, int and float,
+  // scalar and SIMD, one thread and sliced pages.
+  constexpr int64_t kOrigin = -5000000000000000000;
+  std::vector<int64_t> times;
+  int64_t t = 5000000000000000000;
+  for (int64_t i = 0; i < 1050; ++i) {
+    t += (i / 300) % 2 == 0 ? 7 : 1 + i % 5;
+    times.push_back(t);
+  }
+  for (db::Database::Mode mode :
+       {db::Database::Mode::kScalar, db::Database::Mode::kSimd}) {
+    for (int threads : {1, 4}) {
+      db::Database db(db::Database::Options{mode, threads, /*shards=*/1,
+                                            /*cache_budget_bytes=*/0});
+      ASSERT_TRUE(db.CreateTimeseries("s", 100).ok());
+      ASSERT_TRUE(
+          db.CreateFloatTimeseries("f", enc::ColumnEncoding::kGorillaValue, 100)
+              .ok());
+      for (size_t i = 0; i < times.size(); ++i) {
+        ASSERT_TRUE(db.Insert("s", times[i], static_cast<int64_t>(i)).ok());
+        ASSERT_TRUE(db.InsertF64("f", times[i], static_cast<double>(i)).ok());
+      }
+      for (int64_t dt : {int64_t{1}, int64_t{1000}}) {
+        // The expected windows: start -> sum of the values in it.
+        std::map<int64_t, double> want;
+        for (size_t i = 0; i < times.size(); ++i) {
+          const __int128 rel = static_cast<__int128>(times[i]) - kOrigin;
+          want[static_cast<int64_t>(kOrigin + rel / dt * dt)] +=
+              static_cast<double>(i);
+        }
+        for (const char* series : {"s", "f"}) {
+          char sql[128];
+          std::snprintf(sql, sizeof(sql), "SELECT SUM(%s) FROM %s SW(%lld, %lld)",
+                        series, series, static_cast<long long>(kOrigin),
+                        static_cast<long long>(dt));
+          SCOPED_TRACE(std::string(sql) + " threads " + std::to_string(threads));
+          Result<QueryResult> r = db.Query(sql);
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          ASSERT_EQ(r.value().columns.size(), 2u);
+          ASSERT_EQ(r.value().columns[0].size(), want.size());
+          size_t row = 0;
+          for (const auto& [start, sum] : want) {
+            EXPECT_EQ(r.value().columns[0][row], static_cast<double>(start));
+            EXPECT_EQ(r.value().columns[1][row], sum);
+            ++row;
+          }
+        }
+      }
     }
   }
 }
