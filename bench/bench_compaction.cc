@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "db/iotdb_lite.h"
+#include "db/database.h"
 
 namespace etsqp {
 namespace {
@@ -37,7 +37,7 @@ constexpr Shape kShapes[] = {
     {"floats", true},
 };
 
-void FillSeries(db::IotDbLite* dbi, size_t points) {
+void FillSeries(db::Database* dbi, size_t points) {
   std::vector<int64_t> times(points);
   for (size_t i = 0; i < points; ++i) {
     times[i] = 1'600'000'000'000 + static_cast<int64_t>(i) * 1000;
@@ -79,7 +79,7 @@ void FillSeries(db::IotDbLite* dbi, size_t points) {
   if (!dbi->Flush().ok()) std::abort();
 }
 
-double QueryLatency(const db::IotDbLite& dbi, const Shape& s,
+double QueryLatency(const db::Database& dbi, const Shape& s,
                     exec::ExecStats* stats) {
   const std::string sql =
       std::string("SELECT SUM(") + s.name + ") FROM " + s.name + ";";
@@ -112,7 +112,7 @@ void ExportSizeJson(const std::string& case_name, uint64_t before,
 }
 
 void Run(size_t points) {
-  db::IotDbLite dbi;
+  db::Database dbi;
   FillSeries(&dbi, points);
 
   // Latency over the fixed-codec sealing.
@@ -124,7 +124,7 @@ void Run(size_t points) {
   uint64_t before_bytes[4];
   uint64_t total_before = 0;
   for (size_t i = 0; i < 4; ++i) {
-    before_bytes[i] = dbi.store()->EncodedBytes(kShapes[i].name);
+    before_bytes[i] = dbi.shard_store(0)->EncodedBytes(kShapes[i].name);
     total_before += before_bytes[i];
   }
 
@@ -138,7 +138,7 @@ void Run(size_t points) {
   uint64_t after_bytes[4];
   uint64_t total_after = 0;
   for (size_t i = 0; i < 4; ++i) {
-    after_bytes[i] = dbi.store()->EncodedBytes(kShapes[i].name);
+    after_bytes[i] = dbi.shard_store(0)->EncodedBytes(kShapes[i].name);
     total_after += after_bytes[i];
   }
 

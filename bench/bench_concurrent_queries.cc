@@ -1,4 +1,4 @@
-// Concurrent-query throughput on the sharded serving core: N client threads
+// Concurrent-query throughput on the sharded database: N client threads
 // (64 / 128 / 256) issue fig10-style aggregations (Q1 sliding-window SUM,
 // Q3 filtered SUM) over 8 series through db::Database at 1 / 4 / 8 shards.
 // Every result is validated against a serial single-shard reference before
@@ -6,10 +6,9 @@
 // across clients: total tuples of loaded pages across all completed
 // queries / wall seconds.
 //
-// A second panel turns the epoch-keyed result cache on (and bounds the
-// client tenant's concurrency so the admission queue engages): repeat
-// queries should collapse into cache hits, and the exported JSON carries
-// the cache_hits / cache_misses / admission_wait_nanos counters.
+// A second panel turns the epoch-keyed result cache on: repeat queries
+// should collapse into cache hits, and the exported JSON carries the
+// cache_hits / cache_misses counters.
 
 #include <algorithm>
 #include <atomic>
@@ -86,10 +85,10 @@ struct CellResult {
   bool ok = true;
 };
 
-/// `clients` threads round-robin the query mix as `tenant`, validating each
+/// `clients` threads round-robin the query mix, validating each
 /// result; per-query stats merge into one ExecStats (pool deltas dropped —
 /// they are process-wide, not per-query).
-CellResult RunClients(const db::Database& db, const std::string& tenant,
+CellResult RunClients(const db::Database& db,
                       const std::vector<std::string>& sqls,
                       const std::vector<exec::QueryResult>& expected,
                       int clients, int queries_per_client) {
@@ -104,7 +103,7 @@ CellResult RunClients(const db::Database& db, const std::string& tenant,
       for (int i = 0; i < queries_per_client; ++i) {
         size_t idx = static_cast<size_t>(c * queries_per_client + i) %
                      sqls.size();
-        auto r = db.Query(tenant, sqls[idx]);
+        auto r = db.Query(sqls[idx]);
         if (!r.ok() || !SameResult(r.value(), expected[idx])) {
           bad.fetch_add(1);
           return;
@@ -162,8 +161,8 @@ int main() {
     FillDatabase(&dbx, n);
     PrintCell("shards=" + std::to_string(shards));
     for (int clients : kClientCounts) {
-      CellResult cell = RunClients(dbx, "default", sqls, expected, clients,
-                                   kQueriesPerClient);
+      CellResult cell =
+          RunClients(dbx, sqls, expected, clients, kQueriesPerClient);
       if (!cell.ok) {
         std::fprintf(stderr, "validation failed at shards=%d clients=%d\n",
                      shards, clients);
@@ -178,23 +177,17 @@ int main() {
     EndRow();
   }
 
-  // Cache panel: 8 shards, result cache on, the client tenant bounded so
-  // the admission queue engages at high client counts. Each client repeats
-  // the mix, so steady state is nearly all hits.
+  // Cache panel: 8 shards, result cache on. Each client repeats the mix,
+  // so steady state is nearly all hits.
   db::Database cached(
       db::Database::Options{db::Database::Mode::kSimd, 2, 8, 32 << 20});
   cached.SetCollectStats(true);
   FillDatabase(&cached, n);
-  db::Database::TenantOptions web;
-  web.max_concurrent =
-      static_cast<int>(std::max(4u, 2 * std::thread::hardware_concurrency()));
-  web.max_queued = 1 << 20;  // queue, never reject: a latency bench
-  cached.ConfigureTenant("web", web);
 
   std::vector<CellResult> cache_cells;
   for (int clients : kClientCounts) {
-    CellResult cell = RunClients(cached, "web", sqls, expected, clients,
-                                 2 * kQueriesPerClient);
+    CellResult cell =
+        RunClients(cached, sqls, expected, clients, 2 * kQueriesPerClient);
     if (!cell.ok) {
       std::fprintf(stderr, "validation failed (cache on) at clients=%d\n",
                    clients);
@@ -205,7 +198,7 @@ int main() {
                       cell.seconds, cell.merged);
     cache_cells.push_back(std::move(cell));
   }
-  PrintHeader("Result cache on (8 shards, tenant-bounded concurrency)",
+  PrintHeader("Result cache on (8 shards)",
               {"Metric", "clients=64", "clients=128", "clients=256"});
   PrintCell("queries/s");
   for (const CellResult& cell : cache_cells) {
@@ -221,20 +214,11 @@ int main() {
                          : 0.0);
   }
   EndRow();
-  PrintCell("queue wait ms");
-  for (const CellResult& cell : cache_cells) {
-    PrintCell(static_cast<double>(cell.merged.admission_wait_nanos) / 1e6);
-  }
-  EndRow();
 
   db::ResultCache::Stats cs = cached.cache_stats();
-  auto tenants = cached.tenant_stats();
-  const db::Database::TenantStats& ts = tenants["web"];
   std::printf(
       "\ncache: hits=%llu misses=%llu evictions=%llu entries=%llu "
       "bytes=%llu/%llu\n"
-      "tenant web: admitted=%llu rejected(queue=%llu, memory=%llu) "
-      "waited=%.3f ms\n"
       "pool: workers=%d threads_started=%llu tasks=%llu steals=%llu\n"
       "Expected shape: cache-off throughput grows from 1 to 4/8 shards at\n"
       "64+ clients (independent stores remove the snapshot bottleneck while\n"
@@ -246,10 +230,6 @@ int main() {
       static_cast<unsigned long long>(cs.entries),
       static_cast<unsigned long long>(cs.bytes),
       static_cast<unsigned long long>(cs.budget_bytes),
-      static_cast<unsigned long long>(ts.admitted),
-      static_cast<unsigned long long>(ts.rejected_queue),
-      static_cast<unsigned long long>(ts.rejected_memory),
-      static_cast<double>(ts.wait_nanos) / 1e6,
       exec::ThreadPool::Global().workers_running(),
       static_cast<unsigned long long>(
           exec::ThreadPool::Global().threads_started()),

@@ -1,14 +1,14 @@
 // Reproduces paper Figure 13: system-deployment comparison of time-range and
 // value-range aggregation queries across the Table II datasets:
-//   IoTDB       = IotDbLite in scalar mode (serial decoding)
-//   IoTDB-SIMD  = IotDbLite with the integrated ETSQP engine
+//   IoTDB       = db::Database in scalar mode (serial decoding)
+//   IoTDB-SIMD  = db::Database with the integrated ETSQP engine
 //   MonetDB     = block engine (LZ columns, decompress-then-operate)
 //   Spark/HDFS  = row engine (LZ row splits + per-query codegen latency)
 // Reported: query latency (ms) per system, plus compressed footprint.
 
 #include "bench/bench_util.h"
 #include "db/block_engine.h"
-#include "db/iotdb_lite.h"
+#include "db/database.h"
 #include "db/row_engine.h"
 #include "workload/generators.h"
 
@@ -27,8 +27,8 @@ int main() {
                 {"Dataset", "IoTDB", "IoTDB-SIMD", "MonetDB", "Spark/HDFS"});
     for (const workload::Dataset& ds : datasets) {
       const workload::SeriesData& s = ds.series[0];
-      db::IotDbLite iotdb(db::IotDbLite::Mode::kScalar);
-      db::IotDbLite iotdb_simd(db::IotDbLite::Mode::kSimd);
+      db::Database iotdb(db::Database::Options{db::Database::Mode::kScalar});
+      db::Database iotdb_simd(db::Database::Options{db::Database::Mode::kSimd});
       db::BlockEngine monet;
       db::RowEngine::Options row_opt;
       row_opt.query_setup_ms = 30.0 * bench::BenchScale();

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "db/iotdb_lite.h"
+#include "db/database.h"
 #include "storage/wal.h"
 
 namespace etsqp {
@@ -36,11 +36,11 @@ struct AppendCase {
 double RunAppend(const AppendCase& c, size_t points) {
   std::string wal_path = "/tmp/etsqp_bench_ingest.wal";
   std::remove(wal_path.c_str());
-  db::IotDbLite dbi;
+  db::Database dbi;
   storage::SeriesStore::SeriesOptions opt;
   opt.page_size = 4096;
   if (!dbi.CreateTimeseries("s", opt).ok()) std::abort();
-  db::IotDbLite::IngestConfig cfg;
+  db::Database::IngestConfig cfg;
   if (c.use_wal) {
     cfg.wal_path = wal_path;
     cfg.fsync = c.fsync;
@@ -101,7 +101,7 @@ void TailQueryLatency(size_t points) {
   bench::PrintHeader("Aggregation latency: sealed pages vs unsealed tail",
                      {"case", "points", "ms/query", "Mtuples/s"});
   for (bool sealed : {true, false}) {
-    db::IotDbLite dbi;
+    db::Database dbi;
     storage::SeriesStore::SeriesOptions opt;
     // Sealed: normal page size => SIMD pipeline over encoded pages.
     // Unsealed: page_size past the point count => everything stays tail.

@@ -1,8 +1,8 @@
 // Down-sampling a monitoring dashboard: the paper's motivating workload
 // (Section I): a fleet of sensors streams readings; the dashboard requests
 // per-minute averages over a recent window. Demonstrates sliding-window
-// aggregation through the IotDbLite SQL facade, scalar-vs-SIMD engine modes,
-// and the execution counters behind the paper's throughput metric.
+// aggregation through the db::Database SQL front end, scalar-vs-SIMD engine
+// modes, and the execution counters behind the paper's throughput metric.
 //
 //   build/examples/downsample_monitoring
 
@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <string>
 
-#include "db/iotdb_lite.h"
+#include "db/database.h"
 #include "workload/generators.h"
 
 int main() {
@@ -18,14 +18,14 @@ int main() {
 
   // The Gas dataset: 19 sensors with drift + activity spikes (Table II).
   workload::Dataset gas = workload::MakeGas(200'000);
-  db::IotDbLite dbi(db::IotDbLite::Mode::kSimd, 2);
-  auto names = workload::LoadDataset(gas, {}, dbi.store());
+  db::Database dbi(db::Database::Options{db::Database::Mode::kSimd, 2});
+  auto names = workload::LoadDataset(gas, {}, dbi.shard_store(0));
   if (!names.ok()) return 1;
 
   // Dashboard query: per-minute AVG of one sensor over the most recent
   // quarter of the data.
   const std::string& sensor = names.value()[3];
-  auto series = dbi.store()->GetSeries(sensor);
+  auto series = dbi.shard_store(0)->GetSeries(sensor);
   int64_t t_end = series.value()->pages.back()->header.max_time;
   int64_t t_begin =
       t_end - (t_end - series.value()->pages[0]->header.min_time) / 4;
@@ -36,8 +36,8 @@ int main() {
                 sensor.c_str(), static_cast<long long>(t_begin),
                 static_cast<long long>(t_begin));
 
-  for (db::IotDbLite::Mode mode :
-       {db::IotDbLite::Mode::kScalar, db::IotDbLite::Mode::kSimd}) {
+  for (db::Database::Mode mode :
+       {db::Database::Mode::kScalar, db::Database::Mode::kSimd}) {
     dbi.SetMode(mode);
     auto result = dbi.Query(sql);
     if (!result.ok()) {
@@ -47,13 +47,13 @@ int main() {
     const exec::QueryResult& qr = result.value();
     std::printf("%s: %zu windows | pages: %llu total, %llu pruned | "
                 "tuples scanned: %llu of %llu\n",
-                mode == db::IotDbLite::Mode::kSimd ? "IoTDB-SIMD" : "IoTDB   ",
+                mode == db::Database::Mode::kSimd ? "IoTDB-SIMD" : "IoTDB   ",
                 qr.num_rows(),
                 static_cast<unsigned long long>(qr.stats.pages_total),
                 static_cast<unsigned long long>(qr.stats.pages_pruned),
                 static_cast<unsigned long long>(qr.stats.tuples_scanned),
                 static_cast<unsigned long long>(qr.stats.tuples_in_pages));
-    if (mode == db::IotDbLite::Mode::kSimd) {
+    if (mode == db::Database::Mode::kSimd) {
       std::printf("first windows:\n");
       for (size_t i = 0; i < 5 && i < qr.num_rows(); ++i) {
         std::printf("  t=%.0f  avg=%8.2f\n", qr.columns[0][i],

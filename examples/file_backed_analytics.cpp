@@ -1,5 +1,5 @@
 // Querying data that does not fit in memory: the Section VI-C workflow.
-// A TsFile is attached header-only through IotDbLite::OpenFile; SQL queries
+// A TsFile is attached header-only through Database::OpenFile; SQL queries
 // prune pages from the statistics and stream the surviving payloads through
 // an LRU buffer pool.
 //
@@ -9,7 +9,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "db/iotdb_lite.h"
+#include "db/database.h"
 #include "storage/tsfile.h"
 #include "workload/generators.h"
 
@@ -26,7 +26,7 @@ int main() {
   }
 
   // Attach with a deliberately tiny buffer pool: pages must stream.
-  db::IotDbLite dbi(db::IotDbLite::Mode::kSimd, 2);
+  db::Database dbi(db::Database::Options{db::Database::Mode::kSimd, 2});
   if (!dbi.OpenFile(path, 64 << 10).ok()) return 1;  // 64 KiB budget
 
   auto index = dbi.file_store()->GetSeries("Time.event_time");

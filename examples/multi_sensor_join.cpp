@@ -8,11 +8,12 @@
 #include <cstdio>
 #include <random>
 
-#include "db/iotdb_lite.h"
+#include "db/database.h"
 
 int main() {
   using namespace etsqp;
-  db::IotDbLite dbi(db::IotDbLite::Mode::kSimd, /*threads=*/2);
+  db::Database dbi(
+      db::Database::Options{db::Database::Mode::kSimd, /*threads=*/2});
 
   // Two sensors on different clocks: power on a 100ms tick, flow on a
   // 250ms tick — they align every 500ms.

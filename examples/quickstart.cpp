@@ -6,13 +6,14 @@
 #include <cstdio>
 #include <random>
 
-#include "db/iotdb_lite.h"
+#include "db/database.h"
 
 int main() {
   using namespace etsqp;
 
   // An IoT database using the SIMD pipeline engine (2 worker threads).
-  db::IotDbLite dbi(db::IotDbLite::Mode::kSimd, /*threads=*/2);
+  db::Database dbi(
+      db::Database::Options{db::Database::Mode::kSimd, /*threads=*/2});
 
   // A sensor series: pages of 4096 points, TS2DIFF-encoded (Delta + min-base
   // + bit packing), flushed incrementally as the ingest buffer fills.
@@ -31,7 +32,7 @@ int main() {
 
   std::printf("ingested 100000 points, encoded to %llu bytes (raw: %llu)\n",
               static_cast<unsigned long long>(
-                  dbi.store()->EncodedBytes("velocity")),
+                  dbi.shard_store(0)->EncodedBytes("velocity")),
               100'000ull * 16);
 
   // Plain aggregation over a time range — decoded with the transposed-layout

@@ -22,8 +22,6 @@ const char* StatusCodeName(StatusCode code) {
       return "IoError";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kResourceExhausted:
-      return "ResourceExhausted";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
     case StatusCode::kAborted:

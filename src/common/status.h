@@ -21,7 +21,6 @@ enum class StatusCode {
   kNotFound,
   kIoError,
   kInternal,
-  kResourceExhausted,  // admission control: tenant queue/memory budget hit
   kFailedPrecondition,  // operation needs state the caller does not hold
   kAborted,             // optimistic operation lost its race; retryable
 };
@@ -61,9 +60,6 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));

@@ -1,7 +1,6 @@
 #ifndef ETSQP_DB_DATABASE_H_
 #define ETSQP_DB_DATABASE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,34 +15,38 @@
 
 namespace etsqp::db {
 
-/// The multi-tenant serving core: a fixed set of Shards (each one
-/// SeriesStore/TsFile + WAL), a ShardRouter that hash-
-/// partitions series across them, per-tenant admission control, and an
-/// epoch-keyed result cache — all in front of the ETSQP engine.
+/// The system-integration layer of paper Section VI: an IoT database with
+/// the IoTDB storage model (buffered ingestion, separately encoded pages)
+/// and a SQL front end whose plans execute through Pipe (Algorithm 2) on
+/// the ETSQP engine.
+///
+/// The Figure 13 comparison maps to engine modes:
+///   IoTDB       = Mode::kScalar  (serial decoding, no vector sharing)
+///   IoTDB-SIMD  = Mode::kSimd    (this paper's integrated engine)
 ///
 /// Layering:
-///  - Catalog and ingest calls route to the owning shard; each shard's
-///    store is internally synchronized, so ingest scales with shards.
-///  - Query() parses SQL, passes tenant admission (bounded concurrency +
-///    bounded queue + per-query memory estimate; over-budget queries are
-///    rejected with ResourceExhausted, never silently queued forever),
-///    consults the result cache, and executes through the primary shard's
-///    engine. Input snapshots resolve through the router, so a binary plan
-///    whose two series live on different shards still compiles into one
-///    PipelineJobSet and merges through the ordinary merge stage — all
-///    shards share the process-wide work-stealing executor.
+///  - A fixed set of Shards (each one SeriesStore/TsFile + WAL) and a
+///    ShardRouter that hash-partitions series across them. Catalog and
+///    ingest calls route to the owning shard; each shard's store is
+///    internally synchronized, so ingest scales with shards.
+///  - Query() parses SQL, consults the epoch-keyed result cache, and
+///    executes on the one engine. Input snapshots resolve through the
+///    router, so a binary plan whose two series live on different shards
+///    still compiles into one PipelineJobSet and merges through the
+///    ordinary merge stage on the process-wide work-stealing executor.
 ///  - The result cache keys on (plan signature, per-input series epoch,
 ///    shard layout). Epochs advance on every append/seal/replay, so the
 ///    ingest tail and background sealing invalidate implicitly
-///    (db/result_cache.h). Hit/miss/eviction and admission counters land in
-///    ExecStats and the EXPLAIN ANALYZE profile.
+///    (db/result_cache.h). Hit/miss/eviction counters land in ExecStats
+///    and the EXPLAIN ANALYZE profile.
 ///
-/// Concurrency contract matches IotDbLite's: Query() from many threads is
-/// safe; reconfiguration (SetMode/SetThreads/SetCollectStats/OpenFile/
-/// CloseFile/Reshard) takes the writer side of the engine lock
-/// and waits out in-flight queries. IotDbLite is this class pinned to one
-/// shard with the cache off — the paths it writes are byte-compatible with
-/// the pre-sharding layout.
+/// The defaults are one shard with the cache off; a one-shard database
+/// writes its TsFile and WAL at the plain paths it is given.
+///
+/// Concurrency: Query() from many threads is safe, and so is Insert
+/// concurrent with Query. Reconfiguration (SetMode/SetThreads/
+/// SetCollectStats/OpenFile/CloseFile) takes the writer side of the engine
+/// lock and waits out in-flight queries.
 class Database {
  public:
   enum class Mode { kScalar, kSimd };
@@ -52,32 +55,8 @@ class Database {
     Mode mode = Mode::kSimd;
     int threads = 1;
     int shards = 1;
-    /// Result-cache byte budget; 0 disables the cache (facade default).
+    /// Result-cache byte budget; 0 disables the cache.
     size_t cache_budget_bytes = 0;
-  };
-
-  /// Per-tenant admission limits. Defaults are unlimited so untenanted use
-  /// (the facade, tools) is unthrottled until someone opts in.
-  struct TenantOptions {
-    /// Queries of this tenant running at once; < 0 = unlimited, 0 = none
-    /// (every query rejected or queued — with max_queued 0, a hard off
-    /// switch).
-    int max_concurrent = -1;
-    /// Queries allowed to wait once concurrency is saturated; beyond this
-    /// the query is rejected with ResourceExhausted.
-    int max_queued = 16;
-    /// Upper bound on the estimated bytes one query may touch (encoded
-    /// pages + snapshot tail copy); 0 = unlimited.
-    uint64_t memory_budget_bytes = 0;
-  };
-
-  struct TenantStats {
-    uint64_t admitted = 0;
-    uint64_t rejected_queue = 0;   // bounded queue overflow
-    uint64_t rejected_memory = 0;  // per-query estimate over budget
-    uint64_t wait_nanos = 0;       // total time spent queued
-    int active = 0;                // gauge: running now
-    int queued = 0;                // gauge: waiting now
   };
 
   /// Streaming-ingest configuration (WAL + background sealing); applied per
@@ -90,6 +69,7 @@ class Database {
     bool background_seal = false;
   };
 
+  Database();
   explicit Database(const Options& options);
   ~Database();
   Database(Database&&) noexcept;
@@ -97,9 +77,12 @@ class Database {
 
   // --- Catalog + ingest (routed to the owning shard) ---------------------
 
+  /// Creates a time series with the default TS2DIFF page encoding.
   Status CreateTimeseries(const std::string& name, uint32_t page_size = 4096);
   Status CreateTimeseries(const std::string& name,
                           const storage::SeriesStore::SeriesOptions& options);
+  /// Float (double) series: values compressed with an XOR/pattern encoder
+  /// (Gorilla by default; Chimp/Elf via `encoding`).
   Status CreateFloatTimeseries(
       const std::string& name,
       enc::ColumnEncoding encoding = enc::ColumnEncoding::kGorillaValue,
@@ -137,7 +120,12 @@ class Database {
   metrics::CompactionStats compaction_stats() const;
 
   Status EnableIngest(const IngestConfig& config);
-  /// Flush + per-shard TsFile + WAL truncation (see IotDbLite::Checkpoint).
+  /// Durability checkpoint: Flush() every tail into pages, persist each
+  /// shard as a TsFile (at `path` for one shard), then truncate its WAL
+  /// (its records are redundant once the TsFile holds them). Callers
+  /// serialize Checkpoint against their own ingest threads; a checkpoint
+  /// racing an insert can fail benignly with "unflushed series" and may be
+  /// retried.
   Status Checkpoint(const std::string& path);
   /// Testing fault hook: Checkpoint stops right before WAL truncation.
   void TestingFailBeforeWalTruncate(bool on);
@@ -148,12 +136,10 @@ class Database {
 
   // --- Queries -----------------------------------------------------------
 
-  /// Parses and executes one SQL statement as the default tenant.
+  /// Parses and executes one SQL statement (Table III dialect, plus the
+  /// EXPLAIN [ANALYZE] prefix). Runs against the file-backed stores when
+  /// they are attached (OpenFile), otherwise against the in-memory stores.
   Result<exec::QueryResult> Query(const std::string& sql) const;
-  /// Same, attributed to `tenant` for admission control. Unknown tenants
-  /// are created on first use with default (unlimited) TenantOptions.
-  Result<exec::QueryResult> Query(const std::string& tenant,
-                                  const std::string& sql) const;
 
   /// Fleet-scale pruning probe: how many series across all shards could
   /// hold data matching the time/value window — one SIMD sweep per shard
@@ -164,15 +150,14 @@ class Database {
       const storage::PruneProbe& probe,
       std::vector<std::string>* matched = nullptr) const;
 
-  // --- Tenants -----------------------------------------------------------
-
-  void ConfigureTenant(const std::string& name, const TenantOptions& options);
-  std::map<std::string, TenantStats> tenant_stats() const;
-
   // --- Engine reconfiguration -------------------------------------------
 
   void SetMode(Mode mode);
+  /// Also reserves capacity on the shared executor pool so the first query
+  /// at the new width does not pay worker spin-up.
   void SetThreads(int threads);
+  /// Per-stage ExecStats collection for subsequent queries (EXPLAIN ANALYZE
+  /// forces it on for its own run regardless).
   void SetCollectStats(bool on);
   Mode mode() const;
   int threads() const;
@@ -182,18 +167,23 @@ class Database {
 
   /// Per-shard TsFiles at `<path>.shard<k>` (plain `path` for one shard).
   Status Save(const std::string& path) const;
-  /// Loads per-shard TsFiles; a multi-shard database falls back to reading
-  /// a single combined `path` and redistributing its series through the
-  /// router (pages are shared, not copied).
+  /// Loads the per-shard TsFiles Save wrote.
   Status Load(const std::string& path);
 
-  /// Attaches per-shard TsFiles through the LRU buffer pool; queries on a
-  /// series route to its shard's file store. Aggregations only.
+  /// Attaches the per-shard TsFiles through the LRU buffer pool (Section
+  /// VI-C gradual page loading) instead of loading them whole: only page
+  /// headers become resident, and Query streams surviving pages on demand.
+  /// A query on a series routes to its shard's file store.
   Status OpenFile(const std::string& path,
                   size_t memory_budget_bytes = 64 << 20);
+  /// Detaches the file stores; Query returns to the in-memory stores.
   void CloseFile();
   const storage::FileBackedStore* file_store() const;  // shard 0's
 
+  /// CSV interchange. Import expects an optional header line and rows
+  /// `<int64 time>,<int64 value>`, time-ordered; a row whose two fields do
+  /// not both parse completely is rejected. The series must exist. Export
+  /// writes the same format.
   Status ImportCsv(const std::string& series, const std::string& path);
   Status ExportCsv(const std::string& series, const std::string& path) const;
 
@@ -201,10 +191,8 @@ class Database {
 
   int num_shards() const;
   int ShardOf(const std::string& series) const;
-  /// Rebuilds the database with `num_shards` shards, redistributing every
-  /// series (pages shared, tails flushed first). Requires no WAL and no
-  /// file store attached; clears the result cache.
-  Status Reshard(int num_shards);
+  storage::SeriesStore* shard_store(int shard);
+  const storage::SeriesStore& shard_store(int shard) const;
 
   // --- Result cache ------------------------------------------------------
 
@@ -212,35 +200,9 @@ class Database {
   void SetCacheBudget(size_t budget_bytes);
   void ClearCache();
 
-  // --- Introspection (facade + tests) ------------------------------------
-
-  storage::SeriesStore* shard_store(int shard);
-  const storage::SeriesStore& shard_store(int shard) const;
-  /// Shard 0's engine (the facade's `engine()` view).
-  const exec::Engine& engine() const;
-
  private:
   struct Rep;
   std::unique_ptr<Rep> rep_;
-};
-
-/// A tenant-bound query handle: the CLI keeps one per `.tenant` selection;
-/// servers would hold one per connection. Sessions are cheap views — the
-/// Database must outlive them.
-class Session {
- public:
-  Session(Database* db, std::string tenant)
-      : db_(db), tenant_(std::move(tenant)) {}
-
-  Result<exec::QueryResult> Query(const std::string& sql) const {
-    return db_->Query(tenant_, sql);
-  }
-
-  const std::string& tenant() const { return tenant_; }
-
- private:
-  Database* db_;
-  std::string tenant_;
 };
 
 }  // namespace etsqp::db

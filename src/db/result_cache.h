@@ -16,7 +16,7 @@ namespace etsqp::db {
 /// every acknowledged append, background-seal install, replay, and page
 /// load, so invalidation is implicit: a mutation changes the key that
 /// subsequent identical queries compute, the old entry simply never hits
-/// again and ages out of the LRU list. That makes admission cheap — no
+/// again and ages out of the LRU list. That keeps the cache cheap — no
 /// per-entry dependency tracking, no invalidation fan-out on the (hot)
 /// ingest path.
 ///
@@ -24,7 +24,7 @@ namespace etsqp::db {
 /// bookkeeping). Insert evicts from the cold end until the new entry fits;
 /// entries larger than the budget are not admitted. Internally synchronized;
 /// a zero budget disables the cache entirely (Lookup always misses, Insert
-/// is a no-op) which is the single-shard facade's default.
+/// is a no-op), which is the Database default.
 class ResultCache {
  public:
   struct Stats {

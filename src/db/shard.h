@@ -5,37 +5,28 @@
 #include <memory>
 #include <string>
 
-#include "exec/engine.h"
 #include "storage/buffer_manager.h"
 #include "storage/compaction.h"
 #include "storage/series_store.h"
-#include "storage/wal.h"
 
 namespace etsqp::db {
 
 /// One slice of the database: a SeriesStore (with its own WAL when ingest
-/// is enabled), an optional file-backed TsFile attachment, and the shard's
-/// engine. Shards own no synchronization of their own — the Database's
-/// engine reader/writer lock covers engine/file-store swaps, and the
-/// SeriesStore is internally synchronized — so a Shard is plain data the
-/// serving layer routes onto.
+/// is enabled) and an optional file-backed TsFile attachment. Shards own no
+/// synchronization of their own — the Database's engine reader/writer lock
+/// covers file-store swaps, and the SeriesStore is internally synchronized
+/// — so a Shard is plain data the database routes onto.
 ///
 /// On-disk artifacts are namespaced per shard so several shards can live in
 /// one directory: shard k of an N-shard database derives `<base>.shard<k>`
 /// for TsFiles and WALs. A single-shard database uses the plain `<base>`
-/// path — byte-compatible with the pre-sharding IotDbLite layout, which is
-/// what keeps the facade's files interchangeable with old ones.
+/// path.
 struct Shard {
   explicit Shard(int index_in) : index(index_in) {}
 
   int index = 0;
   storage::SeriesStore store;
   std::unique_ptr<storage::FileBackedStore> file_store;
-  /// Rebuilt (under the database writer lock) whenever mode/threads/stats
-  /// change.
-  std::unique_ptr<exec::Engine> engine;
-  /// What this shard's last EnableIngest recovery pass replayed.
-  storage::Wal::ReplayStats last_recovery;
   /// Background compaction service (EnableCompaction); null = disabled.
   std::unique_ptr<storage::Compactor> compactor;
   /// Collapses bursts of install-trigger firings into one queued CompactAll

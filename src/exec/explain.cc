@@ -192,11 +192,6 @@ std::string RenderStats(const ExecStats& stats) {
             " evictions=%" PRIu64 "\n",
             stats.cache_hits, stats.cache_misses, stats.cache_evictions);
   }
-  if (stats.admission_wait_nanos > 0 || stats.admission_queue_depth > 0) {
-    out += "admission: waited ";
-    AppendTime(&out, stats.admission_wait_nanos);
-    Appendf(&out, "  queue_depth=%" PRIu64 "\n", stats.admission_queue_depth);
-  }
   if (!stats.scheduler.empty()) {
     // Predicted-vs-measured per page class: how well the static cost model
     // anticipated the kernels it scheduled.

@@ -63,8 +63,6 @@ std::string ExecStats::ToJson() const {
   AppendField(&out, "cache_hits", cache_hits, &first);
   AppendField(&out, "cache_misses", cache_misses, &first);
   AppendField(&out, "cache_evictions", cache_evictions, &first);
-  AppendField(&out, "admission_wait_nanos", admission_wait_nanos, &first);
-  AppendField(&out, "admission_queue_depth", admission_queue_depth, &first);
   out += ", \"pool\": {";
   bool pfirst = true;
   AppendField(&out, "tasks", pool.tasks, &pfirst);

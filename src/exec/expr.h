@@ -200,15 +200,14 @@ struct ExecStats {
   uint64_t mispredictions = 0;
 
   // Serving-layer counters (db/database.h): result-cache outcomes for this
-  // query (a hit short-circuits execution entirely) and what admission
-  // control did to it — nanoseconds spent queued behind the tenant's
-  // concurrency limit, and the tenant queue depth observed at enqueue.
-  // Always zero for bare-Engine runs; the Database front end fills them in.
+  // query (a hit short-circuits execution entirely). Always zero for
+  // bare-Engine runs; the Database front end fills them in.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;  // entries this query's insert evicted
+  // Always 0: the database has no admission queue. The field stays because
+  // the SQL benchmark driver (sqlbench/src/runner.cc) still sums it.
   uint64_t admission_wait_nanos = 0;
-  uint64_t admission_queue_depth = 0;
 
   void Merge(const ExecStats& o) {
     pages_total += o.pages_total;
@@ -236,10 +235,6 @@ struct ExecStats {
     cache_hits += o.cache_hits;
     cache_misses += o.cache_misses;
     cache_evictions += o.cache_evictions;
-    admission_wait_nanos += o.admission_wait_nanos;
-    if (o.admission_queue_depth > admission_queue_depth) {
-      admission_queue_depth = o.admission_queue_depth;
-    }
   }
 
   /// One-line-per-field JSON object (counters, and — when collected — the

@@ -1032,16 +1032,6 @@ PruneProbeStats SeriesStore::CountMatchingSeries(
   return stats;
 }
 
-uint64_t SeriesStore::TailPoints(const std::string& name) const {
-  State* st = state_.get();
-  std::shared_lock<std::shared_mutex> lock(st->mu);
-  auto it = st->series.find(name);
-  if (it == st->series.end()) return 0;
-  uint64_t tail = it->second.buf_times.size();
-  for (const auto& seg : it->second.sealing) tail += seg->times.size();
-  return tail;
-}
-
 void SeriesStore::AttachWal(std::unique_ptr<Wal> wal) {
   State* st = state_.get();
   std::unique_lock<std::shared_mutex> lock(st->mu);

@@ -234,11 +234,6 @@ class SeriesStore {
   /// map lookup — so result-cache key construction costs no snapshot.
   uint64_t SeriesEpoch(const std::string& name) const;
 
-  /// Currently buffered (unsealed) points of `name`, pending-seal segments
-  /// included; 0 when the series does not exist. Used by admission control
-  /// to bound the memory a query snapshot would copy.
-  uint64_t TailPoints(const std::string& name) const;
-
   /// Fleet-scale pruning probe: one SIMD sweep over the series envelopes
   /// under a single shared-lock acquisition — which series can possibly
   /// hold a point in [t_lo, t_hi] x [v_lo, v_hi]. Conservative
@@ -351,7 +346,7 @@ class SeriesStore {
   /// Enables (or disables) off-thread page sealing. `submit` runs a closure
   /// on an executor; tasks hold the store's shared state so they stay safe
   /// even if the store is destroyed first, but callers must drain their
-  /// executor before dropping it (IotDbLite keys this to a TaskGroup).
+  /// executor before dropping it (Database keys this to a TaskGroup).
   void SetBackgroundSeal(bool enabled, TaskSubmitter submit);
 
   /// Snapshot of the ingest counters (WAL counters merged in).

@@ -19,7 +19,6 @@
 
 #include "common/bitstream.h"
 #include "db/database.h"
-#include "db/iotdb_lite.h"
 #include "exec/engine.h"
 #include "exec/expr.h"
 #include "exec/pipe_builder.h"
@@ -826,7 +825,7 @@ std::string CheckSnapshot(const SeriesSnapshot& s,
 }
 
 TEST(PruningStalenessTest, SnapshotDuringCompactionInstallStaysConsistent) {
-  db::IotDbLite dbi(db::IotDbLite::Mode::kSimd, 2);
+  db::Database dbi(db::Database::Options{db::Database::Mode::kSimd, 2});
   SeriesStore::SeriesOptions opt;
   opt.page_size = 64;
   opt.allow_out_of_order = true;
@@ -867,7 +866,7 @@ TEST(PruningStalenessTest, SnapshotDuringCompactionInstallStaysConsistent) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
       while (!stop.load()) {
-        Result<SeriesSnapshot> snap = dbi.store()->GetSnapshot("s");
+        Result<SeriesSnapshot> snap = dbi.shard_store(0)->GetSnapshot("s");
         if (!snap.ok() || !CheckSnapshot(snap.value(), plan, truth).empty()) {
           ++failures;
         }

@@ -1,11 +1,10 @@
-// Serving-core tests: ShardRouter determinism, multi-shard query
-// equivalence (including cross-shard binary plans), per-shard persistence
-// and combined-file redistribution, resharding, tenant admission control,
-// the epoch-keyed result cache (hits, implicit invalidation by append /
+// Database tests: ShardRouter determinism, multi-shard query equivalence
+// (including cross-shard binary plans), per-shard persistence, the
+// epoch-keyed result cache (hits, implicit invalidation by append /
 // background seal / checkpoint, eviction under budget), leftover cost-cache
-// files from older layouts being ignored, and the facade's
-// OpenFile/CloseFile-vs-Query race (the *Concurrency* suite also runs in
-// CI's ThreadSanitizer job).
+// files from older layouts being ignored, and the OpenFile/CloseFile-vs-
+// Query race (the *Concurrency* suite also runs in CI's ThreadSanitizer
+// job).
 
 #include <gtest/gtest.h>
 
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "db/database.h"
-#include "db/iotdb_lite.h"
 #include "db/shard.h"
 #include "db/shard_router.h"
 
@@ -28,8 +26,6 @@ namespace etsqp {
 namespace {
 
 using db::Database;
-using db::IotDbLite;
-using db::Session;
 using db::Shard;
 using db::ShardRouter;
 
@@ -348,159 +344,6 @@ TEST(DatabaseShardingTest, LeftoverCostCacheFilesAreIgnored) {
   }
 }
 
-TEST(DatabaseShardingTest, LoadRedistributesCombinedFile) {
-  const std::string path = TempPath("db_combined.tsfile");
-  Database one(Database::Options{Database::Mode::kSimd, 1, 1, 0});
-  std::vector<int64_t> sums;
-  for (int i = 0; i < 6; ++i) {
-    sums.push_back(FillSeries(&one, "q" + std::to_string(i), 1200));
-  }
-  ASSERT_TRUE(one.Flush().ok());
-  ASSERT_TRUE(one.Save(path).ok());
-
-  Database four(Database::Options{Database::Mode::kSimd, 1, 4, 0});
-  ASSERT_TRUE(four.Load(path).ok());
-  int populated_shards = 0;
-  for (int k = 0; k < 4; ++k) {
-    if (!four.shard_store(k)->SeriesNames().empty()) ++populated_shards;
-  }
-  EXPECT_GT(populated_shards, 1) << "redistribution left everything on one "
-                                    "shard";
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(SumOf(four, "q" + std::to_string(i)),
-              static_cast<double>(sums[i]));
-  }
-}
-
-TEST(DatabaseShardingTest, ReshardPreservesDataBothDirections) {
-  Database db(Database::Options{Database::Mode::kSimd, 1, 1, 0});
-  std::vector<int64_t> sums;
-  for (int i = 0; i < 6; ++i) {
-    // Odd count so a tail remains unflushed when Reshard runs.
-    sums.push_back(FillSeries(&db, "r" + std::to_string(i), 1300));
-  }
-  EXPECT_EQ(db.Reshard(0).code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(db.Reshard(4).ok());
-  EXPECT_EQ(db.num_shards(), 4);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(SumOf(db, "r" + std::to_string(i)),
-              static_cast<double>(sums[i]));
-  }
-  ASSERT_TRUE(db.Reshard(1).ok());
-  EXPECT_EQ(db.num_shards(), 1);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(SumOf(db, "r" + std::to_string(i)),
-              static_cast<double>(sums[i]));
-  }
-}
-
-TEST(DatabaseShardingTest, ReshardRefusesWithWalAttached) {
-  const std::string wal = TempPath("db_reshard.wal");
-  std::remove(wal.c_str());
-  Database db(Database::Options{});
-  FillSeries(&db, "w", 100);
-  Database::IngestConfig config;
-  config.wal_path = wal;
-  ASSERT_TRUE(db.EnableIngest(config).ok());
-  EXPECT_EQ(db.Reshard(4).code(), StatusCode::kInvalidArgument);
-}
-
-// --- Admission control -----------------------------------------------------
-
-TEST(AdmissionControlTest, ZeroLimitsAreAHardOffSwitch) {
-  Database db(Database::Options{});
-  FillSeries(&db, "a", 100);
-  Database::TenantOptions limits;
-  limits.max_concurrent = 0;
-  limits.max_queued = 0;
-  db.ConfigureTenant("batch", limits);
-  Result<exec::QueryResult> r = db.Query("batch", "SELECT SUM(a) FROM a;");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
-      << r.status().ToString();
-  auto stats = db.tenant_stats();
-  ASSERT_TRUE(stats.count("batch"));
-  EXPECT_EQ(stats["batch"].rejected_queue, 1u);
-  EXPECT_EQ(stats["batch"].admitted, 0u);
-}
-
-TEST(AdmissionControlTest, MemoryBudgetRejectsBigQueries) {
-  Database db(Database::Options{});
-  FillSeries(&db, "big", 1000);  // unflushed tail => estimate > 0
-  Database::TenantOptions tight;
-  tight.memory_budget_bytes = 1;
-  db.ConfigureTenant("tiny", tight);
-  Result<exec::QueryResult> r = db.Query("tiny", "SELECT SUM(big) FROM big;");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
-      << r.status().ToString();
-  EXPECT_EQ(db.tenant_stats()["tiny"].rejected_memory, 1u);
-
-  Database::TenantOptions roomy;
-  roomy.memory_budget_bytes = 64 << 20;
-  db.ConfigureTenant("tiny", roomy);
-  EXPECT_TRUE(db.Query("tiny", "SELECT SUM(big) FROM big;").ok());
-  EXPECT_EQ(db.tenant_stats()["tiny"].admitted, 1u);
-}
-
-TEST(AdmissionControlTest, BoundedQueueAdmitsEveryQueryUnderContention) {
-  Database db(Database::Options{Database::Mode::kSimd, 2, 1, 0});
-  int64_t sum = FillSeries(&db, "c", 4000);
-  Database::TenantOptions limits;
-  limits.max_concurrent = 1;
-  limits.max_queued = 64;
-  db.ConfigureTenant("web", limits);
-
-  constexpr int kClients = 4;
-  constexpr int kQueriesEach = 8;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&db, &failures, sum] {
-      for (int i = 0; i < kQueriesEach; ++i) {
-        Result<exec::QueryResult> r = db.Query("web", "SELECT SUM(c) FROM c;");
-        if (!r.ok() || r.value().columns[0][0] != static_cast<double>(sum)) {
-          ++failures;
-        }
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  auto stats = db.tenant_stats();
-  EXPECT_EQ(stats["web"].admitted,
-            static_cast<uint64_t>(kClients * kQueriesEach));
-  EXPECT_EQ(stats["web"].rejected_queue, 0u);
-  EXPECT_EQ(stats["web"].rejected_memory, 0u);
-  EXPECT_EQ(stats["web"].active, 0);
-  EXPECT_EQ(stats["web"].queued, 0);
-}
-
-TEST(AdmissionControlTest, DefaultTenantIsUnthrottled) {
-  Database db(Database::Options{});
-  FillSeries(&db, "d", 100);
-  ASSERT_TRUE(db.Query("SELECT SUM(d) FROM d;").ok());
-  auto stats = db.tenant_stats();
-  ASSERT_TRUE(stats.count("default"));
-  EXPECT_GE(stats["default"].admitted, 1u);
-}
-
-TEST(DatabaseTenantTest, SessionsAttributeQueriesToTheirTenant) {
-  Database db(Database::Options{});
-  int64_t sum = FillSeries(&db, "s", 500);
-  Session alice(&db, "alice");
-  Session bob(&db, "bob");
-  for (int i = 0; i < 3; ++i) {
-    Result<exec::QueryResult> r = alice.Query("SELECT SUM(s) FROM s;");
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.value().columns[0][0], static_cast<double>(sum));
-  }
-  ASSERT_TRUE(bob.Query("SELECT COUNT(s) FROM s;").ok());
-  auto stats = db.tenant_stats();
-  EXPECT_EQ(stats["alice"].admitted, 3u);
-  EXPECT_EQ(stats["bob"].admitted, 1u);
-}
-
 // --- Result cache ----------------------------------------------------------
 
 TEST(ResultCacheTest, RepeatQueryHitsCache) {
@@ -526,7 +369,7 @@ TEST(ResultCacheTest, RepeatQueryHitsCache) {
 }
 
 TEST(ResultCacheTest, ZeroBudgetDisablesTheCache) {
-  Database db(Database::Options{});  // facade default: cache off
+  Database db(Database::Options{});  // default: cache off
   FillSeries(&db, "s", 500);
   for (int i = 0; i < 2; ++i) {
     Result<exec::QueryResult> r = db.Query("SELECT SUM(s) FROM s;");
@@ -764,7 +607,6 @@ TEST(ResultCacheTest, ExplainAnalyzeProbesAndRendersServingLayer) {
             std::string::npos);
   EXPECT_NE(cold.value().explain_text.find("result cache:"),
             std::string::npos);
-  EXPECT_NE(cold.value().explain_text.find("admission:"), std::string::npos);
 
   // Populate, then ANALYZE again: it reports the hit but still executes
   // (the rendered profile below the serving block proves it ran).
@@ -777,21 +619,9 @@ TEST(ResultCacheTest, ExplainAnalyzeProbesAndRendersServingLayer) {
   // The serving counters ride in the stats JSON for tooling.
   const std::string json = warm.value().stats.ToJson();
   EXPECT_NE(json.find("\"cache_hits\""), std::string::npos);
-  EXPECT_NE(json.find("\"admission_wait_nanos\""), std::string::npos);
 }
 
-// --- Facade + file-store race (runs under TSan in CI) ----------------------
-
-TEST(IotDbLiteFacadeTest, PinsOneShardWithCacheOff) {
-  IotDbLite db(IotDbLite::Mode::kSimd, 2);
-  ASSERT_EQ(db.database()->num_shards(), 1);
-  EXPECT_EQ(db.database()->cache_stats().budget_bytes, 0u);
-  ASSERT_TRUE(db.CreateTimeseries("s").ok());
-  ASSERT_TRUE(db.Insert("s", 1, 5).ok());
-  Result<exec::QueryResult> r = db.Query("SELECT SUM(s) FROM s;");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().columns[0][0], 5.0);
-}
+// --- File-store race (runs under TSan in CI) -------------------------------
 
 /// Regression for the engine writer-lock race: OpenFile()/CloseFile() swap
 /// the file store while other threads run Query(). The swap must take the
@@ -799,7 +629,7 @@ TEST(IotDbLiteFacadeTest, PinsOneShardWithCacheOff) {
 /// the fix a query could execute against a just-reset FileBackedStore.
 TEST(IotDbLiteConcurrencyTest, OpenCloseFileVsQuery) {
   const std::string path = TempPath("db_openclose_race.tsfile");
-  IotDbLite db(IotDbLite::Mode::kSimd, 2);
+  Database db(Database::Options{Database::Mode::kSimd, 2});
   ASSERT_TRUE(db.CreateTimeseries("s", /*page_size=*/512).ok());
   std::vector<int64_t> times(4096), values(4096);
   int64_t sum = 0;

@@ -1,6 +1,6 @@
 // Tests for the persistent work-stealing executor (exec/thread_pool.h), the
 // PipelineJob framework plumbing visible through Engine, and the concurrency
-// contract of db::IotDbLite. Covers the acceptance points of the executor
+// contract of db::Database. Covers the acceptance points of the executor
 // refactor: pool reuse across queries, nested submission, exception
 // propagation (TaskGroup and RunPipelineJobs), deterministic
 // shutdown/re-init, and concurrent query execution over one store.
@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "db/iotdb_lite.h"
+#include "db/database.h"
 #include "exec/engine.h"
 #include "exec/pipeline_job.h"
 #include "exec/scheduler.h"
@@ -263,10 +263,10 @@ TEST(ExecutorEngineTest, PoolStatsSurfaceInExecStats) {
   EXPECT_GT(r.value().stats.pool.tasks, 0u);
 }
 
-// ------------------------------------------------- IotDbLite concurrency
+// -------------------------------------------------- Database concurrency
 
-db::IotDbLite MakeDb(size_t n, int64_t* sum_out) {
-  db::IotDbLite dbi(db::IotDbLite::Mode::kSimd, 2);
+db::Database MakeDb(size_t n, int64_t* sum_out) {
+  db::Database dbi(db::Database::Options{db::Database::Mode::kSimd, 2});
   EXPECT_TRUE(dbi.CreateTimeseries("s").ok());
   std::mt19937_64 rng(29);
   int64_t t = 0, sum = 0;
@@ -288,7 +288,7 @@ TEST(IotDbLiteConcurrencyTest, ParallelQueriesWithReconfigurationChurn) {
   // Deliberately small: each reconfiguration below waits out in-flight
   // queries, and this test also runs under TSan in CI where a query costs
   // ~100x wall time.
-  db::IotDbLite dbi = MakeDb(4000, &sum);
+  db::Database dbi = MakeDb(4000, &sum);
   constexpr int kClients = 4;
   std::atomic<int> failures{0};
   std::atomic<bool> stop{false};
@@ -310,8 +310,8 @@ TEST(IotDbLiteConcurrencyTest, ParallelQueriesWithReconfigurationChurn) {
   for (int i = 0; i < 10; ++i) {
     dbi.SetThreads(1 + i % 4);
     if (i % 5 == 0) {
-      dbi.SetMode(i % 10 == 0 ? db::IotDbLite::Mode::kScalar
-                              : db::IotDbLite::Mode::kSimd);
+      dbi.SetMode(i % 10 == 0 ? db::Database::Mode::kScalar
+                              : db::Database::Mode::kSimd);
     }
   }
   stop.store(true);

@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "db/iotdb_lite.h"
+#include "db/database.h"
 #include "exec/engine.h"
 #include "exec/expr.h"
 #include "exec/pipe_builder.h"
@@ -53,7 +53,7 @@ std::string TempPath(const std::string& name) {
   return path;
 }
 
-double QueryScalar(const db::IotDbLite& dbi, const std::string& sql) {
+double QueryScalar(const db::Database& dbi, const std::string& sql) {
   auto result = dbi.Query(sql);
   EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
   if (!result.ok()) return 0;
@@ -64,7 +64,7 @@ double QueryScalar(const db::IotDbLite& dbi, const std::string& sql) {
 // ------------------------------------------------------ queryable tail
 
 TEST(IngestTest, TailVisibleWithoutFlush) {
-  db::IotDbLite dbi;
+  db::Database dbi;
   ASSERT_TRUE(dbi.CreateTimeseries("s").ok());
   int64_t sum = 0;
   for (int64_t i = 0; i < 100; ++i) {
@@ -75,7 +75,7 @@ TEST(IngestTest, TailVisibleWithoutFlush) {
   EXPECT_EQ(QueryScalar(dbi, "SELECT COUNT(s) FROM s;"), 100.0);
   EXPECT_EQ(QueryScalar(dbi, "SELECT SUM(s) FROM s;"),
             static_cast<double>(sum));
-  auto snap = dbi.store()->GetSnapshot("s");
+  auto snap = dbi.shard_store(0)->GetSnapshot("s");
   ASSERT_TRUE(snap.ok());
   EXPECT_TRUE(snap.value().has_tail());
   EXPECT_EQ(snap.value().pages.size(), 0u);
@@ -83,7 +83,7 @@ TEST(IngestTest, TailVisibleWithoutFlush) {
 }
 
 TEST(IngestTest, HybridPagesPlusTailAggregation) {
-  db::IotDbLite dbi;
+  db::Database dbi;
   storage::SeriesStore::SeriesOptions opt;
   opt.page_size = 64;  // several sealed pages + a partial tail
   ASSERT_TRUE(dbi.CreateTimeseries("s", opt).ok());
@@ -96,7 +96,7 @@ TEST(IngestTest, HybridPagesPlusTailAggregation) {
     vmin = std::min(vmin, v);
     vmax = std::max(vmax, v);
   }
-  auto snap = dbi.store()->GetSnapshot("s");
+  auto snap = dbi.shard_store(0)->GetSnapshot("s");
   ASSERT_TRUE(snap.ok());
   EXPECT_GT(snap.value().pages.size(), 0u);  // sealed SIMD path
   EXPECT_TRUE(snap.value().has_tail());      // scalar tail path
@@ -121,7 +121,7 @@ TEST(IngestTest, HybridPagesPlusTailAggregation) {
 }
 
 TEST(IngestTest, FloatTailVisibleWithoutFlush) {
-  db::IotDbLite dbi;
+  db::Database dbi;
   ASSERT_TRUE(dbi.CreateFloatTimeseries("f").ok());
   double sum = 0;
   for (int64_t i = 0; i < 50; ++i) {
@@ -180,11 +180,11 @@ TEST(IngestTest, RejectsOutOfOrderF64) {
 // ------------------------------------------------- background sealing
 
 TEST(IngestTest, BackgroundSealKeepsPageOrder) {
-  db::IotDbLite dbi;
+  db::Database dbi;
   storage::SeriesStore::SeriesOptions opt;
   opt.page_size = 32;
   ASSERT_TRUE(dbi.CreateTimeseries("s", opt).ok());
-  db::IotDbLite::IngestConfig cfg;  // no WAL: sealing only
+  db::Database::IngestConfig cfg;  // no WAL: sealing only
   cfg.background_seal = true;
   ASSERT_TRUE(dbi.EnableIngest(cfg).ok());
 
@@ -199,7 +199,7 @@ TEST(IngestTest, BackgroundSealKeepsPageOrder) {
       dbi.InsertBatch("s", times.data(), values.data(), times.size()).ok());
   ASSERT_TRUE(dbi.Flush().ok());
 
-  auto snap = dbi.store()->GetSnapshot("s");
+  auto snap = dbi.shard_store(0)->GetSnapshot("s");
   ASSERT_TRUE(snap.ok());
   EXPECT_FALSE(snap.value().has_tail());
   ASSERT_EQ(snap.value().pages.size(), 41u);
@@ -227,8 +227,8 @@ TEST(WalTest, RecoveryRestoresAcknowledgedPoints) {
   int64_t sum = 0;
   double fsum = 0;
   {
-    db::IotDbLite dbi;
-    db::IotDbLite::IngestConfig cfg;
+    db::Database dbi;
+    db::Database::IngestConfig cfg;
     cfg.wal_path = wal_path;
     cfg.fsync = Wal::FsyncPolicy::kNever;
     ASSERT_TRUE(dbi.EnableIngest(cfg).ok());
@@ -248,8 +248,8 @@ TEST(WalTest, RecoveryRestoresAcknowledgedPoints) {
     EXPECT_GT(dbi.ingest_stats().wal_records, 0u);
   }  // "crash": nothing flushed, nothing saved
 
-  db::IotDbLite db2;
-  db::IotDbLite::IngestConfig cfg;
+  db::Database db2;
+  db::Database::IngestConfig cfg;
   cfg.wal_path = wal_path;
   ASSERT_TRUE(db2.EnableIngest(cfg).ok());
   EXPECT_EQ(db2.last_recovery().records_dropped, 0u);
@@ -268,8 +268,8 @@ TEST(WalTest, TornFinalRecordDroppedAndTruncated) {
   std::string wal_path = TempPath("etsqp_wal_torn.wal");
   int64_t size_before_last = 0;
   {
-    db::IotDbLite dbi;
-    db::IotDbLite::IngestConfig cfg;
+    db::Database dbi;
+    db::Database::IngestConfig cfg;
     cfg.wal_path = wal_path;
     cfg.fsync = Wal::FsyncPolicy::kNever;
     ASSERT_TRUE(dbi.EnableIngest(cfg).ok());
@@ -285,8 +285,8 @@ TEST(WalTest, TornFinalRecordDroppedAndTruncated) {
   ASSERT_GT(full, size_before_last);
   ASSERT_EQ(::truncate(wal_path.c_str(), full - 5), 0);
 
-  db::IotDbLite db2;
-  db::IotDbLite::IngestConfig cfg;
+  db::Database db2;
+  db::Database::IngestConfig cfg;
   cfg.wal_path = wal_path;
   ASSERT_TRUE(db2.EnableIngest(cfg).ok());
   EXPECT_EQ(db2.last_recovery().records_dropped, 1u);
@@ -304,8 +304,8 @@ TEST(WalTest, TornFinalRecordDroppedAndTruncated) {
 TEST(WalTest, CorruptCrcRecordDropped) {
   std::string wal_path = TempPath("etsqp_wal_crc.wal");
   {
-    db::IotDbLite dbi;
-    db::IotDbLite::IngestConfig cfg;
+    db::Database dbi;
+    db::Database::IngestConfig cfg;
     cfg.wal_path = wal_path;
     cfg.fsync = Wal::FsyncPolicy::kNever;
     ASSERT_TRUE(dbi.EnableIngest(cfg).ok());
@@ -319,8 +319,8 @@ TEST(WalTest, CorruptCrcRecordDropped) {
   // the CRC check fails, the record (and with it the tail) is dropped.
   FlipByteAt(wal_path, 1);
 
-  db::IotDbLite db2;
-  db::IotDbLite::IngestConfig cfg;
+  db::Database db2;
+  db::Database::IngestConfig cfg;
   cfg.wal_path = wal_path;
   ASSERT_TRUE(db2.EnableIngest(cfg).ok());
   EXPECT_EQ(db2.last_recovery().records_dropped, 1u);
@@ -333,8 +333,8 @@ TEST(WalTest, CheckpointTruncatesWal) {
   std::string wal_path = TempPath("etsqp_wal_ckpt.wal");
   std::string ts_path = TempPath("etsqp_wal_ckpt.tsfile");
   {
-    db::IotDbLite dbi;
-    db::IotDbLite::IngestConfig cfg;
+    db::Database dbi;
+    db::Database::IngestConfig cfg;
     cfg.wal_path = wal_path;
     cfg.fsync = Wal::FsyncPolicy::kNever;
     ASSERT_TRUE(dbi.EnableIngest(cfg).ok());
@@ -349,9 +349,9 @@ TEST(WalTest, CheckpointTruncatesWal) {
     EXPECT_GT(FileSize(wal_path), 0);
   }
 
-  db::IotDbLite db2;
+  db::Database db2;
   ASSERT_TRUE(db2.Load(ts_path).ok());
-  db::IotDbLite::IngestConfig cfg;
+  db::Database::IngestConfig cfg;
   cfg.wal_path = wal_path;
   ASSERT_TRUE(db2.EnableIngest(cfg).ok());
   EXPECT_EQ(db2.last_recovery().points_applied, 1u);
@@ -367,8 +367,8 @@ TEST(WalTest, CrashBetweenCheckpointAndTruncateIsIdempotent) {
   std::string ts_path = TempPath("etsqp_wal_fault.tsfile");
   int64_t sum = 0;
   {
-    db::IotDbLite dbi;
-    db::IotDbLite::IngestConfig cfg;
+    db::Database dbi;
+    db::Database::IngestConfig cfg;
     cfg.wal_path = wal_path;
     cfg.fsync = Wal::FsyncPolicy::kNever;
     ASSERT_TRUE(dbi.EnableIngest(cfg).ok());
@@ -387,9 +387,9 @@ TEST(WalTest, CrashBetweenCheckpointAndTruncateIsIdempotent) {
   // Recovery loads the checkpoint, then replays a WAL whose records are
   // all already covered: idempotent replay must skip them, not
   // double-apply.
-  db::IotDbLite db2;
+  db::Database db2;
   ASSERT_TRUE(db2.Load(ts_path).ok());
-  db::IotDbLite::IngestConfig cfg;
+  db::Database::IngestConfig cfg;
   cfg.wal_path = wal_path;
   ASSERT_TRUE(db2.EnableIngest(cfg).ok());
   EXPECT_EQ(db2.last_recovery().points_applied, 0u);
@@ -403,15 +403,15 @@ TEST(WalTest, CrashBetweenCheckpointAndTruncateIsIdempotent) {
 
 // ----------------------------------------------- concurrency contract
 
-// Runs in CI's TSan job (gtest_filter IotDbLiteConcurrency*): one writer
+// Runs in CI's TSan job (the `executor` label): one writer
 // streams batches while readers query; every query must succeed and see a
 // consistent, monotonically growing prefix.
 TEST(IotDbLiteConcurrencyTest, InsertVsQuery) {
-  db::IotDbLite dbi(db::IotDbLite::Mode::kSimd, 2);
+  db::Database dbi(db::Database::Options{db::Database::Mode::kSimd, 2});
   storage::SeriesStore::SeriesOptions opt;
   opt.page_size = 128;
   ASSERT_TRUE(dbi.CreateTimeseries("s", opt).ok());
-  db::IotDbLite::IngestConfig cfg;  // background sealing on, no WAL
+  db::Database::IngestConfig cfg;  // background sealing on, no WAL
   cfg.background_seal = true;
   ASSERT_TRUE(dbi.EnableIngest(cfg).ok());
   ASSERT_TRUE(dbi.Insert("s", 0, 0).ok());
@@ -459,7 +459,7 @@ TEST(IotDbLiteConcurrencyTest, InsertVsQuery) {
 }
 
 TEST(IotDbLiteConcurrencyTest, ConcurrentWritersDistinctSeries) {
-  db::IotDbLite dbi;
+  db::Database dbi;
   ASSERT_TRUE(dbi.CreateTimeseries("a").ok());
   ASSERT_TRUE(dbi.CreateTimeseries("b").ok());
   std::thread ta([&] {
@@ -500,11 +500,11 @@ bool SameJobs(const exec::PipelineSpec& a, const exec::PipelineSpec& b) {
 }
 
 TEST(PruningStalenessTest, SnapshotDuringBackgroundSealStaysConsistent) {
-  db::IotDbLite dbi(db::IotDbLite::Mode::kSimd, 2);
+  db::Database dbi(db::Database::Options{db::Database::Mode::kSimd, 2});
   storage::SeriesStore::SeriesOptions opt;
   opt.page_size = 64;
   ASSERT_TRUE(dbi.CreateTimeseries("s", opt).ok());
-  db::IotDbLite::IngestConfig cfg;  // background sealing on, no WAL
+  db::Database::IngestConfig cfg;  // background sealing on, no WAL
   cfg.background_seal = true;
   ASSERT_TRUE(dbi.EnableIngest(cfg).ok());
 
@@ -533,7 +533,7 @@ TEST(PruningStalenessTest, SnapshotDuringBackgroundSealStaysConsistent) {
     readers.emplace_back([&] {
       const exec::Engine engine(exec::PipelineOptions::Etsqp(1));
       while (!done.load()) {
-        Result<SeriesSnapshot> snap = dbi.store()->GetSnapshot("s");
+        Result<SeriesSnapshot> snap = dbi.shard_store(0)->GetSnapshot("s");
         if (!snap.ok() || !snap.value().envelope.has_value()) {
           failures.fetch_add(1);
           break;

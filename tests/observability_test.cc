@@ -10,7 +10,7 @@
 #include <random>
 #include <string>
 
-#include "db/iotdb_lite.h"
+#include "db/database.h"
 #include "exec/engine.h"
 #include "exec/explain.h"
 #include "exec/pipe_builder.h"
@@ -262,7 +262,7 @@ TEST(ExplainTest, UnifiedExecuteCoversFileBackedStores) {
 }
 
 TEST(ExplainTest, SqlFacadeRoundTrip) {
-  db::IotDbLite dbi(db::IotDbLite::Mode::kSimd, 2);
+  db::Database dbi(db::Database::Options{db::Database::Mode::kSimd, 2});
   ASSERT_TRUE(dbi.CreateTimeseries("s").ok());
   for (int i = 0; i < 5000; ++i) {
     ASSERT_TRUE(dbi.Insert("s", 1000 + i, i % 77).ok());

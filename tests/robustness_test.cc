@@ -11,7 +11,7 @@
 #include <thread>
 
 #include "common/aligned_buffer.h"
-#include "db/iotdb_lite.h"
+#include "db/database.h"
 #include "encoding/chimp.h"
 #include "encoding/delta_rle.h"
 #include "encoding/elf.h"
@@ -193,7 +193,7 @@ TEST(RobustnessTest, SqlFuzzNeverCrashes) {
 }
 
 TEST(RobustnessTest, ConcurrentQueriesShareStore) {
-  db::IotDbLite dbi(db::IotDbLite::Mode::kSimd, 2);
+  db::Database dbi(db::Database::Options{db::Database::Mode::kSimd, 2});
   ASSERT_TRUE(dbi.CreateTimeseries("s").ok());
   std::vector<int64_t> t(50000), v(50000);
   for (size_t i = 0; i < t.size(); ++i) {

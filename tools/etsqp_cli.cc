@@ -1,32 +1,29 @@
-// etsqp_cli — interactive SQL shell over the sharded serving core.
+// etsqp_cli — interactive SQL shell over db::Database.
 //
 //   etsqp_cli --demo demo.tsfile     generate a demo TsFile (Table II data)
 //   etsqp_cli <file.tsfile>          open a TsFile and run SQL on it
 //
 // Inside the shell:
-//   .series              list series (with their owning shard)
+//   .series              list series
 //   .stats               execution counters of the last query (per-stage
 //                        breakdown when .profile is on)
 //   .profile [on|off]    collect per-stage ExecStats for every query
 //   .mode simd|scalar    switch the engine (IoTDB-SIMD vs IoTDB)
 //   .threads N           worker threads
-//   .shards N            reshard the database to N shards
-//   .tenant <name>       run subsequent queries as this tenant
-//   .tenants             per-tenant admission counters
 //   .cache               result-cache counters
 //   .cache budget <B>    set the result-cache byte budget (0 = off)
 //   .cache clear         drop every cached result
 //   .pool                process-wide executor pool counters (workers,
 //                        tasks, steals, parks)
 //   .ingest <wal.log>    enable streaming ingest: open + replay the WAL at
-//                        that path (per shard), attach it, seal pages in
-//                        the background
+//                        that path, attach it, seal pages in the
+//                        background
 //   .ingest              ingest/WAL/seal counters
-//   .checkpoint <file>   flush + save per-shard TsFiles + truncate the WAL
-//   .compact [shard]     one synchronous compaction pass (all shards, or
-//                        just one): adaptive per-page re-encoding, page
-//                        merging, tombstone/TTL drop, out-of-order
-//                        reconciliation. Enables compaction on first use.
+//   .checkpoint <file>   flush + save a TsFile + truncate the WAL
+//   .compact             one synchronous compaction pass: adaptive per-page
+//                        re-encoding, page merging, tombstone/TTL drop,
+//                        out-of-order reconciliation. Enables compaction on
+//                        first use.
 //   .compaction          cumulative compaction counters
 //   .delete <series> <t0> <t1>   tombstone [t0, t1]: masked at query time,
 //                        dropped at the next compaction pass
@@ -34,8 +31,7 @@
 //                        older than last_time - ns are masked
 //   SELECT ...;          any Table III dialect statement
 //   EXPLAIN [ANALYZE] SELECT ...;   show the compiled Pipe plan (ANALYZE
-//                        appends the serving-layer block: shard, cache,
-//                        admission)
+//                        appends the serving-layer block: shard, cache)
 //   .quit
 
 #include <cstdio>
@@ -43,7 +39,6 @@
 #include <string>
 
 #include "db/database.h"
-#include "db/iotdb_lite.h"
 #include "exec/explain.h"
 #include "exec/thread_pool.h"
 #include "workload/generators.h"
@@ -53,10 +48,10 @@ namespace {
 using namespace etsqp;
 
 int MakeDemo(const char* path) {
-  db::IotDbLite dbi;
+  db::Database dbi;
   for (const workload::Dataset& ds : workload::MakeAllDatasets(0.02)) {
     storage::SeriesStore::SeriesOptions opt;
-    auto names = workload::LoadDataset(ds, opt, dbi.store());
+    auto names = workload::LoadDataset(ds, opt, dbi.shard_store(0));
     if (!names.ok()) {
       std::fprintf(stderr, "generate failed: %s\n",
                    names.status().ToString().c_str());
@@ -140,7 +135,6 @@ int main(int argc, char** argv) {
   db::Database::Options options;
   options.mode = db::Database::Mode::kSimd;
   options.threads = 2;
-  options.shards = 1;
   options.cache_budget_bytes = 16 << 20;  // interactive default: cache on
   db::Database dbx(options);
   Status st = dbx.Load(argv[1]);
@@ -148,20 +142,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "open failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  size_t series_count = 0;
-  for (int k = 0; k < dbx.num_shards(); ++k) {
-    series_count += dbx.shard_store(k)->SeriesNames().size();
-  }
-  std::printf("opened %s (%zu series, %d shard%s). Type .series, SQL, or "
-              ".quit\n",
-              argv[1], series_count, dbx.num_shards(),
-              dbx.num_shards() == 1 ? "" : "s");
+  const storage::SeriesStore& store = *dbx.shard_store(0);
+  std::printf("opened %s (%zu series). Type .series, SQL, or .quit\n",
+              argv[1], store.SeriesNames().size());
 
-  std::string tenant = "default";
   bool compaction_enabled = false;
   exec::QueryStats last_stats;
   char line[1024];
-  while (std::printf("etsqp[%s]> ", tenant.c_str()), std::fflush(stdout),
+  while (std::printf("etsqp> "), std::fflush(stdout),
          std::fgets(line, sizeof(line), stdin) != nullptr) {
     std::string cmd(line);
     while (!cmd.empty() && (cmd.back() == '\n' || cmd.back() == ' ')) {
@@ -170,17 +158,11 @@ int main(int argc, char** argv) {
     if (cmd.empty()) continue;
     if (cmd == ".quit" || cmd == ".exit") break;
     if (cmd == ".series") {
-      for (int k = 0; k < dbx.num_shards(); ++k) {
-        const storage::SeriesStore& store = *dbx.shard_store(k);
-        for (const std::string& name : store.SeriesNames()) {
-          auto s = store.GetSeries(name);
-          std::printf("  %-30s shard %-3d %10llu points %10llu bytes\n",
-                      name.c_str(), k,
-                      static_cast<unsigned long long>(
-                          s.value()->total_points),
-                      static_cast<unsigned long long>(
-                          store.EncodedBytes(name)));
-        }
+      for (const std::string& name : store.SeriesNames()) {
+        auto s = store.GetSeries(name);
+        std::printf("  %-30s %10llu points %10llu bytes\n", name.c_str(),
+                    static_cast<unsigned long long>(s.value()->total_points),
+                    static_cast<unsigned long long>(store.EncodedBytes(name)));
       }
       continue;
     }
@@ -217,9 +199,9 @@ int main(int argc, char** argv) {
         }
         const storage::Wal::ReplayStats& rec = dbx.last_recovery();
         std::printf(
-            "ingest on: WAL %s x%d shard%s (recovered %llu records / %llu "
-            "points, dropped %llu), background sealing enabled\n",
-            arg.c_str(), dbx.num_shards(), dbx.num_shards() == 1 ? "" : "s",
+            "ingest on: WAL %s (recovered %llu records / %llu points, "
+            "dropped %llu), background sealing enabled\n",
+            arg.c_str(),
             static_cast<unsigned long long>(rec.records_applied),
             static_cast<unsigned long long>(rec.points_applied),
             static_cast<unsigned long long>(rec.records_dropped));
@@ -266,9 +248,7 @@ int main(int argc, char** argv) {
       PrintCompactionStats(dbx.compaction_stats());
       continue;
     }
-    if (cmd.rfind(".compact", 0) == 0) {
-      std::string arg = ArgOf(cmd, 8);
-      int shard = arg.empty() ? -1 : std::atoi(arg.c_str());
+    if (cmd == ".compact") {
       if (!compaction_enabled) {
         Status est = dbx.EnableCompaction();
         if (!est.ok()) {
@@ -278,15 +258,14 @@ int main(int argc, char** argv) {
         compaction_enabled = true;
       }
       metrics::CompactionStats before = dbx.compaction_stats();
-      Status pst = dbx.Compact(shard);
+      Status pst = dbx.Compact();
       if (!pst.ok()) {
         std::printf("error: %s\n", pst.ToString().c_str());
         continue;
       }
       metrics::CompactionStats after = dbx.compaction_stats();
       std::printf(
-          "compacted %s: %llu series, pages %llu->%llu, bytes %llu->%llu\n",
-          shard < 0 ? "all shards" : ("shard " + arg).c_str(),
+          "compacted: %llu series, pages %llu->%llu, bytes %llu->%llu\n",
           static_cast<unsigned long long>(after.series_compacted -
                                           before.series_compacted),
           static_cast<unsigned long long>(after.pages_in - before.pages_in),
@@ -342,43 +321,6 @@ int main(int argc, char** argv) {
       std::printf("threads: %d\n", dbx.threads());
       continue;
     }
-    if (cmd.rfind(".shards", 0) == 0) {
-      int n = std::atoi(cmd.c_str() + 7);
-      if (n < 1) {
-        std::printf("usage: .shards N  (N >= 1)\n");
-        continue;
-      }
-      Status rst = dbx.Reshard(n);
-      if (rst.ok()) {
-        std::printf("resharded to %d shard%s\n", dbx.num_shards(),
-                    dbx.num_shards() == 1 ? "" : "s");
-      } else {
-        std::printf("error: %s\n", rst.ToString().c_str());
-      }
-      continue;
-    }
-    if (cmd == ".tenants") {
-      for (const auto& [name, ts] : dbx.tenant_stats()) {
-        std::printf(
-            "  %-16s admitted=%llu rejected(queue=%llu, memory=%llu) "
-            "waited=%.3f ms active=%d queued=%d\n",
-            name.c_str(), static_cast<unsigned long long>(ts.admitted),
-            static_cast<unsigned long long>(ts.rejected_queue),
-            static_cast<unsigned long long>(ts.rejected_memory),
-            static_cast<double>(ts.wait_nanos) / 1e6, ts.active, ts.queued);
-      }
-      continue;
-    }
-    if (cmd.rfind(".tenant", 0) == 0) {
-      std::string arg = ArgOf(cmd, 7);
-      if (arg.empty()) {
-        std::printf("tenant: %s\n", tenant.c_str());
-        continue;
-      }
-      tenant = arg;
-      std::printf("tenant: %s\n", tenant.c_str());
-      continue;
-    }
     if (cmd.rfind(".cache", 0) == 0) {
       std::string arg = ArgOf(cmd, 6);
       if (arg == "clear") {
@@ -406,7 +348,7 @@ int main(int argc, char** argv) {
           cs.budget_bytes == 0 ? " (off)" : "");
       continue;
     }
-    auto result = dbx.Query(tenant, cmd);
+    auto result = dbx.Query(cmd);
     if (!result.ok()) {
       std::printf("error: %s\n", result.status().ToString().c_str());
       continue;
