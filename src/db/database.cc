@@ -5,7 +5,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <mutex>
 #include <shared_mutex>
 #include <utility>
@@ -103,12 +102,15 @@ struct Database::Rep {
   std::string CacheKey(const exec::LogicalPlan& plan) const {
     char buf[192];
     std::snprintf(buf, sizeof(buf),
-                  "k%d|f%d|t[%" PRId64 ",%" PRId64 "]|v%d[%" PRId64
-                  ",%" PRId64 "]|w%d(%" PRId64 ",%" PRId64 ")|b%c|i%c|s%d",
+                  "k%d|f%d|t[%" PRId64 ",%" PRId64 "]|v%d%c%" PRId64
+                  ",%" PRId64 "%c|w%d(%" PRId64 ",%" PRId64 ")|b%c|i%c|s%d",
                   static_cast<int>(plan.kind), static_cast<int>(plan.func),
                   plan.time_filter.lo, plan.time_filter.hi,
-                  plan.value_filter.active ? 1 : 0, plan.value_filter.lo,
-                  plan.value_filter.hi, plan.window.active ? 1 : 0,
+                  plan.value_filter.active ? 1 : 0,
+                  plan.value_filter.lo_strict ? '(' : '[',
+                  plan.value_filter.lo, plan.value_filter.hi,
+                  plan.value_filter.hi_strict ? ')' : ']',
+                  plan.window.active ? 1 : 0,
                   plan.window.t_min, plan.window.delta_t, plan.binary_op,
                   plan.inter_column_op ? plan.inter_column_op : '.',
                   router.num_shards());
@@ -391,28 +393,6 @@ metrics::IngestStats Database::ingest_stats() const {
     total.ooo_points += s.ooo_points;
     total.ooo_pending += s.ooo_pending;
     total.delete_ranges += s.delete_ranges;
-  }
-  return total;
-}
-
-storage::PruneProbeStats Database::CountMatchingSeries(
-    const storage::PruneProbe& probe,
-    std::vector<std::string>* matched) const {
-  // Each store probes its own index under its own shared lock.
-  storage::PruneProbeStats total;
-  if (matched != nullptr) matched->clear();
-  std::vector<std::string> shard_matched;
-  for (const auto& shard : rep_->shards) {
-    storage::PruneProbeStats s = shard->store.CountMatchingSeries(
-        probe, matched != nullptr ? &shard_matched : nullptr);
-    total.series_total += s.series_total;
-    total.series_matched += s.series_matched;
-    total.probe_nanos += s.probe_nanos;
-    if (matched != nullptr) {
-      matched->insert(matched->end(),
-                      std::make_move_iterator(shard_matched.begin()),
-                      std::make_move_iterator(shard_matched.end()));
-    }
   }
   return total;
 }

@@ -141,15 +141,6 @@ class Database {
   /// they are attached (OpenFile), otherwise against the in-memory stores.
   Result<exec::QueryResult> Query(const std::string& sql) const;
 
-  /// Fleet-scale pruning probe: how many series across all shards could
-  /// hold data matching the time/value window — one SIMD sweep per shard
-  /// over the pruning-index envelopes (storage/pruning_index.h), no page
-  /// headers touched. Conservative: never undercounts the series a linear
-  /// header scan would keep. `matched` (optional) collects their names.
-  storage::PruneProbeStats CountMatchingSeries(
-      const storage::PruneProbe& probe,
-      std::vector<std::string>* matched = nullptr) const;
-
   // --- Engine reconfiguration -------------------------------------------
 
   void SetMode(Mode mode);

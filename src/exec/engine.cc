@@ -131,15 +131,14 @@ Status DrainSlice(const storage::Page& page, size_t begin, size_t end,
                           opt, &sink->times, &sink->values, stats);
 }
 
-/// The value filter on a decoded value: integers compare exactly, doubles
-/// against the widened int64 bounds (a NaN passes, as in every float
-/// drain).
+/// The value filter on a decoded value: integers against the folded
+/// bounds, doubles against the SQL literals with each bound's strictness
+/// (a NaN passes, as in every float drain).
 bool PassesValueFilter(const ValueRange& vrange, int64_t v) {
   return vrange.Contains(v);
 }
 bool PassesValueFilter(const ValueRange& vrange, double v) {
-  return !vrange.active || !(v < static_cast<double>(vrange.lo) ||
-                             v > static_cast<double>(vrange.hi));
+  return vrange.ContainsF64(v);
 }
 
 /// Raw (time, value) arrays -> sink: the one scalar drain for every job the

@@ -175,11 +175,6 @@ std::string RenderStats(const ExecStats& stats) {
             "deletes: pages_pruned=%" PRIu64 " tuples_masked=%" PRIu64 "\n",
             stats.pages_pruned_deleted, stats.deleted_tuples_masked);
   }
-  if (stats.index_probe_nanos > 0 || stats.series_pruned > 0) {
-    out += "index: probe ";
-    AppendTime(&out, stats.index_probe_nanos);
-    Appendf(&out, "  series_pruned=%" PRIu64 "\n", stats.series_pruned);
-  }
   if (stats.merge_pages_skipped > 0 || stats.merge_pairs_fused > 0) {
     Appendf(&out,
             "merge: pages_skipped=%" PRIu64 " pairs_fused=%" PRIu64 "\n",

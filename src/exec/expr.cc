@@ -50,8 +50,6 @@ std::string ExecStats::ToJson() const {
   AppendField(&out, "tail_tuples_scanned", tail_tuples_scanned, &first);
   AppendField(&out, "pages_pruned_deleted", pages_pruned_deleted, &first);
   AppendField(&out, "deleted_tuples_masked", deleted_tuples_masked, &first);
-  AppendField(&out, "index_probe_nanos", index_probe_nanos, &first);
-  AppendField(&out, "series_pruned", series_pruned, &first);
   AppendField(&out, "merge_pages_skipped", merge_pages_skipped, &first);
   AppendField(&out, "merge_pairs_fused", merge_pairs_fused, &first);
   AppendField(&out, "wall_nanos", wall_nanos, &first);

@@ -40,12 +40,34 @@ struct TimeRange {
 
 /// Inclusive value range predicate A >= lo AND A <= hi. `active` false means
 /// no value predicate.
+///
+/// The bounds are folded for integers: `v > L` is lo = L + 1 and `v < L`
+/// is hi = L - 1, exact on int64 series and what the fused and SIMD kernels
+/// use. A float value can lie between L and L + 1, so each bound also keeps
+/// its strictness: a strict lo stands for `v > lo - 1`, a strict hi for
+/// `v < hi + 1`. Float series filter with ContainsF64.
 struct ValueRange {
   bool active = false;
   int64_t lo = std::numeric_limits<int64_t>::min();
   int64_t hi = std::numeric_limits<int64_t>::max();
+  bool lo_strict = false;
+  bool hi_strict = false;
 
   bool Contains(int64_t v) const { return !active || (v >= lo && v <= hi); }
+
+  /// The SQL literals of the bounds as doubles. Comparing inclusively
+  /// against them is conservative, so pruning may do so.
+  double LoF64() const { return static_cast<double>(lo_strict ? lo - 1 : lo); }
+  double HiF64() const { return static_cast<double>(hi_strict ? hi + 1 : hi); }
+
+  /// The filter on a float value, honouring each bound's strictness. A NaN
+  /// passes, as in every float drain.
+  bool ContainsF64(double v) const {
+    if (!active) return true;
+    const bool below = lo_strict ? v <= LoF64() : v < LoF64();
+    const bool above = hi_strict ? v >= HiF64() : v > HiF64();
+    return !below && !above;
+  }
 };
 
 /// Sliding window description sw(T_min, dT) (Definition 2): window k covers
@@ -168,12 +190,6 @@ struct ExecStats {
   // here — snapshots pre-filter the tail.
   uint64_t pages_pruned_deleted = 0;
   uint64_t deleted_tuples_masked = 0;
-  // Pruning index (storage/pruning_index.h): nanoseconds spent checking
-  // input envelopes at planning time, and inputs skipped entirely because
-  // their envelope misses the filters (their pages also count in
-  // pages_pruned).
-  uint64_t index_probe_nanos = 0;
-  uint64_t series_pruned = 0;
   // Merge node header shortcuts (Figure 9): pages a join, projection or
   // CORR never decoded because the other input had nothing in their time
   // range, and CORR page pairs aggregated in closed form without decoding.
@@ -208,6 +224,10 @@ struct ExecStats {
   // Always 0: the database has no admission queue. The field stays because
   // the SQL benchmark driver (sqlbench/src/runner.cc) still sums it.
   uint64_t admission_wait_nanos = 0;
+  // Always 0: planning has no series-level index to probe; page headers
+  // and tail stats are the only pruning. The field stays because the SQL
+  // benchmark (sqlbench/src/{runner,main}.cc) still reads it.
+  uint64_t index_probe_nanos = 0;
 
   void Merge(const ExecStats& o) {
     pages_total += o.pages_total;
@@ -221,8 +241,6 @@ struct ExecStats {
     tail_tuples_scanned += o.tail_tuples_scanned;
     pages_pruned_deleted += o.pages_pruned_deleted;
     deleted_tuples_masked += o.deleted_tuples_masked;
-    index_probe_nanos += o.index_probe_nanos;
-    series_pruned += o.series_pruned;
     merge_pages_skipped += o.merge_pages_skipped;
     merge_pairs_fused += o.merge_pairs_fused;
     stages.Merge(o.stages);

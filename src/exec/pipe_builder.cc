@@ -6,8 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/metrics.h"
-#include "storage/pruning_index.h"
+#include "storage/page.h"
 
 namespace etsqp::exec {
 
@@ -46,15 +45,16 @@ TimeRange EffectiveTimeRange(const LogicalPlan& plan) {
 }
 
 /// The query's value bounds in the shared pruning key domain: raw int64
-/// for integer series, OrderedValueKey of the widened doubles for float
-/// series. Float page headers carry bit-cast doubles — comparing them as
-/// raw int64 is wrong for negative values (and NaN would mis-prune), so
-/// every header and envelope compare goes through this one domain.
+/// for integer series, OrderedValueKey of the SQL literals for float
+/// series (inclusive, so a strict bound prunes conservatively). Float page
+/// headers carry bit-cast doubles — comparing them as raw int64 is wrong
+/// for negative values (and NaN would mis-prune), so every header compare
+/// goes through this one domain.
 void QueryValueKeys(const ValueRange& vrange, bool is_float, int64_t* q_lo,
                     int64_t* q_hi) {
   if (is_float) {
-    *q_lo = storage::OrderedValueKey(static_cast<double>(vrange.lo));
-    *q_hi = storage::OrderedValueKey(static_cast<double>(vrange.hi));
+    *q_lo = storage::OrderedValueKey(vrange.LoF64());
+    *q_hi = storage::OrderedValueKey(vrange.HiF64());
   } else {
     *q_lo = vrange.lo;
     *q_hi = vrange.hi;
@@ -222,18 +222,6 @@ void PlanRanges(size_t num_inputs, int threads, PipelineSpec* spec) {
   }
 }
 
-/// Envelope check: false when no point ever appended to the series can
-/// satisfy the filters, so the whole input (pages and tail) is skipped.
-bool EnvelopeMayMatch(const storage::SeriesSummary& env, bool is_float,
-                      const TimeRange& trange, const ValueRange& vrange,
-                      bool prune_values) {
-  if (!trange.Overlaps(env.time_min, env.time_max)) return false;
-  if (!prune_values || !vrange.active) return true;
-  int64_t q_lo, q_hi;
-  QueryValueKeys(vrange, is_float, &q_lo, &q_hi);
-  return env.value_min_key <= q_hi && env.value_max_key >= q_lo;
-}
-
 /// Tail analogue of the page-header check: snapshot-captured min/max stats
 /// decide whether the tail can contribute at all.
 bool TailSurvivesPruning(const storage::SeriesSnapshot& snap,
@@ -244,8 +232,8 @@ bool TailSurvivesPruning(const storage::SeriesSnapshot& snap,
   }
   if (prune_values && vrange.active) {
     if (snap.is_float) {
-      if (snap.tail_max_value_f64 < static_cast<double>(vrange.lo) ||
-          snap.tail_min_value_f64 > static_cast<double>(vrange.hi)) {
+      if (snap.tail_max_value_f64 < vrange.LoF64() ||
+          snap.tail_min_value_f64 > vrange.HiF64()) {
         return false;
       }
     } else if (snap.tail_max_value < vrange.lo ||
@@ -295,20 +283,6 @@ Result<PipelineSpec> BuildPipeline(
 
   for (size_t in = 0; in < inputs.size(); ++in) {
     const storage::SeriesSnapshot& snap = inputs[in];
-    if (snap.envelope.has_value()) {
-      const uint64_t probe_t0 = metrics::NowNanos();
-      const bool live = EnvelopeMayMatch(*snap.envelope, snap.is_float, trange,
-                                         plan.value_filter, options.prune);
-      spec.plan_stats.index_probe_nanos += metrics::NowNanos() - probe_t0;
-      if (!live) {
-        ++spec.plan_stats.series_pruned;
-        spec.plan_stats.pages_total += snap.pages.size();
-        spec.plan_stats.pages_pruned += snap.pages.size();
-        spec.plan_stats.tuples_in_pages += snap.total_points();
-        spec.plan_stats.tail_tuples += snap.tail_times.size();
-        continue;
-      }
-    }
     SurvivingPages kept;
     CollectPages(snap, trange, plan.value_filter, options.prune, &kept,
                  &spec.plan_stats);

@@ -126,17 +126,16 @@ Result<std::vector<storage::SeriesSnapshot>> ResolveInputs(
     const LogicalPlan& plan, const SnapshotResolver& resolve);
 
 /// Builds jobs for `plan` over resolved input snapshots, whatever store
-/// issued them. An input whose envelope (SeriesStore snapshots only)
-/// misses the filters is skipped whole; the others go through the one page
-/// walk: header-level page pruning (time range vs page min/max always;
-/// value range vs page min/max when options.prune) and the same statistics
-/// check on the tail (its min/max are computed at snapshot capture). The
-/// walk reads headers only, so a lazily loaded input (a FileBackedStore
-/// snapshot) never fetches a pruned page; its surviving pages become
-/// whole-page jobs, one buffer-pool fetch each. Merge plans (every kind but
-/// the aggregate) also get their range jobs: one at a single thread, else up
-/// to `options.threads`, cut at page starts so each holds a similar share
-/// of the surviving tuples.
+/// issued them. Every input goes through the one page walk: header-level
+/// page pruning (time range vs page min/max always; value range vs page
+/// min/max when options.prune) and the same statistics check on the tail
+/// (its min/max are computed at snapshot capture). The walk reads headers
+/// only, so a lazily loaded input (a FileBackedStore snapshot) never
+/// fetches a pruned page; its surviving pages become whole-page jobs, one
+/// buffer-pool fetch each. Merge plans (every kind but the aggregate) also
+/// get their range jobs: one at a single thread, else up to
+/// `options.threads`, cut at page starts so each holds a similar share of
+/// the surviving tuples.
 Result<PipelineSpec> BuildPipeline(
     const LogicalPlan& plan,
     const std::vector<storage::SeriesSnapshot>& inputs,

@@ -48,6 +48,26 @@ void FoldRange(const Comparison& cmp, int64_t* lo, int64_t* hi) {
   }
 }
 
+/// Folds a value comparison into `range`, keeping each bound's strictness
+/// for float series (exec::ValueRange). Folded bounds that tie — `v > 3`
+/// and `v >= 4` both fold to lo = 4 — keep the inclusive one, the tighter
+/// on doubles.
+void FoldValueRange(const Comparison& cmp, exec::ValueRange* range) {
+  int64_t lo = std::numeric_limits<int64_t>::min();
+  int64_t hi = std::numeric_limits<int64_t>::max();
+  FoldRange(cmp, &lo, &hi);  // this comparison alone
+  const bool strict =
+      cmp.op == Comparison::Op::kLt || cmp.op == Comparison::Op::kGt;
+  if (lo > range->lo || (lo == range->lo && !strict)) {
+    range->lo = lo;
+    range->lo_strict = strict;
+  }
+  if (hi < range->hi || (hi == range->hi && !strict)) {
+    range->hi = hi;
+    range->hi_strict = strict;
+  }
+}
+
 }  // namespace
 
 Result<exec::LogicalPlan> PlanStatement(const SelectStatement& stmt) {
@@ -101,7 +121,7 @@ Result<exec::LogicalPlan> PlanStatement(const SelectStatement& stmt) {
       FoldRange(cmp, &plan.time_filter.lo, &plan.time_filter.hi);
     } else {
       plan.value_filter.active = true;
-      FoldRange(cmp, &plan.value_filter.lo, &plan.value_filter.hi);
+      FoldValueRange(cmp, &plan.value_filter);
     }
   }
 

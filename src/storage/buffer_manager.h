@@ -62,8 +62,8 @@ class FileBackedStore {
 
   /// A lazily loaded snapshot of `name` for query execution: the resident
   /// page headers (non-owning; valid while this store is open), no tail, no
-  /// tombstones, no envelope, and a loader that fetches page payloads
-  /// through LoadPage. Nothing is read from the file here.
+  /// tombstones, and a loader that fetches page payloads through LoadPage.
+  /// Nothing is read from the file here.
   Result<SeriesSnapshot> GetSnapshot(const std::string& name);
 
   /// Returns the fully loaded page (payload fetched or served from the

@@ -1,8 +1,31 @@
 #include "storage/page.h"
 
+#include <cmath>
+#include <cstring>
+
 #include "common/bitstream.h"
 
 namespace etsqp::storage {
+
+bool HeaderValueKeys(const PageHeader& h, bool is_float, int64_t* lo,
+                     int64_t* hi) {
+  if (!is_float) {
+    *lo = h.min_value;
+    *hi = h.max_value;
+    return true;
+  }
+  double mn, mx;
+  std::memcpy(&mn, &h.min_value, sizeof(mn));
+  std::memcpy(&mx, &h.max_value, sizeof(mx));
+  if (std::isnan(mn) || std::isnan(mx)) {
+    *lo = std::numeric_limits<int64_t>::min();
+    *hi = std::numeric_limits<int64_t>::max();
+    return false;
+  }
+  *lo = OrderedValueKey(mn);
+  *hi = OrderedValueKey(mx);
+  return true;
+}
 
 void SerializePage(const Page& page, std::vector<uint8_t>* out) {
   const PageHeader& h = page.header;

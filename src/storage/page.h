@@ -2,6 +2,7 @@
 #define ETSQP_STORAGE_PAGE_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -33,6 +34,26 @@ struct PageHeader {
   uint8_t level = 0;
   uint8_t tier = 0;
 };
+
+/// Order-preserving int64 key for a non-NaN double: key(a) < key(b) iff
+/// a < b, with negative zero canonicalized to +0.0 so -0.0 == 0.0 survives
+/// range boundaries. Float page headers carry bit-cast doubles, so the
+/// page walk compares their bounds in this key domain; integer headers
+/// compare raw. Callers must handle NaN themselves.
+inline int64_t OrderedValueKey(double v) {
+  if (v == 0.0) v = 0.0;  // -0.0 -> +0.0
+  int64_t bits;
+  static_assert(sizeof(bits) == sizeof(v), "double is 8 bytes");
+  __builtin_memcpy(&bits, &v, sizeof(bits));
+  return bits >= 0 ? bits : bits ^ std::numeric_limits<int64_t>::max();
+}
+
+/// The value bounds of `h` in the key domain above. Returns false (and
+/// writes the full-range never-prune sentinel) when the bounds are unusable
+/// — a float header whose min/max bit-cast to NaN: a NaN says nothing
+/// about where a page's values lie.
+bool HeaderValueKeys(const PageHeader& h, bool is_float, int64_t* lo,
+                     int64_t* hi);
 
 /// One storage page: header plus the two encoded columns. Column buffers are
 /// slack-padded (AlignedBuffer) so SIMD decoders can over-read safely.

@@ -106,7 +106,7 @@ Result<Page> BuildPageF64(const int64_t* times, const double* values,
   // NaN anywhere in the page poisons both bounds explicitly: finite bounds
   // over the remaining values would let value pruning drop a page whose
   // NaN tuples pass every filter compare. NaN bounds are the "never
-  // value-prune this page" signal (storage/pruning_index.h).
+  // value-prune this page" signal (HeaderValueKeys, storage/page.h).
   bool has_nan = false;
   double mn = 0, mx = 0;
   bool any = false;

@@ -111,7 +111,6 @@ Status SeriesStore::CreateSeries(const std::string& name,
   Series s;
   s.name = name;
   s.options = options;
-  s.prune_slot = st->envelopes.AddSeries(name, s.is_float());
   st->series.emplace(name, std::move(s));
   return Status::Ok();
 }
@@ -124,66 +123,8 @@ Status SeriesStore::CreateSeriesForReplay(const std::string& name,
   Series s;
   s.name = name;
   s.options = options;
-  s.prune_slot = st->envelopes.AddSeries(name, s.is_float());
   st->series.emplace(name, std::move(s));
   return Status::Ok();
-}
-
-void SeriesStore::WidenEnvelopeLocked(State* st, const Series& s,
-                                      const int64_t* times,
-                                      const int64_t* ivalues,
-                                      const double* fvalues, size_t n) {
-  if (n == 0) return;
-  int64_t t_min = times[0], t_max = times[0];
-  for (size_t i = 1; i < n; ++i) {
-    if (times[i] < t_min) t_min = times[i];
-    if (times[i] > t_max) t_max = times[i];
-  }
-  st->envelopes.WidenTime(s.prune_slot, t_min, t_max);
-  if (fvalues != nullptr) {
-    bool any = false, has_nan = false;
-    double lo = 0, hi = 0;
-    for (size_t i = 0; i < n; ++i) {
-      double v = fvalues[i];
-      if (std::isnan(v)) {
-        has_nan = true;
-        continue;
-      }
-      if (!any) {
-        lo = hi = v;
-        any = true;
-      } else {
-        if (v < lo) lo = v;
-        if (v > hi) hi = v;
-      }
-    }
-    if (has_nan) {
-      // NaN can slip past any finite bound, so the series can never again
-      // be value-pruned by its envelope (pages keep their own verdicts).
-      st->envelopes.InvalidateValue(s.prune_slot);
-    } else if (any) {
-      st->envelopes.WidenValue(s.prune_slot, OrderedValueKey(lo),
-                                 OrderedValueKey(hi));
-    }
-  } else if (ivalues != nullptr) {
-    int64_t lo = ivalues[0], hi = ivalues[0];
-    for (size_t i = 1; i < n; ++i) {
-      if (ivalues[i] < lo) lo = ivalues[i];
-      if (ivalues[i] > hi) hi = ivalues[i];
-    }
-    st->envelopes.WidenValue(s.prune_slot, lo, hi);
-  }
-}
-
-void SeriesStore::WidenEnvelopeFromHeaderLocked(State* st, const Series& s,
-                                                const PageHeader& h) {
-  st->envelopes.WidenTime(s.prune_slot, h.min_time, h.max_time);
-  int64_t lo, hi;
-  if (HeaderValueKeys(h, s.is_float(), &lo, &hi)) {
-    st->envelopes.WidenValue(s.prune_slot, lo, hi);
-  } else {
-    st->envelopes.InvalidateValue(s.prune_slot);
-  }
 }
 
 Status SeriesStore::BuildSegmentPage(const SealSegment& seg,
@@ -312,9 +253,6 @@ Status SeriesStore::AppendLocked(State* st, const std::string& name,
     ooo_n = static_cast<size_t>(
         std::upper_bound(times, times + n, s.last_time) - times);
   }
-  // The batch is accepted from here on (a WAL failure below still rejects
-  // it — over-widening the envelope is conservative, never incorrect).
-  WidenEnvelopeLocked(st, s, times, ivalues, fvalues, n);
   if (ooo_n > 0) {
     if (st->wal != nullptr) {
       Status logged =
@@ -594,7 +532,6 @@ Status SeriesStore::ApplyReplayBatchOoo(const std::string& name,
       return Status::Corruption("wal: overlap record not increasing");
     }
   }
-  WidenEnvelopeLocked(st, s, times, ivalues, fvalues, apply);
   MergeOooLocked(&s, times, ivalues, fvalues, apply);
   s.appended_points += apply;
   *points_applied = apply;
@@ -757,11 +694,6 @@ Status SeriesStore::RestoreSeriesMeta(const std::string& name,
   if (ttl_nanos > 0) s.ttl_nanos = ttl_nanos;
   for (const TimeInterval& t : tombstones) AddInterval(&s.tombstones, t);
   if (!ooo_times.empty()) {
-    WidenEnvelopeLocked(st, s, ooo_times.data(),
-                        ooo_values.empty() ? nullptr : ooo_values.data(),
-                        ooo_values_f64.empty() ? nullptr
-                                               : ooo_values_f64.data(),
-                        ooo_times.size());
     MergeOooLocked(&s, ooo_times.data(),
                    ooo_values.empty() ? nullptr : ooo_values.data(),
                    ooo_values_f64.empty() ? nullptr : ooo_values_f64.data(),
@@ -803,7 +735,6 @@ Status SeriesStore::ApplyReplayBatch(const std::string& name,
   if (!ordered.ok()) {
     return Status::Corruption("wal: " + std::string(ordered.message()));
   }
-  WidenEnvelopeLocked(st, s, times, ivalues, fvalues, apply);
   for (size_t i = 0; i < apply; ++i) {
     s.buf_times.push_back(times[i]);
     if (s.is_float()) {
@@ -858,25 +789,7 @@ Status SeriesStore::AddPage(const std::string& name, Page page) {
   s.total_points += count;
   s.appended_points += count;
   if (max_time > s.last_time) s.last_time = max_time;
-  WidenEnvelopeFromHeaderLocked(st, s, page.header);
   s.pages.push_back(std::make_shared<const Page>(std::move(page)));
-  ++s.epoch;
-  NotePageInstalledLocked(st);
-  return Status::Ok();
-}
-
-Status SeriesStore::AddPageShared(const std::string& name,
-                                  std::shared_ptr<const Page> page) {
-  State* st = state_.get();
-  std::unique_lock<std::shared_mutex> lock(st->mu);
-  auto it = st->series.find(name);
-  if (it == st->series.end()) return Status::NotFound("series: " + name);
-  Series& s = it->second;
-  s.total_points += page->header.count;
-  s.appended_points += page->header.count;
-  if (page->header.max_time > s.last_time) s.last_time = page->header.max_time;
-  WidenEnvelopeFromHeaderLocked(st, s, page->header);
-  s.pages.push_back(std::move(page));
   ++s.epoch;
   NotePageInstalledLocked(st);
   return Status::Ok();
@@ -896,7 +809,6 @@ Result<SeriesSnapshot> SeriesStore::GetSnapshot(
   snap.epoch = s.epoch;
   snap.pages = s.pages;  // shared, immutable
   snap.tombstones = EffectiveTombstones(s);
-  snap.envelope = st->envelopes.GetSummary(s.prune_slot);
 
   size_t tail = s.buf_times.size();
   for (const auto& seg : s.sealing) tail += seg->times.size();
@@ -1015,21 +927,6 @@ uint64_t SeriesStore::SeriesEpoch(const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(st->mu);
   auto it = st->series.find(name);
   return it == st->series.end() ? 0 : it->second.epoch;
-}
-
-PruneProbeStats SeriesStore::CountMatchingSeries(
-    const PruneProbe& probe, std::vector<std::string>* matched) const {
-  State* st = state_.get();
-  std::shared_lock<std::shared_mutex> lock(st->mu);
-  std::vector<size_t> slots;
-  PruneProbeStats stats = st->envelopes.CountMatching(
-      probe, simd::BestPruneIsa(), matched != nullptr ? &slots : nullptr);
-  if (matched != nullptr) {
-    matched->clear();
-    matched->reserve(slots.size());
-    for (size_t slot : slots) matched->push_back(st->envelopes.name(slot));
-  }
-  return stats;
 }
 
 void SeriesStore::AttachWal(std::unique_ptr<Wal> wal) {

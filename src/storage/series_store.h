@@ -7,7 +7,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "common/status.h"
 #include "storage/page.h"
 #include "storage/page_builder.h"
-#include "storage/pruning_index.h"
 #include "storage/wal.h"
 
 namespace etsqp::storage {
@@ -76,10 +74,6 @@ struct SeriesSnapshot {
   int64_t tail_max_value = 0;
   double tail_min_value_f64 = 0;
   double tail_max_value_f64 = 0;
-  /// The series' pruning-index envelope at capture. Set on every snapshot
-  /// a SeriesStore hands out; empty on hand-built snapshots (tests, file
-  /// scans), which the planner therefore never envelope-prunes.
-  std::optional<SeriesSummary> envelope;
   /// Payload loader of a lazily loaded snapshot (FileBackedStore): `pages`
   /// then hold headers only, and page p's payload comes from load_page(p)
   /// through the store's buffer pool. Empty when the pages are resident.
@@ -169,7 +163,6 @@ class SeriesStore {
     std::vector<int64_t> ooo_values;
     std::vector<double> ooo_values_f64;
     bool compacting = false;  // at most one in-flight compaction per series
-    size_t prune_slot = 0;  // envelope slot in State::envelopes
 
     bool is_float() const {
       return enc::IsFloatEncoding(options.page.value_encoding);
@@ -213,12 +206,6 @@ class SeriesStore {
   /// ordering fence to the page's max time.
   Status AddPage(const std::string& name, Page page);
 
-  /// Like AddPage but shares an already-immutable page instead of taking
-  /// ownership — the shard redistribution path (db/database.h) moves series
-  /// between stores without copying encoded payloads.
-  Status AddPageShared(const std::string& name,
-                       std::shared_ptr<const Page> page);
-
   /// Captures a consistent sealed+tail view for query execution.
   Result<SeriesSnapshot> GetSnapshot(const std::string& name) const;
 
@@ -233,16 +220,6 @@ class SeriesStore {
   /// counter captured into SeriesSnapshot::epoch. Cheap — one shared-lock
   /// map lookup — so result-cache key construction costs no snapshot.
   uint64_t SeriesEpoch(const std::string& name) const;
-
-  /// Fleet-scale pruning probe: one SIMD sweep over the series envelopes
-  /// under a single shared-lock acquisition — which series can possibly
-  /// hold a point in [t_lo, t_hi] x [v_lo, v_hi]. Conservative
-  /// (envelopes only widen), so it never under-counts relative to a linear
-  /// per-series header scan. When `matched` is non-null it receives the
-  /// surviving series names.
-  PruneProbeStats CountMatchingSeries(
-      const PruneProbe& probe,
-      std::vector<std::string>* matched = nullptr) const;
 
   // --- TTL / delete (tombstones) -----------------------------------------
 
@@ -395,9 +372,6 @@ class SeriesStore {
     uint32_t compact_trigger_pages = 0;
     uint32_t pages_since_trigger = 0;
     std::function<void()> compact_trigger;
-    // Pruning index: per-series envelopes (docs/ARCHITECTURE.md "Pruning
-    // index"). Mutated under the unique lock, probed shared.
-    PruningIndex envelopes;
   };
 
   Status AppendLocked(State* st, const std::string& name,
@@ -414,15 +388,6 @@ class SeriesStore {
   /// Cuts the full buffer into a segment and seals it (inline or via the
   /// executor). Caller holds the unique lock.
   Status SealBufferLocked(State* st, Series* s);
-  /// Widens the series envelope with one appended batch (NaN-aware for
-  /// float series: a NaN value permanently disables value pruning).
-  static void WidenEnvelopeLocked(State* st, const Series& s,
-                                  const int64_t* times,
-                                  const int64_t* ivalues,
-                                  const double* fvalues, size_t n);
-  /// Widens the series envelope from an installed page's header.
-  static void WidenEnvelopeFromHeaderLocked(State* st, const Series& s,
-                                            const PageHeader& h);
   /// Installs every ready segment at the front of s->sealing, in order.
   static void DrainReadySegmentsLocked(State* st, Series* s);
   static Status BuildSegmentPage(const SealSegment& seg,

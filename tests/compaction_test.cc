@@ -771,46 +771,15 @@ TEST(CompactionConcurrencyTest, QueriesRaceCompactionDeletesAndOoo) {
 
 // --- Pruning staleness (runs under TSan in CI, ctest label `pruning`):
 // compaction installs splice a rewritten page list under the store's unique
-// lock while the series envelope only ever widens. Snapshots taken during
-// installs must never be envelope-pruned while they hold a matching point,
-// must schedule the envelope-less jobs when the envelope keeps them, and
-// must answer like the scalar oracle.
+// lock. A snapshot taken during an install must plan from its own page
+// headers and answer like the scalar oracle.
 
-/// True when both pipelines schedule the same (page, slice, tail, masked)
-/// jobs.
-bool SameJobs(const exec::PipelineSpec& a, const exec::PipelineSpec& b) {
-  if (a.jobs.size() != b.jobs.size()) return false;
-  for (size_t j = 0; j < a.jobs.size(); ++j) {
-    if (a.jobs[j].input != b.jobs[j].input ||
-        a.jobs[j].page_index != b.jobs[j].page_index ||
-        a.jobs[j].begin != b.jobs[j].begin ||
-        a.jobs[j].end != b.jobs[j].end || a.jobs[j].tail != b.jobs[j].tail ||
-        a.jobs[j].masked != b.jobs[j].masked) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Checks one snapshot against the oracle: the envelope keeps every live
-/// input (and then plans the envelope-less jobs), and the engine's answer
-/// over exactly this snapshot equals the oracle's. Empty string = pass.
+/// Checks one snapshot against the oracle: the engine's answer over exactly
+/// this snapshot equals the oracle's. Empty string = pass.
 std::string CheckSnapshot(const SeriesSnapshot& s,
                           const exec::LogicalPlan& plan,
                           const oracle::SeriesOracle& truth) {
-  if (!s.envelope.has_value()) return "store snapshot without envelope";
-  std::vector<SeriesSnapshot> inputs{s};
-  std::vector<SeriesSnapshot> bare{s};
-  bare[0].envelope.reset();
   const exec::PipelineOptions options = exec::PipelineOptions::Etsqp(1);
-  auto spec = exec::BuildPipeline(plan, inputs, options);
-  auto spec_bare = exec::BuildPipeline(plan, bare, options);
-  if (!spec.ok() || !spec_bare.ok()) return "planning failed";
-  if (spec.value().plan_stats.series_pruned > 0) {
-    if (truth.Matching(plan) != 0) return "envelope pruned a live input";
-  } else if (!SameJobs(spec.value(), spec_bare.value())) {
-    return "job sets diverge";
-  }
   Result<exec::QueryResult> result = exec::Engine(options).Execute(
       plan, exec::SnapshotResolver([&s](const std::string&) {
         return Result<SeriesSnapshot>(s);
@@ -909,14 +878,10 @@ TEST(PruningStalenessTest, DeleteRangeKeepsIndexConsistent) {
   plan.value_filter.hi = 140;  // ... through page 2's surviving half
 
   // The same answers before and after the tombstones become physical
-  // drops; the envelope is conservative throughout (deletes never shrink
-  // it).
+  // drops.
   for (int pass = 0; pass < 2; ++pass) {
     Result<SeriesSnapshot> snap = store.GetSnapshot("s");
     ASSERT_TRUE(snap.ok());
-    ASSERT_TRUE(snap.value().envelope.has_value());
-    EXPECT_LE(snap.value().envelope->time_min, 0);
-    EXPECT_GE(snap.value().envelope->time_max, 63);
     EXPECT_EQ(CheckSnapshot(snap.value(), plan, truth), "") << "pass=" << pass;
     Result<exec::QueryResult> r =
         exec::Engine(exec::PipelineOptions::Etsqp(1)).Execute(plan, store);

@@ -41,14 +41,6 @@ class SeriesOracle {
   /// SetTtl: points at or below `newest time - ttl` are expired.
   void SetTtl(int64_t ttl) { ttl_ = ttl; }
 
-  /// Visible points that pass the plan's time, window-origin and value
-  /// filters.
-  size_t Matching(const exec::LogicalPlan& plan) const {
-    size_t n = 0;
-    for (size_t i = 0; i < times_.size(); ++i) n += Qualifies(plan, i);
-    return n;
-  }
-
   /// The result columns the engine must return for an aggregate or select
   /// plan over this series.
   std::vector<std::vector<double>> Answer(
@@ -203,8 +195,14 @@ class SeriesOracle {
     const exec::ValueRange& vr = plan.value_filter;
     if (!vr.active) return true;
     if (!is_float_) return ivalues_[i] >= vr.lo && ivalues_[i] <= vr.hi;
-    const double v = fvalues_[i];  // a NaN passes, as in every float drain
-    return !(v < static_cast<double>(vr.lo) || v > static_cast<double>(vr.hi));
+    // Float series compare against the SQL literals: a strict bound was
+    // folded one step inward (`v > L` is lo = L + 1). A NaN passes, as in
+    // every float drain.
+    const double v = fvalues_[i];
+    const double lo = static_cast<double>(vr.lo_strict ? vr.lo - 1 : vr.lo);
+    const double hi = static_cast<double>(vr.hi_strict ? vr.hi + 1 : vr.hi);
+    if (vr.lo_strict ? v <= lo : v < lo) return false;
+    return !(vr.hi_strict ? v >= hi : v > hi);
   }
 
   bool is_float_;
