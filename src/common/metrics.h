@@ -114,7 +114,9 @@ inline PoolStats PoolStatsDelta(const PoolStats& before,
 /// Streaming-ingest counters (storage::SeriesStore + its WAL): the write
 /// side of the observability story. Cumulative since store construction;
 /// `tail_points` is a gauge (currently buffered, not yet sealed points).
-/// Surfaced by the CLI `.ingest` command and docs/OBSERVABILITY.md.
+/// WAL replay advances none of the append/delete counters; what a recovery
+/// applied is db::Database::last_recovery(). Surfaced by the CLI `.ingest`
+/// command and docs/OBSERVABILITY.md.
 struct IngestStats {
   uint64_t points_appended = 0;   // acknowledged points (excl. replay)
   uint64_t append_batches = 0;    // Append*/AppendBatch* calls accepted
@@ -130,9 +132,23 @@ struct IngestStats {
   uint64_t wal_bytes = 0;
   uint64_t wal_fsyncs = 0;
   uint64_t wal_sync_nanos = 0;
-  uint64_t recovered_records = 0;  // replayed at the last Recover
-  uint64_t recovered_points = 0;
-  uint64_t dropped_wal_records = 0;  // torn/corrupt tail records dropped
+
+  void Merge(const IngestStats& o) {
+    points_appended += o.points_appended;
+    append_batches += o.append_batches;
+    rejected_batches += o.rejected_batches;
+    pages_sealed += o.pages_sealed;
+    background_seals += o.background_seals;
+    seal_nanos += o.seal_nanos;
+    tail_points += o.tail_points;
+    ooo_points += o.ooo_points;
+    ooo_pending += o.ooo_pending;
+    delete_ranges += o.delete_ranges;
+    wal_records += o.wal_records;
+    wal_bytes += o.wal_bytes;
+    wal_fsyncs += o.wal_fsyncs;
+    wal_sync_nanos += o.wal_sync_nanos;
+  }
 };
 
 /// Background-compaction counters (storage::Compactor), cumulative across

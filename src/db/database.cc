@@ -224,37 +224,11 @@ Status Database::Flush() {
   return Status::Ok();
 }
 
-Status Database::EnableCompaction(const CompactionConfig& config) {
+Status Database::EnableCompaction() {
   Rep* rep = rep_.get();
   std::unique_lock<std::shared_mutex> lock(rep->engine_mu);
-  if (config.auto_trigger_pages > 0 && rep->seal_group == nullptr) {
-    rep->seal_group = std::make_unique<exec::TaskGroup>();
-  }
   for (auto& shard : rep->shards) {
-    storage::CompactionOptions opts = config.options;
-    shard->compactor =
-        std::make_unique<storage::Compactor>(&shard->store, std::move(opts));
-    if (config.auto_trigger_pages > 0) {
-      exec::TaskGroup* group = rep->seal_group.get();
-      Shard* s = shard.get();
-      shard->store.SetCompactionTrigger(
-          config.auto_trigger_pages, [group, s] {
-            // Fires under the store lock: only schedule, never compact
-            // inline. One queued pass per shard at a time — bursts of page
-            // installs collapse onto the already-scheduled pass.
-            bool expected = false;
-            if (!s->compact_scheduled.compare_exchange_strong(expected,
-                                                              true)) {
-              return;
-            }
-            group->Submit([s] {
-              s->compact_scheduled.store(false);
-              (void)s->compactor->CompactAll();
-            });
-          });
-    } else {
-      shard->store.SetCompactionTrigger(0, nullptr);
-    }
+    shard->compactor = std::make_unique<storage::Compactor>(&shard->store);
   }
   return Status::Ok();
 }
@@ -263,7 +237,7 @@ Status Database::Compact(int shard) {
   Rep* rep = rep_.get();
   std::shared_lock<std::shared_mutex> lock(rep->engine_mu);
   const int n = rep->router.num_shards();
-  if (shard >= n) {
+  if (shard < -1 || shard >= n) {
     return Status::InvalidArgument("no shard " + std::to_string(shard));
   }
   for (const auto& s : rep->shards) {
@@ -317,18 +291,15 @@ Status Database::EnableIngest(const IngestConfig& config) {
     }
     storage::Wal::ReplayStats agg;
     for (auto& shard : rep->shards) {
-      storage::Wal::Options options;
-      options.fsync = config.fsync;
-      options.batch_bytes = config.wal_batch_bytes;
       Result<std::unique_ptr<storage::Wal>> wal = storage::Wal::Open(
-          Shard::ArtifactPath(config.wal_path, shard->index, n), options);
+          Shard::ArtifactPath(config.wal_path, shard->index, n),
+          config.fsync);
       if (!wal.ok()) return wal.status();
       // Recovery before attach: records from an earlier run (possibly on
       // top of a Load()ed checkpoint) are applied idempotently, a torn tail
       // is truncated away, and only then does the log accept new appends.
       storage::Wal::ReplayStats replay;
       ETSQP_RETURN_IF_ERROR(wal.value()->ReplayInto(&shard->store, &replay));
-      shard->store.NoteRecovery(replay);
       agg.records_applied += replay.records_applied;
       agg.records_skipped += replay.records_skipped;
       agg.records_dropped += replay.records_dropped;
@@ -375,24 +346,7 @@ void Database::TestingFailBeforeWalTruncate(bool on) {
 metrics::IngestStats Database::ingest_stats() const {
   metrics::IngestStats total;
   for (const auto& shard : rep_->shards) {
-    metrics::IngestStats s = shard->store.ingest_stats();
-    total.points_appended += s.points_appended;
-    total.append_batches += s.append_batches;
-    total.rejected_batches += s.rejected_batches;
-    total.pages_sealed += s.pages_sealed;
-    total.background_seals += s.background_seals;
-    total.seal_nanos += s.seal_nanos;
-    total.tail_points += s.tail_points;
-    total.wal_records += s.wal_records;
-    total.wal_bytes += s.wal_bytes;
-    total.wal_fsyncs += s.wal_fsyncs;
-    total.wal_sync_nanos += s.wal_sync_nanos;
-    total.recovered_records += s.recovered_records;
-    total.recovered_points += s.recovered_points;
-    total.dropped_wal_records += s.dropped_wal_records;
-    total.ooo_points += s.ooo_points;
-    total.ooo_pending += s.ooo_pending;
-    total.delete_ranges += s.delete_ranges;
+    total.Merge(shard->store.ingest_stats());
   }
   return total;
 }
@@ -582,27 +536,45 @@ Status Database::ImportCsv(const std::string& series,
 
 Status Database::ExportCsv(const std::string& series,
                            const std::string& path) const {
-  Result<exec::LogicalPlan> plan = sql::PlanQuery("SELECT * FROM " + series);
-  if (!plan.ok()) return plan.status();
-  Rep* rep = rep_.get();
-  std::shared_lock<std::shared_mutex> lock(rep->engine_mu);
-  exec::SnapshotResolver resolve =
-      [rep](const std::string& name) -> Result<storage::SeriesSnapshot> {
-    return rep->ShardFor(name).store.GetSnapshot(name);
-  };
-  Result<exec::QueryResult> result =
-      rep->engine.Execute(plan.value(), exec::StoreHandle(std::move(resolve)));
-  if (!result.ok()) return result.status();
+  // Straight from the snapshot, not through SELECT: result columns are
+  // doubles, which would round int64 values and times past 2^53.
+  Result<storage::SeriesSnapshot> snap =
+      rep_->ShardFor(series).store.GetSnapshot(series);
+  if (!snap.ok()) return snap.status();
+  const storage::SeriesSnapshot& s = snap.value();
+  if (s.is_float) {
+    return Status::InvalidArgument("csv export: float series " + series);
+  }
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return Status::IoError("open for write: " + path);
   std::fprintf(f, "time,value\n");
-  const exec::QueryResult& qr = result.value();
-  for (size_t r = 0; r < qr.num_rows(); ++r) {
-    std::fprintf(f, "%lld,%lld\n", static_cast<long long>(qr.columns[0][r]),
-                 static_cast<long long>(qr.columns[1][r]));
+  Status status = Status::Ok();
+  std::vector<int64_t> times, values;
+  for (const auto& page : s.pages) {
+    const storage::PageHeader& h = page->header;
+    times.resize(h.count);
+    values.resize(h.count);
+    status = storage::DecodePageColumn(page->time_data.data(),
+                                       page->time_data.size(),
+                                       h.time_encoding, h.count, times.data());
+    if (status.ok()) {
+      status = storage::DecodePageColumn(
+          page->value_data.data(), page->value_data.size(), h.value_encoding,
+          h.count, values.data());
+    }
+    if (!status.ok()) break;
+    for (uint32_t i = 0; i < h.count; ++i) {
+      // The snapshot's tail is already filtered; its pages are not.
+      if (storage::IntervalsContain(s.tombstones, times[i])) continue;
+      std::fprintf(f, "%" PRId64 ",%" PRId64 "\n", times[i], values[i]);
+    }
+  }
+  for (size_t i = 0; status.ok() && i < s.tail_times.size(); ++i) {
+    std::fprintf(f, "%" PRId64 ",%" PRId64 "\n", s.tail_times[i],
+                 s.tail_values[i]);
   }
   std::fclose(f);
-  return Status::Ok();
+  return status;
 }
 
 // --- Topology --------------------------------------------------------------

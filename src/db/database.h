@@ -65,7 +65,6 @@ class Database {
   struct IngestConfig {
     std::string wal_path;  // empty => no WAL (tail + sealing only)
     storage::Wal::FsyncPolicy fsync = storage::Wal::FsyncPolicy::kBatch;
-    size_t wal_batch_bytes = 64 << 10;  // group-commit threshold for kBatch
     bool background_seal = false;
   };
 
@@ -95,21 +94,11 @@ class Database {
                         const double* values, size_t n);
   Status Flush();
 
-  /// Background compaction configuration: per-page adaptive re-encoding
-  /// options plus the auto-trigger cadence.
-  struct CompactionConfig {
-    storage::CompactionOptions options;
-    /// Schedule a background CompactAll on a shard after this many newly
-    /// installed pages there; 0 = manual Compact() only. Auto-triggered
-    /// passes run on the shared work-stealing pool.
-    uint32_t auto_trigger_pages = 0;
-  };
-
-  /// Builds each shard's Compactor.
-  Status EnableCompaction(const CompactionConfig& config);
-  Status EnableCompaction() { return EnableCompaction(CompactionConfig()); }
+  /// Builds each shard's Compactor; passes run only on Compact().
+  Status EnableCompaction();
   /// One synchronous compaction pass: every shard (`shard` = -1, passes fan
-  /// out in parallel on the pool) or just one. Requires EnableCompaction.
+  /// out in parallel on the pool) or just one. Requires EnableCompaction;
+  /// any other shard index is InvalidArgument.
   Status Compact(int shard = -1);
   /// Marks [t0, t1] of `name` deleted (tombstone): masked at query time,
   /// physically dropped at the next compaction pass.
@@ -129,9 +118,10 @@ class Database {
   Status Checkpoint(const std::string& path);
   /// Testing fault hook: Checkpoint stops right before WAL truncation.
   void TestingFailBeforeWalTruncate(bool on);
-  /// Ingest/WAL/seal counters summed across shards.
+  /// Ingest/WAL/seal counters summed across shards (replay counts none).
   metrics::IngestStats ingest_stats() const;
-  /// What the last EnableIngest recovery replayed, summed across shards.
+  /// What the last EnableIngest recovery replayed, summed across shards:
+  /// the one source of recovery counters.
   const storage::Wal::ReplayStats& last_recovery() const;
 
   // --- Queries -----------------------------------------------------------
@@ -174,7 +164,9 @@ class Database {
   /// CSV interchange. Import expects an optional header line and rows
   /// `<int64 time>,<int64 value>`, time-ordered; a row whose two fields do
   /// not both parse completely is rejected. The series must exist. Export
-  /// writes the same format.
+  /// writes the same format, exact to the last bit: sealed pages then the
+  /// tail of the in-memory series, tombstoned points skipped. A float series
+  /// is InvalidArgument.
   Status ImportCsv(const std::string& series, const std::string& path);
   Status ExportCsv(const std::string& series, const std::string& path) const;
 

@@ -1,7 +1,6 @@
 #ifndef ETSQP_DB_SHARD_H_
 #define ETSQP_DB_SHARD_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 
@@ -29,9 +28,6 @@ struct Shard {
   std::unique_ptr<storage::FileBackedStore> file_store;
   /// Background compaction service (EnableCompaction); null = disabled.
   std::unique_ptr<storage::Compactor> compactor;
-  /// Collapses bursts of install-trigger firings into one queued CompactAll
-  /// per shard: set on schedule, cleared when the pass starts.
-  std::atomic<bool> compact_scheduled{false};
 
   /// `<base>` for a 1-shard database, `<base>.shard<k>` otherwise.
   static std::string ArtifactPath(const std::string& base, int shard,

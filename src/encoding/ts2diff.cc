@@ -112,7 +112,10 @@ void Ts2DiffColumn::DecodeBlock(const Ts2DiffBlock& block, int64_t* out) {
   for (uint32_t i = 0; i < block.num_deltas; ++i) {
     uint64_t r = UnpackOneBE(block.packed, pos, block.width);
     pos += block.width;
-    prev += block.min_delta + static_cast<int64_t>(r);
+    // The encoder took deltas modulo 2^64 (WrapSub64), so add them back
+    // the same way: a jump across the int64 range must not overflow.
+    prev = WrapAdd64(prev,
+                     WrapAdd64(block.min_delta, static_cast<int64_t>(r)));
     out[i + 1] = prev;
   }
 }

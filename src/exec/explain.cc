@@ -33,6 +33,25 @@ void AppendTime(std::string* out, uint64_t nanos) {
   }
 }
 
+/// `v` in decimal; it may lie one past the int64 range.
+void AppendInt128(std::string* out, __int128 v) {
+  if (v >= std::numeric_limits<int64_t>::min() &&
+      v <= std::numeric_limits<int64_t>::max()) {
+    Appendf(out, "%" PRId64, static_cast<int64_t>(v));
+    return;
+  }
+  const bool negative = v < 0;
+  unsigned __int128 mag = negative ? -static_cast<unsigned __int128>(v)
+                                   : static_cast<unsigned __int128>(v);
+  std::string digits;
+  for (; mag > 0; mag /= 10) {
+    const int digit = static_cast<int>(mag % 10);
+    digits.insert(digits.begin(), static_cast<char>('0' + digit));
+  }
+  if (negative) *out += '-';
+  *out += digits;
+}
+
 void AppendFilterLine(std::string* out, const char* indent,
                       const LogicalPlan& plan) {
   const bool have_time = !plan.time_filter.IsUniverse();
@@ -45,8 +64,17 @@ void AppendFilterLine(std::string* out, const char* indent,
             plan.time_filter.hi);
   }
   if (have_value) {
-    Appendf(out, "%s value in [%" PRId64 ", %" PRId64 "]",
-            have_time ? "," : "", plan.value_filter.lo, plan.value_filter.hi);
+    // A strict bound prints its SQL literal with an open bracket: the
+    // folded integer bound (v > 3 as [4, ...]) is not the filter a float
+    // series runs. The literal is one past the folded bound, so it is
+    // computed in 128 bits.
+    const ValueRange& v = plan.value_filter;
+    Appendf(out, "%s value in %c", have_time ? "," : "",
+            v.lo_strict ? '(' : '[');
+    AppendInt128(out, v.lo_strict ? static_cast<__int128>(v.lo) - 1 : v.lo);
+    *out += ", ";
+    AppendInt128(out, v.hi_strict ? static_cast<__int128>(v.hi) + 1 : v.hi);
+    *out += v.hi_strict ? ')' : ']';
   }
   *out += '\n';
 }

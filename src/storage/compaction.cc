@@ -8,14 +8,6 @@
 
 namespace etsqp::storage {
 
-Compactor::Compactor(SeriesStore* store, CompactionOptions options)
-    : store_(store), options_(std::move(options)) {
-  CodecAdvisor::Options advisor_options;
-  advisor_options.min_gain = options_.min_gain;
-  advisor_options.decode_support = options_.decode_support;
-  advisor_ = CodecAdvisor(advisor_options);
-}
-
 void Compactor::MergeStats(const metrics::CompactionStats& pass) {
   std::lock_guard<std::mutex> lock(mu_);
   stats_.Merge(pass);
@@ -52,6 +44,10 @@ Status Compactor::CompactAll() {
 
 namespace {
 
+/// A sealed page holding under this fraction of the series' page_size is
+/// undersized: the pass coalesces it with its neighbors.
+constexpr double kMergeFill = 0.5;
+
 /// Index of the page a reconciled overlap point lands in: the first page
 /// whose max_time >= t, or npages when the point is past every page.
 size_t TargetPage(const std::vector<std::shared_ptr<const Page>>& pages,
@@ -85,9 +81,7 @@ Status Compactor::RunPass(const std::string& name,
 
   const auto& pages = cap.pages;
   const size_t npages = pages.size();
-  const uint32_t target = options_.target_page_points != 0
-                              ? options_.target_page_points
-                              : cap.options.page_size;
+  const uint32_t target = std::max<uint32_t>(cap.options.page_size, 1);
 
   // Reconcilable overlap prefix: points at or below the sealed maximum can
   // merge into pages without interleaving with the live tail; with an empty
@@ -112,10 +106,10 @@ Status Compactor::RunPass(const std::string& name,
       dirty[i] = 1;
     }
     if (npages >= 2 && static_cast<double>(h.count) <
-                           options_.merge_fill * static_cast<double>(target)) {
+                           kMergeFill * static_cast<double>(target)) {
       dirty[i] = 1;
     }
-    if (options_.adaptive && h.tier == 0) dirty[i] = 1;
+    if (h.tier == 0) dirty[i] = 1;  // never seen by the advisor
   }
   bool ooo_past_pages = false;
   for (size_t i = 0; i < ooo_n; ++i) {
@@ -144,64 +138,35 @@ Status Compactor::RunPass(const std::string& name,
   }
   if (span_begin > span_end) span_begin = span_end;  // pure-append span
 
-  // Decode the span.
-  std::vector<int64_t> times, ivalues;
-  std::vector<double> fvalues;
+  // Decode the span into times and value words.
+  std::vector<int64_t> times, values;
   size_t span_points = 0;
   for (size_t i = span_begin; i < span_end; ++i) {
     span_points += pages[i]->header.count;
   }
-  times.reserve(span_points + ooo_n);
-  if (cap.is_float) {
-    fvalues.reserve(span_points + ooo_n);
-  } else {
-    ivalues.reserve(span_points + ooo_n);
-  }
-  std::vector<int64_t> tmp_t, tmp_i;
-  std::vector<double> tmp_f;
+  times.reserve(span_points);
+  values.reserve(span_points);
   for (size_t i = span_begin; i < span_end; ++i) {
     const Page& p = *pages[i];
-    uint32_t n = p.header.count;
-    tmp_t.resize(n);
+    size_t at = times.size();
+    times.resize(at + p.header.count);
+    values.resize(at + p.header.count);
     Status st = DecodePageColumn(p.time_data.data(), p.time_data.size(),
-                                 p.header.time_encoding, n,
-                                 tmp_t.data());
-    if (st.ok()) {
-      if (cap.is_float) {
-        tmp_f.resize(n);
-        st = DecodePageColumnF64(p.value_data.data(), p.value_data.size(),
-                                 p.header.value_encoding, n,
-                                 tmp_f.data());
-      } else {
-        tmp_i.resize(n);
-        st = DecodePageColumn(p.value_data.data(), p.value_data.size(),
-                              p.header.value_encoding, n,
-                              tmp_i.data());
-      }
-    }
+                                 p.header.time_encoding, p.header.count,
+                                 times.data() + at);
+    if (st.ok()) st = DecodePageValueWords(p, values.data() + at);
     if (!st.ok()) {
       store_->AbortCompaction(name);
       return st;
-    }
-    times.insert(times.end(), tmp_t.begin(), tmp_t.end());
-    if (cap.is_float) {
-      fvalues.insert(fvalues.end(), tmp_f.begin(), tmp_f.end());
-    } else {
-      ivalues.insert(ivalues.end(), tmp_i.begin(), tmp_i.end());
     }
   }
 
   // Merge span points with the reconcilable overlap prefix, dropping
   // tombstoned points from both streams. Duplicate timestamps resolve to
   // the overlap point — the later write wins.
-  std::vector<int64_t> mt, mi;
-  std::vector<double> mf;
+  std::vector<int64_t> mt, mv;
   mt.reserve(times.size() + ooo_n);
-  if (cap.is_float) {
-    mf.reserve(times.size() + ooo_n);
-  } else {
-    mi.reserve(times.size() + ooo_n);
-  }
+  mv.reserve(times.size() + ooo_n);
   size_t a = 0, b = 0;
   uint64_t dropped = 0, merged_ooo = 0;
   while (a < times.size() || b < ooo_n) {
@@ -220,34 +185,19 @@ Status Compactor::RunPass(const std::string& name,
       take_ooo = true;
     }
     int64_t t = take_ooo ? cap.ooo_times[b] : times[a];
-    bool deleted =
-        !cap.tombstones.empty() && IntervalsContain(cap.tombstones, t);
+    int64_t v = take_ooo ? cap.ooo_values[b] : values[a];
     if (take_ooo) {
-      if (!deleted) {
-        mt.push_back(t);
-        if (cap.is_float) {
-          mf.push_back(cap.ooo_values_f64[b]);
-        } else {
-          mi.push_back(cap.ooo_values[b]);
-        }
-        ++merged_ooo;
-      } else {
-        ++dropped;
-      }
       ++b;
     } else {
-      if (!deleted) {
-        mt.push_back(t);
-        if (cap.is_float) {
-          mf.push_back(fvalues[a]);
-        } else {
-          mi.push_back(ivalues[a]);
-        }
-      } else {
-        ++dropped;
-      }
       ++a;
     }
+    if (!cap.tombstones.empty() && IntervalsContain(cap.tombstones, t)) {
+      ++dropped;
+      continue;
+    }
+    mt.push_back(t);
+    mv.push_back(v);
+    if (take_ooo) ++merged_ooo;
   }
 
   // Was the pass worth anything? A span that decodes to the same points and
@@ -272,20 +222,21 @@ Status Compactor::RunPass(const std::string& name,
     for (size_t c = 0; c < nchunks; ++c) {
       size_t len = base + (c < extra ? 1 : 0);
       PageOptions popt = cap.options.page;
-      if (options_.adaptive) {
-        CodecAdvisor::Advice advice =
-            cap.is_float
-                ? advisor_.AdviseFloat(mf.data() + offset, len,
-                                       popt.value_encoding)
-                : advisor_.AdviseInt(mi.data() + offset, len,
-                                     popt.value_encoding, popt.block_size);
-        popt.value_encoding = advice.encoding;
+      const int64_t* words = mv.data() + offset;
+      if (cap.is_float) {
+        std::vector<double> doubles(len);
+        std::memcpy(doubles.data(), words, len * sizeof(double));
+        popt.value_encoding =
+            advisor_.AdviseFloat(doubles.data(), len, popt.value_encoding)
+                .encoding;
+      } else {
+        popt.value_encoding =
+            advisor_.AdviseInt(words, len, popt.value_encoding,
+                               popt.block_size)
+                .encoding;
       }
       Result<Page> built =
-          cap.is_float
-              ? BuildPageF64(mt.data() + offset, mf.data() + offset, len,
-                             popt)
-              : BuildPage(mt.data() + offset, mi.data() + offset, len, popt);
+          BuildPageFromWords(mt.data() + offset, words, len, popt);
       if (!built.ok()) {
         store_->AbortCompaction(name);
         return built.status();

@@ -11,37 +11,19 @@
 
 namespace etsqp::storage {
 
-struct CompactionOptions {
-  /// Points per rewritten page; 0 = the series' own page_size.
-  uint32_t target_page_points = 0;
-  /// A sealed page below this fill fraction of the target is a merge
-  /// candidate (undersized pages get coalesced with their neighbors).
-  double merge_fill = 0.5;
-  /// Adaptive re-encoding: run the CodecAdvisor over every rewritten page
-  /// and on the first pass over every never-compacted (tier 0) page. Off =
-  /// rewrites keep the series' configured codec.
-  bool adaptive = true;
-  /// CodecAdvisor damper (codec_advisor.h): the minimum byte gain that
-  /// justifies switching a page's codec.
-  double min_gain = 0.05;
-  /// Serving-path decode support check (codec_advisor.h): re-encoding never
-  /// targets a codec this rejects. Unset = storage::PageDecodeSupported.
-  CodecAdvisor::DecodeSupportHook decode_support;
-};
-
 /// One shard's background compaction service. A pass over a series:
 ///
 ///  1. captures the sealed pages + tombstones + overlap buffer under one
 ///     lock acquisition (SeriesStore::BeginCompaction, which also takes the
 ///     per-series compacting flag);
 ///  2. plans off-lock: pages are dirty when a tombstone overlaps them, an
-///     overlap-buffer point lands in them, they are undersized, or (first
-///     pass only) the advisor has never seen them; the dirty hull becomes
-///     one contiguous rewrite span;
+///     overlap-buffer point lands in them, they hold under half the
+///     series' page_size, or (first pass only) the advisor has never seen
+///     them; the dirty hull becomes one contiguous rewrite span;
 ///  3. rewrites off-lock: decode the span, drop tombstoned points, merge
 ///     the reconcilable overlap prefix (late updates win on duplicate
-///     timestamps), re-chunk to the target page size, and re-encode each
-///     chunk with the advisor's pick;
+///     timestamps), re-chunk to the series' page_size, and re-encode each
+///     chunk with the advisor's pick (CodecAdvisor defaults);
 ///  4. installs atomically (SeriesStore::InstallCompaction): pointer-
 ///     identity-validated splice + epoch bump, so concurrent queries keep
 ///     serving the old pages until the swap and cached results invalidate
@@ -57,7 +39,7 @@ struct CompactionOptions {
 /// store's compacting flag (a busy series is skipped, not waited on).
 class Compactor {
  public:
-  Compactor(SeriesStore* store, CompactionOptions options);
+  explicit Compactor(SeriesStore* store) : store_(store) {}
 
   /// One pass over `name`. Ok when there was nothing to do or the series
   /// is already being compacted; errors only on real failures.
@@ -73,7 +55,6 @@ class Compactor {
   void MergeStats(const metrics::CompactionStats& pass);
 
   SeriesStore* store_;
-  CompactionOptions options_;
   CodecAdvisor advisor_;
   mutable std::mutex mu_;
   metrics::CompactionStats stats_;

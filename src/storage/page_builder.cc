@@ -148,6 +148,31 @@ Result<Page> BuildPageF64(const int64_t* times, const double* values,
   return page;
 }
 
+Result<Page> BuildPageFromWords(const int64_t* times, const int64_t* values,
+                                size_t n, const PageOptions& options) {
+  if (!enc::IsFloatEncoding(options.value_encoding)) {
+    return BuildPage(times, values, n, options);
+  }
+  std::vector<double> doubles(n);
+  std::memcpy(doubles.data(), values, n * sizeof(double));
+  return BuildPageF64(times, doubles.data(), n, options);
+}
+
+Status DecodePageValueWords(const Page& page, int64_t* out) {
+  const PageHeader& h = page.header;
+  if (!enc::IsFloatEncoding(h.value_encoding)) {
+    return DecodePageColumn(page.value_data.data(), page.value_data.size(),
+                            h.value_encoding, h.count, out);
+  }
+  std::vector<double> doubles(h.count);
+  ETSQP_RETURN_IF_ERROR(DecodePageColumnF64(page.value_data.data(),
+                                            page.value_data.size(),
+                                            h.value_encoding, h.count,
+                                            doubles.data()));
+  std::memcpy(out, doubles.data(), doubles.size() * sizeof(double));
+  return Status::Ok();
+}
+
 size_t EncodedColumnBytes(const int64_t* values, size_t n,
                           enc::ColumnEncoding encoding, uint32_t block_size) {
   if (n == 0 || enc::IsFloatEncoding(encoding)) return 0;

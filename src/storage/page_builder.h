@@ -27,6 +27,14 @@ Result<Page> BuildPage(const int64_t* times, const int64_t* values, size_t n,
 Result<Page> BuildPageF64(const int64_t* times, const double* values,
                           size_t n, const PageOptions& options);
 
+/// Encodes one page from value words: the int64 values, or under a float
+/// value encoding the doubles' bit patterns.
+Result<Page> BuildPageFromWords(const int64_t* times, const int64_t* values,
+                                size_t n, const PageOptions& options);
+
+/// Decodes a page's value column into value words (see BuildPageFromWords).
+Status DecodePageValueWords(const Page& page, int64_t* out);
+
 /// Reference full decode of a float value column.
 Status DecodePageColumnF64(const uint8_t* data, size_t size,
                            enc::ColumnEncoding enc, uint32_t count,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 namespace etsqp::storage {
@@ -61,19 +62,19 @@ bool IntervalsCover(const std::vector<TimeInterval>& set, int64_t lo,
 
 namespace {
 
-/// Definition 1: times within a series are strictly increasing. The whole
-/// batch is checked against the series fence before anything is logged or
-/// buffered, so a rejected batch leaves no partial state.
-Status ValidateOrdering(const SeriesStore::Series& s, const int64_t* times,
-                        size_t n) {
-  int64_t last = s.last_time;
+/// Definition 1: times within a series are strictly increasing — each of
+/// times[0..n) above `after` and its predecessor. The whole batch is checked
+/// before anything is logged or buffered, so a rejected batch leaves no
+/// partial state.
+Status CheckIncreasing(const std::string& name, const int64_t* times,
+                       size_t n, int64_t after) {
   for (size_t i = 0; i < n; ++i) {
-    if (times[i] <= last) {
+    if (times[i] <= after) {
       return Status::InvalidArgument(
           "out-of-order timestamp " + std::to_string(times[i]) +
-          " (newest is " + std::to_string(last) + ") in series: " + s.name);
+          " (newest is " + std::to_string(after) + ") in series: " + name);
     }
-    last = times[i];
+    after = times[i];
   }
   return Status::Ok();
 }
@@ -115,39 +116,13 @@ Status SeriesStore::CreateSeries(const std::string& name,
   return Status::Ok();
 }
 
-Status SeriesStore::CreateSeriesForReplay(const std::string& name,
-                                          const SeriesOptions& options) {
-  State* st = state_.get();
-  std::unique_lock<std::shared_mutex> lock(st->mu);
-  if (st->series.count(name) != 0) return Status::Ok();
-  Series s;
-  s.name = name;
-  s.options = options;
-  st->series.emplace(name, std::move(s));
-  return Status::Ok();
-}
-
-Status SeriesStore::BuildSegmentPage(const SealSegment& seg,
-                                     const PageOptions& options,
-                                     bool is_float,
-                                     std::shared_ptr<const Page>* out) {
-  Result<Page> page =
-      is_float ? BuildPageF64(seg.times.data(), seg.values_f64.data(),
-                              seg.times.size(), options)
-               : BuildPage(seg.times.data(), seg.values.data(),
-                           seg.times.size(), options);
-  if (!page.ok()) return page.status();
-  *out = std::make_shared<const Page>(std::move(page).value());
-  return Status::Ok();
-}
-
-void SeriesStore::NotePageInstalledLocked(State* st) {
-  if (st->compact_trigger_pages == 0 || !st->compact_trigger) return;
-  if (++st->pages_since_trigger >= st->compact_trigger_pages) {
-    st->pages_since_trigger = 0;
-    // Fires under the store lock: the callback only schedules async work
-    // (the db layer submits a compaction pass to the shared executor).
-    st->compact_trigger();
+void SeriesStore::EncodeSegment(SealSegment* seg, const PageOptions& options) {
+  Result<Page> page = BuildPageFromWords(seg->times.data(), seg->values.data(),
+                                         seg->times.size(), options);
+  if (page.ok()) {
+    seg->page = std::make_shared<const Page>(std::move(page).value());
+  } else {
+    seg->error = page.status();
   }
 }
 
@@ -161,8 +136,6 @@ void SeriesStore::DrainReadySegmentsLocked(State* st, Series* s) {
       s->pages.push_back(std::move(front.page));
       ++s->epoch;  // seal install: cached results over the tail go stale
       ++st->ingest.pages_sealed;
-      ++st->ingest.background_seals;
-      NotePageInstalledLocked(st);
     }
     s->sealing.pop_front();
   }
@@ -173,45 +146,34 @@ Status SeriesStore::SealBufferLocked(State* st, Series* s) {
   auto segment = std::make_shared<SealSegment>();
   segment->times = std::move(s->buf_times);
   segment->values = std::move(s->buf_values);
-  segment->values_f64 = std::move(s->buf_values_f64);
   s->buf_times.clear();
   s->buf_values.clear();
-  s->buf_values_f64.clear();
+  // The segment stays part of the queryable tail (GetSnapshot) until its
+  // page installs.
+  s->sealing.push_back(segment);
 
   if (!st->background_seal || !st->submit) {
-    // Inline seal: encode and install immediately (the seed behaviour).
     uint64_t t0 = metrics::NowNanos();
-    std::shared_ptr<const Page> page;
-    Status status =
-        BuildSegmentPage(*segment, s->options.page, s->is_float(), &page);
+    EncodeSegment(segment.get(), s->options.page);
     st->ingest.seal_nanos += metrics::NowNanos() - t0;
-    if (!status.ok()) return status;
-    s->total_points += page->header.count;
-    s->pages.push_back(std::move(page));
-    ++s->epoch;
-    ++st->ingest.pages_sealed;
-    NotePageInstalledLocked(st);
-    return Status::Ok();
+    segment->ready = true;
+    DrainReadySegmentsLocked(st, s);
+    return segment->error;
   }
 
-  // Background seal: park the segment (it stays part of the queryable tail
-  // via GetSnapshot) and encode on the executor. The task holds the shared
+  // Background seal: encode on the executor. The task holds the shared
   // state, not the SeriesStore shell, so it survives a store move/destroy.
-  s->sealing.push_back(segment);
   std::shared_ptr<State> state = state_;
   std::string name = s->name;
   PageOptions page_options = s->options.page;
-  bool is_float = s->is_float();
-  st->submit([state, segment, name, page_options, is_float] {
+  st->submit([state, segment, name, page_options] {
     uint64_t t0 = metrics::NowNanos();
-    std::shared_ptr<const Page> page;
-    Status status = BuildSegmentPage(*segment, page_options, is_float, &page);
+    EncodeSegment(segment.get(), page_options);
     uint64_t nanos = metrics::NowNanos() - t0;
     std::unique_lock<std::shared_mutex> lock(state->mu);
     state->ingest.seal_nanos += nanos;
+    if (segment->error.ok()) ++state->ingest.background_seals;
     segment->ready = true;
-    segment->page = std::move(page);
-    segment->error = status;
     auto it = state->series.find(name);
     if (it != state->series.end()) {
       DrainReadySegmentsLocked(state.get(), &it->second);
@@ -221,137 +183,152 @@ Status SeriesStore::SealBufferLocked(State* st, Series* s) {
   return Status::Ok();
 }
 
-Status SeriesStore::AppendLocked(State* st, const std::string& name,
-                                 const int64_t* times, const int64_t* ivalues,
-                                 const double* fvalues, size_t n) {
+Result<SeriesStore::Series*> SeriesStore::FindLocked(State* st,
+                                                     const std::string& name,
+                                                     bool is_float) {
   auto it = st->series.find(name);
   if (it == st->series.end()) return Status::NotFound("series: " + name);
-  Series& s = it->second;
-  if (s.is_float() != (fvalues != nullptr)) {
+  if (it->second.is_float() != is_float) {
     return Status::InvalidArgument(
-        (s.is_float() ? "float series: " : "int series: ") + name);
+        (it->second.is_float() ? "float series: " : "int series: ") + name);
   }
-  if (n == 0) return Status::Ok();
-  Status ordered = ValidateOrdering(s, times, n);
-  size_t ooo_n = 0;
-  if (!ordered.ok()) {
-    if (!s.options.allow_out_of_order) {
-      ++st->ingest.rejected_batches;
-      return ordered;
-    }
-    // Late/overlapping batch: it must still be internally strictly
-    // increasing; the prefix at or below the fence goes to the overlap
-    // buffer, the rest continues down the ordinary in-order path.
-    for (size_t i = 1; i < n; ++i) {
-      if (times[i] <= times[i - 1]) {
-        ++st->ingest.rejected_batches;
-        return Status::InvalidArgument(
-            "out-of-order batch not internally increasing in series: " +
-            name);
-      }
-    }
-    ooo_n = static_cast<size_t>(
-        std::upper_bound(times, times + n, s.last_time) - times);
-  }
-  if (ooo_n > 0) {
+  return &it->second;
+}
+
+Status SeriesStore::WriteLocked(State* st, Series* s, const int64_t* times,
+                                const int64_t* values, size_t n,
+                                size_t late) {
+  if (late > 0) {
+    // Durability before visibility: every part is logged before it
+    // mutates the series, so an acknowledged point is always recoverable.
     if (st->wal != nullptr) {
-      Status logged =
-          s.is_float()
-              ? st->wal->AppendPointsOooF64(name, s.appended_points, times,
-                                            fvalues, ooo_n)
-              : st->wal->AppendPointsOoo(name, s.appended_points, times,
-                                         ivalues, ooo_n);
-      ETSQP_RETURN_IF_ERROR(logged);
+      ETSQP_RETURN_IF_ERROR(st->wal->AppendPoints(
+          s->name, s->appended_points, times, values, late, s->is_float(),
+          /*overlap=*/true));
     }
-    MergeOooLocked(&s, times, ivalues, fvalues, ooo_n);
+    MergeOooLocked(s, times, values, late);
     // The overlap buffer is invisible to queries until compaction
     // reconciles it, so the epoch does not move — cached results stay
     // valid. The sequence fence does: replay idempotency covers these
     // points like any other.
-    s.appended_points += ooo_n;
-    st->ingest.points_appended += ooo_n;
-    st->ingest.ooo_points += ooo_n;
-    times += ooo_n;
-    if (ivalues != nullptr) ivalues += ooo_n;
-    if (fvalues != nullptr) fvalues += ooo_n;
-    n -= ooo_n;
-    if (n == 0) {
-      ++st->ingest.append_batches;
-      return Status::Ok();
-    }
+    s->appended_points += late;
+    times += late;
+    values += late;
+    n -= late;
   }
-  // Durability before visibility: the WAL write precedes the buffer
-  // mutation, so an acknowledged point is always recoverable.
+  if (n == 0) return Status::Ok();
   if (st->wal != nullptr) {
-    Status logged =
-        s.is_float()
-            ? st->wal->AppendPointsF64(name, s.appended_points, times,
-                                       fvalues, n)
-            : st->wal->AppendPoints(name, s.appended_points, times, ivalues,
-                                    n);
-    ETSQP_RETURN_IF_ERROR(logged);
+    ETSQP_RETURN_IF_ERROR(st->wal->AppendPoints(
+        s->name, s->appended_points, times, values, n, s->is_float(),
+        /*overlap=*/false));
   }
-  for (size_t i = 0; i < n; ++i) {
-    s.buf_times.push_back(times[i]);
-    if (s.is_float()) {
-      s.buf_values_f64.push_back(fvalues[i]);
-    } else {
-      s.buf_values.push_back(ivalues[i]);
-    }
-    if (s.buf_times.size() >= s.options.page_size) {
-      ETSQP_RETURN_IF_ERROR(SealBufferLocked(st, &s));
+  const size_t page_size = std::max<size_t>(s->options.page_size, 1);
+  for (size_t i = 0; i < n;) {
+    size_t take = std::min(n - i, page_size - s->buf_times.size());
+    s->buf_times.insert(s->buf_times.end(), times + i, times + i + take);
+    s->buf_values.insert(s->buf_values.end(), values + i, values + i + take);
+    i += take;
+    if (s->buf_times.size() >= page_size) {
+      ETSQP_RETURN_IF_ERROR(SealBufferLocked(st, s));
     }
   }
-  s.appended_points += n;
-  s.last_time = times[n - 1];
-  ++s.epoch;
+  s->appended_points += n;
+  s->last_time = times[n - 1];
+  ++s->epoch;
+  return Status::Ok();
+}
+
+Status SeriesStore::AppendWords(const std::string& name, const int64_t* times,
+                                const int64_t* values, size_t n,
+                                bool is_float) {
+  State* st = state_.get();
+  std::unique_lock<std::shared_mutex> lock(st->mu);
+  Result<Series*> found = FindLocked(st, name, is_float);
+  if (!found.ok()) return found.status();
+  Series* s = found.value();
+  if (n == 0) return Status::Ok();
+  size_t late = 0;
+  Status ordered = CheckIncreasing(name, times, n, s->last_time);
+  if (!ordered.ok()) {
+    // A late batch on an allow_out_of_order series must still be
+    // internally increasing; its prefix at or below the fence goes to the
+    // overlap buffer, the rest continues down the in-order path.
+    if (!s->options.allow_out_of_order ||
+        !CheckIncreasing(name, times + 1, n - 1, times[0]).ok()) {
+      ++st->ingest.rejected_batches;
+      return ordered;
+    }
+    late = static_cast<size_t>(
+        std::upper_bound(times, times + n, s->last_time) - times);
+  }
+  ETSQP_RETURN_IF_ERROR(WriteLocked(st, s, times, values, n, late));
   st->ingest.points_appended += n;
+  st->ingest.ooo_points += late;
   ++st->ingest.append_batches;
   return Status::Ok();
 }
 
 Status SeriesStore::Append(const std::string& name, int64_t time,
                            int64_t value) {
-  State* st = state_.get();
-  std::unique_lock<std::shared_mutex> lock(st->mu);
-  return AppendLocked(st, name, &time, &value, nullptr, 1);
+  return AppendWords(name, &time, &value, 1, /*is_float=*/false);
 }
 
 Status SeriesStore::AppendF64(const std::string& name, int64_t time,
                               double value) {
-  State* st = state_.get();
-  std::unique_lock<std::shared_mutex> lock(st->mu);
-  return AppendLocked(st, name, &time, nullptr, &value, 1);
+  int64_t word;
+  std::memcpy(&word, &value, sizeof(word));
+  return AppendWords(name, &time, &word, 1, /*is_float=*/true);
 }
 
 Status SeriesStore::AppendBatch(const std::string& name, const int64_t* times,
                                 const int64_t* values, size_t n) {
-  State* st = state_.get();
-  std::unique_lock<std::shared_mutex> lock(st->mu);
-  return AppendLocked(st, name, times, values, nullptr, n);
+  return AppendWords(name, times, values, n, /*is_float=*/false);
 }
 
 Status SeriesStore::AppendBatchF64(const std::string& name,
                                    const int64_t* times, const double* values,
                                    size_t n) {
+  std::vector<int64_t> words(n);
+  if (n > 0) std::memcpy(words.data(), values, n * sizeof(double));
+  return AppendWords(name, times, words.data(), n, /*is_float=*/true);
+}
+
+Status SeriesStore::ReplayPoints(const std::string& name, uint64_t first_seq,
+                                 const int64_t* times, const int64_t* values,
+                                 size_t n, bool is_float, bool overlap,
+                                 size_t* points_applied) {
+  *points_applied = 0;
   State* st = state_.get();
   std::unique_lock<std::shared_mutex> lock(st->mu);
-  return AppendLocked(st, name, times, nullptr, values, n);
+  Result<Series*> found = FindLocked(st, name, is_float);
+  if (!found.ok()) return found.status();
+  Series* s = found.value();
+  if (first_seq > s->appended_points) {
+    return Status::Corruption(
+        "sequence gap in series " + name + ": record starts at " +
+        std::to_string(first_seq) + ", store has " +
+        std::to_string(s->appended_points));
+  }
+  size_t covered = static_cast<size_t>(
+      std::min<uint64_t>(s->appended_points - first_seq, n));
+  times += covered;
+  values += covered;
+  n -= covered;
+  if (n == 0) return Status::Ok();  // the checkpoint already has it all
+  ETSQP_RETURN_IF_ERROR(
+      overlap ? CheckIncreasing(name, times + 1, n - 1, times[0])
+              : CheckIncreasing(name, times, n, s->last_time));
+  ETSQP_RETURN_IF_ERROR(WriteLocked(st, s, times, values, n, overlap ? n : 0));
+  *points_applied = n;
+  return Status::Ok();
 }
 
 void SeriesStore::MergeOooLocked(Series* s, const int64_t* times,
-                                 const int64_t* ivalues, const double* fvalues,
-                                 size_t n) {
-  const bool is_float = s->is_float();
+                                 const int64_t* values, size_t n) {
   std::vector<int64_t> mt;
-  std::vector<int64_t> mi;
-  std::vector<double> mf;
+  std::vector<int64_t> mv;
   mt.reserve(s->ooo_times.size() + n);
-  if (is_float) {
-    mf.reserve(s->ooo_times.size() + n);
-  } else {
-    mi.reserve(s->ooo_times.size() + n);
-  }
+  mv.reserve(s->ooo_times.size() + n);
   size_t a = 0, b = 0;
   while (a < s->ooo_times.size() || b < n) {
     bool take_new;
@@ -369,25 +346,16 @@ void SeriesStore::MergeOooLocked(Series* s, const int64_t* times,
     }
     if (take_new) {
       mt.push_back(times[b]);
-      if (is_float) {
-        mf.push_back(fvalues[b]);
-      } else {
-        mi.push_back(ivalues[b]);
-      }
+      mv.push_back(values[b]);
       ++b;
     } else {
       mt.push_back(s->ooo_times[a]);
-      if (is_float) {
-        mf.push_back(s->ooo_values_f64[a]);
-      } else {
-        mi.push_back(s->ooo_values[a]);
-      }
+      mv.push_back(s->ooo_values[a]);
       ++a;
     }
   }
   s->ooo_times = std::move(mt);
-  s->ooo_values = std::move(mi);
-  s->ooo_values_f64 = std::move(mf);
+  s->ooo_values = std::move(mv);
 }
 
 std::vector<TimeInterval> SeriesStore::EffectiveTombstones(const Series& s) {
@@ -403,27 +371,43 @@ std::vector<TimeInterval> SeriesStore::EffectiveTombstones(const Series& s) {
   return eff;
 }
 
+Status SeriesStore::DeleteRangeLocked(State* st, Series* s, int64_t t0,
+                                      int64_t t1) {
+  if (t0 > t1) return Status::InvalidArgument("delete: empty range");
+  if (s->last_time == INT64_MIN) return Status::Ok();  // no data yet
+  // Clamp to the data the series has seen so the tombstone never masks
+  // strictly-newer future appends; the clamped range is what gets logged,
+  // so replay at the same log position reproduces it exactly.
+  int64_t hi = std::min(t1, s->last_time);
+  if (t0 > hi) return Status::Ok();  // entirely in the future
+  if (st->wal != nullptr) {
+    ETSQP_RETURN_IF_ERROR(st->wal->AppendDeleteRange(s->name, t0, hi));
+  }
+  AddInterval(&s->tombstones, {t0, hi});
+  ++s->epoch;
+  return Status::Ok();
+}
+
 Status SeriesStore::DeleteRange(const std::string& name, int64_t t0,
                                 int64_t t1) {
-  if (t0 > t1) return Status::InvalidArgument("delete: empty range");
   State* st = state_.get();
   std::unique_lock<std::shared_mutex> lock(st->mu);
   auto it = st->series.find(name);
   if (it == st->series.end()) return Status::NotFound("series: " + name);
   Series& s = it->second;
-  if (s.last_time == INT64_MIN) return Status::Ok();  // no data yet
-  // Clamp to the data the series has seen so the tombstone never masks
-  // strictly-newer future appends; the clamped range is what gets logged,
-  // so replay at the same log position reproduces it exactly.
-  int64_t hi = std::min(t1, s.last_time);
-  if (t0 > hi) return Status::Ok();  // entirely in the future
-  if (st->wal != nullptr) {
-    ETSQP_RETURN_IF_ERROR(st->wal->AppendDeleteRange(name, t0, hi));
-  }
-  AddInterval(&s.tombstones, {t0, hi});
-  ++s.epoch;
-  ++st->ingest.delete_ranges;
+  const uint64_t epoch = s.epoch;
+  ETSQP_RETURN_IF_ERROR(DeleteRangeLocked(st, &s, t0, t1));
+  if (s.epoch != epoch) ++st->ingest.delete_ranges;  // a range was recorded
   return Status::Ok();
+}
+
+Status SeriesStore::ReplayDeleteRange(const std::string& name, int64_t t0,
+                                      int64_t t1) {
+  State* st = state_.get();
+  std::unique_lock<std::shared_mutex> lock(st->mu);
+  auto it = st->series.find(name);
+  if (it == st->series.end()) return Status::NotFound("series: " + name);
+  return DeleteRangeLocked(st, &it->second, t0, t1);
 }
 
 Status SeriesStore::SetTtl(const std::string& name, int64_t ttl_nanos) {
@@ -464,80 +448,6 @@ uint64_t SeriesStore::OooPoints(const std::string& name) const {
   return it == st->series.end() ? 0 : it->second.ooo_times.size();
 }
 
-Status SeriesStore::ApplyReplayDelete(const std::string& name, int64_t t0,
-                                      int64_t t1) {
-  State* st = state_.get();
-  std::unique_lock<std::shared_mutex> lock(st->mu);
-  auto it = st->series.find(name);
-  if (it == st->series.end()) {
-    return Status::Corruption("wal: delete on unknown series: " + name);
-  }
-  Series& s = it->second;
-  if (t0 > t1) return Status::Corruption("wal: inverted delete range");
-  // The logged range was clamped at append time; re-clamp for safety (the
-  // fence at this log position is at least what it was then).
-  if (s.last_time == INT64_MIN) return Status::Ok();
-  int64_t hi = std::min(t1, s.last_time);
-  if (t0 > hi) return Status::Ok();
-  AddInterval(&s.tombstones, {t0, hi});
-  ++s.epoch;
-  return Status::Ok();
-}
-
-Status SeriesStore::ApplyReplayTtl(const std::string& name,
-                                   int64_t ttl_nanos) {
-  State* st = state_.get();
-  std::unique_lock<std::shared_mutex> lock(st->mu);
-  auto it = st->series.find(name);
-  if (it == st->series.end()) {
-    return Status::Corruption("wal: ttl on unknown series: " + name);
-  }
-  if (ttl_nanos < 0) return Status::Corruption("wal: negative ttl");
-  it->second.ttl_nanos = ttl_nanos;
-  ++it->second.epoch;
-  return Status::Ok();
-}
-
-Status SeriesStore::ApplyReplayBatchOoo(const std::string& name,
-                                        uint64_t first_seq,
-                                        const int64_t* times,
-                                        const int64_t* ivalues,
-                                        const double* fvalues, size_t n,
-                                        size_t* points_applied) {
-  *points_applied = 0;
-  State* st = state_.get();
-  std::unique_lock<std::shared_mutex> lock(st->mu);
-  auto it = st->series.find(name);
-  if (it == st->series.end()) {
-    return Status::Corruption("wal: append to unknown series: " + name);
-  }
-  Series& s = it->second;
-  if (s.is_float() != (fvalues != nullptr)) {
-    return Status::Corruption("wal: value type mismatch for series: " + name);
-  }
-  if (first_seq > s.appended_points) {
-    return Status::Corruption(
-        "wal: sequence gap in series " + name + ": record starts at " +
-        std::to_string(first_seq) + ", store has " +
-        std::to_string(s.appended_points));
-  }
-  size_t covered = static_cast<size_t>(s.appended_points - first_seq);
-  if (covered >= n) return Status::Ok();
-  times += covered;
-  if (ivalues != nullptr) ivalues += covered;
-  if (fvalues != nullptr) fvalues += covered;
-  size_t apply = n - covered;
-  for (size_t i = 1; i < apply; ++i) {
-    if (times[i] <= times[i - 1]) {
-      return Status::Corruption("wal: overlap record not increasing");
-    }
-  }
-  MergeOooLocked(&s, times, ivalues, fvalues, apply);
-  s.appended_points += apply;
-  *points_applied = apply;
-  return Status::Ok();
-}
-
 Status SeriesStore::BeginCompaction(const std::string& name,
                                     CompactionCapture* out) {
   State* st = state_.get();
@@ -558,7 +468,6 @@ Status SeriesStore::BeginCompaction(const std::string& name,
   out->tombstones = EffectiveTombstones(s);
   out->ooo_times = s.ooo_times;
   out->ooo_values = s.ooo_values;
-  out->ooo_values_f64 = s.ooo_values_f64;
   out->sealed_max_time =
       s.pages.empty() ? INT64_MIN : s.pages.back()->header.max_time;
   out->tail_empty = s.buf_times.empty() && s.sealing.empty();
@@ -605,39 +514,26 @@ Status SeriesStore::InstallCompaction(const CompactionCapture& capture,
   for (const auto& p : s.pages) total += p->header.count;
   s.total_points = total;
 
-  // Trim the reconciled overlap points by (time, value) identity: a point
-  // updated since capture no longer matches and stays buffered for the
-  // next pass — last-write-wins survives the race.
+  // Trim the reconciled overlap points by (time, value word) identity: a
+  // point updated since capture no longer matches and stays buffered for
+  // the next pass — last-write-wins survives the race.
   if (install.ooo_consumed > 0) {
     size_t consumed =
         std::min(install.ooo_consumed, capture.ooo_times.size());
-    std::vector<int64_t> nt, ni;
-    std::vector<double> nf;
+    std::vector<int64_t> nt, nv;
     size_t ci = 0;
     for (size_t j = 0; j < s.ooo_times.size(); ++j) {
       while (ci < consumed && capture.ooo_times[ci] < s.ooo_times[j]) ++ci;
-      bool drop = false;
-      if (ci < consumed && capture.ooo_times[ci] == s.ooo_times[j]) {
-        if (capture.is_float) {
-          drop = std::memcmp(&capture.ooo_values_f64[ci],
-                             &s.ooo_values_f64[j], sizeof(double)) == 0;
-        } else {
-          drop = capture.ooo_values[ci] == s.ooo_values[j];
-        }
-        if (drop) ++ci;
+      if (ci < consumed && capture.ooo_times[ci] == s.ooo_times[j] &&
+          capture.ooo_values[ci] == s.ooo_values[j]) {
+        ++ci;
+        continue;
       }
-      if (!drop) {
-        nt.push_back(s.ooo_times[j]);
-        if (capture.is_float) {
-          nf.push_back(s.ooo_values_f64[j]);
-        } else {
-          ni.push_back(s.ooo_values[j]);
-        }
-      }
+      nt.push_back(s.ooo_times[j]);
+      nv.push_back(s.ooo_values[j]);
     }
     s.ooo_times = std::move(nt);
-    s.ooo_values = std::move(ni);
-    s.ooo_values_f64 = std::move(nf);
+    s.ooo_values = std::move(nv);
   }
 
   // Drop resolved tombstones only when still present verbatim: a range a
@@ -662,94 +558,27 @@ void SeriesStore::AbortCompaction(const std::string& name) {
   if (it != st->series.end()) it->second.compacting = false;
 }
 
-void SeriesStore::SetCompactionTrigger(uint32_t pages_threshold,
-                                       std::function<void()> trigger) {
-  State* st = state_.get();
-  std::unique_lock<std::shared_mutex> lock(st->mu);
-  st->compact_trigger_pages = pages_threshold;
-  st->pages_since_trigger = 0;
-  st->compact_trigger = std::move(trigger);
-}
-
 Status SeriesStore::RestoreSeriesMeta(const std::string& name,
                                       uint64_t appended_points,
                                       int64_t ttl_nanos,
                                       std::vector<TimeInterval> tombstones,
                                       std::vector<int64_t> ooo_times,
-                                      std::vector<int64_t> ooo_values,
-                                      std::vector<double> ooo_values_f64) {
+                                      std::vector<int64_t> ooo_values) {
   State* st = state_.get();
   std::unique_lock<std::shared_mutex> lock(st->mu);
   auto it = st->series.find(name);
   if (it == st->series.end()) return Status::NotFound("series: " + name);
   Series& s = it->second;
-  if (s.is_float()) {
-    if (ooo_values_f64.size() != ooo_times.size()) {
-      return Status::Corruption("restore: overlap arrays mismatched");
-    }
-  } else if (ooo_values.size() != ooo_times.size()) {
+  if (ooo_values.size() != ooo_times.size()) {
     return Status::Corruption("restore: overlap arrays mismatched");
   }
   if (appended_points > s.appended_points) s.appended_points = appended_points;
   if (ttl_nanos > 0) s.ttl_nanos = ttl_nanos;
   for (const TimeInterval& t : tombstones) AddInterval(&s.tombstones, t);
   if (!ooo_times.empty()) {
-    MergeOooLocked(&s, ooo_times.data(),
-                   ooo_values.empty() ? nullptr : ooo_values.data(),
-                   ooo_values_f64.empty() ? nullptr : ooo_values_f64.data(),
-                   ooo_times.size());
+    MergeOooLocked(&s, ooo_times.data(), ooo_values.data(), ooo_times.size());
   }
   ++s.epoch;
-  return Status::Ok();
-}
-
-Status SeriesStore::ApplyReplayBatch(const std::string& name,
-                                     uint64_t first_seq, const int64_t* times,
-                                     const int64_t* ivalues,
-                                     const double* fvalues, size_t n,
-                                     size_t* points_applied) {
-  *points_applied = 0;
-  State* st = state_.get();
-  std::unique_lock<std::shared_mutex> lock(st->mu);
-  auto it = st->series.find(name);
-  if (it == st->series.end()) {
-    return Status::Corruption("wal: append to unknown series: " + name);
-  }
-  Series& s = it->second;
-  if (s.is_float() != (fvalues != nullptr)) {
-    return Status::Corruption("wal: value type mismatch for series: " + name);
-  }
-  if (first_seq > s.appended_points) {
-    return Status::Corruption(
-        "wal: sequence gap in series " + name + ": record starts at " +
-        std::to_string(first_seq) + ", store has " +
-        std::to_string(s.appended_points));
-  }
-  size_t covered = static_cast<size_t>(s.appended_points - first_seq);
-  if (covered >= n) return Status::Ok();  // checkpoint already has it all
-  times += covered;
-  if (ivalues != nullptr) ivalues += covered;
-  if (fvalues != nullptr) fvalues += covered;
-  size_t apply = n - covered;
-  Status ordered = ValidateOrdering(s, times, apply);
-  if (!ordered.ok()) {
-    return Status::Corruption("wal: " + std::string(ordered.message()));
-  }
-  for (size_t i = 0; i < apply; ++i) {
-    s.buf_times.push_back(times[i]);
-    if (s.is_float()) {
-      s.buf_values_f64.push_back(fvalues[i]);
-    } else {
-      s.buf_values.push_back(ivalues[i]);
-    }
-    if (s.buf_times.size() >= s.options.page_size) {
-      ETSQP_RETURN_IF_ERROR(SealBufferLocked(st, &s));
-    }
-  }
-  s.appended_points += apply;
-  s.last_time = times[apply - 1];
-  ++s.epoch;
-  *points_applied = apply;
   return Status::Ok();
 }
 
@@ -791,7 +620,6 @@ Status SeriesStore::AddPage(const std::string& name, Page page) {
   if (max_time > s.last_time) s.last_time = max_time;
   s.pages.push_back(std::make_shared<const Page>(std::move(page)));
   ++s.epoch;
-  NotePageInstalledLocked(st);
   return Status::Ok();
 }
 
@@ -810,81 +638,64 @@ Result<SeriesSnapshot> SeriesStore::GetSnapshot(
   snap.pages = s.pages;  // shared, immutable
   snap.tombstones = EffectiveTombstones(s);
 
-  size_t tail = s.buf_times.size();
-  for (const auto& seg : s.sealing) tail += seg->times.size();
-  snap.tail_times.reserve(tail);
-  if (snap.is_float) {
-    snap.tail_values_f64.reserve(tail);
-  } else {
-    snap.tail_values.reserve(tail);
-  }
   // The tail is filtered against the tombstones right here (it is a copy
   // anyway); sealed pages stay shared and get masked by the exec layer.
+  size_t tail = s.buf_times.size();
+  for (const auto& seg : s.sealing) tail += seg->times.size();
+  std::vector<int64_t> values;  // value words, typed below
+  snap.tail_times.reserve(tail);
+  values.reserve(tail);
   auto take = [&](const std::vector<int64_t>& times,
-                  const std::vector<int64_t>& values,
-                  const std::vector<double>& values_f64) {
+                  const std::vector<int64_t>& words) {
     if (snap.tombstones.empty()) {
       snap.tail_times.insert(snap.tail_times.end(), times.begin(),
                              times.end());
-      if (snap.is_float) {
-        snap.tail_values_f64.insert(snap.tail_values_f64.end(),
-                                    values_f64.begin(), values_f64.end());
-      } else {
-        snap.tail_values.insert(snap.tail_values.end(), values.begin(),
-                                values.end());
-      }
+      values.insert(values.end(), words.begin(), words.end());
       return;
     }
     for (size_t i = 0; i < times.size(); ++i) {
       if (IntervalsContain(snap.tombstones, times[i])) continue;
       snap.tail_times.push_back(times[i]);
-      if (snap.is_float) {
-        snap.tail_values_f64.push_back(values_f64[i]);
-      } else {
-        snap.tail_values.push_back(values[i]);
-      }
+      values.push_back(words[i]);
     }
   };
-  for (const auto& seg : s.sealing) {
-    take(seg->times, seg->values, seg->values_f64);
-  }
-  take(s.buf_times, s.buf_values, s.buf_values_f64);
+  for (const auto& seg : s.sealing) take(seg->times, seg->values);
+  take(s.buf_times, s.buf_values);
+  if (values.empty()) return snap;
 
-  if (!snap.tail_times.empty()) {
-    if (snap.is_float) {
-      bool any = false, has_nan = false;
-      double lo = 0, hi = 0;
-      for (double v : snap.tail_values_f64) {
-        if (std::isnan(v)) {
-          has_nan = true;
-          continue;
-        }
-        if (!any) {
-          lo = hi = v;
-          any = true;
-        } else {
-          if (v < lo) lo = v;
-          if (v > hi) hi = v;
-        }
-      }
-      if (has_nan) {
-        // A NaN passes every value filter compare downstream, so finite
-        // bounds over the rest of the tail would let pruning drop it.
-        // NaN bounds make every prune comparison false — tail survives.
-        lo = hi = std::numeric_limits<double>::quiet_NaN();
-      }
-      snap.tail_min_value_f64 = lo;
-      snap.tail_max_value_f64 = hi;
+  if (!snap.is_float) {
+    auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+    snap.tail_min_value = *lo;
+    snap.tail_max_value = *hi;
+    snap.tail_values = std::move(values);
+    return snap;
+  }
+  snap.tail_values_f64.resize(values.size());
+  std::memcpy(snap.tail_values_f64.data(), values.data(),
+              values.size() * sizeof(double));
+  bool any = false, has_nan = false;
+  double lo = 0, hi = 0;
+  for (double v : snap.tail_values_f64) {
+    if (std::isnan(v)) {
+      has_nan = true;
+      continue;
+    }
+    if (!any) {
+      lo = hi = v;
+      any = true;
     } else {
-      int64_t lo = snap.tail_values[0], hi = lo;
-      for (int64_t v : snap.tail_values) {
-        if (v < lo) lo = v;
-        if (v > hi) hi = v;
-      }
-      snap.tail_min_value = lo;
-      snap.tail_max_value = hi;
+      if (v < lo) lo = v;
+      if (v > hi) hi = v;
     }
   }
+  if (has_nan) {
+    // A NaN passes every value filter compare downstream, so finite
+    // bounds over the rest of the tail would let pruning drop it.
+    // NaN bounds make every prune comparison false — tail survives.
+    lo = hi = std::numeric_limits<double>::quiet_NaN();
+  }
+  snap.tail_min_value_f64 = lo;
+  snap.tail_max_value_f64 = hi;
   return snap;
 }
 
@@ -972,14 +783,6 @@ uint64_t SeriesStore::AppendedPoints(const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(st->mu);
   auto it = st->series.find(name);
   return it == st->series.end() ? 0 : it->second.appended_points;
-}
-
-void SeriesStore::NoteRecovery(const Wal::ReplayStats& replay) {
-  State* st = state_.get();
-  std::unique_lock<std::shared_mutex> lock(st->mu);
-  st->ingest.recovered_records = replay.records_applied;
-  st->ingest.recovered_points = replay.points_applied;
-  st->ingest.dropped_wal_records = replay.records_dropped;
 }
 
 }  // namespace etsqp::storage

@@ -105,6 +105,11 @@ struct SeriesSnapshot {
 ///  - When the buffer reaches page_size the segment seals into an encoded
 ///    page: inline by default, or off-thread when background sealing is
 ///    enabled (SetBackgroundSeal) so encoding stays off the ingest path.
+///    Both run one encode and install segments in order from one place.
+///  - Buffers, seal segments and the overlap buffer hold one int64 word per
+///    value: the value itself, or a float's bit pattern (the WAL and TsFile
+///    v2 write the same word). Values become typed only at a codec and in
+///    the snapshot tail.
 ///  - All public methods are internally synchronized; concurrent Append and
 ///    GetSnapshot from different threads is a supported, tested contract.
 ///
@@ -124,13 +129,12 @@ class SeriesStore {
     bool allow_out_of_order = false;
   };
 
-  /// A buffer segment handed to the sealer. With background sealing the
-  /// encode runs on a pool task; install happens in deque order so pages
-  /// always land in time order even when encodes finish out of order.
+  /// A buffer segment handed to the sealer. The encode runs inline or on a
+  /// pool task; install happens in deque order so pages always land in
+  /// time order even when background encodes finish out of order.
   struct SealSegment {
     std::vector<int64_t> times;
-    std::vector<int64_t> values;
-    std::vector<double> values_f64;
+    std::vector<int64_t> values;        // value words
     bool ready = false;                 // encode finished (page or error)
     std::shared_ptr<const Page> page;   // set on success
     Status error = Status::Ok();        // set on failure (sticky via Series)
@@ -142,8 +146,7 @@ class SeriesStore {
     std::vector<std::shared_ptr<const Page>> pages;
     // Ingestion buffer: the active (newest) part of the queryable tail.
     std::vector<int64_t> buf_times;
-    std::vector<int64_t> buf_values;
-    std::vector<double> buf_values_f64;  // float series only
+    std::vector<int64_t> buf_values;  // value words
     // Segments cut from the buffer, waiting for their encode + in-order
     // install. Older than buf_*, newer than pages.
     std::deque<std::shared_ptr<SealSegment>> sealing;
@@ -151,7 +154,7 @@ class SeriesStore {
     uint64_t appended_points = 0;  // ever-acknowledged points (WAL seq)
     uint64_t epoch = 0;  // mutation counter (appends, seal installs, loads)
     int64_t last_time = INT64_MIN;  // ordering fence (Definition 1)
-    Status seal_error = Status::Ok();  // sticky background-seal failure
+    Status seal_error = Status::Ok();  // sticky seal failure
     // Tombstones: sorted, disjoint deleted [lo,hi] ranges (DeleteRange).
     // Masked at query time, physically dropped at compaction.
     std::vector<TimeInterval> tombstones;
@@ -160,8 +163,7 @@ class SeriesStore {
     // below the fence, sorted by time, duplicates resolved last-write-wins.
     // Invisible to queries until compaction reconciles them into pages.
     std::vector<int64_t> ooo_times;
-    std::vector<int64_t> ooo_values;
-    std::vector<double> ooo_values_f64;
+    std::vector<int64_t> ooo_values;  // value words
     bool compacting = false;  // at most one in-flight compaction per series
 
     bool is_float() const {
@@ -258,8 +260,7 @@ class SeriesStore {
     std::vector<TimeInterval> tombstones;  // effective (TTL folded in)
     std::vector<TimeInterval> explicit_tombstones;  // as stored
     std::vector<int64_t> ooo_times;
-    std::vector<int64_t> ooo_values;
-    std::vector<double> ooo_values_f64;
+    std::vector<int64_t> ooo_values;  // value words
     int64_t sealed_max_time = INT64_MIN;  // max page time at capture
     bool tail_empty = true;               // no buffered/pending points
   };
@@ -275,7 +276,7 @@ class SeriesStore {
     /// ... with these (may be empty: a fully deleted span just vanishes).
     std::vector<std::shared_ptr<const Page>> new_pages;
     /// Overlap-buffer points the rewrite merged, identified by (time,
-    /// value-bits): points that changed since capture (late update) stay
+    /// value word): points that changed since capture (late update) stay
     /// buffered for the next pass, preserving last-write-wins.
     size_t ooo_consumed = 0;  // prefix length of the captured OOO arrays
     /// Captured explicit tombstones now physically applied; removed from
@@ -293,13 +294,6 @@ class SeriesStore {
                            CompactionInstall install);
   void AbortCompaction(const std::string& name);
 
-  /// Auto-compaction hook: after every `pages_threshold` newly installed
-  /// pages (store-wide), `trigger` fires. It runs under the store lock —
-  /// it must only schedule asynchronous work, never call back into the
-  /// store synchronously. Threshold 0 disables.
-  void SetCompactionTrigger(uint32_t pages_threshold,
-                            std::function<void()> trigger);
-
   /// TsFile-v2 load hook: restores persisted delete/TTL/out-of-order state
   /// after the series' pages are installed, and overwrites the derived
   /// append-sequence fence with the persisted one — compaction drops points
@@ -308,8 +302,7 @@ class SeriesStore {
                            int64_t ttl_nanos,
                            std::vector<TimeInterval> tombstones,
                            std::vector<int64_t> ooo_times,
-                           std::vector<int64_t> ooo_values,
-                           std::vector<double> ooo_values_f64);
+                           std::vector<int64_t> ooo_values);
 
   // --- Streaming ingest subsystem ---------------------------------------
 
@@ -333,28 +326,21 @@ class SeriesStore {
   /// the series does not exist.
   uint64_t AppendedPoints(const std::string& name) const;
 
-  /// Replay-path hooks (Wal::ReplayInto): like CreateSeries/AppendBatch but
-  /// never write to the WAL, and ApplyReplayBatch is idempotent — points of
-  /// the record already covered by `appended_points` (a checkpoint restored
-  /// them) are skipped; only the missing suffix applies. A record starting
-  /// beyond the fence is a sequence gap => Corruption.
-  Status CreateSeriesForReplay(const std::string& name,
-                               const SeriesOptions& options);
-  Status ApplyReplayBatch(const std::string& name, uint64_t first_seq,
-                          const int64_t* times, const int64_t* ivalues,
-                          const double* fvalues, size_t n,
-                          size_t* points_applied);
-  /// Replay of an out-of-order overlap record (WAL types 6/7): same
-  /// first_seq idempotency, but the points merge into the overlap buffer.
-  Status ApplyReplayBatchOoo(const std::string& name, uint64_t first_seq,
-                             const int64_t* times, const int64_t* ivalues,
-                             const double* fvalues, size_t n,
-                             size_t* points_applied);
-  Status ApplyReplayDelete(const std::string& name, int64_t t0, int64_t t1);
-  Status ApplyReplayTtl(const std::string& name, int64_t ttl_nanos);
+  // --- WAL replay (Wal::ReplayInto) -------------------------------------
+  //
+  // Replay runs before AttachWal, through the live bodies: series creation
+  // and TTL records call CreateSeries/SetTtl, and the two calls below run
+  // the append and delete bodies without advancing the live-write counters
+  // (points_appended, append_batches, ooo_points, delete_ranges).
 
-  /// Counters bookkeeping after a recovery pass (db layer).
-  void NoteRecovery(const Wal::ReplayStats& replay);
+  /// Applies one point record. Points a checkpoint already holds (below
+  /// the series' append sequence) are skipped, so only the missing suffix
+  /// applies; a record starting past the sequence is a gap. An `overlap`
+  /// record (WAL types 6/7) merges into the overlap buffer.
+  Status ReplayPoints(const std::string& name, uint64_t first_seq,
+                      const int64_t* times, const int64_t* values, size_t n,
+                      bool is_float, bool overlap, size_t* points_applied);
+  Status ReplayDeleteRange(const std::string& name, int64_t t0, int64_t t1);
 
  private:
   /// All synchronized state lives behind one shared_ptr so (a) the store
@@ -368,31 +354,35 @@ class SeriesStore {
     bool background_seal = false;
     TaskSubmitter submit;
     metrics::IngestStats ingest;
-    // Auto-compaction trigger (SetCompactionTrigger).
-    uint32_t compact_trigger_pages = 0;
-    uint32_t pages_since_trigger = 0;
-    std::function<void()> compact_trigger;
   };
 
-  Status AppendLocked(State* st, const std::string& name,
-                      const int64_t* times, const int64_t* ivalues,
-                      const double* fvalues, size_t n);
+  /// The series `name` when its value type is `is_float`.
+  static Result<Series*> FindLocked(State* st, const std::string& name,
+                                    bool is_float);
+  /// Live append of one batch of value words: validates the ordering,
+  /// splits a late prefix off on allow_out_of_order series, and counts.
+  Status AppendWords(const std::string& name, const int64_t* times,
+                     const int64_t* values, size_t n, bool is_float);
+  /// The write body of live appends and replay: the first `late` points
+  /// merge into the overlap buffer, the rest append to the buffer and seal
+  /// full pages. Each part is logged first when a WAL is attached.
+  Status WriteLocked(State* st, Series* s, const int64_t* times,
+                     const int64_t* values, size_t n, size_t late);
   /// Merges a sorted late batch into the overlap buffer, last-write-wins.
   static void MergeOooLocked(Series* s, const int64_t* times,
-                             const int64_t* ivalues, const double* fvalues,
-                             size_t n);
+                             const int64_t* values, size_t n);
+  /// The delete body of DeleteRange and replay.
+  static Status DeleteRangeLocked(State* st, Series* s, int64_t t0,
+                                  int64_t t1);
   /// Explicit tombstones merged with the TTL cutoff (sorted, disjoint).
   static std::vector<TimeInterval> EffectiveTombstones(const Series& s);
-  /// Fires the auto-compaction trigger when enough pages landed.
-  static void NotePageInstalledLocked(State* st);
   /// Cuts the full buffer into a segment and seals it (inline or via the
   /// executor). Caller holds the unique lock.
   Status SealBufferLocked(State* st, Series* s);
-  /// Installs every ready segment at the front of s->sealing, in order.
+  /// Installs every ready segment at the front of s->sealing, in order:
+  /// the one install site of pages sealed from the buffer.
   static void DrainReadySegmentsLocked(State* st, Series* s);
-  static Status BuildSegmentPage(const SealSegment& seg,
-                                 const PageOptions& options, bool is_float,
-                                 std::shared_ptr<const Page>* out);
+  static void EncodeSegment(SealSegment* seg, const PageOptions& options);
 
   std::shared_ptr<State> state_;
 };

@@ -1,7 +1,6 @@
 #include "storage/tsfile.h"
 
 #include <cstdio>
-#include <cstring>
 
 #include "common/bitstream.h"
 #include "storage/page.h"
@@ -31,18 +30,6 @@ bool NeedsV2(const SeriesStore::Series& s) {
     if (page->header.level != 0 || page->header.tier != 0) return true;
   }
   return false;
-}
-
-uint64_t DoubleBits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double BitsToDouble(uint64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
 }
 
 Status WriteAll(const std::vector<uint8_t>& out, const std::string& path) {
@@ -182,8 +169,8 @@ Status ReadV2Series(Reader* r, SeriesStore* store) {
                               name + " exceeds file size");
   }
   std::vector<int64_t> ooo_times, ooo_values;
-  std::vector<double> ooo_values_f64;
   ooo_times.reserve(num_ooo);
+  ooo_values.reserve(num_ooo);
   for (uint32_t i = 0; i < num_ooo; ++i) {
     int64_t t;
     uint64_t bits;
@@ -195,11 +182,7 @@ Status ReadV2Series(Reader* r, SeriesStore* store) {
           "tsfile: overlap points not strictly increasing in series " + name);
     }
     ooo_times.push_back(t);
-    if (is_float) {
-      ooo_values_f64.push_back(BitsToDouble(bits));
-    } else {
-      ooo_values.push_back(static_cast<int64_t>(bits));
-    }
+    ooo_values.push_back(static_cast<int64_t>(bits));
   }
   if (num_ooo > 0 && (flags & kFlagAllowOutOfOrder) == 0) {
     return Status::Corruption(
@@ -259,8 +242,7 @@ Status ReadV2Series(Reader* r, SeriesStore* store) {
   }
   return store->RestoreSeriesMeta(name, appended_points, ttl_nanos,
                                   std::move(tombstones), std::move(ooo_times),
-                                  std::move(ooo_values),
-                                  std::move(ooo_values_f64));
+                                  std::move(ooo_values));
 }
 
 }  // namespace
@@ -304,9 +286,7 @@ Status WriteTsFile(const SeriesStore& store, const std::string& path) {
       PutFixed32BE(&out, static_cast<uint32_t>(s->ooo_times.size()));
       for (size_t i = 0; i < s->ooo_times.size(); ++i) {
         PutFixed64BE(&out, static_cast<uint64_t>(s->ooo_times[i]));
-        PutFixed64BE(&out, s->is_float()
-                               ? DoubleBits(s->ooo_values_f64[i])
-                               : static_cast<uint64_t>(s->ooo_values[i]));
+        PutFixed64BE(&out, static_cast<uint64_t>(s->ooo_values[i]));
       }
     }
     PutFixed32BE(&out, static_cast<uint32_t>(s->pages.size()));

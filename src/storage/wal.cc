@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 
 #include "common/bitstream.h"
 #include "common/crc32.h"
@@ -19,6 +18,8 @@ namespace {
 // long before a batch reaches 64 MiB); treat it as a torn length field.
 constexpr uint32_t kMaxPayloadBytes = 64u << 20;
 constexpr size_t kFrameBytes = 8;  // u32 len + u32 masked crc
+// Group-commit threshold of FsyncPolicy::kBatch.
+constexpr size_t kBatchSyncBytes = 64 << 10;
 
 void PutFixed16BE(std::vector<uint8_t>* dst, uint16_t v) {
   dst->push_back(static_cast<uint8_t>(v >> 8));
@@ -88,12 +89,12 @@ Status WriteFully(int fd, const uint8_t* data, size_t n) {
 
 }  // namespace
 
-Wal::Wal(std::string path, int fd, const Options& options)
-    : path_(std::move(path)), options_(options), fd_(fd) {}
+Wal::Wal(std::string path, int fd, FsyncPolicy fsync)
+    : path_(std::move(path)), fsync_(fsync), fd_(fd) {}
 
 Wal::~Wal() {
   if (fd_ >= 0) {
-    if (unsynced_bytes_ > 0 && options_.fsync != FsyncPolicy::kNever) {
+    if (unsynced_bytes_ > 0 && fsync_ != FsyncPolicy::kNever) {
       ::fsync(fd_);
     }
     ::close(fd_);
@@ -101,14 +102,14 @@ Wal::~Wal() {
 }
 
 Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
-                                       const Options& options) {
+                                       FsyncPolicy fsync) {
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd < 0) return Status::IoError("wal: open " + path);
   if (::lseek(fd, 0, SEEK_END) < 0) {
     ::close(fd);
     return Status::IoError("wal: seek " + path);
   }
-  return std::unique_ptr<Wal>(new Wal(path, fd, options));
+  return std::unique_ptr<Wal>(new Wal(path, fd, fsync));
 }
 
 Status Wal::AppendRecord(const std::vector<uint8_t>& payload) {
@@ -123,9 +124,8 @@ Status Wal::AppendRecord(const std::vector<uint8_t>& payload) {
   ++stats_.records;
   stats_.bytes += frame.size();
   unsynced_bytes_ += frame.size();
-  if (options_.fsync == FsyncPolicy::kAlways ||
-      (options_.fsync == FsyncPolicy::kBatch &&
-       unsynced_bytes_ >= options_.batch_bytes)) {
+  if (fsync_ == FsyncPolicy::kAlways ||
+      (fsync_ == FsyncPolicy::kBatch && unsynced_bytes_ >= kBatchSyncBytes)) {
     return SyncLocked();
   }
   return Status::Ok();
@@ -152,7 +152,7 @@ Status Wal::Reset() {
     return Status::IoError("wal: truncate " + path_);
   }
   uint64_t t0 = metrics::NowNanos();
-  if (options_.fsync != FsyncPolicy::kNever && ::fsync(fd_) != 0) {
+  if (fsync_ != FsyncPolicy::kNever && ::fsync(fd_) != 0) {
     return Status::IoError("wal: fsync " + path_);
   }
   stats_.sync_nanos += metrics::NowNanos() - t0;
@@ -184,68 +184,17 @@ Status Wal::AppendCreateSeries(const std::string& name, uint8_t time_encoding,
 
 Status Wal::AppendPoints(const std::string& name, uint64_t first_seq,
                          const int64_t* times, const int64_t* values,
-                         size_t n) {
+                         size_t n, bool is_float, bool overlap) {
   std::vector<uint8_t> payload;
   payload.reserve(1 + 2 + name.size() + 12 + 16 * n);
-  payload.push_back(kAppendInt);
+  payload.push_back(overlap ? (is_float ? kAppendF64Ooo : kAppendIntOoo)
+                            : (is_float ? kAppendF64 : kAppendInt));
   PutName(&payload, name);
   PutFixed64BE(&payload, first_seq);
   PutFixed32BE(&payload, static_cast<uint32_t>(n));
   for (size_t i = 0; i < n; ++i) {
     PutFixed64BE(&payload, static_cast<uint64_t>(times[i]));
     PutFixed64BE(&payload, static_cast<uint64_t>(values[i]));
-  }
-  return AppendRecord(payload);
-}
-
-Status Wal::AppendPointsF64(const std::string& name, uint64_t first_seq,
-                            const int64_t* times, const double* values,
-                            size_t n) {
-  std::vector<uint8_t> payload;
-  payload.reserve(1 + 2 + name.size() + 12 + 16 * n);
-  payload.push_back(kAppendF64);
-  PutName(&payload, name);
-  PutFixed64BE(&payload, first_seq);
-  PutFixed32BE(&payload, static_cast<uint32_t>(n));
-  for (size_t i = 0; i < n; ++i) {
-    PutFixed64BE(&payload, static_cast<uint64_t>(times[i]));
-    uint64_t bits;
-    std::memcpy(&bits, &values[i], sizeof(bits));
-    PutFixed64BE(&payload, bits);
-  }
-  return AppendRecord(payload);
-}
-
-Status Wal::AppendPointsOoo(const std::string& name, uint64_t first_seq,
-                            const int64_t* times, const int64_t* values,
-                            size_t n) {
-  std::vector<uint8_t> payload;
-  payload.reserve(1 + 2 + name.size() + 12 + 16 * n);
-  payload.push_back(kAppendIntOoo);
-  PutName(&payload, name);
-  PutFixed64BE(&payload, first_seq);
-  PutFixed32BE(&payload, static_cast<uint32_t>(n));
-  for (size_t i = 0; i < n; ++i) {
-    PutFixed64BE(&payload, static_cast<uint64_t>(times[i]));
-    PutFixed64BE(&payload, static_cast<uint64_t>(values[i]));
-  }
-  return AppendRecord(payload);
-}
-
-Status Wal::AppendPointsOooF64(const std::string& name, uint64_t first_seq,
-                               const int64_t* times, const double* values,
-                               size_t n) {
-  std::vector<uint8_t> payload;
-  payload.reserve(1 + 2 + name.size() + 12 + 16 * n);
-  payload.push_back(kAppendF64Ooo);
-  PutName(&payload, name);
-  PutFixed64BE(&payload, first_seq);
-  PutFixed32BE(&payload, static_cast<uint32_t>(n));
-  for (size_t i = 0; i < n; ++i) {
-    PutFixed64BE(&payload, static_cast<uint64_t>(times[i]));
-    uint64_t bits;
-    std::memcpy(&bits, &values[i], sizeof(bits));
-    PutFixed64BE(&payload, bits);
   }
   return AppendRecord(payload);
 }
@@ -337,7 +286,7 @@ Status Wal::ReplayInto(SeriesStore* store, ReplayStats* stats) {
               static_cast<enc::ColumnEncoding>(value_enc);
           opt.page.block_size = block_size;
           opt.allow_out_of_order = (flags & 1) != 0;
-          applied = store->CreateSeriesForReplay(name, opt);
+          applied = store->CreateSeries(name, opt);
         } else if (parsed) {
           skipped = true;
         }
@@ -347,9 +296,10 @@ Status Wal::ReplayInto(SeriesStore* store, ReplayStats* stats) {
         std::string name;
         uint64_t t0 = 0, t1 = 0;
         parsed = r.ReadName(&name) && r.ReadU64(&t0) && r.ReadU64(&t1) &&
-                 r.Done();
+                 r.Done() &&
+                 static_cast<int64_t>(t0) <= static_cast<int64_t>(t1);
         if (parsed) {
-          applied = store->ApplyReplayDelete(name, static_cast<int64_t>(t0),
+          applied = store->ReplayDeleteRange(name, static_cast<int64_t>(t0),
                                              static_cast<int64_t>(t1));
         }
         break;
@@ -359,7 +309,7 @@ Status Wal::ReplayInto(SeriesStore* store, ReplayStats* stats) {
         uint64_t ttl = 0;
         parsed = r.ReadName(&name) && r.ReadU64(&ttl) && r.Done();
         if (parsed) {
-          applied = store->ApplyReplayTtl(name, static_cast<int64_t>(ttl));
+          applied = store->SetTtl(name, static_cast<int64_t>(ttl));
         }
         break;
       }
@@ -371,38 +321,27 @@ Status Wal::ReplayInto(SeriesStore* store, ReplayStats* stats) {
         uint64_t first_seq = 0;
         uint32_t n = 0;
         parsed = r.ReadName(&name) && r.ReadU64(&first_seq) && r.ReadU32(&n);
-        std::vector<int64_t> times;
-        std::vector<int64_t> ivalues;
-        std::vector<double> fvalues;
-        const bool is_int = (type == kAppendInt || type == kAppendIntOoo);
-        const bool is_ooo = (type == kAppendIntOoo || type == kAppendF64Ooo);
+        std::vector<int64_t> times, values;
         if (parsed) {
           times.reserve(n);
+          values.reserve(n);
           for (uint32_t i = 0; parsed && i < n; ++i) {
             uint64_t t = 0, v = 0;
             parsed = r.ReadU64(&t) && r.ReadU64(&v);
             times.push_back(static_cast<int64_t>(t));
-            if (is_int) {
-              ivalues.push_back(static_cast<int64_t>(v));
-            } else {
-              double d;
-              std::memcpy(&d, &v, sizeof(d));
-              fvalues.push_back(d);
-            }
+            values.push_back(static_cast<int64_t>(v));
           }
           parsed = parsed && r.Done();
         }
         if (parsed) {
+          // Overlap records (types 6/7) route to the overlap buffer by
+          // their type, whatever the replayed fence says.
           size_t points = 0;
-          applied =
-              is_ooo ? store->ApplyReplayBatchOoo(
-                           name, first_seq, times.data(),
-                           is_int ? ivalues.data() : nullptr,
-                           is_int ? nullptr : fvalues.data(), n, &points)
-                     : store->ApplyReplayBatch(
-                           name, first_seq, times.data(),
-                           is_int ? ivalues.data() : nullptr,
-                           is_int ? nullptr : fvalues.data(), n, &points);
+          applied = store->ReplayPoints(
+              name, first_seq, times.data(), values.data(), n,
+              /*is_float=*/type == kAppendF64 || type == kAppendF64Ooo,
+              /*overlap=*/type == kAppendIntOoo || type == kAppendF64Ooo,
+              &points);
           local.points_applied += points;
           skipped = (points == 0);
         }
@@ -417,7 +356,13 @@ Status Wal::ReplayInto(SeriesStore* store, ReplayStats* stats) {
       return Status::Corruption("wal: undecodable record at offset " +
                                 std::to_string(pos));
     }
-    if (!applied.ok()) return applied;
+    if (!applied.ok()) {
+      // The record verified but cannot apply at its log position (unknown
+      // series, wrong value type, sequence gap, out-of-order points).
+      return Status::Corruption("wal: record at offset " +
+                                std::to_string(pos) + ": " +
+                                applied.message());
+    }
     if (skipped) {
       ++local.records_skipped;
     } else {

@@ -37,6 +37,8 @@ class SeriesStore;
 ///   6 kAppendIntOoo  same layout as 2 — late points bound for the
 ///                    out-of-order overlap buffer
 ///   7 kAppendF64Ooo  same layout as 3, overlap-buffer variant
+/// Replay routes types 6/7 to the overlap buffer by their type, not by the
+/// replayed fence.
 ///
 /// `first_seq` is the series' append sequence number (total points ever
 /// appended) before the batch — it makes replay idempotent: records whose
@@ -45,27 +47,24 @@ class SeriesStore;
 /// crash-between-checkpoint-save-and-log-truncate window safe.
 ///
 /// Recovery (`ReplayInto`) scans the log from the start, applies every
-/// record whose frame verifies, and stops at the first torn or corrupt
-/// frame: the remainder is the unacknowledged tail of a crashed writer and
-/// is truncated away so subsequent appends never interleave with garbage.
+/// record whose frame verifies through the store's live write bodies
+/// (before the log is attached, so they log nothing), and stops at the
+/// first torn or corrupt frame: the remainder is the unacknowledged tail of
+/// a crashed writer and is truncated away so subsequent appends never
+/// interleave with garbage.
 ///
 /// Truncation (`Reset`) empties the log; the db layer calls it after a
 /// checkpoint (Flush + TsFile save) makes the logged state durable
 /// elsewhere.
 ///
 /// Thread safety: all members are internally serialized; in practice the
-/// owning SeriesStore already calls Append* under its ingest lock.
+/// owning SeriesStore already calls Append* under its store lock.
 class Wal {
  public:
   enum class FsyncPolicy {
     kNever,   // rely on the OS page cache (benchmarks, tests)
-    kBatch,   // group commit: fsync once >= batch_bytes are unsynced
+    kBatch,   // group commit: fsync once 64 KiB are unsynced
     kAlways,  // fsync every record before acknowledging
-  };
-
-  struct Options {
-    FsyncPolicy fsync = FsyncPolicy::kBatch;
-    size_t batch_bytes = 64 << 10;  // group-commit threshold for kBatch
   };
 
   /// Cumulative counters since Open (wal_* rows of metrics::IngestStats).
@@ -80,14 +79,16 @@ class Wal {
   /// Opens (creating if absent) the log at `path` for appending. Call
   /// ReplayInto before the first Append when the file may hold records.
   static Result<std::unique_ptr<Wal>> Open(const std::string& path,
-                                           const Options& options);
+                                           FsyncPolicy fsync);
   ~Wal();
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Replays every intact record into `store` (idempotently, see above),
-  /// drops the torn/corrupt tail if any, and truncates the file to the
-  /// valid prefix. `stats` (optional) reports what happened.
+  /// Replays every intact record into `store` through its live write
+  /// bodies (idempotently, see above), drops the torn/corrupt tail if any,
+  /// and truncates the file to the valid prefix. A record whose frame
+  /// verifies but which does not decode or apply is Corruption. `stats`
+  /// (optional) reports what happened.
   struct ReplayStats {
     uint64_t records_applied = 0;
     uint64_t records_skipped = 0;   // fully covered by a checkpoint
@@ -100,19 +101,12 @@ class Wal {
   Status AppendCreateSeries(const std::string& name, uint8_t time_encoding,
                             uint8_t value_encoding, uint32_t page_size,
                             uint32_t block_size, uint8_t flags = 0);
+  /// One point record: `values` are 64-bit words (a float series' doubles
+  /// as their bit patterns). The type byte is 2/3 (int/float) for in-order
+  /// points and 6/7 for `overlap` points bound for the out-of-order buffer.
   Status AppendPoints(const std::string& name, uint64_t first_seq,
-                      const int64_t* times, const int64_t* values, size_t n);
-  Status AppendPointsF64(const std::string& name, uint64_t first_seq,
-                         const int64_t* times, const double* values,
-                         size_t n);
-  /// Overlap-buffer (out-of-order) variants: same framing as the ordinary
-  /// appends, but replay routes them into the series' overlap buffer.
-  Status AppendPointsOoo(const std::string& name, uint64_t first_seq,
-                         const int64_t* times, const int64_t* values,
-                         size_t n);
-  Status AppendPointsOooF64(const std::string& name, uint64_t first_seq,
-                            const int64_t* times, const double* values,
-                            size_t n);
+                      const int64_t* times, const int64_t* values, size_t n,
+                      bool is_float, bool overlap);
   /// Inclusive tombstone range [t0, t1] (fence-clamped by the store).
   Status AppendDeleteRange(const std::string& name, int64_t t0, int64_t t1);
   Status AppendSetTtl(const std::string& name, int64_t ttl_nanos);
@@ -137,14 +131,14 @@ class Wal {
     kAppendF64Ooo = 7,
   };
 
-  Wal(std::string path, int fd, const Options& options);
+  Wal(std::string path, int fd, FsyncPolicy fsync);
 
   /// Frames `payload` and appends it; applies the fsync policy.
   Status AppendRecord(const std::vector<uint8_t>& payload);
   Status SyncLocked();
 
   const std::string path_;
-  const Options options_;
+  const FsyncPolicy fsync_;
   mutable std::mutex mu_;
   int fd_ = -1;
   size_t unsynced_bytes_ = 0;

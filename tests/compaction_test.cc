@@ -192,7 +192,7 @@ TEST(CompactorTest, MergesUndersizedPages) {
     ASSERT_TRUE(page.ok());
     ASSERT_TRUE(store.AddPage("s", std::move(page.value())).ok());
   }
-  Compactor compactor(&store, CompactionOptions{});
+  Compactor compactor(&store);
   ASSERT_TRUE(compactor.CompactAll().ok());
 
   Result<SeriesSnapshot> snap = store.GetSnapshot("s");
@@ -221,7 +221,7 @@ TEST(CompactorTest, DropsTombstonedPointsPhysically) {
   ASSERT_TRUE(store.DeleteRange("s", 250, 449).ok());
   EXPECT_EQ(store.Tombstones("s").size(), 1u);
 
-  Compactor compactor(&store, CompactionOptions{});
+  Compactor compactor(&store);
   ASSERT_TRUE(compactor.CompactAll().ok());
 
   std::vector<int64_t> t, v;
@@ -255,7 +255,7 @@ TEST(CompactorTest, TtlExpiredPointsDropAtCompaction) {
   ASSERT_FALSE(masked.value().tombstones.empty());
 
   // ... and compaction drops physically.
-  Compactor compactor(&store, CompactionOptions{});
+  Compactor compactor(&store);
   ASSERT_TRUE(compactor.CompactAll().ok());
   std::vector<int64_t> t, v;
   DecodeAll(store, "s", &t, &v);
@@ -288,7 +288,7 @@ TEST(CompactorTest, ReconcilesOutOfOrderPoints) {
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before.value().total_points(), 500u);
 
-  Compactor compactor(&store, CompactionOptions{});
+  Compactor compactor(&store);
   ASSERT_TRUE(compactor.CompactAll().ok());
   EXPECT_EQ(store.OooPoints("s"), 0u);
   EXPECT_EQ(compactor.stats().ooo_points_merged, 51u);
@@ -327,7 +327,7 @@ TEST(CompactorTest, AdaptiveReencodeIsByteExact) {
   ASSERT_TRUE(store.Flush("s").ok());
   const uint64_t before = store.EncodedBytes("s");
 
-  Compactor compactor(&store, CompactionOptions{});
+  Compactor compactor(&store);
   ASSERT_TRUE(compactor.CompactAll().ok());
   EXPECT_LT(store.EncodedBytes("s"), before);
   EXPECT_GT(compactor.stats().pages_reencoded, 0u);
@@ -408,7 +408,7 @@ TEST(TsFileV2Test, RoundTripsDeleteTtlOooAndLevels) {
   EXPECT_EQ(s.value()->appended_points, 401u);
 
   // The restored store compacts exactly like the original would have.
-  Compactor compactor(&loaded, CompactionOptions{});
+  Compactor compactor(&loaded);
   ASSERT_TRUE(compactor.CompactAll().ok());
   std::vector<int64_t> t, v;
   DecodeAll(loaded, "s", &t, &v);
@@ -435,7 +435,7 @@ TEST(TsFileV2Test, CompactedLevelsSurviveRoundTrip) {
     ASSERT_TRUE(page.ok());
     ASSERT_TRUE(store.AddPage("s", std::move(page.value())).ok());
   }
-  Compactor compactor(&store, CompactionOptions{});
+  Compactor compactor(&store);
   ASSERT_TRUE(compactor.CompactAll().ok());
   ASSERT_TRUE(WriteTsFile(store, path).ok());
   EXPECT_EQ(FileMagic(path), kTsFileMagicV2);
@@ -889,7 +889,7 @@ TEST(PruningStalenessTest, DeleteRangeKeepsIndexConsistent) {
     EXPECT_EQ(r.value().columns[0][0], 136 + 137 + 138 + 139 + 140)
         << "pass=" << pass;
     if (pass == 0) {
-      Compactor compactor(&store, CompactionOptions{});
+      Compactor compactor(&store);
       ASSERT_TRUE(compactor.CompactSeries("s").ok());
     }
   }

@@ -273,6 +273,20 @@ TEST(DatabaseShardingTest, SaveLoadRoundTripsPerShardFiles) {
   }
 }
 
+// Only -1 (every shard) or a real shard index compacts.
+TEST(DatabaseShardingTest, CompactRejectsUnknownShard) {
+  Database db(Database::Options{Database::Mode::kSimd, 1, 2, 0});
+  FillSeries(&db, "s", 100);
+  ASSERT_TRUE(db.EnableCompaction().ok());
+  EXPECT_EQ(db.Compact(-5).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.Compact(-2).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.Compact(2).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.compaction_stats().runs, 0u);  // nothing ran
+  EXPECT_TRUE(db.Compact(1).ok());
+  EXPECT_TRUE(db.Compact(-1).ok());
+  EXPECT_EQ(db.compaction_stats().runs, 3u);
+}
+
 /// A multi-shard database pointed at a single combined TsFile (the
 /// pre-sharding layout) redistributes its series through the router.
 /// Older layouts kept a scheduler cost cache next to each saved TsFile:

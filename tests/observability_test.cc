@@ -212,6 +212,43 @@ TEST(ExplainTest, PlanOnlyRendersWithoutExecuting) {
   EXPECT_EQ(qr.explain_text.find("execution profile"), std::string::npos);
 }
 
+// A strict bound prints its SQL literal with an open bracket, so EXPLAIN on
+// a float series shows the filter the query runs: 3.5 passes `f > 3`.
+TEST(ExplainTest, StrictValueBoundsPrintTheirLiterals) {
+  db::Database dbi;
+  ASSERT_TRUE(dbi.CreateFloatTimeseries("f").ok());
+  ASSERT_TRUE(dbi.CreateTimeseries("i").ok());
+  const int64_t times[4] = {1, 2, 3, 4};
+  const double fv[4] = {2.5, 3.0, 3.5, 4.0};
+  const int64_t iv[4] = {2, 3, 4, 5};
+  ASSERT_TRUE(dbi.InsertBatchF64("f", times, fv, 4).ok());
+  ASSERT_TRUE(dbi.InsertBatch("i", times, iv, 4).ok());
+  auto filter_line = [&](const std::string& sql) {
+    Result<QueryResult> r = dbi.Query("EXPLAIN " + sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    if (!r.ok()) return std::string();
+    const std::string& text = r.value().explain_text;
+    size_t at = text.find("filter:");
+    EXPECT_NE(at, std::string::npos) << text;
+    if (at == std::string::npos) return std::string();
+    return text.substr(at, text.find('\n', at) - at);
+  };
+  EXPECT_EQ(filter_line("SELECT COUNT(f) FROM f WHERE f > 3"),
+            "filter: value in (3, 9223372036854775807]");
+  Result<QueryResult> count = dbi.Query("SELECT COUNT(f) FROM f WHERE f > 3");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count.value().columns[0][0], 2.0);
+  EXPECT_EQ(filter_line("SELECT COUNT(f) FROM f WHERE f < 3"),
+            "filter: value in [-9223372036854775808, 3)");
+  EXPECT_EQ(filter_line("SELECT COUNT(f) FROM f WHERE f >= 3 AND f <= 4"),
+            "filter: value in [3, 4]");
+  // Integer strict bounds print the equivalent open form.
+  EXPECT_EQ(filter_line("SELECT COUNT(i) FROM i WHERE i > 3 AND i < 5"),
+            "filter: value in (3, 5)");
+  EXPECT_EQ(filter_line("SELECT COUNT(i) FROM i WHERE i >= 4"),
+            "filter: value in [4, 9223372036854775807]");
+}
+
 TEST(ExplainTest, AnalyzeExecutesAndAnnotates) {
   Fixture f = MakeFixture(12000, 29);
   Engine engine(PipelineOptions::Etsqp(2));  // stats off; ANALYZE forces on

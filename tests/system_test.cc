@@ -261,6 +261,68 @@ TEST(IotDbLiteTest, CsvRoundTrip) {
   std::remove(path.c_str());
 }
 
+std::string ReadText(const std::string& path) {
+  std::string text;
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) return text;
+  int c;
+  while ((c = std::fgetc(f)) != EOF) text += static_cast<char>(c);
+  std::fclose(f);
+  return text;
+}
+
+// Times and values past 2^53 export digit for digit, from sealed pages and
+// the tail, with tombstoned points left out, and import back unchanged.
+TEST(IotDbLiteTest, CsvExportIsExactInt64) {
+  const int64_t base = 1700000000000000001;
+  const int64_t values[10] = {9007199254740993,
+                              5,
+                              9007199254740995,
+                              -9007199254740993,
+                              INT64_MAX,
+                              INT64_MIN,
+                              0,
+                              (int64_t{1} << 62) + 1,
+                              7,
+                              -1};
+  db::Database dbi;
+  storage::SeriesStore::SeriesOptions opt;
+  opt.page_size = 4;  // two sealed pages and a two-point tail
+  ASSERT_TRUE(dbi.CreateTimeseries("big", opt).ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(dbi.Insert("big", base + 2 * i, values[i]).ok());
+  }
+  // Straddles the page boundary, and one tail point.
+  ASSERT_TRUE(dbi.DeleteRange("big", base + 6, base + 8).ok());
+  ASSERT_TRUE(dbi.DeleteRange("big", base + 18, base + 18).ok());
+
+  const std::string path = ::testing::TempDir() + "/etsqp_exact.csv";
+  ASSERT_TRUE(dbi.ExportCsv("big", path).ok());
+  EXPECT_EQ(ReadText(path),
+            "time,value\n"
+            "1700000000000000001,9007199254740993\n"
+            "1700000000000000003,5\n"
+            "1700000000000000005,9007199254740995\n"
+            "1700000000000000011,-9223372036854775808\n"
+            "1700000000000000013,0\n"
+            "1700000000000000015,4611686018427387905\n"
+            "1700000000000000017,7\n");
+
+  db::Database fresh;
+  ASSERT_TRUE(fresh.CreateTimeseries("big").ok());
+  ASSERT_TRUE(fresh.ImportCsv("big", path).ok());
+  const std::string again = ::testing::TempDir() + "/etsqp_exact2.csv";
+  ASSERT_TRUE(fresh.ExportCsv("big", again).ok());
+  EXPECT_EQ(ReadText(again), ReadText(path));
+
+  ASSERT_TRUE(dbi.CreateFloatTimeseries("f").ok());
+  ASSERT_TRUE(dbi.InsertF64("f", 1, 0.5).ok());
+  EXPECT_EQ(dbi.ExportCsv("f", path).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dbi.ExportCsv("ghost", path).code(), StatusCode::kNotFound);
+  std::remove(path.c_str());
+  std::remove(again.c_str());
+}
+
 TEST(IotDbLiteTest, CsvImportRejectsGarbage) {
   std::string path = ::testing::TempDir() + "/etsqp_bad.csv";
   std::FILE* f = std::fopen(path.c_str(), "w");

@@ -208,6 +208,7 @@ int main(int argc, char** argv) {
         continue;
       }
       metrics::IngestStats is = dbx.ingest_stats();
+      const storage::Wal::ReplayStats& rec = dbx.last_recovery();
       std::printf(
           "ingest: points=%llu batches=%llu rejected=%llu tail=%llu\n"
           "ooo:    accepted=%llu pending=%llu  deletes: ranges=%llu\n"
@@ -228,9 +229,9 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(is.wal_bytes),
           static_cast<unsigned long long>(is.wal_fsyncs),
           static_cast<double>(is.wal_sync_nanos) / 1e6,
-          static_cast<unsigned long long>(is.recovered_records),
-          static_cast<unsigned long long>(is.recovered_points),
-          static_cast<unsigned long long>(is.dropped_wal_records));
+          static_cast<unsigned long long>(rec.records_applied),
+          static_cast<unsigned long long>(rec.points_applied),
+          static_cast<unsigned long long>(rec.records_dropped));
       continue;
     }
     if (cmd.rfind(".checkpoint", 0) == 0) {
