@@ -504,6 +504,15 @@ class PageCursor {
   int64_t back() const { return vec_.times.back(); }
   void Consume(size_t n) { pos_ += n; }
 
+  /// The plan's time filter, clipped to the range when `job`'s page
+  /// straddles a cut.
+  TimeRange Clip(const LogicalPlan& plan, const PipeJob& job) const {
+    TimeRange trange = plan.time_filter;
+    if (job.min_time < range_.lo) trange.lo = std::max(trange.lo, range_.lo);
+    if (job.max_time > range_.hi) trange.hi = std::min(trange.hi, range_.hi);
+    return trange;
+  }
+
   /// Decodes the next page into the page vector.
   Status Load(const LogicalPlan& plan, const PipelineOptions& options,
               QueryStats* stats) {
@@ -511,13 +520,7 @@ class PageCursor {
     vec_.times.clear();
     vec_.values.clear();
     pos_ = 0;
-    vec_.trange = plan.time_filter;
-    if (job.min_time < range_.lo) {
-      vec_.trange.lo = std::max(vec_.trange.lo, range_.lo);
-    }
-    if (job.max_time > range_.hi) {
-      vec_.trange.hi = std::min(vec_.trange.hi, range_.hi);
-    }
+    vec_.trange = Clip(plan, job);
     if (vec_.trange.lo > vec_.trange.hi) return Status::Ok();
     JobSchedule sched(options, spec_, job);
     Status st = DrainJob(job, *snap_, plan, sched.options, &vec_, stats);
@@ -535,11 +538,19 @@ class PageCursor {
   size_t pos_ = 0;
 };
 
+/// The page pair both cursors of a merge node sit at, fetched, when it
+/// shares one clock; both null otherwise.
+struct SharedPair {
+  std::shared_ptr<const storage::Page> a, b;
+};
+
 /// The merge node of one range job (Figure 9). It pulls page vectors from
 /// the two input cursors as the merge consumes them, runs the merge kernels
-/// on them, and emits rows (or accumulates CORR sums). SELECT is the one-input case: its
-/// right cursor is empty. Apart from the range's result columns, everything
-/// it allocates is page-vector sized.
+/// on them, and emits rows (or accumulates CORR sums). A page pair on one
+/// shared clock skips the kernels: its time column decodes once and its
+/// rows go straight to the result columns. SELECT is the one-input case:
+/// its right cursor is empty. Apart from the range's result columns,
+/// everything it allocates is page-vector sized.
 class MergeNode {
  public:
   MergeNode(const LogicalPlan& plan, const PipelineSpec& spec,
@@ -547,6 +558,7 @@ class MergeNode {
             const std::vector<storage::SeriesSnapshot>& snaps,
             const PipelineOptions& options)
       : plan_(plan),
+        spec_(spec),
         snaps_(snaps),
         options_(options),
         decision_(spec.merge_decision >= 0
@@ -600,12 +612,22 @@ class MergeNode {
     if (b != nullptr) columns[2].insert(columns[2].end(), b, b + n);
   }
 
-  /// UNION (Eq. 5) and SELECT: whichever vector ends first goes out whole,
-  /// merged with the other side's tuples before its end (left first on
-  /// equal timestamps); a vector the other side does not reach is copied
-  /// without a compare.
+  /// UNION (Eq. 5) and SELECT: a shared-clock page pair goes out through
+  /// RunShared. Otherwise whichever vector ends first goes out whole,
+  /// merged with the other side's tuples up to its end (left first on
+  /// equal timestamps; two vectors ending on the same timestamp both go
+  /// out, so the cursors realign after a pair that differs inside); a
+  /// vector the other side does not reach is copied without a compare.
   Status RunUnion() {
     while (true) {
+      if (l_.empty() && r_.empty() && l_.has_page() && r_.has_page()) {
+        SharedPair pair;
+        ETSQP_RETURN_IF_ERROR(SharedClock(&pair));
+        if (pair.a != nullptr) {
+          ETSQP_RETURN_IF_ERROR(RunShared(pair));
+          continue;
+        }
+      }
       if (l_.empty() && l_.has_page()) {
         ETSQP_RETURN_IF_ERROR(Load(&l_));
         continue;
@@ -619,7 +641,7 @@ class MergeNode {
       size_t nl = l_.size(), nr = r_.size();
       if (nl > 0 && nr > 0) {
         if (l_.back() <= r_.back()) {
-          nr = std::lower_bound(r_.times(), r_.times() + nr, l_.back()) -
+          nr = std::upper_bound(r_.times(), r_.times() + nr, l_.back()) -
                r_.times();
         } else {
           nl = std::upper_bound(l_.times(), l_.times() + nl, r_.back()) -
@@ -647,8 +669,9 @@ class MergeNode {
 
   /// Natural join (Eq. 6), projection and CORR. Page headers decide first:
   /// a page that ends before the other side's next page or vector begins
-  /// is skipped undecoded, and a CORR page pair that can fuse aggregates in
-  /// closed form. Only overlapping vectors reach the intersection kernel.
+  /// is skipped undecoded; a shared-clock pair fuses (CORR in closed form)
+  /// or goes out through RunShared. Only overlapping vectors reach the
+  /// intersection kernel.
   Status RunIntersect() {
     while (!l_.done() && !r_.done()) {
       if (l_.empty() && r_.empty()) {
@@ -662,9 +685,15 @@ class MergeNode {
           Skip(&r_);
           continue;
         }
+        SharedPair pair;
+        ETSQP_RETURN_IF_ERROR(SharedClock(&pair));
+        if (pair.a == nullptr) {
+          ETSQP_RETURN_IF_ERROR(Load(&l_));
+          continue;
+        }
         bool fused = false;
-        ETSQP_RETURN_IF_ERROR(TryFuse(&fused));
-        if (!fused) ETSQP_RETURN_IF_ERROR(Load(&l_));
+        ETSQP_RETURN_IF_ERROR(TryFuse(pair, &fused));
+        if (!fused) ETSQP_RETURN_IF_ERROR(RunShared(pair));
         continue;
       }
       if (l_.empty() || r_.empty()) {
@@ -686,6 +715,13 @@ class MergeNode {
     return Status::Ok();
   }
 
+  /// Whether a joined pair is kept: both values pass the value filter and
+  /// the Eq. 3 inter-column predicate holds.
+  bool Keep(int64_t a, int64_t b) const {
+    return plan_.value_filter.Contains(a) && plan_.value_filter.Contains(b) &&
+           InterColumnOk(plan_.inter_column_op, a, b);
+  }
+
   /// Pairs the two loaded vectors; the one that ends first is spent, with
   /// the other side's tuples up to that end.
   Status Intersect() {
@@ -701,11 +737,17 @@ class MergeNode {
     const int64_t* lt = l_.times();
     const int64_t* lv = l_.values();
     const int64_t* rv = r_.values();
+    // Eq. 3 runs on the decoded vectors; the value filter already ran in
+    // each input's drain.
     if (plan_.kind == LogicalPlan::Kind::kCorrelate) {
-      for (size_t k = 0; k < m; ++k) corr.Add(lv[il_[k]], rv[ir_[k]]);
+      for (size_t k = 0; k < m; ++k) {
+        const int64_t a = lv[il_[k]];
+        const int64_t b = rv[ir_[k]];
+        if (InterColumnOk(plan_.inter_column_op, a, b)) corr.Add(a, b);
+      }
     } else {
-      // Eq. 3 runs on the decoded vectors; matched rows gather into
-      // page-sized scratch and leave through Emit.
+      // Matched rows gather into page-sized scratch and leave through
+      // Emit.
       const bool project = plan_.kind == LogicalPlan::Kind::kProjectBinary;
       row_t_.resize(m);
       row_a_.resize(m);
@@ -740,28 +782,25 @@ class MergeNode {
     return Status::Ok();
   }
 
-  /// Fuses the CORR page pair both cursors sit at when their time columns
-  /// are identical and both value columns are Delta-RLE. Needs kEtsqp (the
-  /// fusion datapath), no value filter, and both pages wholly inside the
-  /// time filter; an exact sum past int64 falls back to decoding. Range
-  /// cuts are page starts, so none falls inside a pair with identical
-  /// bounds.
-  Status TryFuse(bool* fused) {
+  /// The shared-clock test of the page pair both cursors sit at: two whole
+  /// sealed pages (neither the tail nor tombstone-masked) whose headers
+  /// agree on count, time bounds, time encoding and time bytes, and whose
+  /// encoded time columns are byte-equal — equal encoded columns are equal
+  /// timestamps, encoding being a deterministic function of the points.
+  /// kSerial, the full-decode reference, never shares. Fills `pair` with
+  /// both fetched pages when the test holds.
+  Status SharedClock(SharedPair* pair) {
     const PipeJob& a = l_.page();
     const PipeJob& b = r_.page();
-    if (plan_.kind != LogicalPlan::Kind::kCorrelate ||
-        options_.strategy != DecodeStrategy::kEtsqp ||
-        plan_.value_filter.active || a.tail || b.tail || a.masked ||
-        b.masked || a.min_time != b.min_time || a.max_time != b.max_time ||
-        a.min_time < plan_.time_filter.lo ||
-        a.max_time > plan_.time_filter.hi) {
+    if (options_.strategy == DecodeStrategy::kSerial || a.tail || b.tail ||
+        a.masked || b.masked) {
       return Status::Ok();
     }
     const storage::PageHeader& ha = snaps_[0].pages[a.page_index]->header;
     const storage::PageHeader& hb = snaps_[1].pages[b.page_index]->header;
-    if (ha.count != hb.count || ha.time_bytes != hb.time_bytes ||
-        ha.value_encoding != enc::ColumnEncoding::kDeltaRle ||
-        hb.value_encoding != enc::ColumnEncoding::kDeltaRle) {
+    if (ha.count != hb.count || ha.min_time != hb.min_time ||
+        ha.max_time != hb.max_time || ha.time_encoding != hb.time_encoding ||
+        ha.time_bytes != hb.time_bytes) {
       return Status::Ok();
     }
     Result<std::shared_ptr<const storage::Page>> pa =
@@ -770,15 +809,35 @@ class MergeNode {
     Result<std::shared_ptr<const storage::Page>> pb =
         JobPage(snaps_[1], b.page_index, options_, &stats);
     if (!pb.ok()) return pb.status();
-    // Equal encoded time columns <=> equal timestamps (encoding is a
-    // deterministic function of the series).
     if (std::memcmp(pa.value()->time_data.data(),
                     pb.value()->time_data.data(), ha.time_bytes) != 0) {
       return Status::Ok();
     }
+    pair->a = std::move(pa).value();
+    pair->b = std::move(pb).value();
+    return Status::Ok();
+  }
+
+  /// Fuses a shared-clock CORR pair whose value columns are both Delta-RLE
+  /// in closed form. Needs kEtsqp (the fusion datapath), no value filter,
+  /// no inter-column predicate, and both pages wholly inside the time
+  /// filter; an exact sum past int64 falls back to RunShared. Range cuts
+  /// are page starts, so none falls inside a pair with identical bounds.
+  Status TryFuse(const SharedPair& pair, bool* fused) {
+    const storage::PageHeader& ha = pair.a->header;
+    const storage::PageHeader& hb = pair.b->header;
+    if (plan_.kind != LogicalPlan::Kind::kCorrelate ||
+        options_.strategy != DecodeStrategy::kEtsqp ||
+        plan_.value_filter.active || plan_.inter_column_op != 0 ||
+        ha.min_time < plan_.time_filter.lo ||
+        ha.max_time > plan_.time_filter.hi ||
+        ha.value_encoding != enc::ColumnEncoding::kDeltaRle ||
+        hb.value_encoding != enc::ColumnEncoding::kDeltaRle) {
+      return Status::Ok();
+    }
     ScopedStageTimer timer(Stages(), Stage::kAggregate);
     timer.AddTuples(2 * static_cast<uint64_t>(ha.count));
-    Status st = FusedCorrPair(*pa.value(), *pb.value(), &corr);
+    Status st = FusedCorrPair(*pair.a, *pair.b, &corr);
     if (st.code() == StatusCode::kOverflow) return Status::Ok();
     ETSQP_RETURN_IF_ERROR(st);
     l_.Advance();
@@ -788,7 +847,135 @@ class MergeNode {
     return Status::Ok();
   }
 
+  /// Decodes positions [p0, p1) of one encoded column into `out` with
+  /// `opt`'s kernels: the decode is the decode stages', the widening into
+  /// `out` the merge stage's.
+  Status DecodeShared(const uint8_t* data, size_t size,
+                      enc::ColumnEncoding encoding, uint32_t count,
+                      const PipelineOptions& opt, size_t p0, size_t p1,
+                      std::vector<int64_t>* out) {
+    ETSQP_RETURN_IF_ERROR(DecodeColumnRange(data, size, encoding, count,
+                                            opt.strategy, p0, p1, &col_,
+                                            /*ordered=*/true, Stages()));
+    ScopedStageTimer timer(Stages(), Stage::kMerge);
+    timer.AddTuples(p1 - p0);
+    out->resize(p1 - p0);
+    col_.Materialize(out->data());
+    return Status::Ok();
+  }
+
+  /// A shared-clock pair. The time column decodes once, from the left
+  /// page, with the left values through the left job's kernels; the right
+  /// values decode through the right job's. The time filter and range cut
+  /// clip at the left page's positions, which are the right page's too.
+  /// Rows then go straight to the result columns.
+  Status RunShared(const SharedPair& pair) {
+    const PipeJob& a = l_.page();
+    const PipeJob& b = r_.page();
+    l_.Advance();
+    r_.Advance();
+    ++stats.merge_pairs_shared;
+    const TimeRange trange = l_.Clip(plan_, a);
+    if (trange.lo > trange.hi) return Status::Ok();
+    const storage::Page& pa = *pair.a;
+    const storage::Page& pb = *pair.b;
+    const uint32_t count = pa.header.count;
+    size_t p0 = 0, p1 = 0;
+    JobSchedule left(options_, spec_, a);
+    ETSQP_RETURN_IF_ERROR(SlicePositions(pa, 0, count, trange, left.options,
+                                         &p0, &p1, &stats));
+    if (p0 < p1) {
+      ETSQP_RETURN_IF_ERROR(DecodeShared(
+          pa.time_data.data(), pa.time_data.size(), pa.header.time_encoding,
+          count, left.options, p0, p1, &shared_t_));
+      ETSQP_RETURN_IF_ERROR(DecodeShared(
+          pa.value_data.data(), pa.value_data.size(),
+          pa.header.value_encoding, count, left.options, p0, p1, &shared_a_));
+    }
+    left.Note(a, &stats);
+    JobSchedule right(options_, spec_, b);
+    if (p0 < p1) {
+      ETSQP_RETURN_IF_ERROR(DecodeShared(
+          pb.value_data.data(), pb.value_data.size(),
+          pb.header.value_encoding, count, right.options, p0, p1,
+          &shared_b_));
+    }
+    right.Note(b, &stats);
+    if (p0 >= p1) return Status::Ok();
+    stats.tuples_scanned += 3 * (p1 - p0);
+    return WriteShared(p1 - p0);
+  }
+
+  /// The rows of a shared-clock pair's n positions. The value filter
+  /// applies by position: a join, projection or CORR row needs both sides
+  /// to pass (and Eq. 3 to hold); UNION emits each side's passing tuple,
+  /// left first. Join and projection rows compact in place in the decoded
+  /// arrays (a row is stored at the write cursor, which advances when the
+  /// row is kept) and leave through Emit.
+  Status WriteShared(size_t n) {
+    ScopedStageTimer timer(Stages(), Stage::kMerge);
+    timer.AddTuples(2 * n);
+    merged_ += 2 * n;
+    int64_t* t = shared_t_.data();
+    int64_t* a = shared_a_.data();
+    int64_t* b = shared_b_.data();
+    size_t w = 0;
+    switch (plan_.kind) {
+      case LogicalPlan::Kind::kCorrelate:
+        for (size_t i = 0; i < n; ++i) {
+          if (Keep(a[i], b[i])) corr.Add(a[i], b[i]);
+        }
+        return Status::Ok();
+      case LogicalPlan::Kind::kUnion: {
+        const ValueRange& vrange = plan_.value_filter;
+        const size_t at = columns[0].size();
+        for (std::vector<double>& c : columns) c.resize(at + 2 * n);
+        double* ot = columns[0].data() + at;
+        double* ov = columns[1].data() + at;
+        for (size_t i = 0; i < n; ++i) {
+          ot[w] = static_cast<double>(t[i]);
+          ov[w] = static_cast<double>(a[i]);
+          w += vrange.Contains(a[i]);
+          ot[w] = static_cast<double>(t[i]);
+          ov[w] = static_cast<double>(b[i]);
+          w += vrange.Contains(b[i]);
+        }
+        for (std::vector<double>& c : columns) c.resize(at + w);
+        return Status::Ok();
+      }
+      case LogicalPlan::Kind::kJoin:
+        if (plan_.value_filter.active || plan_.inter_column_op != 0) {
+          for (size_t i = 0; i < n; ++i) {
+            const int64_t ai = a[i], bi = b[i];
+            t[w] = t[i];
+            a[w] = ai;
+            b[w] = bi;
+            w += Keep(ai, bi);
+          }
+          n = w;
+        }
+        Emit(t, a, b, n);
+        return Status::Ok();
+      default: {  // kProjectBinary
+        const bool keep_all =
+            !plan_.value_filter.active && plan_.inter_column_op == 0;
+        bool overflow = false;
+        for (size_t i = 0; i < n; ++i) {
+          const int64_t ai = a[i], bi = b[i];
+          const bool keep = keep_all || Keep(ai, bi);
+          overflow |= keep && !Project(plan_.binary_op, ai, bi, &a[w]);
+          t[w] = t[i];
+          w += keep;
+        }
+        if (overflow) return Status::Overflow("projection overflow");
+        Emit(t, a, nullptr, w);
+        return Status::Ok();
+      }
+    }
+  }
+
   const LogicalPlan& plan_;
+  const PipelineSpec& spec_;
   const std::vector<storage::SeriesSnapshot>& snaps_;
   const PipelineOptions& options_;
   // The etsqp.merge decision (outcome scoring only; null under a pinned
@@ -797,11 +984,13 @@ class MergeNode {
   const simd::MergeIsa isa_;
   PageCursor l_;
   PageCursor r_;
-  uint64_t merged_ = 0;  // tuples fed through the merge kernels
+  uint64_t merged_ = 0;  // tuples the merge stage paired or wrote
   // Page-vector sized scratch, reused across the range's pages.
   std::vector<int64_t> out_t_, out_v_;
   std::vector<uint32_t> il_, ir_;
   std::vector<int64_t> row_t_, row_a_, row_b_;
+  DecodedColumn col_;
+  std::vector<int64_t> shared_t_, shared_a_, shared_b_;
 };
 
 /// Runs a merge plan: one MergeNode per range job on the job scheduler.

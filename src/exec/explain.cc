@@ -203,10 +203,13 @@ std::string RenderStats(const ExecStats& stats) {
             "deletes: pages_pruned=%" PRIu64 " tuples_masked=%" PRIu64 "\n",
             stats.pages_pruned_deleted, stats.deleted_tuples_masked);
   }
-  if (stats.merge_pages_skipped > 0 || stats.merge_pairs_fused > 0) {
+  if (stats.merge_pages_skipped > 0 || stats.merge_pairs_fused > 0 ||
+      stats.merge_pairs_shared > 0) {
     Appendf(&out,
-            "merge: pages_skipped=%" PRIu64 " pairs_fused=%" PRIu64 "\n",
-            stats.merge_pages_skipped, stats.merge_pairs_fused);
+            "merge: pages_skipped=%" PRIu64 " pairs_fused=%" PRIu64
+            " pairs_shared=%" PRIu64 "\n",
+            stats.merge_pages_skipped, stats.merge_pairs_fused,
+            stats.merge_pairs_shared);
   }
   Appendf(&out, "bytes loaded: %" PRIu64 "\n", stats.bytes_loaded);
   if (stats.cache_hits + stats.cache_misses + stats.cache_evictions > 0) {

@@ -52,6 +52,7 @@ std::string ExecStats::ToJson() const {
   AppendField(&out, "deleted_tuples_masked", deleted_tuples_masked, &first);
   AppendField(&out, "merge_pages_skipped", merge_pages_skipped, &first);
   AppendField(&out, "merge_pairs_fused", merge_pairs_fused, &first);
+  AppendField(&out, "merge_pairs_shared", merge_pairs_shared, &first);
   AppendField(&out, "wall_nanos", wall_nanos, &first);
   AppendField(&out, "threads", static_cast<uint64_t>(threads > 0 ? threads : 0),
               &first);

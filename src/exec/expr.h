@@ -192,9 +192,12 @@ struct ExecStats {
   uint64_t deleted_tuples_masked = 0;
   // Merge node header shortcuts (Figure 9): pages a join, projection or
   // CORR never decoded because the other input had nothing in their time
-  // range, and CORR page pairs aggregated in closed form without decoding.
+  // range, CORR page pairs aggregated in closed form without decoding, and
+  // shared-clock page pairs whose time column decoded once and whose rows
+  // skipped the merge kernels.
   uint64_t merge_pages_skipped = 0;
   uint64_t merge_pairs_fused = 0;
+  uint64_t merge_pairs_shared = 0;
 
   // Populated only under collect_stats.
   metrics::StageBreakdown stages;  // summed across jobs/threads
@@ -243,6 +246,7 @@ struct ExecStats {
     deleted_tuples_masked += o.deleted_tuples_masked;
     merge_pages_skipped += o.merge_pages_skipped;
     merge_pairs_fused += o.merge_pairs_fused;
+    merge_pairs_shared += o.merge_pairs_shared;
     stages.Merge(o.stages);
     if (o.wall_nanos > wall_nanos) wall_nanos = o.wall_nanos;
     if (o.threads > threads) threads = o.threads;

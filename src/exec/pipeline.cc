@@ -227,26 +227,6 @@ class SliceTimes {
   size_t seg_ = 0;
 };
 
-/// Positions [p0, p1) within `page` matching the time filter, intersected
-/// with the slice range [begin, end).
-Status SlicePositions(const storage::Page& page, size_t begin, size_t end,
-                      const TimeRange& trange, const PipelineOptions& opt,
-                      size_t* p0, size_t* p1, QueryStats* stats) {
-  end = std::min<size_t>(end, page.header.count);
-  *p0 = begin;
-  *p1 = end;
-  if (trange.IsUniverse()) return Status::Ok();
-  ExclusiveStageTimer timer(StagesOf(opt, stats), Stage::kFilter);
-  timer.AddTuples(end - begin);
-  SliceTimes times(page, opt, stats);
-  ETSQP_RETURN_IF_ERROR(times.Open(begin, end));
-  ETSQP_RETURN_IF_ERROR(times.LowerBound(begin, end, trange.lo, p0));
-  ETSQP_RETURN_IF_ERROR(
-      times.LowerBound(*p0, end, static_cast<__int128>(trange.hi) + 1, p1));
-  if (stats != nullptr) stats->blocks_pruned += times.BlocksSkipped(*p0, *p1);
-  return Status::Ok();
-}
-
 /// Whether `func` consumes min/max (others skip that pass entirely).
 bool NeedsMinMax(AggFunc func) {
   return func == AggFunc::kMin || func == AggFunc::kMax;
@@ -515,6 +495,24 @@ Status AggValues(const storage::Page& page, size_t p0, size_t p1,
 }
 
 }  // namespace
+
+Status SlicePositions(const storage::Page& page, size_t begin, size_t end,
+                      const TimeRange& trange, const PipelineOptions& opt,
+                      size_t* p0, size_t* p1, QueryStats* stats) {
+  end = std::min<size_t>(end, page.header.count);
+  *p0 = begin;
+  *p1 = end;
+  if (trange.IsUniverse()) return Status::Ok();
+  ExclusiveStageTimer timer(StagesOf(opt, stats), Stage::kFilter);
+  timer.AddTuples(end - begin);
+  SliceTimes times(page, opt, stats);
+  ETSQP_RETURN_IF_ERROR(times.Open(begin, end));
+  ETSQP_RETURN_IF_ERROR(times.LowerBound(begin, end, trange.lo, p0));
+  ETSQP_RETURN_IF_ERROR(
+      times.LowerBound(*p0, end, static_cast<__int128>(trange.hi) + 1, p1));
+  if (stats != nullptr) stats->blocks_pruned += times.BlocksSkipped(*p0, *p1);
+  return Status::Ok();
+}
 
 bool FusedAggregate(AggFunc func, enc::ColumnEncoding venc,
                     bool value_filter) {

@@ -201,6 +201,13 @@ struct FloatAggAccum {
   Status Finalize(AggFunc func, double* out) const;
 };
 
+/// The positions [p0, p1) of `page` inside `trange`, intersected with the
+/// slice [begin, end): a time search over the encoded column, timed as
+/// the filter stage.
+Status SlicePositions(const storage::Page& page, size_t begin, size_t end,
+                      const TimeRange& trange, const PipelineOptions& opt,
+                      size_t* p0, size_t* p1, QueryStats* stats);
+
 /// Appends the (time, value) tuples of positions [begin, end) that satisfy
 /// the filters — a sealed page's page vector in a SELECT / union / join /
 /// projection / correlate merge node.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+#include <vector>
 
 namespace etsqp::sql {
 
@@ -68,6 +70,115 @@ void FoldValueRange(const Comparison& cmp, exec::ValueRange* range) {
   }
 }
 
+/// Whether `l` and `r` name the statement's two FROM tables, in either
+/// order.
+bool NamesFromPair(const SelectStatement& stmt, const std::string& l,
+                   const std::string& r) {
+  if (stmt.tables.size() != 2) return false;
+  const std::string& t0 = stmt.tables[0];
+  const std::string& t1 = stmt.tables[1];
+  return (l == t0 && r == t1) || (l == t1 && r == t0);
+}
+
+/// The plan's kind and inputs from the select item and FROM list.
+Status PlanItem(const SelectStatement& stmt, exec::LogicalPlan* plan) {
+  plan->series = stmt.tables[0];
+  if (stmt.is_union) {
+    plan->kind = exec::LogicalPlan::Kind::kUnion;
+    plan->series_right = stmt.union_right;
+    return Status::Ok();
+  }
+  switch (stmt.item.kind) {
+    case SelectItem::Kind::kAggregate: {
+      if (stmt.item.func == "corr" || stmt.item.func == "cov") {
+        if (stmt.item.left_table.empty() || stmt.item.right_table.empty()) {
+          return Status::InvalidArgument(
+              "sql: CORR/COV need two qualified columns");
+        }
+        if (!NamesFromPair(stmt, stmt.item.left_table,
+                           stmt.item.right_table)) {
+          return Status::InvalidArgument(
+              "sql: CORR/COV operands must be the two FROM tables");
+        }
+        plan->kind = exec::LogicalPlan::Kind::kCorrelate;
+        plan->series = stmt.item.left_table;
+        plan->series_right = stmt.item.right_table;
+        return Status::Ok();
+      }
+      plan->kind = exec::LogicalPlan::Kind::kAggregate;
+      Result<exec::AggFunc> func = ResolveAggFunc(stmt.item.func);
+      if (!func.ok()) return func.status();
+      plan->func = func.value();
+      if (stmt.has_window) {
+        plan->window.active = true;
+        plan->window.t_min = stmt.window_t_min;
+        plan->window.delta_t = stmt.window_delta_t;
+      }
+      return Status::Ok();
+    }
+    case SelectItem::Kind::kBinary:
+      if (stmt.tables.size() != 2) {
+        return Status::InvalidArgument(
+            "sql: binary projection needs two FROM tables");
+      }
+      if (!NamesFromPair(stmt, stmt.item.left_table, stmt.item.right_table)) {
+        return Status::InvalidArgument(
+            "sql: binary projection operands must be the two FROM tables");
+      }
+      plan->kind = exec::LogicalPlan::Kind::kProjectBinary;
+      plan->series = stmt.item.left_table;
+      plan->series_right = stmt.item.right_table;
+      plan->binary_op = stmt.item.binary_op;
+      return Status::Ok();
+    case SelectItem::Kind::kStar:
+    case SelectItem::Kind::kColumn:
+      if (stmt.tables.size() == 2) {
+        plan->kind = exec::LogicalPlan::Kind::kJoin;
+        plan->series_right = stmt.tables[1];
+      } else {
+        plan->kind = exec::LogicalPlan::Kind::kSelect;
+      }
+      return Status::Ok();
+  }
+  return Status::Internal("sql: unhandled select item");
+}
+
+/// The inter-column predicate `cmp` as the plan applies it: left input
+/// <op> right input, whichever order the statement names the tables in.
+Status PlanInterColumn(const SelectStatement& stmt, const Comparison& cmp,
+                       exec::LogicalPlan* plan) {
+  if (stmt.tables.size() != 2) {
+    return Status::InvalidArgument(
+        "sql: inter-column predicate needs two FROM tables");
+  }
+  if (!NamesFromPair(stmt, cmp.lhs_table, cmp.rhs_table)) {
+    return Status::InvalidArgument(
+        "sql: inter-column predicate tables not in FROM");
+  }
+  if (plan->inter_column_op != 0) {
+    return Status::NotSupported(
+        "sql: at most one inter-column predicate per query");
+  }
+  char op;
+  switch (cmp.op) {
+    case Comparison::Op::kLt:
+      op = '<';
+      break;
+    case Comparison::Op::kGt:
+      op = '>';
+      break;
+    case Comparison::Op::kEq:
+      op = '=';
+      break;
+    default:
+      return Status::NotSupported(
+          "sql: inter-column predicate supports < > = only");
+  }
+  if (cmp.lhs_table != plan->series && op != '=') op = op == '<' ? '>' : '<';
+  plan->inter_column_op = op;
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<exec::LogicalPlan> PlanStatement(const SelectStatement& stmt) {
@@ -75,47 +186,32 @@ Result<exec::LogicalPlan> PlanStatement(const SelectStatement& stmt) {
   if (stmt.tables.empty()) {
     return Status::InvalidArgument("sql: missing FROM table");
   }
-  plan.series = stmt.tables[0];
   if (stmt.explain) {
     plan.explain = stmt.analyze ? exec::LogicalPlan::ExplainMode::kAnalyze
                                 : exec::LogicalPlan::ExplainMode::kPlan;
   }
+  ETSQP_RETURN_IF_ERROR(PlanItem(stmt, &plan));
 
   // Separate single-column predicates (pushed into the decoding pipelines,
   // Eq. 1) from inter-column ones (applied to decoded vectors, Eq. 3).
+  std::vector<std::string> from = stmt.tables;
+  if (stmt.is_union) from.push_back(stmt.union_right);
   for (const Comparison& cmp : stmt.predicates) {
     if (cmp.inter_column()) {
-      if (stmt.tables.size() != 2) {
-        return Status::InvalidArgument(
-            "sql: inter-column predicate needs two FROM tables");
-      }
-      bool straight =
-          cmp.lhs_table == stmt.tables[0] && cmp.rhs_table == stmt.tables[1];
-      bool swapped =
-          cmp.lhs_table == stmt.tables[1] && cmp.rhs_table == stmt.tables[0];
-      if (!straight && !swapped) {
-        return Status::InvalidArgument(
-            "sql: inter-column predicate tables not in FROM");
-      }
-      char op;
-      switch (cmp.op) {
-        case Comparison::Op::kLt:
-          op = '<';
-          break;
-        case Comparison::Op::kGt:
-          op = '>';
-          break;
-        case Comparison::Op::kEq:
-          op = '=';
-          break;
-        default:
-          return Status::NotSupported(
-              "sql: inter-column predicate supports < > = only");
-      }
-      if (swapped && op == '<') op = '>';
-      else if (swapped && op == '>') op = '<';
-      plan.inter_column_op = op;
+      ETSQP_RETURN_IF_ERROR(PlanInterColumn(stmt, cmp, &plan));
       continue;
+    }
+    if (!cmp.lhs_table.empty()) {
+      if (std::find(from.begin(), from.end(), cmp.lhs_table) == from.end()) {
+        return Status::InvalidArgument("sql: predicate table " +
+                                       cmp.lhs_table + " not in FROM");
+      }
+      // The plan holds one value filter, pushed into both inputs.
+      if (from.size() == 2) {
+        return Status::NotSupported(
+            "sql: a value predicate of a two-table query filters both "
+            "inputs; write it unqualified");
+      }
     }
     if (cmp.column == Comparison::Column::kTime) {
       FoldRange(cmp, &plan.time_filter.lo, &plan.time_filter.hi);
@@ -124,59 +220,7 @@ Result<exec::LogicalPlan> PlanStatement(const SelectStatement& stmt) {
       FoldValueRange(cmp, &plan.value_filter);
     }
   }
-
-  if (stmt.is_union) {
-    plan.kind = exec::LogicalPlan::Kind::kUnion;
-    plan.series_right = stmt.union_right;
-    return plan;
-  }
-
-  switch (stmt.item.kind) {
-    case SelectItem::Kind::kAggregate: {
-      if (stmt.item.func == "corr" || stmt.item.func == "cov") {
-        if (stmt.item.left_table.empty() || stmt.item.right_table.empty()) {
-          return Status::InvalidArgument(
-              "sql: CORR/COV need two qualified columns");
-        }
-        plan.kind = exec::LogicalPlan::Kind::kCorrelate;
-        plan.series = stmt.item.left_table;
-        plan.series_right = stmt.item.right_table;
-        return plan;
-      }
-      plan.kind = exec::LogicalPlan::Kind::kAggregate;
-      Result<exec::AggFunc> func = ResolveAggFunc(stmt.item.func);
-      if (!func.ok()) return func.status();
-      plan.func = func.value();
-      if (stmt.has_window) {
-        plan.window.active = true;
-        plan.window.t_min = stmt.window_t_min;
-        plan.window.delta_t = stmt.window_delta_t;
-      }
-      return plan;
-    }
-    case SelectItem::Kind::kBinary: {
-      plan.kind = exec::LogicalPlan::Kind::kProjectBinary;
-      plan.series = stmt.item.left_table;
-      plan.series_right = stmt.item.right_table;
-      plan.binary_op = stmt.item.binary_op;
-      if (stmt.tables.size() != 2) {
-        return Status::InvalidArgument(
-            "sql: binary projection needs two FROM tables");
-      }
-      return plan;
-    }
-    case SelectItem::Kind::kStar:
-    case SelectItem::Kind::kColumn: {
-      if (stmt.tables.size() == 2) {
-        plan.kind = exec::LogicalPlan::Kind::kJoin;
-        plan.series_right = stmt.tables[1];
-      } else {
-        plan.kind = exec::LogicalPlan::Kind::kSelect;
-      }
-      return plan;
-    }
-  }
-  return Status::Internal("sql: unhandled select item");
+  return plan;
 }
 
 Result<exec::LogicalPlan> PlanQuery(const std::string& query) {

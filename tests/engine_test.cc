@@ -6,6 +6,7 @@
 #include "exec/engine.h"
 #include "exec/pipe_builder.h"
 #include "exec/pipeline.h"
+#include "sql/planner.h"
 #include <cstdio>
 #include "storage/tsfile.h"
 #include "storage/series_store.h"
@@ -387,6 +388,42 @@ TEST(EngineTest, ProjectBinaryAddsAlignedValues) {
   ASSERT_EQ(qr.num_rows(), t.size());
   for (size_t i = 0; i < qr.num_rows(); ++i) {
     EXPECT_EQ(qr.columns[1][i], static_cast<double>(3 * (qr.columns[0][i] - 1)));
+  }
+}
+
+// Through the SQL planner: the inter-column predicate follows the
+// projection's operands, whatever order FROM names the tables in. Series
+// a = {10, 20, 30, 40} and b = {15, 15, 35, 35} at t = 1..4, in the tail
+// and sealed.
+TEST(EngineTest, InterColumnPredicateFollowsProjectionOperands) {
+  using Columns = std::vector<std::vector<double>>;
+  const std::pair<const char*, Columns> cases[] = {
+      {"SELECT b.v - a.v FROM a, b WHERE a.v < b.v", {{1, 3}, {5, 5}}},
+      {"SELECT b.v + a.v FROM a, b WHERE a.v > b.v", {{2, 4}, {35, 75}}},
+      {"SELECT a.v - b.v FROM a, b WHERE b.v > a.v", {{1, 3}, {-5, -5}}},
+  };
+  for (bool sealed : {false, true}) {
+    storage::SeriesStore store;
+    const int64_t t[] = {1, 2, 3, 4};
+    const int64_t va[] = {10, 20, 30, 40};
+    const int64_t vb[] = {15, 15, 35, 35};
+    ASSERT_TRUE(store.CreateSeries("a", {}).ok());
+    ASSERT_TRUE(store.CreateSeries("b", {}).ok());
+    ASSERT_TRUE(store.AppendBatch("a", t, va, 4).ok());
+    ASSERT_TRUE(store.AppendBatch("b", t, vb, 4).ok());
+    if (sealed) {
+      ASSERT_TRUE(store.Flush().ok());
+    }
+    for (const auto& [sql, want] : cases) {
+      auto plan = sql::PlanQuery(sql);
+      ASSERT_TRUE(plan.ok()) << sql;
+      for (const PipelineOptions& opt :
+           {PipelineOptions::Etsqp(), PipelineOptions::Serial()}) {
+        auto r = Engine(opt).Execute(plan.value(), store);
+        ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+        EXPECT_EQ(r.value().columns, want) << sql << (sealed ? " sealed" : "");
+      }
+    }
   }
 }
 

@@ -219,7 +219,8 @@ class SeriesOracle {
 /// the plan's time and value filters. The join pairs equal timestamps and
 /// keeps the pairs that pass the inter-column filter (Eq. 3), in time
 /// order; UNION merges by time with the left tuple first on equal
-/// timestamps; CORR returns (corr, cov, n), no row when nothing pairs.
+/// timestamps; CORR returns (corr, cov, n) over the kept pairs, no row
+/// when nothing pairs.
 /// `overflow` is set when a projected value leaves int64.
 inline std::vector<std::vector<double>> BinaryAnswer(
     const exec::LogicalPlan& plan, const SeriesOracle& left,
@@ -258,6 +259,11 @@ inline std::vector<std::vector<double>> BinaryAnswer(
     const int64_t t = l[i].first, a = l[i].second, b = r[j].second;
     ++i;
     ++j;
+    const bool keep = plan.inter_column_op == '<'   ? a < b
+                      : plan.inter_column_op == '>' ? a > b
+                      : plan.inter_column_op == '=' ? a == b
+                                                    : true;
+    if (!keep) continue;
     if (plan.kind == Kind::kCorrelate) {
       sa += a;
       sb += b;
@@ -267,11 +273,6 @@ inline std::vector<std::vector<double>> BinaryAnswer(
       ++n;
       continue;
     }
-    const bool keep = plan.inter_column_op == '<'   ? a < b
-                      : plan.inter_column_op == '>' ? a > b
-                      : plan.inter_column_op == '=' ? a == b
-                                                    : true;
-    if (!keep) continue;
     out[0].push_back(static_cast<double>(t));
     if (plan.kind == Kind::kJoin) {
       out[1].push_back(static_cast<double>(a));

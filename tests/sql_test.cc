@@ -2,6 +2,8 @@
 
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "db/database.h"
 #include "sql/lexer.h"
@@ -304,6 +306,106 @@ TEST(PlannerTest, BinaryProjectionPlan) {
   EXPECT_EQ(plan.value().binary_op, '-');
   EXPECT_EQ(plan.value().series, "a");
   EXPECT_EQ(plan.value().series_right, "b");
+}
+
+
+TEST(PlannerTest, InterColumnPredicateFollowsTheOperands) {
+  // The plan applies left <op> right, its left input being the first
+  // operand of the projection or CORR, whatever order FROM names.
+  const std::pair<const char*, char> cases[] = {
+      {"SELECT b.v - a.v FROM a, b WHERE a.v < b.v", '>'},
+      {"SELECT b.v + a.v FROM a, b WHERE a.v > b.v", '<'},
+      {"SELECT b.v * a.v FROM a, b WHERE a.v = b.v", '='},
+      {"SELECT a.v - b.v FROM a, b WHERE b.v > a.v", '<'},
+      {"SELECT CORR(b.v, a.v) FROM a, b WHERE a.v < b.v", '>'},
+      {"SELECT CORR(a.v, b.v) FROM b, a WHERE a.v < b.v", '<'},
+  };
+  for (const auto& [sql, op] : cases) {
+    auto plan = PlanQuery(sql);
+    ASSERT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
+    EXPECT_EQ(plan.value().inter_column_op, op) << sql;
+  }
+  auto plan = PlanQuery("SELECT b.v - a.v FROM a, b WHERE a.v < b.v");
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan.value().series, "b");
+  EXPECT_EQ(plan.value().series_right, "a");
+}
+
+TEST(PlannerTest, TableNamesMustBeFromTables) {
+  for (const char* sql : {
+           "SELECT a.v + b.v FROM c, d",
+           "SELECT a.v + a.v FROM a, b",
+           "SELECT CORR(a.v, b.v) FROM c, d",
+           "SELECT CORR(a.v, b.v) FROM a",
+           "SELECT SUM(v) FROM a WHERE b.v > 5",
+           "SELECT * FROM a, b WHERE c.v > 5",
+           "SELECT SUM(v) FROM Clim.temp WHERE temp.v > 5",
+       }) {
+    auto plan = PlanQuery(sql);
+    ASSERT_FALSE(plan.ok()) << sql;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  // The plan's one value filter applies to both inputs of a two-table
+  // query, so a qualified one would filter the other table too.
+  for (const char* sql : {
+           "SELECT * FROM a, b WHERE b.v < 20",
+           "SELECT a.v + b.v FROM a, b WHERE a.v > 5",
+           "SELECT * FROM a UNION b ORDER BY TIME WHERE a.v > 5",
+           "SELECT * FROM a, b WHERE a.v > b.v AND a.v < b.v",
+       }) {
+    auto plan = PlanQuery(sql);
+    ASSERT_FALSE(plan.ok()) << sql;
+    EXPECT_EQ(plan.status().code(), StatusCode::kNotSupported) << sql;
+  }
+  for (const char* sql : {
+           "SELECT SUM(v) FROM a WHERE a.v > 5",
+           "SELECT SUM(v) FROM Clim.temp WHERE Clim.temp.v > 5",
+           "SELECT b.v + a.v FROM a, b",
+           "SELECT CORR(b.v, a.v) FROM a, b",
+           "SELECT * FROM a, b WHERE v < 20",
+       }) {
+    auto plan = PlanQuery(sql);
+    ASSERT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
+  }
+  EXPECT_EQ(PlanQuery("SELECT SUM(v) FROM a WHERE a.v > 5")
+                .value()
+                .value_filter.lo,
+            6);
+}
+
+// Series a = {10, 20, 30, 40} and b = {15, 15, 35, 35} at t = 1..4, queried
+// in the tail and then sealed (one page each, on one clock).
+TEST(SqlInterColumnTest, HandComputedAnswers) {
+  db::Database db(db::Database::Options{});
+  const int64_t times[] = {1, 2, 3, 4};
+  const int64_t va[] = {10, 20, 30, 40};
+  const int64_t vb[] = {15, 15, 35, 35};
+  ASSERT_TRUE(db.CreateTimeseries("a").ok());
+  ASSERT_TRUE(db.CreateTimeseries("b").ok());
+  ASSERT_TRUE(db.InsertBatch("a", times, va, 4).ok());
+  ASSERT_TRUE(db.InsertBatch("b", times, vb, 4).ok());
+  using Columns = std::vector<std::vector<double>>;
+  for (int sealed = 0; sealed < 2; ++sealed) {
+    if (sealed == 1) {
+      ASSERT_TRUE(db.Flush().ok());
+    }
+    // a < b at t = 1 and 3, where b - a = 5.
+    auto diff = db.Query("SELECT b.v - a.v FROM a, b WHERE a.v < b.v");
+    ASSERT_TRUE(diff.ok()) << diff.status().ToString();
+    EXPECT_EQ(diff.value().columns, (Columns{{1, 3}, {5, 5}})) << sealed;
+    // a > b at t = 2 and 4, where b + a = 35 and 75.
+    auto sum = db.Query("SELECT b.v + a.v FROM a, b WHERE a.v > b.v");
+    ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+    EXPECT_EQ(sum.value().columns, (Columns{{2, 4}, {35, 75}})) << sealed;
+    // CORR over the a < b pairs (10, 15) and (30, 35): n = 2, cov = 100,
+    // corr = 1.
+    auto corr = db.Query("SELECT CORR(a.v, b.v) FROM a, b WHERE a.v < b.v");
+    ASSERT_TRUE(corr.ok()) << corr.status().ToString();
+    ASSERT_EQ(corr.value().num_rows(), 1u);
+    EXPECT_NEAR(corr.value().columns[0][0], 1.0, 1e-12) << sealed;
+    EXPECT_DOUBLE_EQ(corr.value().columns[1][0], 100.0) << sealed;
+    EXPECT_DOUBLE_EQ(corr.value().columns[2][0], 2.0) << sealed;
+  }
 }
 
 }  // namespace
