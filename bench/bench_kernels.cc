@@ -1,6 +1,8 @@
 // Google-benchmark microbenchmarks of the SIMD kernels (the instruction-level
 // building blocks of Sections II-B/III-A): constant-width unpack, transposed
-// Delta recovery, SBoost-style prefix-sum decode, Repeat flatten, range
+// Delta recovery in natural order and in the transposed layout (AVX2 and
+// AVX-512; the natural-order rows run at the n_v OrderedNumVectors picks for
+// the Prop. 1 default), SBoost-style prefix-sum decode, Repeat flatten, range
 // filter, masked aggregation, and the fused weighted-ramp SUM.
 
 #include <benchmark/benchmark.h>
@@ -114,6 +116,38 @@ void BM_DeltaDecodeTransposedUnordered(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kN);
 }
 BENCHMARK(BM_DeltaDecodeTransposedUnordered)->Arg(3)->Arg(10)->Arg(25);
+
+void BM_DeltaDecodeAvx2Unordered(benchmark::State& state) {
+  int width = static_cast<int>(state.range(0));
+  AlignedBuffer buf = MakePacked(width, kN);
+  std::vector<int32_t> out(kN);
+  for (auto _ : state) {
+    simd::DeltaDecodeOffsetsAvx2Unordered(buf.data(), buf.size(), kN, width, 1,
+                                          0, 0, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kN);
+}
+BENCHMARK(BM_DeltaDecodeAvx2Unordered)->Arg(3)->Arg(10)->Arg(25);
+
+void BM_DeltaDecodeAvx512(benchmark::State& state) {
+  if (!simd::Avx512Available()) {
+    state.SkipWithError("no AVX-512 VBMI");
+    return;
+  }
+  int width = static_cast<int>(state.range(0));
+  AlignedBuffer buf = MakePacked(width, kN);
+  std::vector<int32_t> out(kN);
+  for (auto _ : state) {
+    simd::DeltaDecodeOffsetsAvx512(buf.data(), buf.size(), kN, width, 1, 0, 0,
+                                   out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kN);
+}
+BENCHMARK(BM_DeltaDecodeAvx512)->Arg(3)->Arg(10)->Arg(25);
 
 void BM_DeltaDecodeAvx512Unordered(benchmark::State& state) {
   if (!simd::Avx512Available()) {

@@ -118,11 +118,19 @@ Status DecodeTs2Diff(const uint8_t* data, size_t size, uint32_t count,
     int32_t init = static_cast<int32_t>(b.first_value - lo);
     size_t from = std::max(bs, begin);
     size_t to = std::min(be, end);
-    // Decode deltas 1..(to-bs-1); positions bs+1..to-1 plus first at bs.
-    size_t deltas_needed = to - bs - 1;
-    block_buf.resize(b.num_values());
-    int32_t* buf = block_buf.data();
+    // A block inside [begin, end) decodes straight into `out`. A block the
+    // range cuts decodes positions bs..to-1 into block_buf (the deltas run
+    // from the block start) and copies the wanted part.
+    const bool whole = from == bs && to == be;
+    int32_t* buf;
+    if (whole) {
+      buf = out->offsets.data() + (bs - begin);
+    } else {
+      block_buf.resize(to - bs);
+      buf = block_buf.data();
+    }
     buf[0] = init;
+    size_t deltas_needed = to - bs - 1;
     if (deltas_needed > 0) {
       int32_t md = static_cast<int32_t>(b.min_delta);
       switch (strategy) {
@@ -130,7 +138,7 @@ Status DecodeTs2Diff(const uint8_t* data, size_t size, uint32_t count,
           // Full-block decode into an order-insensitive consumer keeps the
           // transposed layout (register sharing); partial blocks need
           // positions, so they stay ordered.
-          if (!ordered && from == bs && to == be) {
+          if (!ordered && whole) {
             simd::DeltaDecodeOffsetsUnordered(b.packed, b.packed_bytes,
                                               deltas_needed, b.width, md,
                                               /*n_v=*/0, init, buf + 1);
@@ -150,8 +158,10 @@ Status DecodeTs2Diff(const uint8_t* data, size_t size, uint32_t count,
           break;
       }
     }
-    std::copy(buf + (from - bs), buf + (to - bs),
-              out->offsets.begin() + (from - begin));
+    if (!whole) {
+      std::copy(buf + (from - bs), buf + (to - bs),
+                out->offsets.begin() + (from - begin));
+    }
   }
   return Status::Ok();
 }

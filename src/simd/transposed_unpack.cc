@@ -3,6 +3,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -76,7 +77,54 @@ inline __m256i ShiftUp4(__m256i x) {
                             _mm256_setzero_si256(), 0x0F);
 }
 
+/// Turns the transposed layout of one chunk (value g*NV + j in vector j,
+/// lane g) into natural order in registers: v[k] ends up holding values
+/// 8k..8k+7. The two 128-bit halves transpose independently (g = 0..3 in
+/// the low half, g = 4..7 in the high one) with unpack{lo,hi}_epi32/epi64;
+/// one permute2x128 per output vector then pairs up the halves.
+template <int NV>
+inline void TransposeToNatural256(__m256i (&v)[NV]) {
+  static_assert(NV > 0 && NV <= 16 && (NV & (NV - 1)) == 0);
+  if constexpr (NV == 2) {
+    __m256i lo = _mm256_unpacklo_epi32(v[0], v[1]);  // g 0,1 | g 4,5
+    __m256i hi = _mm256_unpackhi_epi32(v[0], v[1]);  // g 2,3 | g 6,7
+    v[0] = _mm256_permute2x128_si256(lo, hi, 0x20);
+    v[1] = _mm256_permute2x128_si256(lo, hi, 0x31);
+  } else if constexpr (NV >= 4) {
+    // 4x4 transpose within each half of every group of four vectors:
+    // z[4q + i] holds vectors 4q..4q+3 at g = i (low) and g = 4 + i (high).
+    constexpr int kGroups = NV / 4;
+    __m256i z[NV];
+    for (int q = 0; q < kGroups; ++q) {
+      const __m256i* a = v + 4 * q;
+      __m256i t0 = _mm256_unpacklo_epi32(a[0], a[1]);  // g 0,1 | g 4,5
+      __m256i t1 = _mm256_unpackhi_epi32(a[0], a[1]);  // g 2,3 | g 6,7
+      __m256i t2 = _mm256_unpacklo_epi32(a[2], a[3]);
+      __m256i t3 = _mm256_unpackhi_epi32(a[2], a[3]);
+      z[4 * q + 0] = _mm256_unpacklo_epi64(t0, t2);
+      z[4 * q + 1] = _mm256_unpackhi_epi64(t0, t2);
+      z[4 * q + 2] = _mm256_unpacklo_epi64(t1, t3);
+      z[4 * q + 3] = _mm256_unpackhi_epi64(t1, t3);
+    }
+    // Natural order is the run of 4-lane pieces (g, q), g-major. Output
+    // vector k takes pieces 2k and 2k + 1, which lie in the same half.
+    for (int k = 0; k < NV; ++k) {
+      const int g0 = 2 * k / kGroups, q0 = 2 * k % kGroups;
+      const int g1 = (2 * k + 1) / kGroups, q1 = (2 * k + 1) % kGroups;
+      const __m256i a = z[4 * q0 + g0 % 4];
+      const __m256i b = z[4 * q1 + g1 % 4];
+      v[k] = g0 < 4 ? _mm256_permute2x128_si256(a, b, 0x20)
+                    : _mm256_permute2x128_si256(a, b, 0x31);
+    }
+  }
+}
+
 }  // namespace
+
+int OrderedNumVectors(int n_v) {
+  return static_cast<int>(std::bit_floor(
+      static_cast<unsigned>(std::clamp(n_v, 1, 16))));
+}
 
 namespace {
 
@@ -91,7 +139,6 @@ void DeltaChunksAvx2(const TransposedPlan& plan, const uint8_t* data,
   const __m256i vmind = _mm256_set1_epi32(min_delta);
   const __m256i lane7 = _mm256_set1_epi32(7);
   __m256i base_vec = _mm256_set1_epi32(init);
-  alignas(32) int32_t tmp[NV * 8];
   const uint8_t* src = data;
   const size_t num_segments = plan.segments.size();
   const size_t chunk_values = static_cast<size_t>(NV) * 8;
@@ -138,27 +185,15 @@ void DeltaChunksAvx2(const TransposedPlan& plan, const uint8_t* data,
     __m256i incl = _mm256_add_epi32(e, totals);  // inclusive lane prefix
     __m256i prefix = _mm256_add_epi32(e, base_vec);
 
-    // --- Lines 14-15: add prefix + running base to every vector.
+    // --- Lines 14-15: add prefix + running base to every vector. A
+    // natural-order consumer gets the chunk transposed in registers; an
+    // order-insensitive one takes the transposed layout as it is (register
+    // sharing).
+    for (int j = 0; j < NV; ++j) v[j] = _mm256_add_epi32(v[j], prefix);
+    if constexpr (kNaturalOrder) TransposeToNatural256<NV>(v);
     int32_t* dst = out + c * chunk_values;
-    if constexpr (kNaturalOrder) {
-      for (int j = 0; j < NV; ++j) {
-        v[j] = _mm256_add_epi32(v[j], prefix);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(tmp + j * 8), v[j]);
-      }
-      // Scatter the transposed lanes back to natural order (value
-      // g*NV + j sits in vector j, lane g).
-      for (int g = 0; g < 8; ++g) {
-        for (int j = 0; j < NV; ++j) {
-          dst[g * NV + j] = tmp[j * 8 + g];
-        }
-      }
-    } else {
-      // Register sharing: consumers accept the transposed layout, so the
-      // vectors stream straight to memory.
-      for (int j = 0; j < NV; ++j) {
-        v[j] = _mm256_add_epi32(v[j], prefix);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + j * 8), v[j]);
-      }
+    for (int j = 0; j < NV; ++j) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + j * 8), v[j]);
     }
     // Carry the chunk total (lane 7 of the inclusive prefix) forward
     // without leaving the vector domain.
@@ -178,17 +213,21 @@ void DeltaDecodeOffsetsAvx2Impl(const uint8_t* data, size_t data_size,
     return;
   }
   if (n_v <= 0) n_v = DefaultNumVectors(width);
-  n_v = std::clamp(n_v, 1, 16);
+  n_v = kNaturalOrder ? OrderedNumVectors(n_v) : std::clamp(n_v, 1, 16);
   const TransposedPlan& plan = GetTransposedPlan(width, n_v);
   const size_t chunk_values = static_cast<size_t>(plan.values_per_chunk);
   const size_t chunks = n / chunk_values;
 
   int32_t base = init;
+  // The natural-order path runs only the power-of-two n_v that
+  // OrderedNumVectors picks, so only those are instantiated.
   switch (n_v) {
-#define ETSQP_NV_CASE(NV)                                                  \
-  case NV:                                                                 \
-    DeltaChunksAvx2<NV, kNaturalOrder>(plan, data, chunks, min_delta, init, \
-                                       out, &base);                        \
+#define ETSQP_NV_CASE(NV)                                                     \
+  case NV:                                                                    \
+    if constexpr (!kNaturalOrder || std::has_single_bit(unsigned{NV})) {      \
+      DeltaChunksAvx2<NV, kNaturalOrder>(plan, data, chunks, min_delta, init, \
+                                         out, &base);                         \
+    }                                                                         \
     break;
     ETSQP_NV_CASE(1)
     ETSQP_NV_CASE(2)
@@ -206,10 +245,10 @@ void DeltaDecodeOffsetsAvx2Impl(const uint8_t* data, size_t data_size,
     ETSQP_NV_CASE(14)
     ETSQP_NV_CASE(15)
     ETSQP_NV_CASE(16)
-#undef ETSQP_NV_CASE
     default:
       break;
   }
+#undef ETSQP_NV_CASE
 
   // Scalar tail, continuing from the running base.
   size_t done = chunks * chunk_values;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <mutex>
 #include <vector>
@@ -125,6 +126,55 @@ inline __m512i ShiftUp512(__m512i x) {
   return _mm512_maskz_permutexvar_epi32(keep, perm, x);
 }
 
+/// permutex2var indices that interleave two streams of 32-bit lanes in units
+/// of U = 2^u lanes: kInterleave512[u][0] pairs up the units of both sources'
+/// low halves (lanes 0..7), kInterleave512[u][1] those of their high halves.
+struct Interleave512Table {
+  alignas(64) int32_t idx[4][2][16];
+};
+constexpr Interleave512Table MakeInterleave512() {
+  Interleave512Table t{};
+  for (int u = 0; u < 4; ++u) {
+    const int unit = 1 << u;
+    for (int half = 0; half < 2; ++half) {
+      for (int i = 0; i < 16; ++i) {
+        const int pair = i / (2 * unit);
+        const int within = i % (2 * unit);
+        const int lane = 8 * half + pair * unit + within % unit;
+        t.idx[u][half][i] = within < unit ? lane : 16 + lane;
+      }
+    }
+  }
+  return t;
+}
+constexpr Interleave512Table kInterleave512 = MakeInterleave512();
+
+/// Turns the transposed layout of one chunk (value g*NV + j in vector j,
+/// lane g) into natural order in registers: v[k] ends up holding values
+/// 16k..16k+15. NV is a power of two. Stage U merges neighbouring pairs of
+/// interleaved streams of U vectors each, one permutex2var per output
+/// vector, so the chunk costs log2(NV) * NV permutes and no scalar store.
+/// The stages recurse at compile time so that v stays in registers.
+template <int NV, int U = 1>
+inline void InterleaveToNatural512(__m512i (&v)[NV]) {
+  static_assert(NV > 0 && NV <= 16 && (NV & (NV - 1)) == 0);
+  if constexpr (U < NV) {
+    constexpr int kStage = std::countr_zero(static_cast<unsigned>(U));
+    const __m512i lo = _mm512_load_si512(kInterleave512.idx[kStage][0]);
+    const __m512i hi = _mm512_load_si512(kInterleave512.idx[kStage][1]);
+    __m512i t[NV];
+    for (int s = 0; s < NV; s += 2 * U) {
+      for (int r = 0; r < U; ++r) {
+        t[s + 2 * r] = _mm512_permutex2var_epi32(v[s + r], lo, v[s + U + r]);
+        t[s + 2 * r + 1] =
+            _mm512_permutex2var_epi32(v[s + r], hi, v[s + U + r]);
+      }
+    }
+    for (int j = 0; j < NV; ++j) v[j] = t[j];
+    InterleaveToNatural512<NV, 2 * U>(v);
+  }
+}
+
 template <int NV, bool kNaturalOrder>
 void Chunks512(const Plan512& plan, const uint8_t* data, size_t chunks,
                int32_t min_delta, int32_t init, int32_t* out,
@@ -133,7 +183,6 @@ void Chunks512(const Plan512& plan, const uint8_t* data, size_t chunks,
   const __m512i vmind = _mm512_set1_epi32(min_delta);
   const __m512i lane15 = _mm512_set1_epi32(15);
   __m512i base_vec = _mm512_set1_epi32(init);
-  alignas(64) int32_t tmp[NV * 16];
   const uint8_t* src = data;
   const size_t num_segments = plan.segments.size();
   const size_t chunk_values = static_cast<size_t>(NV) * 16;
@@ -170,21 +219,10 @@ void Chunks512(const Plan512& plan, const uint8_t* data, size_t chunks,
     __m512i incl = _mm512_add_epi32(e, totals);
     __m512i prefix = _mm512_add_epi32(e, base_vec);
 
+    for (int j = 0; j < NV; ++j) v[j] = _mm512_add_epi32(v[j], prefix);
+    if constexpr (kNaturalOrder) InterleaveToNatural512<NV>(v);
     int32_t* dst = out + chunk * chunk_values;
-    if constexpr (kNaturalOrder) {
-      for (int j = 0; j < NV; ++j) {
-        v[j] = _mm512_add_epi32(v[j], prefix);
-        _mm512_store_si512(tmp + j * 16, v[j]);
-      }
-      for (int g = 0; g < 16; ++g) {
-        for (int j = 0; j < NV; ++j) dst[g * NV + j] = tmp[j * 16 + g];
-      }
-    } else {
-      for (int j = 0; j < NV; ++j) {
-        v[j] = _mm512_add_epi32(v[j], prefix);
-        _mm512_storeu_si512(dst + j * 16, v[j]);
-      }
-    }
+    for (int j = 0; j < NV; ++j) _mm512_storeu_si512(dst + j * 16, v[j]);
     base_vec = _mm512_add_epi32(base_vec,
                                 _mm512_permutexvar_epi32(lane15, incl));
     src += plan.bytes_per_chunk;
@@ -200,17 +238,21 @@ void DecodeImpl512(const uint8_t* data, size_t data_size, size_t n, int width,
     return;
   }
   if (n_v <= 0) n_v = DefaultNumVectors(width);
-  n_v = std::clamp(n_v, 1, 16);
+  n_v = kNaturalOrder ? OrderedNumVectors(n_v) : std::clamp(n_v, 1, 16);
   const Plan512& plan = GetPlan512(width, n_v);
   const size_t chunk_values = static_cast<size_t>(plan.values_per_chunk);
   const size_t chunks = n / chunk_values;
 
   int32_t base = init;
+  // The natural-order path runs only the power-of-two n_v that
+  // OrderedNumVectors picks, so only those are instantiated.
   switch (n_v) {
-#define ETSQP_NV512_CASE(NV)                                              \
-  case NV:                                                                \
-    Chunks512<NV, kNaturalOrder>(plan, data, chunks, min_delta, init, out, \
-                                 &base);                                  \
+#define ETSQP_NV512_CASE(NV)                                                 \
+  case NV:                                                                   \
+    if constexpr (!kNaturalOrder || std::has_single_bit(unsigned{NV})) {     \
+      Chunks512<NV, kNaturalOrder>(plan, data, chunks, min_delta, init, out, \
+                                   &base);                                   \
+    }                                                                        \
     break;
     ETSQP_NV512_CASE(1)
     ETSQP_NV512_CASE(2)
@@ -228,10 +270,10 @@ void DecodeImpl512(const uint8_t* data, size_t data_size, size_t n, int width,
     ETSQP_NV512_CASE(14)
     ETSQP_NV512_CASE(15)
     ETSQP_NV512_CASE(16)
-#undef ETSQP_NV512_CASE
     default:
       break;
   }
+#undef ETSQP_NV512_CASE
 
   size_t done = chunks * chunk_values;
   if (done < n) {

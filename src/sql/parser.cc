@@ -226,14 +226,19 @@ class Parser {
       } else if (IsNameToken(Peek())) {
         // Bare column, or qualified tbl.col (IsNameToken also admits a
         // keyword-named series like "Time.event_time", keeping its text).
+        // A qualified column named TIME is the table's time column.
+        bool last_is_time = Peek().kind == TokenKind::kTime;
         std::vector<std::string> segs{Next().text};
         while (Accept(TokenKind::kDot)) {
           if (!IsNameToken(Peek())) {
             return Status::InvalidArgument("sql: expected identifier after .");
           }
+          last_is_time = Peek().kind == TokenKind::kTime;
           segs.push_back(Next().text);
         }
-        cmp.column = Comparison::Column::kValue;
+        cmp.column = segs.size() > 1 && last_is_time
+                         ? Comparison::Column::kTime
+                         : Comparison::Column::kValue;
         if (segs.size() > 1) {
           segs.pop_back();  // drop the column name
           cmp.lhs_table = Join(segs);
@@ -261,18 +266,25 @@ class Parser {
           return Status::InvalidArgument("sql: expected comparison operator");
       }
       Next();
-      if (!cmp.lhs_table.empty() && IsNameToken(Peek())) {
-        // Inter-column right side: tbl.col.
+      if (cmp.column == Comparison::Column::kValue &&
+          !cmp.lhs_table.empty() && IsNameToken(Peek())) {
+        // Inter-column right side: tbl.col, a value column.
+        bool rhs_is_time = Peek().kind == TokenKind::kTime;
         std::vector<std::string> rsegs{Next().text};
         while (Accept(TokenKind::kDot)) {
           if (!IsNameToken(Peek())) {
             return Status::InvalidArgument("sql: expected identifier after .");
           }
+          rhs_is_time = Peek().kind == TokenKind::kTime;
           rsegs.push_back(Next().text);
         }
         if (rsegs.size() < 2) {
           return Status::InvalidArgument(
               "sql: inter-column predicate needs table.col on both sides");
+        }
+        if (rhs_is_time) {
+          return Status::InvalidArgument(
+              "sql: inter-column predicates compare value columns");
         }
         rsegs.pop_back();
         cmp.rhs_table = Join(rsegs);

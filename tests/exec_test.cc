@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "common/aligned_buffer.h"
@@ -126,6 +127,71 @@ TEST(ColumnDecoderTest, RangeDecodeMatchesFull) {
     ASSERT_EQ(out.size(), end - begin);
     for (size_t i = begin; i < end; ++i) {
       ASSERT_EQ(out.Get(i - begin), values[i]) << begin << ":" << end;
+    }
+  }
+}
+
+TEST(ColumnDecoderTest, RangesCuttingTs2DiffBlocksMatchBlockDecode) {
+  // Blocks of 256 values; the last one holds 4000 % 256 = 160. Blocks inside
+  // a range decode in place, blocks a range cuts go through a buffer.
+  constexpr size_t kN = 4000;
+  for (int64_t step : {int64_t{100}, int64_t{200000}}) {
+    std::vector<int64_t> values = RandomWalk(kN, 23 + step, 0, step);
+    enc::EncodedColumn col =
+        enc::Ts2DiffEncoder(256).Encode(values.data(), values.size());
+    AlignedBuffer buf;
+    buf.Assign(col.bytes.data(), col.bytes.size());
+    Result<enc::Ts2DiffColumn> parsed =
+        enc::Ts2DiffColumn::Parse(buf.data(), buf.size());
+    ASSERT_TRUE(parsed.ok());
+    std::vector<int64_t> reference(kN);
+    for (const enc::Ts2DiffBlock& b : parsed.value().blocks()) {
+      enc::Ts2DiffColumn::DecodeBlock(b, reference.data() + b.start_index);
+    }
+    ASSERT_EQ(reference, values);
+
+    for (auto [begin, end] : {std::pair<size_t, size_t>{0, kN},
+                              {100, 3000},
+                              {256, 512},  // exactly one block
+                              {255, 257},
+                              {1, kN - 1},
+                              {3840, kN},  // the short last block
+                              {3900, kN}}) {
+      for (DecodeStrategy strategy :
+           {DecodeStrategy::kEtsqp, DecodeStrategy::kSerial,
+            DecodeStrategy::kSboost, DecodeStrategy::kFastLanes}) {
+        for (bool ordered : {true, false}) {
+          DecodedColumn out;
+          ASSERT_TRUE(DecodeColumnRange(buf.data(), buf.size(),
+                                        enc::ColumnEncoding::kTs2Diff, kN,
+                                        strategy, begin, end, &out, ordered)
+                          .ok());
+          ASSERT_EQ(out.size(), end - begin);
+          std::vector<int64_t> got(out.size());
+          out.Materialize(got.data());
+          for (const enc::Ts2DiffBlock& b : parsed.value().blocks()) {
+            size_t bs = b.start_index;
+            size_t be = bs + b.num_values();
+            size_t from = std::max(bs, begin);
+            size_t to = std::min(be, end);
+            if (from >= to) continue;
+            std::vector<int64_t> want(reference.begin() + from,
+                                      reference.begin() + to);
+            std::vector<int64_t> have(got.begin() + (from - begin),
+                                      got.begin() + (to - begin));
+            // Only kEtsqp's unordered decode of a whole block may permute.
+            if (!ordered && strategy == DecodeStrategy::kEtsqp &&
+                from == bs && to == be) {
+              std::sort(want.begin(), want.end());
+              std::sort(have.begin(), have.end());
+            }
+            ASSERT_EQ(have, want)
+                << "step=" << step << " range=" << begin << ":" << end
+                << " block=" << bs << " strategy="
+                << DecodeStrategyName(strategy) << " ordered=" << ordered;
+          }
+        }
+      }
     }
   }
 }

@@ -153,29 +153,79 @@ TEST(UnpackPlanTest, LaneGroupMappingIsBijective) {
 
 // --------------------------------------------------------------- delta
 
+/// Residuals that reach every bit of a `width`-bit field. min_delta is
+/// -2^(width-1), so the deltas centre on zero; a residual that would carry
+/// the running sum past +-2^30 is mirrored (r -> mask - r negates the delta
+/// minus one), so the sums stay inside int32 as the kernels require.
+struct FullWidthDeltas {
+  std::vector<uint64_t> residuals;
+  int32_t min_delta = 0;
+};
+
+FullWidthDeltas MakeFullWidthDeltas(int width, size_t n, int32_t init,
+                                    uint64_t seed) {
+  const uint64_t mask = MaskLow64(width);
+  FullWidthDeltas d;
+  d.min_delta = -static_cast<int32_t>(1u << (width - 1));
+  d.residuals.resize(n);
+  std::mt19937_64 rng(seed);
+  int64_t running = init;
+  for (uint64_t& r : d.residuals) {
+    r = rng() & mask;
+    int64_t next = running + d.min_delta + static_cast<int64_t>(r);
+    if (next > (1 << 30) || next < -(1 << 30)) {
+      r = mask - r;
+      next = running + d.min_delta + static_cast<int64_t>(r);
+    }
+    running = next;
+  }
+  return d;
+}
+
+/// Lengths around the chunk sizes of both layouts a request for `n_v` may
+/// run (the unordered kernel's n_v and the ordered kernel's
+/// OrderedNumVectors(n_v)), plus several chunks with a tail.
+std::vector<size_t> ChunkEdgeLengths(int n_v, int lanes) {
+  std::vector<size_t> lengths = {0, 1, 1337};
+  for (int nv : {n_v, OrderedNumVectors(n_v)}) {
+    const size_t chunk = static_cast<size_t>(nv) * lanes;
+    for (size_t n : {chunk - 1, chunk, chunk + 1, 3 * chunk + 5}) {
+      lengths.push_back(n);
+    }
+  }
+  return lengths;
+}
+
 class TransposedDeltaTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(TransposedDeltaTest, Avx2MatchesScalar) {
   auto [width, n_v] = GetParam();
   if (!CpuHasAvx2()) GTEST_SKIP() << "no AVX2";
-  std::mt19937_64 rng(width * 100 + n_v);
-  size_t n = 1337;
-  std::vector<uint64_t> residuals(n);
-  for (auto& v : residuals) v = rng() & MaskLow64(width) & 0x3FFF;
-  AlignedBuffer buf = PackValues(residuals, width);
-  std::vector<int32_t> simd_out(n), scalar_out(n);
-  DeltaDecodeOffsetsAvx2(buf.data(), buf.size(), n, width, -7, n_v, 100,
-                         simd_out.data());
-  DeltaDecodeOffsetsScalar(buf.data(), buf.size(), n, width, -7, 100,
-                           scalar_out.data());
-  ASSERT_EQ(simd_out, scalar_out) << "width=" << width << " n_v=" << n_v;
+  for (size_t n : ChunkEdgeLengths(n_v, 8)) {
+    FullWidthDeltas d = MakeFullWidthDeltas(width, n, 100, width * 100 + n_v);
+    AlignedBuffer buf = PackValues(d.residuals, width);
+    std::vector<int32_t> simd_out(n), scalar_out(n), unordered(n);
+    DeltaDecodeOffsetsAvx2(buf.data(), buf.size(), n, width, d.min_delta, n_v,
+                           100, simd_out.data());
+    DeltaDecodeOffsetsScalar(buf.data(), buf.size(), n, width, d.min_delta,
+                             100, scalar_out.data());
+    ASSERT_EQ(simd_out, scalar_out)
+        << "width=" << width << " n_v=" << n_v << " n=" << n;
+
+    // Unordered variant: same multiset.
+    DeltaDecodeOffsetsAvx2Unordered(buf.data(), buf.size(), n, width,
+                                    d.min_delta, n_v, 100, unordered.data());
+    std::sort(scalar_out.begin(), scalar_out.end());
+    std::sort(unordered.begin(), unordered.end());
+    ASSERT_EQ(unordered, scalar_out)
+        << "width=" << width << " n_v=" << n_v << " n=" << n;
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, TransposedDeltaTest,
-    ::testing::Combine(::testing::Range(1, 26),
-                       ::testing::Values(1, 2, 3, 5, 6, 8, 12, 16)));
+INSTANTIATE_TEST_SUITE_P(Sweep, TransposedDeltaTest,
+                         ::testing::Combine(::testing::Range(1, 26),
+                                            ::testing::Range(1, 17)));
 
 class Avx512DeltaTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -183,31 +233,39 @@ class Avx512DeltaTest
 TEST_P(Avx512DeltaTest, MatchesScalar) {
   if (!Avx512Available()) GTEST_SKIP() << "no AVX-512 VBMI";
   auto [width, n_v] = GetParam();
-  std::mt19937_64 rng(width * 31 + n_v);
-  size_t n = 2111;
-  std::vector<uint64_t> residuals(n);
-  for (auto& v : residuals) v = rng() & MaskLow64(width) & 0x3FFF;
-  AlignedBuffer buf = PackValues(residuals, width);
-  std::vector<int32_t> simd_out(n), scalar_out(n);
-  DeltaDecodeOffsetsAvx512(buf.data(), buf.size(), n, width, -3, n_v, 42,
-                           simd_out.data());
-  DeltaDecodeOffsetsScalar(buf.data(), buf.size(), n, width, -3, 42,
-                           scalar_out.data());
-  ASSERT_EQ(simd_out, scalar_out) << "width=" << width << " n_v=" << n_v;
+  for (size_t n : ChunkEdgeLengths(n_v, 16)) {
+    FullWidthDeltas d = MakeFullWidthDeltas(width, n, 42, width * 31 + n_v);
+    AlignedBuffer buf = PackValues(d.residuals, width);
+    std::vector<int32_t> simd_out(n), scalar_out(n), unordered(n);
+    DeltaDecodeOffsetsAvx512(buf.data(), buf.size(), n, width, d.min_delta,
+                             n_v, 42, simd_out.data());
+    DeltaDecodeOffsetsScalar(buf.data(), buf.size(), n, width, d.min_delta, 42,
+                             scalar_out.data());
+    ASSERT_EQ(simd_out, scalar_out)
+        << "width=" << width << " n_v=" << n_v << " n=" << n;
 
-  // Unordered variant: same multiset.
-  std::vector<int32_t> unordered(n);
-  DeltaDecodeOffsetsAvx512Unordered(buf.data(), buf.size(), n, width, -3, n_v,
-                                    42, unordered.data());
-  std::sort(simd_out.begin(), simd_out.end());
-  std::sort(unordered.begin(), unordered.end());
-  EXPECT_EQ(simd_out, unordered);
+    // Unordered variant: same multiset.
+    DeltaDecodeOffsetsAvx512Unordered(buf.data(), buf.size(), n, width,
+                                      d.min_delta, n_v, 42, unordered.data());
+    std::sort(scalar_out.begin(), scalar_out.end());
+    std::sort(unordered.begin(), unordered.end());
+    ASSERT_EQ(unordered, scalar_out)
+        << "width=" << width << " n_v=" << n_v << " n=" << n;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, Avx512DeltaTest,
-    ::testing::Combine(::testing::Values(1, 3, 7, 10, 13, 17, 21, 25),
-                       ::testing::Values(1, 2, 3, 4, 6, 8, 12, 16)));
+    ::testing::Combine(::testing::Range(1, 26), ::testing::Range(1, 17)));
+
+TEST(TransposedDeltaTest, OrderedNumVectorsIsAPowerOfTwoNotAbove) {
+  const int expected[17] = {1, 1, 2, 2, 4, 4, 4, 4, 8,
+                            8, 8, 8, 8, 8, 8, 8, 16};
+  for (int n_v = 0; n_v <= 16; ++n_v) {
+    EXPECT_EQ(OrderedNumVectors(n_v), expected[n_v]) << n_v;
+  }
+  EXPECT_EQ(OrderedNumVectors(40), 16);
+}
 
 TEST(TransposedDeltaTest, DefaultNvInRange) {
   for (int width = 1; width <= 25; ++width) {
