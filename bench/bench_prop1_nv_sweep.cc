@@ -40,8 +40,8 @@ int main() {
                 {"n_v", "Mvals/s", "model_T_AVG"});
     for (int n_v : {1, 2, 3, 4, 6, 8, 12, 16}) {
       // The order-insensitive form: what the pipeline operators consume
-      // (register sharing); the natural-order variant adds a scatter pass
-      // orthogonal to the Proposition 1 cost structure.
+      // (register sharing); the natural-order variant adds an in-register
+      // transpose orthogonal to the Proposition 1 cost structure.
       double secs = bench::TimeBest(
           [&] {
             simd::DeltaDecodeOffsetsAvx2Unordered(buf.data(), buf.size(), n,

@@ -57,7 +57,7 @@ Status DecodeColumn(const uint8_t* data, size_t size,
 /// `out` is sized `end - begin` and holds positions begin..end-1.
 ///
 /// `ordered` false permits the ETSQP strategy to emit offsets in the
-/// transposed chunk order (no scatter pass) — valid for order-insensitive
+/// transposed chunk order (no transpose) — valid for order-insensitive
 /// consumers (SUM/AVG/MIN/MAX/COUNT and value-range masks), which is how the
 /// pipeline shares the SIMD layout between decoders and operators.
 Status DecodeColumnRange(const uint8_t* data, size_t size,

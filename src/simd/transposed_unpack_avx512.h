@@ -24,7 +24,7 @@ void DeltaDecodeOffsetsAvx512(const uint8_t* data, size_t data_size,
                               size_t n, int width, int32_t min_delta, int n_v,
                               int32_t init, int32_t* out);
 
-/// Order-insensitive variant (transposed chunk order, no scatter).
+/// Order-insensitive variant (transposed chunk order, no transpose).
 void DeltaDecodeOffsetsAvx512Unordered(const uint8_t* data, size_t data_size,
                                        size_t n, int width, int32_t min_delta,
                                        int n_v, int32_t init, int32_t* out);
