@@ -3,16 +3,19 @@
 // Delta recovery in natural order and in the transposed layout (AVX2 and
 // AVX-512; the natural-order rows run at the n_v OrderedNumVectors picks for
 // the Prop. 1 default), SBoost-style prefix-sum decode, Repeat flatten, range
-// filter, masked aggregation, and the fused weighted-ramp SUM.
+// filter, the one-pass filtered SUM, and the fused TS2DIFF window SUM.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
 
 #include "common/aligned_buffer.h"
 #include "common/bit_util.h"
 #include "common/bitstream.h"
 #include "encoding/bitpack.h"
+#include "encoding/ts2diff.h"
+#include "exec/fusion.h"
 #include "simd/agg_simd.h"
 #include "simd/delta_simd.h"
 #include "simd/filter_simd.h"
@@ -166,6 +169,47 @@ void BM_DeltaDecodeAvx512Unordered(benchmark::State& state) {
 }
 BENCHMARK(BM_DeltaDecodeAvx512Unordered)->Arg(3)->Arg(10)->Arg(25);
 
+/// The AVX-512 Delta decode at every (width, n_v) in the shape a page
+/// decodes: 16 TS2DIFF blocks of 1023 residuals each, cache-resident, each
+/// block's output one value past its stored first value. These are the rows
+/// the per-width n_v tables in simd/transposed_unpack.cc are read from.
+/// Args: ordered (1) or transposed-order (0) output, width, n_v.
+void BM_Avx512NumVectors(benchmark::State& state) {
+  if (!simd::Avx512Available()) {
+    state.SkipWithError("no AVX-512 VBMI");
+    return;
+  }
+  constexpr size_t kBlocks = 16;
+  constexpr size_t kDeltas = 1023;
+  const bool ordered = state.range(0) != 0;
+  const int width = static_cast<int>(state.range(1));
+  const int n_v = static_cast<int>(state.range(2));
+  AlignedBuffer buf = MakePacked(width, kDeltas);
+  AlignedBuffer out_buf(kBlocks * (kDeltas + 1) * sizeof(int32_t));
+  int32_t* out = reinterpret_cast<int32_t*>(out_buf.data());
+  for (auto _ : state) {
+    for (size_t b = 0; b < kBlocks; ++b) {
+      int32_t* dst = out + b * (kDeltas + 1) + 1;
+      if (ordered) {
+        simd::DeltaDecodeOffsetsAvx512(buf.data(), buf.size(), kDeltas,
+                                       width, 1, n_v, 0, dst);
+      } else {
+        simd::DeltaDecodeOffsetsAvx512Unordered(buf.data(), buf.size(),
+                                                kDeltas, width, 1, n_v, 0,
+                                                dst);
+      }
+    }
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kBlocks * kDeltas);
+}
+BENCHMARK(BM_Avx512NumVectors)
+    ->ArgsProduct(
+        {{1}, benchmark::CreateDenseRange(1, 25, 1), {1, 2, 4, 8, 16}})
+    ->ArgsProduct({{0}, benchmark::CreateDenseRange(1, 25, 1),
+                   benchmark::CreateDenseRange(1, 16, 1)});
+
 void BM_DeltaDecodeSboost(benchmark::State& state) {
   int width = static_cast<int>(state.range(0));
   AlignedBuffer buf = MakePacked(width, kN);
@@ -207,33 +251,65 @@ void BM_RangeFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_RangeFilter);
 
-void BM_MaskedSum(benchmark::State& state) {
-  std::mt19937_64 rng(9);
-  std::vector<int32_t> values(kN);
-  for (auto& v : values) v = static_cast<int32_t>(rng() % 100000);
-  std::vector<uint64_t> mask(kN / 64);
-  for (auto& m : mask) m = rng();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        simd::MaskedSumInt32(values.data(), mask.data(), kN));
+/// A 4096-value page column whose TS2DIFF blocks (1024 values) carry
+/// residuals of exactly `width` bits.
+AlignedBuffer MakeTs2DiffPage(int width) {
+  constexpr size_t kPage = 4096;
+  std::mt19937_64 rng(100 + width);
+  std::vector<int64_t> values(kPage);
+  int64_t v = 1000;
+  for (size_t i = 0; i < kPage; ++i) {
+    // Every block holds a 0 and a 2^w - 1 residual, so its width is w.
+    const uint64_t r = i % 512 == 1   ? 0
+                       : i % 512 == 2 ? MaskLow64(width)
+                                      : rng() & MaskLow64(width);
+    values[i] = v;
+    v += 5 + static_cast<int64_t>(r);
   }
-  state.SetItemsProcessed(state.iterations() * kN);
+  enc::EncodedColumn col =
+      enc::Ts2DiffEncoder(1024).Encode(values.data(), kPage);
+  AlignedBuffer buf;
+  buf.Assign(col.bytes.data(), col.bytes.size());
+  return buf;
 }
-BENCHMARK(BM_MaskedSum);
 
-void BM_FusedWeightedRampSum(benchmark::State& state) {
-  std::mt19937_64 rng(11);
-  std::vector<int32_t> values(kN);
-  for (auto& v : values) v = static_cast<int32_t>(rng() % 1024);
+/// The fused window SUM of a sliding-window query over one page: open the
+/// reader, then SUM each 1000-value window in order, resuming from the
+/// previous window's end.
+void BM_FusedWindowSum(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  AlignedBuffer buf = MakeTs2DiffPage(width);
   for (auto _ : state) {
-    int64_t sum = 0;
-    benchmark::DoNotOptimize(
-        simd::WeightedRampSumInt32(values.data(), kN, &sum));
-    benchmark::DoNotOptimize(sum);
+    Result<exec::Ts2DiffFusedReader> reader =
+        exec::Ts2DiffFusedReader::Open(buf.data(), buf.size());
+    const size_t n = reader.value().count();
+    for (size_t p = 0; p < n; p += 1000) {
+      int64_t sum = 0;
+      if (!reader.value().SumRange(p, std::min(p + 1000, n), &sum).ok()) {
+        state.SkipWithError("fused sum failed");
+      }
+      benchmark::DoNotOptimize(sum);
+    }
   }
-  state.SetItemsProcessed(state.iterations() * kN);
+  state.SetItemsProcessed(state.iterations() * 4096);
 }
-BENCHMARK(BM_FusedWeightedRampSum);
+BENCHMARK(BM_FusedWindowSum)->Arg(1)->Arg(2)->Arg(3)->Arg(8)->Arg(16);
+
+/// The filtered SUM over one L1-resident decoded chunk (about half the
+/// values pass).
+void BM_FilteredSum(benchmark::State& state) {
+  constexpr size_t kChunk = 4096;
+  std::mt19937_64 rng(9);
+  std::vector<int32_t> values(kChunk);
+  for (auto& v : values) v = static_cast<int32_t>(rng() % 100000);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simd::RangeAggregateInt32(
+        values.data(), kChunk, 25000, 75000, /*want_sum=*/true,
+        /*want_min_max=*/false));
+  }
+  state.SetItemsProcessed(state.iterations() * kChunk);
+}
+BENCHMARK(BM_FilteredSum);
 
 void BM_JoinMasks(benchmark::State& state) {
   std::mt19937_64 rng(15);

@@ -8,22 +8,10 @@ void PutFixed64BE(std::vector<uint8_t>* dst, uint64_t v) {
   }
 }
 
-uint64_t GetFixed64BE(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
-}
-
 void PutFixed32BE(std::vector<uint8_t>* dst, uint32_t v) {
   for (int i = 3; i >= 0; --i) {
     dst->push_back(static_cast<uint8_t>(v >> (8 * i)));
   }
-}
-
-uint32_t GetFixed32BE(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | p[i];
-  return v;
 }
 
 }  // namespace etsqp

@@ -1,8 +1,10 @@
 #ifndef ETSQP_COMMON_BITSTREAM_H_
 #define ETSQP_COMMON_BITSTREAM_H_
 
-#include <cstdint>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/bit_util.h"
@@ -97,11 +99,28 @@ class BitReader {
 };
 
 /// Writes `v` as 8 Big-Endian bytes / reads them back. Page headers use these
-/// for fixed-width fields.
+/// for fixed-width fields. The reads sit in every block-header parse, so
+/// they are inline: one unaligned load and a byte swap.
 void PutFixed64BE(std::vector<uint8_t>* dst, uint64_t v);
-uint64_t GetFixed64BE(const uint8_t* p);
 void PutFixed32BE(std::vector<uint8_t>* dst, uint32_t v);
-uint32_t GetFixed32BE(const uint8_t* p);
+
+inline uint64_t GetFixed64BE(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+inline uint32_t GetFixed32BE(const uint8_t* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
+}
 
 }  // namespace etsqp
 

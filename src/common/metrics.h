@@ -17,8 +17,8 @@ enum class Stage : uint8_t {
   kPageFetch = 0,  // file/pool payload loads (Section VI-C gradual loading)
   kUnpack,         // bit-unpacking incl. fused unpack+delta kernels
   kDelta,          // separate delta accumulation / RLE flatten passes
-  kFilter,         // time-range positioning + value-range mask building
-  kAggregate,      // accumulator updates, fused closed-form aggregation
+  kFilter,         // time-range positioning + merge-plan row filters
+  kAggregate,      // accumulation incl. fused and value-filtered passes
   kMerge,          // partial-result merging and result emission
 };
 

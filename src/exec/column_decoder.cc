@@ -65,14 +65,9 @@ bool Ts2DiffBounds(const enc::Ts2DiffColumn& col, int64_t* lo, int64_t* hi) {
   return true;
 }
 
-Status DecodeTs2Diff(const uint8_t* data, size_t size, uint32_t count,
-                     DecodeStrategy strategy, size_t begin, size_t end,
-                     bool ordered, DecodedColumn* out) {
-  Result<enc::Ts2DiffColumn> parsed = enc::Ts2DiffColumn::Parse(data, size);
-  if (!parsed.ok()) return parsed.status();
-  const enc::Ts2DiffColumn& col = parsed.value();
-  if (col.count() != count) return Status::Corruption("ts2diff count");
-  end = std::min<size_t>(end, count);
+Status DecodeTs2Diff(const enc::Ts2DiffColumn& col, DecodeStrategy strategy,
+                     size_t begin, size_t end, bool ordered,
+                     DecodedColumn* out) {
   if (begin >= end) {
     out->narrow = true;
     out->base = 0;
@@ -365,6 +360,26 @@ Status DecodeStreamVByteSimd(const uint8_t* data, size_t size, uint32_t count,
 
 }  // namespace
 
+Status DecodeTs2DiffRange(const enc::Ts2DiffColumn& col,
+                          DecodeStrategy strategy, size_t begin, size_t end,
+                          DecodedColumn* out, bool ordered,
+                          metrics::StageBreakdown* stages) {
+  end = std::min<size_t>(end, col.count());
+  // TS2DIFF decodes with fused unpack+delta kernels (Algorithm 1): the
+  // whole pass reports under kUnpack; a near-zero kDelta is exactly the
+  // fusion effect EXPLAIN ANALYZE makes visible.
+  metrics::ScopedStageTimer timer(stages, metrics::Stage::kUnpack);
+  if (stages != nullptr) {
+    timer.AddTuples(end > begin ? end - begin : 0);
+    for (const enc::Ts2DiffBlock& b : col.blocks()) {
+      if (b.start_index < end && b.start_index + b.num_values() > begin) {
+        timer.AddBytes(b.packed_bytes);
+      }
+    }
+  }
+  return DecodeTs2Diff(col, strategy, begin, end, ordered, out);
+}
+
 Status DecodeColumnRange(const uint8_t* data, size_t size,
                          enc::ColumnEncoding encoding, uint32_t count,
                          DecodeStrategy strategy, size_t begin, size_t end,
@@ -373,14 +388,14 @@ Status DecodeColumnRange(const uint8_t* data, size_t size,
   end = std::min<size_t>(end, count);
   switch (encoding) {
     case enc::ColumnEncoding::kTs2Diff: {
-      // TS2DIFF decodes with fused unpack+delta kernels (Algorithm 1): the
-      // whole pass reports under kUnpack; a near-zero kDelta is exactly the
-      // fusion effect EXPLAIN ANALYZE makes visible.
-      metrics::ScopedStageTimer timer(stages, metrics::Stage::kUnpack);
-      timer.AddTuples(end > begin ? end - begin : 0);
-      timer.AddBytes(size);
-      return DecodeTs2Diff(data, size, count, strategy, begin, end, ordered,
-                           out);
+      Result<enc::Ts2DiffColumn> parsed =
+          enc::Ts2DiffColumn::Parse(data, size);
+      if (!parsed.ok()) return parsed.status();
+      if (parsed.value().count() != count) {
+        return Status::Corruption("ts2diff count");
+      }
+      return DecodeTs2DiffRange(parsed.value(), strategy, begin, end, out,
+                                ordered, stages);
     }
     case enc::ColumnEncoding::kFastLanes: {
       if (strategy == DecodeStrategy::kSerial) break;  // reference decoder

@@ -7,6 +7,7 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "encoding/format.h"
+#include "encoding/ts2diff.h"
 
 namespace etsqp::exec {
 
@@ -65,6 +66,14 @@ Status DecodeColumnRange(const uint8_t* data, size_t size,
                          DecodeStrategy strategy, size_t begin, size_t end,
                          DecodedColumn* out, bool ordered = true,
                          metrics::StageBreakdown* stages = nullptr);
+
+/// DecodeColumnRange over a TS2DIFF column the caller parsed: a job that
+/// decodes a page block by block parses its column once, not per block.
+/// Stage bytes count the packed residuals of the blocks the range touches.
+Status DecodeTs2DiffRange(const enc::Ts2DiffColumn& col,
+                          DecodeStrategy strategy, size_t begin, size_t end,
+                          DecodedColumn* out, bool ordered = true,
+                          metrics::StageBreakdown* stages = nullptr);
 
 }  // namespace etsqp::exec
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "encoding/bitpack.h"
 #include "simd/agg_simd.h"
-#include "simd/unpack.h"
 
 namespace etsqp::exec {
 
@@ -28,6 +28,14 @@ inline __int128 SumK2(int64_t k1, int64_t k2) {
   return f(k2) - f(k1 - 1);
 }
 
+/// The fused TS2DIFF reader takes residuals of at most 31 bits.
+Status CheckFusedWidth(const enc::Ts2DiffBlock& b) {
+  if (b.width > 31) {
+    return Status::NotSupported("fused sum: residual width > 31");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<Ts2DiffFusedReader> Ts2DiffFusedReader::Open(const uint8_t* data,
@@ -36,25 +44,7 @@ Result<Ts2DiffFusedReader> Ts2DiffFusedReader::Open(const uint8_t* data,
   if (!parsed.ok()) return parsed.status();
   Ts2DiffFusedReader reader;
   reader.col_ = std::move(parsed).value();
-  const size_t blocks = reader.col_.blocks().size();
-  reader.residuals_.resize(reader.col_.count() - blocks);
-  reader.unpacked_.assign(blocks, false);
   return reader;
-}
-
-Status Ts2DiffFusedReader::Residuals(size_t bi, const int32_t** out) {
-  const enc::Ts2DiffBlock& b = col_.blocks()[bi];
-  int32_t* res = residuals_.data() + (b.start_index - bi);
-  if (!unpacked_[bi]) {
-    if (b.width > 31) {
-      return Status::NotSupported("fused sum: residual width > 31");
-    }
-    simd::UnpackBE32(b.packed, b.packed_bytes, b.num_deltas, b.width,
-                     reinterpret_cast<uint32_t*>(res));
-    unpacked_[bi] = true;
-  }
-  *out = res;
-  return Status::Ok();
 }
 
 size_t Ts2DiffFusedReader::BlockOf(size_t pos) const {
@@ -82,29 +72,27 @@ Status Ts2DiffFusedReader::SumRange(size_t begin, size_t end, int64_t* out) {
   size_t pos = begin;
   while (pos < end) {
     const enc::Ts2DiffBlock& b = blocks[bi];
-    const int32_t* res = nullptr;
-    ETSQP_RETURN_IF_ERROR(Residuals(bi, &res));
+    ETSQP_RETURN_IF_ERROR(CheckFusedWidth(b));
     const size_t la = pos - b.start_index;
     const size_t lb = std::min<size_t>(b.num_values(), end - b.start_index);
     const int64_t m = static_cast<int64_t>(lb - la);
-    // X_la = first + la * base + sum residuals[0..la) — plain SIMD sum, no
-    // per-element dependency.
+    // X_la = first + la * base + sum r[0..la).
     if (!have_x) {
       x = b.first_value + static_cast<__int128>(b.min_delta) * la +
-          simd::SumInt32(res, la);
+          simd::PackedRampSum(b.packed, b.packed_bytes, b.width, 0, la).sum;
     }
-    // Block slice sum = m*X_la + base*m(m-1)/2 + sum (m-1-k) residual[la+k]
-    // over the m-1 residuals between the m values; their plain sum, plus
-    // the residual after the last value, carries X on to X_lb.
-    int64_t step = 0;
-    const int64_t ramp = simd::WeightedRampSumInt32(
-        res + la, static_cast<size_t>(m - 1), &step);
+    // Block slice sum = m*X_la + base*m(m-1)/2 + sum (m-1-k) r[la+k] over
+    // the m-1 residuals between the m values; their plain sum, plus the
+    // residual after the last value, carries X on to X_lb.
+    const simd::RampSums rs = simd::PackedRampSum(
+        b.packed, b.packed_bytes, b.width, la, static_cast<size_t>(m - 1));
     total += x * m + static_cast<__int128>(b.min_delta) * m * (m - 1) / 2 +
-             ramp;
+             static_cast<__int128>(rs.ramp);
     if (!FitsInt64(total)) return Status::Overflow("fused SUM overflow");
     pos = b.start_index + lb;
     if (lb < b.num_values()) {
-      x += static_cast<__int128>(b.min_delta) * m + step + res[lb - 1];
+      x += static_cast<__int128>(b.min_delta) * m + rs.sum +
+           enc::UnpackOneBE(b.packed, (lb - 1) * b.width, b.width);
     } else if (++bi < blocks.size()) {
       x = blocks[bi].first_value;
     }
@@ -122,13 +110,13 @@ Status Ts2DiffFusedReader::SumRange(size_t begin, size_t end, int64_t* out) {
 
 Status Ts2DiffFusedReader::ValueAt(size_t pos, int64_t* out) {
   if (pos >= col_.count()) return Status::OutOfRange("pos");
-  const size_t bi = BlockOf(pos);
-  const enc::Ts2DiffBlock& b = col_.blocks()[bi];
-  const int32_t* res = nullptr;
-  ETSQP_RETURN_IF_ERROR(Residuals(bi, &res));
+  const enc::Ts2DiffBlock& b = col_.blocks()[BlockOf(pos)];
+  ETSQP_RETURN_IF_ERROR(CheckFusedWidth(b));
   const size_t la = pos - b.start_index;
   *out = b.first_value + static_cast<int64_t>(b.min_delta) * la +
-         simd::SumInt32(res, la);
+         static_cast<int64_t>(
+             simd::PackedRampSum(b.packed, b.packed_bytes, b.width, 0, la)
+                 .sum);
   return Status::Ok();
 }
 

@@ -16,16 +16,17 @@ namespace etsqp::exec {
 /// both the Repeat flatten and the Delta accumulation.
 
 /// Fused SUM over a TS2DIFF column restricted to positions [begin, end).
-/// For a block slice, sum X_i = m * X_a + sum (b - i)(base + d_i) — a
-/// weighted dot product over *unpacked residuals* with no serial Delta
-/// dependency (computed with the WeightedRampSum SIMD kernel). Each block
-/// unpacks once, on first use. The reader keeps a forward cursor — the
-/// block, the position and the value X at the end of the previous range —
-/// so the ascending windows of a sliding-window SUM sweep the column once:
-/// a range that starts where the last one ended resumes from X, and the
-/// kernel's one pass over its residuals yields both the ramp and the plain
-/// sum that carries X on. Any other range recomputes X_a from its block
-/// start.
+/// A block slice of m values from position la sums to
+///   m X_la + base m (m - 1) / 2 + sum_k (m - 1 - k) r_{la+k},
+/// so SUM needs no Delta pass: one simd::PackedRampSum pass over the
+/// slice's bit-packed residuals yields the ramp term and their plain sum,
+/// straight from the block's bytes — no residual buffer, nothing unpacked
+/// into memory. The reader keeps a forward cursor — the block, the
+/// position and the value X at the end of the previous range — so the
+/// ascending windows of a sliding-window SUM sweep the column once: a range
+/// that starts where the last one ended resumes from X, which the plain sum
+/// plus the one residual past the slice carries on. Any other range
+/// recomputes X_la from its block start with the same kernel's plain sum.
 class Ts2DiffFusedReader {
  public:
   /// `data` must outlive the reader and carry 32 bytes of slack.
@@ -34,7 +35,8 @@ class Ts2DiffFusedReader {
   uint32_t count() const { return col_.count(); }
 
   /// Sum of values at positions [begin, end). Fails with kOverflow when the
-  /// exact sum exceeds int64 (Section VI-C).
+  /// exact sum exceeds int64 (Section VI-C), and with kNotSupported on a
+  /// block whose residuals are wider than 31 bits.
   Status SumRange(size_t begin, size_t end, int64_t* out);
 
   /// Value at a single position (used for AVG cross-checks and tests).
@@ -42,10 +44,6 @@ class Ts2DiffFusedReader {
 
  private:
   enc::Ts2DiffColumn col_;
-  // Unpacked residuals of every block, block b's at start_index - b (each
-  // block holds one value more than residuals); unpacked lazily.
-  std::vector<int32_t> residuals_;
-  std::vector<bool> unpacked_;
   // Forward cursor, valid when cursor_ok_: the position after the last
   // range, the block holding it and the value there.
   bool cursor_ok_ = false;
@@ -53,8 +51,6 @@ class Ts2DiffFusedReader {
   size_t cursor_block_ = 0;
   int64_t cursor_x_ = 0;
 
-  /// The unpacked residuals of block `bi`.
-  Status Residuals(size_t bi, const int32_t** out);
   /// Index of the block holding position `pos` (< count()).
   size_t BlockOf(size_t pos) const;
 };

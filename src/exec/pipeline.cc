@@ -4,12 +4,10 @@
 #include <optional>
 #include <vector>
 
-#include "common/bit_util.h"
 #include "common/metrics.h"
 #include "exec/fusion.h"
 #include "exec/pruning.h"
 #include "simd/agg_simd.h"
-#include "simd/filter_simd.h"
 
 namespace etsqp::exec {
 
@@ -259,41 +257,36 @@ void AggDecoded(const DecodedColumn& col, size_t from, size_t to,
 }
 
 /// Aggregates the rows [from, to) of a decoded column matching `vrange`.
+/// A narrow column takes one compare-and-accumulate pass: the count, sum
+/// and min/max come from the same compare, with no mask in between, so
+/// the pass times as aggregation.
 void AggDecodedFiltered(const DecodedColumn& col, size_t from, size_t to,
                         const ValueRange& vrange, AggFunc func,
                         AggAccum* accum, metrics::StageBreakdown* stages) {
   const size_t n = to - from;
   if (n == 0) return;
+  ScopedStageTimer timer(stages, Stage::kAggregate);
+  timer.AddTuples(n);
   const bool need_sq = func == AggFunc::kVariance;
   if (col.narrow && !need_sq) {
-    const int32_t* offsets = col.offsets.data() + from;
-    int32_t rel_lo = ClampToInt32(static_cast<__int128>(vrange.lo) - col.base);
-    int32_t rel_hi = ClampToInt32(static_cast<__int128>(vrange.hi) - col.base);
-    std::vector<uint64_t> mask(CeilDiv(n, 64));
-    ScopedStageTimer filter_timer(stages, Stage::kFilter);
-    filter_timer.AddTuples(n);
-    simd::RangeFilterMaskInt32(offsets, n, rel_lo, rel_hi, mask.data());
-    size_t cnt = simd::CountMaskBits(mask.data(), n);
-    filter_timer.Stop();
-    if (cnt == 0) return;
-    ScopedStageTimer timer(stages, Stage::kAggregate);
-    timer.AddTuples(cnt);
-    accum->count += cnt;
-    if (func != AggFunc::kCount && !NeedsMinMax(func)) {
-      int64_t off_sum = simd::MaskedSumInt32(offsets, mask.data(), n);
-      accum->sum += static_cast<__int128>(col.base) * cnt + off_sum;
+    const bool min_max = NeedsMinMax(func);
+    const bool sum = func != AggFunc::kCount && !min_max;
+    const simd::RangeAggregate agg = simd::RangeAggregateInt32(
+        col.offsets.data() + from, n,
+        ClampToInt32(static_cast<__int128>(vrange.lo) - col.base),
+        ClampToInt32(static_cast<__int128>(vrange.hi) - col.base), sum,
+        min_max);
+    if (agg.count == 0) return;
+    accum->count += agg.count;
+    if (sum) {
+      accum->sum += static_cast<__int128>(col.base) * agg.count + agg.sum;
     }
-    if (NeedsMinMax(func)) {
-      int32_t mn, mx;
-      if (simd::MaskedMinMaxInt32(offsets, mask.data(), n, &mn, &mx)) {
-        accum->min = std::min(accum->min, col.base + mn);
-        accum->max = std::max(accum->max, col.base + mx);
-      }
+    if (min_max) {
+      accum->min = std::min(accum->min, col.base + agg.min);
+      accum->max = std::max(accum->max, col.base + agg.max);
     }
     return;
   }
-  ScopedStageTimer timer(stages, Stage::kAggregate);
-  timer.AddTuples(n);
   for (size_t i = from; i < to; ++i) {
     int64_t v = col.Get(i);
     if (vrange.Contains(v)) accum->AddValue(v, need_sq);
@@ -366,6 +359,9 @@ class SliceValues {
         Result<enc::Ts2DiffColumn> parsed = enc::Ts2DiffColumn::Parse(
             page_.value_data.data(), page_.value_data.size());
         if (!parsed.ok()) return parsed.status();
+        if (parsed.value().count() != page_.header.count) {
+          return Status::Corruption("ts2diff count");
+        }
         blocks_ = std::move(parsed).value();
       }
       const std::vector<enc::Ts2DiffBlock>& blocks = blocks_->blocks();
@@ -383,11 +379,16 @@ class SliceValues {
         if (stats_ != nullptr) ++stats_->blocks_pruned;
         return Status::Ok();
       }
+      ETSQP_RETURN_IF_ERROR(DecodeTs2DiffRange(*blocks_, opt_.strategy,
+                                               chunk_begin_, chunk_end_,
+                                               &col_, ordered_,
+                                               StagesOf(opt_, stats_)));
+    } else {
+      ETSQP_RETURN_IF_ERROR(DecodeColumnRange(
+          page_.value_data.data(), page_.value_data.size(),
+          page_.header.value_encoding, page_.header.count, opt_.strategy,
+          chunk_begin_, chunk_end_, &col_, ordered_, StagesOf(opt_, stats_)));
     }
-    ETSQP_RETURN_IF_ERROR(DecodeColumnRange(
-        page_.value_data.data(), page_.value_data.size(),
-        page_.header.value_encoding, page_.header.count, opt_.strategy,
-        chunk_begin_, chunk_end_, &col_, ordered_, StagesOf(opt_, stats_)));
     if (stats_ != nullptr) stats_->tuples_scanned += col_.size();
     return Status::Ok();
   }

@@ -281,14 +281,41 @@ void DeltaDecodeOffsetsAvx2Unordered(const uint8_t* data, size_t data_size,
                                     init, out);
 }
 
+namespace {
+
+/// The AVX-512 n_v per width 1..25 for a caller that asks for the default:
+/// w_SIMD = 512 amortizes the prefix permutes over 16 lanes, so these sit
+/// at or below Proposition 1's AVX2-derived DefaultNumVectors. Each entry is
+/// the fastest n_v in bench_kernels' BM_Avx512NumVectors rows (1023-residual
+/// blocks, cache-resident, best of 20 runs; EXPERIMENTS.md), kept at 2 —
+/// the former constant — wherever no n_v beat 2 by 2%. Ordered entries are
+/// powers of two (OrderedNumVectors).
+constexpr int kAvx512OrderedNv[26] = {
+    2,                                     // w = 0 (scalar path)
+    4, 4, 8, 4, 2, 4, 4, 4, 2, 2,         // w = 1..10
+    2, 2, 2, 2, 2, 2, 2, 2, 2, 2,         // w = 11..20
+    2, 2, 2, 2, 2};                       // w = 21..25
+constexpr int kAvx512UnorderedNv[26] = {
+    2,                                     // w = 0 (scalar path)
+    9, 7, 9, 7, 6, 5, 4, 3, 3, 3,         // w = 1..10
+    4, 5, 5, 4, 4, 4, 2, 3, 3, 3,         // w = 11..20
+    3, 2, 2, 2, 2};                       // w = 21..25
+
+/// `n_v`, or the table's entry for `width` when n_v is 0 (the default).
+int Avx512NumVectors(const int (&table)[26], int width, int n_v) {
+  if (n_v != 0) return n_v;
+  return width >= 1 && width <= 25 ? table[width] : 2;
+}
+
+}  // namespace
+
 void DeltaDecodeOffsets(const uint8_t* data, size_t data_size, size_t n,
                         int width, int32_t min_delta, int n_v, int32_t init,
                         int32_t* out) {
   if (Avx512Available()) {
-    // w_SIMD = 512: 16-lane chunks amortize the prefix permutes, so fewer
-    // vectors are optimal (measured; cf. Proposition 1's w_SIMD term).
     DeltaDecodeOffsetsAvx512(data, data_size, n, width, min_delta,
-                             n_v == 0 ? 2 : n_v, init, out);
+                             Avx512NumVectors(kAvx512OrderedNv, width, n_v),
+                             init, out);
   } else if (UseAvx2()) {
     DeltaDecodeOffsetsAvx2(data, data_size, n, width, min_delta, n_v, init,
                            out);
@@ -301,8 +328,9 @@ void DeltaDecodeOffsetsUnordered(const uint8_t* data, size_t data_size,
                                  size_t n, int width, int32_t min_delta,
                                  int n_v, int32_t init, int32_t* out) {
   if (Avx512Available()) {
-    DeltaDecodeOffsetsAvx512Unordered(data, data_size, n, width, min_delta,
-                                      n_v == 0 ? 2 : n_v, init, out);
+    DeltaDecodeOffsetsAvx512Unordered(
+        data, data_size, n, width, min_delta,
+        Avx512NumVectors(kAvx512UnorderedNv, width, n_v), init, out);
   } else if (UseAvx2()) {
     DeltaDecodeOffsetsAvx2Impl<false>(data, data_size, n, width, min_delta,
                                       n_v, init, out);

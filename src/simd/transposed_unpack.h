@@ -27,7 +27,9 @@ namespace etsqp::simd {
 /// Decodes `n` residuals into natural-order inclusive running sums starting
 /// from `init` (out[i] = init + S_i). Dispatches AVX-512/AVX2/scalar at
 /// runtime. `n_v` in [1,16] selects the layout width (Proposition 1), which
-/// runs as OrderedNumVectors(n_v); pass 0 to use the default.
+/// runs as OrderedNumVectors(n_v); pass 0 for the default: a measured
+/// per-width table on AVX-512 (transposed_unpack.cc), DefaultNumVectors on
+/// AVX2.
 void DeltaDecodeOffsets(const uint8_t* data, size_t data_size, size_t n,
                         int width, int32_t min_delta, int n_v, int32_t init,
                         int32_t* out);

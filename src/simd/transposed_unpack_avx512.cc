@@ -275,7 +275,18 @@ void DecodeImpl512(const uint8_t* data, size_t data_size, size_t n, int width,
   }
 #undef ETSQP_NV512_CASE
 
+  // The whole 16-value chunks left over decode at n_v = 1, where the
+  // transposed order is the natural one, so a large n_v leaves fewer than
+  // 16 values to the scalar tail (a 1023-residual block at n_v = 8 would
+  // leave 127).
   size_t done = chunks * chunk_values;
+  if (n_v > 1 && n - done >= 16) {
+    const size_t rest = (n - done) / 16;
+    Chunks512<1, kNaturalOrder>(GetPlan512(width, 1),
+                                data + done * width / 8, rest, min_delta,
+                                base, out + done, &base);
+    done += rest * 16;
+  }
   if (done < n) {
     size_t pos = done * static_cast<size_t>(width);
     int32_t running = base;

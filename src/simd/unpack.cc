@@ -5,6 +5,7 @@
 #include "common/cpu.h"
 #include "encoding/bitpack.h"
 #include "simd/transposed_unpack_avx512.h"
+#include "simd/unpack_avx2.h"
 #include "simd/unpack_plan.h"
 
 namespace etsqp::simd {
@@ -13,53 +14,6 @@ void UnpackBE32Scalar(const uint8_t* data, size_t data_size, size_t n,
                       int width, uint32_t* out) {
   enc::UnpackBE32(data, data_size, 0, n, width, out);
 }
-
-namespace {
-
-/// One fast-path iteration: 8 values from `width` bytes at `src`.
-inline __m256i UnpackIterFast(const uint8_t* src, const UnpackPlan& plan) {
-  __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src));
-  __m128i hi = _mm_loadu_si128(
-      reinterpret_cast<const __m128i*>(src + plan.hi_offset));
-  __m256i v = _mm256_set_m128i(hi, lo);
-  __m256i shuf = _mm256_load_si256(
-      reinterpret_cast<const __m256i*>(plan.shuffle));
-  __m256i shift = _mm256_load_si256(
-      reinterpret_cast<const __m256i*>(plan.shift));
-  v = _mm256_shuffle_epi8(v, shuf);
-  v = _mm256_srlv_epi32(v, shift);
-  return _mm256_and_si256(v, _mm256_set1_epi32(plan.mask));
-}
-
-/// One wide-path iteration (width 26..32): two 4-value 64-bit-lane steps.
-inline __m256i UnpackIterWide(const uint8_t* src, const UnpackPlan& plan) {
-  __m256i halves[2];
-  for (int s = 0; s < 2; ++s) {
-    const UnpackPlan::WideStep& step = plan.steps[s];
-    __m128i lo = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(src + step.lo_offset));
-    __m128i hi = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(src + step.hi_offset));
-    __m256i v = _mm256_set_m128i(hi, lo);
-    __m256i shuf = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(step.shuffle));
-    __m256i shift = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(step.shift));
-    v = _mm256_shuffle_epi8(v, shuf);
-    v = _mm256_srlv_epi64(v, shift);
-    v = _mm256_and_si256(v, _mm256_set1_epi64x(
-                                static_cast<long long>(plan.mask64)));
-    halves[s] = v;
-  }
-  // Compact 2 x (4 x 64-bit) -> 8 x 32-bit. Low 32 bits of each 64-bit lane
-  // hold the value (width <= 32).
-  const __m256i pick = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-  __m256i a = _mm256_permutevar8x32_epi32(halves[0], pick);  // values in low half
-  __m256i b = _mm256_permutevar8x32_epi32(halves[1], pick);
-  return _mm256_permute2x128_si256(a, b, 0x20);
-}
-
-}  // namespace
 
 void UnpackBE32Avx2(const uint8_t* data, size_t data_size, size_t n,
                     int width, uint32_t* out) {

@@ -4,6 +4,7 @@
 #include <random>
 
 #include "common/aligned_buffer.h"
+#include "common/cpu.h"
 
 #include "encoding/delta_rle.h"
 #include "encoding/fastlanes.h"
@@ -309,6 +310,53 @@ TEST(FusionTest, Ts2DiffValueAt) {
   }
   int64_t v;
   EXPECT_FALSE(reader.value().ValueAt(1000, &v).ok());
+}
+
+TEST(FusionTest, Ts2DiffWindowsResumeAtEveryWidth) {
+  // Blocks of 100 values whose residual widths run 0..31, summed as the
+  // windows of a sliding-window SUM (each resuming at the previous end),
+  // at window lengths around the 8-lane vector and across block ends; on
+  // the dispatched path and with SIMD disabled.
+  constexpr size_t kBlock = 100;
+  std::mt19937_64 rng(59);
+  std::vector<int64_t> values(32 * kBlock);
+  int64_t v = -1000;
+  for (size_t i = 0; i < values.size(); ++i) {
+    const int width = static_cast<int>(i / kBlock);
+    values[i] = v;
+    const uint64_t mask = width == 0 ? 0 : (uint64_t{1} << width) - 1;
+    // Residual 0 and 2^w - 1 in every block pin its width at w.
+    const uint64_t r = i % kBlock == 0 ? 0 : i % kBlock == 1 ? mask
+                                                             : rng() & mask;
+    v += 3 + static_cast<int64_t>(r);
+  }
+  enc::EncodedColumn col =
+      enc::Ts2DiffEncoder(kBlock).Encode(values.data(), values.size());
+  AlignedBuffer buf;
+  buf.Assign(col.bytes.data(), col.bytes.size());
+  for (bool simd_off : {false, true}) {
+    SetSimdDisabledForTesting(simd_off);
+    for (size_t len : {1ul, 7ul, 8ul, 9ul, 33ul, 100ul, 1000ul}) {
+      Result<Ts2DiffFusedReader> reader =
+          Ts2DiffFusedReader::Open(buf.data(), buf.size());
+      ASSERT_TRUE(reader.ok());
+      for (size_t a = 0; a < values.size(); a += len) {
+        const size_t b = std::min(a + len, values.size());
+        int64_t want = 0;
+        for (size_t i = a; i < b; ++i) want += values[i];
+        int64_t got = 0;
+        ASSERT_TRUE(reader.value().SumRange(a, b, &got).ok()) << a;
+        EXPECT_EQ(got, want) << "len=" << len << " " << a << ":" << b
+                             << " simd_off=" << simd_off;
+      }
+      for (size_t i = 0; i < values.size(); i += 37) {
+        int64_t got = 0;
+        ASSERT_TRUE(reader.value().ValueAt(i, &got).ok());
+        EXPECT_EQ(got, values[i]) << i;
+      }
+    }
+  }
+  SetSimdDisabledForTesting(false);
 }
 
 TEST(FusionTest, DeltaRleAggMatchesDecode) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <tuple>
 
 #include "common/aligned_buffer.h"
@@ -186,7 +187,7 @@ FullWidthDeltas MakeFullWidthDeltas(int width, size_t n, int32_t init,
 /// run (the unordered kernel's n_v and the ordered kernel's
 /// OrderedNumVectors(n_v)), plus several chunks with a tail.
 std::vector<size_t> ChunkEdgeLengths(int n_v, int lanes) {
-  std::vector<size_t> lengths = {0, 1, 1337};
+  std::vector<size_t> lengths = {0, 1, 1023, 1337};
   for (int nv : {n_v, OrderedNumVectors(n_v)}) {
     const size_t chunk = static_cast<size_t>(nv) * lanes;
     for (size_t n : {chunk - 1, chunk, chunk + 1, 3 * chunk + 5}) {
@@ -460,42 +461,122 @@ TEST(JoinMaskTest, MatchesScalarReferenceOnRandomSets) {
 
 // --------------------------------------------------------------- agg
 
-TEST(AggTest, MaskedSumMatchesScalar) {
-  if (!CpuHasAvx2()) GTEST_SKIP() << "no AVX2";
-  std::mt19937_64 rng(222);
-  for (size_t n : {1ul, 8ul, 100ul, 4096ul}) {
-    std::vector<int32_t> values(n);
-    std::vector<uint64_t> mask(CeilDiv(n, 64));
-    for (auto& v : values) v = static_cast<int32_t>(rng()) / 4;
-    for (auto& m : mask) m = rng();
-    EXPECT_EQ(MaskedSumInt32Avx2(values.data(), mask.data(), n),
-              MaskedSumInt32Scalar(values.data(), mask.data(), n))
-        << n;
+/// The filtered aggregate of values in [lo, hi], value at a time.
+RangeAggregate RangeAggregateReference(const std::vector<int32_t>& values,
+                                       int32_t lo, int32_t hi) {
+  RangeAggregate agg;
+  for (int32_t v : values) {
+    if (v < lo || v > hi) continue;
+    ++agg.count;
+    agg.sum += v;
+    agg.min = std::min(agg.min, v);
+    agg.max = std::max(agg.max, v);
   }
+  return agg;
+}
+
+/// Checks `got` against the reference `want` on the accumulators asked for.
+void ExpectRangeAggregate(const RangeAggregate& got,
+                          const RangeAggregate& want, bool want_sum,
+                          bool want_min_max, const std::string& what) {
+  EXPECT_EQ(got.count, want.count) << what;
+  EXPECT_EQ(got.sum, want_sum ? want.sum : 0) << what;
+  EXPECT_EQ(got.min, want_min_max ? want.min : INT32_MAX) << what;
+  EXPECT_EQ(got.max, want_min_max ? want.max : INT32_MIN) << what;
+}
+
+TEST(AggTest, RangeAggregateMatchesScalar) {
+  // Every accumulator choice, on the dispatched path, the forced scalar and
+  // AVX2 paths and the dispatcher with SIMD disabled, over lengths around
+  // the 8-lane step and bounds at the int32 extremes, passing none, some
+  // and all of the values.
+  std::mt19937_64 rng(222);
+  const std::pair<int32_t, int32_t> bounds[] = {
+      {INT32_MIN, INT32_MAX}, {INT32_MIN, 0},   {0, INT32_MAX},
+      {-100000, 250000},      {INT32_MAX, INT32_MAX},
+      {INT32_MIN, INT32_MIN}, {5, 4},           {INT32_MAX, INT32_MIN}};
+  for (size_t n : {0ul, 1ul, 7ul, 8ul, 9ul, 15ul, 100ul, 4096ul, 4101ul}) {
+    std::vector<int32_t> values(n);
+    for (auto& v : values) {
+      switch (rng() % 4) {
+        case 0:
+          v = INT32_MIN + static_cast<int32_t>(rng() % 3);
+          break;
+        case 1:
+          v = INT32_MAX - static_cast<int32_t>(rng() % 3);
+          break;
+        default:
+          v = static_cast<int32_t>(rng() % 1000000) - 500000;
+      }
+    }
+    for (const auto& [lo, hi] : bounds) {
+      const RangeAggregate want = RangeAggregateReference(values, lo, hi);
+      for (bool want_sum : {false, true}) {
+        for (bool want_min_max : {false, true}) {
+          const std::string what = "n=" + std::to_string(n) +
+                                   " lo=" + std::to_string(lo) +
+                                   " hi=" + std::to_string(hi) +
+                                   " sum=" + std::to_string(want_sum) +
+                                   " minmax=" + std::to_string(want_min_max);
+          ExpectRangeAggregate(
+              RangeAggregateInt32(values.data(), n, lo, hi, want_sum,
+                                  want_min_max),
+              want, want_sum, want_min_max, what);
+          ExpectRangeAggregate(
+              RangeAggregateInt32Scalar(values.data(), n, lo, hi, want_sum,
+                                        want_min_max),
+              want, want_sum, want_min_max, what + " scalar");
+          if (CpuHasAvx2()) {
+            ExpectRangeAggregate(
+                RangeAggregateInt32Avx2(values.data(), n, lo, hi, want_sum,
+                                        want_min_max),
+                want, want_sum, want_min_max, what + " avx2");
+          }
+          SetSimdDisabledForTesting(true);
+          ExpectRangeAggregate(
+              RangeAggregateInt32(values.data(), n, lo, hi, want_sum,
+                                  want_min_max),
+              want, want_sum, want_min_max, what + " simd off");
+          SetSimdDisabledForTesting(false);
+        }
+      }
+    }
+  }
+}
+
+TEST(AggTest, RangeAggregateMinMax) {
+  std::vector<int32_t> values = {5, -3, 100, 42, -77, 8, 9, 10, 11};
+  const RangeAggregate agg = RangeAggregateInt32(
+      values.data(), values.size(), -80, 100, /*want_sum=*/true,
+      /*want_min_max=*/true);
+  EXPECT_EQ(agg.count, 9u);
+  EXPECT_EQ(agg.sum, 105);
+  EXPECT_EQ(agg.min, -77);
+  EXPECT_EQ(agg.max, 100);
+  const RangeAggregate mid = RangeAggregateInt32(
+      values.data(), values.size(), 9, 42, /*want_sum=*/true,
+      /*want_min_max=*/true);
+  EXPECT_EQ(mid.count, 4u);  // 42, 9, 10, 11
+  EXPECT_EQ(mid.sum, 72);
+  EXPECT_EQ(mid.min, 9);
+  EXPECT_EQ(mid.max, 42);
+}
+
+TEST(AggTest, RangeAggregateNonePass) {
+  std::vector<int32_t> values(20, 7);
+  const RangeAggregate agg = RangeAggregateInt32(
+      values.data(), values.size(), 8, 100, /*want_sum=*/true,
+      /*want_min_max=*/true);
+  EXPECT_EQ(agg.count, 0u);
+  EXPECT_EQ(agg.sum, 0);
+  EXPECT_EQ(agg.min, INT32_MAX);
+  EXPECT_EQ(agg.max, INT32_MIN);
 }
 
 TEST(AggTest, SumInt32LargeMagnitudes) {
   std::vector<int32_t> values(100000, INT32_MAX);
   int64_t expected = static_cast<int64_t>(INT32_MAX) * 100000;
   EXPECT_EQ(SumInt32(values.data(), values.size()), expected);
-}
-
-TEST(AggTest, MaskedMinMax) {
-  std::vector<int32_t> values = {5, -3, 100, 42, -77, 8, 9, 10, 11};
-  uint64_t mask = 0b000011110;  // selects -3, 100, 42, -77
-  int32_t mn, mx;
-  ASSERT_TRUE(
-      MaskedMinMaxInt32(values.data(), &mask, values.size(), &mn, &mx));
-  EXPECT_EQ(mn, -77);
-  EXPECT_EQ(mx, 100);
-}
-
-TEST(AggTest, MaskedMinMaxEmptyMask) {
-  std::vector<int32_t> values = {1, 2, 3};
-  uint64_t mask = 0;
-  int32_t mn, mx;
-  EXPECT_FALSE(
-      MaskedMinMaxInt32(values.data(), &mask, values.size(), &mn, &mx));
 }
 
 TEST(AggTest, MinMaxUnmaskedMatchesScalar) {
@@ -510,41 +591,105 @@ TEST(AggTest, MinMaxUnmaskedMatchesScalar) {
   }
 }
 
-TEST(AggTest, WeightedRampSumMatchesScalar) {
-  // The kernel returns exactly the ramp and sets the plain sum, on the
-  // dispatched path and on the forced scalar and AVX2 paths. Values are
-  // unpacked residuals: non-negative, below 2^31.
-  std::mt19937_64 rng(333);
-  for (size_t n : {0ul, 1ul, 7ul, 8ul, 9ul, 77ul, 1000ul, 1023ul}) {
-    std::vector<int32_t> values(n);
-    for (auto& v : values) v = static_cast<int32_t>(rng() % (1u << 31));
-    int64_t want_ramp = 0, want_sum = 0;
-    for (size_t i = 0; i < n; ++i) {
-      want_ramp += static_cast<int64_t>(n - i) * values[i];
-      want_sum += values[i];
-    }
-    int64_t sum = -1;
-    EXPECT_EQ(WeightedRampSumInt32(values.data(), n, &sum), want_ramp) << n;
-    EXPECT_EQ(sum, want_sum) << n;
-    sum = -1;
-    EXPECT_EQ(WeightedRampSumInt32Scalar(values.data(), n, &sum), want_ramp)
-        << n;
-    EXPECT_EQ(sum, want_sum) << n;
-    if (CpuHasAvx2()) {
-      sum = -1;
-      EXPECT_EQ(WeightedRampSumInt32Avx2(values.data(), n, &sum), want_ramp)
-          << n;
-      EXPECT_EQ(sum, want_sum) << n;
-    }
+/// A block's residuals packed Big-Endian at `width` bits, in a buffer that
+/// ends exactly 32 bytes past the packed bytes (the slack a page column
+/// guarantees), so a read past it shows under AddressSanitizer.
+struct PackedResiduals {
+  std::vector<uint64_t> values;
+  std::vector<uint8_t> bytes;
+  size_t packed_bytes = 0;
+};
+
+PackedResiduals PackResiduals(std::vector<uint64_t> values, int width) {
+  PackedResiduals p;
+  BitWriter w;
+  enc::PackBE(values.data(), values.size(), width, &w);
+  p.bytes = w.TakeBuffer();
+  p.packed_bytes = p.bytes.size();
+  p.bytes.resize(p.packed_bytes + 32, 0xA5);
+  p.values = std::move(values);
+  return p;
+}
+
+/// The ramp sums of residuals [first, first + n), value at a time.
+RampSums RampReference(const std::vector<uint64_t>& r, size_t first,
+                       size_t n) {
+  RampSums want;
+  for (size_t k = 0; k < n; ++k) {
+    want.sum += r[first + k];
+    want.ramp += static_cast<unsigned __int128>(n - k) * r[first + k];
+  }
+  return want;
+}
+
+/// Checks every path of PackedRampSum on residuals [first, first + n).
+void ExpectRampSums(const PackedResiduals& p, int width, size_t first,
+                    size_t n) {
+  const RampSums want = RampReference(p.values, first, n);
+  const std::string what = "w=" + std::to_string(width) +
+                           " first=" + std::to_string(first) +
+                           " n=" + std::to_string(n);
+  auto check = [&](const RampSums& got, const char* path) {
+    EXPECT_EQ(got.sum, want.sum) << what << " " << path;
+    EXPECT_TRUE(got.ramp == want.ramp) << what << " " << path;
+  };
+  check(PackedRampSum(p.bytes.data(), p.packed_bytes, width, first, n),
+        "dispatched");
+  check(PackedRampSumScalar(p.bytes.data(), p.packed_bytes, width, first, n),
+        "scalar");
+  if (CpuHasAvx2()) {
+    check(PackedRampSumAvx2(p.bytes.data(), p.packed_bytes, width, first, n),
+          "avx2");
   }
 }
 
-TEST(AggTest, WeightedRampSumFormula) {
-  // sum (n - i) * v_i for v = [1, 1, 1], n=3: 3 + 2 + 1 = 6; plain sum 3.
-  std::vector<int32_t> values = {1, 1, 1};
-  int64_t sum = 0;
-  EXPECT_EQ(WeightedRampSumInt32(values.data(), 3, &sum), 6);
-  EXPECT_EQ(sum, 3);
+TEST(AggTest, PackedRampSumMatchesScalar) {
+  // Every width the fused reader takes (and 32), slices starting at every
+  // residual offset mod 16, lengths around the 8-lane vector and the whole
+  // of a 1023-residual block.
+  std::mt19937_64 rng(333);
+  constexpr size_t kBlock = 1023;
+  for (int width = 0; width <= 32; ++width) {
+    std::vector<uint64_t> r(kBlock);
+    for (auto& v : r) v = rng() & MaskLow64(width);
+    const PackedResiduals p = PackResiduals(r, width);
+    for (size_t first = 0; first < 16; ++first) {
+      for (size_t n : {0ul, 1ul, 7ul, 8ul, 9ul, 16ul, 17ul, 100ul}) {
+        ExpectRampSums(p, width, first, n);
+      }
+      ExpectRampSums(p, width, first, kBlock - first);  // to the block end
+      // Slices ending at every offset mod 16 before the block end.
+      for (size_t cut = 1; cut <= 16; ++cut) {
+        ExpectRampSums(p, width, first, kBlock - first - cut);
+      }
+    }
+    ExpectRampSums(p, width, 0, kBlock);
+  }
+}
+
+TEST(AggTest, PackedRampSumAllOnesHitsFlushBound) {
+  // All-ones residuals make every 32-bit lane sum as large as it can get,
+  // so a flush one vector late wraps. Whole blocks, and a run longer than
+  // one 2^16-residual piece.
+  for (int width = 1; width <= 32; ++width) {
+    const PackedResiduals p = PackResiduals(
+        std::vector<uint64_t>(1023, MaskLow64(width)), width);
+    ExpectRampSums(p, width, 0, 1023);
+    ExpectRampSums(p, width, 5, 1011);
+  }
+  for (int width : {1, 19, 20, 31}) {
+    const PackedResiduals p = PackResiduals(
+        std::vector<uint64_t>(70001, MaskLow64(width)), width);
+    ExpectRampSums(p, width, 3, 69998);
+  }
+}
+
+TEST(AggTest, PackedRampSumFormula) {
+  // r = [1, 1, 1] at width 1: ramp 3 + 2 + 1 = 6, plain sum 3.
+  const PackedResiduals p = PackResiduals({1, 1, 1}, 1);
+  const RampSums s = PackedRampSum(p.bytes.data(), p.packed_bytes, 1, 0, 3);
+  EXPECT_EQ(s.sum, 3u);
+  EXPECT_TRUE(s.ramp == 6);
 }
 
 TEST(AggTest, CheckedSumDetectsOverflow) {
