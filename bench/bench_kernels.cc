@@ -3,23 +3,32 @@
 // Delta recovery in natural order and in the transposed layout (AVX2 and
 // AVX-512; the natural-order rows run at the n_v OrderedNumVectors picks for
 // the Prop. 1 default), SBoost-style prefix-sum decode, Repeat flatten, range
-// filter, the one-pass filtered SUM, and the fused TS2DIFF window SUM.
+// filter, the one-pass filtered SUM, the fused TS2DIFF window SUM, and the
+// decoders of the codecs compaction picks: Sprintz (reference and AVX2) and
+// the XOR float codecs (Gorilla, Chimp, Elf).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 
 #include "common/aligned_buffer.h"
 #include "common/bit_util.h"
 #include "common/bitstream.h"
+#include "common/cpu.h"
 #include "encoding/bitpack.h"
+#include "encoding/chimp.h"
+#include "encoding/elf.h"
+#include "encoding/gorilla.h"
+#include "encoding/sprintz.h"
 #include "encoding/ts2diff.h"
 #include "exec/fusion.h"
 #include "simd/agg_simd.h"
 #include "simd/delta_simd.h"
 #include "simd/filter_simd.h"
 #include "simd/rle_flatten.h"
+#include "simd/sprintz_simd.h"
 #include "simd/transposed_unpack.h"
 #include "simd/transposed_unpack_avx512.h"
 #include "simd/unpack.h"
@@ -310,6 +319,96 @@ void BM_FilteredSum(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kChunk);
 }
 BENCHMARK(BM_FilteredSum);
+
+/// One 1024-value Sprintz column whose every block packs at `width` bits:
+/// the reference decoder (impl 0, SprintzColumn::DecodeAll) against the AVX2
+/// block decoder (impl 1).
+void BM_SprintzDecode(benchmark::State& state) {
+  const bool avx2 = state.range(0) != 0;
+  const int width = static_cast<int>(state.range(1));
+  if (avx2 && !CpuHasAvx2()) {
+    state.SkipWithError("no AVX2");
+    return;
+  }
+  constexpr size_t kCol = 1024;
+  std::mt19937_64 rng(width);
+  std::vector<int64_t> values(kCol);
+  int64_t v = 0;
+  for (size_t i = 0; i < kCol; ++i) {
+    if (i > 0) {
+      uint64_t zz = rng() & MaskLow64(width);
+      if ((i - 1) % 8 == 0) zz |= 1ull << (width - 1);
+      v = WrapAdd64(v, ZigZagDecode64(zz));
+    }
+    values[i] = v;
+  }
+  enc::EncodedColumn col = enc::SprintzEncoder().Encode(values.data(), kCol);
+  AlignedBuffer buf;
+  buf.Assign(col.bytes.data(), col.bytes.size());
+  enc::SprintzColumn parsed =
+      enc::SprintzColumn::Parse(buf.data(), buf.size()).value();
+  std::vector<int64_t> out(kCol);
+  for (auto _ : state) {
+    Status st = avx2 ? simd::SprintzDecodeAvx2(
+                           parsed.blocks(), parsed.blocks_bytes(), kCol,
+                           parsed.first_value(), 0, kCol, out.data())
+                     : parsed.DecodeAll(out.data());
+    if (!st.ok()) state.SkipWithError("sprintz decode failed");
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kCol);
+}
+BENCHMARK(BM_SprintzDecode)
+    ->ArgNames({"avx2", "w"})
+    ->ArgsProduct({{0, 1}, {1, 4, 8, 16, 24, 32}});
+
+/// A 4096-value sensor-like float series (a slow daily cycle plus noise,
+/// one decimal place) decoded from its page bytes: Gorilla (codec 0), Chimp
+/// (1) and Elf (2).
+void BM_XorFloatDecode(benchmark::State& state) {
+  constexpr size_t kCol = 4096;
+  std::mt19937_64 rng(17);
+  std::normal_distribution<double> noise(0.0, 0.3);
+  std::vector<double> values(kCol);
+  for (size_t i = 0; i < kCol; ++i) {
+    const double x = 20.0 + 5.0 * std::sin(static_cast<double>(i) / 300.0) +
+                     noise(rng);
+    values[i] = std::round(x * 10.0) / 10.0;
+  }
+  enc::EncodedColumn col;
+  switch (state.range(0)) {
+    case 0:
+      col = enc::GorillaValueEncoder().EncodeDoubles(values.data(), kCol);
+      break;
+    case 1:
+      col = enc::ChimpEncoder().EncodeDoubles(values.data(), kCol);
+      break;
+    default:
+      col = enc::ElfEncoder().EncodeDoubles(values.data(), kCol);
+      break;
+  }
+  std::vector<double> out(kCol);
+  for (auto _ : state) {
+    Status st;
+    switch (state.range(0)) {
+      case 0:
+        st = enc::GorillaValueDecodeDoubles(col, out.data());
+        break;
+      case 1:
+        st = enc::ChimpDecodeDoubles(col, out.data());
+        break;
+      default:
+        st = enc::ElfDecodeDoubles(col, out.data());
+        break;
+    }
+    if (!st.ok()) state.SkipWithError("float decode failed");
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kCol);
+}
+BENCHMARK(BM_XorFloatDecode)->ArgName("codec")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_JoinMasks(benchmark::State& state) {
   std::mt19937_64 rng(15);

@@ -81,17 +81,21 @@ EncodedColumn ChimpEncoder::EncodeDoubles(const double* values,
   return Encode(words.data(), n);
 }
 
-Status ChimpDecode(const EncodedColumn& col, uint64_t* out) {
-  const uint8_t* data = col.bytes.data();
-  size_t size = col.bytes.size();
+namespace {
+
+/// The decode into words or doubles: `Out` is the 8-byte type each decoded
+/// bit pattern is stored as.
+template <typename Out>
+Status DecodeChimp(const uint8_t* data, size_t size, uint32_t count,
+                   Out* out) {
   if (size < 12) return Status::Corruption("chimp: header truncated");
   uint32_t n = GetFixed32BE(data);
-  if (n != col.count) return Status::Corruption("chimp: count mismatch");
+  if (n != count) return Status::Corruption("chimp: count mismatch");
   if (n == 0) return Status::Ok();
-  out[0] = GetFixed64BE(data + 4);
+  uint64_t prev = GetFixed64BE(data + 4);
+  out[0] = std::bit_cast<Out>(prev);
 
   BitReader r(data + 12, size - 12);
-  uint64_t prev = out[0];
   int prev_cls = 0;
   for (size_t i = 1; i < n; ++i) {
     uint32_t flag = static_cast<uint32_t>(r.ReadBits(2));
@@ -123,16 +127,21 @@ Status ChimpDecode(const EncodedColumn& col, uint64_t* out) {
     }
     if (r.exhausted()) return Status::Corruption("chimp: truncated");
     prev ^= x;
-    out[i] = prev;
+    out[i] = std::bit_cast<Out>(prev);
   }
   return Status::Ok();
 }
 
-Status ChimpDecodeDoubles(const EncodedColumn& col, double* out) {
-  std::vector<uint64_t> words(col.count);
-  ETSQP_RETURN_IF_ERROR(ChimpDecode(col, words.data()));
-  std::memcpy(out, words.data(), col.count * sizeof(double));
-  return Status::Ok();
+}  // namespace
+
+Status ChimpDecode(const uint8_t* data, size_t size, uint32_t count,
+                   uint64_t* out) {
+  return DecodeChimp(data, size, count, out);
+}
+
+Status ChimpDecodeDoubles(const uint8_t* data, size_t size, uint32_t count,
+                          double* out) {
+  return DecodeChimp(data, size, count, out);
 }
 
 }  // namespace etsqp::enc

@@ -20,12 +20,12 @@ EncodedColumn DeltaRleEncoder::Encode(const int64_t* values, size_t n) const {
   int64_t max_delta = 0;
   uint32_t max_run = 1;
   if (n > 1) {
-    min_delta = values[1] - values[0];
+    min_delta = WrapSub64(values[1], values[0]);
     max_delta = min_delta;
     for (size_t i = 1; i < n;) {
-      int64_t d = values[i] - values[i - 1];
+      int64_t d = WrapSub64(values[i], values[i - 1]);
       size_t j = i + 1;
-      while (j < n && values[j] - values[j - 1] == d) ++j;
+      while (j < n && WrapSub64(values[j], values[j - 1]) == d) ++j;
       uint32_t run = static_cast<uint32_t>(j - i);
       pairs.push_back(DeltaRun{d, run});
       min_delta = std::min(min_delta, d);
@@ -34,7 +34,8 @@ EncodedColumn DeltaRleEncoder::Encode(const int64_t* values, size_t n) const {
       i = j;
     }
   }
-  int delta_width = BitWidth(static_cast<uint64_t>(max_delta - min_delta));
+  int delta_width =
+      BitWidth(static_cast<uint64_t>(WrapSub64(max_delta, min_delta)));
   int run_width = BitWidth(max_run - 1);
 
   PutFixed32BE(&out, static_cast<uint32_t>(n));
@@ -46,7 +47,8 @@ EncodedColumn DeltaRleEncoder::Encode(const int64_t* values, size_t n) const {
 
   BitWriter dw;
   for (const DeltaRun& p : pairs) {
-    dw.WriteBits(static_cast<uint64_t>(p.delta - min_delta), delta_width);
+    dw.WriteBits(static_cast<uint64_t>(WrapSub64(p.delta, min_delta)),
+                 delta_width);
   }
   std::vector<uint8_t> packed = dw.TakeBuffer();
   out.insert(out.end(), packed.begin(), packed.end());
@@ -61,8 +63,13 @@ EncodedColumn DeltaRleEncoder::Encode(const int64_t* values, size_t n) const {
 }
 
 int64_t DeltaRleColumn::delta_upper_bound() const {
-  if (delta_width_ >= 63) return INT64_MAX;
-  return min_delta_ + static_cast<int64_t>(MaskLow64(delta_width_));
+  int64_t hi;
+  if (delta_width_ >= 63 ||
+      AddOverflow64(min_delta_, static_cast<int64_t>(MaskLow64(delta_width_)),
+                    &hi)) {
+    return INT64_MAX;
+  }
+  return hi;
 }
 
 uint32_t DeltaRleColumn::max_run_bound() const {
@@ -106,7 +113,7 @@ Status DeltaRleColumn::DecodePairs(std::vector<DeltaRun>* out) const {
     dpos += delta_width_;
     uint64_t rr = UnpackOneBE(packed_runs_, rpos, run_width_);
     rpos += run_width_;
-    out->push_back(DeltaRun{min_delta_ + static_cast<int64_t>(dr),
+    out->push_back(DeltaRun{WrapAdd64(min_delta_, static_cast<int64_t>(dr)),
                             static_cast<uint32_t>(rr) + 1});
   }
   return Status::Ok();
@@ -121,7 +128,7 @@ Status DeltaRleColumn::DecodeAll(int64_t* out) const {
   int64_t prev = first_value_;
   for (const DeltaRun& p : pairs) {
     for (uint32_t k = 0; k < p.run && pos < count_; ++k) {
-      prev += p.delta;
+      prev = WrapAdd64(prev, p.delta);
       out[pos++] = prev;
     }
   }

@@ -11,8 +11,17 @@ namespace etsqp::enc {
 
 namespace {
 
+/// 10^p. The powers a double holds exactly come from a table, equal to
+/// what std::pow returns for them, without its cost on every value.
+double Pow10(int p) {
+  static constexpr double kExact[] = {
+      1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+      1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+  return p >= 0 && p <= 22 ? kExact[p] : std::pow(10.0, p);
+}
+
 double RoundToPrecision(double v, int precision) {
-  double scale = std::pow(10.0, precision);
+  double scale = Pow10(precision);
   return std::nearbyint(v * scale) / scale;
 }
 
@@ -79,30 +88,21 @@ EncodedColumn ElfEncoder::EncodeDoubles(const double* values,
   return col;
 }
 
-Status ElfDecodeDoubles(const EncodedColumn& col, double* out) {
-  const uint8_t* data = col.bytes.data();
-  size_t size = col.bytes.size();
+Status ElfDecodeDoubles(const uint8_t* data, size_t size, uint32_t count,
+                        double* out) {
   if (size < 4) return Status::Corruption("elf: header truncated");
   uint32_t side_bytes = GetFixed32BE(data);
-  if (4 + side_bytes > size) return Status::Corruption("elf: side truncated");
-
-  EncodedColumn inner;
-  inner.encoding = ColumnEncoding::kChimp;
-  inner.count = col.count;
-  inner.bytes.assign(data + 4 + side_bytes, data + size);
-  std::vector<uint64_t> words(col.count);
-  ETSQP_RETURN_IF_ERROR(ChimpDecode(inner, words.data()));
+  if (side_bytes > size - 4) return Status::Corruption("elf: side truncated");
+  ETSQP_RETURN_IF_ERROR(ChimpDecodeDoubles(
+      data + 4 + side_bytes, size - 4 - side_bytes, count, out));
 
   BitReader side(data + 4, side_bytes);
-  for (uint32_t i = 0; i < col.count; ++i) {
-    double v;
-    std::memcpy(&v, &words[i], 8);
+  for (uint32_t i = 0; i < count; ++i) {
     if (side.ReadBit()) {
       int prec = static_cast<int>(side.ReadBits(4));
-      v = RoundToPrecision(v, prec);
+      out[i] = RoundToPrecision(out[i], prec);
     }
     if (side.exhausted()) return Status::Corruption("elf: side truncated");
-    out[i] = v;
   }
   return Status::Ok();
 }

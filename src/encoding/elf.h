@@ -29,7 +29,14 @@ class ElfEncoder {
   int max_precision_;
 };
 
-Status ElfDecodeDoubles(const EncodedColumn& col, double* out);
+/// Decodes a column of `size` bytes at `data` into out[count]: the Chimp
+/// stage decodes straight into `out`, then the side channel rounds the
+/// erased values in place. Corruption when the column holds another count.
+Status ElfDecodeDoubles(const uint8_t* data, size_t size, uint32_t count,
+                        double* out);
+inline Status ElfDecodeDoubles(const EncodedColumn& col, double* out) {
+  return ElfDecodeDoubles(col.bytes.data(), col.bytes.size(), col.count, out);
+}
 
 /// Exposed for tests: number of decimal places after which `v` printed and
 /// re-parsed reproduces itself, or -1 if more than `max_precision` needed.

@@ -17,7 +17,8 @@ const std::vector<uint64_t>& FibonacciTable() {
 }
 
 void FibonacciEncode(uint64_t x, BitWriter* writer) {
-  uint64_t v = x + 1;  // Fibonacci codes cover positive integers only.
+  // Fibonacci codes cover positive integers only; x = 2^64 - 1 codes 2^64.
+  unsigned __int128 v = static_cast<unsigned __int128>(x) + 1;
   const std::vector<uint64_t>& fib = FibonacciTable();
   // Greedy: find the largest Fibonacci number <= v, mark bits high to low.
   int hi = 0;
@@ -28,12 +29,11 @@ void FibonacciEncode(uint64_t x, BitWriter* writer) {
     }
   }
   // Collect which indices participate.
-  uint64_t rem = v;
-  std::vector<uint8_t> bits(hi + 1, 0);
+  uint8_t bits[128] = {};
   for (int i = hi; i >= 0; --i) {
-    if (fib[i] <= rem) {
+    if (fib[i] <= v) {
       bits[i] = 1;
-      rem -= fib[i];
+      v -= fib[i];
     }
   }
   // Emit lowest-order first, then the terminating 1 (forming "11").
@@ -43,15 +43,15 @@ void FibonacciEncode(uint64_t x, BitWriter* writer) {
 
 bool FibonacciDecode(BitReader* reader, uint64_t* out) {
   const std::vector<uint64_t>& fib = FibonacciTable();
-  uint64_t v = 0;
+  unsigned __int128 v = 0;  // up to 2^64, the code of 2^64 - 1
   uint32_t prev = 0;
   for (size_t i = 0;; ++i) {
     if (reader->remaining_bits() == 0) return false;
     uint32_t b = reader->ReadBit();
     if (b && prev) {
       // Terminator: the previous 1 was the last data bit.
-      *out = v - 1;
-      return v >= 1;
+      *out = static_cast<uint64_t>(v - 1);
+      return v >= 1 && v <= static_cast<unsigned __int128>(UINT64_MAX) + 1;
     }
     if (i >= fib.size()) return false;
     if (b) v += fib[i];

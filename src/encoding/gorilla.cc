@@ -28,10 +28,10 @@ EncodedColumn GorillaTimestampEncoder::Encode(const int64_t* values,
   PutFixed64BE(&out, n > 1 ? static_cast<uint64_t>(values[1]) : 0);
 
   BitWriter w;
-  int64_t prev_delta = n > 1 ? values[1] - values[0] : 0;
+  int64_t prev_delta = n > 1 ? WrapSub64(values[1], values[0]) : 0;
   for (size_t i = 2; i < n; ++i) {
-    int64_t delta = values[i] - values[i - 1];
-    int64_t dod = delta - prev_delta;
+    int64_t delta = WrapSub64(values[i], values[i - 1]);
+    int64_t dod = WrapSub64(delta, prev_delta);
     prev_delta = delta;
     uint64_t zz = ZigZagEncode64(dod);
     if (zz == 0) {
@@ -55,19 +55,18 @@ EncodedColumn GorillaTimestampEncoder::Encode(const int64_t* values,
   return col;
 }
 
-Status GorillaTimestampDecode(const EncodedColumn& col, int64_t* out) {
-  const uint8_t* data = col.bytes.data();
-  size_t size = col.bytes.size();
+Status GorillaTimestampDecode(const uint8_t* data, size_t size,
+                              uint32_t count, int64_t* out) {
   if (size < 20) return Status::Corruption("gorilla-ts: header truncated");
   uint32_t n = GetFixed32BE(data);
-  if (n != col.count) return Status::Corruption("gorilla-ts: count mismatch");
+  if (n != count) return Status::Corruption("gorilla-ts: count mismatch");
   if (n == 0) return Status::Ok();
   out[0] = static_cast<int64_t>(GetFixed64BE(data + 4));
   if (n == 1) return Status::Ok();
   out[1] = static_cast<int64_t>(GetFixed64BE(data + 12));
 
   BitReader r(data + 20, size - 20);
-  int64_t prev_delta = out[1] - out[0];
+  int64_t prev_delta = WrapSub64(out[1], out[0]);
   int64_t prev = out[1];
   for (size_t i = 2; i < n; ++i) {
     int64_t dod = 0;
@@ -144,22 +143,21 @@ EncodedColumn GorillaValueEncoder::EncodeDoubles(const double* values,
   return Encode(words.data(), n);
 }
 
-Status GorillaValueDecode(const EncodedColumn& col, uint64_t* out) {
-  const uint8_t* data = col.bytes.data();
-  size_t size = col.bytes.size();
+Status GorillaValueDecodeDoubles(const uint8_t* data, size_t size,
+                                 uint32_t count, double* out) {
   if (size < 12) return Status::Corruption("gorilla-val: header truncated");
   uint32_t n = GetFixed32BE(data);
-  if (n != col.count) return Status::Corruption("gorilla-val: count mismatch");
+  if (n != count) return Status::Corruption("gorilla-val: count mismatch");
   if (n == 0) return Status::Ok();
-  out[0] = GetFixed64BE(data + 4);
+  uint64_t prev = GetFixed64BE(data + 4);
+  out[0] = std::bit_cast<double>(prev);
 
   BitReader r(data + 12, size - 12);
-  uint64_t prev = out[0];
   int prev_lead = 0;
   int prev_len = 0;
   for (size_t i = 1; i < n; ++i) {
     if (r.ReadBit() == 0) {
-      out[i] = prev;
+      out[i] = std::bit_cast<double>(prev);
       continue;
     }
     if (r.ReadBit() == 0) {
@@ -180,15 +178,8 @@ Status GorillaValueDecode(const EncodedColumn& col, uint64_t* out) {
       prev_len = len;
     }
     if (r.exhausted()) return Status::Corruption("gorilla-val: truncated");
-    out[i] = prev;
+    out[i] = std::bit_cast<double>(prev);
   }
-  return Status::Ok();
-}
-
-Status GorillaValueDecodeDoubles(const EncodedColumn& col, double* out) {
-  std::vector<uint64_t> words(col.count);
-  ETSQP_RETURN_IF_ERROR(GorillaValueDecode(col, words.data()));
-  std::memcpy(out, words.data(), col.count * sizeof(double));
   return Status::Ok();
 }
 

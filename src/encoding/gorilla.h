@@ -22,7 +22,14 @@ class GorillaTimestampEncoder {
   EncodedColumn Encode(const int64_t* values, size_t n) const;
 };
 
-Status GorillaTimestampDecode(const EncodedColumn& col, int64_t* out);
+/// Decodes a column of `size` bytes at `data` into out[count]; Corruption
+/// when it holds another count.
+Status GorillaTimestampDecode(const uint8_t* data, size_t size,
+                              uint32_t count, int64_t* out);
+inline Status GorillaTimestampDecode(const EncodedColumn& col, int64_t* out) {
+  return GorillaTimestampDecode(col.bytes.data(), col.bytes.size(), col.count,
+                                out);
+}
 
 /// --- Value column (doubles or raw 64-bit words, XOR pattern) ------------
 /// Flags: '0' same as previous; '10' XOR fits in the previous
@@ -34,8 +41,15 @@ class GorillaValueEncoder {
   EncodedColumn EncodeDoubles(const double* values, size_t n) const;
 };
 
-Status GorillaValueDecode(const EncodedColumn& col, uint64_t* out);
-Status GorillaValueDecodeDoubles(const EncodedColumn& col, double* out);
+/// Decodes a column of `size` bytes at `data` straight into out[count].
+/// Corruption when the column holds another count.
+Status GorillaValueDecodeDoubles(const uint8_t* data, size_t size,
+                                 uint32_t count, double* out);
+inline Status GorillaValueDecodeDoubles(const EncodedColumn& col,
+                                        double* out) {
+  return GorillaValueDecodeDoubles(col.bytes.data(), col.bytes.size(),
+                                   col.count, out);
+}
 
 }  // namespace etsqp::enc
 

@@ -18,9 +18,9 @@ EncodedColumn RlbeEncoder::Encode(const int64_t* values, size_t n) const {
 
   BitWriter writer;
   for (size_t i = 1; i < n;) {
-    int64_t d = values[i] - values[i - 1];
+    int64_t d = WrapSub64(values[i], values[i - 1]);
     size_t j = i + 1;
-    while (j < n && values[j] - values[j - 1] == d) ++j;
+    while (j < n && WrapSub64(values[j], values[j - 1]) == d) ++j;
     uint32_t run = static_cast<uint32_t>(j - i);
     FibonacciEncode(ZigZagEncode64(d), &writer);
     FibonacciEncode(run - 1, &writer);
@@ -55,7 +55,7 @@ Status RlbeColumn::DecodeAll(int64_t* out) const {
     int64_t d = ZigZagDecode64(zz);
     uint64_t run = rm1 + 1;
     for (uint64_t k = 0; k < run && pos < count_; ++k) {
-      prev += d;
+      prev = WrapAdd64(prev, d);
       out[pos++] = prev;
     }
   }
@@ -81,7 +81,8 @@ Result<std::vector<RlbeColumn::Anchor>> RlbeColumn::ScanAnchors(
     int64_t d = ZigZagDecode64(zz);
     uint64_t run = rm1 + 1;
     uint64_t take = std::min<uint64_t>(run, count_ - index);
-    value += d * static_cast<int64_t>(take);
+    value = WrapAdd64(value, static_cast<int64_t>(static_cast<uint64_t>(d) *
+                                                  take));
     index += static_cast<uint32_t>(take);
     if (index - last_anchor_index >= stride && index < count_) {
       anchors.push_back(Anchor{reader.bit_pos(), index, value});
@@ -112,7 +113,7 @@ Status RlbeColumn::DecodeFrom(const Anchor& anchor, uint32_t end_index,
     int64_t d = ZigZagDecode64(zz);
     uint64_t run = rm1 + 1;
     for (uint64_t k = 0; k < run && index < end_index; ++k) {
-      prev += d;
+      prev = WrapAdd64(prev, d);
       out[pos++] = prev;
       ++index;
     }

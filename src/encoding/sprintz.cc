@@ -12,27 +12,25 @@ EncodedColumn SprintzEncoder::Encode(const int64_t* values, size_t n) const {
   EncodedColumn col;
   col.encoding = ColumnEncoding::kSprintz;
   col.count = static_cast<uint32_t>(n);
-  std::vector<uint8_t>& out = col.bytes;
-  PutFixed32BE(&out, static_cast<uint32_t>(n));
-  PutFixed64BE(&out, n > 0 ? static_cast<uint64_t>(values[0]) : 0);
-
-  std::vector<uint64_t> zz;
+  // Header and every block go through one writer: each block starts on a
+  // byte boundary, so its width byte lands whole.
+  BitWriter writer;
+  writer.WriteBits(n, 32);
+  writer.WriteBits(n > 0 ? static_cast<uint64_t>(values[0]) : 0, 64);
+  uint64_t zz[kBlockValues];
   for (size_t s = 1; s < n; s += kBlockValues) {
-    size_t e = std::min(n, s + kBlockValues);
-    zz.clear();
+    const size_t m = std::min(n - s, kBlockValues);
     uint64_t max_zz = 0;
-    for (size_t i = s; i < e; ++i) {
-      uint64_t z = ZigZagEncode64(values[i] - values[i - 1]);
-      zz.push_back(z);
-      max_zz = std::max(max_zz, z);
+    for (size_t i = 0; i < m; ++i) {
+      zz[i] = ZigZagEncode64(WrapSub64(values[s + i], values[s + i - 1]));
+      max_zz = std::max(max_zz, zz[i]);
     }
-    int width = BitWidth(max_zz);
-    out.push_back(static_cast<uint8_t>(width));
-    BitWriter writer;
-    PackBE(zz.data(), zz.size(), width, &writer);
-    std::vector<uint8_t> packed = writer.TakeBuffer();
-    out.insert(out.end(), packed.begin(), packed.end());
+    const int width = BitWidth(max_zz);
+    writer.WriteBits(static_cast<uint64_t>(width), 8);
+    PackBE(zz, m, width, &writer);
+    writer.AlignToByte();
   }
+  col.bytes = writer.TakeBuffer();
   return col;
 }
 
@@ -58,6 +56,7 @@ Status SprintzColumn::DecodeAll(int64_t* out) const {
       return Status::Corruption("sprintz: block header truncated");
     }
     int width = blocks_[byte++];
+    if (width > 64) return Status::Corruption("sprintz: bad block width");
     size_t m = std::min<size_t>(SprintzEncoder::kBlockValues, count_ - pos);
     if (!UnpackBE64(blocks_ + byte, blocks_bytes_ - byte, 0, m, width, vals)) {
       return Status::Corruption("sprintz: packed data truncated");

@@ -30,8 +30,12 @@ class SprintzColumn {
 
   uint32_t count() const { return count_; }
   int64_t first_value() const { return first_value_; }
+  /// The block stream after the 12-byte header.
+  const uint8_t* blocks() const { return blocks_; }
+  size_t blocks_bytes() const { return blocks_bytes_; }
 
-  /// Reference scalar decode into out[count()].
+  /// Reference scalar decode into out[count()]. A width byte above 64 or a
+  /// block past the end of the stream is Corruption.
   Status DecodeAll(int64_t* out) const;
 
  private:

@@ -66,8 +66,12 @@ EncodedColumn Ts2DiffEncoder::Encode(const int64_t* values, size_t n) const {
 }
 
 int64_t Ts2DiffBlock::delta_upper_bound() const {
-  if (width >= 63) return INT64_MAX;  // conservative
-  return min_delta + static_cast<int64_t>(MaskLow64(width));
+  int64_t hi;
+  if (width >= 63 ||  // conservative
+      AddOverflow64(min_delta, static_cast<int64_t>(MaskLow64(width)), &hi)) {
+    return INT64_MAX;
+  }
+  return hi;
 }
 
 Result<Ts2DiffColumn> Ts2DiffColumn::Parse(const uint8_t* data, size_t size) {

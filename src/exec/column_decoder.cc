@@ -11,10 +11,12 @@
 #include "encoding/delta_rle.h"
 #include "encoding/fastlanes.h"
 #include "encoding/rlbe.h"
+#include "encoding/sprintz.h"
 #include "encoding/streamvbyte.h"
 #include "encoding/ts2diff.h"
 #include "simd/delta_simd.h"
 #include "simd/rle_flatten.h"
+#include "simd/sprintz_simd.h"
 #include "simd/streamvbyte_simd.h"
 #include "simd/transposed_unpack.h"
 #include "simd/unpack.h"
@@ -175,9 +177,10 @@ Status DecodeDeltaRle(const uint8_t* data, size_t size, uint32_t count,
     return Status::Ok();
   }
 
+  const __int128 lo = col.delta_lower_bound();
+  const __int128 hi = col.delta_upper_bound();
   __int128 span = static_cast<__int128>(count) *
-                  std::max<int64_t>(std::abs(col.delta_lower_bound()),
-                                    std::abs(col.delta_upper_bound()));
+                  std::max(lo < 0 ? -lo : lo, hi < 0 ? -hi : hi);
   bool narrow = strategy != DecodeStrategy::kSerial &&
                 col.delta_width() <= 31 && span < kNarrowSwingLimit;
 
@@ -409,6 +412,24 @@ Status DecodeColumnRange(const uint8_t* data, size_t size,
       timer.AddTuples(end > begin ? end - begin : 0);
       timer.AddBytes(size);
       return DecodeFastLanesSimd(parsed.value(), begin, end, out);
+    }
+    case enc::ColumnEncoding::kSprintz: {
+      // kSerial keeps the storage layer's reference decoder.
+      if (strategy == DecodeStrategy::kSerial || !UseAvx2()) break;
+      Result<enc::SprintzColumn> parsed = enc::SprintzColumn::Parse(data, size);
+      if (!parsed.ok()) return parsed.status();
+      const enc::SprintzColumn& col = parsed.value();
+      if (col.count() != count) return Status::Corruption("sprintz count");
+      // Every value up to `end` decodes: the blocks carry no anchors.
+      metrics::ScopedStageTimer timer(stages, metrics::Stage::kUnpack);
+      timer.AddTuples(end);
+      timer.AddBytes(size);
+      out->narrow = false;
+      out->offsets.clear();
+      out->values64.resize(end > begin ? end - begin : 0);
+      return simd::SprintzDecodeAvx2(col.blocks(), col.blocks_bytes(), count,
+                                     col.first_value(), begin, end,
+                                     out->values64.data());
     }
     case enc::ColumnEncoding::kRlbe: {
       if (begin == 0 && end == count) break;  // reference decoder

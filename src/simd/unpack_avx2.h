@@ -30,9 +30,10 @@ inline __m256i UnpackIterFast(const uint8_t* src, const UnpackPlan& plan) {
   return _mm256_and_si256(v, _mm256_set1_epi32(plan.mask));
 }
 
-/// Wide path (width 26..32): two 4-value 64-bit-lane steps.
-inline __m256i UnpackIterWide(const uint8_t* src, const UnpackPlan& plan) {
-  __m256i halves[2];
+/// Wide path (width 26..32) as two 4-value steps: values 0-3 in the 64-bit
+/// lanes of halves[0], values 4-7 in those of halves[1].
+inline void UnpackIterWideHalves(const uint8_t* src, const UnpackPlan& plan,
+                                 __m256i halves[2]) {
   for (int s = 0; s < 2; ++s) {
     const UnpackPlan::WideStep& step = plan.steps[s];
     __m128i lo = _mm_loadu_si128(
@@ -50,6 +51,12 @@ inline __m256i UnpackIterWide(const uint8_t* src, const UnpackPlan& plan) {
                                 static_cast<long long>(plan.mask64)));
     halves[s] = v;
   }
+}
+
+/// Wide path (width 26..32) into 8 32-bit lanes.
+inline __m256i UnpackIterWide(const uint8_t* src, const UnpackPlan& plan) {
+  __m256i halves[2];
+  UnpackIterWideHalves(src, plan, halves);
   // Compact 2 x (4 x 64-bit) -> 8 x 32-bit. Low 32 bits of each 64-bit lane
   // hold the value (width <= 32).
   const __m256i pick = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);

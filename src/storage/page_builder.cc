@@ -209,16 +209,13 @@ size_t EncodedColumnBytesF64(const double* values, size_t n,
 Status DecodePageColumnF64(const uint8_t* data, size_t size,
                            enc::ColumnEncoding encoding, uint32_t count,
                            double* out) {
-  enc::EncodedColumn col;
-  col.count = count;
-  col.bytes.assign(data, data + size);
   switch (encoding) {
     case enc::ColumnEncoding::kGorillaValue:
-      return enc::GorillaValueDecodeDoubles(col, out);
+      return enc::GorillaValueDecodeDoubles(data, size, count, out);
     case enc::ColumnEncoding::kChimpValue:
-      return enc::ChimpDecodeDoubles(col, out);
+      return enc::ChimpDecodeDoubles(data, size, count, out);
     case enc::ColumnEncoding::kElfValue:
-      return enc::ElfDecodeDoubles(col, out);
+      return enc::ElfDecodeDoubles(data, size, count, out);
     default:
       return Status::NotSupported("not a float encoding");
   }
@@ -257,13 +254,8 @@ Status DecodePageColumn(const uint8_t* data, size_t size,
       return DecodeParsed<enc::FastLanesColumn>(data, size, count, out);
     case enc::ColumnEncoding::kStreamVByte:
       return DecodeParsed<enc::StreamVByteColumn>(data, size, count, out);
-    case enc::ColumnEncoding::kGorilla: {
-      enc::EncodedColumn col;
-      col.encoding = enc::ColumnEncoding::kGorilla;
-      col.count = count;
-      col.bytes.assign(data, data + size);
-      return enc::GorillaTimestampDecode(col, out);
-    }
+    case enc::ColumnEncoding::kGorilla:
+      return enc::GorillaTimestampDecode(data, size, count, out);
     case enc::ColumnEncoding::kPlain: {
       if (size < static_cast<size_t>(count) * 8) {
         return Status::Corruption("plain: truncated");

@@ -35,7 +35,8 @@ Result<Page> BuildPageFromWords(const int64_t* times, const int64_t* values,
 /// Decodes a page's value column into value words (see BuildPageFromWords).
 Status DecodePageValueWords(const Page& page, int64_t* out);
 
-/// Reference full decode of a float value column.
+/// Full decode of a float value column from its bytes straight into
+/// out[count]; Corruption when the column holds another count.
 Status DecodePageColumnF64(const uint8_t* data, size_t size,
                            enc::ColumnEncoding enc, uint32_t count,
                            double* out);

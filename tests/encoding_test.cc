@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
 
 #include "common/bit_util.h"
 #include "common/bitstream.h"
 #include "encoding/bitpack.h"
 #include "encoding/delta_rle.h"
+#include "encoding/gorilla.h"
 #include "encoding/rle.h"
+#include "encoding/rlbe.h"
 #include "encoding/sprintz.h"
 #include "encoding/streamvbyte.h"
 #include "encoding/ts2diff.h"
@@ -327,6 +330,94 @@ TEST(DeltaRleTest, SingleValue) {
 }
 
 // ---------------------------------------------------------------- Sprintz
+
+// ------------------------------------------------- int64 extremes
+
+// Neighbours at INT64_MIN and INT64_MAX: every delta and delta-of-delta
+// wraps modulo 2^64, and the round trip restores the exact values.
+const std::vector<int64_t>& Int64Extremes() {
+  static const std::vector<int64_t> v = {
+      INT64_MIN, INT64_MAX, INT64_MIN, 0,  INT64_MAX, INT64_MAX, -1,
+      INT64_MIN, 1,         INT64_MAX, INT64_MIN,  INT64_MIN, INT64_MAX,
+      INT64_MIN, INT64_MAX, 0,         -7, INT64_MIN + 1};
+  return v;
+}
+
+// Deltas INT64_MAX - 2 and INT64_MAX pack at width 2, whose mask would
+// carry the upper delta bound min_delta + 3 past INT64_MAX.
+const std::vector<int64_t> kNearMaxDeltas = {0, INT64_MAX - 2,
+                                             WrapAdd64(INT64_MAX - 2,
+                                                       INT64_MAX)};
+
+TEST(Ts2DiffTest, DeltaUpperBoundSaturates) {
+  EncodedColumn col =
+      Ts2DiffEncoder().Encode(kNearMaxDeltas.data(), kNearMaxDeltas.size());
+  auto parsed = Ts2DiffColumn::Parse(col.bytes.data(), col.bytes.size());
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed.value().blocks().size(), 1u);
+  EXPECT_EQ(parsed.value().blocks()[0].delta_upper_bound(), INT64_MAX);
+  std::vector<int64_t> out(kNearMaxDeltas.size());
+  ASSERT_TRUE(parsed.value().DecodeAll(out.data()).ok());
+  EXPECT_EQ(out, kNearMaxDeltas);
+}
+
+TEST(DeltaRleTest, DeltaUpperBoundSaturates) {
+  EncodedColumn col =
+      DeltaRleEncoder().Encode(kNearMaxDeltas.data(), kNearMaxDeltas.size());
+  auto parsed = DeltaRleColumn::Parse(col.bytes.data(), col.bytes.size());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().delta_upper_bound(), INT64_MAX);
+  std::vector<int64_t> out(kNearMaxDeltas.size());
+  ASSERT_TRUE(parsed.value().DecodeAll(out.data()).ok());
+  EXPECT_EQ(out, kNearMaxDeltas);
+}
+
+TEST(SprintzTest, Int64ExtremesRoundTrip) {
+  const std::vector<int64_t>& values = Int64Extremes();
+  EncodedColumn col = SprintzEncoder().Encode(values.data(), values.size());
+  auto parsed = SprintzColumn::Parse(col.bytes.data(), col.bytes.size());
+  ASSERT_TRUE(parsed.ok());
+  std::vector<int64_t> out(values.size());
+  ASSERT_TRUE(parsed.value().DecodeAll(out.data()).ok());
+  EXPECT_EQ(out, values);
+}
+
+TEST(DeltaRleTest, Int64ExtremesRoundTrip) {
+  const std::vector<int64_t>& values = Int64Extremes();
+  EncodedColumn col = DeltaRleEncoder().Encode(values.data(), values.size());
+  auto parsed = DeltaRleColumn::Parse(col.bytes.data(), col.bytes.size());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_LE(parsed.value().delta_lower_bound(),
+            parsed.value().delta_upper_bound());
+  std::vector<int64_t> out(values.size());
+  ASSERT_TRUE(parsed.value().DecodeAll(out.data()).ok());
+  EXPECT_EQ(out, values);
+}
+
+TEST(RlbeTest, Int64ExtremesRoundTrip) {
+  const std::vector<int64_t>& values = Int64Extremes();
+  EncodedColumn col = RlbeEncoder().Encode(values.data(), values.size());
+  auto parsed = RlbeColumn::Parse(col.bytes.data(), col.bytes.size());
+  ASSERT_TRUE(parsed.ok());
+  std::vector<int64_t> out(values.size());
+  ASSERT_TRUE(parsed.value().DecodeAll(out.data()).ok());
+  EXPECT_EQ(out, values);
+  // The anchor scan sums whole runs of wrapping deltas.
+  auto anchors = parsed.value().ScanAnchors(1);
+  ASSERT_TRUE(anchors.ok());
+  for (const RlbeColumn::Anchor& a : anchors.value()) {
+    EXPECT_EQ(a.value, values[a.value_index - 1]) << a.value_index;
+  }
+}
+
+TEST(GorillaTest, TimestampInt64ExtremesRoundTrip) {
+  const std::vector<int64_t>& values = Int64Extremes();
+  EncodedColumn col =
+      GorillaTimestampEncoder().Encode(values.data(), values.size());
+  std::vector<int64_t> out(values.size());
+  ASSERT_TRUE(GorillaTimestampDecode(col, out.data()).ok());
+  EXPECT_EQ(out, values);
+}
 
 TEST(SprintzTest, RoundTripSpikyData) {
   std::mt19937_64 rng(31);
