@@ -1,11 +1,9 @@
-// N-way timestamp merge/join microbenchmark: the SIMD merge kernel family
-// (src/simd/merge_simd.h) against the scalar drains it replaced. The
-// headline case is a 256-series intersection — the paper's Q5-style
-// concatenation fan-in — where the pairwise galloping/adaptive fold must
-// beat the scalar k-pointer drain by >= 2x. Also measured: 256-way union
-// through the loser tree, the 2-way union behind Q5 on page-vector shapes,
-// and the 2-way index join that backs binary expressions and CORR. The
-// dispatched kernel should be at least as fast as scalar on every row.
+// Two-way timestamp merge/join microbenchmark: the SIMD merge kernels
+// (src/simd/merge_simd.h) against the scalar drains they replaced, on the
+// page-vector shapes a merge node meets. The union rows back Q5
+// concatenation (Eq. 5); the join rows back the index intersection behind
+// binary expressions and CORR (Eq. 6). The dispatched kernel should be at
+// least as fast as scalar on every row.
 //
 // Before timing, every case checks the dispatched kernel's output against
 // its scalar reference once; a mismatch exits 1, so a run doubles as a
@@ -18,7 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <random>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -31,25 +29,22 @@ using bench::PrintCell;
 using bench::PrintHeader;
 using bench::TimeBest;
 
-constexpr size_t kWays = 256;
-
-struct Workload {
-  std::vector<std::vector<int64_t>> times;
-  std::vector<std::vector<int64_t>> values;
-  std::vector<simd::MergeStream> streams;
-  size_t total = 0;
+/// One sorted operand: ascending timestamps and their values.
+struct Stream {
+  std::vector<int64_t> times, values;
+  size_t n() const { return times.size(); }
 };
 
-/// 256 strictly-increasing streams drawn from a shared tick universe, each
-/// keeping (drop_one_in - 1) / drop_one_in of the ticks — sensors on the
-/// same clock with independent gaps. drop_one_in = 32 keeps each stream
-/// dense (~97%) yet leaves only a handful of ticks surviving all 256
-/// streams: a selective but non-empty intersection.
-Workload MakeSharedClockWorkload(size_t per_stream, uint64_t drop_one_in) {
-  Workload w;
-  w.times.resize(kWays);
-  w.values.resize(kWays);
-  w.streams.resize(kWays);
+/// Devices in the fleets the operands are drawn from. Each generator draws
+/// the whole fleet's random sequence but keeps only devices 0 and 1, so
+/// the two operands have the gaps and run lengths of a fleet this size,
+/// and every row reads the same tuples as the trajectory's earlier rows.
+constexpr size_t kFleet = 256;
+
+/// Two sensors on a shared tick clock, each keeping (drop_one_in - 1) /
+/// drop_one_in of the ticks with independent gaps.
+std::pair<Stream, Stream> SharedClockPair(size_t per_stream,
+                                          uint64_t drop_one_in) {
   std::mt19937_64 rng(7);
   std::vector<int64_t> universe;
   universe.reserve(per_stream);
@@ -58,82 +53,52 @@ Workload MakeSharedClockWorkload(size_t per_stream, uint64_t drop_one_in) {
     t += 1 + static_cast<int64_t>(rng() % 50);
     universe.push_back(t);
   }
-  for (size_t s = 0; s < kWays; ++s) {
+  std::pair<Stream, Stream> p;
+  for (Stream* s : {&p.first, &p.second}) {
     for (int64_t u : universe) {
       if (rng() % drop_one_in != 0) {
-        w.times[s].push_back(u);
-        w.values[s].push_back(static_cast<int64_t>(rng() % 1000));
+        s->times.push_back(u);
+        s->values.push_back(static_cast<int64_t>(rng() % 1000));
       }
     }
-    w.streams[s] = {w.times[s].data(), w.values[s].data(), w.times[s].size()};
-    w.total += w.times[s].size();
   }
-  return w;
+  return p;
 }
 
-/// Correlated-sensor shape for the N-way intersection: every stream
-/// carries the fleet's shared sync ticks (they all survive) plus a large
-/// body of per-stream event ticks that almost never coincide across 256
-/// streams. The intersection is exactly the sync set — selective, so the
-/// fold's candidate list collapses after the first stream pair and the
-/// remaining 254 streams are galloped through.
-Workload MakeSyncPointWorkload(size_t per_stream, size_t sync_points) {
-  Workload w;
-  w.times.resize(kWays);
-  w.values.resize(kWays);
-  w.streams.resize(kWays);
-  std::mt19937_64 rng(13);
-  std::vector<int64_t> sync(sync_points);
-  const int64_t base = 1'600'000'000'000;
-  for (size_t i = 0; i < sync_points; ++i) {
-    sync[i] = base + static_cast<int64_t>(i) * 1'000'000;
-  }
-  for (size_t s = 0; s < kWays; ++s) {
-    std::vector<int64_t>& t = w.times[s];
-    t = sync;
-    for (size_t i = sync_points; i < per_stream; ++i) {
-      // Event ticks land between sync points; off-grid offsets make
-      // cross-stream collisions vanishingly rare.
-      t.push_back(base + static_cast<int64_t>(rng() % (sync_points * 1'000'000)));
-    }
-    std::sort(t.begin(), t.end());
-    t.erase(std::unique(t.begin(), t.end()), t.end());
-    w.values[s].resize(t.size());
-    for (size_t i = 0; i < t.size(); ++i) {
-      w.values[s][i] = static_cast<int64_t>(rng() % 1000);
-    }
-    w.streams[s] = {t.data(), w.values[s].data(), t.size()};
-    w.total += t.size();
-  }
-  return w;
-}
-
-/// Q5 concatenation shape: devices upload in batches, so the global
-/// timeline splits into contiguous blocks each owned by one stream — long
-/// single-stream runs for the union's bulk-copy path.
-Workload MakeBlockyWorkload(size_t per_stream, size_t block) {
-  Workload w;
-  w.times.resize(kWays);
-  w.values.resize(kWays);
-  w.streams.resize(kWays);
+/// Batched uploads: the fleet's timeline splits into contiguous blocks of
+/// block/2 .. 3*block/2 ticks, each owned by one device, so the two kept
+/// devices meet in long one-sided runs.
+std::pair<Stream, Stream> BlockyPair(size_t per_stream, size_t block) {
   std::mt19937_64 rng(11);
+  std::pair<Stream, Stream> p;
   int64_t t = 1'600'000'000'000;
-  size_t remaining = per_stream * kWays;
+  size_t remaining = per_stream * kFleet;
   while (remaining > 0) {
-    size_t s = rng() % kWays;
-    size_t len = std::min(remaining, block / 2 + rng() % block);
+    const size_t owner = rng() % kFleet;
+    Stream* s = owner == 0 ? &p.first : owner == 1 ? &p.second : nullptr;
+    const size_t len = std::min(remaining, block / 2 + rng() % block);
     for (size_t i = 0; i < len; ++i) {
       t += 1 + static_cast<int64_t>(rng() % 8);
-      w.times[s].push_back(t);
-      w.values[s].push_back(static_cast<int64_t>(rng() % 1000));
+      const int64_t v = static_cast<int64_t>(rng() % 1000);
+      if (s != nullptr) {
+        s->times.push_back(t);
+        s->values.push_back(v);
+      }
     }
     remaining -= len;
   }
-  for (size_t s = 0; s < kWays; ++s) {
-    w.streams[s] = {w.times[s].data(), w.values[s].data(), w.times[s].size()};
-    w.total += w.times[s].size();
+  return p;
+}
+
+const char* IsaName(simd::MergeIsa isa) {
+  switch (isa) {
+    case simd::MergeIsa::kAvx512:
+      return "avx512";
+    case simd::MergeIsa::kAvx2:
+      return "avx2";
+    default:
+      return "scalar";
   }
-  return w;
 }
 
 void ExportCase(const char* case_name, double scalar_s, double simd_s,
@@ -180,36 +145,40 @@ void Case(const char* name, size_t tuples, Scalar scalar, Simd simd,
   Row(name, sc, sv, tuples);
 }
 
-void UnionCase(const char* name, const simd::MergeStream& l,
-               const simd::MergeStream& r, simd::MergeIsa isa) {
-  const size_t n = l.n + r.n;
+void UnionCase(const char* name, const Stream& l, const Stream& r,
+               simd::MergeIsa isa) {
+  const size_t n = l.n() + r.n();
   std::vector<int64_t> ref_t(n), ref_v(n), out_t(n), out_v(n);
   Case(
       name, n,
       [&] {
-        simd::MergeUnionInt64Scalar(l.times, l.values, l.n, r.times, r.values,
-                                    r.n, ref_t.data(), ref_v.data());
+        simd::MergeUnionInt64Scalar(l.times.data(), l.values.data(), l.n(),
+                                    r.times.data(), r.values.data(), r.n(),
+                                    ref_t.data(), ref_v.data());
       },
       [&] {
-        simd::MergeUnionInt64(l.times, l.values, l.n, r.times, r.values, r.n,
+        simd::MergeUnionInt64(l.times.data(), l.values.data(), l.n(),
+                              r.times.data(), r.values.data(), r.n(),
                               out_t.data(), out_v.data(), isa);
       },
       [&] { return out_t == ref_t && out_v == ref_v; });
 }
 
-void JoinCase(const char* name, const simd::MergeStream& l,
-              const simd::MergeStream& r, simd::MergeIsa isa) {
-  const size_t cap = std::min(l.n, r.n);
+void JoinCase(const char* name, const Stream& l, const Stream& r,
+              simd::MergeIsa isa) {
+  const size_t cap = std::min(l.n(), r.n());
   std::vector<uint32_t> ref_l(cap), ref_r(cap), out_l(cap), out_r(cap);
   size_t ref_m = 0, out_m = 0;
   Case(
-      name, l.n + r.n,
+      name, l.n() + r.n(),
       [&] {
-        ref_m = simd::IntersectIndicesInt64Scalar(l.times, l.n, r.times, r.n,
-                                                  ref_l.data(), ref_r.data());
+        ref_m = simd::IntersectIndicesInt64Scalar(
+            l.times.data(), l.n(), r.times.data(), r.n(), ref_l.data(),
+            ref_r.data());
       },
       [&] {
-        out_m = simd::IntersectIndicesInt64(l.times, l.n, r.times, r.n,
+        out_m = simd::IntersectIndicesInt64(l.times.data(), l.n(),
+                                            r.times.data(), r.n(),
                                             out_l.data(), out_r.data(), isa);
       },
       [&] {
@@ -221,46 +190,10 @@ void JoinCase(const char* name, const simd::MergeStream& l,
       });
 }
 
-void NwayUnionCase(const char* name, const Workload& w, simd::MergeIsa isa) {
-  std::vector<int64_t> ref_t(w.total), ref_v(w.total), out_t(w.total),
-      out_v(w.total);
-  Case(
-      name, w.total,
-      [&] {
-        simd::NwayMergeUnionScalar(w.streams.data(), kWays, ref_t.data(),
-                                   ref_v.data());
-      },
-      [&] {
-        simd::NwayMergeUnion(w.streams.data(), kWays, out_t.data(),
-                             out_v.data(), isa);
-      },
-      [&] { return out_t == ref_t && out_v == ref_v; });
-}
-
-/// Returns the intersection size.
-size_t NwayIntersectCase(const char* name, const Workload& w,
-                         simd::MergeIsa isa) {
-  std::vector<int64_t> ref, out;
-  Case(
-      name, w.total,
-      [&] { simd::NwayIntersectScalar(w.streams.data(), kWays, &ref); },
-      [&] { simd::NwayIntersect(w.streams.data(), kWays, &out, isa); },
-      [&] { return out == ref; });
-  return ref.size();
-}
-
-/// A 2-way operand built from a subset of a stream's tuples.
-struct OwnedStream {
-  std::vector<int64_t> times, values;
-  simd::MergeStream view() const {
-    return {times.data(), values.data(), times.size()};
-  }
-};
-
 /// Tuples first, first + step, first + 2 * step, ... of `s`.
-OwnedStream Strided(const simd::MergeStream& s, size_t first, size_t step) {
-  OwnedStream o;
-  for (size_t i = first; i < s.n; i += step) {
+Stream Strided(const Stream& s, size_t first, size_t step) {
+  Stream o;
+  for (size_t i = first; i < s.n(); i += step) {
     o.times.push_back(s.times[i]);
     o.values.push_back(s.values[i]);
   }
@@ -274,63 +207,41 @@ int main() {
   using namespace etsqp;
   const size_t per_stream =
       static_cast<size_t>(20'000 * bench::BenchScale());
-  Workload dense = MakeSharedClockWorkload(per_stream, 32);
-  Workload synced = MakeSyncPointWorkload(per_stream, 200);
-  Workload blocky = MakeBlockyWorkload(per_stream, 2048);
+  const auto [a, b] = SharedClockPair(per_stream, 32);
+  const auto [blocky_l, blocky_r] = BlockyPair(per_stream, 2048);
   const simd::MergeIsa isa = simd::BestMergeIsa();
-  std::printf("N-way merge/join kernels: %zu streams x ~%zu timestamps "
-              "(isa=%d)\n",
-              kWays, per_stream, static_cast<int>(isa));
+  std::printf("2-way merge/join kernels: ~%zu timestamps per stream "
+              "(isa=%s)\n",
+              per_stream, IsaName(isa));
   PrintHeader("scalar drain vs SIMD kernel (best-of timing)",
               {"case", "scalar-ms", "simd-ms", "speedup"});
-
-  // 256-way intersection: scalar k-pointer drain vs pairwise SIMD fold.
-  // The fold's candidate list collapses to the sync set after one stream
-  // pair, so the remaining streams are galloped through while the scalar
-  // drain must walk all ~5M elements.
-  const size_t isect = NwayIntersectCase("intersect_256way", synced, isa);
-  // Same drain on the dense shared-clock shape: candidates stay wide, so
-  // the fold's advantage narrows.
-  NwayIntersectCase("intersect_256way_dense", dense, isa);
-
-  // 256-way union on the batched-upload shape (long single-stream runs
-  // bulk-copy) and on the shared clock, where runs are 1-2 tuples and a
-  // champion's run is never extended.
-  NwayUnionCase("union_256way_blocky", blocky, isa);
-  NwayUnionCase("union_256way_interleaved", dense, isa);
 
   // 2-way union (Q5 concatenation) on the page-vector shapes the merge
   // node meets: identical clocks and jittered clocks interleave one tuple
   // at a time, a 1:4 rate mismatch gives short left runs, and two batched
   // uploaders give long one-sided runs.
-  const simd::MergeStream& a = dense.streams[0];
-  const simd::MergeStream& b = dense.streams[1];
-  const OwnedStream deci4 = Strided(a, 0, 4);
+  const Stream deci4 = Strided(a, 0, 4);
   UnionCase("union_2way_identical", a, a, isa);
   UnionCase("union_2way_jittered", a, b, isa);
-  UnionCase("union_2way_decimated", a, deci4.view(), isa);
-  UnionCase("union_2way_blocky", blocky.streams[0], blocky.streams[1], isa);
+  UnionCase("union_2way_decimated", a, deci4, isa);
+  UnionCase("union_2way_blocky", blocky_l, blocky_r, isa);
 
   // 2-way index join (binary expressions / CORR): identical clocks (one
   // device, two sensors: the pairwise-equal block path), jittered clocks
   // (~97% overlap), alternating ticks with no match, a 1:4 rate mismatch
   // (below the galloping ratio) and a 1:32 one (galloping).
-  const OwnedStream evens = Strided(a, 0, 2);
-  const OwnedStream odds = Strided(a, 1, 2);
-  const OwnedStream deci32 = Strided(a, 0, 32);
+  const Stream evens = Strided(a, 0, 2);
+  const Stream odds = Strided(a, 1, 2);
+  const Stream deci32 = Strided(a, 0, 32);
   JoinCase("join_2way_identical", a, a, isa);
   JoinCase("join_2way_jittered", a, b, isa);
-  JoinCase("join_2way_alternating", evens.view(), odds.view(), isa);
-  JoinCase("join_2way_decimated4", a, deci4.view(), isa);
-  JoinCase("join_2way_decimated", a, deci32.view(), isa);
+  JoinCase("join_2way_alternating", evens, odds, isa);
+  JoinCase("join_2way_decimated4", a, deci4, isa);
+  JoinCase("join_2way_decimated", a, deci32, isa);
 
   std::printf(
-      "\nintersection result: %zu sync ticks survive all %zu streams."
-      "\nExpected shape: the pairwise fold shrinks the candidate list"
-      "\nbefore the large streams are touched, so intersect_256way clears"
-      "\n2x over the scalar k-pointer drain; unions gain from bulk run"
-      "\ncopies on blocky data and match scalar on interleaved data; joins"
-      "\ngain from equal-vector emits and skips.\n",
-      isect, kWays);
+      "\nExpected shape: unions gain from bulk run copies on blocky data"
+      "\nand match scalar on interleaved data; joins gain from equal-vector"
+      "\nemits and skips, and from galloping at 1:32.\n");
   return 0;
 }

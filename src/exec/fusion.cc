@@ -108,18 +108,6 @@ Status Ts2DiffFusedReader::SumRange(size_t begin, size_t end, int64_t* out) {
   return Status::Ok();
 }
 
-Status Ts2DiffFusedReader::ValueAt(size_t pos, int64_t* out) {
-  if (pos >= col_.count()) return Status::OutOfRange("pos");
-  const enc::Ts2DiffBlock& b = col_.blocks()[BlockOf(pos)];
-  ETSQP_RETURN_IF_ERROR(CheckFusedWidth(b));
-  const size_t la = pos - b.start_index;
-  *out = b.first_value + static_cast<int64_t>(b.min_delta) * la +
-         static_cast<int64_t>(
-             simd::PackedRampSum(b.packed, b.packed_bytes, b.width, 0, la)
-                 .sum);
-  return Status::Ok();
-}
-
 Result<DeltaRleFusedReader> DeltaRleFusedReader::Open(
     const enc::DeltaRleColumn& col) {
   DeltaRleFusedReader reader;

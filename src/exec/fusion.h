@@ -39,9 +39,6 @@ class Ts2DiffFusedReader {
   /// block whose residuals are wider than 31 bits.
   Status SumRange(size_t begin, size_t end, int64_t* out);
 
-  /// Value at a single position (used for AVG cross-checks and tests).
-  Status ValueAt(size_t pos, int64_t* out);
-
  private:
   enc::Ts2DiffColumn col_;
   // Forward cursor, valid when cursor_ok_: the position after the last

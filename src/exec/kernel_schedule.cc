@@ -34,7 +34,7 @@ double SerialTupleCost(const CostConstants& c) {
 }  // namespace
 
 std::string PageClass::Key() const {
-  if (merge) return merge_ways <= 2 ? "merge/2way" : "merge/nway";
+  if (merge) return "merge/2way";
   if (!sealed) return is_float ? "tail/f64" : "tail";
   std::string key = enc::ColumnEncodingName(value_encoding);
   if (is_float) {
@@ -69,10 +69,9 @@ PageClass ClassifyTail(const storage::SeriesSnapshot& snap) {
   return cls;
 }
 
-PageClass ClassifyMerge(int ways) {
+PageClass ClassifyMerge() {
   PageClass cls;
   cls.merge = true;
-  cls.merge_ways = ways;
   cls.sealed = true;
   cls.width_bucket = 64;  // materialized int64 streams
   cls.value_encoding = enc::ColumnEncoding::kPlain;
@@ -109,7 +108,7 @@ ScheduleDecision Schedule(const PageClass& cls, const PlanContext& ctx) {
     d.predicted_ns_per_tuple = cost;
   };
   if (cls.merge) {
-    // The N-way timestamp merge/intersection of binary, correlate and
+    // The two-way timestamp merge/intersection of binary, correlate and
     // concatenation plans (simd/merge_simd.h): the kernels run scalar
     // two-pointer steps in blocks of 16 on every ISA (vector compares only
     // skip runs), so the stage costs one scalar step per tuple. On a scalar

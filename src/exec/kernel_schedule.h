@@ -35,10 +35,9 @@ struct PageClass {
   int width_bucket = 0;  // 0 for float columns (XOR streams have no width)
   bool sealed = true;    // false = unsealed in-memory tail
   bool is_float = false;
-  // Merge-stage classes: not a page at all but the N-way timestamp
+  // The merge-stage class: not a page at all but the two-way timestamp
   // merge/intersection work of a binary/correlate/concat plan.
   bool merge = false;
-  int merge_ways = 0;
 
   /// Stable cache/display key, e.g. "TS2DIFF/w8", "GORILLA_VALUE/f64",
   /// "tail", "tail/f64", "merge/2way".
@@ -50,8 +49,8 @@ struct PageClass {
 PageClass ClassifyPage(const storage::PageHeader& header);
 PageClass ClassifyTail(const storage::SeriesSnapshot& snap);
 
-/// The merge stage of a plan combining `ways` sorted operand streams.
-PageClass ClassifyMerge(int ways);
+/// The merge stage of a plan combining its two sorted operand streams.
+PageClass ClassifyMerge();
 
 /// The merge-kernel datapath a job strategy runs: the scalar reference
 /// kernels for kSerial, the host's best SIMD datapath otherwise.

@@ -308,12 +308,11 @@ Result<PipelineSpec> BuildPipeline(
       }
     }
   }
-  // Multi-input plans end in a merge stage; plan its kernel through the
+  // Two-input plans end in a merge stage; plan its kernel through the
   // Schedule() like any page class. The stage sees every surviving input
   // tuple once, so it covers the tuples of the surviving jobs.
   if (inputs.size() > 1) {
-    spec.merge_decision =
-        decisions.Decide(ClassifyMerge(static_cast<int>(inputs.size())));
+    spec.merge_decision = decisions.Decide(ClassifyMerge());
     uint64_t surviving = 0;
     for (const PipeJob& job : spec.jobs) surviving += job.end - job.begin;
     decisions.Cover(spec.merge_decision, 0, surviving);

@@ -2,11 +2,10 @@
 #define ETSQP_SIMD_MERGE_BLOCK_H_
 
 // The block rule shared by the adaptive merge kernels, and the adaptive
-// two-way intersection loop behind IntersectIndicesInt64Sse, -Avx2 and
-// -Avx512. Private to the merge kernels: merge_simd.cc and
-// merge_simd_avx512.cc each instantiate the loop with lane policies from
-// their own anonymous namespace, so every instantiation keeps its
-// translation unit's ISA flags.
+// two-way intersection loop behind IntersectIndicesInt64Avx2 and -Avx512.
+// Private to the merge kernels: merge_simd.cc and merge_simd_avx512.cc each
+// instantiate the loop with a lane policy from their own anonymous
+// namespace, so every instantiation keeps its translation unit's ISA flags.
 
 #include <cstddef>
 #include <cstdint>

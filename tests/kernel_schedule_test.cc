@@ -439,11 +439,8 @@ std::vector<GridCase> ScheduleGrid() {
       }
     }
   }
-  for (int ways : {2, 8}) {
-    for (const Shape& s : shapes) {
-      grid.push_back({ClassifyMerge(ways), s.ctx,
-                      "merge/" + std::to_string(ways) + "/" + s.name});
-    }
+  for (const Shape& s : shapes) {
+    grid.push_back({ClassifyMerge(), s.ctx, std::string("merge/2/") + s.name});
   }
   return grid;
 }

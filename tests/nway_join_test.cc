@@ -1,8 +1,9 @@
-/// Regression suite for the binary merge/join drains and the N-way merge
-/// kernels. The engine-level tests pin the *scalar* merge semantics the
-/// SIMD kernels are differential-tested against: duplicate timestamps
-/// across operands, one-empty-operand plans, and matching timestamps that
-/// straddle the sealed-page/tail boundary of one input.
+/// Regression suite for the two-operand merge/join plans (binary
+/// expressions, CORR and UNION). The engine-level tests pin the *scalar*
+/// merge semantics the two-way SIMD kernels are differential-tested
+/// against: duplicate timestamps across operands, one-empty-operand plans,
+/// and matching timestamps that straddle the sealed-page/tail boundary of
+/// one input.
 
 #include <gtest/gtest.h>
 

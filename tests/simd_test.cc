@@ -795,10 +795,12 @@ std::vector<std::pair<uint32_t, uint32_t>> IntersectWith(
   return out;
 }
 
+constexpr MergeIsa kAllMergeIsas[] = {MergeIsa::kScalar, MergeIsa::kAvx2,
+                                      MergeIsa::kAvx512};
+
 TEST(MergeSimdTest, IntersectDifferentialRandomStreams) {
   std::mt19937_64 rng(2024);
-  const MergeIsa kIsas[] = {MergeIsa::kSse, MergeIsa::kAvx2,
-                            MergeIsa::kAvx512};
+  const MergeIsa kIsas[] = {MergeIsa::kAvx2, MergeIsa::kAvx512};
   for (int iter = 0; iter < 60; ++iter) {
     size_t nl = rng() % 500;
     size_t nr = rng() % 500;
@@ -854,8 +856,7 @@ TEST(MergeSimdTest, IntersectEmptyAndDisjoint) {
   std::vector<int64_t> a = {1, 2, 3};
   std::vector<int64_t> b = {10, 20, 30};
   uint32_t il[3], ir[3];
-  for (MergeIsa isa : {MergeIsa::kScalar, MergeIsa::kSse, MergeIsa::kAvx2,
-                       MergeIsa::kAvx512}) {
+  for (MergeIsa isa : kAllMergeIsas) {
     EXPECT_EQ(IntersectIndicesInt64(a.data(), 3, b.data(), 3, il, ir, isa),
               0u);
     EXPECT_EQ(IntersectIndicesInt64(a.data(), 0, b.data(), 3, il, ir, isa),
@@ -869,8 +870,7 @@ TEST(MergeSimdTest, IntersectDuplicateRunsPairwise) {
   // Run of 3 vs run of 2 at t=5 pairs element-wise: min(3,2) = 2 pairs.
   std::vector<int64_t> l = {5, 5, 5, 9};
   std::vector<int64_t> r = {5, 5, 9, 9};
-  for (MergeIsa isa : {MergeIsa::kScalar, MergeIsa::kSse, MergeIsa::kAvx2,
-                       MergeIsa::kAvx512}) {
+  for (MergeIsa isa : kAllMergeIsas) {
     auto got = IntersectWith(l, r, isa);
     std::vector<std::pair<uint32_t, uint32_t>> want = {
         {0, 0}, {1, 1}, {3, 2}};
@@ -894,7 +894,7 @@ TEST(MergeSimdTest, UnionDifferentialTieOrder) {
                                     rv.data(), nr, ref_t.data(),
                                     ref_v.data()),
               nl + nr);
-    for (MergeIsa isa : {MergeIsa::kSse, MergeIsa::kAvx2, MergeIsa::kAvx512}) {
+    for (MergeIsa isa : {MergeIsa::kAvx2, MergeIsa::kAvx512}) {
       std::vector<int64_t> got_t(nl + nr), got_v(nl + nr);
       ASSERT_EQ(MergeUnionInt64(lt.data(), lv.data(), nl, rt.data(),
                                 rv.data(), nr, got_t.data(), got_v.data(),
@@ -987,9 +987,6 @@ std::vector<size_t> MergeShapeLengths() {
   return ns;
 }
 
-constexpr MergeIsa kAllMergeIsas[] = {MergeIsa::kScalar, MergeIsa::kSse,
-                                      MergeIsa::kAvx2, MergeIsa::kAvx512};
-
 TEST(MergeSimdTest, UnionShapesMatchScalar) {
   for (const MergeShape& shape : kMergeShapes) {
     for (size_t n : MergeShapeLengths()) {
@@ -1054,114 +1051,6 @@ TEST(MergeSimdTest, IntersectShapesMatchScalar) {
       }
     }
   }
-}
-
-std::vector<std::vector<int64_t>> RandomStrictStreams(std::mt19937_64& rng,
-                                                      size_t k,
-                                                      size_t max_n) {
-  std::vector<std::vector<int64_t>> times(k);
-  for (size_t s = 0; s < k; ++s) {
-    size_t n = rng() % (max_n + 1);
-    if (rng() % 8 == 0) n = 0;  // empty streams must be handled
-    times[s] = RandomSortedTimes(rng, n, /*allow_dups=*/false);
-  }
-  return times;
-}
-
-TEST(MergeSimdTest, NwayUnionDifferential) {
-  std::mt19937_64 rng(555);
-  for (int iter = 0; iter < 30; ++iter) {
-    size_t k = 2 + rng() % 15;
-    auto times = RandomStrictStreams(rng, k, 300);
-    if (iter % 3 == 0) {
-      // Batched uploads: each stream owns runs of 1-40 ticks, so champions
-      // win long streaks and their runs get extended; some ticks repeat on
-      // another stream so run bounds meet ties on both sides.
-      times.assign(k, {});
-      int64_t t = 0;
-      for (int run = 0; run < 40; ++run) {
-        const size_t owner = rng() % k;
-        for (size_t len = 1 + rng() % 40; len > 0; --len) {
-          t += 1 + static_cast<int64_t>(rng() % 4);
-          times[owner].push_back(t);
-          const size_t other = rng() % k;
-          if (other != owner && rng() % 8 == 0) times[other].push_back(t);
-        }
-      }
-    }
-    std::vector<std::vector<int64_t>> values(k);
-    std::vector<MergeStream> streams(k);
-    size_t total = 0;
-    for (size_t s = 0; s < k; ++s) {
-      values[s].resize(times[s].size());
-      for (size_t i = 0; i < values[s].size(); ++i) {
-        values[s][i] = static_cast<int64_t>(s * 1000 + i);
-      }
-      streams[s] = {times[s].data(), values[s].data(), times[s].size()};
-      total += times[s].size();
-    }
-    std::vector<int64_t> ref_t(total), ref_v(total);
-    ASSERT_EQ(NwayMergeUnionScalar(streams.data(), k, ref_t.data(),
-                                   ref_v.data()),
-              total);
-    // Reference check: stable sort by (time, stream index) gives the same
-    // sequence as the loser tree's tie rule.
-    std::vector<std::tuple<int64_t, size_t, int64_t>> flat;
-    for (size_t s = 0; s < k; ++s) {
-      for (size_t i = 0; i < times[s].size(); ++i) {
-        flat.emplace_back(times[s][i], s, values[s][i]);
-      }
-    }
-    std::sort(flat.begin(), flat.end());
-    for (size_t i = 0; i < total; ++i) {
-      ASSERT_EQ(ref_t[i], std::get<0>(flat[i]));
-      ASSERT_EQ(ref_v[i], std::get<2>(flat[i]));
-    }
-    for (MergeIsa isa : {MergeIsa::kSse, MergeIsa::kAvx2, MergeIsa::kAvx512}) {
-      std::vector<int64_t> got_t(total), got_v(total);
-      ASSERT_EQ(NwayMergeUnion(streams.data(), k, got_t.data(), got_v.data(),
-                               isa),
-                total);
-      EXPECT_EQ(got_t, ref_t) << "iter=" << iter << " k=" << k;
-      EXPECT_EQ(got_v, ref_v) << "iter=" << iter << " k=" << k;
-    }
-  }
-}
-
-TEST(MergeSimdTest, NwayIntersectDifferential) {
-  std::mt19937_64 rng(808);
-  for (int iter = 0; iter < 30; ++iter) {
-    size_t k = 2 + rng() % 10;
-    // Draw all streams from a shared universe with small gaps so the
-    // intersection is usually non-empty.
-    auto universe = RandomSortedTimes(rng, 400, /*allow_dups=*/false);
-    std::vector<std::vector<int64_t>> times(k);
-    std::vector<MergeStream> streams(k);
-    for (size_t s = 0; s < k; ++s) {
-      for (int64_t t : universe) {
-        if (rng() % 4 != 0) times[s].push_back(t);
-      }
-      streams[s] = {times[s].data(), nullptr, times[s].size()};
-    }
-    std::vector<int64_t> ref, got;
-    size_t mref = NwayIntersectScalar(streams.data(), k, &ref);
-    ASSERT_EQ(mref, ref.size());
-    for (MergeIsa isa : {MergeIsa::kSse, MergeIsa::kAvx2, MergeIsa::kAvx512}) {
-      got.clear();
-      size_t m = NwayIntersect(streams.data(), k, &got, isa);
-      ASSERT_EQ(m, got.size());
-      EXPECT_EQ(got, ref) << "iter=" << iter << " k=" << k;
-    }
-  }
-}
-
-TEST(MergeSimdTest, NwayIntersectWithEmptyStreamIsEmpty) {
-  std::vector<int64_t> a = {1, 2, 3};
-  std::vector<MergeStream> streams = {
-      {a.data(), nullptr, a.size()}, {nullptr, nullptr, 0}};
-  std::vector<int64_t> out;
-  EXPECT_EQ(NwayIntersectScalar(streams.data(), 2, &out), 0u);
-  EXPECT_EQ(NwayIntersect(streams.data(), 2, &out, MergeIsa::kAvx2), 0u);
 }
 
 // ------------------------------------------------------------ streamvbyte
