@@ -79,15 +79,21 @@ void FillSeries(db::Database* dbi, size_t points) {
   if (!dbi->Flush().ok()) std::abort();
 }
 
-double QueryLatency(const db::Database& dbi, const Shape& s,
+/// The best-of time of `SELECT SUM(<shape>)` in *seconds, or the query's
+/// error. At the default scale the `runs` shape's exact sum exceeds int64,
+/// and the engine answers Overflow (Section VI-C); the row reports it.
+Status QueryLatency(const db::Database& dbi, const Shape& s, double* seconds,
                     exec::ExecStats* stats) {
   const std::string sql =
       std::string("SELECT SUM(") + s.name + ") FROM " + s.name + ";";
-  return bench::TimeBest([&] {
-    auto result = dbi.Query(sql);
-    if (!result.ok()) std::abort();
-    *stats = result.value().stats;
+  Result<exec::QueryResult> first = dbi.Query(sql);
+  if (!first.ok()) return first.status();
+  *stats = first.value().stats;
+  *seconds = bench::TimeBest([&] {
+    Result<exec::QueryResult> result = dbi.Query(sql);
+    if (result.ok()) *stats = result.value().stats;
   });
+  return Status::Ok();
 }
 
 /// One JSON line per size row (bench_util's ExportJson shape plus the
@@ -117,9 +123,11 @@ void Run(size_t points) {
 
   // Latency over the fixed-codec sealing.
   exec::ExecStats before_stats[4];
-  double before_lat[4];
+  double before_lat[4] = {};
+  Status before_status[4];
   for (size_t i = 0; i < 4; ++i) {
-    before_lat[i] = QueryLatency(dbi, kShapes[i], &before_stats[i]);
+    before_status[i] =
+        QueryLatency(dbi, kShapes[i], &before_lat[i], &before_stats[i]);
   }
   uint64_t before_bytes[4];
   uint64_t total_before = 0;
@@ -186,18 +194,36 @@ void Run(size_t points) {
                      {"series", "before ms", "after ms", "speedup"});
   for (size_t i = 0; i < 4; ++i) {
     exec::ExecStats after_stats;
-    double after_lat = QueryLatency(dbi, kShapes[i], &after_stats);
+    double after_lat = 0;
+    const Status after_status =
+        QueryLatency(dbi, kShapes[i], &after_lat, &after_stats);
+    // A failed query prints its status in place of its time; only timed
+    // queries export a JSON line.
     bench::PrintCell(kShapes[i].name);
-    bench::PrintCell(before_lat[i] * 1e3);
-    bench::PrintCell(after_lat * 1e3);
-    bench::PrintCell(before_lat[i] / after_lat);
+    for (const auto& [st, lat] : {std::pair{before_status[i], before_lat[i]},
+                                  std::pair{after_status, after_lat}}) {
+      if (st.ok()) {
+        bench::PrintCell(lat * 1e3);
+      } else {
+        bench::PrintCell(StatusCodeName(st.code()));
+      }
+    }
+    if (before_status[i].ok() && after_status.ok()) {
+      bench::PrintCell(before_lat[i] / after_lat);
+    } else {
+      bench::PrintCell("-");
+    }
     bench::EndRow();
-    bench::ExportJson("bench_compaction",
-                      std::string("query_before/") + kShapes[i].name,
-                      before_lat[i], before_stats[i]);
-    bench::ExportJson("bench_compaction",
-                      std::string("query_after/") + kShapes[i].name, after_lat,
-                      after_stats);
+    if (before_status[i].ok()) {
+      bench::ExportJson("bench_compaction",
+                        std::string("query_before/") + kShapes[i].name,
+                        before_lat[i], before_stats[i]);
+    }
+    if (after_status.ok()) {
+      bench::ExportJson("bench_compaction",
+                        std::string("query_after/") + kShapes[i].name,
+                        after_lat, after_stats);
+    }
   }
 
   std::printf(

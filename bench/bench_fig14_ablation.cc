@@ -23,6 +23,7 @@
 #include "simd/rle_flatten.h"
 #include "simd/transposed_unpack.h"
 #include "simd/unpack.h"
+#include "storage/page.h"
 
 namespace etsqp {
 namespace {
@@ -61,10 +62,12 @@ int main() {
   using namespace etsqp;
   size_t n = static_cast<size_t>(2'000'000 * bench::BenchScale());
   RunData data = MakeData(n);
-  auto parsed = enc::DeltaRleColumn::Parse(data.dr_buf.data(),
-                                           data.dr_buf.size());
+  Result<storage::ParsedColumn> parsed =
+      storage::ParseColumn(data.dr_buf.data(), data.dr_buf.size(),
+                           enc::ColumnEncoding::kDeltaRle, data.dr.count);
   if (!parsed.ok()) return 1;
-  const enc::DeltaRleColumn& col = parsed.value();
+  const enc::DeltaRleColumn& col =
+      parsed.value().As<enc::DeltaRleColumn>();
   uint32_t np = col.num_pairs();
 
   // ---------------- (a) fused decoder count ----------------

@@ -32,6 +32,7 @@
 #include "simd/transposed_unpack.h"
 #include "simd/transposed_unpack_avx512.h"
 #include "simd/unpack.h"
+#include "storage/page_builder.h"
 
 namespace etsqp {
 namespace {
@@ -260,9 +261,9 @@ void BM_RangeFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_RangeFilter);
 
-/// A 4096-value page column whose TS2DIFF blocks (1024 values) carry
+/// A 4096-value page whose TS2DIFF value blocks (1024 values) carry
 /// residuals of exactly `width` bits.
-AlignedBuffer MakeTs2DiffPage(int width) {
+storage::Page MakeTs2DiffPage(int width) {
   constexpr size_t kPage = 4096;
   std::mt19937_64 rng(100 + width);
   std::vector<int64_t> values(kPage);
@@ -275,26 +276,26 @@ AlignedBuffer MakeTs2DiffPage(int width) {
     values[i] = v;
     v += 5 + static_cast<int64_t>(r);
   }
-  enc::EncodedColumn col =
-      enc::Ts2DiffEncoder(1024).Encode(values.data(), kPage);
-  AlignedBuffer buf;
-  buf.Assign(col.bytes.data(), col.bytes.size());
-  return buf;
+  std::vector<int64_t> times(kPage);
+  for (size_t i = 0; i < kPage; ++i) times[i] = static_cast<int64_t>(i);
+  return storage::BuildPage(times.data(), values.data(), kPage,
+                            storage::PageOptions{})
+      .value();
 }
 
 /// The fused window SUM of a sliding-window query over one page: open the
-/// reader, then SUM each 1000-value window in order, resuming from the
-/// previous window's end.
+/// reader on the page's parsed value column, then SUM each 1000-value
+/// window in order, resuming from the previous window's end.
 void BM_FusedWindowSum(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
-  AlignedBuffer buf = MakeTs2DiffPage(width);
+  const storage::Page page = MakeTs2DiffPage(width);
   for (auto _ : state) {
-    Result<exec::Ts2DiffFusedReader> reader =
-        exec::Ts2DiffFusedReader::Open(buf.data(), buf.size());
-    const size_t n = reader.value().count();
+    exec::Ts2DiffFusedReader reader(
+        page.value_col.As<enc::Ts2DiffColumn>());
+    const size_t n = reader.count();
     for (size_t p = 0; p < n; p += 1000) {
       int64_t sum = 0;
-      if (!reader.value().SumRange(p, std::min(p + 1000, n), &sum).ok()) {
+      if (!reader.SumRange(p, std::min(p + 1000, n), &sum).ok()) {
         state.SkipWithError("fused sum failed");
       }
       benchmark::DoNotOptimize(sum);
@@ -345,8 +346,11 @@ void BM_SprintzDecode(benchmark::State& state) {
   enc::EncodedColumn col = enc::SprintzEncoder().Encode(values.data(), kCol);
   AlignedBuffer buf;
   buf.Assign(col.bytes.data(), col.bytes.size());
-  enc::SprintzColumn parsed =
-      enc::SprintzColumn::Parse(buf.data(), buf.size()).value();
+  const storage::ParsedColumn column =
+      storage::ParseColumn(buf.data(), buf.size(),
+                           enc::ColumnEncoding::kSprintz, kCol)
+          .value();
+  const enc::SprintzColumn& parsed = column.As<enc::SprintzColumn>();
   std::vector<int64_t> out(kCol);
   for (auto _ : state) {
     Status st = avx2 ? simd::SprintzDecodeAvx2(

@@ -23,10 +23,7 @@ double DecodeMvps(const storage::Page& page, exec::DecodeStrategy strategy) {
   double best = 1e100;
   for (int r = 0; r < 5; ++r) {
     auto t0 = std::chrono::steady_clock::now();
-    if (!exec::DecodeColumn(page.value_data.data(), page.value_data.size(),
-                            page.header.value_encoding, page.header.count,
-                            strategy, &out)
-             .ok()) {
+    if (!exec::DecodeColumn(page.value_col, strategy, &out).ok()) {
       return 0;
     }
     double s = std::chrono::duration<double>(

@@ -554,13 +554,9 @@ Status Database::ExportCsv(const std::string& series,
     const storage::PageHeader& h = page->header;
     times.resize(h.count);
     values.resize(h.count);
-    status = storage::DecodePageColumn(page->time_data.data(),
-                                       page->time_data.size(),
-                                       h.time_encoding, h.count, times.data());
+    status = storage::DecodePageColumn(page->time_col, times.data());
     if (status.ok()) {
-      status = storage::DecodePageColumn(
-          page->value_data.data(), page->value_data.size(), h.value_encoding,
-          h.count, values.data());
+      status = storage::DecodePageColumn(page->value_col, values.data());
     }
     if (!status.ok()) break;
     for (uint32_t i = 0; i < h.count; ++i) {

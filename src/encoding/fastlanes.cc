@@ -78,7 +78,10 @@ Result<FastLanesColumn> FastLanesColumn::Parse(const uint8_t* data,
     return Status::Corruption("fastlanes: count/block mismatch");
   }
   size_t pos = 8;
-  col.blocks_.reserve(num_blocks);
+  // A corrupt block count must not size the reservation: each block takes
+  // at least its header and base row.
+  col.blocks_.reserve(
+      std::min<size_t>(num_blocks, (size - pos) / (9 + kLanes * 8)));
   for (uint32_t b = 0; b < num_blocks; ++b) {
     if (pos + 9 + kLanes * 8 > size) {
       return Status::Corruption("fastlanes: block truncated");

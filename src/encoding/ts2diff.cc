@@ -82,7 +82,9 @@ Result<Ts2DiffColumn> Ts2DiffColumn::Parse(const uint8_t* data, size_t size) {
   uint32_t num_blocks = GetFixed32BE(data + 8);
   size_t pos = 12;
   uint32_t idx = 0;
-  col.blocks_.reserve(num_blocks);
+  // A corrupt block count must not size the reservation: each block takes
+  // at least its 37-byte header.
+  col.blocks_.reserve(std::min<size_t>(num_blocks, (size - pos) / 37));
   for (uint32_t b = 0; b < num_blocks; ++b) {
     if (pos + 37 > size) return Status::Corruption("ts2diff: block truncated");
     Ts2DiffBlock blk;

@@ -163,13 +163,10 @@ Status DecodeTs2Diff(const enc::Ts2DiffColumn& col, DecodeStrategy strategy,
   return Status::Ok();
 }
 
-Status DecodeDeltaRle(const uint8_t* data, size_t size, uint32_t count,
+Status DecodeDeltaRle(const enc::DeltaRleColumn& col, size_t size,
                       DecodeStrategy strategy, DecodedColumn* out,
                       metrics::StageBreakdown* stages) {
-  Result<enc::DeltaRleColumn> parsed = enc::DeltaRleColumn::Parse(data, size);
-  if (!parsed.ok()) return parsed.status();
-  const enc::DeltaRleColumn& col = parsed.value();
-  if (col.count() != count) return Status::Corruption("delta_rle count");
+  const uint32_t count = col.count();
   if (count == 0) {
     out->narrow = true;
     out->base = 0;
@@ -190,8 +187,7 @@ Status DecodeDeltaRle(const uint8_t* data, size_t size, uint32_t count,
     out->values64.resize(count);
     metrics::ScopedStageTimer timer(stages, metrics::Stage::kDelta);
     timer.AddTuples(count);
-    return storage::DecodePageColumn(data, size, enc::ColumnEncoding::kDeltaRle,
-                                     count, out->values64.data());
+    return col.DecodeAll(out->values64.data());
   }
 
   out->narrow = true;
@@ -310,12 +306,9 @@ Status DecodeFastLanesSimd(const enc::FastLanesColumn& col, size_t begin,
 /// Variable-width RLBE slice (Section III-C): resynchronizes at the
 /// nearest anchor and decodes only positions [begin, end); scanning skips
 /// codewords without reconstructing values.
-Status DecodeRlbeSlice(const uint8_t* data, size_t size, uint32_t count,
-                       size_t begin, size_t end, DecodedColumn* out) {
-  Result<enc::RlbeColumn> parsed = enc::RlbeColumn::Parse(data, size);
-  if (!parsed.ok()) return parsed.status();
-  const enc::RlbeColumn& col = parsed.value();
-  if (col.count() != count) return Status::Corruption("rlbe count");
+Status DecodeRlbeSlice(const enc::RlbeColumn& col, size_t begin, size_t end,
+                       DecodedColumn* out) {
+  const uint32_t count = col.count();
   uint32_t stride = std::max<uint32_t>(1024, count / 16);
   Result<std::vector<enc::RlbeColumn::Anchor>> anchors =
       col.ScanAnchors(stride);
@@ -343,13 +336,9 @@ Status DecodeRlbeSlice(const uint8_t* data, size_t size, uint32_t count,
 
 /// StreamVByte's shuffle-LUT decode (two PSHUFB per 4-delta group) plus
 /// prefix sum over the whole column.
-Status DecodeStreamVByteSimd(const uint8_t* data, size_t size, uint32_t count,
+Status DecodeStreamVByteSimd(const enc::StreamVByteColumn& col,
                              DecodedColumn* out) {
-  Result<enc::StreamVByteColumn> parsed =
-      enc::StreamVByteColumn::Parse(data, size);
-  if (!parsed.ok()) return parsed.status();
-  const enc::StreamVByteColumn& col = parsed.value();
-  if (col.count() != count) return Status::Corruption("streamvbyte count");
+  const uint32_t count = col.count();
   out->narrow = false;
   out->values64.resize(count);
   if (count > 0 &&
@@ -363,63 +352,42 @@ Status DecodeStreamVByteSimd(const uint8_t* data, size_t size, uint32_t count,
 
 }  // namespace
 
-Status DecodeTs2DiffRange(const enc::Ts2DiffColumn& col,
-                          DecodeStrategy strategy, size_t begin, size_t end,
-                          DecodedColumn* out, bool ordered,
-                          metrics::StageBreakdown* stages) {
-  end = std::min<size_t>(end, col.count());
-  // TS2DIFF decodes with fused unpack+delta kernels (Algorithm 1): the
-  // whole pass reports under kUnpack; a near-zero kDelta is exactly the
-  // fusion effect EXPLAIN ANALYZE makes visible.
-  metrics::ScopedStageTimer timer(stages, metrics::Stage::kUnpack);
-  if (stages != nullptr) {
-    timer.AddTuples(end > begin ? end - begin : 0);
-    for (const enc::Ts2DiffBlock& b : col.blocks()) {
-      if (b.start_index < end && b.start_index + b.num_values() > begin) {
-        timer.AddBytes(b.packed_bytes);
-      }
-    }
-  }
-  return DecodeTs2Diff(col, strategy, begin, end, ordered, out);
-}
-
-Status DecodeColumnRange(const uint8_t* data, size_t size,
-                         enc::ColumnEncoding encoding, uint32_t count,
+Status DecodeColumnRange(const storage::ParsedColumn& col,
                          DecodeStrategy strategy, size_t begin, size_t end,
                          DecodedColumn* out, bool ordered,
                          metrics::StageBreakdown* stages) {
+  const uint32_t count = col.count;
+  const size_t size = col.size;
   end = std::min<size_t>(end, count);
-  switch (encoding) {
+  switch (col.encoding) {
     case enc::ColumnEncoding::kTs2Diff: {
-      Result<enc::Ts2DiffColumn> parsed =
-          enc::Ts2DiffColumn::Parse(data, size);
-      if (!parsed.ok()) return parsed.status();
-      if (parsed.value().count() != count) {
-        return Status::Corruption("ts2diff count");
+      const enc::Ts2DiffColumn& ts = col.As<enc::Ts2DiffColumn>();
+      // TS2DIFF decodes with fused unpack+delta kernels (Algorithm 1): the
+      // whole pass reports under kUnpack; a near-zero kDelta is exactly the
+      // fusion effect EXPLAIN ANALYZE makes visible.
+      metrics::ScopedStageTimer timer(stages, metrics::Stage::kUnpack);
+      if (stages != nullptr) {
+        timer.AddTuples(end > begin ? end - begin : 0);
+        for (const enc::Ts2DiffBlock& b : ts.blocks()) {
+          if (b.start_index < end && b.start_index + b.num_values() > begin) {
+            timer.AddBytes(b.packed_bytes);
+          }
+        }
       }
-      return DecodeTs2DiffRange(parsed.value(), strategy, begin, end, out,
-                                ordered, stages);
+      return DecodeTs2Diff(ts, strategy, begin, end, ordered, out);
     }
     case enc::ColumnEncoding::kFastLanes: {
       if (strategy == DecodeStrategy::kSerial) break;  // reference decoder
-      Result<enc::FastLanesColumn> parsed =
-          enc::FastLanesColumn::Parse(data, size);
-      if (!parsed.ok()) return parsed.status();
-      if (parsed.value().count() != count) {
-        return Status::Corruption("fastlanes count");
-      }
       metrics::ScopedStageTimer timer(stages, metrics::Stage::kUnpack);
       timer.AddTuples(end > begin ? end - begin : 0);
       timer.AddBytes(size);
-      return DecodeFastLanesSimd(parsed.value(), begin, end, out);
+      return DecodeFastLanesSimd(col.As<enc::FastLanesColumn>(), begin, end,
+                                 out);
     }
     case enc::ColumnEncoding::kSprintz: {
       // kSerial keeps the storage layer's reference decoder.
       if (strategy == DecodeStrategy::kSerial || !UseAvx2()) break;
-      Result<enc::SprintzColumn> parsed = enc::SprintzColumn::Parse(data, size);
-      if (!parsed.ok()) return parsed.status();
-      const enc::SprintzColumn& col = parsed.value();
-      if (col.count() != count) return Status::Corruption("sprintz count");
+      const enc::SprintzColumn& sz = col.As<enc::SprintzColumn>();
       // Every value up to `end` decodes: the blocks carry no anchors.
       metrics::ScopedStageTimer timer(stages, metrics::Stage::kUnpack);
       timer.AddTuples(end);
@@ -427,8 +395,8 @@ Status DecodeColumnRange(const uint8_t* data, size_t size,
       out->narrow = false;
       out->offsets.clear();
       out->values64.resize(end > begin ? end - begin : 0);
-      return simd::SprintzDecodeAvx2(col.blocks(), col.blocks_bytes(), count,
-                                     col.first_value(), begin, end,
+      return simd::SprintzDecodeAvx2(sz.blocks(), sz.blocks_bytes(), count,
+                                     sz.first_value(), begin, end,
                                      out->values64.data());
     }
     case enc::ColumnEncoding::kRlbe: {
@@ -436,7 +404,7 @@ Status DecodeColumnRange(const uint8_t* data, size_t size,
       metrics::ScopedStageTimer timer(stages, metrics::Stage::kUnpack);
       timer.AddTuples(count);
       timer.AddBytes(size);
-      return DecodeRlbeSlice(data, size, count, begin, end, out);
+      return DecodeRlbeSlice(col.As<enc::RlbeColumn>(), begin, end, out);
     }
     default:
       break;
@@ -447,22 +415,23 @@ Status DecodeColumnRange(const uint8_t* data, size_t size,
   // runs the storage layer's reference decoder.
   DecodedColumn full;
   {
-    metrics::ScopedStageTimer timer(
-        encoding == enc::ColumnEncoding::kDeltaRle ? nullptr : stages,
-        metrics::Stage::kUnpack);
+    const bool delta_rle = col.encoding == enc::ColumnEncoding::kDeltaRle;
+    metrics::ScopedStageTimer timer(delta_rle ? nullptr : stages,
+                                    metrics::Stage::kUnpack);
     timer.AddTuples(count);
     timer.AddBytes(size);
-    if (encoding == enc::ColumnEncoding::kDeltaRle) {
-      ETSQP_RETURN_IF_ERROR(
-          DecodeDeltaRle(data, size, count, strategy, &full, stages));
-    } else if (encoding == enc::ColumnEncoding::kStreamVByte &&
+    if (delta_rle) {
+      ETSQP_RETURN_IF_ERROR(DecodeDeltaRle(col.As<enc::DeltaRleColumn>(),
+                                           size, strategy, &full, stages));
+    } else if (col.encoding == enc::ColumnEncoding::kStreamVByte &&
                strategy != DecodeStrategy::kSerial && UseAvx2()) {
-      ETSQP_RETURN_IF_ERROR(DecodeStreamVByteSimd(data, size, count, &full));
+      ETSQP_RETURN_IF_ERROR(
+          DecodeStreamVByteSimd(col.As<enc::StreamVByteColumn>(), &full));
     } else {
       full.narrow = false;
       full.values64.resize(count);
-      ETSQP_RETURN_IF_ERROR(storage::DecodePageColumn(
-          data, size, encoding, count, full.values64.data()));
+      ETSQP_RETURN_IF_ERROR(
+          storage::DecodePageColumn(col, full.values64.data()));
     }
   }
   if (begin == 0 && end == full.size()) {
@@ -483,12 +452,10 @@ Status DecodeColumnRange(const uint8_t* data, size_t size,
   return Status::Ok();
 }
 
-Status DecodeColumn(const uint8_t* data, size_t size,
-                    enc::ColumnEncoding encoding, uint32_t count,
-                    DecodeStrategy strategy, DecodedColumn* out,
-                    metrics::StageBreakdown* stages) {
-  return DecodeColumnRange(data, size, encoding, count, strategy, 0, count,
-                           out, /*ordered=*/true, stages);
+Status DecodeColumn(const storage::ParsedColumn& col, DecodeStrategy strategy,
+                    DecodedColumn* out, metrics::StageBreakdown* stages) {
+  return DecodeColumnRange(col, strategy, 0, col.count, out, /*ordered=*/true,
+                           stages);
 }
 
 }  // namespace etsqp::exec

@@ -7,7 +7,7 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "encoding/format.h"
-#include "encoding/ts2diff.h"
+#include "storage/page.h"
 
 namespace etsqp::exec {
 
@@ -41,39 +41,31 @@ struct DecodedColumn {
   void Materialize(int64_t* out) const;
 };
 
-/// Decodes a full encoded column with the given strategy. kEtsqp's
+/// Decodes a full parsed column with the given strategy. kEtsqp's
 /// transposed kernels pick the vector count n_v per block (Proposition 1).
-/// The buffer must have >= 32 bytes of readable slack (AlignedBuffer).
+/// The column's bytes must have >= 32 bytes of readable slack
+/// (AlignedBuffer).
 ///
 /// `stages` (optional) records decode-stage timings: bit-unpacking —
 /// including Algorithm 1's fused unpack+delta kernels — under kUnpack, and
 /// the separate delta/RLE flatten passes of non-fused paths under kDelta.
-Status DecodeColumn(const uint8_t* data, size_t size,
-                    enc::ColumnEncoding encoding, uint32_t count,
-                    DecodeStrategy strategy, DecodedColumn* out,
+Status DecodeColumn(const storage::ParsedColumn& col, DecodeStrategy strategy,
+                    DecodedColumn* out,
                     metrics::StageBreakdown* stages = nullptr);
 
 /// Decodes only blocks overlapping value positions [begin, end) — used by
 /// page slices. Positions outside [begin,end) in `out` are unspecified;
-/// `out` is sized `end - begin` and holds positions begin..end-1.
+/// `out` is sized `end - begin` and holds positions begin..end-1. A TS2DIFF
+/// range's stage bytes count the packed residuals of the blocks it touches.
 ///
 /// `ordered` false permits the ETSQP strategy to emit offsets in the
 /// transposed chunk order (no transpose) — valid for order-insensitive
 /// consumers (SUM/AVG/MIN/MAX/COUNT and value-range masks), which is how the
 /// pipeline shares the SIMD layout between decoders and operators.
-Status DecodeColumnRange(const uint8_t* data, size_t size,
-                         enc::ColumnEncoding encoding, uint32_t count,
+Status DecodeColumnRange(const storage::ParsedColumn& col,
                          DecodeStrategy strategy, size_t begin, size_t end,
                          DecodedColumn* out, bool ordered = true,
                          metrics::StageBreakdown* stages = nullptr);
-
-/// DecodeColumnRange over a TS2DIFF column the caller parsed: a job that
-/// decodes a page block by block parses its column once, not per block.
-/// Stage bytes count the packed residuals of the blocks the range touches.
-Status DecodeTs2DiffRange(const enc::Ts2DiffColumn& col,
-                          DecodeStrategy strategy, size_t begin, size_t end,
-                          DecodedColumn* out, bool ordered = true,
-                          metrics::StageBreakdown* stages = nullptr);
 
 }  // namespace etsqp::exec
 

@@ -253,18 +253,13 @@ Status DecodePage(const storage::Page& page,
     timer.AddTuples(n);
     timer.AddBytes(page.encoded_bytes());
     DecodedColumn col;
-    ETSQP_RETURN_IF_ERROR(DecodeColumn(
-        page.time_data.data(), page.time_data.size(),
-        page.header.time_encoding, n, opt.strategy, &col));
+    ETSQP_RETURN_IF_ERROR(DecodeColumn(page.time_col, opt.strategy, &col));
     col.Materialize(times->data());
     if constexpr (std::is_same_v<Value, double>) {
-      ETSQP_RETURN_IF_ERROR(storage::DecodePageColumnF64(
-          page.value_data.data(), page.value_data.size(),
-          page.header.value_encoding, n, values->data()));
+      ETSQP_RETURN_IF_ERROR(
+          storage::DecodePageColumnF64(page.value_col, values->data()));
     } else {
-      ETSQP_RETURN_IF_ERROR(DecodeColumn(
-          page.value_data.data(), page.value_data.size(),
-          page.header.value_encoding, n, opt.strategy, &col));
+      ETSQP_RETURN_IF_ERROR(DecodeColumn(page.value_col, opt.strategy, &col));
       col.Materialize(values->data());
     }
   }
@@ -408,19 +403,14 @@ struct CorrAccum {
 /// and the cross-product polynomial (FusedCrossDeltaRle), no decoding.
 Status FusedCorrPair(const storage::Page& a, const storage::Page& b,
                      CorrAccum* out) {
-  Result<enc::DeltaRleColumn> ca =
-      enc::DeltaRleColumn::Parse(a.value_data.data(), a.value_data.size());
-  if (!ca.ok()) return ca.status();
-  Result<enc::DeltaRleColumn> cb =
-      enc::DeltaRleColumn::Parse(b.value_data.data(), b.value_data.size());
-  if (!cb.ok()) return cb.status();
-  const uint32_t n = ca.value().count();
+  const enc::DeltaRleColumn& ca = a.value_col.As<enc::DeltaRleColumn>();
+  const enc::DeltaRleColumn& cb = b.value_col.As<enc::DeltaRleColumn>();
+  const uint32_t n = ca.count();
   DeltaRleAggregates aa, ab;
   __int128 cross = 0;
-  ETSQP_RETURN_IF_ERROR(FusedAggDeltaRle(ca.value(), 0, n, true, &aa));
-  ETSQP_RETURN_IF_ERROR(FusedAggDeltaRle(cb.value(), 0, n, true, &ab));
-  ETSQP_RETURN_IF_ERROR(
-      FusedCrossDeltaRle(ca.value(), cb.value(), 0, n, &cross));
+  ETSQP_RETURN_IF_ERROR(FusedAggDeltaRle(ca, 0, n, true, &aa));
+  ETSQP_RETURN_IF_ERROR(FusedAggDeltaRle(cb, 0, n, true, &ab));
+  ETSQP_RETURN_IF_ERROR(FusedCrossDeltaRle(ca, cb, 0, n, &cross));
   CorrAccum pair;
   pair.sum_a = aa.sum;
   pair.sum_b = ab.sum;
@@ -847,15 +837,13 @@ class MergeNode {
     return Status::Ok();
   }
 
-  /// Decodes positions [p0, p1) of one encoded column into `out` with
+  /// Decodes positions [p0, p1) of one page column into `out` with
   /// `opt`'s kernels: the decode is the decode stages', the widening into
   /// `out` the merge stage's.
-  Status DecodeShared(const uint8_t* data, size_t size,
-                      enc::ColumnEncoding encoding, uint32_t count,
+  Status DecodeShared(const storage::ParsedColumn& col,
                       const PipelineOptions& opt, size_t p0, size_t p1,
                       std::vector<int64_t>* out) {
-    ETSQP_RETURN_IF_ERROR(DecodeColumnRange(data, size, encoding, count,
-                                            opt.strategy, p0, p1, &col_,
+    ETSQP_RETURN_IF_ERROR(DecodeColumnRange(col, opt.strategy, p0, p1, &col_,
                                             /*ordered=*/true, Stages()));
     ScopedStageTimer timer(Stages(), Stage::kMerge);
     timer.AddTuples(p1 - p0);
@@ -885,20 +873,16 @@ class MergeNode {
     ETSQP_RETURN_IF_ERROR(SlicePositions(pa, 0, count, trange, left.options,
                                          &p0, &p1, &stats));
     if (p0 < p1) {
-      ETSQP_RETURN_IF_ERROR(DecodeShared(
-          pa.time_data.data(), pa.time_data.size(), pa.header.time_encoding,
-          count, left.options, p0, p1, &shared_t_));
-      ETSQP_RETURN_IF_ERROR(DecodeShared(
-          pa.value_data.data(), pa.value_data.size(),
-          pa.header.value_encoding, count, left.options, p0, p1, &shared_a_));
+      ETSQP_RETURN_IF_ERROR(
+          DecodeShared(pa.time_col, left.options, p0, p1, &shared_t_));
+      ETSQP_RETURN_IF_ERROR(
+          DecodeShared(pa.value_col, left.options, p0, p1, &shared_a_));
     }
     left.Note(a, &stats);
     JobSchedule right(options_, spec_, b);
     if (p0 < p1) {
-      ETSQP_RETURN_IF_ERROR(DecodeShared(
-          pb.value_data.data(), pb.value_data.size(),
-          pb.header.value_encoding, count, right.options, p0, p1,
-          &shared_b_));
+      ETSQP_RETURN_IF_ERROR(
+          DecodeShared(pb.value_col, right.options, p0, p1, &shared_b_));
     }
     right.Note(b, &stats);
     if (p0 >= p1) return Status::Ok();

@@ -38,17 +38,8 @@ Status CheckFusedWidth(const enc::Ts2DiffBlock& b) {
 
 }  // namespace
 
-Result<Ts2DiffFusedReader> Ts2DiffFusedReader::Open(const uint8_t* data,
-                                                    size_t size) {
-  Result<enc::Ts2DiffColumn> parsed = enc::Ts2DiffColumn::Parse(data, size);
-  if (!parsed.ok()) return parsed.status();
-  Ts2DiffFusedReader reader;
-  reader.col_ = std::move(parsed).value();
-  return reader;
-}
-
 size_t Ts2DiffFusedReader::BlockOf(size_t pos) const {
-  const std::vector<enc::Ts2DiffBlock>& blocks = col_.blocks();
+  const std::vector<enc::Ts2DiffBlock>& blocks = col_->blocks();
   auto it = std::upper_bound(
       blocks.begin(), blocks.end(), pos,
       [](size_t p, const enc::Ts2DiffBlock& b) { return p < b.start_index; });
@@ -56,12 +47,12 @@ size_t Ts2DiffFusedReader::BlockOf(size_t pos) const {
 }
 
 Status Ts2DiffFusedReader::SumRange(size_t begin, size_t end, int64_t* out) {
-  end = std::min<size_t>(end, col_.count());
+  end = std::min<size_t>(end, col_->count());
   if (begin >= end) {
     *out = 0;
     return Status::Ok();
   }
-  const std::vector<enc::Ts2DiffBlock>& blocks = col_.blocks();
+  const std::vector<enc::Ts2DiffBlock>& blocks = col_->blocks();
   const bool resume = cursor_ok_ && begin == cursor_pos_;
   cursor_ok_ = false;
   size_t bi = resume ? cursor_block_ : BlockOf(begin);
@@ -116,13 +107,6 @@ Result<DeltaRleFusedReader> DeltaRleFusedReader::Open(
   reader.value_ = col.first_value();
   ETSQP_RETURN_IF_ERROR(col.DecodePairs(&reader.pairs_));
   return reader;
-}
-
-Result<DeltaRleFusedReader> DeltaRleFusedReader::Open(const uint8_t* data,
-                                                      size_t size) {
-  Result<enc::DeltaRleColumn> col = enc::DeltaRleColumn::Parse(data, size);
-  if (!col.ok()) return col.status();
-  return Open(col.value());
 }
 
 Status DeltaRleFusedReader::Aggregate(size_t begin, size_t end, bool need_sq,

@@ -29,10 +29,11 @@ namespace etsqp::exec {
 /// recomputes X_la from its block start with the same kernel's plain sum.
 class Ts2DiffFusedReader {
  public:
-  /// `data` must outlive the reader and carry 32 bytes of slack.
-  static Result<Ts2DiffFusedReader> Open(const uint8_t* data, size_t size);
+  /// `col` (a page's parsed view) must outlive the reader; its bytes carry
+  /// 32 bytes of slack.
+  explicit Ts2DiffFusedReader(const enc::Ts2DiffColumn& col) : col_(&col) {}
 
-  uint32_t count() const { return col_.count(); }
+  uint32_t count() const { return col_->count(); }
 
   /// Sum of values at positions [begin, end). Fails with kOverflow when the
   /// exact sum exceeds int64 (Section VI-C), and with kNotSupported on a
@@ -40,7 +41,7 @@ class Ts2DiffFusedReader {
   Status SumRange(size_t begin, size_t end, int64_t* out);
 
  private:
-  enc::Ts2DiffColumn col_;
+  const enc::Ts2DiffColumn* col_;
   // Forward cursor, valid when cursor_ok_: the position after the last
   // range, the block holding it and the value there.
   bool cursor_ok_ = false;
@@ -71,7 +72,6 @@ struct DeltaRleAggregates {
 class DeltaRleFusedReader {
  public:
   static Result<DeltaRleFusedReader> Open(const enc::DeltaRleColumn& col);
-  static Result<DeltaRleFusedReader> Open(const uint8_t* data, size_t size);
 
   uint32_t count() const { return count_; }
 

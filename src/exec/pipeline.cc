@@ -115,14 +115,8 @@ class SliceTimes {
       segs_.push_back(Segment{begin, end, nullptr, false, false, {}});
       return Status::Ok();
     }
-    Result<enc::Ts2DiffColumn> parsed = enc::Ts2DiffColumn::Parse(
-        page_.time_data.data(), page_.time_data.size());
-    if (!parsed.ok()) return parsed.status();
-    col_ = std::move(parsed).value();
-    if (col_.count() != page_.header.count) {
-      return Status::Corruption("time column count");
-    }
-    for (const enc::Ts2DiffBlock& b : col_.blocks()) {
+    for (const enc::Ts2DiffBlock& b :
+         page_.time_col.As<enc::Ts2DiffColumn>().blocks()) {
       const size_t bs = std::max<size_t>(b.start_index, begin);
       const size_t be = std::min<size_t>(b.start_index + b.num_values(), end);
       if (bs >= be) continue;
@@ -202,9 +196,8 @@ class SliceTimes {
 
   Status Decode(Segment* s) {
     ETSQP_RETURN_IF_ERROR(DecodeColumnRange(
-        page_.time_data.data(), page_.time_data.size(),
-        page_.header.time_encoding, page_.header.count, opt_.strategy,
-        s->begin, s->end, &s->col, /*ordered=*/true, StagesOf(opt_, stats_)));
+        page_.time_col, opt_.strategy, s->begin, s->end, &s->col,
+        /*ordered=*/true, StagesOf(opt_, stats_)));
     if (stats_ != nullptr) stats_->tuples_scanned += s->col.size();
     s->decoded = true;
     return Status::Ok();
@@ -220,7 +213,6 @@ class SliceTimes {
   const storage::Page& page_;
   const PipelineOptions& opt_;
   QueryStats* const stats_;
-  enc::Ts2DiffColumn col_;  // the blocks segments point into
   std::vector<Segment> segs_;
   size_t seg_ = 0;
 };
@@ -355,16 +347,8 @@ class SliceValues {
     chunk_end_ = end_;
     pruned_ = false;
     if (by_block_) {
-      if (!blocks_) {
-        Result<enc::Ts2DiffColumn> parsed = enc::Ts2DiffColumn::Parse(
-            page_.value_data.data(), page_.value_data.size());
-        if (!parsed.ok()) return parsed.status();
-        if (parsed.value().count() != page_.header.count) {
-          return Status::Corruption("ts2diff count");
-        }
-        blocks_ = std::move(parsed).value();
-      }
-      const std::vector<enc::Ts2DiffBlock>& blocks = blocks_->blocks();
+      const std::vector<enc::Ts2DiffBlock>& blocks =
+          page_.value_col.As<enc::Ts2DiffColumn>().blocks();
       if (block_ >= blocks.size() || p < blocks[block_].start_index) {
         block_ = 0;
       }
@@ -379,16 +363,10 @@ class SliceValues {
         if (stats_ != nullptr) ++stats_->blocks_pruned;
         return Status::Ok();
       }
-      ETSQP_RETURN_IF_ERROR(DecodeTs2DiffRange(*blocks_, opt_.strategy,
-                                               chunk_begin_, chunk_end_,
-                                               &col_, ordered_,
-                                               StagesOf(opt_, stats_)));
-    } else {
-      ETSQP_RETURN_IF_ERROR(DecodeColumnRange(
-          page_.value_data.data(), page_.value_data.size(),
-          page_.header.value_encoding, page_.header.count, opt_.strategy,
-          chunk_begin_, chunk_end_, &col_, ordered_, StagesOf(opt_, stats_)));
     }
+    ETSQP_RETURN_IF_ERROR(DecodeColumnRange(page_.value_col, opt_.strategy,
+                                            chunk_begin_, chunk_end_, &col_,
+                                            ordered_, StagesOf(opt_, stats_)));
     if (stats_ != nullptr) stats_->tuples_scanned += col_.size();
     return Status::Ok();
   }
@@ -402,7 +380,6 @@ class SliceValues {
   const bool ordered_;
   QueryStats* const stats_;
   const bool by_block_;
-  std::optional<enc::Ts2DiffColumn> blocks_;
   size_t block_ = 0;
   // The loaded chunk: positions [chunk_begin_, chunk_end_), decoded into
   // col_ unless pruned_. Empty until the first Load.
@@ -412,25 +389,11 @@ class SliceValues {
   DecodedColumn col_;
 };
 
-/// A fused reader of one page's value column, opened on first use.
-template <typename Reader>
-struct LazyReader {
-  std::optional<Result<Reader>> reader;
-
-  Result<Reader>& Get(const storage::Page& page) {
-    if (!reader) {
-      reader.emplace(
-          Reader::Open(page.value_data.data(), page.value_data.size()));
-    }
-    return *reader;
-  }
-};
-
 /// The fused readers of one page slice, shared by its windows so that a
 /// reader's forward cursor carries from each window to the next.
 struct FusedValues {
-  LazyReader<Ts2DiffFusedReader> ts2diff;
-  LazyReader<DeltaRleFusedReader> delta_rle;
+  std::optional<Ts2DiffFusedReader> ts2diff;
+  std::optional<Result<DeltaRleFusedReader>> delta_rle;
 
   /// Whether positions alone (an unfiltered COUNT) or a fused reader can
   /// answer `func` over the page's value column (Section IV).
@@ -457,14 +420,17 @@ struct FusedValues {
     // their whole cost is the aggregation stage (Section IV).
     ScopedStageTimer timer(StagesOf(opt, stats), Stage::kAggregate);
     if (page.header.value_encoding == enc::ColumnEncoding::kTs2Diff) {
-      Result<Ts2DiffFusedReader>& reader = ts2diff.Get(page);
-      if (!reader.ok()) return reader.status();
+      if (!ts2diff) ts2diff.emplace(page.value_col.As<enc::Ts2DiffColumn>());
       int64_t sum = 0;
-      ETSQP_RETURN_IF_ERROR(reader.value().SumRange(p0, p1, &sum));
+      ETSQP_RETURN_IF_ERROR(ts2diff->SumRange(p0, p1, &sum));
       accum->sum += sum;
       accum->count += p1 - p0;
     } else {
-      Result<DeltaRleFusedReader>& reader = delta_rle.Get(page);
+      if (!delta_rle) {
+        delta_rle.emplace(DeltaRleFusedReader::Open(
+            page.value_col.As<enc::DeltaRleColumn>()));
+      }
+      Result<DeltaRleFusedReader>& reader = *delta_rle;
       if (!reader.ok()) return reader.status();
       DeltaRleAggregates agg;
       ETSQP_RETURN_IF_ERROR(reader.value().Aggregate(
@@ -658,14 +624,11 @@ Status MaterializeSlice(const storage::Page& page, size_t begin, size_t end,
   metrics::StageBreakdown* stages = StagesOf(opt, stats);
 
   DecodedColumn tcol, vcol;
-  ETSQP_RETURN_IF_ERROR(DecodeColumnRange(
-      page.time_data.data(), page.time_data.size(),
-      page.header.time_encoding, page.header.count, opt.strategy, p0, p1,
-      &tcol, /*ordered=*/true, stages));
-  ETSQP_RETURN_IF_ERROR(DecodeColumnRange(
-      page.value_data.data(), page.value_data.size(),
-      page.header.value_encoding, page.header.count, opt.strategy, p0, p1,
-      &vcol, /*ordered=*/true, stages));
+  ETSQP_RETURN_IF_ERROR(DecodeColumnRange(page.time_col, opt.strategy, p0, p1,
+                                          &tcol, /*ordered=*/true, stages));
+  ETSQP_RETURN_IF_ERROR(DecodeColumnRange(page.value_col, opt.strategy, p0,
+                                          p1, &vcol, /*ordered=*/true,
+                                          stages));
   if (stats != nullptr) stats->tuples_scanned += tcol.size() + vcol.size();
 
   size_t n = p1 - p0;

@@ -183,6 +183,8 @@ Result<std::shared_ptr<const Page>> FileBackedStore::LoadPage(
   page->time_data.Assign(payload.data(), header.time_bytes);
   page->value_data.Assign(payload.data() + header.time_bytes,
                           header.value_bytes);
+  // A corrupt column fails here, before the page enters the pool.
+  ETSQP_RETURN_IF_ERROR(ParsePage(page.get()));
   ++stats_.pages_loaded;
   stats_.resident_bytes += payload.size();
   lru_.push_front(key);

@@ -67,7 +67,9 @@ class FileBackedStore {
   Result<SeriesSnapshot> GetSnapshot(const std::string& name);
 
   /// Returns the fully loaded page (payload fetched or served from the
-  /// pool). The returned shared_ptr keeps the page alive across eviction.
+  /// pool), its columns parsed once when fetched; Corruption when a column
+  /// does not parse. The returned shared_ptr keeps the page alive across
+  /// eviction.
   Result<std::shared_ptr<const Page>> LoadPage(const std::string& series,
                                                size_t page_index);
 

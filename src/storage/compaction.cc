@@ -151,9 +151,7 @@ Status Compactor::RunPass(const std::string& name,
     size_t at = times.size();
     times.resize(at + p.header.count);
     values.resize(at + p.header.count);
-    Status st = DecodePageColumn(p.time_data.data(), p.time_data.size(),
-                                 p.header.time_encoding, p.header.count,
-                                 times.data() + at);
+    Status st = DecodePageColumn(p.time_col, times.data() + at);
     if (st.ok()) st = DecodePageValueWords(p, values.data() + at);
     if (!st.ok()) {
       store_->AbortCompaction(name);

@@ -27,6 +27,68 @@ bool HeaderValueKeys(const PageHeader& h, bool is_float, int64_t* lo,
   return true;
 }
 
+namespace {
+
+/// `col` with the Column view of its bytes, checked against its count.
+template <typename Column>
+Result<ParsedColumn> WithView(ParsedColumn col) {
+  Result<Column> view = Column::Parse(col.data, col.size);
+  if (!view.ok()) return view.status();
+  if (view.value().count() != col.count) {
+    return Status::Corruption("page column: count mismatch");
+  }
+  col.view = std::move(view).value();
+  return col;
+}
+
+}  // namespace
+
+Result<ParsedColumn> ParseColumn(const uint8_t* data, size_t size,
+                                 enc::ColumnEncoding encoding,
+                                 uint32_t count) {
+  ParsedColumn col;
+  col.encoding = encoding;
+  col.count = count;
+  col.data = data;
+  col.size = size;
+  switch (encoding) {
+    case enc::ColumnEncoding::kTs2Diff:
+      return WithView<enc::Ts2DiffColumn>(std::move(col));
+    case enc::ColumnEncoding::kDeltaRle:
+      return WithView<enc::DeltaRleColumn>(std::move(col));
+    case enc::ColumnEncoding::kRlbe:
+      return WithView<enc::RlbeColumn>(std::move(col));
+    case enc::ColumnEncoding::kSprintz:
+      return WithView<enc::SprintzColumn>(std::move(col));
+    case enc::ColumnEncoding::kFastLanes:
+      return WithView<enc::FastLanesColumn>(std::move(col));
+    case enc::ColumnEncoding::kStreamVByte:
+      return WithView<enc::StreamVByteColumn>(std::move(col));
+    case enc::ColumnEncoding::kPlain:
+      if (size < static_cast<size_t>(count) * 8) {
+        return Status::Corruption("plain: truncated");
+      }
+      return col;
+    default:
+      // Gorilla and the XOR float codecs check their count as they decode.
+      return col;
+  }
+}
+
+Status ParsePage(Page* page) {
+  const PageHeader& h = page->header;
+  Result<ParsedColumn> time = ParseColumn(
+      page->time_data.data(), page->time_data.size(), h.time_encoding, h.count);
+  if (!time.ok()) return time.status();
+  Result<ParsedColumn> value =
+      ParseColumn(page->value_data.data(), page->value_data.size(),
+                  h.value_encoding, h.count);
+  if (!value.ok()) return value.status();
+  page->time_col = std::move(time).value();
+  page->value_col = std::move(value).value();
+  return Status::Ok();
+}
+
 void SerializePage(const Page& page, std::vector<uint8_t>* out) {
   const PageHeader& h = page.header;
   PutFixed32BE(out, h.count);
@@ -69,7 +131,7 @@ Status DeserializePage(const uint8_t* data, size_t size, size_t* pos,
   *pos += h.time_bytes;
   page->value_data.Assign(data + *pos, h.value_bytes);
   *pos += h.value_bytes;
-  return Status::Ok();
+  return ParsePage(page);
 }
 
 }  // namespace etsqp::storage

@@ -4,11 +4,18 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "common/aligned_buffer.h"
 #include "common/status.h"
+#include "encoding/delta_rle.h"
+#include "encoding/fastlanes.h"
 #include "encoding/format.h"
+#include "encoding/rlbe.h"
+#include "encoding/sprintz.h"
+#include "encoding/streamvbyte.h"
+#include "encoding/ts2diff.h"
 
 namespace etsqp::storage {
 
@@ -55,12 +62,46 @@ inline int64_t OrderedValueKey(double v) {
 bool HeaderValueKeys(const PageHeader& h, bool is_float, int64_t* lo,
                      int64_t* hi);
 
-/// One storage page: header plus the two encoded columns. Column buffers are
-/// slack-padded (AlignedBuffer) so SIMD decoders can over-read safely.
+/// One encoded column, parsed and checked once: the bytes with their
+/// encoding and value count, plus the codec's parsed view — the block list
+/// of TS2DIFF and FastLanes, the stream positions of the others. Plain,
+/// Gorilla and the XOR float codecs decode straight from the bytes and hold
+/// no view. The view points into the bytes, which must outlive it.
+struct ParsedColumn {
+  enc::ColumnEncoding encoding = enc::ColumnEncoding::kPlain;
+  uint32_t count = 0;
+  const uint8_t* data = nullptr;  // slack-padded (AlignedBuffer)
+  size_t size = 0;
+  std::variant<std::monostate, enc::Ts2DiffColumn, enc::DeltaRleColumn,
+               enc::RlbeColumn, enc::SprintzColumn, enc::FastLanesColumn,
+               enc::StreamVByteColumn>
+      view;
+
+  /// The view of a column whose encoding is Column's codec.
+  template <typename Column>
+  const Column& As() const {
+    return std::get<Column>(view);
+  }
+};
+
+/// The one place a column is parsed: builds the view `encoding` has over
+/// data[size] and checks that the column holds `count` values. Corruption
+/// when it does not, or when the bytes do not parse.
+Result<ParsedColumn> ParseColumn(const uint8_t* data, size_t size,
+                                 enc::ColumnEncoding encoding, uint32_t count);
+
+/// One storage page: header plus the two encoded columns and their parsed
+/// views. Column buffers are slack-padded (AlignedBuffer) so SIMD decoders
+/// can over-read safely. A page is parsed once, where it is made (built,
+/// deserialized or fetched from a file); readers take the views and never
+/// parse again. Moving a page keeps its views valid: they point into the
+/// buffers' heap storage.
 struct Page {
   PageHeader header;
   AlignedBuffer time_data;
   AlignedBuffer value_data;
+  ParsedColumn time_col;
+  ParsedColumn value_col;
 
   Page() = default;
   Page(Page&&) = default;
@@ -72,10 +113,15 @@ struct Page {
   }
 };
 
+/// Parses both columns of `page` against its header into time_col and
+/// value_col. Every place that makes a page calls it once.
+Status ParsePage(Page* page);
+
 /// Serializes `page` into `out` (header fields Big-Endian + both columns).
 void SerializePage(const Page& page, std::vector<uint8_t>* out);
 
-/// Parses one page starting at data[pos]; advances *pos past it.
+/// Reads one page starting at data[pos] and parses its columns (ParsePage);
+/// advances *pos past it.
 Status DeserializePage(const uint8_t* data, size_t size, size_t* pos,
                        Page* page);
 

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
+#include <variant>
 
 #include "common/bitstream.h"
 #include "encoding/delta_rle.h"
@@ -82,6 +84,7 @@ Result<Page> BuildPage(const int64_t* times, const int64_t* values, size_t n,
   h.value_bytes = static_cast<uint32_t>(vc.bytes.size());
   page.time_data.Assign(tc.bytes.data(), tc.bytes.size());
   page.value_data.Assign(vc.bytes.data(), vc.bytes.size());
+  ETSQP_RETURN_IF_ERROR(ParsePage(&page));
   return page;
 }
 
@@ -145,6 +148,7 @@ Result<Page> BuildPageF64(const int64_t* times, const double* values,
   h.value_bytes = static_cast<uint32_t>(vc.bytes.size());
   page.time_data.Assign(tc.bytes.data(), tc.bytes.size());
   page.value_data.Assign(vc.bytes.data(), vc.bytes.size());
+  ETSQP_RETURN_IF_ERROR(ParsePage(&page));
   return page;
 }
 
@@ -159,16 +163,11 @@ Result<Page> BuildPageFromWords(const int64_t* times, const int64_t* values,
 }
 
 Status DecodePageValueWords(const Page& page, int64_t* out) {
-  const PageHeader& h = page.header;
-  if (!enc::IsFloatEncoding(h.value_encoding)) {
-    return DecodePageColumn(page.value_data.data(), page.value_data.size(),
-                            h.value_encoding, h.count, out);
+  if (!enc::IsFloatEncoding(page.header.value_encoding)) {
+    return DecodePageColumn(page.value_col, out);
   }
-  std::vector<double> doubles(h.count);
-  ETSQP_RETURN_IF_ERROR(DecodePageColumnF64(page.value_data.data(),
-                                            page.value_data.size(),
-                                            h.value_encoding, h.count,
-                                            doubles.data()));
+  std::vector<double> doubles(page.header.count);
+  ETSQP_RETURN_IF_ERROR(DecodePageColumnF64(page.value_col, doubles.data()));
   std::memcpy(out, doubles.data(), doubles.size() * sizeof(double));
   return Status::Ok();
 }
@@ -206,67 +205,39 @@ size_t EncodedColumnBytesF64(const double* values, size_t n,
   }
 }
 
-Status DecodePageColumnF64(const uint8_t* data, size_t size,
-                           enc::ColumnEncoding encoding, uint32_t count,
-                           double* out) {
-  switch (encoding) {
+Status DecodePageColumnF64(const ParsedColumn& col, double* out) {
+  switch (col.encoding) {
     case enc::ColumnEncoding::kGorillaValue:
-      return enc::GorillaValueDecodeDoubles(data, size, count, out);
+      return enc::GorillaValueDecodeDoubles(col.data, col.size, col.count, out);
     case enc::ColumnEncoding::kChimpValue:
-      return enc::ChimpDecodeDoubles(data, size, count, out);
+      return enc::ChimpDecodeDoubles(col.data, col.size, col.count, out);
     case enc::ColumnEncoding::kElfValue:
-      return enc::ElfDecodeDoubles(data, size, count, out);
+      return enc::ElfDecodeDoubles(col.data, col.size, col.count, out);
     default:
       return Status::NotSupported("not a float encoding");
   }
 }
 
-namespace {
-
-/// Parses a `Column` and decodes all of it into out[count]. A column that
-/// holds another count is corrupt: decoding it would overrun `out`.
-template <typename Column>
-Status DecodeParsed(const uint8_t* data, size_t size, uint32_t count,
-                    int64_t* out) {
-  Result<Column> col = Column::Parse(data, size);
-  if (!col.ok()) return col.status();
-  if (col.value().count() != count) {
-    return Status::Corruption("page column: count mismatch");
-  }
-  return col.value().DecodeAll(out);
-}
-
-}  // namespace
-
-Status DecodePageColumn(const uint8_t* data, size_t size,
-                        enc::ColumnEncoding encoding, uint32_t count,
-                        int64_t* out) {
-  switch (encoding) {
-    case enc::ColumnEncoding::kTs2Diff:
-      return DecodeParsed<enc::Ts2DiffColumn>(data, size, count, out);
-    case enc::ColumnEncoding::kDeltaRle:
-      return DecodeParsed<enc::DeltaRleColumn>(data, size, count, out);
-    case enc::ColumnEncoding::kRlbe:
-      return DecodeParsed<enc::RlbeColumn>(data, size, count, out);
-    case enc::ColumnEncoding::kSprintz:
-      return DecodeParsed<enc::SprintzColumn>(data, size, count, out);
-    case enc::ColumnEncoding::kFastLanes:
-      return DecodeParsed<enc::FastLanesColumn>(data, size, count, out);
-    case enc::ColumnEncoding::kStreamVByte:
-      return DecodeParsed<enc::StreamVByteColumn>(data, size, count, out);
+Status DecodePageColumn(const ParsedColumn& col, int64_t* out) {
+  switch (col.encoding) {
     case enc::ColumnEncoding::kGorilla:
-      return enc::GorillaTimestampDecode(data, size, count, out);
-    case enc::ColumnEncoding::kPlain: {
-      if (size < static_cast<size_t>(count) * 8) {
-        return Status::Corruption("plain: truncated");
-      }
-      for (uint32_t i = 0; i < count; ++i) {
-        out[i] = static_cast<int64_t>(GetFixed64BE(data + i * 8));
+      return enc::GorillaTimestampDecode(col.data, col.size, col.count, out);
+    case enc::ColumnEncoding::kPlain:
+      for (uint32_t i = 0; i < col.count; ++i) {
+        out[i] = static_cast<int64_t>(GetFixed64BE(col.data + i * 8));
       }
       return Status::Ok();
-    }
     default:
-      return Status::NotSupported("decode for this encoding");
+      return std::visit(
+          [out](const auto& view) -> Status {
+            if constexpr (std::is_same_v<std::decay_t<decltype(view)>,
+                                         std::monostate>) {
+              return Status::NotSupported("decode for this encoding");
+            } else {
+              return view.DecodeAll(out);
+            }
+          },
+          col.view);
   }
 }
 

@@ -35,16 +35,12 @@ Result<Page> BuildPageFromWords(const int64_t* times, const int64_t* values,
 /// Decodes a page's value column into value words (see BuildPageFromWords).
 Status DecodePageValueWords(const Page& page, int64_t* out);
 
-/// Full decode of a float value column from its bytes straight into
-/// out[count]; Corruption when the column holds another count.
-Status DecodePageColumnF64(const uint8_t* data, size_t size,
-                           enc::ColumnEncoding enc, uint32_t count,
-                           double* out);
+/// Full decode of a parsed float value column into out[col.count].
+Status DecodePageColumnF64(const ParsedColumn& col, double* out);
 
-/// Reference full decode of a page's columns (any supported encoding) into
-/// out[count]; Corruption when the column holds another count.
-Status DecodePageColumn(const uint8_t* data, size_t size,
-                        enc::ColumnEncoding enc, uint32_t count, int64_t* out);
+/// Reference full decode of a parsed column (any supported encoding) into
+/// out[col.count].
+Status DecodePageColumn(const ParsedColumn& col, int64_t* out);
 
 /// True when DecodePageColumn / DecodePageColumnF64 can decode `enc`. The
 /// codec advisor refuses to re-encode into anything this returns false for

@@ -17,6 +17,7 @@
 #include "encoding/sprintz.h"
 #include "exec/column_decoder.h"
 #include "simd/sprintz_simd.h"
+#include "storage/page.h"
 
 namespace etsqp {
 namespace {
@@ -202,6 +203,9 @@ TEST(SprintzSimdTest, ColumnDecoderMatchesSerialStrategy) {
   enc::EncodedColumn col =
       enc::SprintzEncoder().Encode(values.data(), values.size());
   std::vector<uint8_t> buf = WithSlack(col.bytes, col.bytes.size());
+  Result<storage::ParsedColumn> parsed = storage::ParseColumn(
+      buf.data(), col.bytes.size(), enc::ColumnEncoding::kSprintz, col.count);
+  ASSERT_TRUE(parsed.ok());
   for (auto [begin, end] : {std::pair<size_t, size_t>{0, 3001},
                             {1, 9},
                             {100, 2000},
@@ -210,11 +214,8 @@ TEST(SprintzSimdTest, ColumnDecoderMatchesSerialStrategy) {
          {exec::DecodeStrategy::kEtsqp, exec::DecodeStrategy::kSerial,
           exec::DecodeStrategy::kSboost}) {
       exec::DecodedColumn out;
-      ASSERT_TRUE(exec::DecodeColumnRange(
-                      buf.data(), col.bytes.size(),
-                      enc::ColumnEncoding::kSprintz, col.count, s, begin,
-                      end, &out)
-                      .ok());
+      ASSERT_TRUE(
+          exec::DecodeColumnRange(parsed.value(), s, begin, end, &out).ok());
       ASSERT_EQ(out.size(), end - begin);
       for (size_t i = begin; i < end; ++i) {
         ASSERT_EQ(out.Get(i - begin), values[i])

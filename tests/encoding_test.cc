@@ -247,6 +247,18 @@ TEST(Ts2DiffTest, TruncatedPayloadRejected) {
   EXPECT_FALSE(parsed.ok());
 }
 
+TEST(Ts2DiffTest, BlockCountPastTheBytesRejected) {
+  // A page loaded from a file is parsed as it is read, so a corrupt block
+  // count is outside input: it must fail as Corruption, not size a
+  // reservation of 2^32 blocks.
+  std::vector<int64_t> values(100);
+  for (size_t i = 0; i < values.size(); ++i) values[i] = 3 * i;
+  EncodedColumn col = Ts2DiffEncoder().Encode(values.data(), values.size());
+  for (size_t b = 8; b < 12; ++b) col.bytes[b] = 0xFF;  // u32 num_blocks
+  auto parsed = Ts2DiffColumn::Parse(col.bytes.data(), col.bytes.size());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
+}
+
 TEST(Ts2DiffTest, CompressionBeatsRawForSmoothData) {
   std::vector<int64_t> values(10000);
   std::mt19937_64 rng(6);

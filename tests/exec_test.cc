@@ -17,6 +17,7 @@
 #include "exec/pipeline_job.h"
 #include "exec/pruning.h"
 #include "exec/scheduler.h"
+#include "parsed_bytes.h"
 #include "storage/page_builder.h"
 
 namespace etsqp::exec {
@@ -78,10 +79,7 @@ TEST_P(ColumnDecoderTest, MatchesReferenceDecode) {
   ASSERT_TRUE(page.ok());
 
   DecodedColumn col;
-  ASSERT_TRUE(DecodeColumn(page.value().value_data.data(),
-                           page.value().value_data.size(), c.encoding,
-                           page.value().header.count, c.strategy, &col)
-                  .ok());
+  ASSERT_TRUE(DecodeColumn(page.value().value_col, c.strategy, &col).ok());
   ASSERT_EQ(col.size(), values.size());
   for (size_t i = 0; i < values.size(); ++i) {
     ASSERT_EQ(col.Get(i), values[i]) << "i=" << i;
@@ -110,10 +108,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ColumnDecoderTest, RangeDecodeMatchesFull) {
   std::vector<int64_t> values = RandomWalk(4000, 19, 0, 100);
-  enc::EncodedColumn col =
-      enc::Ts2DiffEncoder(256).Encode(values.data(), values.size());
-  AlignedBuffer buf;
-  buf.Assign(col.bytes.data(), col.bytes.size());
+  ParsedBytes col =
+      ParseBytes(enc::Ts2DiffEncoder(256).Encode(values.data(), values.size()));
+  ASSERT_TRUE(col.status.ok());
   for (auto [begin, end] : {std::pair<size_t, size_t>{0, 4000},
                             {100, 200},
                             {250, 260},  // within one block
@@ -121,10 +118,9 @@ TEST(ColumnDecoderTest, RangeDecodeMatchesFull) {
                             {3990, 4000},
                             {500, 500}}) {
     DecodedColumn out;
-    ASSERT_TRUE(DecodeColumnRange(buf.data(), buf.size(),
-                                  enc::ColumnEncoding::kTs2Diff, 4000,
-                                  DecodeStrategy::kEtsqp, begin, end, &out)
-                    .ok());
+    ASSERT_TRUE(
+        DecodeColumnRange(col.col, DecodeStrategy::kEtsqp, begin, end, &out)
+            .ok());
     ASSERT_EQ(out.size(), end - begin);
     for (size_t i = begin; i < end; ++i) {
       ASSERT_EQ(out.Get(i - begin), values[i]) << begin << ":" << end;
@@ -138,15 +134,12 @@ TEST(ColumnDecoderTest, RangesCuttingTs2DiffBlocksMatchBlockDecode) {
   constexpr size_t kN = 4000;
   for (int64_t step : {int64_t{100}, int64_t{200000}}) {
     std::vector<int64_t> values = RandomWalk(kN, 23 + step, 0, step);
-    enc::EncodedColumn col =
-        enc::Ts2DiffEncoder(256).Encode(values.data(), values.size());
-    AlignedBuffer buf;
-    buf.Assign(col.bytes.data(), col.bytes.size());
-    Result<enc::Ts2DiffColumn> parsed =
-        enc::Ts2DiffColumn::Parse(buf.data(), buf.size());
-    ASSERT_TRUE(parsed.ok());
+    ParsedBytes col = ParseBytes(
+        enc::Ts2DiffEncoder(256).Encode(values.data(), values.size()));
+    ASSERT_TRUE(col.status.ok());
+    const enc::Ts2DiffColumn& parsed = col.col.As<enc::Ts2DiffColumn>();
     std::vector<int64_t> reference(kN);
-    for (const enc::Ts2DiffBlock& b : parsed.value().blocks()) {
+    for (const enc::Ts2DiffBlock& b : parsed.blocks()) {
       enc::Ts2DiffColumn::DecodeBlock(b, reference.data() + b.start_index);
     }
     ASSERT_EQ(reference, values);
@@ -163,14 +156,13 @@ TEST(ColumnDecoderTest, RangesCuttingTs2DiffBlocksMatchBlockDecode) {
             DecodeStrategy::kSboost, DecodeStrategy::kFastLanes}) {
         for (bool ordered : {true, false}) {
           DecodedColumn out;
-          ASSERT_TRUE(DecodeColumnRange(buf.data(), buf.size(),
-                                        enc::ColumnEncoding::kTs2Diff, kN,
-                                        strategy, begin, end, &out, ordered)
-                          .ok());
+          ASSERT_TRUE(
+              DecodeColumnRange(col.col, strategy, begin, end, &out, ordered)
+                  .ok());
           ASSERT_EQ(out.size(), end - begin);
           std::vector<int64_t> got(out.size());
           out.Materialize(got.data());
-          for (const enc::Ts2DiffBlock& b : parsed.value().blocks()) {
+          for (const enc::Ts2DiffBlock& b : parsed.blocks()) {
             size_t bs = b.start_index;
             size_t be = bs + b.num_values();
             size_t from = std::max(bs, begin);
@@ -199,20 +191,18 @@ TEST(ColumnDecoderTest, RangesCuttingTs2DiffBlocksMatchBlockDecode) {
 
 TEST(ColumnDecoderTest, RlbeRangeDecodeUsesAnchors) {
   std::vector<int64_t> values = RunnyWalk(30000, 71);
-  enc::EncodedColumn col =
-      enc::RlbeEncoder().Encode(values.data(), values.size());
-  AlignedBuffer buf;
-  buf.Assign(col.bytes.data(), col.bytes.size());
+  ParsedBytes col =
+      ParseBytes(enc::RlbeEncoder().Encode(values.data(), values.size()));
+  ASSERT_TRUE(col.status.ok());
   for (auto [begin, end] : {std::pair<size_t, size_t>{0, 30000},
                             {0, 100},
                             {5000, 6000},
                             {29990, 30000},
                             {1, 2}}) {
     DecodedColumn out;
-    ASSERT_TRUE(DecodeColumnRange(buf.data(), buf.size(),
-                                  enc::ColumnEncoding::kRlbe, 30000,
-                                  DecodeStrategy::kEtsqp, begin, end, &out)
-                    .ok());
+    ASSERT_TRUE(
+        DecodeColumnRange(col.col, DecodeStrategy::kEtsqp, begin, end, &out)
+            .ok());
     ASSERT_EQ(out.size(), end - begin);
     for (size_t i = begin; i < end; ++i) {
       ASSERT_EQ(out.Get(i - begin), values[i]) << begin << ":" << end;
@@ -223,15 +213,11 @@ TEST(ColumnDecoderTest, RlbeRangeDecodeUsesAnchors) {
 TEST(ColumnDecoderTest, WideValuesFallBackTo64Bit) {
   // Swing exceeding int32: must still decode correctly via the wide path.
   std::vector<int64_t> values = {0, 1ll << 33, 1ll << 34, (1ll << 34) + 5};
-  enc::EncodedColumn col =
-      enc::Ts2DiffEncoder().Encode(values.data(), values.size());
-  AlignedBuffer buf;
-  buf.Assign(col.bytes.data(), col.bytes.size());
+  ParsedBytes col =
+      ParseBytes(enc::Ts2DiffEncoder().Encode(values.data(), values.size()));
+  ASSERT_TRUE(col.status.ok());
   DecodedColumn out;
-  ASSERT_TRUE(DecodeColumn(buf.data(), buf.size(),
-                           enc::ColumnEncoding::kTs2Diff, 4,
-                           DecodeStrategy::kEtsqp, &out)
-                  .ok());
+  ASSERT_TRUE(DecodeColumn(col.col, DecodeStrategy::kEtsqp, &out).ok());
   EXPECT_FALSE(out.narrow);
   for (size_t i = 0; i < 4; ++i) EXPECT_EQ(out.Get(i), values[i]);
 }
@@ -248,21 +234,14 @@ TEST(ColumnDecoderTest, FastLanesWideResidualsMatchReference) {
                          : static_cast<int64_t>(rng() % 21) - 10;
     v = x;
   }
-  enc::EncodedColumn col =
-      enc::FastLanesEncoder().Encode(values.data(), values.size());
-  AlignedBuffer buf;
-  buf.Assign(col.bytes.data(), col.bytes.size());
-  Result<enc::FastLanesColumn> parsed =
-      enc::FastLanesColumn::Parse(buf.data(), buf.size());
-  ASSERT_TRUE(parsed.ok());
-  ASSERT_GT(parsed.value().blocks()[0].width, 32);
+  ParsedBytes col =
+      ParseBytes(enc::FastLanesEncoder().Encode(values.data(), values.size()));
+  ASSERT_TRUE(col.status.ok());
+  ASSERT_GT(col.col.As<enc::FastLanesColumn>().blocks()[0].width, 32);
   for (DecodeStrategy s : {DecodeStrategy::kEtsqp, DecodeStrategy::kFastLanes,
                            DecodeStrategy::kSerial}) {
     DecodedColumn out;
-    ASSERT_TRUE(DecodeColumnRange(buf.data(), buf.size(),
-                                  enc::ColumnEncoding::kFastLanes,
-                                  values.size(), s, 700, 2900, &out)
-                    .ok());
+    ASSERT_TRUE(DecodeColumnRange(col.col, s, 700, 2900, &out).ok());
     ASSERT_EQ(out.size(), 2200u);
     for (size_t i = 0; i < out.size(); ++i) {
       ASSERT_EQ(out.Get(i), values[700 + i]) << DecodeStrategyName(s) << i;
@@ -274,13 +253,10 @@ TEST(ColumnDecoderTest, FastLanesWideResidualsMatchReference) {
 
 TEST(FusionTest, Ts2DiffFusedSumMatchesDecode) {
   std::vector<int64_t> values = RandomWalk(3000, 23, -5000, 200);
-  enc::EncodedColumn col =
-      enc::Ts2DiffEncoder(300).Encode(values.data(), values.size());
-  AlignedBuffer buf;
-  buf.Assign(col.bytes.data(), col.bytes.size());
-  Result<Ts2DiffFusedReader> reader =
-      Ts2DiffFusedReader::Open(buf.data(), buf.size());
-  ASSERT_TRUE(reader.ok());
+  ParsedBytes col = ParseBytes(
+      enc::Ts2DiffEncoder(300).Encode(values.data(), values.size()));
+  ASSERT_TRUE(col.status.ok());
+  Ts2DiffFusedReader reader(col.col.As<enc::Ts2DiffColumn>());
 
   std::mt19937_64 rng(29);
   for (int trial = 0; trial < 50; ++trial) {
@@ -289,25 +265,22 @@ TEST(FusionTest, Ts2DiffFusedSumMatchesDecode) {
     int64_t expected = 0;
     for (size_t i = a; i < b; ++i) expected += values[i];
     int64_t fused = 0;
-    ASSERT_TRUE(reader.value().SumRange(a, b, &fused).ok());
+    ASSERT_TRUE(reader.SumRange(a, b, &fused).ok());
     EXPECT_EQ(fused, expected) << a << ":" << b;
   }
 }
 
 TEST(FusionTest, Ts2DiffValueAt) {
   std::vector<int64_t> values = RandomWalk(1000, 31, 7, 50);
-  enc::EncodedColumn col =
-      enc::Ts2DiffEncoder(128).Encode(values.data(), values.size());
-  AlignedBuffer buf;
-  buf.Assign(col.bytes.data(), col.bytes.size());
-  Result<Ts2DiffFusedReader> reader =
-      Ts2DiffFusedReader::Open(buf.data(), buf.size());
-  ASSERT_TRUE(reader.ok());
+  ParsedBytes col = ParseBytes(
+      enc::Ts2DiffEncoder(128).Encode(values.data(), values.size()));
+  ASSERT_TRUE(col.status.ok());
+  Ts2DiffFusedReader reader(col.col.As<enc::Ts2DiffColumn>());
   // Single values read as one-value ranges, out of cursor order, across
   // the block edge at 128.
   for (size_t i : {500ul, 0ul, 1ul, 128ul, 127ul, 999ul}) {
     int64_t v = 0;
-    ASSERT_TRUE(reader.value().SumRange(i, i + 1, &v).ok());
+    ASSERT_TRUE(reader.SumRange(i, i + 1, &v).ok());
     EXPECT_EQ(v, values[i]) << i;
   }
 }
@@ -330,28 +303,25 @@ TEST(FusionTest, Ts2DiffWindowsResumeAtEveryWidth) {
                                                              : rng() & mask;
     v += 3 + static_cast<int64_t>(r);
   }
-  enc::EncodedColumn col =
-      enc::Ts2DiffEncoder(kBlock).Encode(values.data(), values.size());
-  AlignedBuffer buf;
-  buf.Assign(col.bytes.data(), col.bytes.size());
+  ParsedBytes col = ParseBytes(
+      enc::Ts2DiffEncoder(kBlock).Encode(values.data(), values.size()));
+  ASSERT_TRUE(col.status.ok());
   for (bool simd_off : {false, true}) {
     SetSimdDisabledForTesting(simd_off);
     for (size_t len : {1ul, 7ul, 8ul, 9ul, 33ul, 100ul, 1000ul}) {
-      Result<Ts2DiffFusedReader> reader =
-          Ts2DiffFusedReader::Open(buf.data(), buf.size());
-      ASSERT_TRUE(reader.ok());
+      Ts2DiffFusedReader reader(col.col.As<enc::Ts2DiffColumn>());
       for (size_t a = 0; a < values.size(); a += len) {
         const size_t b = std::min(a + len, values.size());
         int64_t want = 0;
         for (size_t i = a; i < b; ++i) want += values[i];
         int64_t got = 0;
-        ASSERT_TRUE(reader.value().SumRange(a, b, &got).ok()) << a;
+        ASSERT_TRUE(reader.SumRange(a, b, &got).ok()) << a;
         EXPECT_EQ(got, want) << "len=" << len << " " << a << ":" << b
                              << " simd_off=" << simd_off;
       }
       for (size_t i = 0; i < values.size(); i += 37) {
         int64_t got = 0;
-        ASSERT_TRUE(reader.value().SumRange(i, i + 1, &got).ok());
+        ASSERT_TRUE(reader.SumRange(i, i + 1, &got).ok());
         EXPECT_EQ(got, values[i]) << i;
       }
     }
@@ -361,10 +331,10 @@ TEST(FusionTest, Ts2DiffWindowsResumeAtEveryWidth) {
 
 TEST(FusionTest, DeltaRleAggMatchesDecode) {
   std::vector<int64_t> values = RunnyWalk(5000, 37);
-  enc::EncodedColumn col =
-      enc::DeltaRleEncoder().Encode(values.data(), values.size());
-  auto parsed = enc::DeltaRleColumn::Parse(col.bytes.data(), col.bytes.size());
-  ASSERT_TRUE(parsed.ok());
+  ParsedBytes col =
+      ParseBytes(enc::DeltaRleEncoder().Encode(values.data(), values.size()));
+  ASSERT_TRUE(col.status.ok());
+  const enc::DeltaRleColumn& parsed = col.col.As<enc::DeltaRleColumn>();
 
   std::mt19937_64 rng(41);
   for (int trial = 0; trial < 50; ++trial) {
@@ -376,7 +346,7 @@ TEST(FusionTest, DeltaRleAggMatchesDecode) {
       esq += static_cast<__int128>(values[i]) * values[i];
     }
     DeltaRleAggregates agg;
-    ASSERT_TRUE(FusedAggDeltaRle(parsed.value(), a, b, true, &agg).ok());
+    ASSERT_TRUE(FusedAggDeltaRle(parsed, a, b, true, &agg).ok());
     EXPECT_EQ(agg.sum, static_cast<int64_t>(esum)) << a << ":" << b;
     EXPECT_EQ(agg.count, b - a);
     EXPECT_TRUE(agg.sum_sq == esq);
@@ -386,13 +356,11 @@ TEST(FusionTest, DeltaRleAggMatchesDecode) {
 TEST(FusionTest, CrossProductMatchesDecode) {
   std::vector<int64_t> a_vals = RunnyWalk(3000, 43);
   std::vector<int64_t> b_vals = RunnyWalk(3000, 47);
-  enc::EncodedColumn ca =
-      enc::DeltaRleEncoder().Encode(a_vals.data(), a_vals.size());
-  enc::EncodedColumn cb =
-      enc::DeltaRleEncoder().Encode(b_vals.data(), b_vals.size());
-  auto pa = enc::DeltaRleColumn::Parse(ca.bytes.data(), ca.bytes.size());
-  auto pb = enc::DeltaRleColumn::Parse(cb.bytes.data(), cb.bytes.size());
-  ASSERT_TRUE(pa.ok() && pb.ok());
+  ParsedBytes ca =
+      ParseBytes(enc::DeltaRleEncoder().Encode(a_vals.data(), a_vals.size()));
+  ParsedBytes cb =
+      ParseBytes(enc::DeltaRleEncoder().Encode(b_vals.data(), b_vals.size()));
+  ASSERT_TRUE(ca.status.ok() && cb.status.ok());
 
   std::mt19937_64 rng(53);
   for (int trial = 0; trial < 30; ++trial) {
@@ -404,7 +372,9 @@ TEST(FusionTest, CrossProductMatchesDecode) {
     }
     __int128 cross = 0;
     ASSERT_TRUE(
-        FusedCrossDeltaRle(pa.value(), pb.value(), a, b, &cross).ok());
+        FusedCrossDeltaRle(ca.col.As<enc::DeltaRleColumn>(),
+                           cb.col.As<enc::DeltaRleColumn>(), a, b, &cross)
+            .ok());
     EXPECT_TRUE(cross == expected) << a << ":" << b;
   }
 }
@@ -413,18 +383,15 @@ TEST(FusionTest, SumOverflowDetected) {
   // Values near INT64_MAX/2: a range sum of 3+ overflows int64.
   std::vector<int64_t> values(100, INT64_MAX / 2);
   for (size_t i = 1; i < values.size(); ++i) values[i] = values[i - 1] + 1;
-  enc::EncodedColumn col =
-      enc::Ts2DiffEncoder().Encode(values.data(), values.size());
-  AlignedBuffer buf;
-  buf.Assign(col.bytes.data(), col.bytes.size());
-  Result<Ts2DiffFusedReader> reader =
-      Ts2DiffFusedReader::Open(buf.data(), buf.size());
-  ASSERT_TRUE(reader.ok());
+  ParsedBytes col = ParseBytes(
+      enc::Ts2DiffEncoder().Encode(values.data(), values.size()));
+  ASSERT_TRUE(col.status.ok());
+  Ts2DiffFusedReader reader(col.col.As<enc::Ts2DiffColumn>());
   int64_t out;
-  Status st = reader.value().SumRange(0, 100, &out);
+  Status st = reader.SumRange(0, 100, &out);
   EXPECT_EQ(st.code(), StatusCode::kOverflow);
   // A 1-element range is fine.
-  ASSERT_TRUE(reader.value().SumRange(0, 1, &out).ok());
+  ASSERT_TRUE(reader.SumRange(0, 1, &out).ok());
   EXPECT_EQ(out, INT64_MAX / 2);
 }
 
@@ -532,14 +499,14 @@ TEST(PruningTest, PrunesBlocksBelowRange) {
 TEST(PruningTest, ValueBlockPrunableIsSound) {
   std::mt19937_64 rng(61);
   std::vector<int64_t> values = RandomWalk(2000, 61, 0, 500);
-  enc::EncodedColumn col =
-      enc::Ts2DiffEncoder(128).Encode(values.data(), values.size());
-  auto parsed = enc::Ts2DiffColumn::Parse(col.bytes.data(), col.bytes.size());
-  ASSERT_TRUE(parsed.ok());
+  ParsedBytes col =
+      ParseBytes(enc::Ts2DiffEncoder(128).Encode(values.data(), values.size()));
+  ASSERT_TRUE(col.status.ok());
   for (int trial = 0; trial < 100; ++trial) {
     int64_t lo = static_cast<int64_t>(rng() % 20000) - 10000;
     int64_t hi = lo + static_cast<int64_t>(rng() % 5000);
-    for (const enc::Ts2DiffBlock& b : parsed.value().blocks()) {
+    for (const enc::Ts2DiffBlock& b :
+         col.col.As<enc::Ts2DiffColumn>().blocks()) {
       if (!ValueBlockPrunable(b, lo, hi)) continue;
       // Soundness: no value in the pruned block may satisfy the filter.
       for (uint32_t i = 0; i < b.num_values(); ++i) {
@@ -552,12 +519,12 @@ TEST(PruningTest, ValueBlockPrunableIsSound) {
 
 TEST(PruningTest, DeltaRleBoundsContainAllValues) {
   std::vector<int64_t> values = RunnyWalk(3000, 67);
-  enc::EncodedColumn col =
-      enc::DeltaRleEncoder().Encode(values.data(), values.size());
-  auto parsed = enc::DeltaRleColumn::Parse(col.bytes.data(), col.bytes.size());
-  ASSERT_TRUE(parsed.ok());
+  ParsedBytes col =
+      ParseBytes(enc::DeltaRleEncoder().Encode(values.data(), values.size()));
+  ASSERT_TRUE(col.status.ok());
+  const enc::DeltaRleColumn& parsed = col.col.As<enc::DeltaRleColumn>();
   int64_t lo, hi;
-  DeltaRleValueBounds(parsed.value(), &lo, &hi);
+  DeltaRleValueBounds(parsed, &lo, &hi);
   for (int64_t v : values) {
     EXPECT_GE(v, lo);
     EXPECT_LE(v, hi);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <random>
 #include <thread>
 
@@ -23,7 +24,9 @@
 #include "encoding/ts2diff.h"
 #include "exec/column_decoder.h"
 #include "exec/engine.h"
+#include "parsed_bytes.h"
 #include "sql/planner.h"
+#include "storage/buffer_manager.h"
 #include "storage/page.h"
 
 namespace etsqp {
@@ -40,19 +43,16 @@ std::vector<int64_t> SampleSeries(size_t n) {
   return v;
 }
 
-/// Decode attempts over a corrupted blob must not crash; errors are fine.
+/// A corrupted blob goes through the single parse entry, as a page column
+/// does, and decodes if it parses. Neither may crash; errors are fine.
 void TryDecode(enc::ColumnEncoding encoding, const std::vector<uint8_t>& raw,
                uint32_t count) {
-  AlignedBuffer buf;
-  buf.Assign(raw.data(), raw.size());
+  ParsedBytes col = ParseBytes(raw.data(), raw.size(), encoding, count);
+  if (!col.status.ok()) return;
   exec::DecodedColumn out;
   // May fail or produce garbage values; must return.
-  exec::DecodeColumn(buf.data(), buf.size(), encoding, count,
-                     exec::DecodeStrategy::kEtsqp, &out)
-      .ok();
-  exec::DecodeColumn(buf.data(), buf.size(), encoding, count,
-                     exec::DecodeStrategy::kSerial, &out)
-      .ok();
+  exec::DecodeColumn(col.col, exec::DecodeStrategy::kEtsqp, &out).ok();
+  exec::DecodeColumn(col.col, exec::DecodeStrategy::kSerial, &out).ok();
 }
 
 class TruncationTest : public ::testing::TestWithParam<enc::ColumnEncoding> {};
@@ -109,6 +109,7 @@ INSTANTIATE_TEST_SUITE_P(
                       enc::ColumnEncoding::kRlbe,
                       enc::ColumnEncoding::kSprintz,
                       enc::ColumnEncoding::kFastLanes,
+                      enc::ColumnEncoding::kStreamVByte,
                       enc::ColumnEncoding::kGorilla,
                       enc::ColumnEncoding::kPlain));
 
@@ -175,6 +176,68 @@ TEST(RobustnessTest, PageDeserializeFuzz) {
     size_t pos = 0;
     storage::DeserializePage(mutated.data(), mutated.size(), &pos, &out).ok();
   }
+}
+
+/// Overwrites the first four bytes of page `p`'s value column in the
+/// one-series TsFile at `path` — a TS2DIFF column's value count — with
+/// `count`.
+void CorruptValueCount(const std::string& path, size_t p, uint32_t count) {
+  storage::FileBackedStore index;
+  ASSERT_TRUE(index.Open(path).ok());
+  Result<const storage::FileBackedStore::SeriesIndex*> s =
+      index.GetSeries("s");
+  ASSERT_TRUE(s.ok());
+  const long at = static_cast<long>(s.value()->file_offsets[p] +
+                                    s.value()->pages[p].header.time_bytes);
+  const uint8_t be[4] = {static_cast<uint8_t>(count >> 24),
+                         static_cast<uint8_t>(count >> 16),
+                         static_cast<uint8_t>(count >> 8),
+                         static_cast<uint8_t>(count)};
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, at, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(be, 1, 4, f), 4u);
+  std::fclose(f);
+}
+
+TEST(RobustnessTest, CorruptPageColumnIsCorruptionWhereThePageEnters) {
+  // Ten 500-point TS2DIFF pages; page 3's value column claims 499 values.
+  const std::string path =
+      ::testing::TempDir() + "/etsqp_corrupt_column.tsfile";
+  {
+    db::Database writer;
+    ASSERT_TRUE(writer.CreateTimeseries("s", 500).ok());
+    std::vector<int64_t> t(5000), v(5000);
+    for (size_t i = 0; i < t.size(); ++i) {
+      t[i] = 10 * static_cast<int64_t>(i + 1);
+      v[i] = static_cast<int64_t>(i * 7 % 101);
+    }
+    ASSERT_TRUE(writer.InsertBatch("s", t.data(), v.data(), t.size()).ok());
+    ASSERT_TRUE(writer.Save(path).ok());
+  }
+  CorruptValueCount(path, 3, 499);
+
+  // A full load parses every page as it reads it.
+  db::Database loaded;
+  EXPECT_EQ(loaded.Load(path).code(), StatusCode::kCorruption);
+
+  // A file-backed store indexes headers only; the page is parsed when a
+  // query fetches it. A query that never fetches it answers.
+  db::Database attached;
+  ASSERT_TRUE(attached.OpenFile(path).ok());
+  Result<exec::QueryResult> head =
+      attached.Query("SELECT COUNT(s) FROM s WHERE time <= 100;");
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  EXPECT_EQ(head.value().columns[0][0], 10.0);
+  // The failed fetch leaves nothing in the pool: a second query fails the
+  // same way.
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(attached.Query("SELECT SUM(s) FROM s;").status().code(),
+              StatusCode::kCorruption)
+        << round;
+  }
+  attached.CloseFile();
+  std::remove(path.c_str());
 }
 
 TEST(RobustnessTest, SqlFuzzNeverCrashes) {

@@ -52,14 +52,8 @@ TEST_P(PageEncodingTest, BuildAndDecodeRoundTrip) {
   EXPECT_EQ(p.header.max_time, s.times.back());
 
   std::vector<int64_t> times(s.times.size()), values(s.values.size());
-  ASSERT_TRUE(DecodePageColumn(p.time_data.data(), p.time_data.size(),
-                               p.header.time_encoding,
-                               p.header.count, times.data())
-                  .ok());
-  ASSERT_TRUE(DecodePageColumn(p.value_data.data(), p.value_data.size(),
-                               p.header.value_encoding,
-                               p.header.count, values.data())
-                  .ok());
+  ASSERT_TRUE(DecodePageColumn(p.time_col, times.data()).ok());
+  ASSERT_TRUE(DecodePageColumn(p.value_col, values.data()).ok());
   EXPECT_EQ(times, s.times);
   EXPECT_EQ(values, s.values);
 }
@@ -107,10 +101,7 @@ TEST(PageTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(out.header.min_time, page.value().header.min_time);
   EXPECT_EQ(out.header.min_value, page.value().header.min_value);
   std::vector<int64_t> values(500);
-  ASSERT_TRUE(DecodePageColumn(out.value_data.data(), out.value_data.size(),
-                               out.header.value_encoding, 500,
-                               values.data())
-                  .ok());
+  ASSERT_TRUE(DecodePageColumn(out.value_col, values.data()).ok());
   EXPECT_EQ(values, s.values);
 }
 
@@ -193,10 +184,7 @@ TEST(TsFileTest, WriteReadRoundTrip) {
   for (const auto& page_ptr : series.value()->pages) {
     const Page& p = *page_ptr;
     std::vector<int64_t> v(p.header.count);
-    ASSERT_TRUE(DecodePageColumn(p.value_data.data(), p.value_data.size(),
-                                 p.header.value_encoding,
-                                 p.header.count, v.data())
-                    .ok());
+    ASSERT_TRUE(DecodePageColumn(p.value_col, v.data()).ok());
     values.insert(values.end(), v.begin(), v.end());
     total += p.header.count;
   }
@@ -318,11 +306,7 @@ TEST(FileBackedStoreTest, IndexesHeadersWithoutPayloads) {
   auto page = fbs.LoadPage("s", 3);
   ASSERT_TRUE(page.ok());
   std::vector<int64_t> values(page.value()->header.count);
-  ASSERT_TRUE(DecodePageColumn(page.value()->value_data.data(),
-                               page.value()->value_data.size(),
-                               page.value()->header.value_encoding,
-                               page.value()->header.count, values.data())
-                  .ok());
+  ASSERT_TRUE(DecodePageColumn(page.value()->value_col, values.data()).ok());
   for (size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(values[i], s.values[3 * 500 + i]);
   }
@@ -430,11 +414,7 @@ TEST(FileBackedStoreTest, ConcurrentLoadsAreSafe) {
         }
         // The shared_ptr keeps the payload alive across evictions.
         std::vector<int64_t> v(page.value()->header.count);
-        if (!DecodePageColumn(page.value()->value_data.data(),
-                              page.value()->value_data.size(),
-                              page.value()->header.value_encoding,
-                              page.value()->header.count, v.data())
-                 .ok()) {
+        if (!DecodePageColumn(page.value()->value_col, v.data()).ok()) {
           failures.fetch_add(1);
         }
       }
@@ -474,10 +454,7 @@ TEST(TsFileTest, FloatSeriesRoundTrip) {
     const Page& p = *page_ptr;
     ASSERT_TRUE(enc::IsFloatEncoding(p.header.value_encoding));
     std::vector<double> out(p.header.count);
-    ASSERT_TRUE(DecodePageColumnF64(p.value_data.data(), p.value_data.size(),
-                                    p.header.value_encoding,
-                                    p.header.count, out.data())
-                    .ok());
+    ASSERT_TRUE(DecodePageColumnF64(p.value_col, out.data()).ok());
     for (double d : out) {
       ASSERT_EQ(d, v[at++]);
     }

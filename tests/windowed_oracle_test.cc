@@ -27,6 +27,7 @@
 #include "exec/engine.h"
 #include "exec/fusion.h"
 #include "storage/series_store.h"
+#include "parsed_bytes.h"
 #include "scalar_oracle.h"
 
 namespace etsqp {
@@ -323,18 +324,15 @@ TEST(WindowedAggregateOracleTest, Ts2DiffReaderCursorMatchesScalarSum) {
   std::mt19937_64 rng(71);
   constexpr size_t kBlock = 128;
   const std::vector<int64_t> values = WalkValues(rng, 3000, -4000, kBlock);
-  enc::EncodedColumn col =
-      enc::Ts2DiffEncoder(kBlock).Encode(values.data(), values.size());
-  AlignedBuffer buf;
-  buf.Assign(col.bytes.data(), col.bytes.size());
-  Result<exec::Ts2DiffFusedReader> reader =
-      exec::Ts2DiffFusedReader::Open(buf.data(), buf.size());
-  ASSERT_TRUE(reader.ok());
+  ParsedBytes col = ParseBytes(
+      enc::Ts2DiffEncoder(kBlock).Encode(values.data(), values.size()));
+  ASSERT_TRUE(col.status.ok());
+  exec::Ts2DiffFusedReader reader(col.col.As<enc::Ts2DiffColumn>());
   for (const auto& [a, b] : CursorRanges(rng, values.size(), kBlock)) {
     int64_t want = 0;
     for (size_t i = a; i < b; ++i) want += values[i];
     int64_t got = -1;
-    ASSERT_TRUE(reader.value().SumRange(a, b, &got).ok()) << a << ":" << b;
+    ASSERT_TRUE(reader.SumRange(a, b, &got).ok()) << a << ":" << b;
     EXPECT_EQ(got, want) << a << ":" << b;
   }
 }
@@ -346,20 +344,17 @@ TEST(WindowedAggregateOracleTest, Ts2DiffReaderCursorSurvivesOverflow) {
   for (size_t i = 0; i < values.size(); ++i) {
     values[i] = kI64Max / 3 + static_cast<int64_t>(i % 7);
   }
-  enc::EncodedColumn col =
-      enc::Ts2DiffEncoder(64).Encode(values.data(), values.size());
-  AlignedBuffer buf;
-  buf.Assign(col.bytes.data(), col.bytes.size());
-  Result<exec::Ts2DiffFusedReader> reader =
-      exec::Ts2DiffFusedReader::Open(buf.data(), buf.size());
-  ASSERT_TRUE(reader.ok());
+  ParsedBytes col = ParseBytes(
+      enc::Ts2DiffEncoder(64).Encode(values.data(), values.size()));
+  ASSERT_TRUE(col.status.ok());
+  exec::Ts2DiffFusedReader reader(col.col.As<enc::Ts2DiffColumn>());
   int64_t out = 0;
-  ASSERT_TRUE(reader.value().SumRange(0, 1, &out).ok());
+  ASSERT_TRUE(reader.SumRange(0, 1, &out).ok());
   EXPECT_EQ(out, values[0]);
-  EXPECT_EQ(reader.value().SumRange(1, 200, &out).code(),
+  EXPECT_EQ(reader.SumRange(1, 200, &out).code(),
             StatusCode::kOverflow);
   for (size_t a : {1ul, 63ul, 64ul, 65ul, 200ul}) {
-    ASSERT_TRUE(reader.value().SumRange(a, a + 2, &out).ok()) << a;
+    ASSERT_TRUE(reader.SumRange(a, a + 2, &out).ok()) << a;
     EXPECT_EQ(out, values[a] + values[a + 1]) << a;
   }
 }
@@ -374,10 +369,11 @@ TEST(WindowedAggregateOracleTest, DeltaRleReaderCursorMatchesScalarSums) {
     v += d;
     values[i] = v;
   }
-  enc::EncodedColumn col =
-      enc::DeltaRleEncoder().Encode(values.data(), values.size());
+  ParsedBytes col =
+      ParseBytes(enc::DeltaRleEncoder().Encode(values.data(), values.size()));
+  ASSERT_TRUE(col.status.ok());
   Result<exec::DeltaRleFusedReader> reader =
-      exec::DeltaRleFusedReader::Open(col.bytes.data(), col.bytes.size());
+      exec::DeltaRleFusedReader::Open(col.col.As<enc::DeltaRleColumn>());
   ASSERT_TRUE(reader.ok());
   for (const auto& [a, b] : CursorRanges(rng, values.size(), kRuns)) {
     __int128 sum = 0, sq = 0;
@@ -394,9 +390,11 @@ TEST(WindowedAggregateOracleTest, DeltaRleReaderCursorMatchesScalarSums) {
   // An overflowing range reports kOverflow and the cursor stays usable.
   std::vector<int64_t> big(100, kI64Max / 2);
   for (size_t i = 1; i < big.size(); ++i) big[i] = big[i - 1] + 1;
-  enc::EncodedColumn bcol = enc::DeltaRleEncoder().Encode(big.data(), big.size());
+  ParsedBytes bcol =
+      ParseBytes(enc::DeltaRleEncoder().Encode(big.data(), big.size()));
+  ASSERT_TRUE(bcol.status.ok());
   Result<exec::DeltaRleFusedReader> breader =
-      exec::DeltaRleFusedReader::Open(bcol.bytes.data(), bcol.bytes.size());
+      exec::DeltaRleFusedReader::Open(bcol.col.As<enc::DeltaRleColumn>());
   ASSERT_TRUE(breader.ok());
   exec::DeltaRleAggregates agg;
   EXPECT_EQ(breader.value().Aggregate(10, 90, false, &agg).code(),
