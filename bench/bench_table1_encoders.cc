@@ -17,7 +17,6 @@
 #include "encoding/gorilla.h"
 #include "encoding/rlbe.h"
 #include "encoding/sprintz.h"
-#include "encoding/streamvbyte.h"
 #include "encoding/ts2diff.h"
 
 namespace etsqp {
@@ -91,7 +90,6 @@ int main() {
   row("Gorilla", "+-,XOR", "Flag", "Pattern");
   row("Elf", "XOR", "None", "Erase+Pattern");
   row("FastLanes", "+- (lane)", "None", "Bitpack/1024");
-  row("StreamVByte", "+-", "None", "ZigZag+ByteAlign");
 
   std::vector<int64_t> smooth = SmoothSeries(n);
   std::vector<int64_t> runny = RunnySeries(n);
@@ -129,9 +127,6 @@ int main() {
         .Encode(v.data(), v.size())
         .bytes.size();
   });
-  int_row("StreamVByte", [](const std::vector<int64_t>& v) {
-    return enc::StreamVByteEncoder().Encode(v.data(), v.size()).bytes.size();
-  });
 
   auto float_cell = [&](const char* name, size_t bytes) {
     PrintCell(name);
@@ -148,9 +143,7 @@ int main() {
   float_cell("Elf",
              enc::ElfEncoder().EncodeDoubles(floats.data(), n).bytes.size());
 
-  // Ingest-side cost of the two timestamp codecs: StreamVByte trades a
-  // little space for branch-light byte-aligned encode (its reason to exist
-  // next to TS2DIFF — see CodecAdvisor).
+  // Ingest-side cost of the default timestamp codec.
   PrintHeader("timestamp encode throughput (Mvalues/s, higher is better)",
               {"Method", "smooth-int", "runny-int", ""});
   auto tput_row = [&](const char* name, auto encode) {
@@ -164,9 +157,6 @@ int main() {
   };
   tput_row("TS_2DIFF", [](const std::vector<int64_t>& v) {
     enc::Ts2DiffEncoder().Encode(v.data(), v.size());
-  });
-  tput_row("StreamVByte", [](const std::vector<int64_t>& v) {
-    enc::StreamVByteEncoder().Encode(v.data(), v.size());
   });
 
   std::printf(

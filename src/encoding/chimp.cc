@@ -29,7 +29,7 @@ int LeadToClass(int lead) {
 
 EncodedColumn ChimpEncoder::Encode(const uint64_t* words, size_t n) const {
   EncodedColumn col;
-  col.encoding = ColumnEncoding::kChimp;
+  col.encoding = ColumnEncoding::kChimpValue;
   col.count = static_cast<uint32_t>(n);
   std::vector<uint8_t>& out = col.bytes;
   PutFixed32BE(&out, static_cast<uint32_t>(n));

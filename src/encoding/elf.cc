@@ -79,7 +79,7 @@ EncodedColumn ElfEncoder::EncodeDoubles(const double* values,
   EncodedColumn inner = backend.Encode(erased.data(), n);
 
   EncodedColumn col;
-  col.encoding = ColumnEncoding::kElf;
+  col.encoding = ColumnEncoding::kElfValue;
   col.count = static_cast<uint32_t>(n);
   std::vector<uint8_t> side_bytes = side.TakeBuffer();
   PutFixed32BE(&col.bytes, static_cast<uint32_t>(side_bytes.size()));

@@ -7,31 +7,51 @@
 
 namespace etsqp::enc {
 
-/// Column encodings supported by the storage engine. The first group are the
-/// combined IoT encoders of paper Table I; kFastLanes is the FLMM1024
-/// baseline layout; kPlain stores raw 64-bit values (debug/reference).
+/// Column encodings a page column may hold (IsPageEncoding). The first
+/// group are the combined IoT encoders of paper Table I; kFastLanes is the
+/// FLMM1024 baseline layout; kPlain stores raw 64-bit values
+/// (debug/reference). Ids 6, 7 and 12 are retired: no page holds them.
 enum class ColumnEncoding : uint8_t {
   kPlain = 0,
   kTs2Diff = 1,    // Delta(+-, min-base) + BitPack       [TS_2DIFF]
   kDeltaRle = 2,   // Delta + Repeat + BitPack             [Section IV format]
   kRlbe = 3,       // Delta + Run-length + Fibonacci       [RLBE]
   kSprintz = 4,    // Delta + ZigZag + BitPack             [Sprintz]
-  kGorilla = 5,    // Delta-of-delta / XOR + pattern       [Gorilla]
-  kChimp = 6,      // XOR + pattern                        [Chimp]
-  kElf = 7,        // erase + XOR + pattern                [Elf]
+  kGorilla = 5,    // Delta-of-delta + pattern             [Gorilla]
   kFastLanes = 8,  // FLMM1024 transposed Delta + BitPack  [FastLanes]
   // Float (double) value encodings — XOR/pattern family of Table I.
-  kGorillaValue = 9,
-  kChimpValue = 10,
-  kElfValue = 11,
-  // Split control/data byte streams for vectorized decode  [StreamVByte]
-  kStreamVByte = 12,
+  kGorillaValue = 9,   // XOR + flag + pattern             [Gorilla]
+  kChimpValue = 10,    // XOR + pattern                    [Chimp]
+  kElfValue = 11,      // erase + XOR + pattern            [Elf]
 };
 
 /// True for the double-typed value encodings.
 inline bool IsFloatEncoding(ColumnEncoding e) {
   return e == ColumnEncoding::kGorillaValue ||
          e == ColumnEncoding::kChimpValue || e == ColumnEncoding::kElfValue;
+}
+
+/// The one rule for what a page column may hold. A time column holds an
+/// integer encoding: Plain, TS2DIFF, Delta-RLE, RLBE, Sprintz, Gorilla or
+/// FastLanes. A value column holds one of those or a float encoding. Series
+/// creation (InvalidArgument), page build (InvalidArgument) and page parse
+/// (Corruption) all check it, so no page outside it is ever made or read.
+inline bool IsPageEncoding(ColumnEncoding e, bool time_column) {
+  switch (e) {
+    case ColumnEncoding::kPlain:
+    case ColumnEncoding::kTs2Diff:
+    case ColumnEncoding::kDeltaRle:
+    case ColumnEncoding::kRlbe:
+    case ColumnEncoding::kSprintz:
+    case ColumnEncoding::kGorilla:
+    case ColumnEncoding::kFastLanes:
+      return true;
+    case ColumnEncoding::kGorillaValue:
+    case ColumnEncoding::kChimpValue:
+    case ColumnEncoding::kElfValue:
+      return !time_column;
+  }
+  return false;  // a byte no enumerator names
 }
 
 inline const char* ColumnEncodingName(ColumnEncoding e) {
@@ -48,10 +68,6 @@ inline const char* ColumnEncodingName(ColumnEncoding e) {
       return "SPRINTZ";
     case ColumnEncoding::kGorilla:
       return "GORILLA";
-    case ColumnEncoding::kChimp:
-      return "CHIMP";
-    case ColumnEncoding::kElf:
-      return "ELF";
     case ColumnEncoding::kFastLanes:
       return "FASTLANES";
     case ColumnEncoding::kGorillaValue:
@@ -60,8 +76,6 @@ inline const char* ColumnEncodingName(ColumnEncoding e) {
       return "CHIMP";
     case ColumnEncoding::kElfValue:
       return "ELF";
-    case ColumnEncoding::kStreamVByte:
-      return "STREAMVBYTE";
   }
   return "UNKNOWN";
 }

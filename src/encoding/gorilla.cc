@@ -94,7 +94,7 @@ Status GorillaTimestampDecode(const uint8_t* data, size_t size,
 EncodedColumn GorillaValueEncoder::Encode(const uint64_t* words,
                                           size_t n) const {
   EncodedColumn col;
-  col.encoding = ColumnEncoding::kGorilla;
+  col.encoding = ColumnEncoding::kGorillaValue;
   col.count = static_cast<uint32_t>(n);
   std::vector<uint8_t>& out = col.bytes;
   PutFixed32BE(&out, static_cast<uint32_t>(n));

@@ -12,12 +12,10 @@
 #include "encoding/fastlanes.h"
 #include "encoding/rlbe.h"
 #include "encoding/sprintz.h"
-#include "encoding/streamvbyte.h"
 #include "encoding/ts2diff.h"
 #include "simd/delta_simd.h"
 #include "simd/rle_flatten.h"
 #include "simd/sprintz_simd.h"
-#include "simd/streamvbyte_simd.h"
 #include "simd/transposed_unpack.h"
 #include "simd/unpack.h"
 #include "storage/page_builder.h"
@@ -334,22 +332,6 @@ Status DecodeRlbeSlice(const enc::RlbeColumn& col, size_t begin, size_t end,
   return Status::Ok();
 }
 
-/// StreamVByte's shuffle-LUT decode (two PSHUFB per 4-delta group) plus
-/// prefix sum over the whole column.
-Status DecodeStreamVByteSimd(const enc::StreamVByteColumn& col,
-                             DecodedColumn* out) {
-  const uint32_t count = col.count();
-  out->narrow = false;
-  out->values64.resize(count);
-  if (count > 0 &&
-      !simd::StreamVByteDecodeSse(col.control(), col.control_bytes(),
-                                  col.data(), col.data_bytes(), count - 1,
-                                  col.first_value(), out->values64.data())) {
-    return Status::Corruption("streamvbyte: data truncated");
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 Status DecodeColumnRange(const storage::ParsedColumn& col,
@@ -423,10 +405,6 @@ Status DecodeColumnRange(const storage::ParsedColumn& col,
     if (delta_rle) {
       ETSQP_RETURN_IF_ERROR(DecodeDeltaRle(col.As<enc::DeltaRleColumn>(),
                                            size, strategy, &full, stages));
-    } else if (col.encoding == enc::ColumnEncoding::kStreamVByte &&
-               strategy != DecodeStrategy::kSerial && UseAvx2()) {
-      ETSQP_RETURN_IF_ERROR(
-          DecodeStreamVByteSimd(col.As<enc::StreamVByteColumn>(), &full));
     } else {
       full.narrow = false;
       full.values64.resize(count);

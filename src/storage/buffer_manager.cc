@@ -4,32 +4,16 @@
 #include <cstdio>
 
 #include "common/bitstream.h"
+#include "storage/tsfile.h"
 
 namespace etsqp::storage {
 
 namespace {
 
-constexpr uint32_t kMagicV1 = 0x45545351;  // 'ETSQ' (matches tsfile.h)
-constexpr uint32_t kMagicV2 = 0x45545352;  // 'ETSR'
-constexpr size_t kPageHeaderBytes = 4 + 2 + 32 + 8;
-
 Status ReadExact(std::FILE* f, uint8_t* buf, size_t n) {
   if (std::fread(buf, 1, n, f) != n) {
     return Status::IoError("tsfile: short read");
   }
-  return Status::Ok();
-}
-
-Status ParsePageHeader(const uint8_t* p, PageHeader* h) {
-  h->count = GetFixed32BE(p);
-  h->time_encoding = static_cast<enc::ColumnEncoding>(p[4]);
-  h->value_encoding = static_cast<enc::ColumnEncoding>(p[5]);
-  h->min_time = static_cast<int64_t>(GetFixed64BE(p + 6));
-  h->max_time = static_cast<int64_t>(GetFixed64BE(p + 14));
-  h->min_value = static_cast<int64_t>(GetFixed64BE(p + 22));
-  h->max_value = static_cast<int64_t>(GetFixed64BE(p + 30));
-  h->time_bytes = GetFixed32BE(p + 38);
-  h->value_bytes = GetFixed32BE(p + 42);
   return Status::Ok();
 }
 
@@ -49,10 +33,10 @@ Status FileBackedStore::Open(const std::string& path,
   uint8_t buf[kPageHeaderBytes];
   ETSQP_RETURN_IF_ERROR(ReadExact(file_, buf, 8));
   uint32_t magic = GetFixed32BE(buf);
-  if (magic != kMagicV1 && magic != kMagicV2) {
+  if (magic != kTsFileMagicV1 && magic != kTsFileMagicV2) {
     return Status::Corruption("tsfile: bad magic");
   }
-  const bool v2 = magic == kMagicV2;
+  const bool v2 = magic == kTsFileMagicV2;
   uint32_t num_series = GetFixed32BE(buf + 4);
   for (uint32_t i = 0; i < num_series; ++i) {
     ETSQP_RETURN_IF_ERROR(ReadExact(file_, buf, 4));
@@ -92,11 +76,15 @@ Status FileBackedStore::Open(const std::string& path,
       Page page;
       if (v2) {
         ETSQP_RETURN_IF_ERROR(ReadExact(file_, buf, 2));
+        if (buf[0] > kTsFileMaxPageLevel || buf[1] > kTsFileMaxPageTier) {
+          return Status::Corruption(
+              "tsfile: page level/tier out of range in " + name);
+        }
         page.header.level = buf[0];
         page.header.tier = buf[1];
       }
       ETSQP_RETURN_IF_ERROR(ReadExact(file_, buf, kPageHeaderBytes));
-      ETSQP_RETURN_IF_ERROR(ParsePageHeader(buf, &page.header));
+      ParsePageHeader(buf, &page.header);
       long pos = std::ftell(file_);
       if (pos < 0) return Status::IoError("tsfile: ftell");
       index.file_offsets.push_back(static_cast<uint64_t>(pos));
@@ -175,18 +163,20 @@ Result<std::shared_ptr<const Page>> FileBackedStore::LoadPage(
                  SEEK_SET) != 0) {
     return Status::IoError("tsfile: seek");
   }
+  // The two columns are adjacent in the file: read each straight into its
+  // slack-padded buffer.
   auto page = std::make_shared<Page>();
   page->header = header;
-  std::vector<uint8_t> payload(static_cast<size_t>(header.time_bytes) +
-                               header.value_bytes);
-  ETSQP_RETURN_IF_ERROR(ReadExact(file_, payload.data(), payload.size()));
-  page->time_data.Assign(payload.data(), header.time_bytes);
-  page->value_data.Assign(payload.data() + header.time_bytes,
-                          header.value_bytes);
+  page->time_data.Resize(header.time_bytes);
+  page->value_data.Resize(header.value_bytes);
+  ETSQP_RETURN_IF_ERROR(
+      ReadExact(file_, page->time_data.data(), header.time_bytes));
+  ETSQP_RETURN_IF_ERROR(
+      ReadExact(file_, page->value_data.data(), header.value_bytes));
   // A corrupt column fails here, before the page enters the pool.
   ETSQP_RETURN_IF_ERROR(ParsePage(page.get()));
   ++stats_.pages_loaded;
-  stats_.resident_bytes += payload.size();
+  stats_.resident_bytes += page->encoded_bytes();
   lru_.push_front(key);
   pool_.emplace(std::move(key), PoolEntry{page, lru_.begin()});
   EvictIfNeeded();

@@ -1,7 +1,6 @@
 #include "storage/codec_advisor.h"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "common/bit_util.h"
@@ -31,40 +30,6 @@ ColumnShape SummarizeInts(const int64_t* values, size_t n) {
   return shape;
 }
 
-ColumnShape SummarizeFloats(const double* values, size_t n) {
-  ColumnShape shape;
-  shape.count = n;
-  if (n < 2) return shape;
-  uint64_t zeros = 0, nonzero = 0, sig_bits = 0;
-  uint64_t prev;
-  std::memcpy(&prev, &values[0], 8);
-  for (size_t i = 1; i < n; ++i) {
-    uint64_t bits;
-    std::memcpy(&bits, &values[i], 8);
-    uint64_t x = bits ^ prev;
-    prev = bits;
-    if (x == 0) {
-      ++zeros;
-      continue;
-    }
-    ++nonzero;
-    // Significant span: bits between the leading and trailing zero runs —
-    // what all three XOR codecs pay per value.
-    int lead = 0;
-    for (uint64_t probe = 1ull << 63; (x & probe) == 0; probe >>= 1) ++lead;
-    int trail = 0;
-    for (uint64_t probe = 1; (x & probe) == 0; probe <<= 1) ++trail;
-    sig_bits += static_cast<uint64_t>(64 - lead - trail);
-  }
-  shape.xor_zero_ratio =
-      static_cast<double>(zeros) / static_cast<double>(n - 1);
-  if (nonzero > 0) {
-    shape.xor_mean_sig_bits =
-        static_cast<double>(sig_bits) / static_cast<double>(nonzero);
-  }
-  return shape;
-}
-
 namespace {
 
 struct Trial {
@@ -75,8 +40,7 @@ struct Trial {
 /// Picks from trial results: smallest bytes (the first candidate on a
 /// tie), then the min-gain damper against `current`.
 CodecAdvisor::Advice Pick(const std::vector<Trial>& trials,
-                          enc::ColumnEncoding current,
-                          const CodecAdvisor::Options& options) {
+                          enc::ColumnEncoding current) {
   CodecAdvisor::Advice advice;
   advice.encoding = current;
   Trial winner{current, SIZE_MAX};
@@ -89,7 +53,8 @@ CodecAdvisor::Advice Pick(const std::vector<Trial>& trials,
   // Keep the current codec unless the winner's gain clears the damper.
   if (winner.encoding != current && advice.current_bytes > 0) {
     double kept = static_cast<double>(advice.current_bytes);
-    if (static_cast<double>(winner.bytes) > kept * (1.0 - options.min_gain)) {
+    if (static_cast<double>(winner.bytes) >
+        kept * (1.0 - CodecAdvisor::kMinGain)) {
       advice.encoded_bytes = advice.current_bytes;
       return advice;
     }
@@ -101,18 +66,12 @@ CodecAdvisor::Advice Pick(const std::vector<Trial>& trials,
 
 }  // namespace
 
-bool CodecAdvisor::DecodeSupported(enc::ColumnEncoding e) const {
-  return options_.decode_support ? options_.decode_support(e)
-                                 : PageDecodeSupported(e);
-}
-
 CodecAdvisor::Advice CodecAdvisor::AdviseInt(const int64_t* values, size_t n,
                                              enc::ColumnEncoding current,
                                              uint32_t block_size) const {
   ColumnShape shape = SummarizeInts(values, n);
   std::vector<enc::ColumnEncoding> candidates = {
-      current, enc::ColumnEncoding::kTs2Diff,
-      enc::ColumnEncoding::kStreamVByte};
+      current, enc::ColumnEncoding::kTs2Diff};
   if (shape.mean_run >= 1.5 || shape.mean_delta_run >= 1.5) {
     candidates.push_back(enc::ColumnEncoding::kRlbe);
     candidates.push_back(enc::ColumnEncoding::kDeltaRle);
@@ -126,29 +85,24 @@ CodecAdvisor::Advice CodecAdvisor::AdviseInt(const int64_t* values, size_t n,
 
   std::vector<Trial> trials;
   for (enc::ColumnEncoding e : candidates) {
-    if (e != current && !DecodeSupported(e)) continue;
     size_t bytes = EncodedColumnBytes(values, n, e, block_size);
     if (bytes > 0) trials.push_back({e, bytes});
   }
-  Advice advice = Pick(trials, current, options_);
+  Advice advice = Pick(trials, current);
   advice.shape = shape;
   return advice;
 }
 
 CodecAdvisor::Advice CodecAdvisor::AdviseFloat(
     const double* values, size_t n, enc::ColumnEncoding current) const {
-  ColumnShape shape = SummarizeFloats(values, n);
   std::vector<Trial> trials;
   for (enc::ColumnEncoding e :
        {enc::ColumnEncoding::kGorillaValue, enc::ColumnEncoding::kChimpValue,
         enc::ColumnEncoding::kElfValue}) {
-    if (e != current && !DecodeSupported(e)) continue;
     size_t bytes = EncodedColumnBytesF64(values, n, e);
     if (bytes > 0) trials.push_back({e, bytes});
   }
-  Advice advice = Pick(trials, current, options_);
-  advice.shape = shape;
-  return advice;
+  return Pick(trials, current);
 }
 
 }  // namespace etsqp::storage

@@ -23,7 +23,7 @@ namespace etsqp::storage {
 ///  3. rewrites off-lock: decode the span, drop tombstoned points, merge
 ///     the reconcilable overlap prefix (late updates win on duplicate
 ///     timestamps), re-chunk to the series' page_size, and re-encode each
-///     chunk with the advisor's pick (CodecAdvisor defaults);
+///     chunk with the advisor's pick (CodecAdvisor);
 ///  4. installs atomically (SeriesStore::InstallCompaction): pointer-
 ///     identity-validated splice + epoch bump, so concurrent queries keep
 ///     serving the old pages until the swap and cached results invalidate

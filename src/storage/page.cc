@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "common/bitstream.h"
 
@@ -51,6 +52,10 @@ Result<ParsedColumn> ParseColumn(const uint8_t* data, size_t size,
   col.count = count;
   col.data = data;
   col.size = size;
+  if (!enc::IsPageEncoding(encoding, /*time_column=*/false)) {
+    return Status::Corruption("page column: encoding " +
+                              std::to_string(static_cast<int>(encoding)));
+  }
   switch (encoding) {
     case enc::ColumnEncoding::kTs2Diff:
       return WithView<enc::Ts2DiffColumn>(std::move(col));
@@ -62,8 +67,6 @@ Result<ParsedColumn> ParseColumn(const uint8_t* data, size_t size,
       return WithView<enc::SprintzColumn>(std::move(col));
     case enc::ColumnEncoding::kFastLanes:
       return WithView<enc::FastLanesColumn>(std::move(col));
-    case enc::ColumnEncoding::kStreamVByte:
-      return WithView<enc::StreamVByteColumn>(std::move(col));
     case enc::ColumnEncoding::kPlain:
       if (size < static_cast<size_t>(count) * 8) {
         return Status::Corruption("plain: truncated");
@@ -77,6 +80,13 @@ Result<ParsedColumn> ParseColumn(const uint8_t* data, size_t size,
 
 Status ParsePage(Page* page) {
   const PageHeader& h = page->header;
+  // ParseColumn checks the value-column rule; a time column may not hold a
+  // float encoding either.
+  if (!enc::IsPageEncoding(h.time_encoding, /*time_column=*/true)) {
+    return Status::Corruption(
+        "page: time column encoding " +
+        std::to_string(static_cast<int>(h.time_encoding)));
+  }
   Result<ParsedColumn> time = ParseColumn(
       page->time_data.data(), page->time_data.size(), h.time_encoding, h.count);
   if (!time.ok()) return time.status();
@@ -106,24 +116,26 @@ void SerializePage(const Page& page, std::vector<uint8_t>* out) {
               page.value_data.data() + h.value_bytes);
 }
 
+void ParsePageHeader(const uint8_t* p, PageHeader* h) {
+  h->count = GetFixed32BE(p);
+  h->time_encoding = static_cast<enc::ColumnEncoding>(p[4]);
+  h->value_encoding = static_cast<enc::ColumnEncoding>(p[5]);
+  h->min_time = static_cast<int64_t>(GetFixed64BE(p + 6));
+  h->max_time = static_cast<int64_t>(GetFixed64BE(p + 14));
+  h->min_value = static_cast<int64_t>(GetFixed64BE(p + 22));
+  h->max_value = static_cast<int64_t>(GetFixed64BE(p + 30));
+  h->time_bytes = GetFixed32BE(p + 38);
+  h->value_bytes = GetFixed32BE(p + 42);
+}
+
 Status DeserializePage(const uint8_t* data, size_t size, size_t* pos,
                        Page* page) {
-  constexpr size_t kHeaderBytes = 4 + 2 + 32 + 8;
-  if (*pos + kHeaderBytes > size) {
+  if (*pos + kPageHeaderBytes > size) {
     return Status::Corruption("page: header truncated");
   }
-  const uint8_t* p = data + *pos;
-  PageHeader& h = page->header;
-  h.count = GetFixed32BE(p);
-  h.time_encoding = static_cast<enc::ColumnEncoding>(p[4]);
-  h.value_encoding = static_cast<enc::ColumnEncoding>(p[5]);
-  h.min_time = static_cast<int64_t>(GetFixed64BE(p + 6));
-  h.max_time = static_cast<int64_t>(GetFixed64BE(p + 14));
-  h.min_value = static_cast<int64_t>(GetFixed64BE(p + 22));
-  h.max_value = static_cast<int64_t>(GetFixed64BE(p + 30));
-  h.time_bytes = GetFixed32BE(p + 38);
-  h.value_bytes = GetFixed32BE(p + 42);
-  *pos += kHeaderBytes;
+  ParsePageHeader(data + *pos, &page->header);
+  const PageHeader& h = page->header;
+  *pos += kPageHeaderBytes;
   if (*pos + h.time_bytes + h.value_bytes > size) {
     return Status::Corruption("page: payload truncated");
   }

@@ -14,7 +14,6 @@
 #include "encoding/format.h"
 #include "encoding/rlbe.h"
 #include "encoding/sprintz.h"
-#include "encoding/streamvbyte.h"
 #include "encoding/ts2diff.h"
 
 namespace etsqp::storage {
@@ -73,8 +72,7 @@ struct ParsedColumn {
   const uint8_t* data = nullptr;  // slack-padded (AlignedBuffer)
   size_t size = 0;
   std::variant<std::monostate, enc::Ts2DiffColumn, enc::DeltaRleColumn,
-               enc::RlbeColumn, enc::SprintzColumn, enc::FastLanesColumn,
-               enc::StreamVByteColumn>
+               enc::RlbeColumn, enc::SprintzColumn, enc::FastLanesColumn>
       view;
 
   /// The view of a column whose encoding is Column's codec.
@@ -86,7 +84,8 @@ struct ParsedColumn {
 
 /// The one place a column is parsed: builds the view `encoding` has over
 /// data[size] and checks that the column holds `count` values. Corruption
-/// when it does not, or when the bytes do not parse.
+/// when it does not, when the bytes do not parse, or when no value column
+/// may hold `encoding` (enc::IsPageEncoding).
 Result<ParsedColumn> ParseColumn(const uint8_t* data, size_t size,
                                  enc::ColumnEncoding encoding, uint32_t count);
 
@@ -114,11 +113,23 @@ struct Page {
 };
 
 /// Parses both columns of `page` against its header into time_col and
-/// value_col. Every place that makes a page calls it once.
+/// value_col. Every place that makes a page calls it once. Corruption when
+/// a column does not parse or holds an encoding its column may not
+/// (enc::IsPageEncoding).
 Status ParsePage(Page* page);
+
+/// Bytes of a serialized page header: count, the two encoding ids, min/max
+/// time and value, and the two column sizes.
+inline constexpr size_t kPageHeaderBytes = 4 + 2 + 32 + 8;
 
 /// Serializes `page` into `out` (header fields Big-Endian + both columns).
 void SerializePage(const Page& page, std::vector<uint8_t>* out);
+
+/// Reads the serialized header at p[0, kPageHeaderBytes) into the blob's
+/// fields of *h (not level/tier). Both TsFile readers call it: the full
+/// load through DeserializePage, the gradual loader (FileBackedStore) to
+/// index headers without their payloads.
+void ParsePageHeader(const uint8_t* p, PageHeader* h);
 
 /// Reads one page starting at data[pos] and parses its columns (ParsePage);
 /// advances *pos past it.

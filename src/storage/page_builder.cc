@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <type_traits>
 #include <variant>
 
@@ -15,13 +16,14 @@
 #include "encoding/gorilla.h"
 #include "encoding/rlbe.h"
 #include "encoding/sprintz.h"
-#include "encoding/streamvbyte.h"
 #include "encoding/ts2diff.h"
 
 namespace etsqp::storage {
 
 namespace {
 
+/// Encodes an integer column. `encoding` is one a time column may hold:
+/// BuildPage rejects every other id before it gets here.
 enc::EncodedColumn EncodeColumn(const int64_t* values, size_t n,
                                 enc::ColumnEncoding encoding,
                                 uint32_t block_size) {
@@ -36,14 +38,12 @@ enc::EncodedColumn EncodeColumn(const int64_t* values, size_t n,
       return enc::SprintzEncoder().Encode(values, n);
     case enc::ColumnEncoding::kFastLanes:
       return enc::FastLanesEncoder().Encode(values, n);
-    case enc::ColumnEncoding::kStreamVByte:
-      return enc::StreamVByteEncoder().Encode(values, n);
     case enc::ColumnEncoding::kGorilla:
       // Delta-of-delta with prefix classes — Gorilla's time dimension
       // (Table I: +-, Flag, Pattern), a natural fit for timestamp columns.
       return enc::GorillaTimestampEncoder().Encode(values, n);
     default: {
-      // kPlain fallback: raw Big-Endian i64.
+      // kPlain: raw Big-Endian i64.
       enc::EncodedColumn col;
       col.encoding = enc::ColumnEncoding::kPlain;
       col.count = static_cast<uint32_t>(n);
@@ -56,11 +56,40 @@ enc::EncodedColumn EncodeColumn(const int64_t* values, size_t n,
   }
 }
 
+/// Encodes a double column under one of the XOR float encodings.
+enc::EncodedColumn EncodeColumnF64(const double* values, size_t n,
+                                   enc::ColumnEncoding encoding) {
+  switch (encoding) {
+    case enc::ColumnEncoding::kGorillaValue:
+      return enc::GorillaValueEncoder().EncodeDoubles(values, n);
+    case enc::ColumnEncoding::kChimpValue:
+      return enc::ChimpEncoder().EncodeDoubles(values, n);
+    default:
+      return enc::ElfEncoder().EncodeDoubles(values, n);
+  }
+}
+
+/// InvalidArgument unless the page set holds both encodings and the value
+/// encoding is a float one exactly when `float_values`.
+Status CheckEncodings(const PageOptions& options, bool float_values) {
+  if (!enc::IsPageEncoding(options.time_encoding, /*time_column=*/true) ||
+      !enc::IsPageEncoding(options.value_encoding, /*time_column=*/false) ||
+      enc::IsFloatEncoding(options.value_encoding) != float_values) {
+    return Status::InvalidArgument(
+        "page: encodings " +
+        std::to_string(static_cast<int>(options.time_encoding)) + "/" +
+        std::to_string(static_cast<int>(options.value_encoding)) +
+        (float_values ? " for double values" : " for int64 values"));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<Page> BuildPage(const int64_t* times, const int64_t* values, size_t n,
                        const PageOptions& options) {
   if (n == 0) return Status::InvalidArgument("page: empty input");
+  ETSQP_RETURN_IF_ERROR(CheckEncodings(options, /*float_values=*/false));
   for (size_t i = 1; i < n; ++i) {
     if (times[i] <= times[i - 1]) {
       return Status::InvalidArgument("page: times not strictly increasing");
@@ -91,9 +120,7 @@ Result<Page> BuildPage(const int64_t* times, const int64_t* values, size_t n,
 Result<Page> BuildPageF64(const int64_t* times, const double* values,
                           size_t n, const PageOptions& options) {
   if (n == 0) return Status::InvalidArgument("page: empty input");
-  if (!enc::IsFloatEncoding(options.value_encoding)) {
-    return Status::InvalidArgument("page: float build needs float encoding");
-  }
+  ETSQP_RETURN_IF_ERROR(CheckEncodings(options, /*float_values=*/true));
   for (size_t i = 1; i < n; ++i) {
     if (times[i] <= times[i - 1]) {
       return Status::InvalidArgument("page: times not strictly increasing");
@@ -132,18 +159,7 @@ Result<Page> BuildPageF64(const int64_t* times, const double* values,
 
   enc::EncodedColumn tc =
       EncodeColumn(times, n, options.time_encoding, options.block_size);
-  enc::EncodedColumn vc;
-  switch (options.value_encoding) {
-    case enc::ColumnEncoding::kGorillaValue:
-      vc = enc::GorillaValueEncoder().EncodeDoubles(values, n);
-      break;
-    case enc::ColumnEncoding::kChimpValue:
-      vc = enc::ChimpEncoder().EncodeDoubles(values, n);
-      break;
-    default:
-      vc = enc::ElfEncoder().EncodeDoubles(values, n);
-      break;
-  }
+  enc::EncodedColumn vc = EncodeColumnF64(values, n, options.value_encoding);
   h.time_bytes = static_cast<uint32_t>(tc.bytes.size());
   h.value_bytes = static_cast<uint32_t>(vc.bytes.size());
   page.time_data.Assign(tc.bytes.data(), tc.bytes.size());
@@ -174,35 +190,14 @@ Status DecodePageValueWords(const Page& page, int64_t* out) {
 
 size_t EncodedColumnBytes(const int64_t* values, size_t n,
                           enc::ColumnEncoding encoding, uint32_t block_size) {
-  if (n == 0 || enc::IsFloatEncoding(encoding)) return 0;
-  switch (encoding) {
-    case enc::ColumnEncoding::kTs2Diff:
-    case enc::ColumnEncoding::kDeltaRle:
-    case enc::ColumnEncoding::kRlbe:
-    case enc::ColumnEncoding::kSprintz:
-    case enc::ColumnEncoding::kFastLanes:
-    case enc::ColumnEncoding::kStreamVByte:
-    case enc::ColumnEncoding::kGorilla:
-    case enc::ColumnEncoding::kPlain:
-      return EncodeColumn(values, n, encoding, block_size).bytes.size();
-    default:
-      return 0;
-  }
+  if (n == 0) return 0;
+  return EncodeColumn(values, n, encoding, block_size).bytes.size();
 }
 
 size_t EncodedColumnBytesF64(const double* values, size_t n,
                              enc::ColumnEncoding encoding) {
   if (n == 0) return 0;
-  switch (encoding) {
-    case enc::ColumnEncoding::kGorillaValue:
-      return enc::GorillaValueEncoder().EncodeDoubles(values, n).bytes.size();
-    case enc::ColumnEncoding::kChimpValue:
-      return enc::ChimpEncoder().EncodeDoubles(values, n).bytes.size();
-    case enc::ColumnEncoding::kElfValue:
-      return enc::ElfEncoder().EncodeDoubles(values, n).bytes.size();
-    default:
-      return 0;
-  }
+  return EncodeColumnF64(values, n, encoding).bytes.size();
 }
 
 Status DecodePageColumnF64(const ParsedColumn& col, double* out) {
@@ -238,25 +233,6 @@ Status DecodePageColumn(const ParsedColumn& col, int64_t* out) {
             }
           },
           col.view);
-  }
-}
-
-bool PageDecodeSupported(enc::ColumnEncoding encoding) {
-  switch (encoding) {
-    case enc::ColumnEncoding::kTs2Diff:
-    case enc::ColumnEncoding::kDeltaRle:
-    case enc::ColumnEncoding::kRlbe:
-    case enc::ColumnEncoding::kSprintz:
-    case enc::ColumnEncoding::kFastLanes:
-    case enc::ColumnEncoding::kStreamVByte:
-    case enc::ColumnEncoding::kGorilla:
-    case enc::ColumnEncoding::kPlain:
-    case enc::ColumnEncoding::kGorillaValue:
-    case enc::ColumnEncoding::kChimpValue:
-    case enc::ColumnEncoding::kElfValue:
-      return true;
-    default:
-      return false;
   }
 }
 

@@ -17,7 +17,9 @@ struct PageOptions {
 };
 
 /// Encodes one page from parallel (times, values) arrays of length n (>= 1).
-/// Times must be strictly increasing (Definition 1).
+/// Times must be strictly increasing (Definition 1). InvalidArgument when a
+/// page column may not hold the chosen encoding (enc::IsPageEncoding) or the
+/// value encoding is a float one.
 Result<Page> BuildPage(const int64_t* times, const int64_t* values, size_t n,
                        const PageOptions& options);
 
@@ -42,14 +44,9 @@ Status DecodePageColumnF64(const ParsedColumn& col, double* out);
 /// out[col.count].
 Status DecodePageColumn(const ParsedColumn& col, int64_t* out);
 
-/// True when DecodePageColumn / DecodePageColumnF64 can decode `enc`. The
-/// codec advisor refuses to re-encode into anything this returns false for
-/// — a codec without a decode entry would brick the series.
-bool PageDecodeSupported(enc::ColumnEncoding enc);
-
 /// Trial encode for the codec advisor: the encoded byte size `values` would
-/// take under `encoding`, without building a page. Returns 0 when the
-/// encoding cannot hold this column (unknown/float encoding for ints).
+/// take under `encoding`, without building a page. `encoding` is an integer
+/// encoding of the page set (enc::IsPageEncoding).
 size_t EncodedColumnBytes(const int64_t* values, size_t n,
                           enc::ColumnEncoding encoding, uint32_t block_size);
 

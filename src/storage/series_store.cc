@@ -98,6 +98,14 @@ SeriesStore& SeriesStore::operator=(SeriesStore&& o) noexcept {
 
 Status SeriesStore::CreateSeries(const std::string& name,
                                  const SeriesOptions& options) {
+  if (!enc::IsPageEncoding(options.page.time_encoding, /*time_column=*/true) ||
+      !enc::IsPageEncoding(options.page.value_encoding,
+                           /*time_column=*/false)) {
+    return Status::InvalidArgument(
+        "series " + name + ": no page column holds encodings " +
+        std::to_string(static_cast<int>(options.page.time_encoding)) + "/" +
+        std::to_string(static_cast<int>(options.page.value_encoding)));
+  }
   State* st = state_.get();
   std::unique_lock<std::shared_mutex> lock(st->mu);
   if (st->series.count(name) != 0) {

@@ -182,6 +182,8 @@ class SeriesStore {
   SeriesStore(const SeriesStore&) = delete;
   SeriesStore& operator=(const SeriesStore&) = delete;
 
+  /// InvalidArgument when a page column may not hold the series' time or
+  /// value encoding (enc::IsPageEncoding). WAL replay runs this same body.
   Status CreateSeries(const std::string& name, const SeriesOptions& options);
 
   /// Appends one point; seals a page when the buffer fills. Rejects

@@ -8,10 +8,9 @@
 namespace etsqp::storage {
 
 namespace {
-// Sanity bounds for ReadTsFile: series names are dotted identifiers, and a
-// serialized page is never smaller than its fixed header (page.cc).
+// Sanity bound for ReadTsFile: series names are dotted identifiers. A
+// serialized page is never smaller than its fixed header (kPageHeaderBytes).
 constexpr uint32_t kMaxNameLen = 4096;
-constexpr size_t kMinSerializedPageBytes = 4 + 2 + 32 + 8;
 
 constexpr uint8_t kFlagAllowOutOfOrder = 1u << 0;
 constexpr uint8_t kFlagFloatSeries = 1u << 1;
@@ -93,7 +92,7 @@ Status ReadV1Series(Reader* r, SeriesStore* store) {
   if (!r->ReadU32(&num_pages)) return Status::Corruption("tsfile: truncated");
   // A serialized page is at least its fixed header; bound the count before
   // looping so a flipped length fails fast and cleanly.
-  if (static_cast<uint64_t>(num_pages) * kMinSerializedPageBytes >
+  if (static_cast<uint64_t>(num_pages) * kPageHeaderBytes >
       r->remaining()) {
     return Status::Corruption("tsfile: page count for series " + name +
                               " exceeds file size");
@@ -193,7 +192,7 @@ Status ReadV2Series(Reader* r, SeriesStore* store) {
   if (!r->ReadU32(&num_pages)) {
     return Status::Corruption("tsfile: truncated metadata for series " + name);
   }
-  if (static_cast<uint64_t>(num_pages) * (2 + kMinSerializedPageBytes) >
+  if (static_cast<uint64_t>(num_pages) * (2 + kPageHeaderBytes) >
       r->remaining()) {
     return Status::Corruption("tsfile: page count for series " + name +
                               " exceeds file size");

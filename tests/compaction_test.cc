@@ -15,6 +15,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bitstream.h"
@@ -23,6 +24,7 @@
 #include "exec/expr.h"
 #include "exec/pipe_builder.h"
 #include "exec/pipeline.h"
+#include "storage/buffer_manager.h"
 #include "storage/codec_advisor.h"
 #include "storage/compaction.h"
 #include "storage/page.h"
@@ -121,46 +123,6 @@ TEST(CodecAdvisorTest, MinGainDamperKeepsIncumbentOnNoise) {
   CodecAdvisor::Advice a = advisor.AdviseInt(
       v.data(), v.size(), enc::ColumnEncoding::kPlain, /*block_size=*/1024);
   EXPECT_EQ(a.encoding, enc::ColumnEncoding::kPlain);
-}
-
-TEST(CodecAdvisorTest, DecodeSupportGateReturnsIncumbent) {
-  // A serving layer that can decode nothing but the incumbent: the advisor
-  // must return the current codec rather than propose an undecodable one.
-  std::vector<int64_t> v;
-  for (int i = 0; i < 2000; ++i) v.push_back(i * 3);  // TS2DIFF heaven
-  CodecAdvisor::Options opt;
-  opt.min_gain = 0.0;
-  opt.decode_support = [](enc::ColumnEncoding e) {
-    return e == enc::ColumnEncoding::kPlain;
-  };
-  CodecAdvisor advisor{opt};
-  CodecAdvisor::Advice a = advisor.AdviseInt(
-      v.data(), v.size(), enc::ColumnEncoding::kPlain, /*block_size=*/1024);
-  EXPECT_EQ(a.encoding, enc::ColumnEncoding::kPlain)
-      << "proposed " << enc::ColumnEncodingName(a.encoding)
-      << " despite the decode-support gate rejecting it";
-
-  CodecAdvisor::Advice f = advisor.AdviseFloat(
-      nullptr, 0, enc::ColumnEncoding::kGorillaValue);
-  EXPECT_EQ(f.encoding, enc::ColumnEncoding::kGorillaValue);
-}
-
-TEST(CodecAdvisorTest, DecodeSupportGateFiltersSingleCodec) {
-  // Rejecting just one candidate removes it from the race but leaves the
-  // rest competing normally.
-  std::vector<int64_t> v;
-  for (int i = 0; i < 2000; ++i) v.push_back(i * 3);
-  CodecAdvisor::Options opt;
-  opt.min_gain = 0.0;
-  opt.decode_support = [](enc::ColumnEncoding e) {
-    return e != enc::ColumnEncoding::kTs2Diff;
-  };
-  CodecAdvisor advisor{opt};
-  CodecAdvisor::Advice a = advisor.AdviseInt(
-      v.data(), v.size(), enc::ColumnEncoding::kPlain, /*block_size=*/1024);
-  EXPECT_NE(a.encoding, enc::ColumnEncoding::kTs2Diff);
-  EXPECT_NE(a.encoding, enc::ColumnEncoding::kPlain)
-      << "a decodable smaller codec should still beat plain";
 }
 
 // --- Compactor: merge / tombstones / TTL / out-of-order --------------------
@@ -516,26 +478,20 @@ TEST(TsFileV2Test, RejectsCountsExceedingFile) {
 }
 
 TEST(TsFileV2Test, RejectsLevelTierOutOfRange) {
-  {
+  // Both readers: the full load and the gradual loader's header index.
+  const std::pair<uint8_t, uint8_t> bad[] = {{200, 0}, {0, 7}};
+  for (const auto& [level, tier] : bad) {
+    SCOPED_TRACE(std::to_string(level) + "/" + std::to_string(tier));
     V2FileBuilder b;
     b.Meta(0, 4, 0);
     b.Tombstones({});
     b.NoOoo();
-    b.Pages(MakeSmallPage(), /*level=*/200, /*tier=*/0);
-    const std::string path = b.WriteTo("v2_bad_level.tsfile");
+    b.Pages(MakeSmallPage(), level, tier);
+    const std::string path = b.WriteTo("v2_bad_level_tier.tsfile");
     SeriesStore store;
     EXPECT_EQ(ReadTsFile(path, &store).code(), StatusCode::kCorruption);
-    std::remove(path.c_str());
-  }
-  {
-    V2FileBuilder b;
-    b.Meta(0, 4, 0);
-    b.Tombstones({});
-    b.NoOoo();
-    b.Pages(MakeSmallPage(), /*level=*/0, /*tier=*/7);
-    const std::string path = b.WriteTo("v2_bad_tier.tsfile");
-    SeriesStore store;
-    EXPECT_EQ(ReadTsFile(path, &store).code(), StatusCode::kCorruption);
+    FileBackedStore file;
+    EXPECT_EQ(file.Open(path).code(), StatusCode::kCorruption);
     std::remove(path.c_str());
   }
 }

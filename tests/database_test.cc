@@ -4,7 +4,8 @@
 // background seal / checkpoint, eviction under budget), leftover cost-cache
 // files from older layouts being ignored, and the OpenFile/CloseFile-vs-
 // Query race (the *Concurrency* suite also runs in CI's ThreadSanitizer
-// job).
+// job), and the page set: series creation and WAL replay reject encodings
+// no page holds, and every pair it admits round-trips.
 
 #include <gtest/gtest.h>
 
@@ -14,13 +15,18 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "db/database.h"
 #include "db/shard.h"
 #include "db/shard_router.h"
+#include "encoding/format.h"
+#include "page_encodings.h"
+#include "storage/wal.h"
 
 namespace etsqp {
 namespace {
@@ -681,6 +687,107 @@ TEST(IotDbLiteConcurrencyTest, OpenCloseFileVsQuery) {
   stop.store(true);
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// --- The page set ----------------------------------------------------------
+
+TEST(PageSetTest, CreateRejectsEncodingsNoPageHolds) {
+  // (time id, value id): a float codec in the time column, the retired ids
+  // 6, 7 and 12, and a byte no encoding has.
+  const std::pair<int, int> bad[] = {{9, 1}, {6, 1},  {1, 7},  {1, 12},
+                                     {12, 1}, {1, 200}, {200, 1}};
+  std::vector<int64_t> t(5000), v(5000);
+  for (size_t i = 0; i < t.size(); ++i) {
+    t[i] = static_cast<int64_t>(i + 1);
+    v[i] = static_cast<int64_t>(i % 97);
+  }
+  for (const auto& [time_id, value_id] : bad) {
+    SCOPED_TRACE(std::to_string(time_id) + "/" + std::to_string(value_id));
+    Database d;
+    storage::SeriesStore::SeriesOptions opt;
+    opt.page_size = 500;
+    opt.page.time_encoding = static_cast<enc::ColumnEncoding>(time_id);
+    opt.page.value_encoding = static_cast<enc::ColumnEncoding>(value_id);
+    EXPECT_EQ(d.CreateTimeseries("s", opt).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(d.InsertBatch("s", t.data(), v.data(), t.size()).ok());
+  }
+}
+
+TEST(PageSetTest, WalCreateRecordNoPageHoldsDoesNotReplay) {
+  // A log whose create-series record carries value byte 200, then 200
+  // points: replay must refuse it rather than seal unreadable pages.
+  const std::string wal_path = TempPath("etsqp_page_set.wal");
+  std::remove(wal_path.c_str());
+  {
+    Result<std::unique_ptr<storage::Wal>> wal =
+        storage::Wal::Open(wal_path, storage::Wal::FsyncPolicy::kNever);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE(wal.value()
+                    ->AppendCreateSeries("s", /*time_encoding=*/1,
+                                         /*value_encoding=*/200,
+                                         /*page_size=*/64,
+                                         /*block_size=*/1024)
+                    .ok());
+    std::vector<int64_t> t(200), v(200);
+    for (size_t i = 0; i < t.size(); ++i) {
+      t[i] = static_cast<int64_t>(i + 1);
+      v[i] = static_cast<int64_t>(i * 3);
+    }
+    ASSERT_TRUE(wal.value()
+                    ->AppendPoints("s", 0, t.data(), v.data(), t.size(),
+                                   /*is_float=*/false, /*overlap=*/false)
+                    .ok());
+  }
+  Database d;
+  Database::IngestConfig cfg;
+  cfg.wal_path = wal_path;
+  EXPECT_EQ(d.EnableIngest(cfg).code(), StatusCode::kCorruption);
+  EXPECT_FALSE(d.shard_store(0)->HasSeries("s"));
+  std::remove(wal_path.c_str());
+}
+
+TEST(PageSetTest, EveryPairRoundTripsThroughSealSaveLoadAndOpenFile) {
+  const std::string path = TempPath("etsqp_page_set.tsfile");
+  for (enc::ColumnEncoding te : PageEncodings(/*time_column=*/true)) {
+    for (enc::ColumnEncoding ve : PageEncodings(/*time_column=*/false)) {
+      SCOPED_TRACE(std::to_string(static_cast<int>(te)) + "/" +
+                   std::to_string(static_cast<int>(ve)));
+      const bool is_float = enc::IsFloatEncoding(ve);
+      Database writer;
+      storage::SeriesStore::SeriesOptions opt;
+      opt.page_size = 100;
+      opt.page.time_encoding = te;
+      opt.page.value_encoding = ve;
+      ASSERT_TRUE(writer.CreateTimeseries("s", opt).ok());
+      std::vector<int64_t> t(250), v(250);
+      std::vector<double> f(250);
+      double sum = 0;
+      for (size_t i = 0; i < t.size(); ++i) {
+        t[i] = static_cast<int64_t>(3 * i + 1);
+        v[i] = static_cast<int64_t>(i * 37 % 101) - 50;
+        f[i] = 0.25 * static_cast<double>(v[i]);
+        sum += is_float ? f[i] : static_cast<double>(v[i]);
+      }
+      ASSERT_TRUE((is_float ? writer.InsertBatchF64("s", t.data(), f.data(),
+                                                    t.size())
+                            : writer.InsertBatch("s", t.data(), v.data(),
+                                                 t.size()))
+                      .ok());
+      ASSERT_TRUE(writer.Flush().ok());
+      EXPECT_EQ(SumOf(writer, "s"), sum);
+      ASSERT_TRUE(writer.Save(path).ok());
+
+      Database loaded;
+      ASSERT_TRUE(loaded.Load(path).ok());
+      EXPECT_EQ(SumOf(loaded, "s"), sum);
+      Database attached;
+      ASSERT_TRUE(attached.OpenFile(path).ok());
+      EXPECT_EQ(SumOf(attached, "s"), sum);
+      attached.CloseFile();
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

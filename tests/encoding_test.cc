@@ -12,7 +12,6 @@
 #include "encoding/rle.h"
 #include "encoding/rlbe.h"
 #include "encoding/sprintz.h"
-#include "encoding/streamvbyte.h"
 #include "encoding/ts2diff.h"
 
 namespace etsqp::enc {
@@ -467,128 +466,6 @@ TEST(SprintzTest, SmallDeltasCompressWell) {
   EncodedColumn col = SprintzEncoder().Encode(values.data(), values.size());
   // 2-bit zigzag deltas + 1 byte header per 8: ~3 bytes per 8 values.
   EXPECT_LT(col.bytes.size(), values.size());
-}
-
-// ------------------------------------------------------------ streamvbyte
-
-std::vector<int64_t> SvbRoundTrip(const std::vector<int64_t>& values) {
-  EncodedColumn col =
-      StreamVByteEncoder().Encode(values.data(), values.size());
-  auto parsed = StreamVByteColumn::Parse(col.bytes.data(), col.bytes.size());
-  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
-  if (!parsed.ok()) return {};
-  EXPECT_EQ(parsed.value().count(), values.size());
-  std::vector<int64_t> out(values.size());
-  Status st = parsed.value().DecodeAll(out.data());
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  return out;
-}
-
-TEST(StreamVByteTest, RoundTripMixedDeltaClasses) {
-  std::mt19937_64 rng(41);
-  std::vector<int64_t> values(3000);
-  int64_t v = 0;
-  for (auto& x : values) {
-    // Exercise all four byte classes: mostly 1-byte deltas with jumps up
-    // to the 8-byte class, both signs.
-    switch (rng() % 8) {
-      case 0:
-        v += static_cast<int64_t>(rng() % 100000) - 50000;
-        break;
-      case 1:
-        v += static_cast<int64_t>(rng() % (1ull << 40)) - (1ll << 39);
-        break;
-      default:
-        v += static_cast<int64_t>(rng() % 200) - 100;
-        break;
-    }
-    x = v;
-  }
-  EXPECT_EQ(SvbRoundTrip(values), values);
-}
-
-TEST(StreamVByteTest, RoundTripExtremeValues) {
-  std::vector<int64_t> values = {INT64_MIN,     INT64_MIN + 1, -1, 0, 1,
-                                 INT64_MAX - 1, INT64_MAX,     0,  INT64_MIN};
-  EXPECT_EQ(SvbRoundTrip(values), values);
-}
-
-TEST(StreamVByteTest, RoundTripSingleAndEmpty) {
-  std::vector<int64_t> one = {-42};
-  EXPECT_EQ(SvbRoundTrip(one), one);
-  EncodedColumn col = StreamVByteEncoder().Encode(nullptr, 0);
-  auto parsed = StreamVByteColumn::Parse(col.bytes.data(), col.bytes.size());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().count(), 0u);
-}
-
-TEST(StreamVByteTest, MonotoneTimestampsCompress) {
-  std::vector<int64_t> values(4096);
-  for (size_t i = 0; i < values.size(); ++i) {
-    values[i] = 1700000000000ll + static_cast<int64_t>(i) * 100;
-  }
-  EncodedColumn col =
-      StreamVByteEncoder().Encode(values.data(), values.size());
-  // 100ms ticks are 1-byte deltas: ~1.25 bytes/value incl. control stream.
-  EXPECT_LT(col.bytes.size(), values.size() * 2);
-  EXPECT_EQ(SvbRoundTrip(values), values);
-}
-
-TEST(StreamVByteTest, TruncatedHeaderRejected) {
-  std::vector<int64_t> values = {1, 2, 3};
-  EncodedColumn col =
-      StreamVByteEncoder().Encode(values.data(), values.size());
-  for (size_t cut = 0; cut < 12 && cut < col.bytes.size(); ++cut) {
-    auto parsed = StreamVByteColumn::Parse(col.bytes.data(), cut);
-    EXPECT_FALSE(parsed.ok());
-  }
-}
-
-TEST(StreamVByteTest, TruncatedPayloadRejected) {
-  std::vector<int64_t> values(257);
-  for (size_t i = 0; i < values.size(); ++i) {
-    values[i] = static_cast<int64_t>(i * i * 37);
-  }
-  EncodedColumn col =
-      StreamVByteEncoder().Encode(values.data(), values.size());
-  std::vector<int64_t> out(values.size());
-  // Any truncation must surface as a parse or decode error, never OOB.
-  for (size_t cut = 12; cut < col.bytes.size(); cut += 7) {
-    auto parsed = StreamVByteColumn::Parse(col.bytes.data(), cut);
-    if (!parsed.ok()) continue;
-    EXPECT_FALSE(parsed.value().DecodeAll(out.data()).ok()) << "cut=" << cut;
-  }
-}
-
-TEST(StreamVByteTest, CorruptControlDetected) {
-  std::vector<int64_t> values(64);
-  for (size_t i = 0; i < values.size(); ++i) {
-    values[i] = static_cast<int64_t>(i) * 3;
-  }
-  EncodedColumn col =
-      StreamVByteEncoder().Encode(values.data(), values.size());
-  // Widening a control code makes the data stream too short for the codes;
-  // the decoder must flag it rather than read past the stream.
-  std::vector<uint8_t> bytes = col.bytes;
-  bytes[12] = 0xFF;  // first control byte: all deltas claim 8 bytes
-  auto parsed = StreamVByteColumn::Parse(bytes.data(), bytes.size());
-  if (parsed.ok()) {
-    std::vector<int64_t> out(values.size());
-    EXPECT_FALSE(parsed.value().DecodeAll(out.data()).ok());
-  }
-}
-
-TEST(StreamVByteTest, TrailingDataRejected) {
-  std::vector<int64_t> values = {5, 6, 7, 8};
-  EncodedColumn col =
-      StreamVByteEncoder().Encode(values.data(), values.size());
-  std::vector<uint8_t> bytes = col.bytes;
-  bytes.push_back(0xAB);
-  auto parsed = StreamVByteColumn::Parse(bytes.data(), bytes.size());
-  if (parsed.ok()) {
-    std::vector<int64_t> out(values.size());
-    EXPECT_FALSE(parsed.value().DecodeAll(out.data()).ok());
-  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "exec/cost_model.h"
 #include "exec/engine.h"
 #include "exec/kernel_schedule.h"
+#include "page_encodings.h"
 #include "simd/transposed_unpack_avx512.h"
 #include "storage/page_builder.h"
 #include "storage/series_store.h"
@@ -423,13 +424,11 @@ std::vector<GridCase> ScheduleGrid() {
   shapes.push_back({"min", min});
 
   std::vector<GridCase> grid;
-  for (int e = 0; e <= static_cast<int>(enc::ColumnEncoding::kStreamVByte);
-       ++e) {
+  for (enc::ColumnEncoding e : PageEncodings(/*time_column=*/false)) {
     for (int w : {0, 1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 25, 32, 64}) {
       for (const Shape& s : shapes) {
         for (const char* state : {"sealed", "tail", "float"}) {
-          PageClass cls =
-              SealedIntClass(w, static_cast<enc::ColumnEncoding>(e));
+          PageClass cls = SealedIntClass(w, e);
           cls.sealed = std::string(state) != "tail";
           cls.is_float = std::string(state) == "float";
           grid.push_back({cls, s.ctx,

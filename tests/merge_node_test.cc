@@ -18,6 +18,7 @@
 
 #include "exec/engine.h"
 #include "exec/pipeline.h"
+#include "page_encodings.h"
 #include "scalar_oracle.h"
 #include "storage/buffer_manager.h"
 #include "storage/series_store.h"
@@ -62,13 +63,12 @@ std::vector<int64_t> DrawValues(std::mt19937_64* rng, size_t n) {
 
 SeriesStore::SeriesOptions DrawLayout(std::mt19937_64* rng) {
   const uint32_t page_sizes[] = {16, 32, 48, 64, 128, 4096};
-  const enc::ColumnEncoding codecs[] = {
-      enc::ColumnEncoding::kTs2Diff,   enc::ColumnEncoding::kDeltaRle,
-      enc::ColumnEncoding::kRlbe,      enc::ColumnEncoding::kSprintz,
-      enc::ColumnEncoding::kFastLanes, enc::ColumnEncoding::kStreamVByte};
+  // Every integer encoding of the page set.
+  const std::vector<enc::ColumnEncoding> codecs =
+      PageEncodings(/*time_column=*/true);
   SeriesStore::SeriesOptions opt;
   opt.page_size = page_sizes[(*rng)() % 6];
-  opt.page.value_encoding = codecs[(*rng)() % 6];
+  opt.page.value_encoding = codecs[(*rng)() % codecs.size()];
   return opt;
 }
 

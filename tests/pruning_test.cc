@@ -25,6 +25,7 @@
 #include "storage/buffer_manager.h"
 #include "storage/series_store.h"
 #include "storage/tsfile.h"
+#include "page_encodings.h"
 #include "scalar_oracle.h"
 
 namespace etsqp {
@@ -237,11 +238,10 @@ void RunFuzzRound(uint64_t round) {
                                          enc::ColumnEncoding::kElfValue};
     opt.page.value_encoding = fencs[rng() % 3];
   } else {
-    const enc::ColumnEncoding iencs[] = {
-        enc::ColumnEncoding::kTs2Diff,    enc::ColumnEncoding::kDeltaRle,
-        enc::ColumnEncoding::kRlbe,       enc::ColumnEncoding::kSprintz,
-        enc::ColumnEncoding::kFastLanes,  enc::ColumnEncoding::kStreamVByte};
-    opt.page.value_encoding = iencs[rng() % 6];
+    // Every integer encoding of the page set.
+    const std::vector<enc::ColumnEncoding> iencs =
+        PageEncodings(/*time_column=*/true);
+    opt.page.value_encoding = iencs[rng() % iencs.size()];
   }
   opt.allow_out_of_order = !file_round && rng() % 5 == 0;
 

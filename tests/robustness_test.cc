@@ -9,7 +9,9 @@
 #include <atomic>
 #include <cstdio>
 #include <random>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/aligned_buffer.h"
 #include "db/database.h"
@@ -24,10 +26,12 @@
 #include "encoding/ts2diff.h"
 #include "exec/column_decoder.h"
 #include "exec/engine.h"
+#include "page_encodings.h"
 #include "parsed_bytes.h"
 #include "sql/planner.h"
 #include "storage/buffer_manager.h"
 #include "storage/page.h"
+#include "storage/wal.h"
 
 namespace etsqp {
 namespace {
@@ -102,16 +106,10 @@ TEST_P(TruncationTest, RandomBitFlipsAreHandled) {
   }
 }
 
+// Every integer encoding of the page set.
 INSTANTIATE_TEST_SUITE_P(
     Encodings, TruncationTest,
-    ::testing::Values(enc::ColumnEncoding::kTs2Diff,
-                      enc::ColumnEncoding::kDeltaRle,
-                      enc::ColumnEncoding::kRlbe,
-                      enc::ColumnEncoding::kSprintz,
-                      enc::ColumnEncoding::kFastLanes,
-                      enc::ColumnEncoding::kStreamVByte,
-                      enc::ColumnEncoding::kGorilla,
-                      enc::ColumnEncoding::kPlain));
+    ::testing::ValuesIn(PageEncodings(/*time_column=*/true)));
 
 TEST(RobustnessTest, FloatCodecsSurviveCorruption) {
   std::mt19937_64 rng(7);
@@ -178,66 +176,82 @@ TEST(RobustnessTest, PageDeserializeFuzz) {
   }
 }
 
-/// Overwrites the first four bytes of page `p`'s value column in the
-/// one-series TsFile at `path` — a TS2DIFF column's value count — with
-/// `count`.
-void CorruptValueCount(const std::string& path, size_t p, uint32_t count) {
+/// One corruption of page 3 in the test file: `bytes` written at `offset`
+/// past the start of the page's value column, or of its serialized header.
+struct PageCorruption {
+  const char* what;
+  bool in_value_column;
+  size_t offset;
+  std::vector<uint8_t> bytes;
+};
+
+/// Applies `c` to page `p` of the one-series TsFile at `path`.
+void CorruptPage(const std::string& path, size_t p, const PageCorruption& c) {
   storage::FileBackedStore index;
   ASSERT_TRUE(index.Open(path).ok());
   Result<const storage::FileBackedStore::SeriesIndex*> s =
       index.GetSeries("s");
   ASSERT_TRUE(s.ok());
-  const long at = static_cast<long>(s.value()->file_offsets[p] +
-                                    s.value()->pages[p].header.time_bytes);
-  const uint8_t be[4] = {static_cast<uint8_t>(count >> 24),
-                         static_cast<uint8_t>(count >> 16),
-                         static_cast<uint8_t>(count >> 8),
-                         static_cast<uint8_t>(count)};
+  const uint64_t payload = s.value()->file_offsets[p];
+  const uint64_t base =
+      c.in_value_column ? payload + s.value()->pages[p].header.time_bytes
+                        : payload - storage::kPageHeaderBytes;
   std::FILE* f = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, at, SEEK_SET), 0);
-  ASSERT_EQ(std::fwrite(be, 1, 4, f), 4u);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(base + c.offset), SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(c.bytes.data(), 1, c.bytes.size(), f),
+            c.bytes.size());
   std::fclose(f);
 }
 
 TEST(RobustnessTest, CorruptPageColumnIsCorruptionWhereThePageEnters) {
-  // Ten 500-point TS2DIFF pages; page 3's value column claims 499 values.
+  // Ten 500-point TS2DIFF pages; page 3's value column claims 499 values,
+  // or its header names an encoding no page holds: retired id 12, or a
+  // byte no encoding has (the value encoding is header byte 5).
+  const PageCorruption corruptions[] = {
+      {"value count 499", true, 0, {0, 0, 0x01, 0xF3}},
+      {"value encoding 12", false, 5, {12}},
+      {"value encoding 200", false, 5, {200}},
+  };
   const std::string path =
       ::testing::TempDir() + "/etsqp_corrupt_column.tsfile";
-  {
-    db::Database writer;
-    ASSERT_TRUE(writer.CreateTimeseries("s", 500).ok());
-    std::vector<int64_t> t(5000), v(5000);
-    for (size_t i = 0; i < t.size(); ++i) {
-      t[i] = 10 * static_cast<int64_t>(i + 1);
-      v[i] = static_cast<int64_t>(i * 7 % 101);
+  for (const PageCorruption& c : corruptions) {
+    SCOPED_TRACE(c.what);
+    {
+      db::Database writer;
+      ASSERT_TRUE(writer.CreateTimeseries("s", 500).ok());
+      std::vector<int64_t> t(5000), v(5000);
+      for (size_t i = 0; i < t.size(); ++i) {
+        t[i] = 10 * static_cast<int64_t>(i + 1);
+        v[i] = static_cast<int64_t>(i * 7 % 101);
+      }
+      ASSERT_TRUE(writer.InsertBatch("s", t.data(), v.data(), t.size()).ok());
+      ASSERT_TRUE(writer.Save(path).ok());
     }
-    ASSERT_TRUE(writer.InsertBatch("s", t.data(), v.data(), t.size()).ok());
-    ASSERT_TRUE(writer.Save(path).ok());
-  }
-  CorruptValueCount(path, 3, 499);
+    CorruptPage(path, 3, c);
 
-  // A full load parses every page as it reads it.
-  db::Database loaded;
-  EXPECT_EQ(loaded.Load(path).code(), StatusCode::kCorruption);
+    // A full load parses every page as it reads it.
+    db::Database loaded;
+    EXPECT_EQ(loaded.Load(path).code(), StatusCode::kCorruption);
 
-  // A file-backed store indexes headers only; the page is parsed when a
-  // query fetches it. A query that never fetches it answers.
-  db::Database attached;
-  ASSERT_TRUE(attached.OpenFile(path).ok());
-  Result<exec::QueryResult> head =
-      attached.Query("SELECT COUNT(s) FROM s WHERE time <= 100;");
-  ASSERT_TRUE(head.ok()) << head.status().ToString();
-  EXPECT_EQ(head.value().columns[0][0], 10.0);
-  // The failed fetch leaves nothing in the pool: a second query fails the
-  // same way.
-  for (int round = 0; round < 2; ++round) {
-    EXPECT_EQ(attached.Query("SELECT SUM(s) FROM s;").status().code(),
-              StatusCode::kCorruption)
-        << round;
+    // A file-backed store indexes headers only; the page is parsed when a
+    // query fetches it. A query that never fetches it answers.
+    db::Database attached;
+    ASSERT_TRUE(attached.OpenFile(path).ok());
+    Result<exec::QueryResult> head =
+        attached.Query("SELECT COUNT(s) FROM s WHERE time <= 100;");
+    ASSERT_TRUE(head.ok()) << head.status().ToString();
+    EXPECT_EQ(head.value().columns[0][0], 10.0);
+    // The failed fetch leaves nothing in the pool: a second query fails the
+    // same way.
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(attached.Query("SELECT SUM(s) FROM s;").status().code(),
+                StatusCode::kCorruption)
+          << round;
+    }
+    attached.CloseFile();
+    std::remove(path.c_str());
   }
-  attached.CloseFile();
-  std::remove(path.c_str());
 }
 
 TEST(RobustnessTest, SqlFuzzNeverCrashes) {

@@ -14,11 +14,9 @@
 #include "simd/agg_simd.h"
 #include "simd/delta_simd.h"
 #include "simd/fib_simd.h"
-#include "encoding/streamvbyte.h"
 #include "simd/filter_simd.h"
 #include "simd/merge_simd.h"
 #include "simd/rle_flatten.h"
-#include "simd/streamvbyte_simd.h"
 #include "simd/transposed_unpack.h"
 #include "simd/transposed_unpack_avx512.h"
 #include "simd/unpack.h"
@@ -1051,96 +1049,6 @@ TEST(MergeSimdTest, IntersectShapesMatchScalar) {
       }
     }
   }
-}
-
-// ------------------------------------------------------------ streamvbyte
-
-TEST(StreamVByteSimdTest, DecodeMatchesScalar) {
-  if (!CpuHasAvx2()) GTEST_SKIP() << "no AVX2";
-  std::mt19937_64 rng(31337);
-  for (int iter = 0; iter < 40; ++iter) {
-    size_t n = 1 + rng() % 2000;
-    std::vector<int64_t> values(n);
-    int64_t v = static_cast<int64_t>(rng());
-    for (auto& x : values) {
-      // Mix of all four byte classes and both signs.
-      switch (rng() % 6) {
-        case 0:
-          v += static_cast<int64_t>(rng() % (1ull << 40)) - (1ll << 39);
-          break;
-        case 1:
-          v += static_cast<int64_t>(rng() % 100000) - 50000;
-          break;
-        default:
-          v += static_cast<int64_t>(rng() % 256) - 128;
-          break;
-      }
-      x = v;
-    }
-    enc::EncodedColumn col =
-        enc::StreamVByteEncoder().Encode(values.data(), n);
-    auto parsed =
-        enc::StreamVByteColumn::Parse(col.bytes.data(), col.bytes.size());
-    ASSERT_TRUE(parsed.ok());
-    std::vector<int64_t> scalar(n), simd(n);
-    ASSERT_TRUE(parsed.value().DecodeAll(scalar.data()).ok());
-    ASSERT_TRUE(StreamVByteDecodeSse(
-        parsed.value().control(), parsed.value().control_bytes(),
-        parsed.value().data(), parsed.value().data_bytes(), n - 1,
-        parsed.value().first_value(), simd.data()));
-    EXPECT_EQ(simd, scalar) << "iter=" << iter << " n=" << n;
-    EXPECT_EQ(simd, values);
-  }
-}
-
-TEST(StreamVByteSimdTest, DecodeExtremesAndSmallTails) {
-  if (!CpuHasAvx2()) GTEST_SKIP() << "no AVX2";
-  std::vector<std::vector<int64_t>> cases = {
-      {0},
-      {INT64_MIN, INT64_MAX},
-      {INT64_MAX, INT64_MIN, 0, -1, 1},
-      {-5, -4, -3, -2, -1, 0, 1, 2, 3},
-  };
-  // Tail lengths 1..19 stress the scalar-tail handoff near the 16-byte
-  // load guard.
-  for (size_t n = 1; n <= 19; ++n) {
-    std::vector<int64_t> v(n);
-    for (size_t i = 0; i < n; ++i) {
-      v[i] = static_cast<int64_t>(i * i) * 1000003 - 17;
-    }
-    cases.push_back(std::move(v));
-  }
-  for (const auto& values : cases) {
-    enc::EncodedColumn col =
-        enc::StreamVByteEncoder().Encode(values.data(), values.size());
-    auto parsed =
-        enc::StreamVByteColumn::Parse(col.bytes.data(), col.bytes.size());
-    ASSERT_TRUE(parsed.ok());
-    std::vector<int64_t> simd(values.size());
-    ASSERT_TRUE(StreamVByteDecodeSse(
-        parsed.value().control(), parsed.value().control_bytes(),
-        parsed.value().data(), parsed.value().data_bytes(),
-        values.size() - 1, parsed.value().first_value(), simd.data()));
-    EXPECT_EQ(simd, values);
-  }
-}
-
-TEST(StreamVByteSimdTest, RejectsTruncatedData) {
-  if (!CpuHasAvx2()) GTEST_SKIP() << "no AVX2";
-  std::vector<int64_t> values(100);
-  for (size_t i = 0; i < values.size(); ++i) {
-    values[i] = static_cast<int64_t>(i) * 100000;
-  }
-  enc::EncodedColumn col =
-      enc::StreamVByteEncoder().Encode(values.data(), values.size());
-  auto parsed =
-      enc::StreamVByteColumn::Parse(col.bytes.data(), col.bytes.size());
-  ASSERT_TRUE(parsed.ok());
-  std::vector<int64_t> out(values.size());
-  EXPECT_FALSE(StreamVByteDecodeSse(
-      parsed.value().control(), parsed.value().control_bytes(),
-      parsed.value().data(), parsed.value().data_bytes() - 1,
-      values.size() - 1, parsed.value().first_value(), out.data()));
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "exec/engine.h"
 #include "exec/fusion.h"
 #include "storage/series_store.h"
+#include "page_encodings.h"
 #include "parsed_bytes.h"
 #include "scalar_oracle.h"
 
@@ -94,13 +95,13 @@ void RunWindowRound(uint64_t round) {
   if (is_float) {
     opt.page.value_encoding = enc::ColumnEncoding::kGorillaValue;
   } else {
-    const enc::ColumnEncoding iencs[] = {
-        enc::ColumnEncoding::kTs2Diff,   enc::ColumnEncoding::kTs2Diff,
-        enc::ColumnEncoding::kTs2Diff,   enc::ColumnEncoding::kDeltaRle,
-        enc::ColumnEncoding::kDeltaRle,  enc::ColumnEncoding::kRlbe,
-        enc::ColumnEncoding::kSprintz,   enc::ColumnEncoding::kFastLanes,
-        enc::ColumnEncoding::kStreamVByte};
-    opt.page.value_encoding = iencs[rng() % 9];
+    // TS2DIFF half the time (the windowed fast path), otherwise any integer
+    // encoding of the page set.
+    const std::vector<enc::ColumnEncoding> iencs =
+        PageEncodings(/*time_column=*/true);
+    opt.page.value_encoding = rng() % 2 == 0
+                                  ? enc::ColumnEncoding::kTs2Diff
+                                  : iencs[rng() % iencs.size()];
   }
   switch (rng() % 8) {
     case 0:
