@@ -414,23 +414,6 @@ void BM_XorFloatDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_XorFloatDecode)->ArgName("codec")->Arg(0)->Arg(1)->Arg(2);
 
-void BM_JoinMasks(benchmark::State& state) {
-  std::mt19937_64 rng(15);
-  size_t n = kN / 4;
-  std::vector<int64_t> l(n), r(n);
-  int64_t t = 0;
-  for (auto& x : l) x = (t += 1 + static_cast<int64_t>(rng() % 3));
-  t = 1;
-  for (auto& x : r) x = (t += 1 + static_cast<int64_t>(rng() % 3));
-  std::vector<uint64_t> ml((n + 63) / 64), mr((n + 63) / 64);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        simd::JoinMasksInt64(l.data(), n, r.data(), n, ml.data(), mr.data()));
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n);
-}
-BENCHMARK(BM_JoinMasks);
-
 void BM_PrefixSum(benchmark::State& state) {
   std::mt19937_64 rng(13);
   std::vector<int32_t> base(kN);

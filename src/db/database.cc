@@ -96,9 +96,15 @@ struct Database::Rep {
     return *shards[router.ShardOf(series)];
   }
 
-  /// Plan signature + per-input (series, data epoch) + shard layout. Two
-  /// queries computing equal keys saw identical data (SeriesSnapshot::epoch
-  /// contract), so the cache needs no explicit invalidation hooks.
+  /// Plan signature + per-input (series, data epoch) + shard layout, so the
+  /// cache needs no explicit invalidation hooks. A series' epoch only grows
+  /// (no series is ever dropped), and the key reads it before Execute takes
+  /// its snapshot, so a filed answer is never older than its key. It can be
+  /// newer: a write may land between the key read and the snapshot. Only a
+  /// lookup that read the same epochs, before that write, can hit such an
+  /// answer, and it probes after the answer was filed, so it is concurrent
+  /// with the write and either answer is correct for it. A lookup that
+  /// starts after the write reads a newer epoch and misses.
   std::string CacheKey(const exec::LogicalPlan& plan) const {
     char buf[192];
     std::snprintf(buf, sizeof(buf),

@@ -81,19 +81,14 @@ EncodedColumn ChimpEncoder::EncodeDoubles(const double* values,
   return Encode(words.data(), n);
 }
 
-namespace {
-
-/// The decode into words or doubles: `Out` is the 8-byte type each decoded
-/// bit pattern is stored as.
-template <typename Out>
-Status DecodeChimp(const uint8_t* data, size_t size, uint32_t count,
-                   Out* out) {
+Status ChimpDecodeDoubles(const uint8_t* data, size_t size, uint32_t count,
+                          double* out) {
   if (size < 12) return Status::Corruption("chimp: header truncated");
   uint32_t n = GetFixed32BE(data);
   if (n != count) return Status::Corruption("chimp: count mismatch");
   if (n == 0) return Status::Ok();
   uint64_t prev = GetFixed64BE(data + 4);
-  out[0] = std::bit_cast<Out>(prev);
+  out[0] = std::bit_cast<double>(prev);
 
   BitReader r(data + 12, size - 12);
   int prev_cls = 0;
@@ -127,21 +122,9 @@ Status DecodeChimp(const uint8_t* data, size_t size, uint32_t count,
     }
     if (r.exhausted()) return Status::Corruption("chimp: truncated");
     prev ^= x;
-    out[i] = std::bit_cast<Out>(prev);
+    out[i] = std::bit_cast<double>(prev);
   }
   return Status::Ok();
-}
-
-}  // namespace
-
-Status ChimpDecode(const uint8_t* data, size_t size, uint32_t count,
-                   uint64_t* out) {
-  return DecodeChimp(data, size, count, out);
-}
-
-Status ChimpDecodeDoubles(const uint8_t* data, size_t size, uint32_t count,
-                          double* out) {
-  return DecodeChimp(data, size, count, out);
 }
 
 }  // namespace etsqp::enc

@@ -23,16 +23,11 @@ class ChimpEncoder {
   EncodedColumn EncodeDoubles(const double* values, size_t n) const;
 };
 
-/// Decodes a column of `size` bytes at `data` into out[count], as words or
-/// as the doubles they are the bit patterns of, with no intermediate copy.
-/// Corruption when the column holds another count.
-Status ChimpDecode(const uint8_t* data, size_t size, uint32_t count,
-                   uint64_t* out);
+/// Decodes a column of `size` bytes at `data` into out[count], as the
+/// doubles the encoded words are the bit patterns of, with no intermediate
+/// copy. Corruption when the column holds another count.
 Status ChimpDecodeDoubles(const uint8_t* data, size_t size, uint32_t count,
                           double* out);
-inline Status ChimpDecode(const EncodedColumn& col, uint64_t* out) {
-  return ChimpDecode(col.bytes.data(), col.bytes.size(), col.count, out);
-}
 inline Status ChimpDecodeDoubles(const EncodedColumn& col, double* out) {
   return ChimpDecodeDoubles(col.bytes.data(), col.bytes.size(), col.count,
                             out);

@@ -72,11 +72,6 @@ int64_t DeltaRleColumn::delta_upper_bound() const {
   return hi;
 }
 
-uint32_t DeltaRleColumn::max_run_bound() const {
-  if (run_width_ >= 32) return UINT32_MAX;
-  return MaskLow32(run_width_) + 1;
-}
-
 Result<DeltaRleColumn> DeltaRleColumn::Parse(const uint8_t* data,
                                              size_t size) {
   if (size < 26) return Status::Corruption("delta_rle: header truncated");

@@ -52,10 +52,9 @@ class DeltaRleColumn {
   const uint8_t* packed_deltas() const { return packed_deltas_; }
   const uint8_t* packed_runs() const { return packed_runs_; }
 
-  /// Pruning bounds (Propositions 4-5).
+  /// Width-derived delta bounds (Propositions 4-5).
   int64_t delta_lower_bound() const { return min_delta_; }
   int64_t delta_upper_bound() const;
-  uint32_t max_run_bound() const;  // R_M
 
   /// Scalar decode of the <delta, run> pair list.
   Status DecodePairs(std::vector<DeltaRun>* out) const;

@@ -59,26 +59,4 @@ bool FibonacciDecode(BitReader* reader, uint64_t* out) {
   }
 }
 
-size_t FibonacciDecodeRange(const uint8_t* data, size_t size_bytes,
-                            size_t bit_offset, size_t bit_end,
-                            size_t max_values, uint64_t* out,
-                            size_t* bits_consumed) {
-  BitReader reader(data, size_bytes);
-  reader.SeekBits(bit_offset);
-  size_t n = 0;
-  size_t consumed_end = bit_offset;
-  while (n < max_values && reader.bit_pos() < bit_end) {
-    uint64_t v;
-    size_t start = reader.bit_pos();
-    if (!FibonacciDecode(&reader, &v) || reader.bit_pos() > bit_end) {
-      reader.SeekBits(start);
-      break;
-    }
-    out[n++] = v;
-    consumed_end = reader.bit_pos();
-  }
-  if (bits_consumed != nullptr) *bits_consumed = consumed_end - bit_offset;
-  return n;
-}
-
 }  // namespace etsqp::enc

@@ -12,8 +12,7 @@ namespace etsqp::enc {
 /// Fibonacci coding: the variable-width Packing operator used by RLBE
 /// (paper Table I, Figure 7). A positive integer is written as the sum of
 /// non-consecutive Fibonacci numbers, emitted lowest-order first, terminated
-/// by an extra 1 bit — so every codeword ends in the unique pattern "11",
-/// which the SIMD separator kernel detects with (V >> 1) & V.
+/// by an extra 1 bit — so every codeword ends in the unique pattern "11".
 ///
 /// We code x >= 0 as Fib(x + 1), so zero is representable.
 
@@ -23,13 +22,6 @@ void FibonacciEncode(uint64_t x, BitWriter* writer);
 /// Reads one codeword from `reader`. Returns false on malformed/truncated
 /// input.
 bool FibonacciDecode(BitReader* reader, uint64_t* out);
-
-/// Decodes up to `max_values` codewords from a bit range. Returns the number
-/// decoded; `*bits_consumed` reports the exact bit length consumed.
-size_t FibonacciDecodeRange(const uint8_t* data, size_t size_bytes,
-                            size_t bit_offset, size_t bit_end,
-                            size_t max_values, uint64_t* out,
-                            size_t* bits_consumed);
 
 /// The Fibonacci numbers used by the coder (F[0]=1, F[1]=2, 1,2,3,5,...).
 const std::vector<uint64_t>& FibonacciTable();

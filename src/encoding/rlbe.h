@@ -30,8 +30,6 @@ class RlbeColumn {
 
   uint32_t count() const { return count_; }
   int64_t first_value() const { return first_value_; }
-  const uint8_t* stream() const { return stream_; }
-  size_t stream_bytes() const { return stream_bytes_; }
 
   /// Reference scalar decode into out[count()].
   Status DecodeAll(int64_t* out) const;
@@ -47,8 +45,8 @@ class RlbeColumn {
     int64_t value = 0;         // last decoded value
   };
 
-  /// Scans the stream (separator detection + codeword skipping, no value
-  /// reconstruction) and records an anchor roughly every `stride` values.
+  /// Scans the stream one codeword at a time, keeping the running value but
+  /// writing none out, and records an anchor roughly every `stride` values.
   /// The first anchor is always (bit 0, index 1, first_value).
   Result<std::vector<Anchor>> ScanAnchors(uint32_t stride) const;
 

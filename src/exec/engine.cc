@@ -15,7 +15,6 @@
 #include "exec/fusion.h"
 #include "exec/pipe_builder.h"
 #include "exec/pipeline_job.h"
-#include "simd/filter_simd.h"
 #include "simd/merge_simd.h"
 #include "storage/page_builder.h"
 

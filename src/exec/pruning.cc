@@ -1,7 +1,6 @@
 #include "exec/pruning.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace etsqp::exec {
 
@@ -31,21 +30,6 @@ bool ValueBlockPrunable(const enc::Ts2DiffBlock& block, int64_t lo,
   if (dmin < 0) bmin += dmin * block.num_deltas;
   if (dmax > 0) bmax += dmax * block.num_deltas;
   return bmax < lo || bmin > hi;
-}
-
-void DeltaRleValueBounds(const enc::DeltaRleColumn& col, int64_t* lo,
-                         int64_t* hi) {
-  __int128 bmin = col.first_value();
-  __int128 bmax = col.first_value();
-  __int128 dmin = col.delta_lower_bound();
-  __int128 dmax = col.delta_upper_bound();
-  __int128 steps = col.count() == 0 ? 0 : col.count() - 1;
-  if (dmin < 0) bmin += dmin * steps;
-  if (dmax > 0) bmax += dmax * steps;
-  constexpr __int128 kLo = std::numeric_limits<int64_t>::min();
-  constexpr __int128 kHi = std::numeric_limits<int64_t>::max();
-  *lo = static_cast<int64_t>(std::max(bmin, kLo));
-  *hi = static_cast<int64_t>(std::min(bmax, kHi));
 }
 
 }  // namespace etsqp::exec

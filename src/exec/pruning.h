@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "encoding/delta_rle.h"
 #include "encoding/ts2diff.h"
 
 namespace etsqp::exec {
@@ -11,9 +10,8 @@ namespace etsqp::exec {
 /// Pruning rules from paper Section V: header statistics bound what the
 /// undecoded remainder of a sequence can contain, letting the pipeline skip
 /// loading/decoding. Bounds derive from packing widths: every delta lies in
-/// [minBase, minBase + 2^w - 1] (Propositions 4-5), every run length is at
-/// most R_M. All rules are conservative: they may only fail to prune, never
-/// skip qualifying tuples.
+/// [minBase, minBase + 2^w - 1] (Propositions 4-5). All rules are
+/// conservative: they may only fail to prune, never skip qualifying tuples.
 
 /// Proposition 4 bound: a conservative upper bound of the last timestamp
 /// of a TS2DIFF time block, from its first value and width-derived delta
@@ -33,11 +31,6 @@ size_t ConstantIntervalLowerBound(const enc::Ts2DiffBlock& block, __int128 t);
 /// decodes to out-of-range values and is skipped.
 bool ValueBlockPrunable(const enc::Ts2DiffBlock& block, int64_t lo,
                         int64_t hi);
-
-/// Proposition 4/5 bounds for a Delta-RLE column: conservative [min, max]
-/// of all values, from the header statistics only.
-void DeltaRleValueBounds(const enc::DeltaRleColumn& col, int64_t* lo,
-                         int64_t* hi);
 
 }  // namespace etsqp::exec
 

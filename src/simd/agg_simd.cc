@@ -344,17 +344,4 @@ RampSums PackedRampSum(const uint8_t* packed, size_t packed_bytes, int width,
                                          n);
 }
 
-bool CheckedAddInt64(int64_t a, int64_t b, int64_t* out) {
-  return !__builtin_add_overflow(a, b, out);
-}
-
-bool CheckedSumInt64(const int64_t* values, size_t n, int64_t* out) {
-  int64_t sum = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (__builtin_add_overflow(sum, values[i], &sum)) return false;
-  }
-  *out = sum;
-  return true;
-}
-
 }  // namespace etsqp::simd

@@ -66,11 +66,6 @@ RampSums PackedRampSumScalar(const uint8_t* packed, size_t packed_bytes,
 RampSums PackedRampSumAvx2(const uint8_t* packed, size_t packed_bytes,
                            int width, size_t first, size_t n);
 
-/// Checked 64-bit accumulation (Section VI-C): returns false on overflow,
-/// detected by comparing operand and result lane signs.
-bool CheckedAddInt64(int64_t a, int64_t b, int64_t* out);
-bool CheckedSumInt64(const int64_t* values, size_t n, int64_t* out);
-
 }  // namespace etsqp::simd
 
 #endif  // ETSQP_SIMD_AGG_SIMD_H_

@@ -2,7 +2,6 @@
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cstring>
 
 #include "common/bit_util.h"
@@ -55,68 +54,6 @@ void RangeFilterMaskInt32(const int32_t* values, size_t n, int32_t lo,
   } else {
     RangeFilterMaskInt32Scalar(values, n, lo, hi, mask);
   }
-}
-
-size_t CountMaskBits(const uint64_t* mask, size_t n) {
-  size_t count = 0;
-  size_t words = n / 64;
-  for (size_t w = 0; w < words; ++w) {
-    count += static_cast<size_t>(std::popcount(mask[w]));
-  }
-  size_t rem = n & 63;
-  if (rem != 0) {
-    count += static_cast<size_t>(std::popcount(mask[words] & MaskLow64(static_cast<int>(rem))));
-  }
-  return count;
-}
-
-void AndMasks(const uint64_t* a, const uint64_t* b, size_t n, uint64_t* out) {
-  size_t words = CeilDiv(n, 64);
-  for (size_t w = 0; w < words; ++w) out[w] = a[w] & b[w];
-}
-
-size_t JoinMasksInt64(const int64_t* l, size_t nl, const int64_t* r,
-                      size_t nr, uint64_t* mask_l, uint64_t* mask_r) {
-  std::memset(mask_l, 0, CeilDiv(nl, 64) * sizeof(uint64_t));
-  std::memset(mask_r, 0, CeilDiv(nr, 64) * sizeof(uint64_t));
-  size_t i = 0, j = 0, matches = 0;
-  const bool avx2 = UseAvx2();
-  while (i < nl && j < nr) {
-    if (avx2 && i + 4 <= nl) {
-      // Block skip: if the next 4 left values are all below r[j], none can
-      // match — advance 4 at once (and symmetrically for the right side).
-      __m256i lv = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(l + i));
-      __m256i rj = _mm256_set1_epi64x(r[j]);
-      if (_mm256_movemask_pd(_mm256_castsi256_pd(
-              _mm256_cmpgt_epi64(rj, lv))) == 0xF) {
-        i += 4;
-        continue;
-      }
-    }
-    if (avx2 && j + 4 <= nr) {
-      __m256i rv = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(r + j));
-      __m256i li = _mm256_set1_epi64x(l[i]);
-      if (_mm256_movemask_pd(_mm256_castsi256_pd(
-              _mm256_cmpgt_epi64(li, rv))) == 0xF) {
-        j += 4;
-        continue;
-      }
-    }
-    if (l[i] < r[j]) {
-      ++i;
-    } else if (l[i] > r[j]) {
-      ++j;
-    } else {
-      mask_l[i >> 6] |= 1ull << (i & 63);
-      mask_r[j >> 6] |= 1ull << (j & 63);
-      ++matches;
-      ++i;
-      ++j;
-    }
-  }
-  return matches;
 }
 
 }  // namespace etsqp::simd

@@ -21,22 +21,6 @@ void RangeFilterMaskInt32Scalar(const int32_t* values, size_t n, int32_t lo,
 void RangeFilterMaskInt32Avx2(const int32_t* values, size_t n, int32_t lo,
                               int32_t hi, uint64_t* mask);
 
-/// Number of set bits among the first n bits of `mask`.
-size_t CountMaskBits(const uint64_t* mask, size_t n);
-
-/// mask_out = mask_a AND mask_b over n bits (conjunctive predicates /
-/// natural-join masks shared across columns, paper Eq. 6).
-void AndMasks(const uint64_t* a, const uint64_t* b, size_t n, uint64_t* out);
-
-/// Natural-join masks over two sorted timestamp columns (Definition 2 /
-/// Eq. 6): mask_l bit i = exists j with l[i] == r[j], and vice versa. The
-/// masks are what binary operators apply to the value columns of both
-/// inputs. Merge-based with an AVX2 block-skip: 8-lane compares advance
-/// past non-overlapping stretches without per-element work. Returns the
-/// number of matching pairs.
-size_t JoinMasksInt64(const int64_t* l, size_t nl, const int64_t* r,
-                      size_t nr, uint64_t* mask_l, uint64_t* mask_r);
-
 }  // namespace etsqp::simd
 
 #endif  // ETSQP_SIMD_FILTER_SIMD_H_

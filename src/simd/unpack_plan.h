@@ -90,11 +90,6 @@ struct TransposedPlan {
 /// widths use the scalar fallback.
 const TransposedPlan& GetTransposedPlan(int width, int n_v);
 
-/// Lane l <-> value group g mapping of the transposed layout (identity in
-/// this implementation; see TransposedPlan).
-inline int LaneToGroup(int lane) { return lane; }
-inline int GroupToLane(int group) { return group; }
-
 }  // namespace etsqp::simd
 
 #endif  // ETSQP_SIMD_UNPACK_PLAN_H_

@@ -9,7 +9,6 @@
 #include "encoding/bitpack.h"
 #include "encoding/delta_rle.h"
 #include "encoding/gorilla.h"
-#include "encoding/rle.h"
 #include "encoding/rlbe.h"
 #include "encoding/sprintz.h"
 #include "encoding/ts2diff.h"
@@ -79,39 +78,6 @@ TEST(BitpackTest, UnpackOneMatchesBulk) {
   for (size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(UnpackOneBE(bytes.data(), i * width, width), values[i]);
   }
-}
-
-// ---------------------------------------------------------------- RLE
-
-TEST(RleTest, EncodesRuns) {
-  int64_t data[] = {5, 5, 5, 7, 7, 5};
-  auto runs = RleEncode(data, 6);
-  ASSERT_EQ(runs.size(), 3u);
-  EXPECT_EQ(runs[0].value, 5);
-  EXPECT_EQ(runs[0].length, 3u);
-  EXPECT_EQ(runs[1].value, 7);
-  EXPECT_EQ(runs[1].length, 2u);
-  EXPECT_EQ(runs[2].length, 1u);
-  EXPECT_EQ(RleTotalLength(runs), 6u);
-}
-
-TEST(RleTest, RoundTrip) {
-  std::mt19937_64 rng(3);
-  std::vector<int64_t> data(1000);
-  int64_t v = 0;
-  for (auto& x : data) {
-    if (rng() % 5 == 0) v = static_cast<int64_t>(rng() % 100);
-    x = v;
-  }
-  auto runs = RleEncode(data.data(), data.size());
-  std::vector<int64_t> out(data.size());
-  EXPECT_EQ(RleDecode(runs, out.data()), data.size());
-  EXPECT_EQ(out, data);
-}
-
-TEST(RleTest, Empty) {
-  auto runs = RleEncode(nullptr, 0);
-  EXPECT_TRUE(runs.empty());
 }
 
 // ---------------------------------------------------------------- TS2DIFF
@@ -317,7 +283,6 @@ TEST(DeltaRleTest, BoundsAreConservative) {
     EXPECT_GE(d, c.delta_lower_bound());
     EXPECT_LE(d, c.delta_upper_bound());
   }
-  EXPECT_GE(c.max_run_bound(), 3u);
 }
 
 TEST(DeltaRleTest, HighCompressionForConstantSlope) {

@@ -517,20 +517,6 @@ TEST(PruningTest, ValueBlockPrunableIsSound) {
   }
 }
 
-TEST(PruningTest, DeltaRleBoundsContainAllValues) {
-  std::vector<int64_t> values = RunnyWalk(3000, 67);
-  ParsedBytes col =
-      ParseBytes(enc::DeltaRleEncoder().Encode(values.data(), values.size()));
-  ASSERT_TRUE(col.status.ok());
-  const enc::DeltaRleColumn& parsed = col.col.As<enc::DeltaRleColumn>();
-  int64_t lo, hi;
-  DeltaRleValueBounds(parsed, &lo, &hi);
-  for (int64_t v : values) {
-    EXPECT_GE(v, lo);
-    EXPECT_LE(v, hi);
-  }
-}
-
 // ----------------------------------------------------------- Scheduler
 
 TEST(SchedulerTest, PipelineJobsExecuteAll) {

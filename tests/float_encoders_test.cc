@@ -80,26 +80,6 @@ TEST(FibonacciTest, StreamOfValuesRoundTrips) {
   }
 }
 
-TEST(FibonacciTest, DecodeRangeStopsAtBitEnd) {
-  BitWriter w;
-  FibonacciEncode(5, &w);
-  FibonacciEncode(6, &w);
-  size_t end_of_first = 0;
-  {
-    BitWriter tmp;
-    FibonacciEncode(5, &tmp);
-    end_of_first = tmp.bit_count();
-  }
-  auto bytes = w.TakeBuffer();
-  uint64_t out[4];
-  size_t consumed = 0;
-  size_t n = FibonacciDecodeRange(bytes.data(), bytes.size(), 0,
-                                  end_of_first, 4, out, &consumed);
-  EXPECT_EQ(n, 1u);
-  EXPECT_EQ(out[0], 5u);
-  EXPECT_EQ(consumed, end_of_first);
-}
-
 TEST(FibonacciTest, TruncatedStreamFails) {
   BitWriter w;
   w.WriteBits(0b0101, 4);  // no terminator
@@ -302,9 +282,10 @@ TEST(ChimpTest, RoundTripRandomBits) {
   std::vector<uint64_t> words(2000);
   for (auto& w : words) w = rng();
   EncodedColumn col = ChimpEncoder().Encode(words.data(), words.size());
-  std::vector<uint64_t> out(words.size());
-  ASSERT_TRUE(ChimpDecode(col, out.data()).ok());
-  EXPECT_EQ(out, words);
+  // Random words include NaN patterns, so compare bits, not doubles.
+  std::vector<double> out(words.size());
+  ASSERT_TRUE(ChimpDecodeDoubles(col, out.data()).ok());
+  EXPECT_EQ(std::memcmp(out.data(), words.data(), words.size() * sizeof(uint64_t)), 0);
 }
 
 TEST(ChimpTest, RepeatsCompress) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <random>
 #include <string>
 #include <tuple>
@@ -10,10 +11,8 @@
 #include "common/bitstream.h"
 #include "common/cpu.h"
 #include "encoding/bitpack.h"
-#include "encoding/fibonacci.h"
 #include "simd/agg_simd.h"
 #include "simd/delta_simd.h"
-#include "simd/fib_simd.h"
 #include "simd/filter_simd.h"
 #include "simd/merge_simd.h"
 #include "simd/rle_flatten.h"
@@ -139,15 +138,6 @@ TEST(UnpackPlanTest, PlansAreCachedSingletons) {
   const TransposedPlan* d = &GetTransposedPlan(10, 6);
   EXPECT_EQ(c, d);
   EXPECT_NE(c, &GetTransposedPlan(10, 4));
-}
-
-TEST(UnpackPlanTest, LaneGroupMappingIsBijective) {
-  for (int g = 0; g < 8; ++g) {
-    EXPECT_EQ(LaneToGroup(GroupToLane(g)), g);
-  }
-  for (int l = 0; l < 8; ++l) {
-    EXPECT_EQ(GroupToLane(LaneToGroup(l)), l);
-  }
 }
 
 // --------------------------------------------------------------- delta
@@ -386,75 +376,7 @@ TEST(FilterTest, MaskSemantics) {
   uint64_t mask = 0;
   RangeFilterMaskInt32(values.data(), values.size(), 5, 15, &mask);
   EXPECT_EQ(mask, 0b01110u);
-  EXPECT_EQ(CountMaskBits(&mask, values.size()), 3u);
-}
-
-TEST(FilterTest, CountMaskBitsPartialWord) {
-  uint64_t mask[2] = {~0ull, ~0ull};
-  EXPECT_EQ(CountMaskBits(mask, 128), 128u);
-  EXPECT_EQ(CountMaskBits(mask, 70), 70u);
-  EXPECT_EQ(CountMaskBits(mask, 64), 64u);
-  EXPECT_EQ(CountMaskBits(mask, 1), 1u);
-}
-
-TEST(FilterTest, AndMasks) {
-  uint64_t a[1] = {0b1100};
-  uint64_t b[1] = {0b1010};
-  uint64_t out[1];
-  AndMasks(a, b, 4, out);
-  EXPECT_EQ(out[0], 0b1000u);
-}
-
-TEST(JoinMaskTest, BasicIntersection) {
-  std::vector<int64_t> l = {1, 3, 5, 7, 9, 11};
-  std::vector<int64_t> r = {2, 3, 4, 7, 8, 11, 20};
-  uint64_t ml = 0, mr = 0;
-  size_t matches =
-      JoinMasksInt64(l.data(), l.size(), r.data(), r.size(), &ml, &mr);
-  EXPECT_EQ(matches, 3u);
-  EXPECT_EQ(ml, 0b101010u);  // 3, 7, 11 at l-indices 1, 3, 5
-  EXPECT_EQ(mr, 0b101010u);  // 3, 7, 11 at r-indices 1, 3, 5
-}
-
-TEST(JoinMaskTest, DisjointAndEmpty) {
-  std::vector<int64_t> l = {1, 2, 3};
-  std::vector<int64_t> r = {10, 20, 30};
-  uint64_t ml = ~0ull, mr = ~0ull;
-  EXPECT_EQ(JoinMasksInt64(l.data(), l.size(), r.data(), r.size(), &ml, &mr),
-            0u);
-  EXPECT_EQ(ml, 0u);
-  EXPECT_EQ(mr, 0u);
-  uint64_t m = 1;
-  EXPECT_EQ(JoinMasksInt64(l.data(), 0, r.data(), r.size(), &m, &mr), 0u);
-}
-
-TEST(JoinMaskTest, MatchesScalarReferenceOnRandomSets) {
-  std::mt19937_64 rng(777);
-  for (int trial = 0; trial < 20; ++trial) {
-    size_t nl = 100 + rng() % 2000;
-    size_t nr = 100 + rng() % 2000;
-    std::vector<int64_t> l, r;
-    int64_t t = 0;
-    for (size_t i = 0; i < nl; ++i) l.push_back(t += 1 + rng() % 4);
-    t = static_cast<int64_t>(rng() % 50);
-    for (size_t i = 0; i < nr; ++i) r.push_back(t += 1 + rng() % 4);
-    std::vector<uint64_t> ml(CeilDiv(nl, 64)), mr(CeilDiv(nr, 64));
-    size_t matches =
-        JoinMasksInt64(l.data(), nl, r.data(), nr, ml.data(), mr.data());
-    // Reference via sorted intersection.
-    std::vector<int64_t> expect;
-    std::set_intersection(l.begin(), l.end(), r.begin(), r.end(),
-                          std::back_inserter(expect));
-    EXPECT_EQ(matches, expect.size());
-    EXPECT_EQ(CountMaskBits(ml.data(), nl), expect.size());
-    EXPECT_EQ(CountMaskBits(mr.data(), nr), expect.size());
-    size_t e = 0;
-    for (size_t i = 0; i < nl; ++i) {
-      if (ml[i >> 6] & (1ull << (i & 63))) {
-        ASSERT_EQ(l[i], expect[e++]);
-      }
-    }
-  }
+  EXPECT_EQ(std::popcount(mask), 3);
 }
 
 // --------------------------------------------------------------- agg
@@ -688,80 +610,6 @@ TEST(AggTest, PackedRampSumFormula) {
   const RampSums s = PackedRampSum(p.bytes.data(), p.packed_bytes, 1, 0, 3);
   EXPECT_EQ(s.sum, 3u);
   EXPECT_TRUE(s.ramp == 6);
-}
-
-TEST(AggTest, CheckedSumDetectsOverflow) {
-  std::vector<int64_t> values = {INT64_MAX, 1};
-  int64_t out;
-  EXPECT_FALSE(CheckedSumInt64(values.data(), values.size(), &out));
-  std::vector<int64_t> ok = {INT64_MAX, -1, 1};
-  EXPECT_TRUE(CheckedSumInt64(ok.data(), 2, &out));
-  EXPECT_EQ(out, INT64_MAX - 1);
-  EXPECT_TRUE(CheckedSumInt64(ok.data() + 1, 2, &out));
-  EXPECT_EQ(out, 0);
-  std::vector<int64_t> wraps = {INT64_MIN, -1};
-  EXPECT_FALSE(CheckedSumInt64(wraps.data(), 2, &out));
-}
-
-// --------------------------------------------------------------- fib simd
-
-TEST(FibSimdTest, FindsTerminators) {
-  // Stream: 0101 1000 0110 0000 -> pairs end at bits 4? bits: 0,1,0,1,1,...
-  // positions:           0123456789...
-  std::vector<uint8_t> bytes = {0b01011000, 0b01100000};
-  auto terms = FindTerminators(bytes.data(), bytes.size(), 0, 16);
-  // Adjacent 1 pairs: bits (3,4) and (9,10) -> seconds at 4 and 10.
-  ASSERT_EQ(terms.size(), 2u);
-  EXPECT_EQ(terms[0], 4u);
-  EXPECT_EQ(terms[1], 10u);
-}
-
-TEST(FibSimdTest, FirstTerminatorRespectsRange) {
-  std::vector<uint8_t> bytes = {0b01011000, 0b01100000};
-  EXPECT_EQ(FindFirstTerminator(bytes.data(), bytes.size(), 0, 16), 4u);
-  EXPECT_EQ(FindFirstTerminator(bytes.data(), bytes.size(), 5, 16), 10u);
-  EXPECT_EQ(FindFirstTerminator(bytes.data(), bytes.size(), 11, 16),
-            SIZE_MAX);
-}
-
-TEST(FibSimdTest, CrossBytePair) {
-  // Bits 7 and 8 set: pair straddles the byte boundary.
-  std::vector<uint8_t> bytes = {0b00000001, 0b10000000};
-  auto terms = FindTerminators(bytes.data(), bytes.size(), 0, 16);
-  ASSERT_EQ(terms.size(), 1u);
-  EXPECT_EQ(terms[0], 8u);
-}
-
-TEST(FibSimdTest, CrossWordPair) {
-  // Pair at bits 63/64 (8-byte window boundary).
-  std::vector<uint8_t> bytes(16, 0);
-  bytes[7] = 0x01;
-  bytes[8] = 0x80;
-  auto terms = FindTerminators(bytes.data(), bytes.size(), 0, 128);
-  ASSERT_EQ(terms.size(), 1u);
-  EXPECT_EQ(terms[0], 64u);
-}
-
-TEST(FibSimdTest, MatchesEncodedStream) {
-  std::mt19937_64 rng(444);
-  BitWriter w;
-  std::vector<size_t> expected_ends;
-  for (int i = 0; i < 500; ++i) {
-    uint64_t v = rng() % 10000;
-    enc::FibonacciEncode(v, &w);
-    expected_ends.push_back(w.bit_count() - 1);
-  }
-  size_t total_bits = w.bit_count();
-  auto bytes = w.TakeBuffer();
-  auto terms = FindTerminators(bytes.data(), bytes.size(), 0, total_bits);
-  // Every true codeword end must be among the detected pairs (detection is
-  // a superset: adjacent codewords can create extra candidates).
-  size_t ti = 0;
-  for (size_t end : expected_ends) {
-    while (ti < terms.size() && terms[ti] < end) ++ti;
-    ASSERT_LT(ti, terms.size());
-    EXPECT_EQ(terms[ti], end);
-  }
 }
 
 // ------------------------------------------------------------ merge kernels

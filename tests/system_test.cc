@@ -5,14 +5,10 @@
 #include <random>
 
 #include "baselines/fastlanes_exec.h"
-#include "baselines/sboost.h"
-#include "common/aligned_buffer.h"
 #include "common/cpu.h"
-#include "common/bitstream.h"
 #include "db/block_engine.h"
 #include "db/database.h"
 #include "db/row_engine.h"
-#include "encoding/bitpack.h"
 #include "sim/sched_sim.h"
 #include "workload/generators.h"
 
@@ -433,33 +429,6 @@ TEST(RowEngineTest, MatchesReferenceWithSetupCost) {
 }
 
 // ------------------------------------------------------------- baselines
-
-TEST(SboostFilterTest, MatchesReferenceOnPackedData) {
-  std::mt19937_64 rng(307);
-  int width = 14;
-  size_t n = 5000;
-  std::vector<uint64_t> values(n);
-  for (auto& v : values) v = rng() & MaskLow64(width);
-  BitWriter w;
-  enc::PackBE(values.data(), n, width, &w);
-  auto bytes = w.TakeBuffer();
-  AlignedBuffer buf;
-  buf.Assign(bytes.data(), bytes.size());
-
-  uint32_t lo = 1000, hi = 9000;
-  std::vector<uint64_t> mask(CeilDiv(n, 64));
-  baselines::SboostFilterPacked(buf.data(), buf.size(), n, width, lo, hi,
-                                mask.data());
-  size_t expected = 0;
-  for (size_t i = 0; i < n; ++i) {
-    bool sel = values[i] >= lo && values[i] <= hi;
-    if (sel) ++expected;
-    EXPECT_EQ((mask[i >> 6] >> (i & 63)) & 1, sel ? 1u : 0u) << i;
-  }
-  EXPECT_EQ(baselines::SboostCountPacked(buf.data(), buf.size(), n, width, lo,
-                                         hi),
-            expected);
-}
 
 TEST(FastLanesExecTest, LoadsDatasetWithFlmmEncoding) {
   workload::Dataset ds = workload::MakeSine(10'000);
